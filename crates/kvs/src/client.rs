@@ -259,16 +259,7 @@ impl<'a> RetryClient<'a> {
         let (payload, _) = conn.recv()?;
         let response =
             Response::decode(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let got = match &response {
-            Response::MGet { id, .. }
-            | Response::Set { id, .. }
-            | Response::SetMulti { id, .. }
-            | Response::Delete { id, .. }
-            | Response::Cas { id, .. }
-            | Response::Touch { id, .. }
-            | Response::SetEx { id, .. }
-            | Response::Error { id, .. } => *id,
-        };
+        let got = response.id();
         if got != id {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,

@@ -17,23 +17,10 @@
 
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
-use super::{HashIndex, IndexError};
+use super::cuckoo::{BucketLayout, TagCuckoo};
 use crate::item::NO_ITEM;
 
 const SLOTS: usize = 4;
-/// Bound on BFS nodes during relocation (as in `simdht-table`).
-const MAX_BFS_NODES: usize = 2048;
-
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-struct Slot {
-    tag: u8,
-    item: u32,
-}
-
-const EMPTY_SLOT: Slot = Slot {
-    tag: 0,
-    item: NO_ITEM,
-};
 
 /// Pack a slot into the single `AtomicU64` word it is stored as:
 /// `[tag:8][item:32]`. One-word slots mean a racing reader can never see
@@ -41,49 +28,94 @@ const EMPTY_SLOT: Slot = Slot {
 /// optimistic path probes this index while a writer mutates it — they are
 /// what keeps those racy probes free of data races on non-atomic memory.
 #[inline(always)]
-fn pack(s: Slot) -> u64 {
-    ((s.tag as u64) << 32) | s.item as u64
+fn pack(tag: u8, item: u32) -> u64 {
+    ((tag as u64) << 32) | item as u64
 }
 
+/// An empty slot: emptiness is signalled by `item == NO_ITEM`.
+const EMPTY: u64 = NO_ITEM as u64;
+
+/// Whether slot word `w` is occupied and carries `tag`.
 #[inline(always)]
-fn unpack(w: u64) -> Slot {
-    Slot {
-        tag: (w >> 32) as u8,
-        item: w as u32,
-    }
+fn holds(w: u64, tag: u8) -> bool {
+    (w >> 32) as u8 == tag && w as u32 != NO_ITEM
 }
 
 /// The MemC3 (2,4) tag-based cuckoo index.
-pub struct Memc3Index {
+pub type Memc3Index = TagCuckoo<Memc3Layout>;
+
+/// MemC3's bucket layout: four one-word `[tag | item]` slots per bucket,
+/// scalar tag compare, and a per-bucket version counter bumped around
+/// every slot write.
+pub struct Memc3Layout {
     /// Packed slot words (see [`pack`]); all reads and writes are atomic.
     slots: Vec<AtomicU64>,
     versions: Vec<AtomicU64>,
-    mask: usize,
-    len: usize,
 }
 
-impl std::fmt::Debug for Memc3Index {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Memc3Index")
-            .field("buckets", &(self.mask + 1))
-            .field("len", &self.len)
-            .finish()
+impl Memc3Layout {
+    fn begin_write(&self, bucket: usize) {
+        // Seqlock write-begin: the odd bump must be visible before any
+        // slot store that follows (relaxed RMW + release fence, as in
+        // `seqlock::SeqCount::begin_write`).
+        self.versions[bucket].fetch_add(1, Ordering::Relaxed);
+        fence(Ordering::Release);
+    }
+
+    fn end_write(&self, bucket: usize) {
+        self.versions[bucket].fetch_add(1, Ordering::Release);
+    }
+
+    /// Optimistic read of one bucket's slots. Slot words are atomic, so
+    /// each load is individually untorn; the version check additionally
+    /// yields a consistent snapshot of the whole bucket.
+    fn read_bucket(&self, bucket: usize) -> [u64; SLOTS] {
+        loop {
+            let v1 = self.versions[bucket].load(Ordering::Acquire);
+            if v1 & 1 == 1 {
+                std::hint::spin_loop();
+                continue;
+            }
+            let mut out = [EMPTY; SLOTS];
+            for (s, o) in out.iter_mut().enumerate() {
+                *o = self.slots[bucket * SLOTS + s].load(Ordering::Relaxed);
+            }
+            fence(Ordering::Acquire);
+            let v2 = self.versions[bucket].load(Ordering::Relaxed);
+            if v1 == v2 {
+                return out;
+            }
+        }
+    }
+
+    /// Writer-side slot read (no writer can be running — see the
+    /// [`BucketLayout`] contract — so a relaxed load races nothing).
+    #[inline(always)]
+    fn slot(&self, idx: usize) -> u64 {
+        self.slots[idx].load(Ordering::Relaxed)
+    }
+
+    /// One version-bracketed word store: readers of the bucket retry
+    /// across it.
+    fn set_slot(&mut self, idx: usize, word: u64) {
+        let bucket = idx / SLOTS;
+        self.begin_write(bucket);
+        self.slots[idx].store(word, Ordering::Relaxed);
+        self.end_write(bucket);
     }
 }
 
-impl Memc3Index {
-    /// Create an index able to hold at least `capacity_items` entries at a
-    /// ~90 % load factor.
-    pub fn with_capacity(capacity_items: usize) -> Self {
-        let needed_slots = ((capacity_items as f64 / 0.90).ceil() as usize).max(SLOTS);
-        let buckets = (needed_slots / SLOTS + 1).next_power_of_two();
-        Memc3Index {
+impl BucketLayout for Memc3Layout {
+    const SLOTS: usize = SLOTS;
+    const LOAD_FACTOR: f64 = 0.90;
+    const NAME: &'static str = "MemC3 (2,4) tag-BCHT [scalar]";
+
+    fn new(buckets: usize) -> Self {
+        Memc3Layout {
             slots: (0..buckets * SLOTS)
-                .map(|_| AtomicU64::new(pack(EMPTY_SLOT)))
+                .map(|_| AtomicU64::new(EMPTY))
                 .collect(),
             versions: (0..buckets).map(|_| AtomicU64::new(0)).collect(),
-            mask: buckets - 1,
-            len: 0,
         }
     }
 
@@ -100,65 +132,13 @@ impl Memc3Index {
         }
     }
 
+    /// Version-validated scalar tag compare over each bucket snapshot.
     #[inline(always)]
-    fn bucket1(&self, hash: u32) -> usize {
-        hash as usize & self.mask
-    }
-
-    /// Partial-key alternate bucket: `b ⊕ h(tag)`.
-    #[inline(always)]
-    fn alt_bucket(&self, bucket: usize, tag: u8) -> usize {
-        // The de-facto MemC3/libcuckoo tag scatter constant.
-        (bucket ^ ((tag as usize).wrapping_mul(0x5bd1_e995))) & self.mask
-    }
-
-    fn begin_write(&self, bucket: usize) {
-        // Seqlock write-begin: the odd bump must be visible before any
-        // slot store that follows (relaxed RMW + release fence, as in
-        // `seqlock::SeqCount::begin_write`).
-        self.versions[bucket].fetch_add(1, Ordering::Relaxed);
-        fence(Ordering::Release);
-    }
-
-    fn end_write(&self, bucket: usize) {
-        self.versions[bucket].fetch_add(1, Ordering::Release);
-    }
-
-    /// Optimistic read of one bucket's slots. Slot words are atomic, so
-    /// each load is individually untorn; the version check additionally
-    /// yields a consistent snapshot of the whole bucket.
-    fn read_bucket(&self, bucket: usize) -> [Slot; SLOTS] {
-        loop {
-            let v1 = self.versions[bucket].load(Ordering::Acquire);
-            if v1 & 1 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let mut out = [EMPTY_SLOT; SLOTS];
-            for (s, o) in out.iter_mut().enumerate() {
-                *o = unpack(self.slots[bucket * SLOTS + s].load(Ordering::Relaxed));
-            }
-            fence(Ordering::Acquire);
-            let v2 = self.versions[bucket].load(Ordering::Relaxed);
-            if v1 == v2 {
-                return out;
-            }
-        }
-    }
-
-    /// Probe both candidate buckets for `hash`, returning the first
-    /// tag-matching item id (or [`NO_ITEM`]). One hash of the
-    /// [`HashIndex::lookup_batch`] loop, factored out so the prefetched
-    /// variant can interleave probes with look-ahead prefetches.
-    #[inline(always)]
-    fn probe_one(&self, hash: u32) -> u32 {
-        let tag = Self::tag(hash);
-        let b1 = self.bucket1(hash);
-        let b2 = self.alt_bucket(b1, tag);
+    fn probe_one(&self, _hash: u32, tag: u8, b1: usize, b2: usize) -> u32 {
         for b in [b1, b2] {
-            for slot in self.read_bucket(b) {
-                if slot.tag == tag && slot.item != NO_ITEM {
-                    return slot.item;
+            for w in self.read_bucket(b) {
+                if holds(w, tag) {
+                    return w as u32;
                 }
             }
             if b1 == b2 {
@@ -168,318 +148,46 @@ impl Memc3Index {
         NO_ITEM
     }
 
-    /// Request the cache lines a future [`Memc3Index::probe_one`] of `hash`
-    /// will touch: both candidate buckets' slot arrays plus their version
-    /// counters (the optimistic read loads the version first).
+    /// The bucket's slot array plus its version counter (the optimistic
+    /// read loads the version first).
     #[inline(always)]
-    fn prefetch_buckets(&self, hash: u32) {
-        let tag = Self::tag(hash);
-        let b1 = self.bucket1(hash);
-        let b2 = self.alt_bucket(b1, tag);
-        simdht_simd::prefetch_read(&self.slots[b1 * SLOTS]);
-        simdht_simd::prefetch_read(&self.versions[b1]);
-        simdht_simd::prefetch_read(&self.slots[b2 * SLOTS]);
-        simdht_simd::prefetch_read(&self.versions[b2]);
+    fn prefetch(&self, bucket: usize) {
+        simdht_simd::prefetch_read(&self.slots[bucket * SLOTS]);
+        simdht_simd::prefetch_read(&self.versions[bucket]);
     }
 
-    /// Writer-side slot read (callers hold `&mut self` up the stack, so a
-    /// relaxed load is never racing another writer).
+    /// Over the same version-validated snapshot a probe takes — MemC3
+    /// pays its two version loads on every bucket read. For the writer
+    /// that is not wasted: it pulls in the version line the `store` that
+    /// follows bumps, overlapped with the slot-line miss (reading the slot
+    /// words alone measured slower on the benchmark's `set_multi` replay).
     #[inline(always)]
-    fn slot(&self, idx: usize) -> Slot {
-        unpack(self.slots[idx].load(Ordering::Relaxed))
+    fn match_mask(&self, bucket: usize, _hash: u32, tag: u8) -> u32 {
+        let words = self.read_bucket(bucket);
+        (0..SLOTS).fold(0, |m, s| m | u32::from(holds(words[s], tag)) << s)
     }
 
-    fn find_slot(&self, hash: u32, item: u32) -> Option<usize> {
-        let tag = Self::tag(hash);
-        let b1 = self.bucket1(hash);
-        let b2 = self.alt_bucket(b1, tag);
-        for b in [b1, b2] {
-            for s in 0..SLOTS {
-                let slot = self.slot(b * SLOTS + s);
-                if slot.tag == tag && slot.item == item && slot.item != NO_ITEM {
-                    return Some(b * SLOTS + s);
-                }
-            }
-            if b1 == b2 {
-                break;
-            }
-        }
-        None
+    /// The item id is the low half of each packed slot word, so one
+    /// low-32 movemask against [`NO_ITEM`] finds the empties.
+    #[inline]
+    fn empty_mask(&self, bucket: usize) -> u32 {
+        let words: [u64; SLOTS] = std::array::from_fn(|s| self.slot(bucket * SLOTS + s));
+        simdht_simd::scan::eq_low32_mask(&words, NO_ITEM)
     }
 
-    /// First empty slot of `bucket` — the SIMD occupancy scan: the item id
-    /// is the low half of each packed slot word, so one low-32 movemask
-    /// against [`NO_ITEM`] finds the empties, with `trailing_zeros` giving
-    /// the same left-to-right slot the scalar walk picked (ROADMAP item 3).
-    /// Writer-side only (called under `&mut self` up the stack), so the
-    /// relaxed snapshot races nothing.
-    fn empty_in(&self, bucket: usize) -> Option<usize> {
-        let base = bucket * SLOTS;
-        let mut words = [0u64; SLOTS];
-        for (s, w) in words.iter_mut().enumerate() {
-            *w = self.slots[base + s].load(Ordering::Relaxed);
-        }
-        let m = simdht_simd::scan::eq_low32_mask(&words, NO_ITEM);
-        if m == 0 {
-            None
-        } else {
-            Some(base + m.trailing_zeros() as usize)
-        }
+    #[inline]
+    fn load(&self, slot: usize) -> Option<(u8, u64)> {
+        let w = self.slot(slot);
+        (w as u32 != NO_ITEM).then_some(((w >> 32) as u8, w & 0xFFFF_FFFF))
     }
 
-    fn set_slot(&mut self, idx: usize, slot: Slot) {
-        let bucket = idx / SLOTS;
-        self.begin_write(bucket);
-        self.slots[idx].store(pack(slot), Ordering::Relaxed);
-        self.end_write(bucket);
+    #[inline]
+    fn store(&mut self, slot: usize, tag: u8, entry: u64) {
+        self.set_slot(slot, pack(tag, entry as u32));
     }
 
-    /// BFS for a relocation path (same structure as `simdht-table`, but
-    /// alternate buckets derive from tags — partial-key cuckoo hashing).
-    fn find_path(&self, b1: usize, b2: usize) -> Option<Vec<usize>> {
-        struct Node {
-            idx: usize,
-            parent: usize,
-        }
-        let mut nodes: Vec<Node> = Vec::with_capacity(128);
-        let mut seen = std::collections::HashSet::new();
-        for b in [b1, b2] {
-            if seen.insert(b) {
-                for s in 0..SLOTS {
-                    nodes.push(Node {
-                        idx: b * SLOTS + s,
-                        parent: usize::MAX,
-                    });
-                }
-            }
-        }
-        let mut head = 0;
-        while head < nodes.len() && nodes.len() < MAX_BFS_NODES {
-            let occupant = self.slot(nodes[head].idx);
-            debug_assert_ne!(occupant.item, NO_ITEM);
-            let cur_bucket = nodes[head].idx / SLOTS;
-            let alt = self.alt_bucket(cur_bucket, occupant.tag);
-            if seen.insert(alt) {
-                if let Some(free) = self.empty_in(alt) {
-                    let mut path = vec![free];
-                    let mut at = head;
-                    loop {
-                        path.push(nodes[at].idx);
-                        if nodes[at].parent == usize::MAX {
-                            break;
-                        }
-                        at = nodes[at].parent;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                for s in 0..SLOTS {
-                    nodes.push(Node {
-                        idx: alt * SLOTS + s,
-                        parent: head,
-                    });
-                }
-            }
-            head += 1;
-        }
-        None
-    }
-}
-
-impl HashIndex for Memc3Index {
-    fn name(&self) -> &'static str {
-        "MemC3 (2,4) tag-BCHT [scalar]"
-    }
-
-    fn insert(&mut self, hash: u32, item: u32) -> Result<(), IndexError> {
-        let tag = Self::tag(hash);
-        let b1 = self.bucket1(hash);
-        let b2 = self.alt_bucket(b1, tag);
-        // Update in place if this exact mapping exists.
-        if let Some(idx) = self.find_slot(hash, item) {
-            self.set_slot(idx, Slot { tag, item });
-            return Ok(());
-        }
-        for b in [b1, b2] {
-            if let Some(idx) = self.empty_in(b) {
-                self.set_slot(idx, Slot { tag, item });
-                self.len += 1;
-                return Ok(());
-            }
-        }
-        let path = self.find_path(b1, b2).ok_or(IndexError::Full)?;
-        for w in (1..path.len()).rev() {
-            let moved = self.slot(path[w - 1]);
-            self.set_slot(path[w], moved);
-        }
-        self.set_slot(path[0], Slot { tag, item });
-        self.len += 1;
-        Ok(())
-    }
-
-    fn remove(&mut self, hash: u32, item: u32) {
-        if let Some(idx) = self.find_slot(hash, item) {
-            self.set_slot(idx, EMPTY_SLOT);
-            self.len -= 1;
-        }
-    }
-
-    fn lookup_batch(&self, hashes: &[u32], out: &mut [u32]) {
-        assert_eq!(hashes.len(), out.len(), "output slice length mismatch");
-        for (h, o) in hashes.iter().zip(out.iter_mut()) {
-            *o = self.probe_one(*h);
-        }
-    }
-
-    fn probe_first(&self, hash: u32) -> u32 {
-        self.probe_one(hash)
-    }
-
-    fn prefetch_hash(&self, hash: u32) {
-        self.prefetch_buckets(hash);
-    }
-
-    fn lookup_all(&self, hash: u32, out: &mut Vec<u32>) {
-        let tag = Self::tag(hash);
-        let b1 = self.bucket1(hash);
-        let b2 = self.alt_bucket(b1, tag);
-        for b in [b1, b2] {
-            for slot in self.read_bucket(b) {
-                if slot.tag == tag && slot.item != NO_ITEM {
-                    out.push(slot.item);
-                }
-            }
-            if b1 == b2 {
-                break;
-            }
-        }
-    }
-
-    // Probes touch only `slots`/`versions`, both fixed-capacity arrays of
-    // atomic words sized at construction (cuckoo relocations move entries
-    // between slots, never the arrays) — racy seqlock probes dereference
-    // nothing non-atomic and nothing a writer could free.
-    fn optimistic_probe_safe(&self) -> bool {
-        true
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::index::hash_key;
-
-    #[test]
-    fn insert_lookup_roundtrip() {
-        let mut idx = Memc3Index::with_capacity(1000);
-        for i in 0..800u32 {
-            idx.insert(hash_key(&i.to_le_bytes()), i).unwrap();
-        }
-        assert_eq!(idx.len(), 800);
-        let hashes: Vec<u32> = (0..800u32).map(|i| hash_key(&i.to_le_bytes())).collect();
-        let mut out = vec![0u32; 800];
-        idx.lookup_batch(&hashes, &mut out);
-        for (i, &item) in out.iter().enumerate() {
-            // Tags are only 8 bits — the candidate might be a collision, but
-            // the true item must appear among lookup_all's candidates.
-            if item != i as u32 {
-                let mut all = vec![];
-                idx.lookup_all(hashes[i], &mut all);
-                assert!(all.contains(&(i as u32)), "item {i} unreachable");
-            }
-        }
-    }
-
-    #[test]
-    fn misses_return_no_item_mostly() {
-        let mut idx = Memc3Index::with_capacity(100);
-        for i in 0..50u32 {
-            idx.insert(hash_key(&i.to_le_bytes()), i).unwrap();
-        }
-        // Unknown hashes should mostly miss (tag false positives aside).
-        let hashes: Vec<u32> = (10_000..10_100u32)
-            .map(|i| hash_key(&i.to_le_bytes()))
-            .collect();
-        let mut out = vec![0u32; 100];
-        idx.lookup_batch(&hashes, &mut out);
-        let misses = out.iter().filter(|&&x| x == NO_ITEM).count();
-        assert!(misses > 80, "only {misses} misses — tags too permissive");
-    }
-
-    #[test]
-    fn remove_deletes_exact_mapping() {
-        let mut idx = Memc3Index::with_capacity(100);
-        let h = hash_key(b"key");
-        idx.insert(h, 7).unwrap();
-        idx.remove(h, 8); // wrong item: no-op
-        assert_eq!(idx.len(), 1);
-        idx.remove(h, 7);
-        assert_eq!(idx.len(), 0);
-        let mut out = [0u32; 1];
-        idx.lookup_batch(&[h], &mut out);
-        assert_eq!(out[0], NO_ITEM);
-    }
-
-    /// The SIMD low-32 occupancy scan picks exactly the slot the scalar
-    /// walk over unpacked items picked, across an insert/remove history.
-    #[test]
-    fn simd_empty_scan_matches_scalar_walk() {
-        let scalar_walk = |idx: &Memc3Index, bucket: usize| -> Option<usize> {
-            (0..SLOTS)
-                .map(|s| bucket * SLOTS + s)
-                .find(|&i| idx.slot(i).item == NO_ITEM)
-        };
-        let mut idx = Memc3Index::with_capacity(2000);
-        let mut state = 0x3EC3_0001u64;
-        let mut live: Vec<(u32, u32)> = Vec::new();
-        for step in 0..4000u32 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            if !state.is_multiple_of(3) || live.is_empty() {
-                let h = hash_key(&step.to_le_bytes());
-                idx.insert(h, step).unwrap();
-                live.push((h, step));
-            } else {
-                let victim = live.swap_remove((state >> 32) as usize % live.len());
-                idx.remove(victim.0, victim.1);
-            }
-            for probe in 0..4usize {
-                let b = ((state >> (8 * probe)) as usize + step as usize) & idx.mask;
-                assert_eq!(idx.empty_in(b), scalar_walk(&idx, b), "bucket {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn fills_to_high_load_factor() {
-        let mut idx = Memc3Index::with_capacity(4000);
-        let capacity_slots = (idx.mask + 1) * SLOTS;
-        let mut inserted = 0u32;
-        loop {
-            let h = hash_key(&inserted.to_le_bytes());
-            match idx.insert(h, inserted) {
-                Ok(()) => inserted += 1,
-                Err(IndexError::Full) => break,
-            }
-            if inserted as usize >= capacity_slots {
-                break;
-            }
-        }
-        let lf = inserted as f64 / capacity_slots as f64;
-        assert!(lf > 0.9, "MemC3 index load factor only {lf:.3}");
-    }
-
-    #[test]
-    fn update_same_mapping_does_not_grow() {
-        let mut idx = Memc3Index::with_capacity(10);
-        let h = hash_key(b"x");
-        idx.insert(h, 3).unwrap();
-        idx.insert(h, 3).unwrap();
-        assert_eq!(idx.len(), 1);
+    #[inline]
+    fn clear(&mut self, slot: usize) {
+        self.set_slot(slot, EMPTY);
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! The paper's server data-access phase (§VI-A step 2) probes a hash table
 //! mapping a 32-bit key hash to a payload that locates the full key-value
-//! object. Three index families are provided, matching the paper's Fig. 11
-//! comparison:
+//! object. Five backends are provided. The first three match the paper's
+//! Fig. 11 comparison; the last two are extensions. `memc3`, `dpdk` and
+//! `local` are one partial-key cuckoo core, [`TagCuckoo`], over three
+//! [`BucketLayout`]s; `hor` and `ver` wrap the paper's SIMD kernels.
 //!
 //! * [`Memc3Index`] — the non-SIMD CPU-optimized baseline: (2,4) BCHT with
 //!   8-bit tags, partial-key cuckoo relocation, and optimistic per-bucket
@@ -26,11 +28,13 @@
 //! hit and falls back to [`HashIndex::lookup_all`] for the rare multi-
 //! candidate case.
 
+mod cuckoo;
 mod local;
 mod memc3;
 mod simd;
 mod tagsimd;
 
+pub use cuckoo::{BucketLayout, TagCuckoo};
 pub use local::F14LocalIndex;
 pub use memc3::Memc3Index;
 pub use simd::{SimdIndex, SimdIndexKind};

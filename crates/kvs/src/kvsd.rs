@@ -23,9 +23,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::net::{read_frame, write_frame};
-use crate::protocol::{ErrorCode, Request, Response};
+use crate::protocol::{execute, ErrorCode, ExecScratch, Executed, Request, Response};
 use crate::server::ServerStats;
-use crate::store::{KvStore, MGetResponse, SetMultiBatch};
+use crate::store::KvStore;
 
 /// Graceful-degradation knobs of the TCP daemon.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -69,6 +69,32 @@ pub struct ConnSummary {
     /// Which reactor event loop served the connection
     /// (`None` under the thread-per-connection server).
     pub reactor: Option<usize>,
+}
+
+impl ConnSummary {
+    /// A connection from `peer` that has served nothing yet.
+    pub(crate) fn new(peer: SocketAddr, reactor: Option<usize>) -> Self {
+        ConnSummary {
+            peer,
+            requests: 0,
+            sets: 0,
+            keys: 0,
+            found: 0,
+            shed: 0,
+            busy_ns: 0,
+            reactor,
+        }
+    }
+
+    /// Count one request [`execute`] ran on this connection.
+    pub(crate) fn record(&mut self, done: &Executed<'_>) {
+        if let Some((keys, outcome)) = &done.mget {
+            self.requests += 1;
+            self.keys += *keys as u64;
+            self.found += outcome.found as u64;
+        }
+        self.sets += done.writes as u64;
+    }
 }
 
 /// Counting semaphore bounding simultaneously-processed requests.
@@ -297,16 +323,7 @@ fn handle_connection(
     let peer = stream
         .peer_addr()
         .unwrap_or_else(|_| SocketAddr::from(([0, 0, 0, 0], 0)));
-    let mut conn = ConnSummary {
-        peer,
-        requests: 0,
-        sets: 0,
-        keys: 0,
-        found: 0,
-        shed: 0,
-        busy_ns: 0,
-        reactor: None,
-    };
+    let mut conn = ConnSummary::new(peer, None);
     let Ok(read_half) = stream.try_clone() else {
         return conn;
     };
@@ -315,8 +332,7 @@ fn handle_connection(
     }
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
-    let mut resp_buf = MGetResponse::new();
-    let mut set_batch = SetMultiBatch::new();
+    let mut scratch = ExecScratch::default();
 
     loop {
         // About to block on the socket: push out everything answered so
@@ -342,17 +358,7 @@ fn handle_connection(
         // touching the store. A shed request gets a typed error response
         // and the connection lives on.
         let mut slot: Option<SlotGuard<'_>> = None;
-        if let Some(id) = match &request {
-            Request::MGet { id, .. }
-            | Request::Set { id, .. }
-            | Request::SetMulti { id, .. }
-            | Request::Delete { id, .. }
-            | Request::Cas { id, .. }
-            | Request::Touch { id, .. }
-            | Request::SetEx { id, .. }
-            | Request::SetMultiEx { id, .. } => Some(*id),
-            Request::Shutdown => None,
-        } {
+        if let Some(id) = request.id() {
             let code = if let Some(g) = gauge.as_deref() {
                 if g.acquire(config.deadline) {
                     slot = Some(SlotGuard(g));
@@ -383,82 +389,16 @@ fn handle_connection(
         // `slot` releases its inflight permit when the iteration ends —
         // including the `break` paths.
         let _hold = slot;
-        let multi_ttl = match &request {
-            Request::SetMultiEx { ttl_secs, .. } => *ttl_secs,
-            _ => 0,
+        let Some(done) = execute(store, &request, &mut scratch) else {
+            break; // Shutdown
         };
-        match request {
-            Request::Shutdown => break,
-            Request::MGet { id, keys } => {
-                let key_slices: Vec<&[u8]> = keys.iter().map(|k| k.as_ref()).collect();
-                let outcome = store.mget(&key_slices, &mut resp_buf);
-                conn.requests += 1;
-                conn.keys += key_slices.len() as u64;
-                conn.found += outcome.found as u64;
-                stats.requests.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .keys
-                    .fetch_add(key_slices.len() as u64, Ordering::Relaxed);
-                stats
-                    .found
-                    .fetch_add(outcome.found as u64, Ordering::Relaxed);
-                stats
-                    .pre_ns
-                    .fetch_add(outcome.phases.pre, Ordering::Relaxed);
-                stats
-                    .lookup_ns
-                    .fetch_add(outcome.phases.lookup, Ordering::Relaxed);
-                stats
-                    .post_ns
-                    .fetch_add(outcome.phases.post, Ordering::Relaxed);
-                // Zero-copy reply: the store built the wire body in place
-                // during Phase 3; seal it (header + CRC) and write the
-                // slice straight to the socket — no intermediate Bytes.
-                if write_frame(&mut writer, resp_buf.seal_frame(id)).is_err() {
-                    break;
-                }
-            }
-            Request::Set { id, key, value } => {
-                let ok = store.set(&key, &value).is_ok();
-                conn.sets += 1;
-                let payload = Response::Set { id, ok }.encode();
-                if write_frame(&mut writer, &payload).is_err() {
-                    break;
-                }
-            }
-            Request::SetMulti { id, pairs } | Request::SetMultiEx { id, pairs, .. } => {
-                let pair_slices: Vec<(&[u8], &[u8])> = pairs
-                    .iter()
-                    .map(|(k, v)| (k.as_ref(), v.as_ref()))
-                    .collect();
-                let outcome = store.set_multi_ttl(&pair_slices, multi_ttl, &mut set_batch);
-                conn.sets += pair_slices.len() as u64;
-                stats
-                    .pre_ns
-                    .fetch_add(outcome.phases.pre, Ordering::Relaxed);
-                stats
-                    .lookup_ns
-                    .fetch_add(outcome.phases.lookup, Ordering::Relaxed);
-                stats
-                    .post_ns
-                    .fetch_add(outcome.phases.post, Ordering::Relaxed);
-                let ok: Vec<bool> = set_batch.results().iter().map(|r| r.is_ok()).collect();
-                let payload = Response::SetMulti { id, ok }.encode();
-                if write_frame(&mut writer, &payload).is_err() {
-                    break;
-                }
-            }
-            ref req @ (Request::Delete { .. }
-            | Request::Cas { .. }
-            | Request::Touch { .. }
-            | Request::SetEx { .. }) => {
-                conn.sets += 1;
-                let resp = crate::protocol::execute_versioned_op(store, req)
-                    .expect("point verb has a versioned-op response");
-                if write_frame(&mut writer, &resp.encode()).is_err() {
-                    break;
-                }
-            }
+        conn.record(&done);
+        stats.record(&done);
+        // A Multi-Get reply is the frame the store built in place, sealed
+        // in `scratch` — written straight to the socket, no intermediate
+        // Bytes.
+        if write_frame(&mut writer, &done.reply).is_err() {
+            break;
         }
         let busy = t0.elapsed().as_nanos() as u64;
         conn.busy_ns += busy;

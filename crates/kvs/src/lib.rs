@@ -13,7 +13,8 @@
 //!   indexes point into.
 //! * [`clock`] — MemC3's CLOCK cache-freshness metadata.
 //! * [`index`] — pluggable hash indexes: [`index::Memc3Index`] (tags +
-//!   partial-key cuckoo + optimistic versioned buckets) and
+//!   partial-key cuckoo + optimistic versioned buckets) and its two
+//!   sibling layouts over the same [`index::TagCuckoo`] core, and
 //!   [`index::SimdIndex`] (horizontal (2,4) BCHT / vertical 3-way over the
 //!   `simdht-core` kernels).
 //! * [`seqlock`] — the even/odd version-counter primitive and stable

@@ -617,16 +617,7 @@ fn drive_connection(
             consecutive_failures += 1;
             continue;
         };
-        let id = match &response {
-            Response::MGet { id, .. }
-            | Response::Set { id, .. }
-            | Response::SetMulti { id, .. }
-            | Response::Delete { id, .. }
-            | Response::Cas { id, .. }
-            | Response::Touch { id, .. }
-            | Response::SetEx { id, .. }
-            | Response::Error { id, .. } => *id,
-        };
+        let id = response.id();
         let Some((idx, t0, req_wire)) = inflight.remove(&id) else {
             // A response we never asked for on this stream: protocol
             // violation, resync by reconnecting.

@@ -389,27 +389,114 @@ impl std::fmt::Display for ErrorCode {
     }
 }
 
-/// Encode a Multi-Get response directly from a store response buffer.
-///
-/// The store already built the wire body in place during `mget` Phase 3
-/// (zero-copy responses, DESIGN.md §9), so this only seals the frame and
-/// copies it once into an owned [`Bytes`] for callers that need one (the
-/// simulated-fabric server). The TCP daemon skips even that copy by
-/// writing [`crate::store::MGetResponse::seal_frame`]'s slice directly.
-pub fn encode_mget_response(id: u64, resp: &mut crate::store::MGetResponse) -> Bytes {
-    Bytes::copy_from_slice(resp.seal_frame(id))
+/// Per-worker buffers [`execute`] reuses across requests, as a real
+/// server does: the Multi-Get response frame is built in place in one,
+/// batched writes stage through the other.
+#[derive(Debug, Default)]
+pub struct ExecScratch {
+    pub(crate) resp: crate::store::MGetResponse,
+    pub(crate) set_batch: crate::store::SetMultiBatch,
 }
 
-/// Execute one point versioned-operation verb (Delete / Cas / Touch /
-/// SetEx) against the store and build its response. This is the single
-/// server-side semantics of the versioned command surface — `kvsd`, the
-/// fabric server, and the reactor all dispatch through it so the verbs
-/// cannot drift apart. Returns `None` for the batch verbs
-/// (MGet/Set/SetMulti/SetMultiEx) and Shutdown, which each serving loop
-/// handles with its own buffer machinery.
-pub fn execute_versioned_op(store: &crate::store::KvStore, request: &Request) -> Option<Response> {
+/// An encoded response payload from [`execute`].
+#[derive(Debug)]
+pub enum Reply<'a> {
+    /// A Multi-Get frame the store built in place during Phase 3 and
+    /// sealed (header + CRC) inside the [`ExecScratch`] (zero-copy
+    /// responses, DESIGN.md §9): a socket writer sends the slice as is.
+    Sealed(&'a [u8]),
+    /// Any other response, encoded into its own buffer.
+    Owned(Bytes),
+}
+
+impl std::ops::Deref for Reply<'_> {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        match self {
+            Reply::Sealed(frame) => frame,
+            Reply::Owned(bytes) => bytes,
+        }
+    }
+}
+
+impl Reply<'_> {
+    /// The payload as owned bytes, copying a sealed frame once (callers
+    /// that hand the response to another thread, like the fabric server).
+    pub fn into_bytes(self) -> Bytes {
+        match self {
+            Reply::Sealed(frame) => Bytes::copy_from_slice(frame),
+            Reply::Owned(bytes) => bytes,
+        }
+    }
+}
+
+/// What [`execute`] did: the response to send and the figures the serving
+/// loops count.
+#[derive(Debug)]
+pub struct Executed<'a> {
+    /// The encoded response payload.
+    pub reply: Reply<'a>,
+    /// Keys looked up and the store's outcome, for a Multi-Get.
+    pub mget: Option<(usize, crate::store::MGetOutcome)>,
+    /// Pairs or point operations a write verb applied.
+    pub writes: usize,
+    /// Phase timing of a batched write (a Multi-Get's rides in `mget`).
+    pub write_phases: crate::store::PhaseNanos,
+}
+
+/// Execute one request against the store and encode its response. This is
+/// the single server-side semantics of the command surface — `kvsd`, the
+/// fabric server, and the reactor's non-coalesced verbs all dispatch
+/// through it so the verbs cannot drift apart. Returns `None` for
+/// [`Request::Shutdown`], which has no response: the serving loop stops.
+pub fn execute<'a>(
+    store: &crate::store::KvStore,
+    request: &Request,
+    scratch: &'a mut ExecScratch,
+) -> Option<Executed<'a>> {
     use crate::store::CasOutcome;
-    Some(match request {
+    // One point operation unless a batched write says otherwise.
+    let mut writes = 1;
+    let mut write_phases = crate::store::PhaseNanos::default();
+    let response = match request {
+        Request::Shutdown => return None,
+        Request::MGet { id, keys } => {
+            let key_slices: Vec<&[u8]> = keys.iter().map(|k| k.as_ref()).collect();
+            let outcome = store.mget(&key_slices, &mut scratch.resp);
+            return Some(Executed {
+                reply: Reply::Sealed(scratch.resp.seal_frame(*id)),
+                mget: Some((key_slices.len(), outcome)),
+                writes: 0,
+                write_phases,
+            });
+        }
+        Request::Set { id, key, value } => Response::Set {
+            id: *id,
+            ok: store.set(key, value).is_ok(),
+        },
+        Request::SetMulti { id, pairs } | Request::SetMultiEx { id, pairs, .. } => {
+            let ttl_secs = match request {
+                Request::SetMultiEx { ttl_secs, .. } => *ttl_secs,
+                _ => 0,
+            };
+            let pair_slices: Vec<(&[u8], &[u8])> = pairs
+                .iter()
+                .map(|(k, v)| (k.as_ref(), v.as_ref()))
+                .collect();
+            let outcome = store.set_multi_ttl(&pair_slices, ttl_secs, &mut scratch.set_batch);
+            writes = pair_slices.len();
+            write_phases = outcome.phases;
+            Response::SetMulti {
+                id: *id,
+                ok: scratch
+                    .set_batch
+                    .results()
+                    .iter()
+                    .map(|r| r.is_ok())
+                    .collect(),
+            }
+        }
         Request::Delete { id, key } => Response::Delete {
             id: *id,
             status: if store.delete(key) {
@@ -461,7 +548,12 @@ pub fn execute_versioned_op(store: &crate::store::KvStore, request: &Request) ->
                 version,
             }
         }
-        _ => return None,
+    };
+    Some(Executed {
+        reply: Reply::Owned(response.encode()),
+        mget: None,
+        writes,
+        write_phases,
     })
 }
 
@@ -498,6 +590,22 @@ const OP_TOUCH_RESP: u8 = 134;
 const OP_SET_EX_RESP: u8 = 135;
 
 impl Request {
+    /// The request id a response echoes; `None` for [`Request::Shutdown`],
+    /// which is never answered.
+    pub fn id(&self) -> Option<u64> {
+        match self {
+            Request::MGet { id, .. }
+            | Request::Set { id, .. }
+            | Request::SetMulti { id, .. }
+            | Request::Delete { id, .. }
+            | Request::Cas { id, .. }
+            | Request::Touch { id, .. }
+            | Request::SetEx { id, .. }
+            | Request::SetMultiEx { id, .. } => Some(*id),
+            Request::Shutdown => None,
+        }
+    }
+
     /// Encode into a wire message.
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::new();
@@ -775,6 +883,20 @@ impl Request {
 }
 
 impl Response {
+    /// The id echoed from the request this answers.
+    pub fn id(&self) -> u64 {
+        match self {
+            Response::MGet { id, .. }
+            | Response::Set { id, .. }
+            | Response::SetMulti { id, .. }
+            | Response::Delete { id, .. }
+            | Response::Cas { id, .. }
+            | Response::Touch { id, .. }
+            | Response::SetEx { id, .. }
+            | Response::Error { id, .. } => *id,
+        }
+    }
+
     /// Encode into a wire message.
     pub fn encode(&self) -> Bytes {
         let mut b = BytesMut::new();
@@ -1010,19 +1132,25 @@ mod tests {
 
     #[test]
     fn fast_mget_encoder_matches_generic() {
-        // encode_mget_response (zero-copy from the store buffer) must emit
-        // bytes identical to the generic Response::encode.
+        // `execute`'s sealed Multi-Get reply (zero-copy from the store
+        // buffer) must emit bytes identical to the generic Response::encode.
         use crate::index::Memc3Index;
-        use crate::store::{KvStore, MGetResponse, StoreConfig};
+        use crate::store::{KvStore, StoreConfig};
         let store = KvStore::new(
             Box::new(Memc3Index::with_capacity(100)),
             StoreConfig::default(),
         );
         store.set(b"a", b"alpha").unwrap();
         store.set(b"c", b"").unwrap(); // empty value
-        let mut resp = MGetResponse::new();
-        store.mget(&[b"a".as_ref(), b"b".as_ref(), b"c".as_ref()], &mut resp);
-        let fast = encode_mget_response(9, &mut resp);
+        let request = Request::MGet {
+            id: 9,
+            keys: [b"a", b"b", b"c"].map(|k| Bytes::from_static(k)).to_vec(),
+        };
+        let mut scratch = ExecScratch::default();
+        let done = execute(&store, &request, &mut scratch).unwrap();
+        assert!(matches!(done.reply, Reply::Sealed(_)));
+        assert_eq!(done.mget.map(|(keys, o)| (keys, o.found)), Some((3, 2)));
+        let fast = done.reply.into_bytes();
         let generic = Response::MGet {
             id: 9,
             entries: vec![Some(Bytes::from_static(b"alpha")), None, Some(Bytes::new())],

@@ -70,9 +70,9 @@ use bytes::Bytes;
 
 use crate::kvsd::{ConnSummary, KvsdConfig};
 use crate::net::FrameDecoder;
-use crate::protocol::{ErrorCode, Request, Response};
+use crate::protocol::{execute, ErrorCode, ExecScratch, Request, Response};
 use crate::server::ServerStats;
-use crate::store::{KvStore, MGetResponse, SetMultiBatch};
+use crate::store::KvStore;
 
 use poller::{Event, Interest, Poller};
 
@@ -150,6 +150,15 @@ pub struct ReactorStats {
 }
 
 impl ReactorStats {
+    fn count_fire(&self, fire: Fire) {
+        let counter = match fire {
+            Fire::Width => &self.width_fires,
+            Fire::Timeout => &self.timeout_fires,
+            Fire::Drain => &self.drain_fires,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Mean keys per dispatched batch so far.
     pub fn mean_batch_width(&self) -> f64 {
         let batches = self.batches.load(Ordering::Relaxed);
@@ -465,6 +474,23 @@ impl Conn {
         }
     }
 
+    /// Put the frame `write` appends into response slot `seq` — straight
+    /// into `out` when every earlier request is answered, else parked in
+    /// its ordering slot — and flush the completed prefix.
+    fn answer(&mut self, seq: u64, write: impl FnOnce(&mut Vec<u8>)) {
+        let idx = (seq - self.base) as usize;
+        if idx == 0 {
+            self.slots.pop_front();
+            self.base += 1;
+            write(&mut self.out);
+        } else {
+            let mut framed = Vec::new();
+            write(&mut framed);
+            self.slots[idx] = Some(framed);
+        }
+        self.flush_ready_slots();
+    }
+
     /// Move the completed prefix of the slot queue into `out`.
     fn flush_ready_slots(&mut self) {
         while matches!(self.slots.front(), Some(Some(_))) {
@@ -508,9 +534,10 @@ struct ReactorLoop {
     poller: Poller,
     conns: HashMap<usize, Conn>,
     batch: Batch,
-    batch_resp: MGetResponse,
     wbatch: WriteBatch,
-    set_scratch: SetMultiBatch,
+    /// Response and write-staging buffers, shared by the coalesced
+    /// dispatches and the immediately executed verbs.
+    scratch: ExecScratch,
     read_buf: Vec<u8>,
     next_token: usize,
     draining: bool,
@@ -542,9 +569,8 @@ impl ReactorLoop {
             poller,
             conns: HashMap::new(),
             batch: Batch::default(),
-            batch_resp: MGetResponse::new(),
             wbatch: WriteBatch::default(),
-            set_scratch: SetMultiBatch::new(),
+            scratch: ExecScratch::default(),
             read_buf: vec![0u8; 64 << 10],
             next_token: 0,
             draining: false,
@@ -680,16 +706,7 @@ impl ReactorLoop {
                     slots: VecDeque::new(),
                     base: 0,
                     last_activity: Instant::now(),
-                    summary: ConnSummary {
-                        peer,
-                        requests: 0,
-                        sets: 0,
-                        keys: 0,
-                        found: 0,
-                        shed: 0,
-                        busy_ns: 0,
-                        reactor: Some(self.idx),
-                    },
+                    summary: ConnSummary::new(peer, Some(self.idx)),
                     draining: false,
                     registered: Interest::READ,
                 },
@@ -817,21 +834,8 @@ impl ReactorLoop {
                 if self.wbatch.reqs.iter().any(|r| r.token == token) {
                     self.dispatch_writes(Fire::Width);
                 }
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return; // dispatch may have closed the connection
-                };
                 if limits.max_inflight == Some(0) {
-                    conn.summary.shed += 1;
-                    self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    self.rs.sheds.fetch_add(1, Ordering::Relaxed);
-                    let seq = conn.next_seq();
-                    conn.slots.push_back(None);
-                    let payload = Response::Error {
-                        id,
-                        code: ErrorCode::ServerBusy,
-                    }
-                    .encode();
-                    self.enqueue_framed(token, seq, &payload);
+                    self.shed(token, id);
                     return;
                 }
                 // A full admission window forces the batch out early
@@ -842,7 +846,9 @@ impl ReactorLoop {
                         self.dispatch(Fire::Width);
                     }
                 }
-                let conn = self.conns.get_mut(&token).unwrap();
+                let Some(conn) = self.conns.get_mut(&token) else {
+                    return; // dispatch may have closed the connection
+                };
                 let seq = conn.next_seq();
                 conn.slots.push_back(None);
                 self.batch.total_keys += keys.len();
@@ -857,19 +863,11 @@ impl ReactorLoop {
                     self.dispatch(Fire::Width);
                 }
             }
-            ref req @ (Request::Delete { .. }
+            Request::Delete { .. }
             | Request::Cas { .. }
             | Request::Touch { .. }
             | Request::SetEx { .. }
-            | Request::SetMultiEx { .. }) => {
-                let id = match req {
-                    Request::Delete { id, .. }
-                    | Request::Cas { id, .. }
-                    | Request::Touch { id, .. }
-                    | Request::SetEx { id, .. }
-                    | Request::SetMultiEx { id, .. } => *id,
-                    _ => unreachable!("arm covers exactly the versioned verbs"),
-                };
+            | Request::SetMultiEx { .. } => {
                 // Per-connection program order: parked lookups from this
                 // connection must not observe this verb's effect, and
                 // parked writes must apply before it — force-dispatch
@@ -880,65 +878,76 @@ impl ReactorLoop {
                 if self.wbatch.reqs.iter().any(|r| r.token == token) {
                     self.dispatch_writes(Fire::Width);
                 }
+                if limits.max_inflight == Some(0) {
+                    let id = request.id().expect("versioned verbs carry an id");
+                    self.shed(token, id);
+                    return;
+                }
                 let Some(conn) = self.conns.get_mut(&token) else {
                     return; // dispatch may have closed the connection
                 };
-                if limits.max_inflight == Some(0) {
-                    conn.summary.shed += 1;
-                    self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                    self.rs.sheds.fetch_add(1, Ordering::Relaxed);
-                    let seq = conn.next_seq();
-                    conn.slots.push_back(None);
-                    let payload = Response::Error {
-                        id,
-                        code: ErrorCode::ServerBusy,
-                    }
-                    .encode();
-                    self.enqueue_framed(token, seq, &payload);
-                    return;
-                }
                 let seq = conn.next_seq();
                 conn.slots.push_back(None);
-                conn.summary.sets += 1;
                 // Versioned verbs execute immediately (no coalescing):
                 // Delete/Cas/Touch are point operations on one key, and
                 // their responses carry per-op versions that a batch
                 // cannot share.
-                let payload = match req {
-                    Request::SetMultiEx {
-                        id,
-                        pairs,
-                        ttl_secs,
-                    } => {
-                        let pair_refs: Vec<(&[u8], &[u8])> = pairs
-                            .iter()
-                            .map(|(k, v)| (k.as_ref(), v.as_ref()))
-                            .collect();
-                        self.store
-                            .set_multi_ttl(&pair_refs, *ttl_secs, &mut self.set_scratch);
-                        Response::SetMulti {
-                            id: *id,
-                            ok: self
-                                .set_scratch
-                                .results()
-                                .iter()
-                                .map(|r| r.is_ok())
-                                .collect(),
-                        }
-                        .encode()
-                    }
-                    _ => crate::protocol::execute_versioned_op(&self.store, req)
-                        .expect("point verb has a versioned-op response")
-                        .encode(),
-                };
+                let done = execute(&self.store, &request, &mut self.scratch)
+                    .expect("versioned verbs have a response");
+                self.stats.record(&done);
+                conn.summary.record(&done);
                 let busy = t0.elapsed().as_nanos() as u64;
                 self.stats.busy_ns.fetch_add(busy, Ordering::Relaxed);
-                if let Some(conn) = self.conns.get_mut(&token) {
-                    conn.summary.busy_ns += busy;
-                }
+                conn.summary.busy_ns += busy;
+                let payload = done.reply.into_bytes();
                 self.enqueue_framed(token, seq, &payload);
             }
         }
+    }
+
+    /// Answer request `id` on `token` with `ServerBusy` without touching
+    /// the store (the `max_inflight == Some(0)` drill sheds everything).
+    fn shed(&mut self, token: usize, id: u64) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return; // dispatch may have closed the connection
+        };
+        conn.summary.shed += 1;
+        self.stats.shed.fetch_add(1, Ordering::Relaxed);
+        self.rs.sheds.fetch_add(1, Ordering::Relaxed);
+        let seq = conn.next_seq();
+        conn.slots.push_back(None);
+        let code = ErrorCode::ServerBusy;
+        self.enqueue_framed(token, seq, &Response::Error { id, code }.encode());
+    }
+
+    /// Answer every request of a drained coalescing buffer that waited
+    /// past its deadline with `DeadlineExceeded`; returns the rest.
+    /// `parked` yields a request's `(token, seq, id, t0)`.
+    fn expire_overdue<T>(
+        &mut self,
+        reqs: Vec<T>,
+        parked: impl Fn(&T) -> (usize, u64, u64, Instant),
+    ) -> Vec<T> {
+        let Some(deadline) = self.cfg.limits.deadline else {
+            return reqs;
+        };
+        let (overdue, live): (Vec<T>, Vec<T>) = reqs
+            .into_iter()
+            .partition(|r| parked(r).3.elapsed() > deadline);
+        for (token, seq, id, t0) in overdue.iter().map(parked) {
+            self.stats.shed.fetch_add(1, Ordering::Relaxed);
+            self.rs.sheds.fetch_add(1, Ordering::Relaxed);
+            if let Some(conn) = self.conns.get_mut(&token) {
+                conn.summary.shed += 1;
+                let busy = t0.elapsed().as_nanos() as u64;
+                conn.summary.busy_ns += busy;
+                self.stats.busy_ns.fetch_add(busy, Ordering::Relaxed);
+            }
+            let code = ErrorCode::DeadlineExceeded;
+            self.enqueue_framed(token, seq, &Response::Error { id, code }.encode());
+            self.dirty.push(token);
+        }
+        live
     }
 
     /// Park a decoded write in the write-coalescing buffer (or shed it),
@@ -960,24 +969,9 @@ impl ReactorLoop {
             self.dispatch(Fire::Width);
         }
         let limits = self.cfg.limits;
-        {
-            let Some(conn) = self.conns.get_mut(&token) else {
-                return; // dispatch may have closed the connection
-            };
-            if limits.max_inflight == Some(0) {
-                conn.summary.shed += 1;
-                self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                self.rs.sheds.fetch_add(1, Ordering::Relaxed);
-                let seq = conn.next_seq();
-                conn.slots.push_back(None);
-                let payload = Response::Error {
-                    id,
-                    code: ErrorCode::ServerBusy,
-                }
-                .encode();
-                self.enqueue_framed(token, seq, &payload);
-                return;
-            }
+        if limits.max_inflight == Some(0) {
+            self.shed(token, id);
+            return;
         }
         // A full admission window forces the write batch out early
         // rather than queueing deeper.
@@ -1011,20 +1005,10 @@ impl ReactorLoop {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        let idx = (seq - conn.base) as usize;
-        if idx == 0 {
-            conn.slots.pop_front();
-            conn.base += 1;
-            conn.out
-                .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            conn.out.extend_from_slice(payload);
-        } else {
-            let mut framed = Vec::with_capacity(4 + payload.len());
-            framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            framed.extend_from_slice(payload);
-            conn.slots[idx] = Some(framed);
-        }
-        conn.flush_ready_slots();
+        conn.answer(seq, |out| {
+            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            out.extend_from_slice(payload);
+        });
         if conn.try_write().is_err() {
             self.close(token);
         }
@@ -1040,29 +1024,7 @@ impl ReactorLoop {
             return;
         }
 
-        let deadline = self.cfg.limits.deadline;
-        let mut live: Vec<PendingReq> = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            if deadline.is_some_and(|d| req.t0.elapsed() > d) {
-                self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                self.rs.sheds.fetch_add(1, Ordering::Relaxed);
-                let payload = Response::Error {
-                    id: req.id,
-                    code: ErrorCode::DeadlineExceeded,
-                }
-                .encode();
-                if let Some(conn) = self.conns.get_mut(&req.token) {
-                    conn.summary.shed += 1;
-                    let busy = req.t0.elapsed().as_nanos() as u64;
-                    conn.summary.busy_ns += busy;
-                    self.stats.busy_ns.fetch_add(busy, Ordering::Relaxed);
-                }
-                self.enqueue_framed(req.token, req.seq, &payload);
-                self.dirty.push(req.token);
-            } else {
-                live.push(req);
-            }
-        }
+        let live = self.expire_overdue(reqs, |r| (r.token, r.seq, r.id, r.t0));
         if live.is_empty() {
             return;
         }
@@ -1077,41 +1039,20 @@ impl ReactorLoop {
             refs.extend(req.keys.iter().map(|k| k.as_ref()));
             ranges.push(lo..refs.len());
         }
-        let outcome = self.store.mget(&refs, &mut self.batch_resp);
+        let outcome = self.store.mget(&refs, &mut self.scratch.resp);
 
         self.rs.batches.fetch_add(1, Ordering::Relaxed);
         self.rs
             .batch_keys
             .fetch_add(refs.len() as u64, Ordering::Relaxed);
-        match fire {
-            Fire::Width => self.rs.width_fires.fetch_add(1, Ordering::Relaxed),
-            Fire::Timeout => self.rs.timeout_fires.fetch_add(1, Ordering::Relaxed),
-            Fire::Drain => self.rs.drain_fires.fetch_add(1, Ordering::Relaxed),
-        };
-        self.stats
-            .requests
-            .fetch_add(live.len() as u64, Ordering::Relaxed);
-        self.stats
-            .keys
-            .fetch_add(refs.len() as u64, Ordering::Relaxed);
-        self.stats
-            .found
-            .fetch_add(outcome.found as u64, Ordering::Relaxed);
-        self.stats
-            .pre_ns
-            .fetch_add(outcome.phases.pre, Ordering::Relaxed);
-        self.stats
-            .lookup_ns
-            .fetch_add(outcome.phases.lookup, Ordering::Relaxed);
-        self.stats
-            .post_ns
-            .fetch_add(outcome.phases.post, Ordering::Relaxed);
+        self.rs.count_fire(fire);
+        self.stats.record_mget(live.len(), refs.len(), &outcome);
 
         let mut touched: Vec<usize> = Vec::with_capacity(live.len());
         for (req, range) in live.iter().zip(ranges) {
             let found = range
                 .clone()
-                .filter(|&i| self.batch_resp.value(i).is_some())
+                .filter(|&i| self.scratch.resp.value(i).is_some())
                 .count();
             let Some(conn) = self.conns.get_mut(&req.token) else {
                 continue; // connection died while its request waited
@@ -1125,18 +1066,10 @@ impl ReactorLoop {
             // Scatter: seal this request's slice of the shared batch
             // buffer straight into the connection's output (or its
             // ordering slot when earlier requests are still pending).
-            let idx = (req.seq - conn.base) as usize;
-            if idx == 0 {
-                conn.slots.pop_front();
-                conn.base += 1;
-                self.batch_resp
-                    .append_subframe(range, req.id, &mut conn.out);
-            } else {
-                let mut framed = Vec::new();
-                self.batch_resp.append_subframe(range, req.id, &mut framed);
-                conn.slots[idx] = Some(framed);
-            }
-            conn.flush_ready_slots();
+            let resp = &mut self.scratch.resp;
+            conn.answer(req.seq, |out| {
+                resp.append_subframe(range, req.id, out);
+            });
             touched.push(req.token);
         }
         for &token in &touched {
@@ -1163,29 +1096,7 @@ impl ReactorLoop {
             return;
         }
 
-        let deadline = self.cfg.limits.deadline;
-        let mut live: Vec<PendingWrite> = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            if deadline.is_some_and(|d| req.t0.elapsed() > d) {
-                self.stats.shed.fetch_add(1, Ordering::Relaxed);
-                self.rs.sheds.fetch_add(1, Ordering::Relaxed);
-                let payload = Response::Error {
-                    id: req.id,
-                    code: ErrorCode::DeadlineExceeded,
-                }
-                .encode();
-                if let Some(conn) = self.conns.get_mut(&req.token) {
-                    conn.summary.shed += 1;
-                    let busy = req.t0.elapsed().as_nanos() as u64;
-                    conn.summary.busy_ns += busy;
-                    self.stats.busy_ns.fetch_add(busy, Ordering::Relaxed);
-                }
-                self.enqueue_framed(req.token, req.seq, &payload);
-                self.dirty.push(req.token);
-            } else {
-                live.push(req);
-            }
-        }
+        let live = self.expire_overdue(reqs, |r| (r.token, r.seq, r.id, r.t0));
         if live.is_empty() {
             return;
         }
@@ -1201,30 +1112,20 @@ impl ReactorLoop {
             pair_refs.extend(req.pairs.iter().map(|(k, v)| (k.as_ref(), v.as_ref())));
             ranges.push(lo..pair_refs.len());
         }
-        let outcome = self.store.set_multi(&pair_refs, &mut self.set_scratch);
+        let outcome = self
+            .store
+            .set_multi(&pair_refs, &mut self.scratch.set_batch);
 
         self.rs.write_batches.fetch_add(1, Ordering::Relaxed);
         self.rs
             .write_batch_pairs
             .fetch_add(pair_refs.len() as u64, Ordering::Relaxed);
-        match fire {
-            Fire::Width => self.rs.width_fires.fetch_add(1, Ordering::Relaxed),
-            Fire::Timeout => self.rs.timeout_fires.fetch_add(1, Ordering::Relaxed),
-            Fire::Drain => self.rs.drain_fires.fetch_add(1, Ordering::Relaxed),
-        };
-        self.stats
-            .pre_ns
-            .fetch_add(outcome.phases.pre, Ordering::Relaxed);
-        self.stats
-            .lookup_ns
-            .fetch_add(outcome.phases.lookup, Ordering::Relaxed);
-        self.stats
-            .post_ns
-            .fetch_add(outcome.phases.post, Ordering::Relaxed);
+        self.rs.count_fire(fire);
+        self.stats.record_phases(outcome.phases);
 
         let mut touched: Vec<usize> = Vec::with_capacity(live.len());
         for (req, range) in live.iter().zip(ranges) {
-            let results = &self.set_scratch.results()[range];
+            let results = &self.scratch.set_batch.results()[range];
             let payload = if req.single {
                 Response::Set {
                     id: req.id,

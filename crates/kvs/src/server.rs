@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::protocol::{ErrorCode, Request, Response};
-use crate::store::{KvStore, MGetResponse, PhaseNanos, SetMultiBatch};
+use crate::protocol::{execute, ErrorCode, ExecScratch, Executed, Request, Response};
+use crate::store::{KvStore, MGetOutcome, PhaseNanos};
 use crate::transport::Fabric;
 
 /// Aggregated server-side statistics across workers.
@@ -35,6 +35,31 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
+    /// Count `requests` Multi-Gets that looked up `keys` keys in one store
+    /// call with the given outcome.
+    pub fn record_mget(&self, requests: usize, keys: usize, outcome: &MGetOutcome) {
+        self.requests.fetch_add(requests as u64, Ordering::Relaxed);
+        self.keys.fetch_add(keys as u64, Ordering::Relaxed);
+        self.found
+            .fetch_add(outcome.found as u64, Ordering::Relaxed);
+        self.record_phases(outcome.phases);
+    }
+
+    /// Add one store call's phase breakdown.
+    pub fn record_phases(&self, phases: PhaseNanos) {
+        self.pre_ns.fetch_add(phases.pre, Ordering::Relaxed);
+        self.lookup_ns.fetch_add(phases.lookup, Ordering::Relaxed);
+        self.post_ns.fetch_add(phases.post, Ordering::Relaxed);
+    }
+
+    /// Count one request [`crate::protocol::execute`] ran.
+    pub fn record(&self, done: &Executed<'_>) {
+        match &done.mget {
+            Some((keys, outcome)) => self.record_mget(1, *keys, outcome),
+            None => self.record_phases(done.write_phases),
+        }
+    }
+
     /// Snapshot the phase breakdown.
     pub fn phases(&self) -> PhaseNanos {
         PhaseNanos {
@@ -122,118 +147,34 @@ impl Server {
                 let stats = Arc::clone(&stats);
                 let fabric = fabric.clone();
                 std::thread::spawn(move || {
-                    let mut resp_buf = MGetResponse::new();
-                    let mut set_batch = SetMultiBatch::new();
+                    let mut scratch = ExecScratch::default();
                     while let Ok(envelope) = rx.recv() {
                         let t0 = Instant::now();
                         let request = match Request::decode(envelope.payload) {
                             Ok(r) => r,
                             Err(_) => continue,
                         };
+                        let reply = |payload| {
+                            if let Some(reply) = &envelope.reply_to {
+                                fabric.send_response(reply, payload);
+                            }
+                        };
                         // Shed before touching the store: the queue depth
                         // *behind* this request measures how far behind
                         // the pool is running.
-                        if let Some(limit) = config.shed_queue_above {
-                            let backlog = rx.len();
-                            let id = match &request {
-                                Request::MGet { id, .. }
-                                | Request::Set { id, .. }
-                                | Request::SetMulti { id, .. }
-                                | Request::Delete { id, .. }
-                                | Request::Cas { id, .. }
-                                | Request::Touch { id, .. }
-                                | Request::SetEx { id, .. }
-                                | Request::SetMultiEx { id, .. } => Some(*id),
-                                Request::Shutdown => None,
-                            };
-                            if let (true, Some(id)) = (backlog > limit, id) {
+                        if let (Some(limit), Some(id)) = (config.shed_queue_above, request.id()) {
+                            if rx.len() > limit {
                                 stats.shed.fetch_add(1, Ordering::Relaxed);
-                                if let Some(reply) = &envelope.reply_to {
-                                    let payload = Response::Error {
-                                        id,
-                                        code: ErrorCode::ServerBusy,
-                                    }
-                                    .encode();
-                                    fabric.send_response(reply, payload);
-                                }
+                                let code = ErrorCode::ServerBusy;
+                                reply(Response::Error { id, code }.encode());
                                 continue;
                             }
                         }
-                        let multi_ttl = match &request {
-                            Request::SetMultiEx { ttl_secs, .. } => *ttl_secs,
-                            _ => 0,
+                        let Some(done) = execute(&store, &request, &mut scratch) else {
+                            break; // Shutdown
                         };
-                        match request {
-                            Request::Shutdown => break,
-                            Request::MGet { id, keys } => {
-                                let key_slices: Vec<&[u8]> =
-                                    keys.iter().map(|k| k.as_ref()).collect();
-                                let outcome = store.mget(&key_slices, &mut resp_buf);
-                                let payload =
-                                    crate::protocol::encode_mget_response(id, &mut resp_buf);
-                                stats.requests.fetch_add(1, Ordering::Relaxed);
-                                stats
-                                    .keys
-                                    .fetch_add(key_slices.len() as u64, Ordering::Relaxed);
-                                stats
-                                    .found
-                                    .fetch_add(outcome.found as u64, Ordering::Relaxed);
-                                stats
-                                    .pre_ns
-                                    .fetch_add(outcome.phases.pre, Ordering::Relaxed);
-                                stats
-                                    .lookup_ns
-                                    .fetch_add(outcome.phases.lookup, Ordering::Relaxed);
-                                stats
-                                    .post_ns
-                                    .fetch_add(outcome.phases.post, Ordering::Relaxed);
-                                if let Some(reply) = &envelope.reply_to {
-                                    fabric.send_response(reply, payload);
-                                }
-                            }
-                            Request::Set { id, key, value } => {
-                                let ok = store.set(&key, &value).is_ok();
-                                if let Some(reply) = &envelope.reply_to {
-                                    fabric.send_response(reply, Response::Set { id, ok }.encode());
-                                }
-                            }
-                            Request::SetMulti { id, pairs }
-                            | Request::SetMultiEx { id, pairs, .. } => {
-                                let pair_slices: Vec<(&[u8], &[u8])> = pairs
-                                    .iter()
-                                    .map(|(k, v)| (k.as_ref(), v.as_ref()))
-                                    .collect();
-                                let outcome =
-                                    store.set_multi_ttl(&pair_slices, multi_ttl, &mut set_batch);
-                                stats
-                                    .pre_ns
-                                    .fetch_add(outcome.phases.pre, Ordering::Relaxed);
-                                stats
-                                    .lookup_ns
-                                    .fetch_add(outcome.phases.lookup, Ordering::Relaxed);
-                                stats
-                                    .post_ns
-                                    .fetch_add(outcome.phases.post, Ordering::Relaxed);
-                                if let Some(reply) = &envelope.reply_to {
-                                    let ok: Vec<bool> =
-                                        set_batch.results().iter().map(|r| r.is_ok()).collect();
-                                    fabric.send_response(
-                                        reply,
-                                        Response::SetMulti { id, ok }.encode(),
-                                    );
-                                }
-                            }
-                            ref req @ (Request::Delete { .. }
-                            | Request::Cas { .. }
-                            | Request::Touch { .. }
-                            | Request::SetEx { .. }) => {
-                                let resp = crate::protocol::execute_versioned_op(&store, req)
-                                    .expect("point verb has a versioned-op response");
-                                if let Some(reply) = &envelope.reply_to {
-                                    fabric.send_response(reply, resp.encode());
-                                }
-                            }
-                        }
+                        stats.record(&done);
+                        reply(done.reply.into_bytes());
                         stats
                             .busy_ns
                             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);

@@ -1426,45 +1426,32 @@ impl KvStore {
     }
 
     fn get_locked(&self, slot: &ShardSlot, hash: u32, key: &[u8]) -> Option<Vec<u8>> {
+        self.get_v_locked(slot, hash, key).map(|(value, _)| value)
+    }
+
+    /// Value and version of `key` under the shard's shared lock.
+    fn get_v_locked(&self, slot: &ShardSlot, hash: u32, key: &[u8]) -> Option<(Vec<u8>, u64)> {
         let g = slot.read();
         let mut cand = [NO_ITEM];
         g.index.lookup_batch(std::slice::from_ref(&hash), &mut cand);
-        let cand = cand[0];
-        let mut resolved = None;
-        if cand != NO_ITEM {
-            if let Some(r) = g.items.get(cand) {
-                if item_key(g.slab.chunk(r)) == key {
-                    resolved = Some((cand, r));
-                }
-            }
-            if resolved.is_none() {
-                // Tag/hash collision: scan all candidates (MemC3 slow path).
-                let mut fallback = Vec::new();
-                g.index.lookup_all(hash, &mut fallback);
-                for &c in &fallback {
-                    if let Some(r) = g.items.get(c) {
-                        if item_key(g.slab.chunk(r)) == key {
-                            resolved = Some((c, r));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
+        let mut expired = 0;
+        let mut scratch = Vec::new();
+        let resolved = g.resolve(
+            cand[0],
+            hash,
+            key,
+            self.now_secs(),
+            &mut scratch,
+            &mut expired,
+        );
         slot.counters.mget_keys.fetch_add(1, Ordering::Relaxed);
-        // Lazy expiry: a resolved but expired item reads as a miss. The
-        // shared lock cannot reclaim it; writers and the eviction path do.
-        if let Some((item, _)) = resolved {
-            if is_expired(g.items.expires_at(item), self.now_secs()) {
-                slot.counters.expired.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
+        if expired != 0 {
+            slot.counters.expired.fetch_add(expired, Ordering::Relaxed);
         }
-        resolved.map(|(item, r)| {
-            g.clock.touch(item);
-            slot.counters.mget_hits.fetch_add(1, Ordering::Relaxed);
-            item_value(g.slab.chunk(r)).to_vec()
-        })
+        let (item, r) = resolved?;
+        g.clock.touch(item);
+        slot.counters.mget_hits.fetch_add(1, Ordering::Relaxed);
+        Some((item_value(g.slab.chunk(r)).to_vec(), g.items.version(item)))
     }
 
     /// Delete a key; returns `true` if it existed (and had not expired).
@@ -1572,40 +1559,7 @@ impl KvStore {
     /// section that resolved the item.
     pub fn get_v(&self, key: &[u8]) -> Option<(Vec<u8>, u64)> {
         let hash = hash_key(key);
-        let slot = &self.shards[self.shard_for_hash(hash)];
-        let g = slot.read();
-        let mut cand = [NO_ITEM];
-        g.index.lookup_batch(std::slice::from_ref(&hash), &mut cand);
-        let cand = cand[0];
-        let mut resolved = None;
-        if cand != NO_ITEM {
-            if let Some(r) = g.items.get(cand) {
-                if item_key(g.slab.chunk(r)) == key {
-                    resolved = Some((cand, r));
-                }
-            }
-            if resolved.is_none() {
-                let mut fallback = Vec::new();
-                g.index.lookup_all(hash, &mut fallback);
-                for &c in &fallback {
-                    if let Some(r) = g.items.get(c) {
-                        if item_key(g.slab.chunk(r)) == key {
-                            resolved = Some((c, r));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        slot.counters.mget_keys.fetch_add(1, Ordering::Relaxed);
-        let (item, r) = resolved?;
-        if is_expired(g.items.expires_at(item), self.now_secs()) {
-            slot.counters.expired.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        g.clock.touch(item);
-        slot.counters.mget_hits.fetch_add(1, Ordering::Relaxed);
-        Some((item_value(g.slab.chunk(r)).to_vec(), g.items.version(item)))
+        self.get_v_locked(&self.shards[self.shard_for_hash(hash)], hash, key)
     }
 
     /// The batched Multi-Get pipeline with per-phase timing.
@@ -1807,26 +1761,9 @@ impl KvStore {
                 }
             }
             if resolved.is_none() && cand != NO_ITEM {
-                // Tag/hash collision: scan all candidates (MemC3 slow
-                // path).
-                fallback.clear();
-                g.index.lookup_all(shard_hashes[j], fallback);
-                for &c in fallback.iter() {
-                    if let Some(r) = g.items.get(c) {
-                        if item_key(g.slab.chunk(r)) == key {
-                            resolved = Some((c, r));
-                            break;
-                        }
-                    }
-                }
+                resolved = g.scan_verified(shard_hashes[j], key, fallback);
             }
-            // Lazy expiry: resolved-but-expired reads as a miss.
-            if let Some((item, _)) = resolved {
-                if is_expired(g.items.expires_at(item), now) {
-                    shard_expired += 1;
-                    resolved = None;
-                }
-            }
+            let resolved = g.unexpired(resolved, now, &mut shard_expired);
             if let Some((item, r)) = resolved {
                 resp.push_hit(i, item_value(g.slab.chunk(r)));
                 g.clock.touch(item);
@@ -1990,25 +1927,13 @@ impl KvStore {
                         // one key (the rest of the pass stays lock-free).
                         self.optimistic.assists.fetch_add(1, Ordering::Relaxed);
                         let g = slot.read();
-                        fallback.clear();
-                        g.index.lookup_all(shard_hashes[j], fallback);
-                        let mut resolved = None;
-                        for &c in fallback.iter() {
-                            if let Some(r) = g.items.get(c) {
-                                if item_key(g.slab.chunk(r)) == key {
-                                    resolved = Some((c, r));
-                                    break;
-                                }
-                            }
-                        }
                         // The assist holds the shared lock, so the same
                         // lazy-expiry rule as the locked path applies.
-                        if let Some((item, _)) = resolved {
-                            if is_expired(g.items.expires_at(item), now) {
-                                shard_expired += 1;
-                                resolved = None;
-                            }
-                        }
+                        let resolved = g.unexpired(
+                            g.scan_verified(shard_hashes[j], key, fallback),
+                            now,
+                            &mut shard_expired,
+                        );
                         match resolved {
                             Some((item, r)) => {
                                 resp.push_hit(i, item_value(g.slab.chunk(r)));
@@ -2084,13 +2009,67 @@ impl Shard {
     /// Find the item id whose stored key equals `key`, verifying against
     /// the slab (never trusts the index alone).
     fn find_verified(&self, hash: u32, key: &[u8]) -> Option<u32> {
-        let mut candidates = Vec::new();
-        self.index.lookup_all(hash, &mut candidates);
-        candidates.into_iter().find(|&c| {
-            self.items
-                .get(c)
-                .is_some_and(|r| item_key(self.slab.chunk(r)) == key)
+        self.scan_verified(hash, key, &mut Vec::new())
+            .map(|(item, _)| item)
+    }
+
+    /// [`Shard::find_verified`] over every index candidate for `hash` —
+    /// the tag/hash-collision slow path (MemC3) — with the item's slab
+    /// reference, staging candidates in `scratch`.
+    fn scan_verified(
+        &self,
+        hash: u32,
+        key: &[u8],
+        scratch: &mut Vec<u32>,
+    ) -> Option<(u32, SlabRef)> {
+        scratch.clear();
+        self.index.lookup_all(hash, scratch);
+        scratch.iter().find_map(|&c| {
+            let r = self.items.get(c)?;
+            (item_key(self.slab.chunk(r)) == key).then_some((c, r))
         })
+    }
+
+    /// Lazy expiry: a resolved but expired item reads as a miss, counted
+    /// in `expired`. A shared lock cannot reclaim it; writers and the
+    /// eviction path do.
+    fn unexpired(
+        &self,
+        found: Option<(u32, SlabRef)>,
+        now: u64,
+        expired: &mut u64,
+    ) -> Option<(u32, SlabRef)> {
+        let (item, r) = found?;
+        if is_expired(self.items.expires_at(item), now) {
+            *expired += 1;
+            return None;
+        }
+        Some((item, r))
+    }
+
+    /// The live item stored under `key`, given the first candidate `cand`
+    /// a batched probe returned for `hash`: the candidate is verified
+    /// against the slab first, every other candidate only after a
+    /// full-key mismatch, and an expired item reads as a miss.
+    fn resolve(
+        &self,
+        cand: u32,
+        hash: u32,
+        key: &[u8],
+        now: u64,
+        scratch: &mut Vec<u32>,
+        expired: &mut u64,
+    ) -> Option<(u32, SlabRef)> {
+        if cand == NO_ITEM {
+            return None;
+        }
+        let first = self
+            .items
+            .get(cand)
+            .filter(|&r| item_key(self.slab.chunk(r)) == key)
+            .map(|r| (cand, r));
+        let found = first.or_else(|| self.scan_verified(hash, key, scratch));
+        self.unexpired(found, now, expired)
     }
 
     fn delete_item(&mut self, hash: u32, item: u32) {

@@ -9,6 +9,8 @@
 //! * [`CuckooTable`] stores fixed-width hash keys/payloads with BFS-based
 //!   cuckoo insertion and a scalar probe; its raw slot arrays are exposed to
 //!   the SIMD lookup kernels in `simdht-core`.
+//! * [`relocation_path`] is the breadth-first relocation search itself,
+//!   storage-agnostic, shared with the key-value store's tag-cuckoo index.
 //! * [`HashFamily`] is the multiply-shift family shared verbatim between the
 //!   scalar and in-vector hash computations.
 //! * [`loadfactor`] measures achievable load factors empirically
@@ -37,6 +39,7 @@
 #![warn(missing_docs)]
 
 pub mod aligned;
+mod bfs;
 mod hash;
 mod layout;
 pub mod loadfactor;
@@ -44,6 +47,7 @@ pub mod sharded;
 pub mod swiss;
 mod table;
 
+pub use bfs::{relocation_path, MAX_BFS_NODES};
 pub use hash::HashFamily;
 pub use layout::{Arrangement, Layout};
 pub use table::{CuckooTable, InsertError, InsertStats, TableError};

@@ -165,11 +165,6 @@ impl<K: Lane, V: Lane> Clone for CuckooTable<K, V> {
     }
 }
 
-/// Bound on BFS nodes expanded per insert before declaring the table full.
-/// 2048 nodes covers relocation paths far beyond the depth at which cuckoo
-/// insertion has effectively failed.
-const MAX_BFS_NODES: usize = 2048;
-
 impl<K: Lane, V: Lane> CuckooTable<K, V> {
     /// Create an empty table with `2^log2_buckets` buckets.
     ///
@@ -636,65 +631,26 @@ impl<K: Lane, V: Lane> CuckooTable<K, V> {
     /// slots `[root, …, free]` where each occupant moves one step toward
     /// `free` and the new key lands in `root`.
     fn find_relocation_path(&self, start_buckets: &[usize]) -> Option<Vec<usize>> {
-        #[derive(Copy, Clone)]
-        struct Node {
-            slot: usize,
-            parent: usize, // index into `nodes`; usize::MAX for roots
-        }
-        let mut nodes: Vec<Node> = Vec::with_capacity(256);
-        let mut visited_buckets = std::collections::HashSet::new();
-        for &b in start_buckets {
-            if visited_buckets.insert(b) {
-                for s in self.bucket_slots(b) {
-                    nodes.push(Node {
-                        slot: s,
-                        parent: usize::MAX,
-                    });
-                }
-            }
-        }
-        let mut head = 0;
-        while head < nodes.len() && nodes.len() < MAX_BFS_NODES {
-            let cur = nodes[head];
-            let occupant = self.slot_key(cur.slot);
-            debug_assert_ne!(occupant, K::EMPTY, "BFS expanded an empty slot");
-            // The occupant's escape buckets come from its tag: for the
-            // 2-way scheme `cur ^ disperse(tag)` (the partial-key XOR
-            // involution — no base re-hash), for N ways one base + one tag
-            // multiply instead of N independent hashes.
-            let cur_bucket = cur.slot / self.slots_per_bucket();
-            let mut bucket_buf = [0usize; MAX_WAYS_USIZE];
-            let alts = self
-                .hash
-                .relocation_buckets(occupant, cur_bucket, &mut bucket_buf);
-            for &alt in alts {
-                if !visited_buckets.insert(alt) {
-                    continue;
-                }
-                if let Some(free) = self.empty_slot_in(alt) {
-                    // Reconstruct: free ← cur ← … ← root.
-                    let mut path = vec![free];
-                    let mut at = head;
-                    loop {
-                        path.push(nodes[at].slot);
-                        if nodes[at].parent == usize::MAX {
-                            break;
-                        }
-                        at = nodes[at].parent;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                for s in self.bucket_slots(alt) {
-                    nodes.push(Node {
-                        slot: s,
-                        parent: head,
-                    });
-                }
-            }
-            head += 1;
-        }
-        None
+        let m = self.slots_per_bucket();
+        crate::relocation_path(
+            start_buckets,
+            m,
+            |slot| {
+                // The occupant's escape buckets come from its tag: for the
+                // 2-way scheme `cur ^ disperse(tag)` (the partial-key XOR
+                // involution — no base re-hash), for N ways one base + one
+                // tag multiply instead of N independent hashes.
+                let occupant = self.slot_key(slot);
+                debug_assert_ne!(occupant, K::EMPTY, "BFS expanded an empty slot");
+                let mut alts = [0usize; MAX_WAYS_USIZE];
+                let n = self
+                    .hash
+                    .relocation_buckets(occupant, slot / m, &mut alts)
+                    .len();
+                alts.into_iter().take(n)
+            },
+            |bucket| self.empty_slot_in(bucket),
+        )
     }
 }
 
