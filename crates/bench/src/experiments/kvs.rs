@@ -366,6 +366,19 @@ const SWEEP_DEPTHS: [usize; 5] = [0, 2, 4, 8, 16];
 const SWEEP_BATCH: usize = 96;
 
 /// splitmix64: deterministic, well-mixed key selection for the sweep.
+/// Write a sweep's JSON document to `path` in the working directory and
+/// say so (or why not) at the end of its rendered report `s`.
+fn write_artifact(path: &str, json: &str, s: &mut String) {
+    match std::fs::write(path, json) {
+        Ok(()) => {
+            let _ = writeln!(s, "\n(measurements written to {path})");
+        }
+        Err(e) => {
+            let _ = writeln!(s, "\n(could not write {path}: {e})");
+        }
+    }
+}
+
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -558,12 +571,7 @@ fn prefetch_sweep_impl(scale: &RunScale) -> (String, String) {
 /// working directory.
 pub fn kvs_prefetch_sweep(scale: &RunScale) -> String {
     let (mut s, json) = prefetch_sweep_impl(scale);
-    match std::fs::write("BENCH_kvs_mget.json", &json) {
-        Ok(()) => s.push_str("\n(measurements written to BENCH_kvs_mget.json)\n"),
-        Err(e) => {
-            let _ = writeln!(s, "\n(could not write BENCH_kvs_mget.json: {e})");
-        }
-    }
+    write_artifact("BENCH_kvs_mget.json", &json, &mut s);
     s
 }
 
@@ -769,12 +777,7 @@ fn setpath_sweep_impl(scale: &RunScale) -> (String, String) {
 /// directory.
 pub fn kvs_setpath_sweep(scale: &RunScale) -> String {
     let (mut s, json) = setpath_sweep_impl(scale);
-    match std::fs::write("BENCH_kvs_setpath.json", &json) {
-        Ok(()) => s.push_str("\n(measurements written to BENCH_kvs_setpath.json)\n"),
-        Err(e) => {
-            let _ = writeln!(s, "\n(could not write BENCH_kvs_setpath.json: {e})");
-        }
-    }
+    write_artifact("BENCH_kvs_setpath.json", &json, &mut s);
     s
 }
 
@@ -1013,12 +1016,7 @@ fn local_sweep_impl(scale: &RunScale) -> (String, String) {
 /// directory.
 pub fn kvs_local_sweep(scale: &RunScale) -> String {
     let (mut s, json) = local_sweep_impl(scale);
-    match std::fs::write("BENCH_kvs_local.json", &json) {
-        Ok(()) => s.push_str("\n(measurements written to BENCH_kvs_local.json)\n"),
-        Err(e) => {
-            let _ = writeln!(s, "\n(could not write BENCH_kvs_local.json: {e})");
-        }
-    }
+    write_artifact("BENCH_kvs_local.json", &json, &mut s);
     s
 }
 
@@ -1338,33 +1336,31 @@ fn reactor_sweep_impl(scale: &RunScale) -> (String, String) {
 /// `BENCH_kvs_reactor.json` in the working directory.
 pub fn kvs_reactor_sweep(scale: &RunScale) -> String {
     let (mut s, json) = reactor_sweep_impl(scale);
-    match std::fs::write("BENCH_kvs_reactor.json", &json) {
-        Ok(()) => s.push_str("\n(measurements written to BENCH_kvs_reactor.json)\n"),
-        Err(e) => {
-            let _ = writeln!(s, "\n(could not write BENCH_kvs_reactor.json: {e})");
-        }
-    }
+    write_artifact("BENCH_kvs_reactor.json", &json, &mut s);
     s
 }
 
 /// Reader thread counts swept by `kvs-readscale-sweep`.
 const READSCALE_THREADS: [usize; 4] = [1, 2, 4, 8];
-/// Keys per Multi-Get in the read-scaling sweep: single-key batches (the
-/// memcached GET shape), so per-operation lock acquisition is not
-/// amortized and the shard `RwLock`'s atomic RMWs are the per-read cost
-/// the seqlock path removes.
-const READSCALE_BATCH: usize = 1;
+/// Keys per Multi-Get in the read-scaling sweep. Single-key batches (the
+/// memcached GET shape) do not amortize the lock acquisition, so the
+/// shard `RwLock`'s atomic RMWs are the per-read cost the seqlock path
+/// removes — the width most favourable to dropping the lock. At 16 (the
+/// served Multi-Get shape) the lock is amortized over the batch while the
+/// optimistic path's per-value copy-out is not.
+const READSCALE_BATCHES: [usize; 2] = [1, 16];
 
 /// One measured read-scaling point.
 struct ReadScalePoint {
+    batch: usize,
     mode: ReadMode,
     threads: usize,
     mkeys_per_sec: f64,
 }
 
 /// Measure one (mode, threads) point: `threads` reader threads hammer a
-/// quiescent single-shard store with `READSCALE_BATCH`-wide Multi-Gets
-/// over pre-generated key batches; returns aggregate keys/s.
+/// quiescent single-shard store with Multi-Gets over pre-generated,
+/// equally wide key batches; returns aggregate keys/s.
 fn readscale_point(
     store: &Arc<KvStore>,
     mode: ReadMode,
@@ -1374,7 +1370,8 @@ fn readscale_point(
 ) -> f64 {
     store.set_read_mode(mode);
     let barrier = std::sync::Barrier::new(threads + 1);
-    let total_keys = threads * loops * batches.len() * READSCALE_BATCH;
+    let width = batches[0].len();
+    let total_keys = threads * loops * batches.len() * width;
     std::thread::scope(|s| {
         for t in 0..threads {
             let store = Arc::clone(store);
@@ -1392,11 +1389,7 @@ fn readscale_point(
                 for keys in refs.iter().cycle().skip(skip).take(loops * refs.len()) {
                     found += store.mget(keys, &mut resp).found;
                 }
-                assert_eq!(
-                    found,
-                    loops * refs.len() * READSCALE_BATCH,
-                    "all keys preloaded"
-                );
+                assert_eq!(found, loops * refs.len() * width, "all keys preloaded");
                 barrier.wait(); // finish line
             });
         }
@@ -1438,138 +1431,144 @@ fn readscale_sweep_impl(scale: &RunScale) -> (String, String) {
             .set(&sweep_key(i), &sweep_value(i))
             .expect("readscale preload");
     }
-    let mut rng = 0x5EED_0007u64;
-    let batches: Vec<Vec<Vec<u8>>> = (0..n_batches)
-        .map(|_| {
-            (0..READSCALE_BATCH)
-                .map(|_| sweep_key((splitmix64(&mut rng) % n_items as u64) as usize))
-                .collect()
-        })
-        .collect();
-
     let mut s = format!(
         "== kvs-readscale-sweep: GET/MGET reader scaling, locked vs optimistic ==\n\
-         (single-shard hor index, {n_items} in-cache items, batch {READSCALE_BATCH},\n\
+         (single-shard hor index, {n_items} in-cache items, batch widths {READSCALE_BATCHES:?},\n\
           {n_batches} requests/thread/point, best of {reps}; DESIGN.md §11)\n\n",
     );
     let _ = writeln!(
         s,
-        "  {:<12} {:>8} {:>14} {:>12}",
-        "read mode", "threads", "MGet Mkeys/s", "vs locked"
+        "  {:>5} {:<12} {:>8} {:>14} {:>12}",
+        "batch", "read mode", "threads", "MGet Mkeys/s", "vs locked"
     );
 
-    // Interleave the two modes within each repetition so slow frequency
-    // drift on the host biases neither side of the comparison.
+    const MODES: [ReadMode; 2] = [ReadMode::Locked, ReadMode::Optimistic];
+    let mut rng = 0x5EED_0007u64;
     let mut points: Vec<ReadScalePoint> = Vec::new();
-    for threads in READSCALE_THREADS {
-        let mut best = [0.0f64; 2];
-        for _ in 0..reps {
-            for (slot, mode) in [ReadMode::Locked, ReadMode::Optimistic]
-                .into_iter()
-                .enumerate()
-            {
-                best[slot] =
-                    best[slot].max(readscale_point(&store, mode, threads, &batches, loops));
+    for batch in READSCALE_BATCHES {
+        let batches: Vec<Vec<Vec<u8>>> = (0..n_batches)
+            .map(|_| {
+                (0..batch)
+                    .map(|_| sweep_key((splitmix64(&mut rng) % n_items as u64) as usize))
+                    .collect()
+            })
+            .collect();
+        for threads in READSCALE_THREADS {
+            // Interleave the two modes within each repetition so slow
+            // frequency drift on the host biases neither side.
+            let mut best = [0.0f64; 2];
+            for _ in 0..reps {
+                for (slot, mode) in MODES.into_iter().enumerate() {
+                    let keys_per_sec = readscale_point(&store, mode, threads, &batches, loops);
+                    best[slot] = best[slot].max(keys_per_sec);
+                }
+            }
+            for (slot, mode) in MODES.into_iter().enumerate() {
+                points.push(ReadScalePoint {
+                    batch,
+                    mode,
+                    threads,
+                    mkeys_per_sec: best[slot] / 1e6,
+                });
             }
         }
-        for (slot, mode) in [ReadMode::Locked, ReadMode::Optimistic]
-            .into_iter()
-            .enumerate()
-        {
-            points.push(ReadScalePoint {
-                mode,
-                threads,
-                mkeys_per_sec: best[slot] / 1e6,
-            });
-        }
     }
-    points.sort_by_key(|p| (p.mode != ReadMode::Locked, p.threads));
-    let locked_at = |threads: usize| {
-        points
+    points.sort_by_key(|p| (p.batch, p.mode != ReadMode::Locked, p.threads));
+    let vs_locked = |p: &ReadScalePoint| {
+        let locked = points
             .iter()
-            .find(|p| p.mode == ReadMode::Locked && p.threads == threads)
-            .map_or(1.0, |p| p.mkeys_per_sec)
+            .find(|l| (l.batch, l.mode, l.threads) == (p.batch, ReadMode::Locked, p.threads));
+        p.mkeys_per_sec / locked.map_or(1.0, |l| l.mkeys_per_sec)
     };
+    let mut result_lines = String::new();
     for p in &points {
         let _ = writeln!(
             s,
-            "  {:<12} {:>8} {:>14.2} {:>11.2}x",
+            "  {:>5} {:<12} {:>8} {:>14.2} {:>11.2}x",
+            p.batch,
             p.mode.name(),
             p.threads,
             p.mkeys_per_sec,
-            p.mkeys_per_sec / locked_at(p.threads),
+            vs_locked(p),
         );
-    }
-
-    // Acceptance: optimistic >= locked at every thread count (within a
-    // small measurement tolerance), with the gap widest at the top count.
-    let top = READSCALE_THREADS[READSCALE_THREADS.len() - 1];
-    let mut all_ge = true;
-    for p in points.iter().filter(|p| p.mode == ReadMode::Optimistic) {
-        if p.mkeys_per_sec < 0.97 * locked_at(p.threads) {
-            all_ge = false;
-        }
-    }
-    let top_gain = points
-        .iter()
-        .find(|p| p.mode == ReadMode::Optimistic && p.threads == top)
-        .map_or(1.0, |p| p.mkeys_per_sec / locked_at(top));
-    let stats = store.optimistic_stats();
-    let _ = writeln!(
-        s,
-        "\n  acceptance: optimistic >= locked at every thread count: {}\n  \
-         gain at {top} threads: {:+.1}%   (optimistic commits {}, retries {}, fallbacks {})",
-        if all_ge { "PASS" } else { "FAIL" },
-        (top_gain - 1.0) * 100.0,
-        stats.commits,
-        stats.retries,
-        stats.fallbacks,
-    );
-
-    let mut result_lines = String::new();
-    for p in &points {
         if !result_lines.is_empty() {
             result_lines.push_str(",\n");
         }
         let _ = write!(
             result_lines,
-            "    {{\"read_mode\": \"{}\", \"threads\": {}, \"mkeys_per_sec\": {:.3}, \"vs_locked\": {:.4}}}",
+            "    {{\"batch\": {}, \"read_mode\": \"{}\", \"threads\": {}, \
+             \"mkeys_per_sec\": {:.3}, \"vs_locked\": {:.4}}}",
+            p.batch,
             p.mode.name(),
             p.threads,
             p.mkeys_per_sec,
-            p.mkeys_per_sec / locked_at(p.threads),
+            vs_locked(p),
         );
     }
+
+    // Acceptance, per batch width: optimistic >= locked at every thread
+    // count (within a small measurement tolerance); the gain at the top
+    // count is reported beside it.
+    let top = READSCALE_THREADS[READSCALE_THREADS.len() - 1];
+    let stats = store.optimistic_stats();
+    let mut gate_lines = String::new();
+    s.push('\n');
+    for batch in READSCALE_BATCHES {
+        let optimistic = || {
+            points
+                .iter()
+                .filter(move |p| p.batch == batch && p.mode == ReadMode::Optimistic)
+        };
+        let all_ge = optimistic().all(|p| vs_locked(p) >= 0.97);
+        let top_gain = optimistic()
+            .find(|p| p.threads == top)
+            .map_or(1.0, vs_locked);
+        let _ = writeln!(
+            s,
+            "  acceptance (batch {batch}): optimistic >= locked at every thread count: {}; \
+             gain at {top} threads: {:+.1}%",
+            if all_ge { "PASS" } else { "FAIL" },
+            (top_gain - 1.0) * 100.0,
+        );
+        if !gate_lines.is_empty() {
+            gate_lines.push_str(",\n");
+        }
+        let _ = write!(
+            gate_lines,
+            "    {{\"batch\": {batch}, \"all_threads_ge_locked\": {all_ge}, \
+             \"gain_at_top_threads\": {top_gain:.4}}}",
+        );
+    }
+    let _ = writeln!(
+        s,
+        "  (optimistic commits {}, retries {}, fallbacks {})",
+        stats.commits, stats.retries, stats.fallbacks,
+    );
+
     let json = format!(
         "{{\n  \"experiment\": \"kvs-readscale-sweep\",\n  \"mode\": \"{}\",\n  \
-         \"n_items\": {n_items},\n  \"batch\": {READSCALE_BATCH},\n  \
-         \"requests_per_thread\": {n_batches},\n  \"threads\": [1, 2, 4, 8],\n  \
+         \"n_items\": {n_items},\n  \"batches\": {READSCALE_BATCHES:?},\n  \
+         \"requests_per_thread\": {n_batches},\n  \"threads\": {READSCALE_THREADS:?},\n  \
          \"optimistic_commits\": {},\n  \"optimistic_retries\": {},\n  \
-         \"optimistic_fallbacks\": {},\n  \"all_threads_ge_locked\": {},\n  \
-         \"gain_at_top_threads\": {:.4},\n  \"results\": [\n{result_lines}\n  ]\n}}\n",
+         \"optimistic_fallbacks\": {},\n  \"gates\": [\n{gate_lines}\n  ],\n  \
+         \"results\": [\n{result_lines}\n  ]\n}}\n",
         if full { "full" } else { "quick" },
         stats.commits,
         stats.retries,
         stats.fallbacks,
-        all_ge,
-        top_gain,
     );
     (s, json)
 }
 
 /// `kvs-readscale-sweep`: read-side scaling of the seqlock optimistic
 /// read path (DESIGN.md §11) against the locked baseline — reader thread
-/// counts 1..8 over a quiescent in-cache single-shard store, where the
-/// shard `RwLock` acquisition is the dominant per-batch cost. Writes the
+/// counts 1..8 over a quiescent in-cache single-shard store, at batch
+/// width 1 (where the shard `RwLock` acquisition is the dominant
+/// per-request cost) and 16 (where it is amortized). Writes the
 /// measurements to `BENCH_kvs_readscale.json` in the working directory.
 pub fn kvs_readscale_sweep(scale: &RunScale) -> String {
     let (mut s, json) = readscale_sweep_impl(scale);
-    match std::fs::write("BENCH_kvs_readscale.json", &json) {
-        Ok(()) => s.push_str("\n(measurements written to BENCH_kvs_readscale.json)\n"),
-        Err(e) => {
-            let _ = writeln!(s, "\n(could not write BENCH_kvs_readscale.json: {e})");
-        }
-    }
+    write_artifact("BENCH_kvs_readscale.json", &json, &mut s);
     s
 }
 
@@ -1795,12 +1794,7 @@ fn ttl_churn_impl(scale: &RunScale) -> (String, String) {
 /// `BENCH_kvs_ttl.json` in the working directory.
 pub fn kvs_ttl_churn(scale: &RunScale) -> String {
     let (mut s, json) = ttl_churn_impl(scale);
-    match std::fs::write("BENCH_kvs_ttl.json", &json) {
-        Ok(()) => s.push_str("\n(measurements written to BENCH_kvs_ttl.json)\n"),
-        Err(e) => {
-            let _ = writeln!(s, "\n(could not write BENCH_kvs_ttl.json: {e})");
-        }
-    }
+    write_artifact("BENCH_kvs_ttl.json", &json, &mut s);
     s
 }
 
@@ -1959,10 +1953,11 @@ mod tests {
         let (rendered, json) = readscale_sweep_impl(&tiny);
         assert!(rendered.contains("kvs-readscale-sweep"));
         assert!(rendered.contains("acceptance"));
-        // 2 read modes x 4 thread counts.
-        assert_eq!(json.matches("\"read_mode\":").count(), 8);
+        // 2 batch widths x 2 read modes x 4 thread counts, one gate per width.
+        assert_eq!(json.matches("\"read_mode\":").count(), 16);
+        assert_eq!(json.matches("{\"batch\": 16, \"read_mode\":").count(), 8);
         assert!(json.contains("\"mode\": \"quick\""));
-        assert!(json.contains("\"all_threads_ge_locked\":"));
+        assert_eq!(json.matches("\"all_threads_ge_locked\":").count(), 2);
         for mode in ["locked", "optimistic"] {
             assert!(json.contains(&format!("\"read_mode\": \"{mode}\"")));
         }

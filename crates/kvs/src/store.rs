@@ -5,10 +5,14 @@
 //! 1. **Pre-processing** — parse the batch, compute a 32-bit hash per
 //!    key, and partition the batch by shard.
 //! 2. **Hash-table lookup** — the batched index probe (the phase SIMD
-//!    accelerates), run per shard under that shard's shared lock.
+//!    accelerates), run per shard.
 //! 3. **Post-processing** — resolve object pointers, verify the full key
 //!    against the slab, copy values into the response, and update CLOCK
 //!    freshness metadata.
+//!
+//! Phases 2–3 are written once (`read_pass`, and `probe_key` for the
+//! per-key step that `get` shares) over a `ShardView`: the shard's shared
+//! lock, or — [`ReadMode::Optimistic`] — no lock and seqlock validation.
 //!
 //! # Sharding
 //!
@@ -43,8 +47,7 @@ use parking_lot::RwLock;
 use crate::clock::Clock;
 use crate::index::{hash_key, hash_keys_into, HashIndex, IndexError};
 use crate::item::{
-    decode_row, item_decode_checked, item_key, item_value, read_item_racy, write_item, ItemTable,
-    NO_ITEM,
+    decode_row, item_decode_checked, item_key, read_item_racy, write_item, ItemTable, NO_ITEM,
 };
 use crate::seqlock::{SeqCount, SeqWriteGuard};
 use crate::slab::{SlabAllocator, SlabError, SlabRef};
@@ -229,10 +232,7 @@ pub struct SetMultiOutcome {
 #[derive(Debug, Default)]
 pub struct SetMultiBatch {
     results: Vec<Result<(), StoreError>>,
-    hashes: Vec<u32>,
-    per_shard: Vec<Vec<u32>>,
-    sub_hashes: Vec<u32>,
-    candidates: Vec<u32>,
+    scratch: BatchScratch,
 }
 
 impl SetMultiBatch {
@@ -246,6 +246,34 @@ impl SetMultiBatch {
     pub fn results(&self) -> &[Result<(), StoreError>] {
         &self.results
     }
+}
+
+/// Reusable scratch of the two batch pipelines ([`KvStore::mget`] and
+/// [`KvStore::set_multi_ttl`]), owned by [`MGetResponse`] and
+/// [`SetMultiBatch`] so a long-lived buffer allocates nothing per request.
+#[derive(Debug, Default, Clone)]
+struct BatchScratch {
+    /// Phase 1: one 32-bit hash per key, in request order.
+    hashes: Vec<u32>,
+    /// Phase 1: request slots per shard (multi-shard stores only).
+    per_shard: Vec<Vec<u32>>,
+    /// The current shard's hashes, gathered through `per_shard`.
+    sub_hashes: Vec<u32>,
+    pass: PassScratch,
+}
+
+/// What one shard's pass works in (the part of [`BatchScratch`] the
+/// per-shard visitor gets while the partition is borrowed).
+#[derive(Debug, Default, Clone)]
+struct PassScratch {
+    /// First index candidate per key of the shard's slice.
+    candidates: Vec<u32>,
+    /// Read path: each candidate's item-row word, staged `G` keys ahead.
+    words: Vec<u64>,
+    /// The racy view's private, non-racing image of one item's bytes.
+    chunk: Vec<u8>,
+    /// Every index candidate for one hash (the collision slow path).
+    ids: Vec<u32>,
 }
 
 /// Bytes before the first per-key record of a Multi-Get response frame:
@@ -270,13 +298,7 @@ pub struct MGetResponse {
     value_bytes: usize,
     sealed: bool,
     // Reusable scratch for the lookup pipeline (no per-request allocation).
-    hashes: Vec<u32>,
-    candidates: Vec<u32>,
-    per_shard: Vec<Vec<u32>>,
-    sub_hashes: Vec<u32>,
-    refs: Vec<Option<SlabRef>>,
-    words: Vec<u64>,
-    chunk_buf: Vec<u8>,
+    scratch: BatchScratch,
     reorder: Vec<u8>,
 }
 
@@ -331,11 +353,11 @@ impl MGetResponse {
     /// shard's records are always the contiguous tail of `buf` (each shard
     /// appends in one run), so truncating to the pre-pass marks and
     /// clearing the slots the pass filled restores the response exactly.
-    fn rollback(&mut self, buf_len: usize, value_bytes: usize, slots: impl Iterator<Item = usize>) {
+    fn rollback(&mut self, (buf_len, value_bytes): (usize, usize), sub: ShardBatch<'_>) {
         self.buf.truncate(buf_len);
         self.value_bytes = value_bytes;
-        for i in slots {
-            self.entries[i] = None;
+        for j in 0..sub.hashes.len() {
+            self.entries[sub.slot(j)] = None;
         }
     }
 
@@ -653,12 +675,10 @@ impl ShardSlot {
     /// all the unsafety lives inside [`RacyShard`]'s narrow accessors,
     /// each of which reads racing memory only through atomic or volatile
     /// loads. Callers must still validate every conclusion against `seq`
-    /// or a row word before acting on it (the seqlock protocol).
-    fn racy(&self) -> RacyShard<'_> {
-        RacyShard {
-            shard: self.shard.get(),
-            _slot: PhantomData,
-        }
+    /// or a row word before acting on it (the seqlock protocol, which
+    /// [`validated`] and [`probe_key`] run over the view).
+    fn racy<'a>(&'a self, stats: &'a OptimisticCounters) -> RacyShard<'a> {
+        RacyShard { slot: self, stats }
     }
 }
 
@@ -667,23 +687,138 @@ impl ShardSlot {
 /// Deliberately *not* `&Shard`: a shared reference would claim the whole
 /// shard immutable while a writer holding [`ShardSlot::write`] mutates it
 /// — a data race and `&`/`&mut` aliasing violation even if the read
-/// results are later discarded. Instead this wraps the raw pointer and
-/// exposes only the handful of operations the optimistic protocol needs;
-/// each materializes the narrowest reference for the duration of one call,
-/// and every byte those calls read from memory a writer may be rewriting
-/// travels through an atomic load ([`HashIndex::lookup_batch_optimistic`]
-/// on an [`HashIndex::optimistic_probe_safe`] index, [`ItemTable`] row
-/// words, CLOCK bits) or a volatile copy (slab chunk bytes via
+/// results are later discarded. Instead this reaches the shard only
+/// through the slot's raw `UnsafeCell` pointer and exposes only the
+/// handful of operations the optimistic protocol needs (its [`ShardView`]
+/// impl); each materializes the narrowest reference for the duration of
+/// one call, and every byte those calls read from memory a writer may be
+/// rewriting travels through an atomic load
+/// ([`HashIndex::lookup_batch_optimistic`] on an
+/// [`HashIndex::optimistic_probe_safe`] index, [`ItemTable`] row words,
+/// CLOCK bits) or a volatile copy (slab chunk bytes via
 /// [`read_item_racy`]) — the same de-facto-tolerated discipline as
 /// crossbeam's seqlock. None of these reads are torn-proof; the caller's
 /// seq/row-word validation is what turns them into trustworthy results.
 #[derive(Copy, Clone)]
 struct RacyShard<'a> {
-    shard: *const Shard,
-    _slot: PhantomData<&'a ShardSlot>,
+    /// The shard, the version counter the view validates against, and the
+    /// lock its per-key collision assist takes.
+    slot: &'a ShardSlot,
+    stats: &'a OptimisticCounters,
 }
 
-impl RacyShard<'_> {
+/// What differs between the two read disciplines — everything
+/// [`validated`], [`probe_key`] and [`KvStore::read_pass`] need from a
+/// shard. [`ShardReadGuard`] (the shard's shared lock, held for the view's
+/// lifetime) and [`RacyShard`] (no lock; seqlock validation, DESIGN.md
+/// §11) are the two impls, monomorphized: in the locked instantiation
+/// `begin`/`commit` are constants and the retry loop folds away.
+trait ShardView {
+    /// Open a read window: a token for [`ShardView::commit`], or `None`
+    /// when a writer held the shard for the whole bounded spin (the lock
+    /// queue is the fast path then). The locked view always succeeds.
+    fn begin(&self) -> Option<u64>;
+
+    /// Phase 2: the batched index probe, bucket lines prefetched `depth`
+    /// hashes ahead.
+    fn lookup(&self, hashes: &[u32], out: &mut [u32], depth: usize);
+
+    /// AMAC stage 1: request `item`'s row cache line ([`ItemTable::prefetch`]).
+    fn prefetch_row(&self, item: u32);
+
+    /// AMAC stage 2: load candidate `cand`'s row word (its line made warm
+    /// by an earlier [`ShardView::prefetch_row`]) and request the chunk's
+    /// leading cache line, so the full-key compare `G` iterations later
+    /// reads a warm line. 0 (a dead word) for [`NO_ITEM`].
+    fn stage(&self, cand: u32) -> u64;
+
+    /// The item image (`header + key + value`) in chunk `r`: the slab
+    /// slice itself under the lock, a volatile copy into `buf` without it
+    /// (`None` if `r` is bogus — a torn row read).
+    fn bytes<'b>(&'b self, r: SlabRef, buf: &'b mut Vec<u8>) -> Option<&'b [u8]>;
+
+    /// After the key matched: `cand`'s expiry second if the bytes just
+    /// compared are trustworthy, `None` if the row word changed under the
+    /// copy (never under the lock).
+    fn confirm(&self, cand: u32, word: u64) -> Option<u64>;
+
+    /// Atomic CLOCK touch ([`Clock::touch`]) — the one shared-state write
+    /// the optimistic path performs.
+    fn touch(&self, item: u32);
+
+    /// The tag/hash-collision slow path (MemC3): verify every index
+    /// candidate for `q.hash` after the first one's full key mismatched.
+    /// `lookup_all` is not racy-safe on every backend, so it always runs
+    /// under the shard's shared lock — the one already held, or a per-key
+    /// assist released before the next key.
+    fn collide(&self, q: &mut Query<'_>, hit: &mut impl FnMut(u32, &[u8])) -> Probe;
+
+    /// Close the window `token` opened: `true` when the attempt's results
+    /// may be acted on. Validation is two-tier: each *hit* stands on its
+    /// row word alone ([`ShardView::confirm`]; a `torn` one sinks the
+    /// attempt), while misses and collision assists (`need_seq`)
+    /// additionally require that no writer ran since [`ShardView::begin`].
+    fn commit(&self, token: u64, torn: bool, need_seq: bool) -> bool;
+}
+
+impl ShardView for ShardReadGuard<'_> {
+    fn begin(&self) -> Option<u64> {
+        Some(0)
+    }
+
+    fn lookup(&self, hashes: &[u32], out: &mut [u32], depth: usize) {
+        self.index.lookup_batch_prefetched(hashes, out, depth);
+    }
+
+    fn prefetch_row(&self, item: u32) {
+        self.items.prefetch(item);
+    }
+
+    #[inline(always)]
+    fn stage(&self, cand: u32) -> u64 {
+        if cand == NO_ITEM {
+            return 0;
+        }
+        let word = self.items.load_row(cand);
+        if let Some(r) = decode_row(word) {
+            self.slab.prefetch(r);
+        }
+        word
+    }
+
+    #[inline(always)]
+    fn bytes<'b>(&'b self, r: SlabRef, _buf: &'b mut Vec<u8>) -> Option<&'b [u8]> {
+        Some(self.slab.chunk(r))
+    }
+
+    /// The shard lock is held throughout, so staged reads cannot go stale.
+    #[inline(always)]
+    fn confirm(&self, cand: u32, _word: u64) -> Option<u64> {
+        Some(self.items.expires_at(cand))
+    }
+
+    fn touch(&self, item: u32) {
+        self.clock.touch(item);
+    }
+
+    fn collide(&self, q: &mut Query<'_>, hit: &mut impl FnMut(u32, &[u8])) -> Probe {
+        q.ids.clear();
+        self.index.lookup_all(q.hash, q.ids);
+        (0..q.ids.len())
+            .find_map(|n| verify(self, q.ids[n], self.items.load_row(q.ids[n]), q, hit))
+            .unwrap_or(Probe::Miss)
+    }
+
+    fn commit(&self, _token: u64, _torn: bool, _need_seq: bool) -> bool {
+        true
+    }
+}
+
+impl ShardView for RacyShard<'_> {
+    fn begin(&self) -> Option<u64> {
+        self.slot.seq.read_begin()
+    }
+
     /// Racy batched index probe (atomic loads only; see
     /// [`HashIndex::lookup_batch_optimistic`]).
     #[inline(always)]
@@ -691,79 +826,183 @@ impl RacyShard<'_> {
         // SAFETY: the reference lives for this call only; the probe reads
         // index storage exclusively through atomic loads per the
         // `optimistic_probe_safe` contract.
-        let index = unsafe { &*(*self.shard).index };
+        let index = unsafe { &*(*self.slot.shard.get()).index };
         index.lookup_batch_optimistic(hashes, out, depth);
     }
 
-    /// Atomic item-row word load ([`ItemTable::load_row`]).
-    #[inline(always)]
-    fn load_row(&self, item: u32) -> u64 {
-        // SAFETY: call-scoped reference; row words live in a stable
-        // `AtomicSegArray` and are only read atomically.
-        unsafe { (*self.shard).items.load_row(item) }
-    }
-
-    /// Row-word revalidation ([`ItemTable::revalidate`]).
-    #[inline(always)]
-    fn revalidate(&self, item: u32, word: u64) -> bool {
-        // SAFETY: as `load_row`.
-        unsafe { (*self.shard).items.revalidate(item, word) }
-    }
-
-    /// Racy expiry-metadata load ([`ItemTable::expires_at`]). Only
-    /// trustworthy when the row word loaded *before* this call still
-    /// revalidates afterwards — the register order (metadata before the
-    /// row publish) plus the generation bump make an unchanged word prove
-    /// the metadata belongs to that exact registration.
-    #[inline(always)]
-    fn expires_at(&self, item: u32) -> u64 {
-        // SAFETY: as `load_row`; expiry words live in a stable
-        // `AtomicSegArray` and are only read atomically.
-        unsafe { (*self.shard).items.expires_at(item) }
-    }
-
-    /// Prefetch an item row's cache line ([`ItemTable::prefetch`]).
-    #[inline(always)]
     fn prefetch_row(&self, item: u32) {
-        // SAFETY: as `load_row`; a prefetch hint reads nothing.
-        unsafe { (*self.shard).items.prefetch(item) }
+        // SAFETY: call-scoped reference; row words live in a stable
+        // `AtomicSegArray`, and a prefetch hint reads nothing.
+        unsafe { (*self.slot.shard.get()).items.prefetch(item) }
     }
 
-    /// Volatile copy-out of an item's leading bytes
-    /// ([`read_item_racy`]); `false` if `r` is bogus (torn row read).
+    /// Loading the word `G` keys early only *widens* the window
+    /// [`ShardView::confirm`] must cover — still correct, same stages warm.
     #[inline(always)]
-    fn read_item(&self, r: SlabRef, buf: &mut Vec<u8>) -> bool {
-        // SAFETY: call-scoped reference; chunk bytes are copied with
-        // volatile loads from pages that are never freed or moved.
-        unsafe { read_item_racy(&(*self.shard).slab, r, buf) }
-    }
-
-    /// Atomic CLOCK touch ([`Clock::touch`]) — the one shared-state write
-    /// the optimistic path performs.
-    #[inline(always)]
-    fn touch(&self, item: u32) {
-        // SAFETY: call-scoped reference; the bitmap is atomic and stable.
-        unsafe { (*self.shard).clock.touch(item) }
-    }
-
-    /// Optimistic AMAC stage 2: load candidate `cand`'s row word (its
-    /// line made warm by an earlier [`RacyShard::prefetch_row`]) and
-    /// request the chunk's leading cache line, so the full-key compare
-    /// `G` iterations later reads a warm line. The racy counterpart of
-    /// [`Shard::resolve_and_prefetch`].
-    #[inline(always)]
-    fn stage_word(&self, cand: u32) -> u64 {
+    fn stage(&self, cand: u32) -> u64 {
         if cand == NO_ITEM {
             return 0;
         }
-        let word = self.load_row(cand);
+        // SAFETY: call-scoped reference; row words live in a stable
+        // `AtomicSegArray` and are only read atomically.
+        let word = unsafe { (*self.slot.shard.get()).items.load_row(cand) };
         if let Some(r) = decode_row(word) {
             // SAFETY: call-scoped reference; a prefetch hint reads
             // nothing, and chunk addresses come from stable metadata.
-            unsafe { (*self.shard).slab.prefetch(r) };
+            unsafe { (*self.slot.shard.get()).slab.prefetch(r) };
         }
         word
     }
+
+    /// Volatile copy-out of the item ([`read_item_racy`]).
+    #[inline(always)]
+    fn bytes<'b>(&'b self, r: SlabRef, buf: &'b mut Vec<u8>) -> Option<&'b [u8]> {
+        // SAFETY: call-scoped reference; chunk bytes are copied with
+        // volatile loads from pages that are never freed or moved.
+        let copied = unsafe { read_item_racy(&(*self.slot.shard.get()).slab, r, buf) };
+        copied.then_some(buf.as_slice())
+    }
+
+    /// A verified hit stands on its row word alone: the word unchanged
+    /// across the copy ([`ItemTable::revalidate`]) means the item stayed
+    /// live in this exact chunk, and live chunk bytes are immutable
+    /// (replace = delete + insert). The expiry word is loaded *before*
+    /// that recheck: the register order (metadata before the row publish)
+    /// plus the generation bump make an unchanged word prove the metadata
+    /// belongs to that exact registration (DESIGN.md §13).
+    #[inline(always)]
+    fn confirm(&self, cand: u32, word: u64) -> Option<u64> {
+        // SAFETY: as `stage`; expiry words live in a stable
+        // `AtomicSegArray` and are only read atomically.
+        let items = unsafe { &(*self.slot.shard.get()).items };
+        let expires_at = items.expires_at(cand);
+        items.revalidate(cand, word).then_some(expires_at)
+    }
+
+    fn touch(&self, item: u32) {
+        // SAFETY: call-scoped reference; the bitmap is atomic and stable.
+        unsafe { (*self.slot.shard.get()).clock.touch(item) }
+    }
+
+    /// Take the shard lock for this one key (the rest of the pass stays
+    /// lock-free); under it the locked view's rules apply unchanged.
+    fn collide(&self, q: &mut Query<'_>, hit: &mut impl FnMut(u32, &[u8])) -> Probe {
+        self.stats.assists.fetch_add(1, Ordering::Relaxed);
+        self.slot.read().collide(q, hit)
+    }
+
+    #[inline(always)]
+    fn commit(&self, token: u64, torn: bool, need_seq: bool) -> bool {
+        let ok = !torn && (!need_seq || self.slot.seq.validate(token));
+        let stats = self.stats;
+        let counter = if ok { &stats.commits } else { &stats.retries };
+        counter.fetch_add(1, Ordering::Relaxed);
+        ok
+    }
+}
+
+/// One key of a read: its hash, its bytes, the store-clock second the read
+/// runs at, and the [`PassScratch`] buffers verifying it may need.
+struct Query<'a> {
+    hash: u32,
+    key: &'a [u8],
+    now: u64,
+    chunk: &'a mut Vec<u8>,
+    ids: &'a mut Vec<u32>,
+}
+
+/// What [`probe_key`] concluded about one key.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+enum Probe {
+    /// A live item has this key: its value went to `hit`, its CLOCK bit is set.
+    Hit,
+    /// The key's item exists but has expired — lazy expiry: it reads as a
+    /// miss (positive evidence, no shard stability required). A reader
+    /// cannot reclaim it; writers and the eviction path do.
+    Expired,
+    /// No live item has this key.
+    Miss,
+    /// The row word changed under the copy: a writer raced this key.
+    Torn,
+}
+
+/// Verify candidate `cand` (row word `word`) against `q.key` — never
+/// trusting the index alone — and deliver a live hit to `hit`. `None`
+/// when this candidate is not the key's item: dead row, unreadable chunk,
+/// or full-key mismatch.
+#[inline(always)]
+fn verify<V: ShardView>(
+    view: &V,
+    cand: u32,
+    word: u64,
+    q: &mut Query<'_>,
+    hit: &mut impl FnMut(u32, &[u8]),
+) -> Option<Probe> {
+    let (_, value) = view
+        .bytes(decode_row(word)?, q.chunk)
+        .and_then(item_decode_checked)
+        .filter(|(k, _)| *k == q.key)?;
+    Some(match view.confirm(cand, word) {
+        None => Probe::Torn,
+        Some(expires_at) if is_expired(expires_at, q.now) => Probe::Expired,
+        Some(_) => {
+            hit(cand, value);
+            view.touch(cand);
+            Probe::Hit
+        }
+    })
+}
+
+/// The per-key step of every read: resolve `q` given the first candidate
+/// `cand` a batched probe returned for its hash and that candidate's
+/// staged row word. The candidate is verified against the slab first,
+/// every other candidate only after a full-key mismatch; `need_seq` is set
+/// when the answer is only believable if no writer raced the probe.
+#[inline(always)]
+fn probe_key<V: ShardView>(
+    view: &V,
+    cand: u32,
+    word: u64,
+    q: &mut Query<'_>,
+    need_seq: &mut bool,
+    hit: &mut impl FnMut(u32, &[u8]),
+) -> Probe {
+    if let Some(probe) = verify(view, cand, word, q, hit) {
+        return probe;
+    }
+    // "Not found" can only be trusted if no writer ran meanwhile, and the
+    // assist's answer is newer than the window's other keys.
+    *need_seq = true;
+    if decode_row(word).is_none() {
+        // No candidate, or a dying row behind a live-looking one.
+        return Probe::Miss;
+    }
+    // Full-key mismatch or torn-looking bytes.
+    view.collide(q, hit)
+}
+
+/// The one validation loop (DESIGN.md §11): run `attempt` — which
+/// returns its result and the `(torn, need_seq)` that result rests on —
+/// inside a [`ShardView::begin`]/[`ShardView::commit`] window; when it
+/// cannot be committed, `undo` what it wrote to `sink` and retry once.
+/// `None` means the caller must rerun the read under the locked view,
+/// where the first attempt always commits.
+#[inline(always)]
+fn validated<V: ShardView, S, T>(
+    view: &V,
+    sink: &mut S,
+    mut attempt: impl FnMut(&mut S) -> (T, bool, bool),
+    undo: impl Fn(&mut S),
+) -> Option<T> {
+    for _ in 0..2 {
+        let token = view.begin()?;
+        let (out, torn, need_seq) = attempt(sink);
+        if view.commit(token, torn, need_seq) {
+            return Some(out);
+        }
+        undo(sink);
+    }
+    None
 }
 
 /// Counters for the optimistic read path (all modes; zero under
@@ -785,25 +1024,22 @@ pub struct OptimisticStats {
 
 /// Internal counters: the hot commit path pays exactly one RMW
 /// (`commits`); everything else is bumped only on the cold
-/// retry/abort/assist edges, and `attempts` is *derived* in the snapshot
-/// (`commits + retries + aborts` — every started pass ends in exactly one
-/// of those three).
+/// retry/assist/fallback edges, and `attempts` is *derived* in the
+/// snapshot (`commits + retries` — every started pass ends in exactly one
+/// of those two).
 #[derive(Default)]
 struct OptimisticCounters {
     commits: AtomicU64,
     retries: AtomicU64,
-    /// Started passes abandoned without a retry (e.g. a full-key
-    /// mismatch that `get` hands to the locked collision slow path).
-    aborts: AtomicU64,
     assists: AtomicU64,
     fallbacks: AtomicU64,
 }
 
-/// The sharded key-value store. Reads (`get`/`mget`) take a shared lock on
-/// each shard they probe (one at a time) — or, under
-/// [`ReadMode::Optimistic`], no lock at all (seqlock validation, DESIGN.md
-/// §11) — and run concurrently across server workers; writes
-/// (`set`/`delete`) serialize only within their key's shard.
+/// The sharded key-value store. Reads (`get`/`mget`) run one pass per
+/// shard they probe (one at a time) under that shard's shared lock — or,
+/// under [`ReadMode::Optimistic`], the same pass under no lock at all
+/// (seqlock validation, DESIGN.md §11) — concurrently across server
+/// workers; writes (`set`/`delete`) serialize only within their key's shard.
 pub struct KvStore {
     shards: Vec<ShardSlot>,
     shard_mul: u32,
@@ -936,9 +1172,8 @@ impl KvStore {
     pub fn optimistic_stats(&self) -> OptimisticStats {
         let commits = self.optimistic.commits.load(Ordering::Relaxed);
         let retries = self.optimistic.retries.load(Ordering::Relaxed);
-        let aborts = self.optimistic.aborts.load(Ordering::Relaxed);
         OptimisticStats {
-            attempts: commits + retries + aborts,
+            attempts: commits + retries,
             commits,
             retries,
             assists: self.optimistic.assists.load(Ordering::Relaxed),
@@ -1102,7 +1337,6 @@ impl KvStore {
     /// register, index (evicting on pressure), admit. The caller holds the
     /// shard's write guard, so a multi-key batch amortizes one lock
     /// acquisition and one seqlock write session over the whole group.
-    #[allow(clippy::too_many_arguments)]
     fn set_in_guard(
         &self,
         slot: &ShardSlot,
@@ -1219,56 +1453,18 @@ impl KvStore {
         ttl_secs: u32,
         batch: &mut SetMultiBatch,
     ) -> SetMultiOutcome {
-        // Phase 1: pre-processing — hash (eight interleaved FNV chains per
-        // group) and shard partition.
+        // Phase 1: pre-processing — hash and shard partition
+        // ([`KvStore::for_each_shard`]).
         let t0 = Instant::now();
-        batch.results.clear();
-        batch.results.resize(pairs.len(), Ok(()));
+        let SetMultiBatch { results, scratch } = batch;
+        results.clear();
+        results.resize(pairs.len(), Ok(()));
         let keys: Vec<&[u8]> = pairs.iter().map(|&(k, _)| k).collect();
-        let mut hashes = std::mem::take(&mut batch.hashes);
-        hashes.clear();
-        hash_keys_into(&keys, &mut hashes);
-        let single = self.shards.len() == 1;
-        let mut per_shard = std::mem::take(&mut batch.per_shard);
-        if !single {
-            per_shard.resize_with(self.shards.len(), Vec::new);
-            for bucket in per_shard.iter_mut() {
-                bucket.clear();
-            }
-            for (i, &h) in hashes.iter().enumerate() {
-                per_shard[self.shard_for_hash(h)].push(i as u32);
-            }
-        }
-        let t1 = Instant::now();
-
         let depth = self.prefetch_depth.load(Ordering::Relaxed);
-        let mut sub_hashes = std::mem::take(&mut batch.sub_hashes);
-        let mut candidates = std::mem::take(&mut batch.candidates);
-        let mut results = std::mem::take(&mut batch.results);
         let mut stored = 0usize;
-        let mut lookup_ns = 0u64;
-        let mut post_ns = 0u64;
-        for (s, slot) in self.shards.iter().enumerate() {
-            let n_sub = if single {
-                pairs.len()
-            } else {
-                per_shard[s].len()
-            };
-            if n_sub == 0 {
-                continue;
-            }
-            let smap = if single {
-                SlotMap::Identity
-            } else {
-                SlotMap::Map(&per_shard[s])
-            };
-            let shard_hashes: &[u32] = if single {
-                &hashes
-            } else {
-                sub_hashes.clear();
-                sub_hashes.extend(per_shard[s].iter().map(|&i| hashes[i as usize]));
-                &sub_hashes
-            };
+        let mut phases = PhaseNanos::default();
+        let t1 = self.for_each_shard(&keys, scratch, |slot, sub, pass| {
+            let candidates = &mut pass.candidates;
             // Phase 2: one exclusive lock + seqlock write session for the
             // whole group; the batched probe warms this shard's buckets
             // and stages replacement candidates. The candidates are
@@ -1278,9 +1474,9 @@ impl KvStore {
             let tl0 = Instant::now();
             let mut g = slot.write();
             candidates.clear();
-            candidates.resize(n_sub, NO_ITEM);
+            candidates.resize(sub.hashes.len(), NO_ITEM);
             g.index
-                .lookup_batch_prefetched(shard_hashes, &mut candidates, depth);
+                .lookup_batch_prefetched(sub.hashes, candidates, depth);
             if depth > 0 {
                 for &cand in candidates.iter().take(2 * depth) {
                     g.items.prefetch(cand);
@@ -1289,19 +1485,19 @@ impl KvStore {
             let tl1 = Instant::now();
             // Phase 3: inserts, with key j+G's index buckets and candidate
             // item rows requested while key j runs.
-            for j in 0..n_sub {
+            for (j, &hash) in sub.hashes.iter().enumerate() {
                 if depth > 0 {
                     if let Some(&ahead) = candidates.get(j + 2 * depth) {
                         g.items.prefetch(ahead);
                     }
-                    if let Some(&h_ahead) = shard_hashes.get(j + depth) {
+                    if let Some(&h_ahead) = sub.hashes.get(j + depth) {
                         g.index.prefetch_hash(h_ahead);
                     }
                 }
-                let i = smap.get(j);
+                let i = sub.slot(j);
                 let (key, value) = pairs[i];
                 let r = self
-                    .set_in_guard(slot, &mut g, shard_hashes[j], key, value, ttl_secs)
+                    .set_in_guard(slot, &mut g, hash, key, value, ttl_secs)
                     .map(|_| ());
                 if r.is_ok() {
                     stored += 1;
@@ -1310,148 +1506,124 @@ impl KvStore {
             }
             let tl2 = Instant::now();
             drop(g);
-            lookup_ns += (tl1 - tl0).as_nanos() as u64;
-            post_ns += (tl2 - tl1).as_nanos() as u64;
-        }
-        batch.hashes = hashes;
-        batch.per_shard = per_shard;
-        batch.sub_hashes = sub_hashes;
-        batch.candidates = candidates;
-        batch.results = results;
+            phases.lookup += (tl1 - tl0).as_nanos() as u64;
+            phases.post += (tl2 - tl1).as_nanos() as u64;
+        });
+        phases.pre = (t1 - t0).as_nanos() as u64;
+        SetMultiOutcome { stored, phases }
+    }
 
-        SetMultiOutcome {
-            stored,
-            phases: PhaseNanos {
-                pre: (t1 - t0).as_nanos() as u64,
-                lookup: lookup_ns,
-                post: post_ns,
-            },
+    /// Phase 1 of both batch pipelines and the walk that follows it: hash
+    /// every key (eight interleaved FNV chains per group, SIMD for
+    /// fixed-width groups), partition the batch by shard, then hand each
+    /// non-empty shard's slice to `visit`, in shard order — so a caller
+    /// that locks inside `visit` holds at most one shard lock at a time.
+    /// Returns the instant pre-processing ended.
+    fn for_each_shard(
+        &self,
+        keys: &[&[u8]],
+        scratch: &mut BatchScratch,
+        mut visit: impl FnMut(&ShardSlot, ShardBatch<'_>, &mut PassScratch),
+    ) -> Instant {
+        scratch.hashes.clear();
+        hash_keys_into(keys, &mut scratch.hashes);
+        let hashes = &scratch.hashes[..];
+        if let [only] = &self.shards[..] {
+            let t1 = Instant::now();
+            if !hashes.is_empty() {
+                let slots = None;
+                visit(only, ShardBatch { hashes, slots }, &mut scratch.pass);
+            }
+            return t1;
         }
+        scratch.per_shard.resize_with(self.shards.len(), Vec::new);
+        for bucket in scratch.per_shard.iter_mut() {
+            bucket.clear();
+        }
+        for (i, &h) in hashes.iter().enumerate() {
+            scratch.per_shard[self.shard_for_hash(h)].push(i as u32);
+        }
+        let t1 = Instant::now();
+        for (slot, slots) in self.shards.iter().zip(scratch.per_shard.iter()) {
+            if slots.is_empty() {
+                continue;
+            }
+            let sub_hashes = &mut scratch.sub_hashes;
+            sub_hashes.clear();
+            sub_hashes.extend(slots.iter().map(|&i| hashes[i as usize]));
+            let (hashes, slots) = (&sub_hashes[..], Some(&slots[..]));
+            visit(slot, ShardBatch { hashes, slots }, &mut scratch.pass);
+        }
+        t1
     }
 
     /// Look up a single key.
     ///
-    /// A direct path over the key's shard — same probe, verification,
-    /// fallback, CLOCK, and counter semantics as a one-key [`KvStore::mget`]
-    /// but without the response-buffer machinery (an `MGetResponse` carries
-    /// hash/partition/candidate scratch vectors that a single-key call
-    /// would allocate and throw away).
+    /// The one-key case of the read pipeline — same probe, verification,
+    /// collision slow path, CLOCK, and counter semantics as a one-key
+    /// [`KvStore::mget`] but without the response-buffer machinery (an
+    /// `MGetResponse` carries hash/partition/candidate scratch vectors
+    /// that a single-key call would allocate and throw away).
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         let hash = hash_key(key);
         let slot = &self.shards[self.shard_for_hash(hash)];
+        let value = |_: u32, v: &[u8]| v.to_vec();
         if self.use_optimistic() {
-            if let Some(decided) = self.get_optimistic(slot, hash, key) {
-                return decided;
-            }
-        }
-        self.get_locked(slot, hash, key)
-    }
-
-    /// Lock-free single-key lookup under the seqlock protocol (DESIGN.md
-    /// §11). Returns `Some(result)` when the read validated, `None` when
-    /// the caller must fall back to [`KvStore::get_locked`]: a writer was
-    /// active, both attempts were invalidated, or the probe found a
-    /// full-key mismatch (possible tag collision — `lookup_all` is not
-    /// racy-safe on every backend, so collisions resolve under the lock).
-    fn get_optimistic(&self, slot: &ShardSlot, hash: u32, key: &[u8]) -> Option<Option<Vec<u8>>> {
-        // Every racing byte below travels through RacyShard's atomic or
-        // volatile accessors, and every outcome is validated before being
-        // returned (seq for misses, the row word for hits).
-        let racy = slot.racy();
-        let mut buf = Vec::new();
-        for _ in 0..2 {
-            let Some(seq) = slot.seq.read_begin() else {
-                break; // writer active: the lock queue is the fast path now
+            match self.get_in(slot, &slot.racy(&self.optimistic), hash, key, value) {
+                Some(decided) => return decided,
+                None => self.optimistic.fallbacks.fetch_add(1, Ordering::Relaxed),
             };
-            let mut cand = [NO_ITEM];
-            racy.lookup(std::slice::from_ref(&hash), &mut cand, 0);
-            let cand = cand[0];
-            let word = if cand == NO_ITEM {
-                0
-            } else {
-                racy.load_row(cand)
-            };
-            match decode_row(word) {
-                None => {
-                    // Miss (no candidate, or a dying row): only believable
-                    // if no writer ran while we probed.
-                    if slot.seq.validate(seq) {
-                        self.optimistic.commits.fetch_add(1, Ordering::Relaxed);
-                        slot.counters.mget_keys.fetch_add(1, Ordering::Relaxed);
-                        return Some(None);
-                    }
-                }
-                Some(r) => {
-                    let verified = racy.read_item(r, &mut buf)
-                        && item_decode_checked(&buf).is_some_and(|(k, _)| k == key);
-                    if verified {
-                        // Racy metadata load *before* the row recheck: an
-                        // unchanged word then proves the expiry belonged
-                        // to exactly this registration (DESIGN.md §13).
-                        let expires_at = racy.expires_at(cand);
-                        // A verified hit stands on its row word alone: the
-                        // word unchanged across the copy means the item
-                        // stayed live in this exact chunk, and live chunk
-                        // bytes are immutable (replace = delete + insert).
-                        if racy.revalidate(cand, word) {
-                            if is_expired(expires_at, self.now_secs()) {
-                                // Lazy expiry: a validated-but-expired hit
-                                // is a definitive miss — no seq needed.
-                                self.optimistic.commits.fetch_add(1, Ordering::Relaxed);
-                                slot.counters.mget_keys.fetch_add(1, Ordering::Relaxed);
-                                slot.counters.expired.fetch_add(1, Ordering::Relaxed);
-                                return Some(None);
-                            }
-                            let (_, v) = item_decode_checked(&buf).expect("just decoded");
-                            let value = v.to_vec();
-                            racy.touch(cand);
-                            self.optimistic.commits.fetch_add(1, Ordering::Relaxed);
-                            slot.counters.mget_keys.fetch_add(1, Ordering::Relaxed);
-                            slot.counters.mget_hits.fetch_add(1, Ordering::Relaxed);
-                            return Some(Some(value));
-                        }
-                    } else if slot.seq.validate(seq) {
-                        // Genuine full-key mismatch (tag collision)
-                        // or torn-looking bytes under a stable seq:
-                        // resolve under the lock.
-                        self.optimistic.aborts.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            }
-            self.optimistic.retries.fetch_add(1, Ordering::Relaxed);
         }
-        self.optimistic.fallbacks.fetch_add(1, Ordering::Relaxed);
-        None
+        self.get_in(slot, &slot.read(), hash, key, value)
+            .expect("a locked read always commits")
     }
 
-    fn get_locked(&self, slot: &ShardSlot, hash: u32, key: &[u8]) -> Option<Vec<u8>> {
-        self.get_v_locked(slot, hash, key).map(|(value, _)| value)
-    }
-
-    /// Value and version of `key` under the shard's shared lock.
-    fn get_v_locked(&self, slot: &ShardSlot, hash: u32, key: &[u8]) -> Option<(Vec<u8>, u64)> {
-        let g = slot.read();
-        let mut cand = [NO_ITEM];
-        g.index.lookup_batch(std::slice::from_ref(&hash), &mut cand);
-        let mut expired = 0;
-        let mut scratch = Vec::new();
-        let resolved = g.resolve(
-            cand[0],
+    /// [`probe_key`] applied to one key under `view`, the hit mapped
+    /// through `value_of(item, value bytes)`. `Some(result)` when the read
+    /// validated, `None` when the caller must rerun it under the locked
+    /// view.
+    fn get_in<V: ShardView, T>(
+        &self,
+        slot: &ShardSlot,
+        view: &V,
+        hash: u32,
+        key: &[u8],
+        value_of: impl Fn(u32, &[u8]) -> T,
+    ) -> Option<Option<T>> {
+        let (mut chunk, mut ids) = (Vec::new(), Vec::new());
+        let mut q = Query {
             hash,
             key,
-            self.now_secs(),
-            &mut scratch,
-            &mut expired,
-        );
-        slot.counters.mget_keys.fetch_add(1, Ordering::Relaxed);
+            now: self.now_secs(),
+            chunk: &mut chunk,
+            ids: &mut ids,
+        };
+        let mut out = None;
+        let attempt = |out: &mut Option<T>| {
+            let mut cand = [NO_ITEM];
+            view.lookup(std::slice::from_ref(&hash), &mut cand, 0);
+            let word = view.stage(cand[0]);
+            let mut need_seq = false;
+            let mut hit = |item: u32, v: &[u8]| *out = Some(value_of(item, v));
+            let probe = probe_key(view, cand[0], word, &mut q, &mut need_seq, &mut hit);
+            (probe, probe == Probe::Torn, need_seq)
+        };
+        let probe = validated(view, &mut out, attempt, |out| *out = None)?;
+        let (found, expired) = (probe == Probe::Hit, probe == Probe::Expired);
+        Self::count_reads(slot, 1, found.into(), expired.into());
+        Some(out)
+    }
+
+    /// Attribute `keys` probed keys — `found` of them hits, `expired` of
+    /// them lazy-expiry misses — to `slot`.
+    fn count_reads(slot: &ShardSlot, keys: u64, found: u64, expired: u64) {
+        slot.counters.mget_keys.fetch_add(keys, Ordering::Relaxed);
+        if found != 0 {
+            slot.counters.mget_hits.fetch_add(found, Ordering::Relaxed);
+        }
         if expired != 0 {
             slot.counters.expired.fetch_add(expired, Ordering::Relaxed);
         }
-        let (item, r) = resolved?;
-        g.clock.touch(item);
-        slot.counters.mget_hits.fetch_add(1, Ordering::Relaxed);
-        Some((item_value(g.slab.chunk(r)).to_vec(), g.items.version(item)))
     }
 
     /// Delete a key; returns `true` if it existed (and had not expired).
@@ -1559,135 +1731,67 @@ impl KvStore {
     /// section that resolved the item.
     pub fn get_v(&self, key: &[u8]) -> Option<(Vec<u8>, u64)> {
         let hash = hash_key(key);
-        self.get_v_locked(&self.shards[self.shard_for_hash(hash)], hash, key)
+        let slot = &self.shards[self.shard_for_hash(hash)];
+        let g = slot.read();
+        let versioned = |item: u32, v: &[u8]| (v.to_vec(), g.items.version(item));
+        self.get_in(slot, &g, hash, key, versioned)
+            .expect("a locked read always commits")
     }
 
     /// The batched Multi-Get pipeline with per-phase timing.
     ///
     /// The batch is partitioned by shard during pre-processing; each
     /// non-empty shard then runs one batched lookup + post-processing pass
-    /// under its shared lock. At most one shard lock is held at a time.
+    /// ([`ReadMode`] picks the view it runs under). At most one shard lock
+    /// is held at a time.
     ///
     /// `resp` is reset and refilled; reusing one buffer across calls avoids
     /// per-request allocation, as a real server does.
     pub fn mget(&self, keys: &[&[u8]], resp: &mut MGetResponse) -> MGetOutcome {
-        // Phase 1: pre-processing — parse batch, hash every key (eight
-        // interleaved FNV chains per group, SIMD for fixed-width groups),
-        // partition the batch by shard.
+        // Phase 1: pre-processing — parse batch, hash every key, partition
+        // the batch by shard ([`KvStore::for_each_shard`]).
         let t0 = Instant::now();
         resp.reset(keys.len());
-        let mut hashes = std::mem::take(&mut resp.hashes);
-        hashes.clear();
-        hash_keys_into(keys, &mut hashes);
-        let single = self.shards.len() == 1;
-        let mut per_shard = std::mem::take(&mut resp.per_shard);
-        if !single {
-            per_shard.resize_with(self.shards.len(), Vec::new);
-            for bucket in per_shard.iter_mut() {
-                bucket.clear();
-            }
-            for (i, &h) in hashes.iter().enumerate() {
-                per_shard[self.shard_for_hash(h)].push(i as u32);
-            }
-        }
-        let t1 = Instant::now();
-
-        // Phases 2+3 per shard — under that shard's shared lock, or with
-        // no lock at all when the optimistic read mode is on (each shard
-        // pass still falls back to the locked helper if it can't
-        // validate).
+        let mut scratch = std::mem::take(&mut resp.scratch);
         let depth = self.prefetch_depth.load(Ordering::Relaxed);
         let use_opt = self.use_optimistic();
-        let mut candidates = std::mem::take(&mut resp.candidates);
-        let mut sub_hashes = std::mem::take(&mut resp.sub_hashes);
-        let mut refs = std::mem::take(&mut resp.refs);
-        let mut words = std::mem::take(&mut resp.words);
-        let mut chunk_buf = std::mem::take(&mut resp.chunk_buf);
-        let mut fallback: Vec<u32> = Vec::new();
         let mut found = 0usize;
-        let mut lookup_ns = 0u64;
-        let mut post_ns = 0u64;
-        for (s, slot) in self.shards.iter().enumerate() {
-            let n_sub = if single {
-                keys.len()
-            } else {
-                per_shard[s].len()
-            };
-            if n_sub == 0 {
-                continue;
+        let mut phases = PhaseNanos::default();
+        // Phases 2+3 per shard — with no lock at all when the optimistic
+        // read mode is on, and under that shard's shared lock otherwise or
+        // when the racy pass could not validate.
+        let t1 = self.for_each_shard(keys, &mut scratch, |slot, sub, pass| {
+            let mut done = None;
+            if use_opt {
+                let racy = slot.racy(&self.optimistic);
+                done = self.read_pass(&racy, keys, sub, depth, resp, pass);
+                if done.is_none() {
+                    self.optimistic.fallbacks.fetch_add(1, Ordering::Relaxed);
+                }
             }
-            let smap = if single {
-                SlotMap::Identity
-            } else {
-                SlotMap::Map(&per_shard[s])
-            };
-            let shard_hashes: &[u32] = if single {
-                &hashes
-            } else {
-                sub_hashes.clear();
-                sub_hashes.extend(per_shard[s].iter().map(|&i| hashes[i as usize]));
-                &sub_hashes
-            };
-            let committed = if use_opt {
-                self.mget_shard_optimistic(
-                    slot,
-                    keys,
-                    shard_hashes,
-                    smap,
-                    depth,
-                    resp,
-                    &mut candidates,
-                    &mut words,
-                    &mut chunk_buf,
-                    &mut fallback,
-                )
-            } else {
-                None
-            };
-            let (shard_found, l_ns, p_ns) = match committed {
-                Some(t) => t,
-                None => self.mget_shard_locked(
-                    slot,
-                    keys,
-                    shard_hashes,
-                    smap,
-                    depth,
-                    resp,
-                    &mut candidates,
-                    &mut refs,
-                    &mut fallback,
-                ),
-            };
-            found += shard_found as usize;
-            lookup_ns += l_ns;
-            post_ns += p_ns;
-        }
-        if !single {
+            let done = done.unwrap_or_else(|| {
+                self.read_pass(&slot.read(), keys, sub, depth, resp, pass)
+                    .expect("a locked pass always commits")
+            });
+            Self::count_reads(slot, sub.hashes.len() as u64, done.found, done.expired);
+            found += done.found as usize;
+            phases.lookup += done.lookup_ns;
+            phases.post += done.post_ns;
+        });
+        if self.shards.len() > 1 {
             // Shard-grouped records -> request order (still Phase 3 work).
             let tf = Instant::now();
             resp.finalize_request_order();
-            post_ns += tf.elapsed().as_nanos() as u64;
+            phases.post += tf.elapsed().as_nanos() as u64;
         }
-        resp.hashes = hashes;
-        resp.candidates = candidates;
-        resp.per_shard = per_shard;
-        resp.sub_hashes = sub_hashes;
-        resp.refs = refs;
-        resp.words = words;
-        resp.chunk_buf = chunk_buf;
-
-        MGetOutcome {
-            found,
-            phases: PhaseNanos {
-                pre: (t1 - t0).as_nanos() as u64,
-                lookup: lookup_ns,
-                post: post_ns,
-            },
-        }
+        resp.scratch = scratch;
+        phases.pre = (t1 - t0).as_nanos() as u64;
+        MGetOutcome { found, phases }
     }
 
-    /// One shard's Phase 2+3 under its shared lock (the classic path).
-    /// Returns `(keys found, lookup ns, post ns)`.
+    /// One shard's Phase 2+3 under `view`. `Some` when the pass validated
+    /// and committed, `None` when the caller must rerun the shard under
+    /// the locked view.
     ///
     /// Phase 2 is the hash-table lookup (the batched, SIMD-accelerable
     /// phase) over this shard's slice of the request, with bucket lines
@@ -1697,379 +1801,115 @@ impl KvStore {
     /// candidate list — candidate j's item-table row is requested 2G keys
     /// before its turn, its slab chunk G keys before (resolving the row
     /// the prefetch made warm), so both dependent misses overlap the
-    /// verification of earlier keys. The shard lock is held throughout,
-    /// so staged reads cannot go stale.
-    #[allow(clippy::too_many_arguments)]
-    fn mget_shard_locked(
+    /// verification of earlier keys. Validation is two-tier
+    /// ([`ShardView::commit`]); a failed one rolls the response back to
+    /// its pre-pass marks and retries once ([`validated`]).
+    fn read_pass<V: ShardView>(
         &self,
-        slot: &ShardSlot,
+        view: &V,
         keys: &[&[u8]],
-        shard_hashes: &[u32],
-        smap: SlotMap<'_>,
+        sub: ShardBatch<'_>,
         depth: usize,
         resp: &mut MGetResponse,
-        candidates: &mut Vec<u32>,
-        refs: &mut Vec<Option<SlabRef>>,
-        fallback: &mut Vec<u32>,
-    ) -> (u64, u64, u64) {
-        let n_sub = shard_hashes.len();
+        scratch: &mut PassScratch,
+    ) -> Option<PassOutcome> {
+        let n_sub = sub.hashes.len();
         let now = self.now_secs();
-        let g = slot.read();
-
-        let tl0 = Instant::now();
-        candidates.clear();
-        candidates.resize(n_sub, NO_ITEM);
-        g.index
-            .lookup_batch_prefetched(shard_hashes, candidates, depth);
-        let tl1 = Instant::now();
-
-        let mut shard_found = 0u64;
-        let mut shard_expired = 0u64;
-        if depth > 0 {
-            refs.clear();
-            refs.resize(n_sub, None);
-            for &cand in candidates.iter().take(2 * depth) {
-                g.items.prefetch(cand);
-            }
-            for j in 0..n_sub.min(depth) {
-                refs[j] = g.resolve_and_prefetch(candidates[j]);
-            }
-        }
-        for j in 0..n_sub {
-            if depth > 0 {
-                if let Some(&ahead) = candidates.get(j + 2 * depth) {
-                    g.items.prefetch(ahead);
-                }
-                if j + depth < n_sub {
-                    refs[j + depth] = g.resolve_and_prefetch(candidates[j + depth]);
-                }
-            }
-            let cand = candidates[j];
-            let i = smap.get(j);
-            let key = keys[i];
-            let slab_ref = if depth > 0 {
-                refs[j]
-            } else if cand != NO_ITEM {
-                g.items.get(cand)
-            } else {
-                None
-            };
-            let mut resolved = None;
-            if let Some(r) = slab_ref {
-                if item_key(g.slab.chunk(r)) == key {
-                    resolved = Some((cand, r));
-                }
-            }
-            if resolved.is_none() && cand != NO_ITEM {
-                resolved = g.scan_verified(shard_hashes[j], key, fallback);
-            }
-            let resolved = g.unexpired(resolved, now, &mut shard_expired);
-            if let Some((item, r)) = resolved {
-                resp.push_hit(i, item_value(g.slab.chunk(r)));
-                g.clock.touch(item);
-                shard_found += 1;
-            } else {
-                resp.push_miss();
-            }
-        }
-        let tl2 = Instant::now();
-        drop(g);
-        slot.counters
-            .mget_keys
-            .fetch_add(n_sub as u64, Ordering::Relaxed);
-        slot.counters
-            .mget_hits
-            .fetch_add(shard_found, Ordering::Relaxed);
-        slot.counters
-            .expired
-            .fetch_add(shard_expired, Ordering::Relaxed);
-        (
-            shard_found,
-            (tl1 - tl0).as_nanos() as u64,
-            (tl2 - tl1).as_nanos() as u64,
-        )
-    }
-
-    /// One shard's Phase 2+3 under the seqlock protocol (DESIGN.md §11):
-    /// no lock, no shared-state writes except atomic CLOCK bits. Returns
-    /// `Some((found, lookup ns, post ns))` when a pass validated and
-    /// committed, `None` when the caller must rerun the shard through
-    /// [`KvStore::mget_shard_locked`].
-    ///
-    /// Validation is two-tier: each *hit* is verified by re-checking its
-    /// item row word after the value bytes are copied (unchanged word ⟹
-    /// the item stayed live in that exact chunk ⟹ the copy is one
-    /// consistent value); *misses* and locked collision assists
-    /// additionally require the shard version to be unchanged across the
-    /// whole pass (`need_seq`), since "not found" can only be trusted if
-    /// no writer raced the probe. A failed validation rolls the response
-    /// back to its pre-pass marks and retries once.
-    ///
-    /// Keys resolve per-key linearizably, but a multi-key batch is not a
-    /// shard-atomic snapshot the way the locked pass is — a writer may
-    /// commit between two hits of one batch (each hit is still a value
-    /// that was current when its row was read; see DESIGN.md §11).
-    #[allow(clippy::too_many_arguments)]
-    fn mget_shard_optimistic(
-        &self,
-        slot: &ShardSlot,
-        keys: &[&[u8]],
-        shard_hashes: &[u32],
-        smap: SlotMap<'_>,
-        depth: usize,
-        resp: &mut MGetResponse,
-        candidates: &mut Vec<u32>,
-        words: &mut Vec<u64>,
-        chunk_buf: &mut Vec<u8>,
-        fallback: &mut Vec<u32>,
-    ) -> Option<(u64, u64, u64)> {
-        let n_sub = shard_hashes.len();
-        let now = self.now_secs();
-        // Same torn-tolerant access discipline as `get_optimistic`: every
-        // racing byte goes through RacyShard's atomic/volatile accessors.
-        let racy = slot.racy();
-        for _attempt in 0..2 {
-            let Some(seq) = slot.seq.read_begin() else {
-                break; // writer active: run the shard locked
-            };
-            let mark_buf = resp.buf.len();
-            let mark_bytes = resp.value_bytes;
-
+        let marks = (resp.buf.len(), resp.value_bytes);
+        let attempt = |resp: &mut MGetResponse| {
+            let (candidates, words) = (&mut scratch.candidates, &mut scratch.words);
             let tl0 = Instant::now();
             candidates.clear();
             candidates.resize(n_sub, NO_ITEM);
-            racy.lookup(shard_hashes, candidates, depth);
+            view.lookup(sub.hashes, candidates, depth);
             let tl1 = Instant::now();
-
-            // The AMAC staging of the locked pass, restated over row
-            // *words*: candidate j's row line is prefetched 2G keys ahead,
-            // its word loaded (and chunk line prefetched) G keys ahead.
-            // Loading the word early only *widens* the window the final
-            // re-validation must cover — still correct, same stages warm.
-            words.clear();
-            words.resize(n_sub, 0);
+            // `depth == 0` stages nothing ahead: each key's row word is
+            // loaded on its own turn and no row line is requested early.
+            let mut out = PassOutcome::default();
             let mut need_seq = false;
             let mut torn = false;
-            let mut shard_found = 0u64;
-            let mut shard_expired = 0u64;
-            let mut processed = 0usize;
-            if depth > 0 {
-                for &cand in candidates.iter().take(2 * depth) {
-                    racy.prefetch_row(cand);
-                }
-                for j in 0..n_sub.min(depth) {
-                    words[j] = racy.stage_word(candidates[j]);
-                }
+            words.clear();
+            words.resize(n_sub, 0);
+            for &cand in candidates.iter().take(2 * depth) {
+                view.prefetch_row(cand);
+            }
+            for j in 0..n_sub.min(depth) {
+                words[j] = view.stage(candidates[j]);
             }
             for j in 0..n_sub {
-                if depth > 0 {
-                    if let Some(&ahead) = candidates.get(j + 2 * depth) {
-                        racy.prefetch_row(ahead);
-                    }
-                    if j + depth < n_sub {
-                        words[j + depth] = racy.stage_word(candidates[j + depth]);
-                    }
+                if let Some(&ahead) = candidates.get(j + 2 * depth).filter(|_| depth > 0) {
+                    view.prefetch_row(ahead);
                 }
-                let cand = candidates[j];
-                let i = smap.get(j);
-                let key = keys[i];
-                processed = j + 1;
-                if cand == NO_ITEM {
-                    resp.push_miss();
-                    need_seq = true;
-                    continue;
+                if j + depth < n_sub {
+                    words[j + depth] = view.stage(candidates[j + depth]);
                 }
-                let word = if depth > 0 {
-                    words[j]
-                } else {
-                    racy.load_row(cand)
+                let i = sub.slot(j);
+                let mut q = Query {
+                    hash: sub.hashes[j],
+                    key: keys[i],
+                    now,
+                    chunk: &mut scratch.chunk,
+                    ids: &mut scratch.ids,
                 };
-                let row = decode_row(word);
-                let copied = row.is_some_and(|r| racy.read_item(r, chunk_buf));
-                let value = if copied {
-                    item_decode_checked(chunk_buf)
-                        .filter(|(k, _)| *k == key)
-                        .map(|(_, v)| v)
-                } else {
-                    None
-                };
-                match value {
-                    Some(v) => {
-                        // Racy expiry load before the row recheck, so an
-                        // unchanged word vouches for it (DESIGN.md §13).
-                        let expires_at = racy.expires_at(cand);
-                        if !racy.revalidate(cand, word) {
-                            torn = true;
-                            break;
-                        }
-                        if is_expired(expires_at, now) {
-                            // Validated-but-expired: a definitive lazy-
-                            // expiry miss — positive evidence, no seq
-                            // stability required.
-                            resp.push_miss();
-                            shard_expired += 1;
-                        } else {
-                            resp.push_hit(i, v);
-                            racy.touch(cand);
-                            shard_found += 1;
-                        }
-                    }
-                    None if row.is_none() => {
-                        // Dying/dead row behind a live-looking candidate:
-                        // a miss, believable only under a stable seq.
+                let (cand, word) = (candidates[j], words[j]);
+                let mut hit = |_: u32, v: &[u8]| resp.push_hit(i, v);
+                match probe_key(view, cand, word, &mut q, &mut need_seq, &mut hit) {
+                    Probe::Hit => out.found += 1,
+                    Probe::Expired => {
+                        out.expired += 1;
                         resp.push_miss();
-                        need_seq = true;
                     }
-                    None => {
-                        // Full-key mismatch or torn-looking bytes: the
-                        // collision slow path needs `lookup_all`, which
-                        // is not racy-safe — take the shard lock for this
-                        // one key (the rest of the pass stays lock-free).
-                        self.optimistic.assists.fetch_add(1, Ordering::Relaxed);
-                        let g = slot.read();
-                        // The assist holds the shared lock, so the same
-                        // lazy-expiry rule as the locked path applies.
-                        let resolved = g.unexpired(
-                            g.scan_verified(shard_hashes[j], key, fallback),
-                            now,
-                            &mut shard_expired,
-                        );
-                        match resolved {
-                            Some((item, r)) => {
-                                resp.push_hit(i, item_value(g.slab.chunk(r)));
-                                g.clock.touch(item);
-                                shard_found += 1;
-                            }
-                            None => resp.push_miss(),
-                        }
-                        need_seq = true;
+                    Probe::Miss => resp.push_miss(),
+                    Probe::Torn => {
+                        torn = true;
+                        break;
                     }
                 }
             }
-            let tl2 = Instant::now();
-
-            if !torn && (!need_seq || slot.seq.validate(seq)) {
-                self.optimistic.commits.fetch_add(1, Ordering::Relaxed);
-                slot.counters
-                    .mget_keys
-                    .fetch_add(n_sub as u64, Ordering::Relaxed);
-                slot.counters
-                    .mget_hits
-                    .fetch_add(shard_found, Ordering::Relaxed);
-                slot.counters
-                    .expired
-                    .fetch_add(shard_expired, Ordering::Relaxed);
-                return Some((
-                    shard_found,
-                    (tl1 - tl0).as_nanos() as u64,
-                    (tl2 - tl1).as_nanos() as u64,
-                ));
-            }
-            self.optimistic.retries.fetch_add(1, Ordering::Relaxed);
-            resp.rollback(mark_buf, mark_bytes, (0..processed).map(|j| smap.get(j)));
-        }
-        self.optimistic.fallbacks.fetch_add(1, Ordering::Relaxed);
-        None
+            out.lookup_ns = (tl1 - tl0).as_nanos() as u64;
+            out.post_ns = tl1.elapsed().as_nanos() as u64;
+            (out, torn, need_seq)
+        };
+        validated(view, resp, attempt, |resp| resp.rollback(marks, sub))
     }
 }
 
-/// Maps a shard-local batch position `j` back to its request slot: the
-/// identity for a single-shard store, or the shard's partition list.
-#[derive(Copy, Clone)]
-enum SlotMap<'a> {
-    Identity,
-    Map(&'a [u32]),
+/// What one committed [`KvStore::read_pass`] did.
+#[derive(Copy, Clone, Default)]
+struct PassOutcome {
+    found: u64,
+    expired: u64,
+    lookup_ns: u64,
+    post_ns: u64,
 }
 
-impl SlotMap<'_> {
+/// One shard's slice of a batch: its keys' hashes, and for each
+/// shard-local position `j` the request slot it came from (`None` = the
+/// identity, for a single-shard store).
+#[derive(Copy, Clone)]
+struct ShardBatch<'a> {
+    hashes: &'a [u32],
+    slots: Option<&'a [u32]>,
+}
+
+impl ShardBatch<'_> {
     #[inline(always)]
-    fn get(&self, j: usize) -> usize {
-        match self {
-            SlotMap::Identity => j,
-            SlotMap::Map(m) => m[j] as usize,
-        }
+    fn slot(&self, j: usize) -> usize {
+        self.slots.map_or(j, |m| m[j] as usize)
     }
 }
 
 impl Shard {
-    /// AMAC stage 2 of the Multi-Get verify loop: resolve a candidate's
-    /// item-table row (made warm by an earlier [`ItemTable::prefetch`]) to
-    /// its slab reference and request the chunk's leading cache line, so
-    /// the full-key compare `G` iterations later reads a warm line.
-    #[inline(always)]
-    fn resolve_and_prefetch(&self, cand: u32) -> Option<SlabRef> {
-        if cand == NO_ITEM {
-            return None;
-        }
-        let r = self.items.get(cand)?;
-        self.slab.prefetch(r);
-        Some(r)
-    }
-
-    /// Find the item id whose stored key equals `key`, verifying against
-    /// the slab (never trusts the index alone).
+    /// Find the item id whose stored key equals `key`, verifying every
+    /// index candidate for `hash` against the slab (never trusts the
+    /// index alone) — the write paths' counterpart of [`probe_key`].
     fn find_verified(&self, hash: u32, key: &[u8]) -> Option<u32> {
-        self.scan_verified(hash, key, &mut Vec::new())
-            .map(|(item, _)| item)
-    }
-
-    /// [`Shard::find_verified`] over every index candidate for `hash` —
-    /// the tag/hash-collision slow path (MemC3) — with the item's slab
-    /// reference, staging candidates in `scratch`.
-    fn scan_verified(
-        &self,
-        hash: u32,
-        key: &[u8],
-        scratch: &mut Vec<u32>,
-    ) -> Option<(u32, SlabRef)> {
-        scratch.clear();
-        self.index.lookup_all(hash, scratch);
-        scratch.iter().find_map(|&c| {
-            let r = self.items.get(c)?;
-            (item_key(self.slab.chunk(r)) == key).then_some((c, r))
+        let mut ids = Vec::new();
+        self.index.lookup_all(hash, &mut ids);
+        ids.into_iter().find(|&c| {
+            let chunk = self.items.get(c).map(|r| self.slab.chunk(r));
+            chunk.is_some_and(|chunk| item_key(chunk) == key)
         })
-    }
-
-    /// Lazy expiry: a resolved but expired item reads as a miss, counted
-    /// in `expired`. A shared lock cannot reclaim it; writers and the
-    /// eviction path do.
-    fn unexpired(
-        &self,
-        found: Option<(u32, SlabRef)>,
-        now: u64,
-        expired: &mut u64,
-    ) -> Option<(u32, SlabRef)> {
-        let (item, r) = found?;
-        if is_expired(self.items.expires_at(item), now) {
-            *expired += 1;
-            return None;
-        }
-        Some((item, r))
-    }
-
-    /// The live item stored under `key`, given the first candidate `cand`
-    /// a batched probe returned for `hash`: the candidate is verified
-    /// against the slab first, every other candidate only after a
-    /// full-key mismatch, and an expired item reads as a miss.
-    fn resolve(
-        &self,
-        cand: u32,
-        hash: u32,
-        key: &[u8],
-        now: u64,
-        scratch: &mut Vec<u32>,
-        expired: &mut u64,
-    ) -> Option<(u32, SlabRef)> {
-        if cand == NO_ITEM {
-            return None;
-        }
-        let first = self
-            .items
-            .get(cand)
-            .filter(|&r| item_key(self.slab.chunk(r)) == key)
-            .map(|r| (cand, r));
-        let found = first.or_else(|| self.scan_verified(hash, key, scratch));
-        self.unexpired(found, now, expired)
     }
 
     fn delete_item(&mut self, hash: u32, item: u32) {
@@ -2717,12 +2557,48 @@ mod tests {
             assert_eq!(opt_gets, locked_gets, "{}", store.index_name());
             let after = store.optimistic_stats();
             assert!(after.commits > before.commits, "{}", store.index_name());
-            // No concurrent writers, so no read should ever need a retry.
-            // (Fallbacks CAN still happen on a quiescent store: a tag
-            // collision yields a full-key mismatch that `get` resolves on
-            // the locked path rather than guessing.)
+            // No concurrent writers, so no read should ever need a retry
+            // or give up (a tag collision is a per-key assist, not a
+            // fallback).
             assert_eq!(after.retries, before.retries, "{}", store.index_name());
+            assert_eq!(after.fallbacks, before.fallbacks, "{}", store.index_name());
             store.set_read_mode(ReadMode::Locked);
+        }
+    }
+
+    #[test]
+    fn locked_reads_leave_optimistic_stats_zero() {
+        // The locked view is the same pass with the seqlock protocol
+        // compiled out: gets, mgets and the collision slow path (a hit
+        // behind a colliding first candidate, and a colliding miss) must
+        // not touch the optimistic counters.
+        let mut seen = std::collections::HashMap::new();
+        let (a, b) = (0u32..)
+            .find_map(|i| {
+                let key = format!("col-{i:08x}").into_bytes();
+                seen.insert(hash_key(&key), key.clone()).map(|a| (a, key))
+            })
+            .expect("u32 hashes must collide");
+        for store in stores(2000).iter().chain(sharded_stores(2000, 4).iter()) {
+            assert_eq!(store.read_mode(), ReadMode::Locked);
+            for k in [&a, &b] {
+                store.set(k, k).unwrap();
+            }
+            let mut resp = MGetResponse::new();
+            for pass in 0..2 {
+                assert_eq!(store.get(&a).as_deref(), Some(&a[..]));
+                assert_eq!(store.get(&b).is_some(), pass == 0);
+                assert_eq!(store.get(b"absent"), None);
+                let out = store.mget(&[&a[..], &b[..], b"absent"], &mut resp);
+                assert_eq!(out.found, 2 - pass, "{}", store.index_name());
+                store.delete(&b); // second pass: `b` collides and misses
+            }
+            assert_eq!(
+                store.optimistic_stats(),
+                OptimisticStats::default(),
+                "{}",
+                store.index_name()
+            );
         }
     }
 

@@ -5,8 +5,10 @@
 //! across every index family, shard count, and prefetch depth, on
 //! batches spanning hits, misses, and full-hash-collision fallbacks
 //! (the collision batches drive the optimistic path's per-key locked
-//! assist). A final case replays the matrix through the fault-free TCP
-//! daemon, once per read mode, comparing raw reply bytes.
+//! assist). `get` is pinned as the one-key case of the same pass: equal
+//! values and equal counter deltas against one-key `mget`s. A final case
+//! replays the matrix through the fault-free TCP daemon, once per read
+//! mode, comparing raw reply bytes.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -221,6 +223,76 @@ fn optimistic_get_matches_locked_under_collisions() {
             "{which}: colliding absent key must miss through the assist",
         );
         assert_eq!(store.get(b"absent-000000"), None, "{which}");
+    }
+}
+
+/// `get` is the one-key case of the Multi-Get pass: over the collision
+/// corpus plus an expired and an absent key, `n` `get`s and `n` one-key
+/// `mget`s return the same values and move the same shard counters and
+/// the same optimistic-path counters, in both read modes.
+#[test]
+fn get_and_one_key_mget_agree() {
+    let corpus = build_corpus();
+    let keys: Vec<Vec<u8>> = vec![
+        corpus.items[0].0.clone(),
+        corpus.pair_both.0.clone(),
+        corpus.pair_both.1.clone(),
+        corpus.pair_half.0.clone(),
+        corpus.pair_half.1.clone(),
+        corpus.tag_half.0.clone(),
+        corpus.tag_half.1.clone(),
+        b"absent-000000".to_vec(),
+        b"mortal".to_vec(), // expired below; must stay last
+    ];
+    for which in INDEXES {
+        for shards in [1usize, 4] {
+            let store = store_with(which, shards, 8, &corpus);
+            store.set_v(b"mortal", b"doomed", 5).expect("set with ttl");
+            store.advance_time(5);
+            for mode in [ReadMode::Locked, ReadMode::Optimistic] {
+                store.set_read_mode(mode);
+                let counters = || {
+                    let (t, o) = (store.totals(), store.optimistic_stats());
+                    let shard = [t.mget_keys, t.mget_hits, t.expired];
+                    (
+                        shard,
+                        [o.attempts, o.commits, o.retries, o.assists, o.fallbacks],
+                    )
+                };
+                let delta = |a: &[u64], b: &[u64]| -> Vec<u64> {
+                    a.iter().zip(b).map(|(a, b)| b - a).collect()
+                };
+                let c0 = counters();
+                let got: Vec<Option<Vec<u8>>> = keys.iter().map(|k| store.get(k)).collect();
+                let c1 = counters();
+                let mut resp = MGetResponse::new();
+                let via_mget: Vec<Option<Vec<u8>>> = keys
+                    .iter()
+                    .map(|k| {
+                        store.mget(&[k.as_slice()], &mut resp);
+                        resp.value(0).map(<[u8]>::to_vec)
+                    })
+                    .collect();
+                let c2 = counters();
+                let ctx = format!("{which}/{shards} shards/{}", mode.name());
+                assert_eq!(got, via_mget, "{ctx}: values diverged");
+                assert_eq!(got.last(), Some(&None), "{ctx}: expired key must miss");
+                assert_eq!(
+                    delta(&c0.0, &c1.0),
+                    delta(&c1.0, &c2.0),
+                    "{ctx}: (mget_keys, mget_hits, expired) deltas diverged",
+                );
+                let by_get = delta(&c0.1, &c1.1);
+                assert_eq!(
+                    by_get,
+                    delta(&c1.1, &c2.1),
+                    "{ctx}: (attempts, commits, retries, assists, fallbacks) deltas diverged",
+                );
+                // The collision keys must really have driven the slow path.
+                let assists = by_get[3];
+                assert_eq!(assists > 0, mode == ReadMode::Optimistic, "{ctx}");
+            }
+        }
     }
 }
 
