@@ -1,10 +1,12 @@
 //! Criterion benches for the future-work extensions: SwissTable probes vs.
-//! cuckoo probes, and the mixed read/write engine's lookup path.
+//! cuckoo probes, the mixed read/write engine's lookup path, and the wire
+//! trailer's CRC-32 kernel.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use simdht_core::dispatch::{run_design, run_scalar};
 use simdht_core::engine::{prepare_table_and_traces, BenchSpec};
 use simdht_core::validate::{enumerate_designs, ValidationOptions};
+use simdht_simd::crc::{crc32, crc32_portable};
 use simdht_simd::Backend;
 use simdht_table::swiss::SwissTable;
 use simdht_table::Layout;
@@ -53,5 +55,24 @@ fn bench_swiss_vs_cuckoo(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_swiss_vs_cuckoo);
+/// The frame-trailer checksum at the served store's real frame sizes
+/// (`wire_get1` request / reply, `wire_mget16` request / reply, one
+/// `wire_mixed` SetMulti-16 frame): the dispatching kernel against its
+/// portable slicing-by-8 tier (EXPERIMENTS.md, "SIMD CRC-32").
+fn bench_crc32(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crc32");
+    for len in [33usize, 48, 371, 553, 4608] {
+        let frame: Vec<u8> = (0..len).map(|i| (i * 131 + 7) as u8).collect();
+        group.throughput(Throughput::Bytes(len as u64));
+        group.bench_with_input(BenchmarkId::new("dispatch", len), &frame, |b, f| {
+            b.iter(|| crc32(black_box(f)));
+        });
+        group.bench_with_input(BenchmarkId::new("portable", len), &frame, |b, f| {
+            b.iter(|| crc32_portable(black_box(f)));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_swiss_vs_cuckoo, bench_crc32);
 criterion_main!(benches);

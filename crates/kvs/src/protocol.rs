@@ -18,6 +18,14 @@
 //! turns every single-byte corruption into a typed [`DecodeError`], which
 //! closes the connection instead of propagating garbage.
 //!
+//! The checksum is [`simdht_simd::crc::crc32`], re-exported here as
+//! [`crc32`]: IEEE CRC-32, computed by `pclmulqdq` folding for bodies of
+//! 64 B and up and by slicing-by-8 below that. Every sealer and verifier —
+//! [`Request::encode`]/[`Request::decode`], their [`Response`] twins, the
+//! store's `seal_frame` and the reactor's `append_subframe` — goes through
+//! that one function, and `tests/wire_golden.rs` pins the resulting bytes
+//! against frames recorded before the kernel existed.
+//!
 //! ## Version tolerance
 //!
 //! [`Response::Error`] carries a status byte ([`ErrorCode`]). Codes this
@@ -27,70 +35,9 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
-/// CRC-32 (IEEE 802.3, reflected) lookup table, built at compile time.
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-};
-
 /// CRC-32 (IEEE) of `bytes` — the per-message integrity trailer. Detects
 /// every single-byte corruption and every burst shorter than 32 bits.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut h = Crc32::new();
-    h.update(bytes);
-    h.finalize()
-}
-
-/// Streaming CRC-32 (IEEE) hasher: feed message bytes in pieces and
-/// [`Crc32::finalize`] when done. `crc32(b)` equals
-/// `Crc32::new().update(b).finalize()` for any split of `b` — the reactor
-/// reply path uses this to seal a per-request sub-frame (header bytes
-/// plus a record slice of the shared batch buffer) without first
-/// concatenating the two spans.
-#[derive(Copy, Clone, Debug)]
-pub struct Crc32(u32);
-
-impl Default for Crc32 {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Crc32 {
-    /// Start a fresh checksum.
-    pub fn new() -> Self {
-        Crc32(!0)
-    }
-
-    /// Absorb `bytes`.
-    pub fn update(&mut self, bytes: &[u8]) {
-        let mut crc = self.0;
-        for &b in bytes {
-            crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-        }
-        self.0 = crc;
-    }
-
-    /// The CRC-32 of everything absorbed so far.
-    pub fn finalize(self) -> u32 {
-        !self.0
-    }
-}
+pub use simdht_simd::crc::crc32;
 
 /// Append the CRC trailer to a finished message body.
 fn seal(mut b: BytesMut) -> Bytes {
@@ -106,11 +53,10 @@ fn verify_checksum(msg: &mut Bytes) -> Result<(), DecodeError> {
         return Err(DecodeError("message too short for checksum"));
     }
     let expect = u32::from_le_bytes([msg[n - 4], msg[n - 3], msg[n - 2], msg[n - 1]]);
-    let body = msg.slice(..n - 4);
-    if crc32(&body) != expect {
+    if crc32(&msg[..n - 4]) != expect {
         return Err(DecodeError("checksum mismatch"));
     }
-    *msg = body;
+    msg.truncate(n - 4);
     Ok(())
 }
 
@@ -1334,18 +1280,6 @@ mod tests {
         // The canonical IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn streaming_crc_matches_one_shot_for_every_split() {
-        let data = b"the quick brown fox jumps over the lazy dog";
-        let whole = crc32(data);
-        for cut in 0..=data.len() {
-            let mut h = Crc32::new();
-            h.update(&data[..cut]);
-            h.update(&data[cut..]);
-            assert_eq!(h.finalize(), whole, "split at {cut}");
-        }
     }
 
     #[test]

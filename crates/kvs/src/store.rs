@@ -482,10 +482,8 @@ impl MGetResponse {
         out.extend_from_slice(&(frame_len as u32).to_le_bytes());
         out.extend_from_slice(&header);
         out.extend_from_slice(records);
-        let mut crc = crate::protocol::Crc32::new();
-        crc.update(&header);
-        crc.update(records);
-        out.extend_from_slice(&crc.finalize().to_le_bytes());
+        let crc = crate::protocol::crc32(&out[before + 4..]);
+        out.extend_from_slice(&crc.to_le_bytes());
         out.len() - before
     }
 }

@@ -38,6 +38,7 @@
 
 #![warn(missing_docs)]
 
+pub mod crc;
 pub mod emu;
 mod lane;
 pub mod scan;

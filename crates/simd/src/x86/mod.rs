@@ -17,7 +17,13 @@
 //!
 //! Every backend is property-tested lane-for-lane against [`crate::emu::Emu`]
 //! in this crate's test suite.
+//!
+//! `crc` — the carry-less-multiply tier of [`crate::crc::crc32`] — is the
+//! exception to the compile-time gating: it is always compiled on x86-64
+//! and selected by run-time detection.
 
+#[cfg(target_arch = "x86_64")]
+pub(crate) mod crc;
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
 pub mod v128;
 #[cfg(all(target_arch = "x86_64", target_feature = "avx2"))]
