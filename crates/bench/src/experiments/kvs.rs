@@ -1,5 +1,7 @@
 //! Fig. 11 — the key-value-store validation (paper §VI-B): MemC3 vs. the
-//! two SIMD-aware indexes under memslap Multi-Get load.
+//! two SIMD-aware indexes under memslap Multi-Get load — plus the three
+//! sweeps on forks the repository benchmark (`benchmark/`) has no workload
+//! on both sides of yet: shard count, server loop, read mode.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -19,62 +21,53 @@ fn build_index(which: &str, capacity: usize) -> Box<dyn HashIndex> {
     index::by_short_name(which, capacity).unwrap_or_else(|| unreachable!("unknown index {which}"))
 }
 
+/// The memslap-shaped workload every KVS experiment here replays: 20 B
+/// keys, 32 B values, skewed popularity.
+fn skewed_workload(n_items: usize, n_requests: usize, mget_size: usize, seed: u64) -> KvWorkload {
+    KvWorkload::generate(&KvWorkloadSpec {
+        n_items,
+        n_requests,
+        mget_size,
+        key_bytes: 20,
+        value_bytes: 32,
+        pattern: AccessPattern::skewed(),
+        seed,
+    })
+}
+
+/// A store over the `which` index sized for `n_items`: 2x index head-room,
+/// 256 B of slab per item, auto-tuned prefetch depth.
+fn sized_store(which: &str, n_items: usize, shards: usize) -> KvStore {
+    KvStore::with_shards(
+        StoreConfig {
+            memory_budget: (n_items * 256).max(8 << 20),
+            capacity_items: n_items * 2,
+            shards,
+            prefetch_depth: None,
+            ..StoreConfig::default()
+        },
+        |cap| build_index(which, cap),
+    )
+}
+
 fn run_one_mixed(
     which: &str,
     mget_size: usize,
     set_fraction: f64,
     scale: &RunScale,
 ) -> MemslapReport {
-    let workload = KvWorkload::generate(&KvWorkloadSpec {
-        n_items: scale.kvs_items,
-        n_requests: scale.kvs_requests,
-        mget_size,
-        key_bytes: 20,
-        value_bytes: 32,
-        pattern: AccessPattern::skewed(),
-        seed: 0x4B56_0011,
-    });
+    let workload = skewed_workload(scale.kvs_items, scale.kvs_requests, mget_size, 0x4B56_0011);
     let config = MemslapConfig {
         clients: 2,
         server_workers: 2,
         set_fraction,
-        store: StoreConfig {
-            memory_budget: (scale.kvs_items * 256).max(8 << 20),
-            capacity_items: scale.kvs_items * 2,
-            shards: 1,
-            prefetch_depth: None,
-            ..StoreConfig::default()
-        },
         ..MemslapConfig::default()
     };
-    let store = KvStore::new(build_index(which, scale.kvs_items * 2), config.store);
-    run_memslap(store, &workload, &config)
+    run_memslap(sized_store(which, scale.kvs_items, 1), &workload, &config)
 }
 
 fn run_one(which: &str, mget_size: usize, scale: &RunScale) -> MemslapReport {
-    let workload = KvWorkload::generate(&KvWorkloadSpec {
-        n_items: scale.kvs_items,
-        n_requests: scale.kvs_requests,
-        mget_size,
-        key_bytes: 20,
-        value_bytes: 32,
-        pattern: AccessPattern::skewed(),
-        seed: 0x4B56_0011,
-    });
-    let config = MemslapConfig {
-        clients: 2,
-        server_workers: 2,
-        store: StoreConfig {
-            memory_budget: (scale.kvs_items * 256).max(8 << 20),
-            capacity_items: scale.kvs_items * 2,
-            shards: 1,
-            prefetch_depth: None,
-            ..StoreConfig::default()
-        },
-        ..MemslapConfig::default()
-    };
-    let store = KvStore::new(build_index(which, scale.kvs_items * 2), config.store);
-    run_memslap(store, &workload, &config)
+    run_one_mixed(which, mget_size, 0.0, scale)
 }
 
 /// Fig. 11(a): end-to-end Multi-Get latency and server-side Get throughput
@@ -92,15 +85,16 @@ pub fn fig11a(scale: &RunScale) -> String {
             let r = run_one(which, mget, scale);
             let thr = r.server_keys_per_sec / 1e6;
             let speedup = baseline.map_or(1.0, |b| r.server_keys_per_sec / b);
-            let lat_gain = baseline_lat.map_or(0.0, |b| (r.mean_latency_us / b - 1.0) * -100.0);
+            let lat_gain =
+                baseline_lat.map_or(0.0, |b| (r.client.mean_latency_us / b - 1.0) * -100.0);
             if which == "memc3" {
                 baseline = Some(r.server_keys_per_sec);
-                baseline_lat = Some(r.mean_latency_us);
+                baseline_lat = Some(r.client.mean_latency_us);
             }
             let _ = writeln!(
                 s,
                 "  {:<38} {:>8.2} MGet-keys/s | mean {:>7.1} us  p99 {:>7.1} us | thr {:>5.2}x | lat {:>+5.1}%",
-                r.index_name, thr, r.mean_latency_us, r.p99_latency_us, speedup, lat_gain
+                r.index_name, thr, r.client.mean_latency_us, r.client.p99_latency_us, speedup, lat_gain
             );
             assert_eq!(r.found, r.keys, "all preloaded keys must be found");
         }
@@ -163,8 +157,8 @@ pub fn ext_mixed_kvs(scale: &RunScale) -> String {
                 frac,
                 r.index_name,
                 r.server_keys_per_sec / 1e6,
-                r.mean_latency_us,
-                r.sets
+                r.client.mean_latency_us,
+                r.client.sets
             );
             assert_eq!(r.found, r.keys, "sets must not lose keys");
         }
@@ -177,96 +171,6 @@ pub fn ext_mixed_kvs(scale: &RunScale) -> String {
     s
 }
 
-/// One TCP-loopback run: real `Kvsd` on an ephemeral port, networked
-/// memslap with pipelining, both ends in this process.
-fn run_one_tcp(
-    which: &str,
-    mget_size: usize,
-    scale: &RunScale,
-) -> (
-    &'static str,
-    simdht_kvs::memslap::ClientReport,
-    Arc<simdht_kvs::server::ServerStats>,
-) {
-    let workload = KvWorkload::generate(&KvWorkloadSpec {
-        n_items: scale.kvs_items,
-        n_requests: scale.kvs_requests,
-        mget_size,
-        key_bytes: 20,
-        value_bytes: 32,
-        pattern: AccessPattern::skewed(),
-        seed: 0x4B56_0011,
-    });
-    let store = Arc::new(KvStore::new(
-        build_index(which, scale.kvs_items * 2),
-        StoreConfig {
-            memory_budget: (scale.kvs_items * 256).max(8 << 20),
-            capacity_items: scale.kvs_items * 2,
-            shards: 1,
-            prefetch_depth: None,
-            ..StoreConfig::default()
-        },
-    ));
-    let index_name = store.index_name();
-    let kvsd = Kvsd::bind(store, "127.0.0.1:0").expect("bind loopback");
-    let transport = TcpTransport::new(kvsd.local_addr()).expect("resolve loopback");
-    let report = run_memslap_over(
-        &transport,
-        &workload,
-        &NetMemslapConfig {
-            connections: 2,
-            pipeline_depth: 16,
-            set_fraction: 0.0,
-            preload: true,
-            ..NetMemslapConfig::default()
-        },
-    )
-    .expect("loopback memslap run");
-    let stats = kvsd.stats();
-    kvsd.shutdown();
-    (index_name, report, stats)
-}
-
-/// `ext-tcp-loopback`: the KVS case study over *real* sockets — a `Kvsd`
-/// daemon on 127.0.0.1 driven by the pipelined networked memslap client,
-/// MemC3 vs. the SIMD indexes. Where Fig. 11 charges an analytic EDR wire
-/// model, this measures the actual kernel TCP stack; the index ranking
-/// should survive the transport swap even though absolute latency is
-/// syscall-dominated.
-pub fn ext_tcp_loopback(scale: &RunScale) -> String {
-    let mut s = String::from(
-        "== ext-tcp-loopback: KVS Multi-Get over real TCP loopback ==\n\
-         (simdht-kvsd + networked memslap, 2 connections x 16-deep pipeline)\n",
-    );
-    for mget in [16usize, 96] {
-        let _ = writeln!(s, "\n-- Multi-Get batch = {mget} keys --");
-        let mut baseline: Option<f64> = None;
-        for which in ["memc3", "hor", "ver"] {
-            let (name, r, stats) = run_one_tcp(which, mget, scale);
-            let speedup = baseline.map_or(1.0, |b| stats.keys_per_busy_sec() / b);
-            if which == "memc3" {
-                baseline = Some(stats.keys_per_busy_sec());
-            }
-            let _ = writeln!(
-                s,
-                "  {:<38} {:>6.2} Mkeys/s wire | p50 {:>7.1} us  p95 {:>7.1} us  p99 {:>7.1} us | server {:>5.2}x",
-                name,
-                r.keys_per_sec / 1e6,
-                r.p50_latency_us,
-                r.p95_latency_us,
-                r.p99_latency_us,
-                speedup,
-            );
-            assert_eq!(r.hits, r.keys, "preloaded keys must all hit over TCP");
-        }
-    }
-    s.push_str(
-        "\n(the server-side x factors isolate index cost from the TCP stack; the\n\
-         client-side Mkeys/s are loopback-bound and far below the EDR model)\n",
-    );
-    s
-}
-
 /// One shard-sweep point: a sharded store behind a real TCP `Kvsd`,
 /// hammered by the pipelined networked memslap client over many
 /// connections. Returns the client report plus the final shard balance.
@@ -274,25 +178,8 @@ fn run_one_sharded_tcp(
     shards: usize,
     scale: &RunScale,
 ) -> (simdht_kvs::memslap::ClientReport, Vec<usize>) {
-    let workload = KvWorkload::generate(&KvWorkloadSpec {
-        n_items: scale.kvs_items,
-        n_requests: scale.kvs_requests,
-        mget_size: 64,
-        key_bytes: 20,
-        value_bytes: 32,
-        pattern: AccessPattern::skewed(),
-        seed: 0x4B56_0022,
-    });
-    let store = Arc::new(KvStore::with_shards(
-        StoreConfig {
-            memory_budget: (scale.kvs_items * 256).max(8 << 20),
-            capacity_items: scale.kvs_items * 2,
-            shards,
-            prefetch_depth: None,
-            ..StoreConfig::default()
-        },
-        |cap| build_index("hor", cap),
-    ));
+    let workload = skewed_workload(scale.kvs_items, scale.kvs_requests, 64, 0x4B56_0022);
+    let store = Arc::new(sized_store("hor", scale.kvs_items, shards));
     let kvsd = Kvsd::bind(Arc::clone(&store), "127.0.0.1:0").expect("bind loopback");
     let transport = TcpTransport::new(kvsd.local_addr()).expect("resolve loopback");
     let report = run_memslap_over(
@@ -359,26 +246,30 @@ pub fn kvs_shard_sweep(scale: &RunScale) -> String {
     s
 }
 
-/// Prefetch look-ahead distances swept by `kvs-prefetch-sweep` (G = 0 is
-/// the no-prefetch baseline the speedups are measured against).
-const SWEEP_DEPTHS: [usize; 5] = [0, 2, 4, 8, 16];
-/// Multi-Get batch size for the sweep (the paper's large batch point).
-const SWEEP_BATCH: usize = 96;
+/// Directory (under the working directory) that quick runs write their
+/// artifacts to, so a smoke run at the repository root cannot overwrite a
+/// committed full-run record.
+const QUICK_ARTIFACT_DIR: &str = "target/bench-quick";
 
-/// splitmix64: deterministic, well-mixed key selection for the sweep.
-/// Write a sweep's JSON document to `path` in the working directory and
-/// say so (or why not) at the end of its rendered report `s`.
-fn write_artifact(path: &str, json: &str, s: &mut String) {
-    match std::fs::write(path, json) {
-        Ok(()) => {
-            let _ = writeln!(s, "\n(measurements written to {path})");
-        }
-        Err(e) => {
-            let _ = writeln!(s, "\n(could not write {path}: {e})");
-        }
-    }
+/// Write a sweep's JSON document and say so (or why not) at the end of its
+/// rendered report `s`: a full run records `name` in the working
+/// directory, a quick run writes `target/bench-quick/<name>` instead.
+fn write_artifact(name: &str, quick: bool, json: &str, s: &mut String) {
+    let dir = if quick { QUICK_ARTIFACT_DIR } else { "." };
+    let path = std::path::Path::new(dir).join(name);
+    let written = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&path, json));
+    let _ = match written {
+        Ok(()) if quick => writeln!(
+            s,
+            "\n(quick run: measurements written to {}, not over a recorded {name})",
+            path.display()
+        ),
+        Ok(()) => writeln!(s, "\n(measurements written to {name})"),
+        Err(e) => writeln!(s, "\n(could not write {}: {e})", path.display()),
+    };
 }
 
+/// splitmix64: deterministic, well-mixed key selection for the sweep.
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -398,626 +289,6 @@ fn sweep_value(i: usize) -> [u8; 32] {
     let mut v = [0x5Au8; 32];
     v[..8].copy_from_slice(&(i as u64).to_le_bytes());
     v
-}
-
-/// One measured sweep point.
-struct SweepPoint {
-    index: &'static str,
-    depth: usize,
-    mkeys_per_sec: f64,
-}
-
-/// Measure the sweep and render (human table, JSON document). Split from
-/// [`kvs_prefetch_sweep`] so tests can run it without touching the
-/// filesystem.
-fn prefetch_sweep_impl(scale: &RunScale) -> (String, String) {
-    let llc = crate::machine::llc_bytes();
-    let full = scale.kvs_items >= RunScale::full().kvs_items;
-    // Out-of-cache sizing: at full scale the slab holds >= 4 LLCs of
-    // 64 B item chunks, so index probes and value reads genuinely miss
-    // to DRAM — the regime software prefetching targets. Quick runs keep
-    // the configured (cache-resident) item count and only smoke the path.
-    let n_items = if full {
-        (4 * llc / 64).max(scale.kvs_items)
-    } else {
-        scale.kvs_items
-    };
-    let n_batches = scale.kvs_requests;
-    let reps = if full { 3 } else { 2 };
-    let total_keys = n_batches * SWEEP_BATCH;
-
-    // Pre-generate every batch (uniform over the table: a skewed hot set
-    // would sit in cache and mask the misses), and the borrowed slices the
-    // timed loop passes to `mget`, so nothing is built while the clock runs.
-    let mut rng = 0x5EED_0005u64;
-    let batch_keys: Vec<Vec<Vec<u8>>> = (0..n_batches)
-        .map(|_| {
-            (0..SWEEP_BATCH)
-                .map(|_| sweep_key((splitmix64(&mut rng) % n_items as u64) as usize))
-                .collect()
-        })
-        .collect();
-    let batches: Vec<Vec<&[u8]>> = batch_keys
-        .iter()
-        .map(|b| b.iter().map(|k| k.as_slice()).collect())
-        .collect();
-
-    let mut s = format!(
-        "== kvs-prefetch-sweep: Multi-Get software-prefetch look-ahead (G) sweep ==\n\
-         (batch {SWEEP_BATCH}, uniform keys, {n_items} items x 64 B chunks = {} MiB slab,\n\
-          LLC {} MiB, {n_batches} requests/point, best of {reps})\n\n",
-        (n_items * 64) >> 20,
-        llc >> 20,
-    );
-    let _ = writeln!(
-        s,
-        "  {:<8} {:>7} {:>14} {:>9}",
-        "index", "G", "MGet Mkeys/s", "vs G=0"
-    );
-
-    let mut points: Vec<SweepPoint> = Vec::new();
-    for which in ["memc3", "hor", "ver", "dpdk", "local"] {
-        let store = KvStore::new(
-            build_index(which, n_items * 2),
-            StoreConfig {
-                memory_budget: n_items * 64 + (256 << 20),
-                capacity_items: n_items * 2,
-                shards: 1,
-                prefetch_depth: Some(0),
-                ..StoreConfig::default()
-            },
-        );
-        for i in 0..n_items {
-            store
-                .set(&sweep_key(i), &sweep_value(i))
-                .expect("sweep preload");
-        }
-        let mut resp = MGetResponse::new();
-        let mut baseline: Option<f64> = None;
-        for depth in SWEEP_DEPTHS {
-            store.set_prefetch_depth(depth);
-            let mut best = 0.0f64;
-            for _ in 0..reps {
-                let mut found = 0usize;
-                let t0 = std::time::Instant::now();
-                for keys in &batches {
-                    found += store.mget(keys, &mut resp).found;
-                }
-                let secs = t0.elapsed().as_secs_f64();
-                assert_eq!(found, total_keys, "every sweep key is preloaded");
-                best = best.max(total_keys as f64 / secs);
-            }
-            let speedup = best / *baseline.get_or_insert(best);
-            let _ = writeln!(
-                s,
-                "  {:<8} {:>7} {:>14.2} {:>8.2}x",
-                which,
-                depth,
-                best / 1e6,
-                speedup,
-            );
-            points.push(SweepPoint {
-                index: which,
-                depth,
-                mkeys_per_sec: best / 1e6,
-            });
-        }
-    }
-
-    // Per-index best-G summary (also the acceptance gate of the change:
-    // best G should beat G=0 by a clear margin once the table spills LLC).
-    s.push('\n');
-    let mut best_lines = String::new();
-    for which in ["memc3", "hor", "ver", "dpdk", "local"] {
-        let base = points
-            .iter()
-            .find(|p| p.index == which && p.depth == 0)
-            .map_or(1.0, |p| p.mkeys_per_sec);
-        let best = points
-            .iter()
-            .filter(|p| p.index == which)
-            .max_by(|a, b| a.mkeys_per_sec.total_cmp(&b.mkeys_per_sec))
-            .expect("swept every index");
-        let _ = writeln!(
-            s,
-            "  best for {:<8} G={:<3} {:.2} Mkeys/s ({:+.1}% over G=0)",
-            which,
-            best.depth,
-            best.mkeys_per_sec,
-            (best.mkeys_per_sec / base - 1.0) * 100.0,
-        );
-        if !best_lines.is_empty() {
-            best_lines.push_str(",\n");
-        }
-        let _ = write!(
-            best_lines,
-            "    {{\"index\": \"{}\", \"best_depth\": {}, \"best_mkeys_per_sec\": {:.3}, \"speedup_vs_no_prefetch\": {:.4}}}",
-            which, best.depth, best.mkeys_per_sec, best.mkeys_per_sec / base,
-        );
-    }
-
-    let mut result_lines = String::new();
-    for p in &points {
-        let base = points
-            .iter()
-            .find(|q| q.index == p.index && q.depth == 0)
-            .map_or(1.0, |q| q.mkeys_per_sec);
-        if !result_lines.is_empty() {
-            result_lines.push_str(",\n");
-        }
-        let _ = write!(
-            result_lines,
-            "    {{\"index\": \"{}\", \"depth\": {}, \"mkeys_per_sec\": {:.3}, \"speedup_vs_no_prefetch\": {:.4}}}",
-            p.index, p.depth, p.mkeys_per_sec, p.mkeys_per_sec / base,
-        );
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"kvs-prefetch-sweep\",\n  \"mode\": \"{}\",\n  \
-         \"llc_bytes\": {llc},\n  \"table_bytes\": {},\n  \"n_items\": {n_items},\n  \
-         \"batch\": {SWEEP_BATCH},\n  \"requests_per_point\": {n_batches},\n  \
-         \"depths\": [0, 2, 4, 8, 16],\n  \"results\": [\n{result_lines}\n  ],\n  \
-         \"best\": [\n{best_lines}\n  ]\n}}\n",
-        if full { "full" } else { "quick" },
-        n_items * 64,
-    );
-    (s, json)
-}
-
-/// `kvs-prefetch-sweep`: Multi-Get throughput vs. software-prefetch
-/// look-ahead distance G, per index family, on a table sized well past the
-/// LLC. G = 0 runs the plain data path; G > 0 engages the staged
-/// prefetching of DESIGN.md §9 across the index probe, the item table and
-/// the slab. Writes the measurements to `BENCH_kvs_mget.json` in the
-/// working directory.
-pub fn kvs_prefetch_sweep(scale: &RunScale) -> String {
-    let (mut s, json) = prefetch_sweep_impl(scale);
-    write_artifact("BENCH_kvs_mget.json", &json, &mut s);
-    s
-}
-
-/// Write fractions swept by `kvs-setpath-sweep` (share of batches that
-/// are writes; the rest are Multi-Gets).
-const SETPATH_FRACS: [f64; 3] = [0.25, 0.5, 1.0];
-
-/// One measured set-path point: the same mixed batch stream applied with
-/// sequential `set` calls vs one `set_multi` per write batch.
-struct SetPathPoint {
-    index: &'static str,
-    write_frac: f64,
-    sequential_mkeys: f64,
-    batched_mkeys: f64,
-}
-
-/// Measure the write-path sweep and render (human table, JSON document).
-/// Split from [`kvs_setpath_sweep`] so tests can run it without touching
-/// the filesystem.
-fn setpath_sweep_impl(scale: &RunScale) -> (String, String) {
-    use simdht_kvs::store::SetMultiBatch;
-
-    let llc = crate::machine::llc_bytes();
-    let full = scale.kvs_items >= RunScale::full().kvs_items;
-    // Same out-of-cache sizing as the prefetch sweep: the batched write
-    // path's prefetch staging only matters once bucket probes and slab
-    // rows miss to DRAM.
-    let n_items = if full {
-        (4 * llc / 64).max(scale.kvs_items)
-    } else {
-        scale.kvs_items
-    };
-    let n_batches = scale.kvs_requests;
-    let reps = if full { 3 } else { 2 };
-    let total_keys = n_batches * SWEEP_BATCH;
-
-    let mut s = format!(
-        "== kvs-setpath-sweep: batched set_multi vs sequential Sets, by write fraction ==\n\
-         (batch {SWEEP_BATCH}, uniform keys over {n_items} preloaded items, {n_batches}\n\
-          batches/point, best of {reps}; writes replace in place, reads are Multi-Gets)\n\n",
-    );
-    let _ = writeln!(
-        s,
-        "  {:<8} {:>10} {:>16} {:>14} {:>9}",
-        "index", "write frac", "sequential Mk/s", "batched Mk/s", "speedup"
-    );
-
-    let mut points: Vec<SetPathPoint> = Vec::new();
-    for which in ["memc3", "hor", "ver", "dpdk", "local"] {
-        for frac in SETPATH_FRACS {
-            // Pre-generate the mixed stream: per batch, a coin decides
-            // write (SWEEP_BATCH replacement pairs with fresh values) or
-            // read (SWEEP_BATCH lookups). Both modes replay the exact
-            // same stream, so the stores evolve identically.
-            let mut rng = 0x5E7_0001u64 ^ (frac.to_bits().rotate_left(17));
-            let mut fresh = 0u64;
-            let mut read_keys: Vec<Vec<Vec<u8>>> = Vec::new();
-            let mut write_pairs: Vec<Vec<(Vec<u8>, [u8; 32])>> = Vec::new();
-            // (is_write, index into the respective per-kind vec).
-            let mut ops: Vec<(bool, usize)> = Vec::with_capacity(n_batches);
-            for _ in 0..n_batches {
-                let is_write = (splitmix64(&mut rng) as f64 / u64::MAX as f64) < frac;
-                if is_write {
-                    let pairs = (0..SWEEP_BATCH)
-                        .map(|_| {
-                            let i = (splitmix64(&mut rng) % n_items as u64) as usize;
-                            fresh += 1;
-                            let mut v = sweep_value(i);
-                            v[8..16].copy_from_slice(&fresh.to_le_bytes());
-                            (sweep_key(i), v)
-                        })
-                        .collect();
-                    ops.push((true, write_pairs.len()));
-                    write_pairs.push(pairs);
-                } else {
-                    let keys = (0..SWEEP_BATCH)
-                        .map(|_| sweep_key((splitmix64(&mut rng) % n_items as u64) as usize))
-                        .collect();
-                    ops.push((false, read_keys.len()));
-                    read_keys.push(keys);
-                }
-            }
-            let reads: Vec<Vec<&[u8]>> = read_keys
-                .iter()
-                .map(|b| b.iter().map(|k| k.as_slice()).collect())
-                .collect();
-            let writes: Vec<Vec<(&[u8], &[u8])>> = write_pairs
-                .iter()
-                .map(|b| {
-                    b.iter()
-                        .map(|(k, v)| (k.as_slice(), v.as_slice()))
-                        .collect()
-                })
-                .collect();
-
-            // One store per mode; the streams only replace preloaded
-            // keys, so neither store grows or evicts mid-measurement.
-            let mut best = [0.0f64; 2];
-            for (slot, batched) in [(0usize, false), (1usize, true)] {
-                let store = KvStore::new(
-                    build_index(which, n_items * 2),
-                    StoreConfig {
-                        memory_budget: n_items * 64 + (256 << 20),
-                        capacity_items: n_items * 2,
-                        shards: 1,
-                        prefetch_depth: None,
-                        ..StoreConfig::default()
-                    },
-                );
-                for i in 0..n_items {
-                    store
-                        .set(&sweep_key(i), &sweep_value(i))
-                        .expect("setpath preload");
-                }
-                let mut resp = MGetResponse::new();
-                let mut scratch = SetMultiBatch::new();
-                for _ in 0..reps {
-                    let t0 = std::time::Instant::now();
-                    for &(is_write, i) in &ops {
-                        if is_write {
-                            if batched {
-                                let outcome = store.set_multi(&writes[i], &mut scratch);
-                                assert_eq!(outcome.stored, SWEEP_BATCH, "replaces never fail");
-                            } else {
-                                for (k, v) in &writes[i] {
-                                    store.set(k, v).expect("replaces never fail");
-                                }
-                            }
-                        } else {
-                            let got = store.mget(&reads[i], &mut resp).found;
-                            assert_eq!(got, SWEEP_BATCH, "every sweep key is preloaded");
-                        }
-                    }
-                    let secs = t0.elapsed().as_secs_f64();
-                    best[slot] = best[slot].max(total_keys as f64 / secs);
-                }
-            }
-            let _ = writeln!(
-                s,
-                "  {:<8} {:>10.2} {:>16.2} {:>14.2} {:>8.2}x",
-                which,
-                frac,
-                best[0] / 1e6,
-                best[1] / 1e6,
-                best[1] / best[0],
-            );
-            points.push(SetPathPoint {
-                index: which,
-                write_frac: frac,
-                sequential_mkeys: best[0] / 1e6,
-                batched_mkeys: best[1] / 1e6,
-            });
-        }
-    }
-
-    // Acceptance: the batched path beats sequential Sets at every swept
-    // write fraction (all >= 0.25) on the memc3 and horizontal indexes.
-    let gate = points
-        .iter()
-        .filter(|p| p.index == "memc3" || p.index == "hor")
-        .all(|p| p.batched_mkeys >= p.sequential_mkeys);
-    let _ = writeln!(
-        s,
-        "\n  acceptance: batched >= sequential at write fractions >= 0.25\n  \
-         on memc3 + horizontal: {}",
-        if gate { "PASS" } else { "FAIL" },
-    );
-
-    let mut result_lines = String::new();
-    for p in &points {
-        if !result_lines.is_empty() {
-            result_lines.push_str(",\n");
-        }
-        let _ = write!(
-            result_lines,
-            "    {{\"index\": \"{}\", \"write_frac\": {:.2}, \"sequential_mkeys_per_sec\": {:.3}, \
-             \"batched_mkeys_per_sec\": {:.3}, \"speedup\": {:.4}}}",
-            p.index,
-            p.write_frac,
-            p.sequential_mkeys,
-            p.batched_mkeys,
-            p.batched_mkeys / p.sequential_mkeys.max(1e-12),
-        );
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"kvs-setpath-sweep\",\n  \"mode\": \"{}\",\n  \
-         \"llc_bytes\": {llc},\n  \"n_items\": {n_items},\n  \"batch\": {SWEEP_BATCH},\n  \
-         \"batches_per_point\": {n_batches},\n  \"write_fracs\": [0.25, 0.5, 1.0],\n  \
-         \"results\": [\n{result_lines}\n  ],\n  \
-         \"acceptance\": {{\"indexes\": [\"memc3\", \"hor\"], \"min_write_frac\": 0.25, \
-         \"batched_beats_sequential\": {gate}}}\n}}\n",
-        if full { "full" } else { "quick" },
-    );
-    (s, json)
-}
-
-/// `kvs-setpath-sweep`: the write-fraction dimension of the prefetch
-/// sweep — mixed batch streams at growing write fractions, with every
-/// write batch applied once as sequential `set` calls and once as one
-/// `KvStore::set_multi` (interleaved SIMD hashing, one lock + seqlock
-/// session per shard group, G-ahead bucket/slab prefetch staging).
-/// Writes the measurements to `BENCH_kvs_setpath.json` in the working
-/// directory.
-pub fn kvs_setpath_sweep(scale: &RunScale) -> String {
-    let (mut s, json) = setpath_sweep_impl(scale);
-    write_artifact("BENCH_kvs_setpath.json", &json, &mut s);
-    s
-}
-
-/// Prefetch look-ahead depths probed per workload by `kvs-local-sweep`
-/// (0 = plain probe loop; 8 = the G-ahead AMAC pipeline each bucketized
-/// index shares).
-const LOCAL_DEPTHS: [usize; 2] = [0, 8];
-/// Index families compared by `kvs-local-sweep`: the indirect-SIMD
-/// references (`memc3` scalar-probe, `dpdk` SSE-probe — tags on a separate
-/// line from the entries), the direct-SIMD reference (`hor` — full keys in
-/// the table, 4 entries per line) and the localized-SIMD contender.
-const LOCAL_INDEXES: [&str; 4] = ["memc3", "dpdk", "hor", "local"];
-
-/// The i-th never-preloaded key for the find_miss workload (distinct
-/// prefix, same fixed width as [`sweep_key`]).
-fn absent_key(i: usize) -> Vec<u8> {
-    format!("abs-{i:012}").into_bytes()
-}
-
-/// One measured localized-SIMD sweep point.
-struct LocalSweepPoint {
-    index: &'static str,
-    workload: &'static str,
-    depth: usize,
-    mkeys_per_sec: f64,
-}
-
-/// Measure the localized-SIMD sweep and render (human table, JSON
-/// document). Split from [`kvs_local_sweep`] so tests can run it without
-/// touching the filesystem.
-fn local_sweep_impl(scale: &RunScale) -> (String, String) {
-    let llc = crate::machine::llc_bytes();
-    let line = crate::machine::coherency_line_size();
-    let full = scale.kvs_items >= RunScale::full().kvs_items;
-    // Same out-of-cache sizing as the prefetch sweep: the cache-line
-    // argument (one line per find_hit vs two) only shows once probes miss
-    // to DRAM.
-    let n_items = if full {
-        (4 * llc / 64).max(scale.kvs_items)
-    } else {
-        scale.kvs_items
-    };
-    let n_batches = scale.kvs_requests;
-    let reps = if full { 3 } else { 2 };
-    let total_keys = n_batches * SWEEP_BATCH;
-
-    // find_hit: every key preloaded (uniform — a skewed hot set would sit
-    // in cache and mask the line-count difference). find_miss: half the
-    // keys drawn from a never-preloaded namespace, the regime where probes
-    // scan every candidate slot before concluding absence.
-    let mut rng = 0x10CA_1005u64;
-    let hit_keys: Vec<Vec<Vec<u8>>> = (0..n_batches)
-        .map(|_| {
-            (0..SWEEP_BATCH)
-                .map(|_| sweep_key((splitmix64(&mut rng) % n_items as u64) as usize))
-                .collect()
-        })
-        .collect();
-    let mut present_in_miss = 0usize;
-    let miss_keys: Vec<Vec<Vec<u8>>> = (0..n_batches)
-        .map(|_| {
-            (0..SWEEP_BATCH)
-                .map(|_| {
-                    let r = splitmix64(&mut rng);
-                    let i = (r % n_items as u64) as usize;
-                    if r & (1 << 63) == 0 {
-                        present_in_miss += 1;
-                        sweep_key(i)
-                    } else {
-                        absent_key(i)
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let hit_refs: Vec<Vec<&[u8]>> = hit_keys
-        .iter()
-        .map(|b| b.iter().map(|k| k.as_slice()).collect())
-        .collect();
-    let miss_refs: Vec<Vec<&[u8]>> = miss_keys
-        .iter()
-        .map(|b| b.iter().map(|k| k.as_slice()).collect())
-        .collect();
-
-    let mut s = format!(
-        "== kvs-local-sweep: localized-SIMD (F14-style) index vs indirect/direct SIMD ==\n\
-         (batch {SWEEP_BATCH}, uniform keys, {n_items} items x 64 B chunks = {} MiB slab,\n\
-          LLC {} MiB, line {line} B, bucket 64 B, {n_batches} requests/point, best of {reps};\n\
-          find_hit = 100% present, find_miss = ~50% absent keys)\n\n",
-        (n_items * 64) >> 20,
-        llc >> 20,
-    );
-    let _ = writeln!(
-        s,
-        "  {:<8} {:<10} {:>3} {:>14}",
-        "index", "workload", "G", "MGet Mkeys/s"
-    );
-
-    let mut points: Vec<LocalSweepPoint> = Vec::new();
-    for which in LOCAL_INDEXES {
-        let store = KvStore::new(
-            build_index(which, n_items * 2),
-            StoreConfig {
-                memory_budget: n_items * 64 + (256 << 20),
-                capacity_items: n_items * 2,
-                shards: 1,
-                prefetch_depth: Some(0),
-                ..StoreConfig::default()
-            },
-        );
-        for i in 0..n_items {
-            store
-                .set(&sweep_key(i), &sweep_value(i))
-                .expect("local-sweep preload");
-        }
-        let mut resp = MGetResponse::new();
-        for (workload, batches, expect_found) in [
-            ("find_hit", &hit_refs, total_keys),
-            ("find_miss", &miss_refs, present_in_miss),
-        ] {
-            for depth in LOCAL_DEPTHS {
-                store.set_prefetch_depth(depth);
-                let mut best = 0.0f64;
-                for _ in 0..reps {
-                    let mut found = 0usize;
-                    let t0 = std::time::Instant::now();
-                    for keys in batches {
-                        found += store.mget(keys, &mut resp).found;
-                    }
-                    let secs = t0.elapsed().as_secs_f64();
-                    assert_eq!(found, expect_found, "{which}/{workload} hit accounting");
-                    best = best.max(total_keys as f64 / secs);
-                }
-                let _ = writeln!(
-                    s,
-                    "  {:<8} {:<10} {:>3} {:>14.2}",
-                    which,
-                    workload,
-                    depth,
-                    best / 1e6,
-                );
-                points.push(LocalSweepPoint {
-                    index: which,
-                    workload,
-                    depth,
-                    mkeys_per_sec: best / 1e6,
-                });
-            }
-        }
-    }
-
-    let best_of = |index: &str, workload: &str| -> f64 {
-        points
-            .iter()
-            .filter(|p| p.index == index && p.workload == workload)
-            .map(|p| p.mkeys_per_sec)
-            .fold(0.0, f64::max)
-    };
-
-    // Acceptance gates (recorded, asserted only on committed full runs):
-    // localized SIMD beats the indirect reference where hits dominate (it
-    // touches one line per hit, memc3 two) and the direct reference where
-    // misses dominate (7 rejected candidates per line vs 4).
-    let hit_ratio = best_of("local", "find_hit") / best_of("memc3", "find_hit").max(1e-12);
-    let miss_ratio = best_of("local", "find_miss") / best_of("hor", "find_miss").max(1e-12);
-    let mut best_lines = String::new();
-    for which in LOCAL_INDEXES {
-        for workload in ["find_hit", "find_miss"] {
-            let best = points
-                .iter()
-                .filter(|p| p.index == which && p.workload == workload)
-                .max_by(|a, b| a.mkeys_per_sec.total_cmp(&b.mkeys_per_sec))
-                .expect("swept every index x workload");
-            let _ = writeln!(
-                s,
-                "  best for {:<8} {:<10} G={:<3} {:.2} Mkeys/s",
-                which, workload, best.depth, best.mkeys_per_sec,
-            );
-            if !best_lines.is_empty() {
-                best_lines.push_str(",\n");
-            }
-            let _ = write!(
-                best_lines,
-                "    {{\"index\": \"{}\", \"workload\": \"{}\", \"best_depth\": {}, \
-                 \"best_mkeys_per_sec\": {:.3}}}",
-                which, workload, best.depth, best.mkeys_per_sec,
-            );
-        }
-    }
-    let _ = writeln!(
-        s,
-        "\n  gates: find_hit local/memc3 = {:.3} [{}]   find_miss local/hor = {:.3} [{}]",
-        hit_ratio,
-        if hit_ratio >= 1.0 { "PASS" } else { "FAIL" },
-        miss_ratio,
-        if miss_ratio >= 1.0 { "PASS" } else { "FAIL" },
-    );
-
-    let mut result_lines = String::new();
-    for p in &points {
-        if !result_lines.is_empty() {
-            result_lines.push_str(",\n");
-        }
-        let _ = write!(
-            result_lines,
-            "    {{\"index\": \"{}\", \"workload\": \"{}\", \"depth\": {}, \
-             \"mkeys_per_sec\": {:.3}}}",
-            p.index, p.workload, p.depth, p.mkeys_per_sec,
-        );
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"kvs-local-sweep\",\n  \"mode\": \"{}\",\n  \
-         \"llc_bytes\": {llc},\n  \"coherency_line_size\": {line},\n  \
-         \"bucket_bytes\": 64,\n  \"bucket_fits_line\": {},\n  \
-         \"table_bytes\": {},\n  \"n_items\": {n_items},\n  \"batch\": {SWEEP_BATCH},\n  \
-         \"requests_per_point\": {n_batches},\n  \"depths\": [0, 8],\n  \
-         \"results\": [\n{result_lines}\n  ],\n  \"best\": [\n{best_lines}\n  ],\n  \
-         \"gates\": [\n    \
-         {{\"name\": \"find_hit_local_vs_memc3\", \"ratio\": {hit_ratio:.4}, \"pass\": {}}},\n    \
-         {{\"name\": \"find_miss_local_vs_hor\", \"ratio\": {miss_ratio:.4}, \"pass\": {}}}\n  ]\n}}\n",
-        if full { "full" } else { "quick" },
-        64 <= line,
-        n_items * 64,
-        hit_ratio >= 1.0,
-        miss_ratio >= 1.0,
-    );
-    (s, json)
-}
-
-/// `kvs-local-sweep`: find_hit- vs find_miss-dominated Multi-Get
-/// throughput for the localized-SIMD `local` index against its indirect
-/// (`memc3`, `dpdk`) and direct (`hor`) SIMD references, on a table sized
-/// well past the LLC. Emits the machine's coherency line size next to the
-/// 64-byte bucket claim and records the two acceptance-gate ratios.
-/// Writes the measurements to `BENCH_kvs_local.json` in the working
-/// directory.
-pub fn kvs_local_sweep(scale: &RunScale) -> String {
-    let (mut s, json) = local_sweep_impl(scale);
-    write_artifact("BENCH_kvs_local.json", &json, &mut s);
-    s
 }
 
 /// One measured point of the reactor conns x depth grid.
@@ -1047,30 +318,13 @@ const REACTOR_MGET: usize = 4;
 
 /// Build the sweep workload for one grid point.
 fn reactor_workload(n_items: usize, n_requests: usize) -> KvWorkload {
-    KvWorkload::generate(&KvWorkloadSpec {
-        n_items,
-        n_requests,
-        mget_size: REACTOR_MGET,
-        key_bytes: 20,
-        value_bytes: 32,
-        pattern: AccessPattern::skewed(),
-        seed: 0x4B56_0033,
-    })
+    skewed_workload(n_items, n_requests, REACTOR_MGET, 0x4B56_0033)
 }
 
 /// Fresh store for one sweep point (horizontal SIMD index, auto-tuned
 /// prefetch depth — the width the reactor must feed).
 fn reactor_store(n_items: usize) -> Arc<KvStore> {
-    Arc::new(KvStore::new(
-        build_index("hor", n_items * 2),
-        StoreConfig {
-            memory_budget: (n_items * 256).max(8 << 20),
-            capacity_items: n_items * 2,
-            shards: 1,
-            prefetch_depth: None,
-            ..StoreConfig::default()
-        },
-    ))
+    Arc::new(sized_store("hor", n_items, 1))
 }
 
 /// Measure the reactor sweep and render (human table, JSON document).
@@ -1333,10 +587,10 @@ fn reactor_sweep_impl(scale: &RunScale) -> (String, String) {
 /// reactor server, reporting the achieved server-side batch width next
 /// to client latency percentiles, with the thread-per-connection server
 /// swept as the baseline. Writes the measurements to
-/// `BENCH_kvs_reactor.json` in the working directory.
-pub fn kvs_reactor_sweep(scale: &RunScale) -> String {
+/// `BENCH_kvs_reactor.json` (see [`write_artifact`] for where).
+pub fn kvs_reactor_sweep(scale: &RunScale, quick: bool) -> String {
     let (mut s, json) = reactor_sweep_impl(scale);
-    write_artifact("BENCH_kvs_reactor.json", &json, &mut s);
+    write_artifact("BENCH_kvs_reactor.json", quick, &json, &mut s);
     s
 }
 
@@ -1565,236 +819,11 @@ fn readscale_sweep_impl(scale: &RunScale) -> (String, String) {
 /// counts 1..8 over a quiescent in-cache single-shard store, at batch
 /// width 1 (where the shard `RwLock` acquisition is the dominant
 /// per-request cost) and 16 (where it is amortized). Writes the
-/// measurements to `BENCH_kvs_readscale.json` in the working directory.
-pub fn kvs_readscale_sweep(scale: &RunScale) -> String {
+/// measurements to `BENCH_kvs_readscale.json` (see [`write_artifact`] for
+/// where).
+pub fn kvs_readscale_sweep(scale: &RunScale, quick: bool) -> String {
     let (mut s, json) = readscale_sweep_impl(scale);
-    write_artifact("BENCH_kvs_readscale.json", &json, &mut s);
-    s
-}
-
-const CHURN_READ_BATCH: usize = 64;
-const CHURN_WRITE_BATCH: usize = 16;
-
-#[derive(Copy, Clone, PartialEq)]
-enum ChurnMode {
-    /// Plain `set` writes — the pre-versioning baseline.
-    Plain,
-    /// The versioned write surface with `ttl_secs == 0`: identical
-    /// semantics, so the gap to `Plain` is the layer's overhead.
-    Ttl0,
-    /// 1-second TTLs with the store clock advancing mid-stream, plus a
-    /// trickle of Deletes and CAS swaps: the full production-cache churn.
-    Churn,
-}
-
-impl ChurnMode {
-    fn name(self) -> &'static str {
-        match self {
-            ChurnMode::Plain => "plain",
-            ChurnMode::Ttl0 => "ttl0",
-            ChurnMode::Churn => "churn",
-        }
-    }
-}
-
-/// One measured churn point.
-struct TtlChurnPoint {
-    index: &'static str,
-    mkeys: [f64; 3], // indexed by ChurnMode order
-    expired: u64,
-    deletes: u64,
-    cas_ok: u64,
-}
-
-/// Measure the TTL-churn sweep and render (human table, JSON document).
-/// Split from [`kvs_ttl_churn`] so tests can run it without touching the
-/// filesystem.
-fn ttl_churn_impl(scale: &RunScale) -> (String, String) {
-    let full = scale.kvs_items >= RunScale::full().kvs_items;
-    let n_items = scale.kvs_items;
-    let n_rounds = scale.kvs_requests;
-    let reps = if full { 3 } else { 1 };
-    let keys_per_round = CHURN_READ_BATCH + CHURN_WRITE_BATCH;
-
-    let mut s = format!(
-        "== kvs-ttl-churn: versioned-op overhead and TTL churn, by index ==\n\
-         ({CHURN_READ_BATCH}-key Multi-Gets + {CHURN_WRITE_BATCH} writes per round, \
-         {n_rounds} rounds over {n_items} items, best of {reps};\n  \
-         churn mode: 1 s TTLs with the store clock advancing, plus Delete/CAS traffic)\n\n",
-    );
-    let _ = writeln!(
-        s,
-        "  {:<8} {:>12} {:>11} {:>12} {:>9} {:>8} {:>7} {:>7}",
-        "index", "plain Mk/s", "ttl0 Mk/s", "churn Mk/s", "overhead", "expired", "deletes", "cas"
-    );
-
-    let mut points: Vec<TtlChurnPoint> = Vec::new();
-    for which in ["memc3", "hor", "ver", "dpdk", "local"] {
-        let mut best = [0.0f64; 3];
-        let (mut expired, mut deletes, mut cas_ok) = (0u64, 0u64, 0u64);
-        for (slot, mode) in [
-            (0usize, ChurnMode::Plain),
-            (1, ChurnMode::Ttl0),
-            (2, ChurnMode::Churn),
-        ] {
-            for _ in 0..reps {
-                let store = KvStore::new(
-                    build_index(which, n_items * 2),
-                    StoreConfig {
-                        memory_budget: n_items * 64 + (64 << 20),
-                        capacity_items: n_items * 2,
-                        shards: 1,
-                        prefetch_depth: None,
-                        ..StoreConfig::default()
-                    },
-                );
-                // Identical immortal preload in every mode; churn's TTLs
-                // arrive only with the streamed rewrites.
-                for i in 0..n_items {
-                    store
-                        .set(&sweep_key(i), &sweep_value(i))
-                        .expect("churn preload");
-                }
-                let ttl = if mode == ChurnMode::Churn { 1 } else { 0 };
-                let mut rng = 0x771_C0DEu64 ^ slot as u64;
-                let mut resp = MGetResponse::new();
-                let mut total_keys = 0usize;
-                let advance_every = (n_rounds / 4).max(1);
-                let t0 = std::time::Instant::now();
-                for round in 0..n_rounds {
-                    let keys: Vec<Vec<u8>> = (0..CHURN_READ_BATCH)
-                        .map(|_| sweep_key((splitmix64(&mut rng) % n_items as u64) as usize))
-                        .collect();
-                    let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-                    store.mget(&refs, &mut resp);
-                    for _ in 0..CHURN_WRITE_BATCH {
-                        let i = (splitmix64(&mut rng) % n_items as u64) as usize;
-                        match mode {
-                            ChurnMode::Plain => {
-                                store.set(&sweep_key(i), &sweep_value(i)).expect("rewrite");
-                            }
-                            ChurnMode::Ttl0 | ChurnMode::Churn => {
-                                store
-                                    .set_v(&sweep_key(i), &sweep_value(i), ttl)
-                                    .expect("rewrite");
-                            }
-                        }
-                    }
-                    total_keys += keys_per_round;
-                    if mode == ChurnMode::Churn {
-                        if round % 8 == 0 {
-                            // A delete-then-reinsert and an uncontended
-                            // CAS, keeping the population stable while
-                            // exercising every point verb.
-                            let i = (splitmix64(&mut rng) % n_items as u64) as usize;
-                            store.delete(&sweep_key(i));
-                            store
-                                .set_v(&sweep_key(i), &sweep_value(i), ttl)
-                                .expect("reinsert");
-                            let j = (splitmix64(&mut rng) % n_items as u64) as usize;
-                            if let Some((_, version)) = store.get_v(&sweep_key(j)) {
-                                let _ = store.cas(&sweep_key(j), version, &sweep_value(j), ttl);
-                            }
-                        }
-                        if round % advance_every == advance_every - 1 {
-                            // Step the store clock past the 1 s TTL so the
-                            // churn writes expire under the reads.
-                            store.advance_time(2);
-                        }
-                    }
-                }
-                let secs = t0.elapsed().as_secs_f64();
-                best[slot] = best[slot].max(total_keys as f64 / secs);
-                if mode == ChurnMode::Churn {
-                    let totals = store.totals();
-                    expired = totals.expired;
-                    deletes = totals.deletes;
-                    cas_ok = totals.cas_ok;
-                }
-            }
-        }
-        let _ = writeln!(
-            s,
-            "  {:<8} {:>12.2} {:>11.2} {:>12.2} {:>8.1}% {:>8} {:>7} {:>7}",
-            which,
-            best[0] / 1e6,
-            best[1] / 1e6,
-            best[2] / 1e6,
-            (best[1] / best[0] - 1.0) * 100.0,
-            expired,
-            deletes,
-            cas_ok,
-        );
-        points.push(TtlChurnPoint {
-            index: which,
-            mkeys: [best[0] / 1e6, best[1] / 1e6, best[2] / 1e6],
-            expired,
-            deletes,
-            cas_ok,
-        });
-    }
-
-    // Acceptance: churn mode must actually churn (expiry + point verbs
-    // observed on every index), and the zero-TTL versioned surface must
-    // stay within a generous envelope of the plain path.
-    let churned = points
-        .iter()
-        .all(|p| p.expired > 0 && p.deletes > 0 && p.cas_ok > 0);
-    let bounded = points.iter().all(|p| p.mkeys[1] >= 0.25 * p.mkeys[0]);
-    let _ = writeln!(
-        s,
-        "\n  acceptance: expiry + Delete/CAS observed on every index: {}\n  \
-         acceptance: ttl0 within 4x of plain on every index: {}",
-        if churned { "PASS" } else { "FAIL" },
-        if bounded { "PASS" } else { "FAIL" },
-    );
-
-    let mut result_lines = String::new();
-    for p in &points {
-        if !result_lines.is_empty() {
-            result_lines.push_str(",\n");
-        }
-        let _ = write!(result_lines, "    {{\"index\": \"{}\", ", p.index);
-        for (slot, mode) in [ChurnMode::Plain, ChurnMode::Ttl0, ChurnMode::Churn]
-            .iter()
-            .enumerate()
-        {
-            let _ = write!(
-                result_lines,
-                "\"{}_mkeys_per_sec\": {:.3}, ",
-                mode.name(),
-                p.mkeys[slot],
-            );
-        }
-        let _ = write!(
-            result_lines,
-            "\"ttl0_overhead\": {:.4}, \"expired\": {}, \"deletes\": {}, \"cas_ok\": {}}}",
-            p.mkeys[1] / p.mkeys[0].max(1e-12),
-            p.expired,
-            p.deletes,
-            p.cas_ok,
-        );
-    }
-    let json = format!(
-        "{{\n  \"experiment\": \"kvs-ttl-churn\",\n  \"mode\": \"{}\",\n  \
-         \"n_items\": {n_items},\n  \"read_batch\": {CHURN_READ_BATCH},\n  \
-         \"write_batch\": {CHURN_WRITE_BATCH},\n  \"rounds\": {n_rounds},\n  \
-         \"results\": [\n{result_lines}\n  ],\n  \
-         \"acceptance\": {{\"churn_observed\": {churned}, \
-         \"versioned_overhead_bounded\": {bounded}}}\n}}\n",
-        if full { "full" } else { "quick" },
-    );
-    (s, json)
-}
-
-/// `kvs-ttl-churn`: the versioned-operation layer under load (DESIGN.md
-/// §13) — the zero-TTL overhead of `set_v` against plain `set`, and a
-/// churn mode where 1-second TTLs expire under the reads while Deletes
-/// and CAS swaps trickle through. Writes the measurements to
-/// `BENCH_kvs_ttl.json` in the working directory.
-pub fn kvs_ttl_churn(scale: &RunScale) -> String {
-    let (mut s, json) = ttl_churn_impl(scale);
-    write_artifact("BENCH_kvs_ttl.json", &json, &mut s);
+    write_artifact("BENCH_kvs_readscale.json", quick, &json, &mut s);
     s
 }
 
@@ -1802,50 +831,48 @@ pub fn kvs_ttl_churn(scale: &RunScale) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn kvs_tcp_loopback_tiny_run() {
-        let tiny = RunScale {
+    fn tiny(kvs_requests: usize, kvs_items: usize) -> RunScale {
+        RunScale {
             queries_per_thread: 1024,
             repetitions: 1,
             threads: 1,
-            kvs_requests: 30,
-            kvs_items: 300,
-        };
-        let (name, r, stats) = run_one_tcp("hor", 8, &tiny);
-        assert!(name.contains("Hor"), "{name}");
-        assert_eq!(r.requests, 30);
-        assert_eq!(r.keys, 30 * 8);
-        assert_eq!(r.hits, r.keys);
-        assert!(r.p99_latency_us >= r.p50_latency_us);
-        assert!(r.p50_latency_us > 0.0);
-        assert!(stats.requests.load(std::sync::atomic::Ordering::Relaxed) == 30);
+            kvs_requests,
+            kvs_items,
+        }
+    }
+
+    /// What `run_memslap` must report on a tiny Fig. 11 shape: the
+    /// `(requests, sets, keys, found)` literal recorded at the commit that
+    /// still had its own fabric client loop (the 0x3E7F-seeded plan draws
+    /// the same Sets in the same order through `run_memslap_over`), and
+    /// the clients seeing exactly what the server counted.
+    fn assert_recorded(r: &MemslapReport, recorded: (u64, u64, u64, u64)) {
+        let name = r.index_name;
+        assert_eq!(
+            (r.requests, r.client.sets, r.keys, r.found),
+            recorded,
+            "{name}"
+        );
+        assert_eq!(
+            (r.client.requests, r.client.keys, r.client.hits),
+            (r.requests, r.keys, r.found),
+            "{name}: client and server counts must agree"
+        );
+        assert_eq!(r.client.failed + r.client.sets_uncertain, 0, "{name}");
     }
 
     #[test]
     fn kvs_mixed_sets_tiny_run() {
-        let tiny = RunScale {
-            queries_per_thread: 1024,
-            repetitions: 1,
-            threads: 1,
-            kvs_requests: 40,
-            kvs_items: 300,
-        };
-        let r = run_one_mixed("hor", 16, 0.25, &tiny);
-        assert!(r.sets > 0, "expected some Set requests");
-        assert_eq!(r.requests + r.sets, 40);
-        assert_eq!(r.found, r.keys, "replacement Sets must not lose keys");
+        for which in ["memc3", "hor", "ver"] {
+            let r = run_one_mixed(which, 16, 0.25, &tiny(40, 300));
+            // 14 replacement Sets among 40 slots; none may lose a key.
+            assert_recorded(&r, (26, 14, 416, 416));
+        }
     }
 
     #[test]
     fn kvs_shard_sweep_tiny_run() {
-        let tiny = RunScale {
-            queries_per_thread: 1024,
-            repetitions: 1,
-            threads: 1,
-            kvs_requests: 24,
-            kvs_items: 300,
-        };
-        let (r, lens) = run_one_sharded_tcp(4, &tiny);
+        let (r, lens) = run_one_sharded_tcp(4, &tiny(24, 300));
         assert_eq!(lens.len(), 4, "sweep point must report per-shard balance");
         assert_eq!(lens.iter().sum::<usize>(), 300, "preload spans shards");
         assert_eq!(r.hits, r.keys);
@@ -1853,84 +880,10 @@ mod tests {
     }
 
     #[test]
-    fn kvs_prefetch_sweep_tiny_run() {
-        let tiny = RunScale {
-            queries_per_thread: 1024,
-            repetitions: 1,
-            threads: 1,
-            kvs_requests: 20,
-            kvs_items: 500,
-        };
-        let (rendered, json) = prefetch_sweep_impl(&tiny);
-        assert!(rendered.contains("kvs-prefetch-sweep"));
-        // 5 index families x 5 depths, each with a speedup entry.
-        assert_eq!(json.matches("\"depth\":").count(), 25);
-        assert_eq!(json.matches("\"best_depth\":").count(), 5);
-        assert!(json.contains("\"mode\": \"quick\""));
-        for which in ["memc3", "hor", "ver", "dpdk", "local"] {
-            assert!(json.contains(&format!("\"index\": \"{which}\"")));
-        }
-    }
-
-    #[test]
-    fn kvs_setpath_sweep_tiny_run() {
-        let tiny = RunScale {
-            queries_per_thread: 1024,
-            repetitions: 1,
-            threads: 1,
-            kvs_requests: 12,
-            kvs_items: 500,
-        };
-        let (rendered, json) = setpath_sweep_impl(&tiny);
-        assert!(rendered.contains("kvs-setpath-sweep"));
-        assert!(rendered.contains("acceptance"));
-        // 5 index families x 3 write fractions.
-        assert_eq!(json.matches("\"write_frac\":").count(), 15);
-        assert_eq!(json.matches("\"speedup\":").count(), 15);
-        assert!(json.contains("\"mode\": \"quick\""));
-        assert!(json.contains("\"batched_beats_sequential\":"));
-        for which in ["memc3", "hor", "ver", "dpdk", "local"] {
-            assert!(json.contains(&format!("\"index\": \"{which}\"")));
-        }
-    }
-
-    #[test]
-    fn kvs_local_sweep_tiny_run() {
-        let tiny = RunScale {
-            queries_per_thread: 1024,
-            repetitions: 1,
-            threads: 1,
-            kvs_requests: 16,
-            kvs_items: 500,
-        };
-        let (rendered, json) = local_sweep_impl(&tiny);
-        assert!(rendered.contains("kvs-local-sweep"));
-        assert!(rendered.contains("gates:"));
-        // 4 index families x 2 workloads x 2 depths.
-        assert_eq!(json.matches("\"depth\":").count(), 16);
-        assert_eq!(json.matches("\"best_depth\":").count(), 8);
-        assert_eq!(json.matches("\"pass\":").count(), 2);
-        assert!(json.contains("\"mode\": \"quick\""));
-        assert!(json.contains("\"coherency_line_size\":"));
-        assert!(json.contains("\"find_hit_local_vs_memc3\""));
-        assert!(json.contains("\"find_miss_local_vs_hor\""));
-        for which in LOCAL_INDEXES {
-            assert!(json.contains(&format!("\"index\": \"{which}\"")));
-        }
-    }
-
-    #[test]
     fn kvs_reactor_sweep_grid_shape() {
         // The impl's grid is fixed per mode; a tiny scale only shrinks
         // request counts, so this stays a smoke-sized run.
-        let tiny = RunScale {
-            queries_per_thread: 1024,
-            repetitions: 1,
-            threads: 1,
-            kvs_requests: 64,
-            kvs_items: 400,
-        };
-        let (rendered, json) = reactor_sweep_impl(&tiny);
+        let (rendered, json) = reactor_sweep_impl(&tiny(64, 400));
         assert!(rendered.contains("kvs-reactor-sweep"));
         assert!(rendered.contains("acceptance at 400 conns"));
         // 4 conn counts x 2 depths, plus 4 baseline points.
@@ -1943,14 +896,7 @@ mod tests {
 
     #[test]
     fn kvs_readscale_sweep_tiny_run() {
-        let tiny = RunScale {
-            queries_per_thread: 1024,
-            repetitions: 1,
-            threads: 1,
-            kvs_requests: 16,
-            kvs_items: 300,
-        };
-        let (rendered, json) = readscale_sweep_impl(&tiny);
+        let (rendered, json) = readscale_sweep_impl(&tiny(16, 300));
         assert!(rendered.contains("kvs-readscale-sweep"));
         assert!(rendered.contains("acceptance"));
         // 2 batch widths x 2 read modes x 4 thread counts, one gate per width.
@@ -1964,39 +910,28 @@ mod tests {
     }
 
     #[test]
-    fn kvs_ttl_churn_tiny_run() {
-        let tiny = RunScale {
-            queries_per_thread: 1024,
-            repetitions: 1,
-            threads: 1,
-            kvs_requests: 32,
-            kvs_items: 300,
-        };
-        let (rendered, json) = ttl_churn_impl(&tiny);
-        assert!(rendered.contains("kvs-ttl-churn"));
-        assert!(rendered.contains("acceptance"));
-        // 5 index families, one point each, three throughput columns.
-        assert_eq!(json.matches("\"ttl0_overhead\":").count(), 5);
-        assert_eq!(json.matches("\"expired\":").count(), 5);
-        assert!(json.contains("\"mode\": \"quick\""));
-        assert!(json.contains("\"churn_observed\": true"));
-        for which in ["memc3", "hor", "ver", "dpdk", "local"] {
-            assert!(json.contains(&format!("\"index\": \"{which}\"")));
+    fn kvs_experiment_tiny_run() {
+        for which in ["memc3", "hor", "ver"] {
+            let r = run_one(which, 16, &tiny(20, 300));
+            assert_recorded(&r, (20, 0, 320, 320));
+            assert!(r.phases.total() > 0);
         }
     }
 
     #[test]
-    fn kvs_experiment_tiny_run() {
-        let tiny = RunScale {
-            queries_per_thread: 1024,
-            repetitions: 1,
-            threads: 1,
-            kvs_requests: 20,
-            kvs_items: 300,
-        };
-        let r = run_one("ver", 16, &tiny);
-        assert_eq!(r.requests, 20);
-        assert_eq!(r.found, r.keys);
-        assert!(r.phases.total() > 0);
+    fn quick_artifact_leaves_the_recorded_file_alone() {
+        // Unique name: tests share the working directory.
+        let name = format!("BENCH_write_artifact_test_{}.json", std::process::id());
+        let quick_path = std::path::Path::new(QUICK_ARTIFACT_DIR).join(&name);
+        std::fs::write(&name, "recorded full run").unwrap();
+        let mut rendered = String::new();
+        write_artifact(&name, true, "quick numbers", &mut rendered);
+        let root = std::fs::read_to_string(&name).unwrap();
+        let quick = std::fs::read_to_string(&quick_path);
+        let _ = std::fs::remove_file(&name);
+        let _ = std::fs::remove_file(&quick_path);
+        assert_eq!(root, "recorded full run");
+        assert_eq!(quick.unwrap(), "quick numbers");
+        assert!(rendered.contains(QUICK_ARTIFACT_DIR), "{rendered}");
     }
 }

@@ -43,82 +43,9 @@ fn scaled(paper: usize) -> usize {
     (paper / 8).max(1)
 }
 
-/// Last-level-cache size in bytes, read from the sysfs cache hierarchy
-/// (`/sys/devices/system/cpu/cpu0/cache/indexN/size`, deepest level wins).
-/// Falls back to 32 MiB when the hierarchy is not exposed (non-Linux hosts,
-/// stripped-down containers) so table-sizing callers always get a sane
-/// figure. The prefetch sweep uses this to build stores several LLCs large,
-/// where Multi-Get probes genuinely miss to DRAM.
-pub fn llc_bytes() -> usize {
-    for idx in (0..=4usize).rev() {
-        let path = format!("/sys/devices/system/cpu/cpu0/cache/index{idx}/size");
-        if let Ok(s) = std::fs::read_to_string(&path) {
-            if let Some(bytes) = parse_cache_size(s.trim()) {
-                return bytes;
-            }
-        }
-    }
-    32 << 20
-}
-
-/// Cache-line (coherency granule) size in bytes, read from the sysfs cache
-/// hierarchy (`/sys/devices/system/cpu/cpu0/cache/indexN/coherency_line_size`,
-/// first level that exposes it — all levels agree on real hardware). Falls
-/// back to 64, the universal x86-64 granule. The localized-SIMD index
-/// (`F14LocalIndex`) claims one bucket per line; experiments emit this so
-/// that claim is checked against the machine the numbers came from, not
-/// assumed.
-pub fn coherency_line_size() -> usize {
-    for idx in 0..=4usize {
-        let path = format!("/sys/devices/system/cpu/cpu0/cache/index{idx}/coherency_line_size");
-        if let Ok(s) = std::fs::read_to_string(&path) {
-            if let Ok(n) = s.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-    }
-    64
-}
-
-/// Parse a sysfs cache-size string like `"260096K"`, `"32M"` or `"512"`.
-fn parse_cache_size(s: &str) -> Option<usize> {
-    let (digits, mult) = match s.as_bytes().last()? {
-        b'K' => (&s[..s.len() - 1], 1usize << 10),
-        b'M' => (&s[..s.len() - 1], 1 << 20),
-        b'G' => (&s[..s.len() - 1], 1 << 30),
-        _ => (s, 1),
-    };
-    digits.parse::<usize>().ok().map(|n| n.saturating_mul(mult))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cache_size_strings_parse() {
-        assert_eq!(parse_cache_size("260096K"), Some(260_096 << 10));
-        assert_eq!(parse_cache_size("32M"), Some(32 << 20));
-        assert_eq!(parse_cache_size("1G"), Some(1 << 30));
-        assert_eq!(parse_cache_size("512"), Some(512));
-        assert_eq!(parse_cache_size(""), None);
-        assert_eq!(parse_cache_size("xK"), None);
-    }
-
-    #[test]
-    fn llc_bytes_is_plausible() {
-        let b = llc_bytes();
-        assert!(b >= 1 << 20, "LLC under 1 MiB is not plausible: {b}");
-    }
-
-    #[test]
-    fn coherency_line_size_is_plausible() {
-        let n = coherency_line_size();
-        assert!(n.is_power_of_two(), "line size {n} not a power of two");
-        assert!((32..=256).contains(&n), "line size {n} out of range");
-    }
 
     #[test]
     fn ratio_preserved() {

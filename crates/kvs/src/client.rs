@@ -114,7 +114,7 @@ impl RetryPolicy {
 
     /// The jittered delay before retry `attempt`, in
     /// `[envelope * (1 - jitter), envelope]`.
-    fn delay(&self, attempt: u32, rng: &mut StdRng) -> Duration {
+    pub(crate) fn delay(&self, attempt: u32, rng: &mut StdRng) -> Duration {
         let d = self.envelope(attempt);
         let u: f64 = rng.gen();
         d.mul_f64(1.0 - self.jitter.clamp(0.0, 1.0) * u)

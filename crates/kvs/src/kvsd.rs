@@ -165,7 +165,8 @@ struct Registry {
     /// Live connections: (id, read-half clone used to interrupt the
     /// handler's blocking read on shutdown).
     streams: Mutex<Vec<(u64, TcpStream)>>,
-    /// Handler threads not yet joined.
+    /// Handler threads not yet joined (finished ones are reaped on each
+    /// accept, the rest at shutdown).
     handles: Mutex<Vec<JoinHandle<()>>>,
     /// Closed-connection summaries.
     summaries: Mutex<Vec<ConnSummary>>,
@@ -248,7 +249,19 @@ impl Kvsd {
                             registry.summaries.lock().unwrap().push(summary);
                         })
                     };
-                    registry.handles.lock().unwrap().push(handle);
+                    // Join handlers that have already returned, so a
+                    // long-lived daemon under connection churn keeps one
+                    // handle per live connection, not per connection ever.
+                    let mut handles = registry.handles.lock().unwrap();
+                    let mut i = 0;
+                    while i < handles.len() {
+                        if handles[i].is_finished() {
+                            let _ = handles.swap_remove(i).join();
+                        } else {
+                            i += 1;
+                        }
+                    }
+                    handles.push(handle);
                 }
             })
         };
@@ -516,6 +529,36 @@ mod tests {
             std::thread::yield_now();
         }
         kvsd.shutdown();
+    }
+
+    #[test]
+    fn finished_handlers_are_reaped_on_accept() {
+        let kvsd = Kvsd::bind(test_store(), "127.0.0.1:0").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        for i in 0..64u64 {
+            let mut conn = TcpConn::connect(kvsd.local_addr()).unwrap();
+            conn.send(
+                Request::MGet {
+                    id: i,
+                    keys: vec![Bytes::from_static(b"present")],
+                }
+                .encode(),
+            )
+            .unwrap();
+            conn.recv().unwrap();
+            drop(conn);
+            // The handler records its summary just before it returns;
+            // wait for it so each cycle's thread is (all but) finished
+            // before the next accept reaps.
+            while kvsd.connection_summaries().len() <= i as usize {
+                assert!(Instant::now() < deadline, "summary {i} never recorded");
+                std::thread::yield_now();
+            }
+        }
+        let live = kvsd.registry.handles.lock().unwrap().len();
+        assert!(live <= 8, "{live} handles kept after 64 closed connections");
+        assert_eq!(kvsd.connection_summaries().len(), 64);
+        assert_eq!(kvsd.shutdown().len(), 64);
     }
 
     #[test]

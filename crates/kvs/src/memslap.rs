@@ -2,16 +2,18 @@
 //! (the measurement protocol of the paper's §VI-B: memslap with N keys per
 //! request, 20 B keys, 32 B values, client threads on a separate "node").
 //!
-//! Two entry points:
+//! [`run_memslap_over`] is the client loop: it drives any [`Transport`]
+//! (the simulated fabric or real TCP to a [`crate::kvsd::Kvsd`]) with
+//! configurable connection count and pipeline depth, one thread per
+//! connection, preloads items over the wire with Sets, and reports purely
+//! client-observable numbers ([`ClientReport`]). Beside it:
 //!
-//! * [`run_memslap`] — the original co-located harness: builds a fabric +
-//!   [`Server`] around a store it owns and reports server-side stats
-//!   alongside client latencies.
-//! * [`run_memslap_over`] — the **networked** client: drives any
-//!   [`Transport`] (the simulated fabric or real TCP to a
-//!   [`crate::kvsd::Kvsd`]) with configurable connection count and
-//!   pipeline depth, preloads items over the wire with Sets, and reports
-//!   purely client-observable numbers ([`ClientReport`]).
+//! * [`run_memslap`] — the co-located Fig. 11 harness: preloads a store it
+//!   owns, spawns a [`Server`] on a fabric, runs the client loop over that
+//!   fabric and adds the server-side stats to the client's report.
+//! * [`run_memslap_mux`] — the many-small-connections driver: the same
+//!   request plans and the same report, but every connection on one event
+//!   loop instead of a thread each (TCP only, read-only).
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -26,7 +28,7 @@ use crate::client::RetryPolicy;
 use crate::fault::{FaultPlan, FaultSpec, FaultyTransport};
 use crate::protocol::{ErrorCode, OpStatus, Request, Response};
 use crate::server::Server;
-use crate::store::{KvStore, PhaseNanos, StoreConfig};
+use crate::store::{KvStore, PhaseNanos};
 use crate::transport::{ClientConn, Fabric, FabricConfig, Transport};
 use simdht_workload::KvWorkload;
 
@@ -39,8 +41,6 @@ pub struct MemslapConfig {
     pub server_workers: usize,
     /// Wire model.
     pub fabric: FabricConfig,
-    /// Store sizing.
-    pub store: StoreConfig,
     /// Fraction of requests that are Sets instead of Multi-Gets (the
     /// paper's future-work mixed workload, applied at the KVS layer;
     /// 0.0 = the paper's read-only Multi-Get setting).
@@ -53,41 +53,30 @@ impl Default for MemslapConfig {
             clients: 2,
             server_workers: 2,
             fabric: FabricConfig::ib_edr(),
-            store: StoreConfig::default(),
             set_fraction: 0.0,
         }
     }
 }
 
-/// Results of one memslap run.
+/// Results of one co-located memslap run: what the clients observed plus
+/// the server-side numbers only the harness that owns the server can read.
 #[derive(Clone, Debug)]
 pub struct MemslapReport {
     /// Name of the hash index under test.
     pub index_name: &'static str,
-    /// Set requests issued by clients (mixed workloads).
-    pub sets: u64,
-    /// Multi-Get requests completed.
+    /// Client-observed counts and end-to-end latencies (measured + modeled
+    /// wire time), Multi-Gets only.
+    pub client: ClientReport,
+    /// Multi-Get requests the server processed.
     pub requests: u64,
-    /// Keys requested.
+    /// Keys the server looked up.
     pub keys: u64,
-    /// Keys found.
+    /// Keys the server found.
     pub found: u64,
-    /// Mean end-to-end Multi-Get latency in µs (measured + modeled wire).
-    pub mean_latency_us: f64,
-    /// Minimum observed latency in µs (bounded below by the wire model).
-    pub min_latency_us: f64,
-    /// Median (p50) latency in µs.
-    pub p50_latency_us: f64,
-    /// p95 latency in µs.
-    pub p95_latency_us: f64,
-    /// p99 latency in µs.
-    pub p99_latency_us: f64,
     /// Server-side Get throughput: keys per busy-second across workers.
     pub server_keys_per_sec: f64,
     /// Aggregate server phase breakdown.
     pub phases: PhaseNanos,
-    /// Wall-clock seconds of the measurement window.
-    pub wall_secs: f64,
     /// Live items per store shard at the end of the run (shard-balance
     /// report; a single entry for the classic unsharded store).
     pub shard_items: Vec<usize>,
@@ -107,14 +96,13 @@ impl MemslapReport {
 /// Run memslap against a fresh server over `store`, replaying `workload`'s
 /// Multi-Get request stream split across client threads.
 ///
-/// Items are pre-loaded (untimed), then all requests are issued and
-/// latencies recorded; per-request end-to-end latency = measured
-/// request/response time + the modeled wire time of both messages.
+/// Items are pre-loaded directly into the store (untimed), then
+/// [`run_memslap_over`] drives the fabric with one blocking
+/// request/response connection per client; per-request end-to-end latency
+/// = measured request/response time + the modeled wire time of both
+/// messages.
 pub fn run_memslap(store: KvStore, workload: &KvWorkload, config: &MemslapConfig) -> MemslapReport {
     let store = Arc::new(store);
-    let index_name = store.index_name();
-
-    // Pre-load all items directly (setup, untimed).
     for (key, value) in workload.items() {
         store
             .set(key, value)
@@ -124,105 +112,36 @@ pub fn run_memslap(store: KvStore, workload: &KvWorkload, config: &MemslapConfig
     let fabric = Fabric::new(config.fabric);
     let server = Server::spawn(Arc::clone(&store), fabric.clone(), config.server_workers);
     let stats = server.stats();
-
-    // Pre-encode requests per client (encode cost is not what we measure).
-    // A `set_fraction` share of request slots become Sets over sampled
-    // items with fresh values — the mixed-workload extension.
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x3E7F);
-    let n_req = workload.requests().len();
-    let mut n_sets = 0u64;
-    let per_client: Vec<Vec<(bool, Bytes)>> = (0..config.clients)
-        .map(|c| {
-            (c..n_req)
-                .step_by(config.clients)
-                .map(|r| {
-                    if rng.gen::<f64>() < config.set_fraction {
-                        n_sets += 1;
-                        let item = rng.gen_range(0..workload.items().len());
-                        let (key, value) = &workload.items()[item];
-                        let fresh: Vec<u8> = (0..value.len())
-                            .map(|_| rng.gen_range(b' '..=b'~'))
-                            .collect();
-                        (
-                            true,
-                            Request::Set {
-                                id: r as u64,
-                                key: Bytes::copy_from_slice(key),
-                                value: Bytes::from(fresh),
-                            }
-                            .encode(),
-                        )
-                    } else {
-                        let keys = workload.requests()[r]
-                            .iter()
-                            .map(|&i| Bytes::copy_from_slice(&workload.items()[i].0))
-                            .collect();
-                        (false, Request::MGet { id: r as u64, keys }.encode())
-                    }
-                })
-                .collect()
-        })
-        .collect();
-
-    let wall_start = Instant::now();
-    let latencies: Vec<u64> = std::thread::scope(|s| {
-        let handles: Vec<_> = per_client
-            .iter()
-            .map(|requests| {
-                let fabric = fabric.clone();
-                s.spawn(move || {
-                    let (reply_tx, reply_rx) = Fabric::client_endpoint();
-                    let mut lats = Vec::with_capacity(requests.len());
-                    for (is_set, req) in requests {
-                        let t0 = Instant::now();
-                        let req_wire = fabric.send_request(req.clone(), Some(reply_tx.clone()));
-                        let envelope = reply_rx.recv().expect("server replies");
-                        let measured = t0.elapsed().as_nanos() as u64;
-                        // Validate the response decodes (cheap sanity).
-                        debug_assert!(Response::decode(envelope.payload.clone()).is_ok());
-                        if !is_set {
-                            // Latency percentiles track Multi-Gets only.
-                            lats.push(measured + req_wire + envelope.wire_ns);
-                        }
-                    }
-                    lats
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    let wall_secs = wall_start.elapsed().as_secs_f64();
+    let client = run_memslap_over(
+        &fabric,
+        workload,
+        &NetMemslapConfig {
+            connections: config.clients,
+            pipeline_depth: 1,
+            set_fraction: config.set_fraction,
+            preload: false,
+            // The in-process fabric cannot drop a frame: wait for every
+            // reply, resend nothing.
+            retry: RetryPolicy {
+                max_retries: 0,
+                recv_timeout: None,
+                ..RetryPolicy::default()
+            },
+            ..NetMemslapConfig::default()
+        },
+    )
+    .expect("only an over-the-wire preload can fail the run, and it is off");
     server.shutdown();
 
-    let mut sorted = latencies.clone();
-    sorted.sort_unstable();
-    let pct = |p: f64| -> f64 {
-        if sorted.is_empty() {
-            return 0.0;
-        }
-        let idx = ((sorted.len() as f64 - 1.0) * p) as usize;
-        sorted[idx] as f64 / 1_000.0
-    };
-    let mean = sorted.iter().sum::<u64>() as f64 / sorted.len().max(1) as f64 / 1_000.0;
-
+    use std::sync::atomic::Ordering::Relaxed;
     MemslapReport {
-        index_name,
-        sets: n_sets,
-        requests: stats.requests.load(std::sync::atomic::Ordering::Relaxed),
-        keys: stats.keys.load(std::sync::atomic::Ordering::Relaxed),
-        found: stats.found.load(std::sync::atomic::Ordering::Relaxed),
-        mean_latency_us: mean,
-        min_latency_us: sorted.first().map_or(0.0, |&n| n as f64 / 1_000.0),
-        p50_latency_us: pct(0.50),
-        p95_latency_us: pct(0.95),
-        p99_latency_us: pct(0.99),
+        index_name: store.index_name(),
+        client,
+        requests: stats.requests.load(Relaxed),
+        keys: stats.keys.load(Relaxed),
+        found: stats.found.load(Relaxed),
         server_keys_per_sec: stats.keys_per_busy_sec(),
         phases: stats.phases(),
-        wall_secs,
         shard_items: store.shard_lens(),
     }
 }
@@ -362,13 +281,35 @@ pub struct ClientReport {
     pub cas_p99_latency_us: f64,
 }
 
-/// Latency percentile over a sorted nanosecond list, in µs.
-fn percentile_us(sorted: &[u64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
+/// Mean, minimum and percentiles of one latency series, in µs — the one
+/// place the generators turn nanosecond samples into reported numbers.
+#[derive(Default)]
+struct LatencySummary {
+    mean_us: f64,
+    min_us: f64,
+    p50_us: f64,
+    p95_us: f64,
+    p99_us: f64,
+}
+
+impl LatencySummary {
+    /// Summarise nanosecond samples: percentile `p` is the sorted sample
+    /// at index `floor((n - 1) * p)`; an empty series is all zeros.
+    fn from_ns(mut samples: Vec<u64>) -> Self {
+        samples.sort_unstable();
+        let Some(&min) = samples.first() else {
+            return LatencySummary::default();
+        };
+        let us = |ns: u64| ns as f64 / 1_000.0;
+        let at = |p: f64| us(samples[((samples.len() as f64 - 1.0) * p) as usize]);
+        LatencySummary {
+            mean_us: samples.iter().sum::<u64>() as f64 / samples.len() as f64 / 1_000.0,
+            min_us: us(min),
+            p50_us: at(0.50),
+            p95_us: at(0.95),
+            p99_us: at(0.99),
+        }
     }
-    let idx = ((sorted.len() as f64 - 1.0) * p) as usize;
-    sorted[idx] as f64 / 1_000.0
 }
 
 /// Request kind of one planned slot: decides the retry policy (only
@@ -389,13 +330,6 @@ enum Verb {
     /// Compare-and-swap: never resent — a second attempt could win
     /// against a different version than the caller named.
     Cas,
-}
-
-impl Verb {
-    /// Whether a lost or shed request may safely go back on the wire.
-    fn idempotent(self) -> bool {
-        matches!(self, Verb::MGet | Verb::Delete)
-    }
 }
 
 /// Pre-encoded request stream for one connection.
@@ -443,6 +377,60 @@ impl ConnOutcome {
         self.failed += other.failed;
         self.sets_uncertain += other.sets_uncertain;
         self.cas_uncertain += other.cas_uncertain;
+    }
+
+    /// Turn the run's merged outcome into the client report.
+    fn into_report(
+        self,
+        connections: usize,
+        pipeline_depth: usize,
+        wall_secs: f64,
+    ) -> ClientReport {
+        let requests = self.latencies_ns.len() as u64;
+        let completed = requests + self.sets + self.deletes + self.cas_ok + self.cas_conflicts;
+        let mget = LatencySummary::from_ns(self.latencies_ns);
+        let delete = LatencySummary::from_ns(self.delete_lat_ns);
+        let cas = LatencySummary::from_ns(self.cas_lat_ns);
+        ClientReport {
+            connections,
+            pipeline_depth,
+            requests,
+            sets: self.sets,
+            keys: self.keys,
+            hits: self.hits,
+            misses: self.keys - self.hits,
+            mean_latency_us: mget.mean_us,
+            min_latency_us: mget.min_us,
+            p50_latency_us: mget.p50_us,
+            p95_latency_us: mget.p95_us,
+            p99_latency_us: mget.p99_us,
+            requests_per_sec: completed as f64 / wall_secs.max(1e-9),
+            keys_per_sec: self.keys as f64 / wall_secs.max(1e-9),
+            wall_secs,
+            retries: self.retries,
+            timeouts: self.timeouts,
+            shed: self.shed,
+            reconnects: self.reconnects,
+            failed: self.failed,
+            sets_uncertain: self.sets_uncertain,
+            deletes: self.deletes,
+            cas_ok: self.cas_ok,
+            cas_conflicts: self.cas_conflicts,
+            cas_uncertain: self.cas_uncertain,
+            delete_mean_latency_us: delete.mean_us,
+            delete_p99_latency_us: delete.p99_us,
+            cas_mean_latency_us: cas.mean_us,
+            cas_p99_latency_us: cas.p99_us,
+        }
+    }
+
+    /// One write the server answered: applied, or cleanly refused.
+    fn count_write(&mut self, applied: bool) {
+        if applied {
+            self.sets += 1;
+        } else {
+            self.failed += 1;
+        }
     }
 
     /// Per-verb uncertainty/abandonment for one in-flight or undeliverable
@@ -527,9 +515,7 @@ fn drive_connection(
             }
             if consecutive_failures > 0 {
                 outcome.reconnects += 1;
-                let d = policy.envelope(consecutive_failures - 1);
-                let u: f64 = rand::Rng::gen(&mut rng);
-                let jittered = d.mul_f64(1.0 - policy.jitter.clamp(0.0, 1.0) * u);
+                let jittered = policy.delay(consecutive_failures - 1, &mut rng);
                 if !jittered.is_zero() {
                     std::thread::sleep(jittered);
                 }
@@ -634,29 +620,15 @@ fn drive_connection(
                 outcome.hits += entries.iter().filter(|e| e.is_some()).count() as u64;
                 outcome.latencies_ns.push(lat);
             }
-            (Verb::Write, Response::Set { ok, .. }) => {
-                if ok {
-                    outcome.sets += 1;
-                } else {
-                    outcome.failed += 1;
-                }
-            }
+            (Verb::Write, Response::Set { ok, .. }) => outcome.count_write(ok),
             // A batched write counts as applied only when every pair
             // landed (partial success still stores state server-side,
             // but the driver's per-request bookkeeping is all-or-nothing).
             (Verb::Write, Response::SetMulti { ok, .. }) => {
-                if ok.iter().all(|&b| b) {
-                    outcome.sets += 1;
-                } else {
-                    outcome.failed += 1;
-                }
+                outcome.count_write(ok.iter().all(|&b| b));
             }
             (Verb::Write, Response::SetEx { status, .. }) => {
-                if status == OpStatus::Stored {
-                    outcome.sets += 1;
-                } else {
-                    outcome.failed += 1;
-                }
+                outcome.count_write(status == OpStatus::Stored);
             }
             // Deleted and NotFound both mean "the key is gone now" — a
             // retried delete whose first attempt landed answers NotFound.
@@ -692,7 +664,8 @@ fn drive_connection(
                     code,
                     ErrorCode::ServerBusy | ErrorCode::DeadlineExceeded
                 ));
-                if verb.idempotent() && attempts[idx] <= policy.max_retries {
+                let idempotent = matches!(verb, Verb::MGet | Verb::Delete);
+                if idempotent && attempts[idx] <= policy.max_retries {
                     pending.push_back(idx);
                 } else {
                     outcome.failed += 1;
@@ -749,6 +722,89 @@ fn preload_over_wire(
     Ok(outcome)
 }
 
+/// Pre-encode each connection's request stream (encode cost is not what
+/// we measure): `workload`'s requests dealt round-robin over
+/// `config.connections`, each slot a Multi-Get unless a seeded draw turns
+/// it into one of the write/delete/CAS kinds at `config`'s fractions.
+fn build_plans(workload: &KvWorkload, config: &NetMemslapConfig) -> Vec<ConnPlan> {
+    use rand::Rng;
+    let items = workload.items();
+    let mut rng = StdRng::seed_from_u64(0x3E7F);
+    // A sampled item's key with a fresh printable value of the same length.
+    let fresh_pair = |rng: &mut StdRng| -> (Bytes, Bytes) {
+        let (key, value) = &items[rng.gen_range(0..items.len())];
+        let fresh: Vec<u8> = value.iter().map(|_| rng.gen_range(b' '..=b'~')).collect();
+        (Bytes::copy_from_slice(key), Bytes::from(fresh))
+    };
+    let set_cut = config.set_fraction;
+    let multi_cut = set_cut + config.write_frac;
+    let delete_cut = multi_cut + config.delete_frac;
+    let cas_cut = delete_cut + config.cas_frac;
+    let ttl_secs = config.ttl_secs;
+    (0..config.connections)
+        .map(|c| {
+            let requests = (c..workload.requests().len())
+                .step_by(config.connections)
+                .map(|r| {
+                    let id = r as u64;
+                    let draw = rng.gen::<f64>();
+                    let (verb, request) = if draw < set_cut {
+                        let (key, value) = fresh_pair(&mut rng);
+                        let request = if ttl_secs > 0 {
+                            Request::SetEx {
+                                id,
+                                key,
+                                value,
+                                ttl_secs,
+                            }
+                        } else {
+                            Request::Set { id, key, value }
+                        };
+                        (Verb::Write, request)
+                    } else if draw < multi_cut {
+                        // A batched write: `mget_size` sampled items with
+                        // fresh values in one SetMulti frame.
+                        let pairs = (0..workload.requests()[r].len())
+                            .map(|_| fresh_pair(&mut rng))
+                            .collect();
+                        let request = if ttl_secs > 0 {
+                            Request::SetMultiEx {
+                                id,
+                                pairs,
+                                ttl_secs,
+                            }
+                        } else {
+                            Request::SetMulti { id, pairs }
+                        };
+                        (Verb::Write, request)
+                    } else if draw < delete_cut {
+                        let key = Bytes::copy_from_slice(&items[rng.gen_range(0..items.len())].0);
+                        (Verb::Delete, Request::Delete { id, key })
+                    } else if draw < cas_cut {
+                        let (key, value) = fresh_pair(&mut rng);
+                        let request = Request::Cas {
+                            id,
+                            key,
+                            expected_version: rng.gen_range(1..=3),
+                            value,
+                            ttl_secs,
+                        };
+                        (Verb::Cas, request)
+                    } else {
+                        let keys = workload.requests()[r]
+                            .iter()
+                            .map(|&i| Bytes::copy_from_slice(&items[i].0))
+                            .collect();
+                        (Verb::MGet, Request::MGet { id, keys })
+                    };
+                    (verb, id, request.encode())
+                })
+                .collect();
+            ConnPlan { requests }
+        })
+        .collect()
+}
+
 /// Run the networked memslap client against a server reachable through
 /// `transport`, replaying `workload`'s Multi-Get stream split across
 /// `config.connections` pipelined connections.
@@ -788,119 +844,13 @@ pub fn run_memslap_over(
         Some(f) => f,
         None => transport,
     };
-    let mut preload_outcome = ConnOutcome::default();
-    if config.preload {
-        preload_outcome =
-            preload_over_wire(transport, workload, config.pipeline_depth, &config.retry)?;
-    }
+    let mut total = if config.preload {
+        preload_over_wire(transport, workload, config.pipeline_depth, &config.retry)?
+    } else {
+        ConnOutcome::default()
+    };
 
-    // Pre-encode each connection's request stream (encode cost is not what
-    // we measure), interleaving Sets at `set_fraction` as in `run_memslap`.
-    use rand::{Rng, SeedableRng};
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0x3E7F);
-    let n_req = workload.requests().len();
-    let plans: Vec<ConnPlan> = (0..config.connections)
-        .map(|c| {
-            let requests = (c..n_req)
-                .step_by(config.connections)
-                .map(|r| {
-                    let draw = rng.gen::<f64>();
-                    let set_cut = config.set_fraction;
-                    let multi_cut = set_cut + config.write_frac;
-                    let delete_cut = multi_cut + config.delete_frac;
-                    let cas_cut = delete_cut + config.cas_frac;
-                    if draw < set_cut {
-                        let item = rng.gen_range(0..workload.items().len());
-                        let (key, value) = &workload.items()[item];
-                        let fresh: Vec<u8> = (0..value.len())
-                            .map(|_| rng.gen_range(b' '..=b'~'))
-                            .collect();
-                        let req = if config.ttl_secs > 0 {
-                            Request::SetEx {
-                                id: r as u64,
-                                key: Bytes::copy_from_slice(key),
-                                value: Bytes::from(fresh),
-                                ttl_secs: config.ttl_secs,
-                            }
-                        } else {
-                            Request::Set {
-                                id: r as u64,
-                                key: Bytes::copy_from_slice(key),
-                                value: Bytes::from(fresh),
-                            }
-                        };
-                        (Verb::Write, r as u64, req.encode())
-                    } else if draw < multi_cut {
-                        // A batched write: `mget_size` sampled items with
-                        // fresh values in one SetMulti frame.
-                        let pairs: Vec<(Bytes, Bytes)> = (0..workload.requests()[r].len())
-                            .map(|_| {
-                                let item = rng.gen_range(0..workload.items().len());
-                                let (key, value) = &workload.items()[item];
-                                let fresh: Vec<u8> = (0..value.len())
-                                    .map(|_| rng.gen_range(b' '..=b'~'))
-                                    .collect();
-                                (Bytes::copy_from_slice(key), Bytes::from(fresh))
-                            })
-                            .collect();
-                        let req = if config.ttl_secs > 0 {
-                            Request::SetMultiEx {
-                                id: r as u64,
-                                pairs,
-                                ttl_secs: config.ttl_secs,
-                            }
-                        } else {
-                            Request::SetMulti {
-                                id: r as u64,
-                                pairs,
-                            }
-                        };
-                        (Verb::Write, r as u64, req.encode())
-                    } else if draw < delete_cut {
-                        let item = rng.gen_range(0..workload.items().len());
-                        (
-                            Verb::Delete,
-                            r as u64,
-                            Request::Delete {
-                                id: r as u64,
-                                key: Bytes::copy_from_slice(&workload.items()[item].0),
-                            }
-                            .encode(),
-                        )
-                    } else if draw < cas_cut {
-                        let item = rng.gen_range(0..workload.items().len());
-                        let (key, value) = &workload.items()[item];
-                        let fresh: Vec<u8> = (0..value.len())
-                            .map(|_| rng.gen_range(b' '..=b'~'))
-                            .collect();
-                        (
-                            Verb::Cas,
-                            r as u64,
-                            Request::Cas {
-                                id: r as u64,
-                                key: Bytes::copy_from_slice(key),
-                                expected_version: rng.gen_range(1..=3),
-                                value: Bytes::from(fresh),
-                                ttl_secs: config.ttl_secs,
-                            }
-                            .encode(),
-                        )
-                    } else {
-                        let keys = workload.requests()[r]
-                            .iter()
-                            .map(|&i| Bytes::copy_from_slice(&workload.items()[i].0))
-                            .collect();
-                        (
-                            Verb::MGet,
-                            r as u64,
-                            Request::MGet { id: r as u64, keys }.encode(),
-                        )
-                    }
-                })
-                .collect();
-            ConnPlan { requests }
-        })
-        .collect();
+    let plans = build_plans(workload, config);
 
     let wall_start = Instant::now();
     let outcomes: Vec<ConnOutcome> = std::thread::scope(|s| {
@@ -921,53 +871,13 @@ pub fn run_memslap_over(
     });
     let wall_secs = wall_start.elapsed().as_secs_f64();
 
-    let mut total = preload_outcome;
     // Preload sets are setup, not workload: fold its resilience counters
     // in but keep its Sets out of the report's `sets`.
     total.sets = 0;
     for o in &outcomes {
         total.absorb(o);
     }
-    let mut sorted = total.latencies_ns;
-    sorted.sort_unstable();
-    let mut delete_sorted = total.delete_lat_ns;
-    delete_sorted.sort_unstable();
-    let mut cas_sorted = total.cas_lat_ns;
-    cas_sorted.sort_unstable();
-    let mean_us = |s: &[u64]| s.iter().sum::<u64>() as f64 / s.len().max(1) as f64 / 1_000.0;
-    let requests = sorted.len() as u64;
-    let completed = requests + total.sets + total.deletes + total.cas_ok + total.cas_conflicts;
-    Ok(ClientReport {
-        connections: config.connections,
-        pipeline_depth: config.pipeline_depth,
-        requests,
-        sets: total.sets,
-        keys: total.keys,
-        hits: total.hits,
-        misses: total.keys - total.hits,
-        mean_latency_us: mean_us(&sorted),
-        min_latency_us: sorted.first().map_or(0.0, |&n| n as f64 / 1_000.0),
-        p50_latency_us: percentile_us(&sorted, 0.50),
-        p95_latency_us: percentile_us(&sorted, 0.95),
-        p99_latency_us: percentile_us(&sorted, 0.99),
-        requests_per_sec: completed as f64 / wall_secs.max(1e-9),
-        keys_per_sec: total.keys as f64 / wall_secs.max(1e-9),
-        wall_secs,
-        retries: total.retries,
-        timeouts: total.timeouts,
-        shed: total.shed,
-        reconnects: total.reconnects,
-        failed: total.failed,
-        sets_uncertain: total.sets_uncertain,
-        deletes: total.deletes,
-        cas_ok: total.cas_ok,
-        cas_conflicts: total.cas_conflicts,
-        cas_uncertain: total.cas_uncertain,
-        delete_mean_latency_us: mean_us(&delete_sorted),
-        delete_p99_latency_us: percentile_us(&delete_sorted, 0.99),
-        cas_mean_latency_us: mean_us(&cas_sorted),
-        cas_p99_latency_us: percentile_us(&cas_sorted, 0.99),
-    })
+    Ok(total.into_report(config.connections, config.pipeline_depth, wall_secs))
 }
 
 /// Parameters for the multiplexed many-small-connections client
@@ -1008,22 +918,16 @@ struct MuxConn {
     decoder: crate::net::FrameDecoder,
     out: Vec<u8>,
     out_pos: usize,
-    /// FIFO of requests on the wire: `(id, keys, t0)`. Both server
-    /// modes answer each connection in request order, so responses
-    /// pair with the front (the echoed id is verified).
-    inflight: VecDeque<(u64, usize, Instant)>,
+    /// FIFO of requests on the wire: `(id, t0)`. Both server modes
+    /// answer each connection in request order, so responses pair with
+    /// the front (the echoed id is verified).
+    inflight: VecDeque<(u64, Instant)>,
     /// Next index into this connection's plan.
     next: usize,
     /// Whether the poller currently watches this socket for writability
     /// (only wanted while flushed bytes remain queued).
     write_interest: bool,
     dead: bool,
-}
-
-/// Pre-framed Multi-Get stream for one multiplexed connection.
-struct MuxPlan {
-    /// `(id, key count, length-prefixed request frame)`.
-    requests: Vec<(u64, usize, Vec<u8>)>,
 }
 
 /// Drive `config.connections` nonblocking connections from a single
@@ -1056,30 +960,15 @@ pub fn run_memslap_mux(
         preload_over_wire(&transport, workload, 32, &RetryPolicy::default())?;
     }
 
-    // Pre-frame each connection's request stream (encode cost is not
-    // what we measure): length prefix + sealed request, ready to copy
-    // into the socket buffer.
-    let n_req = workload.requests().len();
-    let plans: Vec<MuxPlan> = (0..config.connections)
-        .map(|c| {
-            let requests = (c..n_req)
-                .step_by(config.connections)
-                .map(|r| {
-                    let keys: Vec<Bytes> = workload.requests()[r]
-                        .iter()
-                        .map(|&i| Bytes::copy_from_slice(&workload.items()[i].0))
-                        .collect();
-                    let n_keys = keys.len();
-                    let payload = Request::MGet { id: r as u64, keys }.encode();
-                    let mut framed = Vec::with_capacity(4 + payload.len());
-                    framed.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                    framed.extend_from_slice(&payload);
-                    (r as u64, n_keys, framed)
-                })
-                .collect();
-            MuxPlan { requests }
-        })
-        .collect();
+    // The threaded client's plans at its default mix: every slot a
+    // Multi-Get.
+    let plans = build_plans(
+        workload,
+        &NetMemslapConfig {
+            connections: config.connections,
+            ..NetMemslapConfig::default()
+        },
+    );
 
     // Open every connection up front (untimed setup), then switch to
     // nonblocking and register with the poller.
@@ -1177,13 +1066,13 @@ pub fn run_memslap_mux(
                 }
             }
             for frame in frames {
-                let Some((id, n_keys, t0)) = conn.inflight.pop_front() else {
+                let Some((id, t0)) = conn.inflight.pop_front() else {
                     failed_conn = true; // response nobody asked for
                     break;
                 };
                 match Response::decode(frame) {
                     Ok(Response::MGet { id: got, entries }) if got == id => {
-                        total.keys += n_keys as u64;
+                        total.keys += entries.len() as u64;
                         total.hits += entries.iter().filter(|e| e.is_some()).count() as u64;
                         total.latencies_ns.push(t0.elapsed().as_nanos() as u64);
                         last_progress = Instant::now();
@@ -1221,49 +1110,18 @@ pub fn run_memslap_mux(
     }
     let wall_secs = wall_start.elapsed().as_secs_f64();
 
-    let mut sorted = total.latencies_ns;
-    sorted.sort_unstable();
-    let requests = sorted.len() as u64;
-    Ok(ClientReport {
-        connections: config.connections,
-        pipeline_depth: config.pipeline_depth,
-        requests,
-        sets: 0,
-        keys: total.keys,
-        hits: total.hits,
-        misses: total.keys - total.hits,
-        mean_latency_us: sorted.iter().sum::<u64>() as f64 / sorted.len().max(1) as f64 / 1_000.0,
-        min_latency_us: sorted.first().map_or(0.0, |&n| n as f64 / 1_000.0),
-        p50_latency_us: percentile_us(&sorted, 0.50),
-        p95_latency_us: percentile_us(&sorted, 0.95),
-        p99_latency_us: percentile_us(&sorted, 0.99),
-        requests_per_sec: requests as f64 / wall_secs.max(1e-9),
-        keys_per_sec: total.keys as f64 / wall_secs.max(1e-9),
-        wall_secs,
-        retries: 0,
-        timeouts: 0,
-        shed: total.shed,
-        reconnects: 0,
-        failed: total.failed,
-        sets_uncertain: 0,
-        deletes: 0,
-        cas_ok: 0,
-        cas_conflicts: 0,
-        cas_uncertain: 0,
-        delete_mean_latency_us: 0.0,
-        delete_p99_latency_us: 0.0,
-        cas_mean_latency_us: 0.0,
-        cas_p99_latency_us: 0.0,
-    })
+    Ok(total.into_report(config.connections, config.pipeline_depth, wall_secs))
 }
 
 /// Queue plan entries into the connection's output until the pipeline
 /// window is full or the plan is exhausted.
-fn mux_top_up(conn: &mut MuxConn, plan: &MuxPlan, depth: usize) {
+fn mux_top_up(conn: &mut MuxConn, plan: &ConnPlan, depth: usize) {
     while conn.inflight.len() < depth && conn.next < plan.requests.len() {
-        let (id, n_keys, framed) = &plan.requests[conn.next];
-        conn.out.extend_from_slice(framed);
-        conn.inflight.push_back((*id, *n_keys, Instant::now()));
+        let (_, id, frame) = &plan.requests[conn.next];
+        conn.out
+            .extend_from_slice(&(frame.len() as u32).to_le_bytes());
+        conn.out.extend_from_slice(frame);
+        conn.inflight.push_back((*id, Instant::now()));
         conn.next += 1;
     }
 }
@@ -1312,7 +1170,7 @@ fn mux_flush(conn: &mut MuxConn) -> io::Result<()> {
 /// Abandon a connection mid-run: everything unanswered counts failed.
 fn mux_kill(
     conn: &mut MuxConn,
-    plan: &MuxPlan,
+    plan: &ConnPlan,
     total: &mut ConnOutcome,
     open: &mut usize,
     poller: &mut crate::reactor::poller::Poller,
@@ -1335,6 +1193,7 @@ fn mux_close(conn: &mut MuxConn, open: &mut usize, poller: &mut crate::reactor::
 mod tests {
     use super::*;
     use crate::index::{Memc3Index, SimdIndex, SimdIndexKind};
+    use crate::store::StoreConfig;
     use simdht_workload::KvWorkloadSpec;
 
     fn small_workload() -> KvWorkload {
@@ -1350,29 +1209,40 @@ mod tests {
     fn memslap_memc3_end_to_end() {
         let wl = small_workload();
         let cfg = MemslapConfig::default();
-        let store = KvStore::new(Box::new(Memc3Index::with_capacity(1000)), cfg.store);
+        let store = KvStore::new(
+            Box::new(Memc3Index::with_capacity(1000)),
+            StoreConfig::default(),
+        );
         let report = run_memslap(store, &wl, &cfg);
         assert_eq!(report.requests, 100);
         assert_eq!(report.keys, 1600);
         // All requested keys exist (hit rate 100 % in this workload).
         assert_eq!(report.found, 1600, "{report:?}");
-        assert!(report.mean_latency_us > 3.0, "wire model not charged?");
-        assert!(report.p99_latency_us >= report.p50_latency_us);
+        // Every EDR-fabric latency includes >= 2 x 1.5 us of modeled wire
+        // time, so the *minimum* is deterministically bounded (means would
+        // be noise-dominated on a loaded machine).
+        assert!(
+            report.client.min_latency_us >= 3.0,
+            "wire model missing from latency: {:?}",
+            report.client
+        );
+        assert!(report.client.p99_latency_us >= report.client.p50_latency_us);
         assert!(report.server_keys_per_sec > 0.0);
         assert!(report.phases.total() > 0);
+        // The clients saw exactly what the server counted.
+        let c = &report.client;
+        assert_eq!((c.requests, c.keys, c.hits), (100, 1600, 1600), "{c:?}");
     }
 
     #[test]
     fn memslap_reports_shard_balance() {
         let wl = small_workload();
-        let cfg = MemslapConfig {
-            store: StoreConfig {
-                shards: 4,
-                ..StoreConfig::default()
-            },
-            ..MemslapConfig::default()
+        let cfg = MemslapConfig::default();
+        let sharded = StoreConfig {
+            shards: 4,
+            ..StoreConfig::default()
         };
-        let store = KvStore::with_shards(cfg.store, |cap| {
+        let store = KvStore::with_shards(sharded, |cap| {
             crate::index::by_short_name("hor", cap).expect("known index")
         });
         let report = run_memslap(store, &wl, &cfg);
@@ -1394,10 +1264,13 @@ mod tests {
                 set_fraction: 0.3,
                 ..MemslapConfig::default()
             };
-            let store = KvStore::new(Box::new(SimdIndex::with_capacity(kind, 1000)), cfg.store);
+            let store = KvStore::new(
+                Box::new(SimdIndex::with_capacity(kind, 1000)),
+                StoreConfig::default(),
+            );
             let report = run_memslap(store, &wl, &cfg);
-            assert!(report.sets > 10, "{kind:?}: {} sets", report.sets);
-            assert_eq!(report.requests + report.sets, 100, "{kind:?}");
+            assert!(report.client.sets > 10, "{kind:?}: {:?}", report.client);
+            assert_eq!(report.requests + report.client.sets, 100, "{kind:?}");
             // Sets only replace values of existing keys: every Multi-Get
             // key must still be found.
             assert_eq!(report.found, report.keys, "{kind:?}");
@@ -1409,7 +1282,10 @@ mod tests {
         let wl = small_workload();
         for kind in [SimdIndexKind::HorizontalBcht, SimdIndexKind::VerticalNway] {
             let cfg = MemslapConfig::default();
-            let store = KvStore::new(Box::new(SimdIndex::with_capacity(kind, 1000)), cfg.store);
+            let store = KvStore::new(
+                Box::new(SimdIndex::with_capacity(kind, 1000)),
+                StoreConfig::default(),
+            );
             let report = run_memslap(store, &wl, &cfg);
             assert_eq!(report.found, report.keys, "{kind:?}");
         }
@@ -1607,25 +1483,20 @@ mod tests {
     }
 
     #[test]
-    fn wire_model_floors_latency() {
-        // Every EDR-fabric latency includes >= 2 x 1.5 us of modeled wire
-        // time, so the *minimum* observed latency is deterministically
-        // bounded (cross-run mean comparisons would be noise-dominated on a
-        // loaded single-core machine).
-        let wl = small_workload();
-        let edr = run_memslap(
-            KvStore::new(
-                Box::new(Memc3Index::with_capacity(1000)),
-                StoreConfig::default(),
-            ),
-            &wl,
-            &MemslapConfig::default(),
-        );
-        assert!(
-            edr.min_latency_us >= 3.0,
-            "wire model missing from latency: min {} us",
-            edr.min_latency_us
-        );
-        let _ = FabricConfig::zero(); // exercised in transport tests
+    fn latency_summary_keeps_the_floor_index_rule() {
+        // (mean, min, p50, p95, p99) in us. Percentile p is the sorted
+        // sample at floor((n - 1) * p) — the rule every report used before
+        // it had one home — and an empty series reports zeros, not NaN.
+        let summary = |ns: Vec<u64>| {
+            let l = LatencySummary::from_ns(ns);
+            (l.mean_us, l.min_us, l.p50_us, l.p95_us, l.p99_us)
+        };
+        assert_eq!(summary(Vec::new()), (0.0, 0.0, 0.0, 0.0, 0.0));
+        assert_eq!(summary(vec![7_000]), (7.0, 7.0, 7.0, 7.0, 7.0));
+        // Two samples: every index floors to 0, the minimum.
+        assert_eq!(summary(vec![3_000, 1_000]), (2.0, 1.0, 1.0, 1.0, 1.0));
+        // 0..=100 us, fed in descending order.
+        let descending = (0..=100u64).rev().map(|us| us * 1_000).collect();
+        assert_eq!(summary(descending), (50.0, 0.0, 50.0, 95.0, 99.0));
     }
 }

@@ -1212,8 +1212,9 @@ impl KvStore {
 
     /// Change the Multi-Get prefetch look-ahead at runtime. Purely a
     /// performance knob — results are bit-identical for every `depth`
-    /// (proved by `tests/mget_differential.rs`); the `kvs-prefetch-sweep`
-    /// experiment uses this to sweep `G` over one populated store.
+    /// (proved by `tests/mget_differential.rs`, which uses this to compare
+    /// every `G` against `G = 0` over one populated store); what the
+    /// pipeline costs is the benchmark ledger's `store.lookup_ns_per_key`.
     pub fn set_prefetch_depth(&self, depth: usize) {
         self.prefetch_depth.store(depth, Ordering::Relaxed);
     }

@@ -46,14 +46,14 @@ fn main() {
         clients: 2,
         server_workers: 2,
         fabric: FabricConfig::ib_edr(),
-        store: StoreConfig {
-            memory_budget: 64 << 20,
-            capacity_items: ITEMS * 2,
-            shards: 1,
-            prefetch_depth: None,
-            ..StoreConfig::default()
-        },
         ..MemslapConfig::default()
+    };
+    let store_config = StoreConfig {
+        memory_budget: 64 << 20,
+        capacity_items: ITEMS * 2,
+        shards: 1,
+        prefetch_depth: None,
+        ..StoreConfig::default()
     };
 
     println!(
@@ -64,7 +64,7 @@ fn main() {
 
     let mut baseline = None;
     for which in ["MemC3", "Hor-SIMD", "Ver-SIMD"] {
-        let store = KvStore::new(index(which), config.store);
+        let store = KvStore::new(index(which), store_config);
         let report = run_memslap(store, &workload, &config);
         let thr = report.server_keys_per_sec / 1e6;
         let vs = baseline
@@ -80,10 +80,10 @@ fn main() {
              \x20 e2e Multi-Get latency : mean {:>7.1} us, p50 {:>7.1}, p95 {:>7.1}, p99 {:>7.1}\n\
              \x20 server phases         : pre {:>4.1}% | HT lookup {:>4.1}% | post {:>4.1}%\n\
              \x20 hits                  : {}/{}",
-            report.mean_latency_us,
-            report.p50_latency_us,
-            report.p95_latency_us,
-            report.p99_latency_us,
+            report.client.mean_latency_us,
+            report.client.p50_latency_us,
+            report.client.p95_latency_us,
+            report.client.p99_latency_us,
             report.phases.pre as f64 / total * 100.0,
             report.phases.lookup as f64 / total * 100.0,
             report.phases.post as f64 / total * 100.0,

@@ -94,32 +94,59 @@ fn memslap_full_pipeline_all_backends() {
     let config = MemslapConfig {
         clients: 2,
         server_workers: 2,
-        store: StoreConfig {
-            memory_budget: 16 << 20,
-            capacity_items: 5000,
-            shards: 1,
-            prefetch_depth: None,
-            ..StoreConfig::default()
-        },
         ..MemslapConfig::default()
+    };
+    let store_config = StoreConfig {
+        memory_budget: 16 << 20,
+        capacity_items: 5000,
+        shards: 1,
+        prefetch_depth: None,
+        ..StoreConfig::default()
     };
     for idx in indexes(5000) {
         let name = idx.name();
-        let store = KvStore::new(idx, config.store);
+        let store = KvStore::new(idx, store_config);
         let report = run_memslap(store, &wl, &config);
         assert_eq!(report.requests, 150, "{name}");
         assert_eq!(report.keys, 150 * 16, "{name}");
         assert_eq!(report.found, report.keys, "{name}: preloaded keys must hit");
         assert!(report.server_keys_per_sec > 0.0, "{name}");
-        assert!(report.p99_latency_us >= report.p50_latency_us, "{name}");
+        assert!(
+            report.client.p99_latency_us >= report.client.p50_latency_us,
+            "{name}"
+        );
         // The wire model floors every latency at ~2 x 1.5 us.
-        assert!(report.min_latency_us >= 3.0, "{name}");
+        assert!(report.client.min_latency_us >= 3.0, "{name}");
         let phases = report.phases;
         assert!(
             phases.pre > 0 && phases.lookup > 0 && phases.post > 0,
             "{name}"
         );
     }
+}
+
+#[test]
+fn memslap_with_more_clients_than_requests() {
+    // Five of the eight clients are dealt an empty plan and never connect;
+    // the other three carry one request each.
+    let wl = KvWorkload::generate(&KvWorkloadSpec {
+        n_items: 200,
+        n_requests: 3,
+        mget_size: 8,
+        ..KvWorkloadSpec::default()
+    });
+    let config = MemslapConfig {
+        clients: 8,
+        ..MemslapConfig::default()
+    };
+    let store = KvStore::new(
+        Box::new(Memc3Index::with_capacity(500)),
+        StoreConfig::default(),
+    );
+    let report = run_memslap(store, &wl, &config);
+    assert_eq!((report.requests, report.keys, report.found), (3, 24, 24));
+    assert_eq!(report.client.requests, 3);
+    assert_eq!(report.client.failed, 0);
 }
 
 #[test]

@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use simdht::kvs::index;
 use simdht::kvs::kvsd::Kvsd;
-use simdht::kvs::memslap::{run_memslap_over, NetMemslapConfig};
+use simdht::kvs::memslap::{run_memslap_mux, run_memslap_over, MuxMemslapConfig, NetMemslapConfig};
 use simdht::kvs::net::{TcpConn, TcpTransport};
 use simdht::kvs::protocol::{Request, Response};
 use simdht::kvs::store::{KvStore, StoreConfig};
@@ -188,4 +188,82 @@ fn concurrent_clients_share_one_daemon() {
     });
     drop(seed_conn);
     kvsd.shutdown();
+}
+
+#[test]
+fn mux_and_threaded_clients_agree_against_one_kvsd() {
+    // Same read-only workload, same daemon, two drivers: the counts a
+    // client can observe must not depend on which loop drove it.
+    let workload = KvWorkload::generate(&KvWorkloadSpec {
+        n_items: 500,
+        n_requests: 100,
+        mget_size: 16,
+        ..KvWorkloadSpec::default()
+    });
+    let kvsd = spawn_kvsd("memc3", 2000);
+    let transport = TcpTransport::new(kvsd.local_addr()).unwrap();
+    let threaded = run_memslap_over(
+        &transport,
+        &workload,
+        &NetMemslapConfig {
+            connections: 4,
+            pipeline_depth: 2,
+            ..NetMemslapConfig::default()
+        },
+    )
+    .unwrap();
+    let mux = run_memslap_mux(
+        kvsd.local_addr(),
+        &workload,
+        &MuxMemslapConfig {
+            connections: 4,
+            pipeline_depth: 2,
+            preload: false,
+            ..MuxMemslapConfig::default()
+        },
+    )
+    .unwrap();
+    let stats = kvsd.stats();
+    kvsd.shutdown();
+    assert_eq!(
+        (threaded.requests, threaded.keys, threaded.hits),
+        (100, 1600, 1600)
+    );
+    assert_eq!(
+        (mux.requests, mux.keys, mux.hits),
+        (threaded.requests, threaded.keys, threaded.hits)
+    );
+    assert_eq!((mux.failed, threaded.failed), (0, 0));
+    // One daemon served both streams, each exactly once.
+    use std::sync::atomic::Ordering::Relaxed;
+    assert_eq!(stats.requests.load(Relaxed), 200);
+    assert_eq!(stats.found.load(Relaxed), 3200);
+}
+
+#[test]
+fn long_lived_connection_survives_connection_churn() {
+    // The accept loop joins finished handler threads as new connections
+    // arrive; one that is still open must keep being served throughout.
+    let kvsd = spawn_kvsd("memc3", 1000);
+    let addr = kvsd.local_addr();
+    let ping = |conn: &mut TcpConn, id: u64| {
+        let keys = vec![Bytes::from_static(b"absent")];
+        conn.send(Request::MGet { id, keys }.encode()).unwrap();
+        match Response::decode(conn.recv().unwrap().0).unwrap() {
+            Response::MGet { id: got, entries } => assert_eq!((got, entries), (id, vec![None])),
+            other => panic!("unexpected {other:?}"),
+        }
+    };
+    let mut resident = TcpConn::connect(addr).unwrap();
+    for i in 0..64u64 {
+        let mut visitor = TcpConn::connect(addr).unwrap();
+        ping(&mut visitor, i);
+        drop(visitor);
+        ping(&mut resident, 1000 + i);
+    }
+    drop(resident);
+    let summaries = kvsd.shutdown();
+    assert_eq!(summaries.len(), 65);
+    assert_eq!(summaries.iter().map(|s| s.requests).max(), Some(64));
+    assert_eq!(summaries.iter().map(|s| s.requests).sum::<u64>(), 128);
 }
