@@ -65,10 +65,19 @@ impl Clock {
     /// no-op (their bitmap word may not exist yet); ids whose entry is
     /// concurrently dying may leave a stale bit, which `admit` overwrites
     /// on recycle.
+    ///
+    /// Test before set: `admit` leaves the bit set and only an eviction
+    /// sweep clears it, so on a read-mostly store nearly every touch finds
+    /// it set already — and a load keeps the bitmap line Shared among
+    /// reader threads where an unconditional `lock or` would pull it
+    /// Exclusive on every hit. A sweep clearing the bit between the load and
+    /// the skipped write loses one reference, which is the hint's licence.
     pub fn touch(&self, item: u32) {
         let (word, bit) = bit_of(item);
         if let Some(w) = self.referenced.get(word) {
-            w.fetch_or(bit, Ordering::Relaxed);
+            if w.load(Ordering::Relaxed) & bit == 0 {
+                w.fetch_or(bit, Ordering::Relaxed);
+            }
         }
     }
 
@@ -182,6 +191,29 @@ mod tests {
         // 2 is unreferenced now, 1 was touched.
         assert_eq!(clock.evict(), Some(2));
         assert_eq!(clock.len(), 1);
+    }
+
+    #[test]
+    fn touch_sets_a_cleared_bit_and_leaves_a_set_one() {
+        let mut clock = Clock::new();
+        for i in 0..3 {
+            clock.admit(i);
+        }
+        let bits = |c: &Clock| c.referenced.get(0).unwrap().load(Ordering::Relaxed);
+        // Fresh admits are referenced; touching them changes nothing.
+        assert_eq!(bits(&clock), 0b111);
+        clock.touch(1);
+        assert_eq!(bits(&clock), 0b111);
+        // One eviction sweeps every bit clear on its way to victim 0 ...
+        assert_eq!(clock.evict(), Some(0));
+        assert_eq!(bits(&clock), 0);
+        // ... and the next touch sets its bit again, so 1 survives exactly
+        // one pass: the hand clears it, takes 2, and takes 1 after that.
+        clock.touch(1);
+        assert_eq!(bits(&clock), 0b010);
+        assert_eq!(clock.evict(), Some(2));
+        assert_eq!(bits(&clock), 0);
+        assert_eq!(clock.evict(), Some(1));
     }
 
     #[test]

@@ -26,7 +26,10 @@
 //! ABA would need 32 768 register/unregister pairs inside one reader's
 //! copy window. Rows live in a segmented array ([`AtomicSegArray`]) whose
 //! element addresses never move, so a reader's row pointer stays valid
-//! across concurrent table growth.
+//! across concurrent table growth. An id's **expiry word** sits in the slot
+//! right after its row word — one 16-byte-aligned pair, one cache line — so
+//! the line a Multi-Get prefetches for the row also carries the expiry its
+//! hit check reads next (DESIGN.md §9).
 
 use crate::seqlock::AtomicSegArray;
 use crate::slab::{SlabAllocator, SlabError, SlabRef};
@@ -129,21 +132,23 @@ pub fn read_item_racy(slab: &SlabAllocator, r: SlabRef, buf: &mut Vec<u8>) -> bo
 /// The shared object-pointer array: item id (32-bit, what the hash index
 /// stores as its payload) → versioned slab chunk reference.
 ///
-/// Beside the row words live two parallel metadata words per id — the
-/// key's **mutation version** and its **expiry second** (0 = no expiry)
-/// — in the same stable segmented storage. They are written *before* the
-/// row word's Release publish, so an optimistic reader that re-validates
-/// the row word after reading them has also proven the metadata belonged
-/// to exactly that item (the id cannot have been recycled without the
-/// word changing).
+/// Each id also has two metadata words — the key's **expiry second**
+/// (0 = no expiry), paired with the row word, and its **mutation version**,
+/// in a parallel array — in the same stable segmented storage. They are
+/// written *before* the row word's Release publish, so an optimistic reader
+/// that re-validates the row word after reading them has also proven the
+/// metadata belonged to exactly that item (the id cannot have been recycled
+/// without the word changing).
 #[derive(Debug, Default)]
 pub struct ItemTable {
+    /// Slot `2 * id` is the row word, slot `2 * id + 1` the expiry in coarse
+    /// store seconds (0 = never expires). [`AtomicSegArray`] keeps such a
+    /// pair inside one cache line, and every hit reads both of its words.
     rows: AtomicSegArray,
     /// Per-id mutation version (DESIGN.md §13). Stable addresses; racy
-    /// reads are validated by the row word.
+    /// reads are validated by the row word. Apart from the pair: no
+    /// batched read touches it (`get_v`, `cas` and replacing writes do).
     versions: AtomicSegArray,
-    /// Per-id expiry in coarse store seconds; 0 = never expires.
-    expiries: AtomicSegArray,
     free: Vec<u32>,
     next: u32,
     live: usize,
@@ -159,6 +164,18 @@ pub fn decode_row(word: u64) -> Option<SlabRef> {
         ((word >> CLASS_SHIFT) & 0xFFFF) as u16,
         word as u32,
     ))
+}
+
+/// Slot of `id`'s row word in [`ItemTable::rows`].
+#[inline(always)]
+fn row_slot(id: u32) -> usize {
+    2 * id as usize
+}
+
+/// Slot of `id`'s expiry word: the other half of the row's pair.
+#[inline(always)]
+fn expiry_slot(id: u32) -> usize {
+    row_slot(id) + 1
 }
 
 impl ItemTable {
@@ -203,10 +220,10 @@ impl ItemTable {
         self.versions
             .get_or_alloc(id as usize)
             .store(version, Ordering::Relaxed);
-        self.expiries
-            .get_or_alloc(id as usize)
+        self.rows
+            .get_or_alloc(expiry_slot(id))
             .store(expires_at, Ordering::Relaxed);
-        let row = self.rows.get_or_alloc(id as usize);
+        let row = self.rows.get_or_alloc(row_slot(id));
         // Keep the generation left behind by the last unregister (zero for
         // a brand-new row).
         let gen = (row.load(Ordering::Relaxed) >> GEN_SHIFT) & GEN_MASK;
@@ -234,8 +251,8 @@ impl ItemTable {
     /// same validity rules as [`ItemTable::version`]).
     #[inline(always)]
     pub fn expires_at(&self, id: u32) -> u64 {
-        self.expiries
-            .get(id as usize)
+        self.rows
+            .get(expiry_slot(id))
             .map_or(0, |w| w.load(Ordering::Relaxed))
     }
 
@@ -245,14 +262,14 @@ impl ItemTable {
     /// linearizable orderings of the racing touch and read.
     #[inline]
     pub fn set_expires_at(&self, id: u32, expires_at: u64) {
-        if let Some(w) = self.expiries.get(id as usize) {
+        if let Some(w) = self.rows.get(expiry_slot(id)) {
             w.store(expires_at, Ordering::Relaxed);
         }
     }
 
     /// Resolve an item id to its chunk, if live.
     pub fn get(&self, id: u32) -> Option<SlabRef> {
-        decode_row(self.rows.get(id as usize)?.load(Ordering::Acquire))
+        decode_row(self.rows.get(row_slot(id))?.load(Ordering::Acquire))
     }
 
     /// Raw Acquire load of a row word for the optimistic read protocol.
@@ -260,7 +277,7 @@ impl ItemTable {
     #[inline(always)]
     pub fn load_row(&self, id: u32) -> u64 {
         self.rows
-            .get(id as usize)
+            .get(row_slot(id))
             .map_or(0, |row| row.load(Ordering::Acquire))
     }
 
@@ -273,17 +290,18 @@ impl ItemTable {
     pub fn revalidate(&self, id: u32, word: u64) -> bool {
         fence(Ordering::Acquire);
         self.rows
-            .get(id as usize)
+            .get(row_slot(id))
             .is_some_and(|row| row.load(Ordering::Relaxed) == word)
     }
 
-    /// Request `id`'s row cache line ahead of a future
-    /// [`ItemTable::get`]. Stage 1 of the store's group-prefetched
+    /// Request `id`'s row cache line — which is also its expiry word's —
+    /// ahead of a future [`ItemTable::load_row`] and
+    /// [`ItemTable::expires_at`]. Stage 1 of the store's group-prefetched
     /// Multi-Get verification (DESIGN.md §9); out-of-range ids (including
     /// [`NO_ITEM`]) are ignored.
     #[inline(always)]
     pub fn prefetch(&self, id: u32) {
-        if let Some(row) = self.rows.get(id as usize) {
+        if let Some(row) = self.rows.get(row_slot(id)) {
             simdht_simd::prefetch_read(row);
         }
     }
@@ -294,7 +312,7 @@ impl ItemTable {
     /// generation, invalidating any optimistic reader still copying the
     /// old chunk.
     pub fn unregister(&mut self, id: u32) -> Option<SlabRef> {
-        let row = self.rows.get(id as usize)?;
+        let row = self.rows.get(row_slot(id))?;
         let word = row.load(Ordering::Relaxed);
         let r = decode_row(word)?;
         let gen = ((word >> GEN_SHIFT) + 1) & GEN_MASK;
@@ -329,6 +347,7 @@ impl ItemTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slab::LINE_BYTES;
 
     #[test]
     fn item_roundtrip() {
@@ -336,6 +355,20 @@ mod tests {
         let r = write_item(&mut slab, b"some-key", b"some-value-bytes").unwrap();
         assert_eq!(item_key(slab.chunk(r)), b"some-key");
         assert_eq!(item_value(slab.chunk(r)), b"some-value-bytes");
+    }
+
+    #[test]
+    fn benchmark_sized_item_is_one_cache_line() {
+        // 6 B header + 20 B key + 32 B value = 58 B, the item of three of
+        // the four benchmark workloads: it lands in the 64-byte class, and
+        // line-aligned pages keep all of it in the line `prefetch` asks for.
+        let mut slab = SlabAllocator::new(2 << 20);
+        for _ in 0..20_000 {
+            let r = write_item(&mut slab, &[b'k'; 20], &[b'v'; 32]).unwrap();
+            let first = slab.chunk(r).as_ptr() as usize;
+            let last = first + HEADER_BYTES + 20 + 32 - 1;
+            assert_eq!(first / LINE_BYTES, last / LINE_BYTES);
+        }
     }
 
     #[test]
@@ -476,6 +509,23 @@ mod tests {
         let table = ItemTable::new();
         assert_eq!(table.load_row(12345), 0);
         assert!(decode_row(table.load_row(NO_ITEM - 1)).is_none());
+        assert_eq!(table.expires_at(NO_ITEM - 1), 0);
         assert!(!table.revalidate(0, LIVE_BIT));
+    }
+
+    #[test]
+    fn row_and_expiry_share_a_cache_line() {
+        // What lets one stage-1 prefetch serve both `load_row` and
+        // `expires_at`: ids on both sides of the first segment boundaries
+        // (two slots per id puts them at 2048 and 6144) and far out.
+        let table = ItemTable::new();
+        for id in [0u32, 1, 2047, 2048, 4095, 4096, 6143, 6144, 1 << 20] {
+            let row = table.rows.get_or_alloc(row_slot(id)) as *const _ as usize;
+            let expiry = table.rows.get_or_alloc(expiry_slot(id)) as *const _ as usize;
+            assert_eq!(row / LINE_BYTES, expiry / LINE_BYTES, "id {id}");
+            assert_ne!(row, expiry, "id {id}");
+        }
+        // Neighbouring ids never share a word.
+        assert_eq!(expiry_slot(7) + 1, row_slot(8));
     }
 }

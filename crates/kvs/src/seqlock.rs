@@ -14,7 +14,10 @@
 //!   address until drop. That stability is what makes it legal for
 //!   lock-free readers to hold references across a writer's growth — a
 //!   `Vec` reallocation would leave them dangling, which no amount of
-//!   version re-checking can undo.
+//!   version re-checking can undo. Every segment starts on a 16-byte
+//!   boundary, so slots `2i` and `2i + 1` always share one cache line —
+//!   [`crate::item::ItemTable`] keeps an id's row word and expiry word in
+//!   such a pair so one prefetch carries both.
 //!
 //! # Memory ordering
 //!
@@ -114,13 +117,22 @@ impl Drop for SeqWriteGuard<'_> {
     }
 }
 
-/// Slots in segment 0; segment `k` holds `BASE << k` slots, so ~21
-/// segments cover the full `u32` id space while small tables stay small.
+/// Slots in segment 0; segment `k` holds `BASE << k` slots, so ~22
+/// segments cover two slots per `u32` id while small tables stay small.
 const SEG_BASE_LOG2: u32 = 12;
 const SEG_BASE: usize = 1 << SEG_BASE_LOG2;
-/// `id + SEG_BASE` for the largest id (`u32::MAX - 1`) is < 2^33, so its
-/// segment index is at most `32 - SEG_BASE_LOG2 = 20`.
-const SEGMENTS: usize = (33 - SEG_BASE_LOG2) as usize;
+/// The largest slot in use is the second of the largest id's pair,
+/// `2 * (u32::MAX - 1) + 1`; adding `SEG_BASE` keeps it < 2^34, so its
+/// segment index is at most `33 - SEG_BASE_LOG2 = 21`.
+const SEGMENTS: usize = (34 - SEG_BASE_LOG2) as usize;
+
+/// What a segment is allocated as: two slots on a 16-byte boundary. Every
+/// segment starts at an even index and holds an even number of slots, so
+/// the pair `(2i, 2i + 1)` is always one `SlotPair` and never straddles a
+/// cache line. 16 is the platform allocator's natural alignment, so this
+/// states the guarantee without leaving the plain `malloc` path.
+#[repr(C, align(16))]
+struct SlotPair([AtomicU64; 2]);
 
 /// A grow-only array of `AtomicU64` with stable element addresses.
 ///
@@ -129,7 +141,8 @@ const SEGMENTS: usize = (33 - SEG_BASE_LOG2) as usize;
 /// log2(BASE))`. Segments are allocated zeroed on first touch by a writer
 /// and published through an `AtomicPtr`; readers that race the publication
 /// simply see "absent" ([`AtomicSegArray::get`] returns `None`), which
-/// callers treat as a zero/dead slot.
+/// callers treat as a zero/dead slot. Slots `2i` and `2i + 1` share a
+/// 16-byte-aligned pair, hence a cache line.
 pub struct AtomicSegArray {
     segments: [AtomicPtr<AtomicU64>; SEGMENTS],
 }
@@ -160,6 +173,22 @@ fn locate(i: usize) -> (usize, usize) {
 
 const fn seg_len(k: usize) -> usize {
     SEG_BASE << k
+}
+
+/// A zeroed segment `k` as a raw slot pointer ([`free_segment`] undoes it).
+fn alloc_segment(k: usize) -> *mut AtomicU64 {
+    let pairs: Box<[SlotPair]> = (0..seg_len(k) / 2)
+        .map(|_| SlotPair([AtomicU64::new(0), AtomicU64::new(0)]))
+        .collect();
+    Box::into_raw(pairs) as *mut AtomicU64
+}
+
+/// # Safety
+///
+/// `seg` must come from `alloc_segment(k)` and have no other owner.
+unsafe fn free_segment(seg: *mut AtomicU64, k: usize) {
+    let pairs = std::ptr::slice_from_raw_parts_mut(seg as *mut SlotPair, seg_len(k) / 2);
+    drop(Box::from_raw(pairs));
 }
 
 impl AtomicSegArray {
@@ -195,8 +224,7 @@ impl AtomicSegArray {
         let slot = &self.segments[k];
         let mut seg = slot.load(Ordering::Acquire);
         if seg.is_null() {
-            let fresh: Box<[AtomicU64]> = (0..seg_len(k)).map(|_| AtomicU64::new(0)).collect();
-            let fresh = Box::into_raw(fresh) as *mut AtomicU64;
+            let fresh = alloc_segment(k);
             match slot.compare_exchange(
                 std::ptr::null_mut(),
                 fresh,
@@ -205,11 +233,9 @@ impl AtomicSegArray {
             ) {
                 Ok(_) => seg = fresh,
                 Err(winner) => {
-                    // SAFETY: `fresh` was just leaked above and lost the
-                    // race, so this is the only pointer to it.
-                    drop(unsafe {
-                        Box::from_raw(std::ptr::slice_from_raw_parts_mut(fresh, seg_len(k)))
-                    });
+                    // SAFETY: `fresh` was just allocated above and lost
+                    // the race, so this is the only pointer to it.
+                    unsafe { free_segment(fresh, k) };
                     seg = winner;
                 }
             }
@@ -225,8 +251,8 @@ impl Drop for AtomicSegArray {
             let seg = slot.load(Ordering::Relaxed);
             if !seg.is_null() {
                 // SAFETY: published segments are uniquely owned by `self`
-                // and were allocated with exactly this length.
-                drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(seg, seg_len(k))) });
+                // and came from `alloc_segment(k)`.
+                unsafe { free_segment(seg, k) };
             }
         }
     }
@@ -263,10 +289,23 @@ mod tests {
             }
             prev = (k, off);
         }
-        // The largest item id still lands in a tracked segment.
-        let (k, off) = locate(u32::MAX as usize - 1);
-        assert!(k < SEGMENTS);
+        // The largest item id's pair still lands in a tracked segment.
+        let (k, off) = locate(2 * (u32::MAX as usize - 1) + 1);
+        assert_eq!(k, SEGMENTS - 1);
         assert!(off < seg_len(k));
+    }
+
+    #[test]
+    fn slot_pairs_share_a_cache_line() {
+        let arr = AtomicSegArray::new();
+        // First and last pair of segments 0 and 1, and one far out.
+        for i in [0usize, 2047, 2048, 6143, 1 << 20] {
+            let a = arr.get_or_alloc(2 * i) as *const AtomicU64 as usize;
+            let b = arr.get_or_alloc(2 * i + 1) as *const AtomicU64 as usize;
+            assert_eq!(a % 16, 0, "pair {i}");
+            assert_eq!(b, a + 8, "pair {i}");
+            assert_eq!(a / 64, b / 64, "pair {i}");
+        }
     }
 
     #[test]

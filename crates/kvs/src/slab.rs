@@ -6,9 +6,23 @@
 //! fixed factor, each class carving fixed-size chunks out of 1 MiB pages,
 //! with freed chunks recycled through a per-class free list.
 //!
+//! # Line-aligned pages
+//!
+//! Every page starts on a 64-byte boundary ([`LINE_BYTES`]): the page is
+//! over-allocated by one line through the allocator's ordinary zeroed path
+//! (so untouched pages cost no resident memory) and its base rounded up
+//! inside that allocation; the class keeps the lead it skipped so drop can
+//! hand the allocation back. Two things rely on it. A chunk of a class
+//! whose size is a multiple of 64 is exactly its own cache lines, so a
+//! 58-byte item in the 64-byte class is one line and
+//! [`SlabAllocator::prefetch`] of the leading line covers all of it (a
+//! page-aligned `calloc` + 16 would split every such item over two). And
+//! since every class size is a multiple of 8, every chunk is 8-aligned,
+//! which the word-wise racy copy asserts instead of handling.
+//!
 //! # Stable pages (seqlock read path)
 //!
-//! Pages are allocated individually and registered in a fixed per-class
+//! Pages are registered in a fixed per-class
 //! page table of `AtomicPtr`s — a page **never moves or frees until the
 //! allocator drops**. That stability is load-bearing for the store's
 //! optimistic read path (DESIGN.md §11): a lock-free reader resolves an
@@ -31,23 +45,24 @@ pub const GROWTH_FACTOR: f64 = 1.25;
 pub const MIN_CHUNK: usize = 64;
 /// Slab page size in bytes.
 pub const PAGE_BYTES: usize = 1 << 20;
+/// Cache-line size every page base is aligned to.
+pub const LINE_BYTES: usize = 64;
 
 /// Copy `dst.len()` bytes from `src` using only volatile loads, so the
 /// compiler can neither elide, widen, nor reorder the reads even though
-/// another thread may be storing to the same bytes. Reads are widened to
-/// `u64` only where the *source* address is 8-aligned (pages are plain
-/// `Box<[u8]>`, so byte-granularity head/tail handling is required).
+/// another thread may be storing to the same bytes. Reads are `u64`-wide
+/// from the first byte — `src` is a chunk start, 8-aligned because pages
+/// are line-aligned and class sizes multiples of 8 — with a byte-wise tail
+/// for lengths that are not a multiple of 8.
 ///
 /// # Safety
 ///
-/// `src..src + dst.len()` must lie inside a single live allocation.
+/// `src..src + dst.len()` must lie inside a single live allocation and
+/// `src` must be 8-aligned.
 unsafe fn volatile_copy(src: *const u8, dst: &mut [u8]) {
+    debug_assert_eq!(src as usize % 8, 0, "chunk starts are 8-aligned");
     let len = dst.len();
     let mut i = 0;
-    while i < len && (src as usize + i) & 7 != 0 {
-        dst[i] = std::ptr::read_volatile(src.add(i));
-        i += 1;
-    }
     while i + 8 <= len {
         let w = std::ptr::read_volatile(src.add(i) as *const u64);
         dst[i..i + 8].copy_from_slice(&w.to_ne_bytes());
@@ -118,15 +133,17 @@ struct SizeClass {
     /// Fixed page table: one slot per page the budget could ever admit.
     /// Slots are published exactly once (null → page) and freed at drop.
     pages: Box<[AtomicPtr<u8>]>,
-    /// Pages allocated so far (writer-only).
-    n_pages: u32,
+    /// One entry per page allocated so far (writer-only): bytes between
+    /// the start of its allocation and the line-aligned base published in
+    /// `pages` (what drop subtracts).
+    leads: Vec<u8>,
     used_chunks: u32,
     free: Vec<u32>,
 }
 
 impl SizeClass {
     fn chunks_allocated(&self) -> usize {
-        self.n_pages as usize * self.chunks_per_page as usize
+        self.leads.len() * self.chunks_per_page as usize
     }
 
     /// `(page pointer, byte offset)` for chunk `chunk`, via an atomic page
@@ -143,15 +160,34 @@ impl SizeClass {
     }
 }
 
+/// What one page takes from the allocator: the page plus the line of slack
+/// its base is aligned inside.
+const PAGE_ALLOC_BYTES: usize = PAGE_BYTES + LINE_BYTES;
+
+/// A zeroed page as `(line-aligned base, lead)`: `PAGE_BYTES` usable bytes
+/// from the base, `lead` bytes into an allocation of [`PAGE_ALLOC_BYTES`].
+/// A `vec![0; n]` is `calloc`, so fresh pages stay lazily zeroed; asking the
+/// allocator for the alignment instead would `posix_memalign` + `memset`
+/// every page resident (EXPERIMENTS.md).
+fn alloc_page() -> (*mut u8, u8) {
+    let raw = Box::into_raw(vec![0u8; PAGE_ALLOC_BYTES].into_boxed_slice()) as *mut u8;
+    let lead = raw.align_offset(LINE_BYTES);
+    assert!(lead < LINE_BYTES, "cannot line-align a slab page");
+    // SAFETY: `lead + PAGE_BYTES <= PAGE_ALLOC_BYTES`, inside the allocation.
+    (unsafe { raw.add(lead) }, lead as u8)
+}
+
 impl Drop for SizeClass {
     fn drop(&mut self) {
-        for slot in self.pages.iter() {
+        for (slot, &lead) in self.pages.iter().zip(&self.leads) {
             let ptr = slot.load(Ordering::Relaxed);
-            if !ptr.is_null() {
-                // SAFETY: pages are allocated as `Box<[u8; PAGE_BYTES]>`
-                // slices below and published exactly once.
-                drop(unsafe { Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, PAGE_BYTES)) });
-            }
+            // SAFETY: `pages[i]` and `leads[i]` are the two halves of one
+            // `alloc_page()`, published exactly once, so `ptr - lead` is the
+            // start of a boxed `[u8; PAGE_ALLOC_BYTES]` nothing else owns.
+            drop(unsafe {
+                let raw = ptr.sub(lead as usize);
+                Box::from_raw(std::ptr::slice_from_raw_parts_mut(raw, PAGE_ALLOC_BYTES))
+            });
         }
     }
 }
@@ -195,7 +231,7 @@ impl SlabAllocator {
                 pages: (0..max_pages)
                     .map(|_| AtomicPtr::new(std::ptr::null_mut()))
                     .collect(),
-                n_pages: 0,
+                leads: Vec::new(),
                 used_chunks: 0,
                 free: Vec::new(),
             })
@@ -233,19 +269,17 @@ impl SlabAllocator {
             return Ok(SlabRef { class, chunk });
         }
         // Grow the class arena by one page if the budget allows.
-        if self.allocated_bytes + PAGE_BYTES > self.budget_bytes
-            || (c.n_pages as usize) >= c.pages.len()
-        {
+        if self.allocated_bytes + PAGE_BYTES > self.budget_bytes || c.leads.len() >= c.pages.len() {
             return Err(SlabError::OutOfMemory);
         }
         self.allocated_bytes += PAGE_BYTES;
-        let page: Box<[u8]> = vec![0u8; PAGE_BYTES].into_boxed_slice();
-        let ptr = Box::into_raw(page) as *mut u8;
+        let (ptr, lead) = alloc_page();
+        assert_eq!(ptr as usize % LINE_BYTES, 0, "slab page off its line");
+        let next = c.chunks_allocated() as u32;
         // Release-publish the page so a racy reader that obtains a chunk
         // in it (via a row registered later) sees initialized memory.
-        c.pages[c.n_pages as usize].store(ptr, Ordering::Release);
-        let next = c.chunks_allocated() as u32;
-        c.n_pages += 1;
+        c.pages[c.leads.len()].store(ptr, Ordering::Release);
+        c.leads.push(lead);
         // Hand out the first new chunk; queue the rest as free.
         let total = c.chunks_allocated() as u32;
         for i in (next + 1..total).rev() {
@@ -285,8 +319,8 @@ impl SlabAllocator {
     /// freed and recycled mid-copy — the caller detects that by
     /// re-checking the item-table row word after the copy (DESIGN.md §11).
     /// Crucially, no `&[u8]` is ever formed over the racing memory: each
-    /// byte travels through a volatile load (word-at-a-time where the
-    /// source is 8-aligned), the crossbeam-seqlock discipline for reading
+    /// byte travels through a volatile load (word-at-a-time from the
+    /// 8-aligned chunk start), the crossbeam-seqlock discipline for reading
     /// data a validation step will later prove untorn.
     pub fn chunk_racy_read(&self, r: SlabRef, len: usize, buf: &mut Vec<u8>) -> bool {
         let Some(c) = self.classes.get(r.class as usize) else {
@@ -452,14 +486,58 @@ mod tests {
     }
 
     #[test]
+    fn chunks_are_word_aligned_and_line_sized_classes_line_aligned() {
+        // The alignment contract of the module doc, over three pages of
+        // every class (fresh pages are lazily zeroed, so this touches
+        // almost none of the budget it reserves).
+        let sizes: Vec<usize> = SlabAllocator::new(0)
+            .classes
+            .iter()
+            .map(|c| c.chunk_size)
+            .collect();
+        let mut slab = SlabAllocator::new(3 * sizes.len() * PAGE_BYTES);
+        for &size in &sizes {
+            for _ in 0..3 * (PAGE_BYTES / size) {
+                let r = slab.alloc(size).unwrap();
+                let addr = slab.chunk(r).as_ptr() as usize;
+                assert_eq!(addr % 8, 0, "class {size}");
+                if size % LINE_BYTES == 0 {
+                    assert_eq!(addr % LINE_BYTES, 0, "class {size}");
+                }
+            }
+        }
+        assert_eq!(slab.allocated_bytes(), 3 * sizes.len() * PAGE_BYTES);
+    }
+
+    #[test]
+    fn partly_filled_allocator_drops_every_page_it_allocated() {
+        // Classes with zero, one and several pages, some chunks freed: drop
+        // must return each page's allocation from its true start. Two
+        // allocators judge it: glibc's `calloc` hands back page + 16, so the
+        // lead is 48 and a base off by it aborts in `free`; the sanitizer
+        // job's allocator is line-aligned already (lead 0) but reports any
+        // page drop skipped as a leak.
+        let mut slab = SlabAllocator::new(8 * PAGE_BYTES);
+        let small: Vec<SlabRef> = (0..40_000).map(|_| slab.alloc(64).unwrap()).collect();
+        let large = slab.alloc(5000).unwrap();
+        for r in small.into_iter().step_by(3) {
+            slab.free(r);
+        }
+        slab.chunk_mut(large).fill(0xCC);
+        assert_eq!(slab.allocated_bytes(), 4 * PAGE_BYTES);
+        let pages: usize = slab.classes.iter().map(|c| c.leads.len()).sum();
+        assert_eq!(pages, 4);
+    }
+
+    #[test]
     fn chunk_racy_read_matches_chunk() {
         let mut slab = SlabAllocator::new(2 << 20);
         let r = slab.alloc(200).unwrap();
         slab.chunk_mut(r)[..3].copy_from_slice(b"abc");
         let full = slab.chunk(r).len();
         let mut buf = Vec::new();
-        // Every prefix length exercises the unaligned head / word middle /
-        // byte tail cases of the volatile copy.
+        // Every prefix length exercises the word middle / byte tail cases
+        // of the volatile copy.
         for len in [0, 1, 3, 7, 8, 9, 63, full] {
             assert!(slab.chunk_racy_read(r, len, &mut buf), "len {len}");
             assert_eq!(&buf[..], &slab.chunk(r)[..len], "len {len}");

@@ -280,6 +280,20 @@ struct PassScratch {
 /// `[opcode: u8] [request id: u64 LE] [key count: u16 LE]`.
 const RESP_HEADER_BYTES: usize = 11;
 
+/// Bytes of a hit record before its value: `[found = 1: u8] [len: u32 LE]`.
+const HIT_PREFIX_BYTES: usize = 5;
+
+/// Where one request slot's record lies in [`MGetResponse::buf`].
+#[derive(Copy, Clone, Debug, Default)]
+struct Record {
+    /// Offset of the record's first byte, its `found` flag. Kept for misses
+    /// too, so the byte span of any run of slots is two lookups
+    /// ([`MGetResponse::append_subframe`]).
+    start: u32,
+    /// A hit's value length (`[1][len][value]`); `None` is a miss (`[0]`).
+    len: Option<u32>,
+}
+
 /// A reusable Multi-Get response buffer that **is** the wire frame: `mget`
 /// Phase 3 writes each value directly after its `[found: u8][len: u32 LE]`
 /// record in one contiguous buffer laid out exactly as
@@ -292,8 +306,8 @@ pub struct MGetResponse {
     /// The in-progress wire body (header placeholder + per-key records in
     /// request order; CRC appended by `seal_frame`).
     buf: Vec<u8>,
-    /// Per request slot: `(offset, len)` of the value bytes inside `buf`.
-    entries: Vec<Option<(u32, u32)>>,
+    /// Per request slot: its record inside `buf`.
+    entries: Vec<Record>,
     /// Total value bytes (response-size accounting, excludes framing).
     value_bytes: usize,
     sealed: bool,
@@ -313,7 +327,7 @@ impl MGetResponse {
         self.buf.resize(RESP_HEADER_BYTES, 0);
         self.buf[0] = crate::protocol::OP_MGET_RESP;
         self.entries.clear();
-        self.entries.resize(n, None);
+        self.entries.resize(n, Record::default());
         self.value_bytes = 0;
         self.sealed = false;
     }
@@ -330,22 +344,30 @@ impl MGetResponse {
 
     /// The value returned for request slot `i`, if found.
     pub fn value(&self, i: usize) -> Option<&[u8]> {
-        self.entries[i].map(|(off, len)| &self.buf[off as usize..(off + len) as usize])
+        let Record { start, len } = self.entries[i];
+        let off = start as usize + HIT_PREFIX_BYTES;
+        len.map(|len| &self.buf[off..off + len as usize])
     }
 
     /// Append a hit record `[1][len][value]` for slot `i`.
     fn push_hit(&mut self, i: usize, value: &[u8]) {
+        let len = value.len() as u32;
+        self.entries[i] = Record {
+            start: self.buf.len() as u32,
+            len: Some(len),
+        };
         self.buf.push(1);
-        self.buf
-            .extend_from_slice(&(value.len() as u32).to_le_bytes());
-        let off = self.buf.len() as u32;
+        self.buf.extend_from_slice(&len.to_le_bytes());
         self.buf.extend_from_slice(value);
-        self.entries[i] = Some((off, value.len() as u32));
         self.value_bytes += value.len();
     }
 
-    /// Append a miss record `[0]`.
-    fn push_miss(&mut self) {
+    /// Append a miss record `[0]` for slot `i`.
+    fn push_miss(&mut self, i: usize) {
+        self.entries[i] = Record {
+            start: self.buf.len() as u32,
+            len: None,
+        };
         self.buf.push(0);
     }
 
@@ -357,7 +379,7 @@ impl MGetResponse {
         self.buf.truncate(buf_len);
         self.value_bytes = value_bytes;
         for j in 0..sub.hashes.len() {
-            self.entries[sub.slot(j)] = None;
+            self.entries[sub.slot(j)] = Record::default();
         }
     }
 
@@ -370,16 +392,11 @@ impl MGetResponse {
         wire.clear();
         wire.extend_from_slice(&self.buf[..RESP_HEADER_BYTES]);
         for e in self.entries.iter_mut() {
-            match e {
-                Some((off, len)) => {
-                    wire.push(1);
-                    wire.extend_from_slice(&len.to_le_bytes());
-                    let new_off = wire.len() as u32;
-                    wire.extend_from_slice(&self.buf[*off as usize..(*off + *len) as usize]);
-                    *off = new_off;
-                }
-                None => wire.push(0),
-            }
+            // A hit's record moves as one piece, prefix and value.
+            let old = e.start as usize;
+            let bytes = e.len.map_or(1, |len| HIT_PREFIX_BYTES + len as usize);
+            e.start = wire.len() as u32;
+            wire.extend_from_slice(&self.buf[old..old + bytes]);
         }
         std::mem::swap(&mut self.buf, &mut wire);
         self.reorder = wire;
@@ -455,21 +472,13 @@ impl MGetResponse {
             slots.len() <= usize::from(u16::MAX),
             "too many keys for one frame"
         );
-        // Walk the records preceding the range to find its byte span: a
-        // hit occupies `[1][len u32][value]` (5 + len bytes), a miss one
-        // `[0]` byte.
-        let mut cursor = RESP_HEADER_BYTES;
-        let mut start = None;
-        for (i, e) in self.entries.iter().enumerate().take(slots.end) {
-            if i == slots.start {
-                start = Some(cursor);
-            }
-            cursor += match e {
-                Some((_, len)) => 5 + *len as usize,
-                None => 1,
-            };
-        }
-        let (start, end) = (start.unwrap_or(cursor), cursor);
+        // Records are contiguous in slot order, so the range's bytes run
+        // from its first slot's record to the record after its last.
+        let at = |slot: usize| {
+            let e = self.entries.get(slot);
+            e.map_or(self.buf.len(), |e| e.start as usize)
+        };
+        let (start, end) = (at(slots.start), at(slots.end));
 
         let mut header = [0u8; RESP_HEADER_BYTES];
         header[0] = crate::protocol::OP_MGET_RESP;
@@ -1856,9 +1865,9 @@ impl KvStore {
                     Probe::Hit => out.found += 1,
                     Probe::Expired => {
                         out.expired += 1;
-                        resp.push_miss();
+                        resp.push_miss(i);
                     }
-                    Probe::Miss => resp.push_miss(),
+                    Probe::Miss => resp.push_miss(i),
                     Probe::Torn => {
                         torn = true;
                         break;
@@ -2164,6 +2173,34 @@ mod tests {
                 crate::net::write_frame(&mut expect, solo.seal_frame(*id)).unwrap();
             }
             assert_eq!(scattered, expect, "{}", store.index_name());
+        }
+    }
+
+    #[test]
+    fn subframe_span_lookup_holds_at_the_edges_of_a_batch() {
+        // The span of a slot range is read off the records' stored starts:
+        // every range of a batch — the one starting at the last slot, whether
+        // that slot hit or missed, and the empty range at every position,
+        // one past the last slot included — must frame the bytes a solo
+        // request for those keys gets.
+        for store in sharded_stores(1000, 4).into_iter().chain(stores(1000)) {
+            store.set(b"a", b"alpha").unwrap();
+            store.set(b"c", b"gamma-gamma").unwrap();
+            for keys in [[&b"a"[..], b"nope", b"c"], [b"c", b"a", b"nope"]] {
+                let mut batch = MGetResponse::new();
+                store.mget(&keys, &mut batch);
+                for lo in 0..=keys.len() {
+                    for hi in lo..=keys.len() {
+                        let mut got = Vec::new();
+                        batch.append_subframe(lo..hi, 7, &mut got);
+                        let mut solo = MGetResponse::new();
+                        store.mget(&keys[lo..hi], &mut solo);
+                        let mut expect = Vec::new();
+                        crate::net::write_frame(&mut expect, solo.seal_frame(7)).unwrap();
+                        assert_eq!(got, expect, "{} {lo}..{hi}", store.index_name());
+                    }
+                }
+            }
         }
     }
 

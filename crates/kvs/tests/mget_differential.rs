@@ -14,7 +14,7 @@ use simdht_kvs::index::{self, hash_key};
 use simdht_kvs::kvsd::Kvsd;
 use simdht_kvs::net::TcpConn;
 use simdht_kvs::protocol::{Request, Response};
-use simdht_kvs::store::{KvStore, MGetResponse, StoreConfig};
+use simdht_kvs::store::{KvStore, MGetResponse, ReadMode, ShardStats, StoreConfig};
 use simdht_kvs::transport::ClientConn;
 
 const INDEXES: [&str; 5] = ["memc3", "hor", "ver", "dpdk", "local"];
@@ -246,6 +246,77 @@ fn prefetched_mget_is_bit_identical_across_depths_shards_and_indexes() {
                     );
                 }
                 store.set_prefetch_depth(0);
+            }
+        }
+    }
+}
+
+/// A store whose items sit on both sides of every line count the staged
+/// prefetches distinguish — 58 B (one line of the 64-byte class), 64 B (all
+/// of it), 65 B (first byte of a second line, next class up) and 282 B
+/// (five lines) — every third one already expired, read back in batches
+/// that mix live, expired and absent keys. Returns each batch's sealed
+/// frame and the shard counters after the last one.
+fn line_shape_run(
+    which: &str,
+    mode: ReadMode,
+    shards: usize,
+    depth: usize,
+) -> (Vec<Vec<u8>>, Vec<ShardStats>) {
+    const KEY_BYTES: usize = 20;
+    const ITEM_BYTES: [usize; 4] = [58, 64, 65, 282];
+    let store = KvStore::with_shards(
+        StoreConfig {
+            memory_budget: 64 << 20,
+            capacity_items: 4096,
+            shards,
+            prefetch_depth: Some(depth),
+            read_mode: mode,
+        },
+        |cap| index::by_short_name(which, cap).expect("known index"),
+    );
+    let key = |i: usize| format!("line-{i:015}").into_bytes();
+    for i in 0..1200usize {
+        let value = vec![(i % 251) as u8; ITEM_BYTES[i % 4] - 6 - KEY_BYTES];
+        assert_eq!(key(i).len(), KEY_BYTES);
+        let ttl = if i % 3 == 0 { 1 } else { 0 };
+        store.set_v(&key(i), &value, ttl).expect("preload");
+    }
+    store.advance_time(2);
+
+    let mut frames = Vec::new();
+    for (b, width) in [1usize, 16, 64, 300].into_iter().enumerate() {
+        // Stride 7 is coprime to both 3 and 4, so every batch of 16 or more
+        // sees all four sizes, live and expired; ids past 1200 were never set.
+        let batch: Vec<Vec<u8>> = (0..width).map(|j| key((b * 97 + j * 7) % 1300)).collect();
+        frames.push(run_batch(&store, b as u64, &batch).0);
+    }
+    (frames, store.shard_stats())
+}
+
+/// What the staged prefetches bring in per hit — the row line that also
+/// carries the expiry word, the chunk's leading line that is all of a small
+/// item and a fifth of a wide one — is hints only: no byte of any response
+/// and no shard counter may depend on G.
+#[test]
+fn line_prefetches_change_no_response_byte_and_no_counter() {
+    for which in INDEXES {
+        for mode in [ReadMode::Locked, ReadMode::Optimistic] {
+            for shards in [1usize, 4] {
+                let (frames, stats) = line_shape_run(which, mode, shards, 0);
+                let totals = stats.iter().fold(ShardStats::default(), |mut t, s| {
+                    t.add(s);
+                    t
+                });
+                assert_eq!(totals.mget_keys, 1 + 16 + 64 + 300);
+                assert!(totals.expired > 0 && totals.mget_hits > totals.expired);
+                assert!(totals.mget_hits + totals.expired < totals.mget_keys);
+                for depth in [1usize, 8, 32] {
+                    let (got_frames, got_stats) = line_shape_run(which, mode, shards, depth);
+                    let at = format!("{which}/{mode:?}/{shards} shards, G={depth}");
+                    assert_eq!(got_frames, frames, "{at}: frame bytes diverged");
+                    assert_eq!(got_stats, stats, "{at}: shard counters diverged");
+                }
             }
         }
     }
