@@ -306,6 +306,15 @@ impl ItemTable {
         }
     }
 
+    /// Request `id`'s version word, which a write that re-registers the id
+    /// stores to (the eviction look-ahead, DESIGN.md §12).
+    #[inline(always)]
+    pub fn prefetch_version(&self, id: u32) {
+        if let Some(w) = self.versions.get(id as usize) {
+            simdht_simd::prefetch_read(w);
+        }
+    }
+
     /// Remove an item id, returning its chunk for freeing.
     ///
     /// The replacement word keeps the id dead (LIVE clear) and bumps the

@@ -47,6 +47,10 @@ pub const MIN_CHUNK: usize = 64;
 pub const PAGE_BYTES: usize = 1 << 20;
 /// Cache-line size every page base is aligned to.
 pub const LINE_BYTES: usize = 64;
+/// Lines [`SlabAllocator::prefetch_chunk`] asks for at most: past a few the
+/// hardware streamer has locked on, and one hint must not flood the line
+/// fill buffers.
+const PREFETCH_CHUNK_LINES: usize = 8;
 
 /// Copy `dst.len()` bytes from `src` using only volatile loads, so the
 /// compiler can neither elide, widen, nor reorder the reads even though
@@ -355,6 +359,26 @@ impl SlabAllocator {
                 // SAFETY: in-bounds pointer into a live page; prefetch only
                 // needs a valid address.
                 simdht_simd::prefetch_read(unsafe { &*ptr.add(off) });
+            }
+        }
+    }
+
+    /// Request every cache line of chunk `r` (the first
+    /// [`PREFETCH_CHUNK_LINES`] of a larger one) — for a chunk about to be
+    /// rewritten whole, the eviction look-ahead's victim (DESIGN.md §12).
+    /// Safe for out-of-range or stale refs, like [`SlabAllocator::prefetch`].
+    #[inline(always)]
+    pub fn prefetch_chunk(&self, r: SlabRef) {
+        let Some(c) = self.classes.get(r.class as usize) else {
+            return;
+        };
+        if let Some((ptr, off)) = c.chunk_addr(r.chunk, Ordering::Relaxed) {
+            let first = off & !(LINE_BYTES - 1);
+            let lines = (off + c.chunk_size - first).div_ceil(LINE_BYTES);
+            for line in 0..lines.min(PREFETCH_CHUNK_LINES) {
+                // SAFETY: `first + line * LINE_BYTES < off + chunk_size <=
+                // PAGE_BYTES`, inside the live page; a prefetch reads nothing.
+                simdht_simd::prefetch_read(unsafe { ptr.add(first + line * LINE_BYTES) });
             }
         }
     }

@@ -36,7 +36,7 @@
 //! request, because any in-flight request holds a shard guard borrowed
 //! from the store itself.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -1214,16 +1214,18 @@ impl KvStore {
         *self.torture_set_pause.lock() = hook;
     }
 
-    /// The current Multi-Get prefetch look-ahead `G` (0 = disabled).
+    /// The current prefetch look-ahead `G` of the Multi-Get pipeline and the
+    /// eviction look-ahead (0 = disabled).
     pub fn prefetch_depth(&self) -> usize {
         self.prefetch_depth.load(Ordering::Relaxed)
     }
 
-    /// Change the Multi-Get prefetch look-ahead at runtime. Purely a
-    /// performance knob — results are bit-identical for every `depth`
-    /// (proved by `tests/mget_differential.rs`, which uses this to compare
-    /// every `G` against `G = 0` over one populated store); what the
-    /// pipeline costs is the benchmark ledger's `store.lookup_ns_per_key`.
+    /// Change the prefetch look-ahead at runtime. Purely a performance
+    /// knob — results are bit-identical for every `depth` (proved by
+    /// `tests/mget_differential.rs`, which uses this to compare every `G`
+    /// against `G = 0` over one populated store, and for evictions by
+    /// `tests/set_multi_differential.rs`); what the pipeline costs is the
+    /// benchmark ledger's `store.lookup_ns_per_key`.
     pub fn set_prefetch_depth(&self, depth: usize) {
         self.prefetch_depth.store(depth, Ordering::Relaxed);
     }
@@ -1355,6 +1357,7 @@ impl KvStore {
         ttl_secs: u32,
     ) -> Result<u64, StoreError> {
         let now = self.now_secs();
+        let depth = self.prefetch_depth.load(Ordering::Relaxed);
         // Replace semantics: drop any existing item with this exact key.
         // The version chain continues across a live replace; an expired
         // item is indistinguishable from an absent one, so its chain
@@ -1379,7 +1382,7 @@ impl KvStore {
             match write_item(&mut g.slab, key, value) {
                 Ok(r) => break r,
                 Err(SlabError::ObjectTooLarge { .. }) => return Err(StoreError::ObjectTooLarge),
-                Err(SlabError::OutOfMemory) => match g.evict_one(now) {
+                Err(SlabError::OutOfMemory) => match g.evict_one(now, depth) {
                     Some(expired) => Self::count_evict(slot, expired),
                     None => return Err(StoreError::OutOfMemory),
                 },
@@ -1395,7 +1398,7 @@ impl KvStore {
         loop {
             match g.index.insert(hash, item) {
                 Ok(()) => break,
-                Err(IndexError::Full) => match g.evict_one(now) {
+                Err(IndexError::Full) => match g.evict_one(now, depth) {
                     Some(expired) => Self::count_evict(slot, expired),
                     None => {
                         // Roll back the slab registration.
@@ -1406,7 +1409,7 @@ impl KvStore {
                 },
             }
         }
-        g.clock.admit(item);
+        g.clock.admit(item, hash);
         slot.counters.sets.fetch_add(1, Ordering::Relaxed);
         Ok(version)
     }
@@ -1935,17 +1938,59 @@ impl Shard {
     /// reclaimed, `Some(false)` for a live eviction, `None` when the
     /// shard holds nothing evictable. With no TTLs in play the predicate
     /// is constant-false and the sweep is bit-identical to classic CLOCK.
-    fn evict_one(&mut self, now: u64) -> Option<bool> {
+    ///
+    /// The victim leaves the index by the hash its ring entry carries, so
+    /// its chunk is not read; and the entries the hand will reach next are
+    /// staged `depth` and `2 * depth` ahead ([`Shard::look_ahead`]).
+    fn evict_one(&mut self, now: u64, depth: usize) -> Option<bool> {
         let items = &self.items;
-        let (item, was_expired) = self
-            .clock
-            .evict_with(|id| is_expired(items.expires_at(id), now))?;
-        if let Some(r) = self.items.unregister(item) {
-            let hash = hash_key(item_key(self.slab.chunk(r)));
-            self.index.remove(hash, item);
+        // One call of the expiry test per ring entry the hand examines.
+        let passed = Cell::new(0usize);
+        let victim = self.clock.evict_with(|id| {
+            passed.set(passed.get() + 1);
+            is_expired(items.expires_at(id), now)
+        })?;
+        self.look_ahead(depth, passed.get());
+        if let Some(r) = self.items.unregister(victim.item) {
+            debug_assert_eq!(
+                victim.hash,
+                hash_key(item_key(self.slab.chunk(r))),
+                "ring hash of item {} is not its key's",
+                victim.item,
+            );
+            self.index.remove(victim.hash, victim.item);
             self.slab.free(r);
         }
-        Some(was_expired)
+        Some(victim.expired)
+    }
+
+    /// The eviction look-ahead (DESIGN.md §12), run after the hand has
+    /// `passed` ring entries: request what evicting the entries that just
+    /// came within reach will touch, in two stages `depth` entries apart so
+    /// the second can resolve a row the first made warm. `depth` entries
+    /// ahead: every line of the entry's chunk — the set that evicts it
+    /// rewrites that chunk — and, from the ring hash, its index buckets.
+    /// `2 * depth` ahead: the item row with the expiry the sweep tests, the
+    /// id's version word and its ring-position slot. Hints only; `depth`
+    /// 0 issues none, and a sweep that passed more than `depth` entries
+    /// restarts the pipeline from the hand rather than chase it.
+    fn look_ahead(&self, depth: usize, passed: usize) {
+        let fresh = passed.min(depth);
+        for distance in depth - fresh..depth {
+            if let Some((id, hash)) = self.clock.ahead(distance) {
+                if let Some(r) = self.items.get(id) {
+                    self.slab.prefetch_chunk(r);
+                }
+                self.index.prefetch_hash(hash);
+            }
+        }
+        for distance in 2 * depth - fresh..2 * depth {
+            if let Some((id, _)) = self.clock.ahead(distance) {
+                self.items.prefetch(id);
+                self.items.prefetch_version(id);
+                self.clock.prefetch_position(id);
+            }
+        }
     }
 }
 
@@ -2453,6 +2498,92 @@ mod tests {
                 store.get(format!("live-{i:06}").as_bytes()).is_some(),
                 "live-{i:06} was evicted while expired items remained"
             );
+        }
+    }
+
+    /// `HashIndex::remove` is a silent no-op on a wrong hash, so an eviction
+    /// that took a stale hash from the ring would leak one index slot per
+    /// victim until `IndexFull`, and no release build would say so. Churn
+    /// every path that moves an entry — slab pressure, index pressure, TTL
+    /// reclamation, deletes, in-place replaces across slab classes, CAS —
+    /// then hold index, item table and ring to one census, and resolve every
+    /// ring entry back to itself through the index by the hash it carries.
+    #[test]
+    fn no_write_path_orphans_an_index_slot_or_a_ring_entry() {
+        // Slab-bound (one page per shard for each of the two classes the
+        // values below land in, neither of which holds its share of 6000
+        // keys), then index-bound.
+        for (capacity, budget) in [(1 << 15, 4 << 20), (512, 64 << 20)] {
+            for which in ["memc3", "hor", "ver", "dpdk", "local"] {
+                let store = KvStore::with_shards(
+                    StoreConfig {
+                        memory_budget: budget,
+                        capacity_items: capacity,
+                        shards: 2,
+                        ..StoreConfig::default()
+                    },
+                    |cap| by_short_name(which, cap).unwrap(),
+                );
+                let key = |i: u64| format!("census-{:06}", i % 6000).into_bytes();
+                let mut batch = SetMultiBatch::new();
+                let mut state = 0x0A11_CE55u64;
+                let mut rng = move || {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    state >> 33
+                };
+                for op in 0..20_000u64 {
+                    let k = key(rng());
+                    let value = vec![op as u8; if rng() % 2 == 0 { 600 } else { 1000 }];
+                    let ttl = if rng() % 3 == 0 {
+                        1 + (rng() % 3) as u32
+                    } else {
+                        0
+                    };
+                    match rng() % 16 {
+                        0 | 1 => {
+                            store.delete(&k);
+                        }
+                        2 => {
+                            if let Some((_, version)) = store.get_v(&k) {
+                                store.cas(&k, version, &value, ttl).unwrap();
+                            }
+                        }
+                        3 => {
+                            let keys: Vec<Vec<u8>> = (0..8).map(|_| key(rng())).collect();
+                            let pairs: Vec<(&[u8], &[u8])> =
+                                keys.iter().map(|k| (&k[..], &value[..])).collect();
+                            store.set_multi_ttl(&pairs, ttl, &mut batch);
+                        }
+                        _ => {
+                            store.set_v(&k, &value, ttl).unwrap();
+                        }
+                    }
+                    if op % 2500 == 2499 {
+                        store.advance_time(1);
+                    }
+                }
+                let t = store.totals();
+                assert!(
+                    t.evictions > 0 && t.expired > 0 && t.deletes > 0,
+                    "{which}: {t:?}"
+                );
+                for slot in &store.shards {
+                    let g = slot.read();
+                    let n = g.items.len();
+                    assert!(n > 0, "{which}");
+                    assert_eq!(g.index.len(), n, "{which}: index entries vs items");
+                    assert_eq!(g.clock.len(), n, "{which}: ring entries vs items");
+                    for d in 0..n {
+                        let (item, hash) = g.clock.ahead(d).expect("ring is not empty");
+                        let r = g.items.get(item).expect("ring entry is a live item");
+                        let stored = item_key(g.slab.chunk(r));
+                        assert_eq!(hash, hash_key(stored), "{which}: ring hash of {item}");
+                        assert_eq!(g.find_verified(hash, stored), Some(item), "{which}");
+                    }
+                }
+            }
         }
     }
 

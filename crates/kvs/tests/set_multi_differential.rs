@@ -4,10 +4,11 @@
 //! calls — per-key outcomes, occupancy, shard occupancies, single-key
 //! gets, and CRC-sealed Multi-Get frames — across 1/4 shards, batch
 //! sizes {1, 8, 64}, duplicate-keys-in-batch ordering, and CLOCK
-//! eviction pressure.
+//! eviction pressure. The eviction look-ahead both paths share is held to
+//! the same standard against itself: every `G` leaves what `G = 0` leaves.
 
 use simdht_kvs::index;
-use simdht_kvs::store::{KvStore, MGetResponse, SetMultiBatch, StoreConfig};
+use simdht_kvs::store::{KvStore, MGetResponse, SetMultiBatch, ShardStats, StoreConfig};
 
 const INDEXES: [&str; 5] = ["memc3", "hor", "ver", "dpdk", "local"];
 const SHARD_COUNTS: [usize; 2] = [1, 4];
@@ -223,6 +224,100 @@ fn eviction_pressure_picks_identical_clock_victims() {
                     seq.totals().evictions > 0,
                     "{tag}: pressure case never evicted — table too large for the stream",
                 );
+            }
+        }
+    }
+}
+
+/// What one pressure run leaves behind for comparison: after every chunk of
+/// writes the shard counters and the sealed frame of a probe spread over
+/// everything written so far (which keys are gone *by then* is the eviction
+/// order), and at the end the frame over every key.
+type PressureTrace = (Vec<Vec<ShardStats>>, Vec<Vec<u8>>);
+
+/// Push `n` items of `item_bytes` (header + 20-byte key + value) through a
+/// store too small for them at look-ahead distance `depth`, by `set` or by
+/// 64-pair `set_multi`. Every third chunk is written with a TTL and the
+/// store's clock jumps past it at each quarter of the stream (by far more
+/// than the run takes, so the wall clock decides nothing), so the sweep
+/// finds corpses among the live; the probes between chunks set reference
+/// bits, so it also finds entries to pass over.
+fn pressure_run(
+    which: &str,
+    depth: usize,
+    batched: bool,
+    item_bytes: usize,
+    (capacity, budget, n): (usize, usize, usize),
+) -> PressureTrace {
+    const CHUNK: usize = 64;
+    let store = new_store(which, 1, capacity, budget);
+    store.set_prefetch_depth(depth);
+    let key = |i: usize| format!("look-{i:015}").into_bytes();
+    let value = |i: usize| vec![(i % 251) as u8; item_bytes - 6 - 20];
+    let mut scratch = SetMultiBatch::new();
+    let mut resp = MGetResponse::new();
+    let (mut stats, mut frames) = (Vec::new(), Vec::new());
+    for (c, start) in (0..n).step_by(CHUNK).enumerate() {
+        let ids = start..(start + CHUNK).min(n);
+        let ttl = if c % 3 == 0 { 1000 } else { 0 };
+        let items: Vec<(Vec<u8>, Vec<u8>)> = ids.clone().map(|i| (key(i), value(i))).collect();
+        if batched {
+            let pairs: Vec<(&[u8], &[u8])> = items.iter().map(|(k, v)| (&k[..], &v[..])).collect();
+            let out = store.set_multi_ttl(&pairs, ttl, &mut scratch);
+            assert_eq!(out.stored, pairs.len());
+        } else {
+            for (k, v) in &items {
+                store.set_v(k, v, ttl).expect("eviction makes room");
+            }
+        }
+        if start * 4 / n != ids.end * 4 / n {
+            store.advance_time(2000);
+        }
+        let probe: Vec<Vec<u8>> = (0..32).map(|j| key(j * ids.end / 32)).collect();
+        let refs: Vec<&[u8]> = probe.iter().map(|k| &k[..]).collect();
+        store.mget(&refs, &mut resp);
+        frames.push(resp.seal_frame(c as u64).to_vec());
+        stats.push(store.shard_stats());
+    }
+    let all: Vec<Vec<u8>> = (0..n).map(key).collect();
+    let refs: Vec<&[u8]> = all.iter().map(|k| &k[..]).collect();
+    store.mget(&refs, &mut resp);
+    frames.push(resp.seal_frame(0xA11).to_vec());
+    (stats, frames)
+}
+
+/// Victim look-ahead changes no victim, no counter and no frame: the lines
+/// an evicting set requests `G` and `2G` ring entries ahead of the hand —
+/// item rows, version words, victim chunks, index buckets — are hints, so
+/// `G` in {1, 8, 32} must replay `G = 0` exactly, through `set` and through
+/// `set_multi`, for one-line and five-line items, whether the slab or the
+/// index runs out first, on every index.
+#[test]
+fn victim_look_ahead_changes_no_victim_no_counter_and_no_frame() {
+    // (index capacity, slab budget, items written): a 1 MiB slab under an
+    // ample index, then a 256-entry index under an ample slab.
+    let slab_bound = |item_bytes: usize| (1 << 16, 1 << 20, 5 * (1 << 18) / item_bytes);
+    let index_bound = (256, 64 << 20, 768);
+    for which in INDEXES {
+        for batched in [false, true] {
+            for item_bytes in [58usize, 282] {
+                for (pressure, shape) in [("slab", slab_bound(item_bytes)), ("index", index_bound)]
+                {
+                    let (stats, frames) = pressure_run(which, 0, batched, item_bytes, shape);
+                    let last = stats.last().expect("at least one chunk")[0];
+                    assert!(last.evictions > 0, "{which}/{pressure}: no eviction");
+                    assert!(last.expired > 0, "{which}/{pressure}: no corpse reclaimed");
+                    for depth in [1usize, 8, 32] {
+                        let at = format!(
+                            "{which}/{} of {item_bytes} B/{pressure}-bound, G={depth}",
+                            if batched { "set_multi" } else { "set" },
+                        );
+                        let (got_stats, got_frames) =
+                            pressure_run(which, depth, batched, item_bytes, shape);
+                        assert_eq!(got_stats, stats, "{at}: shard counters diverged");
+                        assert_eq!(got_frames, frames, "{at}: frame bytes diverged");
+                    }
+                }
             }
         }
     }

@@ -101,7 +101,7 @@ impl Baseline {
                 }
             }
         }
-        self.clock.admit(item);
+        self.clock.admit(item, hash);
         Ok(())
     }
 
