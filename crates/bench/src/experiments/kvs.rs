@@ -36,7 +36,7 @@ fn skewed_workload(n_items: usize, n_requests: usize, mget_size: usize, seed: u6
 }
 
 /// A store over the `which` index sized for `n_items`: 2x index head-room,
-/// 256 B of slab per item, auto-tuned prefetch depth.
+/// 256 B of slab per item, default prefetch depth.
 fn sized_store(which: &str, n_items: usize, shards: usize) -> KvStore {
     KvStore::with_shards(
         StoreConfig {
@@ -321,7 +321,7 @@ fn reactor_workload(n_items: usize, n_requests: usize) -> KvWorkload {
     skewed_workload(n_items, n_requests, REACTOR_MGET, 0x4B56_0033)
 }
 
-/// Fresh store for one sweep point (horizontal SIMD index, auto-tuned
+/// Fresh store for one sweep point (horizontal SIMD index, default
 /// prefetch depth — the width the reactor must feed).
 fn reactor_store(n_items: usize) -> Arc<KvStore> {
     Arc::new(sized_store("hor", n_items, 1))

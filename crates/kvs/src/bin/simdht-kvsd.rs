@@ -52,7 +52,7 @@ OPTIONS:
                            buffered across connections (default 64)
     --prefetch-depth <n>   Multi-Get software-prefetch look-ahead distance
                            (group size G). 0 disables prefetching; default
-                           auto-tunes (see DESIGN.md §9)
+                           8 (see DESIGN.md §9)
     --read-mode <mode>     locked | optimistic (default locked). Optimistic
                            GET/MGET readers probe shards seqlock-style
                            without taking the shard read lock, retrying or

@@ -12,6 +12,7 @@
 //! §17 states the contract).
 
 use super::{HashIndex, IndexError};
+use crate::item::NO_ITEM;
 
 /// Pack the `(hash, item)` pair a slot stores into the entry word the
 /// core hands to [`BucketLayout::store`]: full key hash in the high half,
@@ -240,6 +241,44 @@ impl<L: BucketLayout> HashIndex for TagCuckoo<L> {
         }
     }
 
+    /// The shared AMAC pipeline, one bucket at a time: only `b1`'s lines
+    /// are requested `depth` keys ahead, and a key `b1` does not answer
+    /// asks for `b2` then and probes it `depth` keys later — most keys
+    /// sit in their first bucket, so most second buckets are never
+    /// fetched. Same candidates, in the same order, as `probe_one(b1, b2)`.
+    fn lookup_batch_prefetched(&self, hashes: &[u32], out: &mut [u32], depth: usize) {
+        assert_eq!(hashes.len(), out.len(), "output slice length mismatch");
+        if depth == 0 {
+            self.lookup_batch(hashes, out);
+            return;
+        }
+        for &h in hashes.iter().take(depth) {
+            self.layout.prefetch(self.bucket1(h));
+        }
+        let second = |j: usize, out: &mut [u32]| {
+            if out[j] == NO_ITEM {
+                let (tag, _, b2) = self.home(hashes[j]);
+                out[j] = self.layout.probe_one(hashes[j], tag, b2, b2);
+            }
+        };
+        for i in 0..hashes.len() {
+            if let Some(&ahead) = hashes.get(i + depth) {
+                self.layout.prefetch(self.bucket1(ahead));
+            }
+            let (tag, b1, b2) = self.home(hashes[i]);
+            out[i] = self.layout.probe_one(hashes[i], tag, b1, b1);
+            if out[i] == NO_ITEM {
+                self.layout.prefetch(b2);
+            }
+            if i >= depth {
+                second(i - depth, out);
+            }
+        }
+        for j in hashes.len().saturating_sub(depth)..hashes.len() {
+            second(j, out);
+        }
+    }
+
     #[inline(always)]
     fn probe_first(&self, hash: u32) -> u32 {
         let (tag, b1, b2) = self.home(hash);
@@ -279,7 +318,6 @@ mod tests {
     use super::*;
     use crate::index::hash_key;
     use crate::index::{local::F14Layout, memc3::Memc3Layout, tagsimd::TagSimdLayout};
-    use crate::item::NO_ITEM;
 
     fn hashes(range: std::ops::Range<u32>) -> Vec<u32> {
         range.map(|i| hash_key(&i.to_le_bytes())).collect()
@@ -376,12 +414,12 @@ mod tests {
         }
     }
 
-    fn prefetched_and_optimistic_match_plain_batch<L: BucketLayout>() {
-        let mut idx = TagCuckoo::<L>::with_capacity(3000);
-        for (i, h) in hashes(0..2500).into_iter().enumerate() {
+    fn prefetched_and_optimistic_match_plain_batch<L: BucketLayout>(capacity: u32) {
+        let mut idx = TagCuckoo::<L>::with_capacity(capacity as usize);
+        for (i, h) in hashes(0..capacity / 6 * 5).into_iter().enumerate() {
             idx.insert(h, i as u32).unwrap();
         }
-        let hs = hashes(0..4000);
+        let hs = hashes(0..capacity / 3 * 4);
         let mut plain = vec![0u32; hs.len()];
         idx.lookup_batch(&hs, &mut plain);
         for depth in [0usize, 1, 4, 16, 5000] {
@@ -429,13 +467,24 @@ mod tests {
         remove_and_reuse::<L>();
         reaches_high_load_factor::<L>(min_load_factor);
         simd_empty_scan_matches_scalar_walk::<L>();
-        prefetched_and_optimistic_match_plain_batch::<L>();
+        prefetched_and_optimistic_match_plain_batch::<L>(3000);
         works_as_store_backend::<L>();
     }
 
     #[test]
     fn memc3_conforms() {
         conformance::<Memc3Layout>(0.90, 19);
+    }
+
+    /// The batch probes agree on a table whose buckets share `memc3`'s
+    /// striped version counters (eight to one here).
+    #[test]
+    fn memc3_batches_agree_where_stripes_are_shared() {
+        use crate::index::memc3::STRIPES;
+        const CAPACITY: u32 = 120_000;
+        let buckets = TagCuckoo::<Memc3Layout>::with_capacity(CAPACITY as usize).mask + 1;
+        assert!(buckets >= 4 * STRIPES, "{buckets} buckets");
+        prefetched_and_optimistic_match_plain_batch::<Memc3Layout>(CAPACITY);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! [`BucketLayout`]s; `hor` and `ver` wrap the paper's SIMD kernels.
 //!
 //! * [`Memc3Index`] — the non-SIMD CPU-optimized baseline: (2,4) BCHT with
-//!   8-bit tags, partial-key cuckoo relocation, and optimistic per-bucket
+//!   8-bit tags, partial-key cuckoo relocation, and optimistic striped
 //!   version counters (MemC3, NSDI'13).
 //! * [`SimdIndex`] with [`SimdIndexKind::HorizontalBcht`] — (2,4) BCHT with
 //!   32-bit hash keys probed horizontally with AVX2
@@ -80,50 +80,31 @@ pub trait HashIndex: Send + Sync {
     /// Panics if `out.len() != hashes.len()`.
     fn lookup_batch(&self, hashes: &[u32], out: &mut [u32]);
 
-    /// First candidate item id for a single hash — the per-hash probe the
-    /// default AMAC pipeline ([`HashIndex::lookup_batch_prefetched`])
-    /// interleaves with its prefetches. The default routes through
-    /// [`HashIndex::lookup_batch`]; backends with a cheaper single-probe
-    /// entry point should override it.
+    /// First candidate item id for a single hash. The default routes
+    /// through [`HashIndex::lookup_batch`]; backends with a cheaper
+    /// single-probe entry point should override it.
     fn probe_first(&self, hash: u32) -> u32 {
         let mut out = [crate::item::NO_ITEM];
         self.lookup_batch(std::slice::from_ref(&hash), &mut out);
         out[0]
     }
 
-    /// [`HashIndex::lookup_batch`] with group software prefetching: before
-    /// probing hash `i`, the bucket cache lines for hash `i + depth` are
-    /// requested with [`simdht_simd::prefetch_read`], hiding the DRAM
+    /// [`HashIndex::lookup_batch`] with group software prefetching: the
+    /// bucket cache lines a probe will read are requested with
+    /// [`simdht_simd::prefetch_read`] before their turn, hiding the DRAM
     /// latency of an out-of-cache table behind the rest of the batch
     /// (the NUMA-scalable group-prefetch technique; see DESIGN.md §9).
+    /// The tag-cuckoo indexes run a `depth`-ahead AMAC pipeline, one
+    /// candidate bucket at a time; the SIMD indexes sweep the whole
+    /// batch's candidates up front.
     ///
-    /// `depth == 0` must behave exactly like `lookup_batch`. The default is
-    /// the one G-ahead AMAC pipeline every bucketized index shares: stage
-    /// hash `i + depth`'s lines via [`HashIndex::prefetch_hash`], then
-    /// probe hash `i` with [`HashIndex::probe_first`]. Backends whose
-    /// `prefetch_hash` is the no-op default get plain-batch behavior (the
-    /// probe loop dominates); backends that restructure the whole batch
-    /// (e.g. one up-front prefetch sweep) override this instead.
+    /// `depth == 0` must behave exactly like `lookup_batch`, and every
+    /// depth must return what it returns.
     ///
     /// # Panics
     ///
     /// Panics if `out.len() != hashes.len()`.
-    fn lookup_batch_prefetched(&self, hashes: &[u32], out: &mut [u32], depth: usize) {
-        assert_eq!(hashes.len(), out.len(), "output slice length mismatch");
-        if depth == 0 {
-            self.lookup_batch(hashes, out);
-            return;
-        }
-        for &h in hashes.iter().take(depth) {
-            self.prefetch_hash(h);
-        }
-        for i in 0..hashes.len() {
-            if let Some(&ahead) = hashes.get(i + depth) {
-                self.prefetch_hash(ahead);
-            }
-            out[i] = self.probe_first(hashes[i]);
-        }
-    }
+    fn lookup_batch_prefetched(&self, hashes: &[u32], out: &mut [u32], depth: usize);
 
     /// The batched lookup the store's **racy** optimistic read path calls
     /// (no lock held; writers may be mutating the index concurrently —

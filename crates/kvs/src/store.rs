@@ -53,10 +53,15 @@ use crate::seqlock::{SeqCount, SeqWriteGuard};
 use crate::slab::{SlabAllocator, SlabError, SlabRef};
 
 /// Default Multi-Get prefetch look-ahead (`G`) used when
-/// [`StoreConfig::prefetch_depth`] is `None`. Eight keeps ~8 independent
-/// cache-line requests in flight per stage — within every recent x86 core's
-/// ~10–16 outstanding L1 misses (its miss-status registers) without
-/// crowding out the demand loads.
+/// [`StoreConfig::prefetch_depth`] is `None`. A stage has the lines of `G`
+/// keys in flight. The lookup stage asks per key for its first bucket —
+/// one line for `memc3` (slot words; the striped version counters stay
+/// resident) and `local`, two for `dpdk` (signatures, items) — and for the
+/// second bucket only of keys the first did not answer; the post stage for
+/// one item-table line `2G` ahead and one chunk line `G` ahead per hit.
+/// At eight that is 8–10 requests outstanding in lookup (16 for `dpdk`)
+/// and 16 in post, against the ten to sixteen L1 miss buffers of recent
+/// x86 cores.
 pub const DEFAULT_PREFETCH_DEPTH: usize = 8;
 
 /// How `get`/`mget` readers synchronize with writers (DESIGN.md §11).
@@ -107,7 +112,7 @@ pub struct StoreConfig {
     /// single-lock store).
     pub shards: usize,
     /// Multi-Get software-prefetch look-ahead `G` (DESIGN.md §9):
-    /// `None` = auto ([`DEFAULT_PREFETCH_DEPTH`]), `Some(0)` = disabled,
+    /// `None` = [`DEFAULT_PREFETCH_DEPTH`], `Some(0)` = disabled,
     /// `Some(g)` = prefetch index buckets / item rows / slab chunks `g`
     /// keys ahead of the probe or verification that will touch them.
     /// Tunable at runtime via [`KvStore::set_prefetch_depth`].
@@ -1536,6 +1541,17 @@ impl KvStore {
         scratch: &mut BatchScratch,
         mut visit: impl FnMut(&ShardSlot, ShardBatch<'_>, &mut PassScratch),
     ) -> Instant {
+        // The hash kernel is the first reader of the caller's key bytes
+        // and would take their misses one 8-key group at a time; ask for
+        // every key's first and last line before it reads any. A hint on
+        // memory the caller owns, free when the keys sit in a just-read
+        // frame.
+        for key in keys {
+            if let (Some(first), Some(last)) = (key.first(), key.last()) {
+                simdht_simd::prefetch_read(first);
+                simdht_simd::prefetch_read(last);
+            }
+        }
         scratch.hashes.clear();
         hash_keys_into(keys, &mut scratch.hashes);
         let hashes = &scratch.hashes[..];

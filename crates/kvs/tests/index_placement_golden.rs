@@ -49,8 +49,8 @@ fn fill(index: &mut dyn HashIndex, stream: &mut u64, mappings: &mut Vec<(u32, u3
     }
 }
 
-fn placement_digest(name: &str) -> u64 {
-    let mut index = by_short_name(name, CAPACITY).expect("known index");
+fn placement_digest(name: &str, capacity: usize) -> u64 {
+    let mut index = by_short_name(name, capacity).expect("known index");
     let mut stream = 0x51D4_7B3Cu64;
     let mut mappings: Vec<(u32, u32)> = Vec::new();
     let mut digest = Fnv64(0xCBF2_9CE4_8422_2325);
@@ -85,9 +85,20 @@ fn placement_is_unchanged_since_the_per_file_insert_paths() {
         ("dpdk", 0x5c2e_9d04_2315_9f79),
         ("local", 0x403e_1ffc_0fbe_92e5),
     ];
-    let got = recorded.map(|(name, _)| (name, placement_digest(name)));
+    let got = recorded.map(|(name, _)| (name, placement_digest(name, CAPACITY)));
     assert_eq!(
         got.map(|(n, d)| format!("{n} {d:#018x}")),
         recorded.map(|(n, d)| format!("{n} {d:#018x}")),
+    );
+}
+
+/// `memc3` on 65 536 buckets — eight to each of its 8192 striped version
+/// counters. Recorded at the commit before the counters were striped
+/// (ISSUE 20), where every bucket had its own.
+#[test]
+fn memc3_placement_is_unchanged_where_version_stripes_are_shared() {
+    assert_eq!(
+        format!("{:#018x}", placement_digest("memc3", 120_000)),
+        "0x8696c8f9a6f8a110",
     );
 }

@@ -14,7 +14,7 @@ use simdht_kvs::index::{self, hash_key};
 use simdht_kvs::kvsd::Kvsd;
 use simdht_kvs::net::TcpConn;
 use simdht_kvs::protocol::{Request, Response};
-use simdht_kvs::store::{KvStore, MGetResponse, ReadMode, ShardStats, StoreConfig};
+use simdht_kvs::store::{KvStore, MGetResponse, ReadMode, SetMultiBatch, ShardStats, StoreConfig};
 use simdht_kvs::transport::ClientConn;
 
 const INDEXES: [&str; 5] = ["memc3", "hor", "ver", "dpdk", "local"];
@@ -185,8 +185,13 @@ fn store_with(which: &str, shards: usize, depth: usize, corpus: &Corpus) -> KvSt
 /// Sealed wire frame for one batch, plus the decoded entries.
 fn run_batch(store: &KvStore, id: u64, batch: &[Vec<u8>]) -> (Vec<u8>, Vec<Option<Bytes>>) {
     let keys: Vec<&[u8]> = batch.iter().map(|k| k.as_slice()).collect();
+    run_keys(store, id, &keys)
+}
+
+/// [`run_batch`] over key slices that live wherever the caller put them.
+fn run_keys(store: &KvStore, id: u64, keys: &[&[u8]]) -> (Vec<u8>, Vec<Option<Bytes>>) {
     let mut resp = MGetResponse::new();
-    store.mget(&keys, &mut resp);
+    store.mget(keys, &mut resp);
     let frame = resp.seal_frame(id).to_vec();
     let decoded = match Response::decode(Bytes::copy_from_slice(&frame)) {
         Ok(Response::MGet { id: got, entries }) => {
@@ -317,6 +322,122 @@ fn line_prefetches_change_no_response_byte_and_no_counter() {
                     assert_eq!(got_frames, frames, "{at}: frame bytes diverged");
                     assert_eq!(got_stats, stats, "{at}: shard counters diverged");
                 }
+            }
+        }
+    }
+}
+
+const PAGE: usize = 4096;
+
+/// Copy `keys` into one zeroed 64 MiB allocation, a key every ~half MiB,
+/// the pages between never touched. Even-numbered keys end on the last
+/// byte of a page (an empty one *is* the page boundary); odd-numbered keys
+/// sit mid-page with a cache-line boundary after their tenth byte.
+fn scatter(keys: &[Vec<u8>]) -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
+    const ARENA_BYTES: usize = 64 << 20;
+    let mut arena = vec![0u8; ARENA_BYTES + PAGE];
+    let first_page = arena.as_ptr().align_offset(PAGE);
+    let stride = ARENA_BYTES / keys.len() / PAGE * PAGE;
+    assert!(stride >= 2 * PAGE);
+    let spans = keys
+        .iter()
+        .enumerate()
+        .map(|(j, key)| {
+            let page_end = first_page + j * stride + PAGE;
+            let start = if j % 2 == 0 {
+                page_end - key.len()
+            } else {
+                page_end + PAGE / 2 - key.len().min(10)
+            };
+            arena[start..start + key.len()].copy_from_slice(key);
+            start..start + key.len()
+        })
+        .collect();
+    (arena, spans)
+}
+
+/// Write 100 keys through `set_multi` and read 120 back through `mget`,
+/// the key slices either owned one by one or `scatter`ed: a 1-byte key
+/// ending a page, an empty key, a 250-byte key, and 20-byte keys half of
+/// which straddle a line. Returns each read's sealed frame and the shard
+/// counters after the last one.
+fn scattered_keys_run(
+    which: &str,
+    mode: ReadMode,
+    depth: usize,
+    scattered: bool,
+) -> (Vec<Vec<u8>>, Vec<ShardStats>) {
+    const STORED: usize = 100;
+    let key = |i: usize| format!("scat-{i:015}").into_bytes();
+    let mut keys = vec![b"x".to_vec(), key(0), Vec::new(), key(1), vec![b'w'; 250]];
+    keys.extend((2..117).map(key));
+    let (arena, spans) = scatter(&keys);
+    let refs: Vec<&[u8]> = if scattered {
+        spans.iter().map(|span| &arena[span.clone()]).collect()
+    } else {
+        keys.iter().map(Vec::as_slice).collect()
+    };
+    assert_eq!(refs, keys);
+    if scattered {
+        assert_eq!(refs[0].as_ptr_range().end.align_offset(PAGE), 0);
+        assert_eq!(refs[2].as_ptr().align_offset(PAGE), 0);
+        assert_eq!(refs[1][10..].as_ptr().align_offset(64), 0);
+    }
+
+    let store = KvStore::with_shards(
+        StoreConfig {
+            memory_budget: 64 << 20,
+            capacity_items: 4096,
+            shards: 4,
+            prefetch_depth: Some(depth),
+            read_mode: mode,
+        },
+        |cap| index::by_short_name(which, cap).expect("known index"),
+    );
+    let values: Vec<Vec<u8>> = (0..STORED).map(|i| vec![i as u8; i % 90]).collect();
+    let pairs: Vec<(&[u8], &[u8])> = refs
+        .iter()
+        .zip(&values)
+        .map(|(key, value)| (*key, value.as_slice()))
+        .collect();
+    let mut batch = SetMultiBatch::new();
+    for chunk in pairs.chunks(33) {
+        assert_eq!(store.set_multi(chunk, &mut batch).stored, chunk.len());
+    }
+
+    let mut frames = Vec::new();
+    for (b, width) in [1usize, 16, 64, keys.len()].into_iter().enumerate() {
+        // Stride 7 is coprime to the key count: the widest batch asks for
+        // every key once, the twenty never stored among them.
+        let asked: Vec<&[u8]> = (0..width)
+            .map(|j| refs[(b * 31 + j * 7) % refs.len()])
+            .collect();
+        frames.push(run_keys(&store, b as u64, &asked).0);
+    }
+    (frames, store.shard_stats())
+}
+
+/// Phase 1 asks for the first and last line of every key slice before the
+/// hash kernel reads any. That is a hint on the caller's memory: wherever
+/// the slices lie — page ends, line straddles, an empty slice whose
+/// pointer is the first byte of an untouched page — no response byte and
+/// no counter differs from the same keys owned one `Vec` each, at any G.
+#[test]
+fn scattered_key_slices_change_no_response_byte_and_no_counter() {
+    for which in INDEXES {
+        for mode in [ReadMode::Locked, ReadMode::Optimistic] {
+            let (frames, stats) = scattered_keys_run(which, mode, 0, false);
+            let totals = stats.iter().fold(ShardStats::default(), |mut t, s| {
+                t.add(s);
+                t
+            });
+            assert_eq!((totals.sets, totals.mget_keys), (100, 1 + 16 + 64 + 120));
+            assert!(totals.mget_hits > 100 && totals.mget_hits < totals.mget_keys);
+            for depth in [0usize, 1, 8, 32] {
+                let (got_frames, got_stats) = scattered_keys_run(which, mode, depth, true);
+                let at = format!("{which}/{mode:?}, G={depth}");
+                assert_eq!(got_frames, frames, "{at}: frame bytes diverged");
+                assert_eq!(got_stats, stats, "{at}: shard counters diverged");
             }
         }
     }

@@ -200,10 +200,11 @@ pub trait Vector: Copy + Send + Sync + 'static {
 /// hints" the paper's Observation ② asks for.
 ///
 /// Call sites form the KVS Multi-Get prefetch pipeline (simdht-kvs
-/// DESIGN.md §9): the scalar index probes issue it for candidate bucket
-/// rows G keys ahead (`Memc3Index`/`TagSimdIndex::lookup_batch_prefetched`
-/// via their `prefetch_buckets`), the SIMD tables sweep it over a batch's
-/// candidate buckets (`CuckooTable::prefetch_candidates`), and the verify
+/// DESIGN.md §9): Phase 1 issues it for a batch's key bytes, the
+/// tag-cuckoo index probes for candidate bucket rows G keys ahead
+/// (`TagCuckoo::lookup_batch_prefetched`), the SIMD tables sweep it over
+/// a batch's candidate buckets (`CuckooTable::prefetch_candidates`), and
+/// the verify
 /// phase stages it through `ItemTable::prefetch` (object-pointer rows) and
 /// `SlabAllocator::prefetch` (item chunk headers). It is always a hint:
 /// callers re-resolve through bounds-checked reads, so dropping every
