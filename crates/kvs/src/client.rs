@@ -269,15 +269,26 @@ impl<'a> RetryClient<'a> {
         Ok(response)
     }
 
-    /// Multi-Get `keys`, retrying across timeouts, connection failures,
-    /// garbled responses, and `ServerBusy` shedding.
-    ///
-    /// # Errors
-    ///
-    /// The last attempt's error once `1 + max_retries` attempts are
-    /// exhausted; every error is a clean typed `io::Error` (no hangs —
-    /// each recv is bounded by [`RetryPolicy::recv_timeout`]).
-    pub fn mget(&mut self, keys: &[Bytes]) -> io::Result<Vec<Option<Bytes>>> {
+    /// Count a failed round trip and drop the stream it may have left
+    /// mid-frame.
+    fn note_failure(&mut self, e: &io::Error) {
+        self.stats.timeouts += u64::from(matches!(
+            e.kind(),
+            io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
+        ));
+        self.poison();
+    }
+
+    /// The retry loop of the idempotent verbs (MGet, Delete, Touch): a
+    /// fresh id per attempt, backoff between attempts, `ServerBusy` and
+    /// `DeadlineExceeded` retried on the same stream. `parse` maps the
+    /// verb's own response to its result; any other shape (`None`) poisons
+    /// the connection and retries.
+    fn retry_verb<T>(
+        &mut self,
+        request: impl Fn(u64) -> Request,
+        parse: impl Fn(Response) -> Option<T>,
+    ) -> io::Result<T> {
         let attempts = 1 + self.policy.max_retries;
         let mut last_err = None;
         for attempt in 0..attempts {
@@ -287,165 +298,18 @@ impl<'a> RetryClient<'a> {
             }
             let id = self.next_id;
             self.next_id += 1;
-            let frame = Request::MGet {
-                id,
-                keys: keys.to_vec(),
-            }
-            .encode();
+            let frame = request(id).try_encode()?;
             self.stats.attempts += 1;
             match self.roundtrip(id, &frame) {
-                Ok(Response::MGet { entries, .. }) => return Ok(entries),
                 Ok(Response::Error { code, .. }) => {
                     // The server answered: the connection is healthy.
-                    // ServerBusy and DeadlineExceeded are both transient;
-                    // back off and retry on the same stream.
-                    self.stats.busy += u64::from(code == ErrorCode::ServerBusy);
-                    last_err = Some(io::Error::new(
-                        io::ErrorKind::ResourceBusy,
-                        format!("server refused mget: {code}"),
-                    ));
-                }
-                Ok(_) => {
-                    self.poison();
-                    last_err = Some(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "wrong response type to an mget request",
-                    ));
-                }
-                Err(e) => {
-                    self.stats.timeouts += u64::from(matches!(
-                        e.kind(),
-                        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                    ));
-                    self.poison();
-                    last_err = Some(e);
-                }
-            }
-        }
-        Err(last_err.expect("at least one attempt ran"))
-    }
-
-    /// Store `key` = `value`, **without retry** (Set is not idempotent
-    /// from the client's viewpoint: a lost response leaves the server
-    /// state unknown).
-    ///
-    /// # Errors
-    ///
-    /// Connection-establishment failures only; everything after the
-    /// request may have reached the server is reported as
-    /// [`SetOutcome::Uncertain`] instead of an error.
-    pub fn set(&mut self, key: Bytes, value: Bytes) -> io::Result<SetOutcome> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let frame = Request::Set { id, key, value }.encode();
-        // Connect before counting the attempt: failing to connect means
-        // the request certainly never left, which is a clean error.
-        self.conn()?;
-        self.stats.attempts += 1;
-        match self.roundtrip(id, &frame) {
-            Ok(Response::Set { ok: true, .. }) => Ok(SetOutcome::Stored),
-            Ok(Response::Set { ok: false, .. }) => Ok(SetOutcome::Rejected),
-            Ok(Response::Error { code, .. }) => {
-                self.stats.busy += u64::from(code == ErrorCode::ServerBusy);
-                Ok(SetOutcome::Shed)
-            }
-            Ok(_) => {
-                self.poison();
-                Ok(SetOutcome::Uncertain)
-            }
-            Err(e) => {
-                self.stats.timeouts += u64::from(matches!(
-                    e.kind(),
-                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                ));
-                self.poison();
-                Ok(SetOutcome::Uncertain)
-            }
-        }
-    }
-
-    /// Store a batch of pairs, **without retry** — like [`RetryClient::set`]
-    /// but batched. SetMulti is even less retryable than Set: a lost
-    /// response leaves *every* key's fate unknown, and blindly resending
-    /// would re-apply the whole batch. Any ambiguous failure therefore
-    /// reports [`SetOutcome::Uncertain`] for each key in the batch.
-    ///
-    /// # Errors
-    ///
-    /// Connection-establishment failures only; anything after the request
-    /// may have reached the server is reported per key instead.
-    pub fn set_multi(&mut self, pairs: &[(Bytes, Bytes)]) -> io::Result<Vec<SetOutcome>> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let frame = Request::SetMulti {
-            id,
-            pairs: pairs.to_vec(),
-        }
-        .encode();
-        self.conn()?;
-        self.stats.attempts += 1;
-        match self.roundtrip(id, &frame) {
-            Ok(Response::SetMulti { ok, .. }) if ok.len() == pairs.len() => Ok(ok
-                .into_iter()
-                .map(|o| {
-                    if o {
-                        SetOutcome::Stored
-                    } else {
-                        SetOutcome::Rejected
-                    }
-                })
-                .collect()),
-            Ok(Response::Error { code, .. }) => {
-                // The server answered without applying anything: every key
-                // is definitively shed.
-                self.stats.busy += u64::from(code == ErrorCode::ServerBusy);
-                Ok(vec![SetOutcome::Shed; pairs.len()])
-            }
-            Ok(_) => {
-                // Wrong shape (wrong type, or a status count that does not
-                // match the batch): the stream can no longer be trusted.
-                self.poison();
-                Ok(vec![SetOutcome::Uncertain; pairs.len()])
-            }
-            Err(e) => {
-                self.stats.timeouts += u64::from(matches!(
-                    e.kind(),
-                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                ));
-                self.poison();
-                Ok(vec![SetOutcome::Uncertain; pairs.len()])
-            }
-        }
-    }
-
-    /// Shared retry loop for the idempotent point verbs (Delete, Touch):
-    /// `true`/`false` comes from mapping the response status through
-    /// `ok_status`, any other shape poisons and retries.
-    fn retry_point_verb(
-        &mut self,
-        mut make_frame: impl FnMut(u64) -> Bytes,
-        ok_status: impl Fn(&Response) -> Option<bool>,
-    ) -> io::Result<bool> {
-        let attempts = 1 + self.policy.max_retries;
-        let mut last_err = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                self.stats.retries += 1;
-                self.backoff(attempt - 1);
-            }
-            let id = self.next_id;
-            self.next_id += 1;
-            let frame = make_frame(id);
-            self.stats.attempts += 1;
-            match self.roundtrip(id, &frame) {
-                Ok(Response::Error { code, .. }) => {
                     self.stats.busy += u64::from(code == ErrorCode::ServerBusy);
                     last_err = Some(io::Error::new(
                         io::ErrorKind::ResourceBusy,
                         format!("server refused request: {code}"),
                     ));
                 }
-                Ok(resp) => match ok_status(&resp) {
+                Ok(resp) => match parse(resp) {
                     Some(outcome) => return Ok(outcome),
                     None => {
                         self.poison();
@@ -456,16 +320,133 @@ impl<'a> RetryClient<'a> {
                     }
                 },
                 Err(e) => {
-                    self.stats.timeouts += u64::from(matches!(
-                        e.kind(),
-                        io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                    ));
-                    self.poison();
+                    self.note_failure(&e);
                     last_err = Some(e);
                 }
             }
         }
         Err(last_err.expect("at least one attempt ran"))
+    }
+
+    /// The single attempt of the verbs that must never be resent (Set,
+    /// SetMulti, Cas, SetEx): a lost response leaves the server state
+    /// unknown. `parse` maps the verb's own response to its outcome; a
+    /// request the server declined is `shed`, and anything ambiguous — a
+    /// failed round trip, or a shape `parse` does not accept, after which
+    /// the stream can no longer be trusted — is `uncertain`.
+    fn send_once<T>(
+        &mut self,
+        request: impl FnOnce(u64) -> Request,
+        parse: impl FnOnce(Response) -> Option<T>,
+        shed: T,
+        uncertain: T,
+    ) -> io::Result<T> {
+        let id = self.next_id;
+        self.next_id += 1;
+        let frame = request(id).try_encode()?;
+        // Connect before counting the attempt: failing to connect means
+        // the request certainly never left, which is a clean error.
+        self.conn()?;
+        self.stats.attempts += 1;
+        Ok(match self.roundtrip(id, &frame) {
+            Ok(Response::Error { code, .. }) => {
+                self.stats.busy += u64::from(code == ErrorCode::ServerBusy);
+                shed
+            }
+            Ok(resp) => parse(resp).unwrap_or_else(|| {
+                self.poison();
+                uncertain
+            }),
+            Err(e) => {
+                self.note_failure(&e);
+                uncertain
+            }
+        })
+    }
+
+    /// Multi-Get `keys`, retrying across timeouts, connection failures,
+    /// garbled responses, and `ServerBusy` shedding.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` for a batch the protocol cannot carry (over
+    /// `u16::MAX` keys, or a key over `u16::MAX` bytes), before anything
+    /// is sent. Otherwise the last attempt's error once `1 + max_retries`
+    /// attempts are exhausted; every error is a clean typed `io::Error`
+    /// (no hangs — each recv is bounded by [`RetryPolicy::recv_timeout`]).
+    pub fn mget(&mut self, keys: &[Bytes]) -> io::Result<Vec<Option<Bytes>>> {
+        self.retry_verb(
+            |id| Request::MGet {
+                id,
+                keys: keys.to_vec(),
+            },
+            |resp| match resp {
+                Response::MGet { entries, .. } => Some(entries),
+                _ => None,
+            },
+        )
+    }
+
+    /// Store `key` = `value`, **without retry** (Set is not idempotent
+    /// from the client's viewpoint: a lost response leaves the server
+    /// state unknown).
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` for a key or value too long for the protocol, and
+    /// connection-establishment failures; everything after the request may
+    /// have reached the server is reported as [`SetOutcome::Uncertain`]
+    /// instead of an error.
+    pub fn set(&mut self, key: Bytes, value: Bytes) -> io::Result<SetOutcome> {
+        self.send_once(
+            |id| Request::Set { id, key, value },
+            |resp| match resp {
+                Response::Set { ok: true, .. } => Some(SetOutcome::Stored),
+                Response::Set { ok: false, .. } => Some(SetOutcome::Rejected),
+                _ => None,
+            },
+            SetOutcome::Shed,
+            SetOutcome::Uncertain,
+        )
+    }
+
+    /// Store a batch of pairs, **without retry** — like [`RetryClient::set`]
+    /// but batched. SetMulti is even less retryable than Set: a lost
+    /// response leaves *every* key's fate unknown, and blindly resending
+    /// would re-apply the whole batch. Any ambiguous failure (a status
+    /// count that does not match the batch included) therefore reports
+    /// [`SetOutcome::Uncertain`] for each key in the batch, and a shed
+    /// batch [`SetOutcome::Shed`] for each: the server applied nothing.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` for a batch the protocol cannot carry, and
+    /// connection-establishment failures; anything after the request may
+    /// have reached the server is reported per key instead.
+    pub fn set_multi(&mut self, pairs: &[(Bytes, Bytes)]) -> io::Result<Vec<SetOutcome>> {
+        let n = pairs.len();
+        self.send_once(
+            |id| Request::SetMulti {
+                id,
+                pairs: pairs.to_vec(),
+            },
+            |resp| match resp {
+                Response::SetMulti { ok, .. } if ok.len() == n => Some(
+                    ok.into_iter()
+                        .map(|o| {
+                            if o {
+                                SetOutcome::Stored
+                            } else {
+                                SetOutcome::Rejected
+                            }
+                        })
+                        .collect(),
+                ),
+                _ => None,
+            },
+            vec![SetOutcome::Shed; n],
+            vec![SetOutcome::Uncertain; n],
+        )
     }
 
     /// Delete `key`, retrying like MGet (idempotent). Returns `true` when
@@ -475,16 +456,13 @@ impl<'a> RetryClient<'a> {
     ///
     /// # Errors
     ///
-    /// The last attempt's error once `1 + max_retries` attempts are
-    /// exhausted.
+    /// `InvalidInput` for a key too long for the protocol; otherwise the
+    /// last attempt's error once `1 + max_retries` attempts are exhausted.
     pub fn delete(&mut self, key: Bytes) -> io::Result<bool> {
-        self.retry_point_verb(
-            |id| {
-                Request::Delete {
-                    id,
-                    key: key.clone(),
-                }
-                .encode()
+        self.retry_verb(
+            |id| Request::Delete {
+                id,
+                key: key.clone(),
             },
             |resp| match resp {
                 Response::Delete {
@@ -506,17 +484,14 @@ impl<'a> RetryClient<'a> {
     ///
     /// # Errors
     ///
-    /// The last attempt's error once `1 + max_retries` attempts are
-    /// exhausted.
+    /// `InvalidInput` for a key too long for the protocol; otherwise the
+    /// last attempt's error once `1 + max_retries` attempts are exhausted.
     pub fn touch(&mut self, key: Bytes, ttl_secs: u32) -> io::Result<bool> {
-        self.retry_point_verb(
-            |id| {
-                Request::Touch {
-                    id,
-                    key: key.clone(),
-                    ttl_secs,
-                }
-                .encode()
+        self.retry_verb(
+            |id| Request::Touch {
+                id,
+                key: key.clone(),
+                ttl_secs,
             },
             |resp| match resp {
                 Response::Touch {
@@ -540,7 +515,8 @@ impl<'a> RetryClient<'a> {
     ///
     /// # Errors
     ///
-    /// Connection-establishment failures only.
+    /// `InvalidInput` for a key or value too long for the protocol, and
+    /// connection-establishment failures.
     pub fn cas(
         &mut self,
         key: Bytes,
@@ -548,48 +524,29 @@ impl<'a> RetryClient<'a> {
         value: Bytes,
         ttl_secs: u32,
     ) -> io::Result<CasNetOutcome> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let frame = Request::Cas {
-            id,
-            key,
-            expected_version,
-            value,
-            ttl_secs,
-        }
-        .encode();
-        self.conn()?;
-        self.stats.attempts += 1;
-        match self.roundtrip(id, &frame) {
-            Ok(Response::Cas {
-                status, version, ..
-            }) => Ok(match status {
-                OpStatus::Stored => CasNetOutcome::Stored(version),
-                OpStatus::ExistsConflict => CasNetOutcome::Conflict(version),
-                OpStatus::NotFound => CasNetOutcome::NotFound,
-                OpStatus::Rejected => CasNetOutcome::Rejected,
-                _ => {
-                    self.poison();
-                    CasNetOutcome::Uncertain
-                }
-            }),
-            Ok(Response::Error { code, .. }) => {
-                self.stats.busy += u64::from(code == ErrorCode::ServerBusy);
-                Ok(CasNetOutcome::Shed)
-            }
-            Ok(_) => {
-                self.poison();
-                Ok(CasNetOutcome::Uncertain)
-            }
-            Err(e) => {
-                self.stats.timeouts += u64::from(matches!(
-                    e.kind(),
-                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                ));
-                self.poison();
-                Ok(CasNetOutcome::Uncertain)
-            }
-        }
+        self.send_once(
+            |id| Request::Cas {
+                id,
+                key,
+                expected_version,
+                value,
+                ttl_secs,
+            },
+            |resp| match resp {
+                Response::Cas {
+                    status, version, ..
+                } => match status {
+                    OpStatus::Stored => Some(CasNetOutcome::Stored(version)),
+                    OpStatus::ExistsConflict => Some(CasNetOutcome::Conflict(version)),
+                    OpStatus::NotFound => Some(CasNetOutcome::NotFound),
+                    OpStatus::Rejected => Some(CasNetOutcome::Rejected),
+                    _ => None,
+                },
+                _ => None,
+            },
+            CasNetOutcome::Shed,
+            CasNetOutcome::Uncertain,
+        )
     }
 
     /// Store `key` = `value` with a TTL, **without retry** (same
@@ -599,52 +556,36 @@ impl<'a> RetryClient<'a> {
     ///
     /// # Errors
     ///
-    /// Connection-establishment failures only.
+    /// `InvalidInput` for a key or value too long for the protocol, and
+    /// connection-establishment failures.
     pub fn set_ex(
         &mut self,
         key: Bytes,
         value: Bytes,
         ttl_secs: u32,
     ) -> io::Result<(SetOutcome, u64)> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let frame = Request::SetEx {
-            id,
-            key,
-            value,
-            ttl_secs,
-        }
-        .encode();
-        self.conn()?;
-        self.stats.attempts += 1;
-        match self.roundtrip(id, &frame) {
-            Ok(Response::SetEx {
-                status, version, ..
-            }) => Ok(match status {
-                OpStatus::Stored => (SetOutcome::Stored, version),
-                OpStatus::Rejected => (SetOutcome::Rejected, 0),
-                _ => {
-                    self.poison();
-                    (SetOutcome::Uncertain, 0)
-                }
-            }),
-            Ok(Response::Error { code, .. }) => {
-                self.stats.busy += u64::from(code == ErrorCode::ServerBusy);
-                Ok((SetOutcome::Shed, 0))
-            }
-            Ok(_) => {
-                self.poison();
-                Ok((SetOutcome::Uncertain, 0))
-            }
-            Err(e) => {
-                self.stats.timeouts += u64::from(matches!(
-                    e.kind(),
-                    io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
-                ));
-                self.poison();
-                Ok((SetOutcome::Uncertain, 0))
-            }
-        }
+        self.send_once(
+            |id| Request::SetEx {
+                id,
+                key,
+                value,
+                ttl_secs,
+            },
+            |resp| match resp {
+                Response::SetEx {
+                    status: OpStatus::Stored,
+                    version,
+                    ..
+                } => Some((SetOutcome::Stored, version)),
+                Response::SetEx {
+                    status: OpStatus::Rejected,
+                    ..
+                } => Some((SetOutcome::Rejected, 0)),
+                _ => None,
+            },
+            (SetOutcome::Shed, 0),
+            (SetOutcome::Uncertain, 0),
+        )
     }
 }
 
@@ -911,6 +852,35 @@ mod tests {
                 "{bad:?} must force a fresh connection"
             );
         }
+    }
+
+    #[test]
+    fn input_the_protocol_cannot_carry_is_refused_before_anything_is_sent() {
+        let transport = StubTransport::new([]);
+        let clock = MockClock::default();
+        let mut client = RetryClient::with_clock(&transport, RetryPolicy::default(), 15, &clock);
+        let long = || Bytes::from(vec![b'k'; 65_556]);
+        let v = || Bytes::from_static(b"v");
+        let kinds = [
+            client.mget(&vec![v(); 65_536]).unwrap_err().kind(),
+            client.mget(&[long()]).unwrap_err().kind(),
+            client.set(long(), v()).unwrap_err().kind(),
+            client
+                .set_multi(&vec![(v(), v()); 65_536])
+                .unwrap_err()
+                .kind(),
+            client.delete(long()).unwrap_err().kind(),
+            client.touch(long(), 1).unwrap_err().kind(),
+            client.cas(long(), 1, v(), 0).unwrap_err().kind(),
+            client.set_ex(long(), v(), 1).unwrap_err().kind(),
+        ];
+        assert_eq!(kinds, [io::ErrorKind::InvalidInput; 8]);
+        assert_eq!(client.stats(), &RetryStats::default(), "nothing attempted");
+        assert_eq!(transport.connects.load(Ordering::Relaxed), 0);
+        assert!(
+            clock.sleeps.lock().unwrap().is_empty(),
+            "and nothing retried"
+        );
     }
 
     #[test]

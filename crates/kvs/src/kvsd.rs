@@ -407,10 +407,10 @@ fn handle_connection(
         };
         conn.record(&done);
         stats.record(&done);
-        // A Multi-Get reply is the frame the store built in place, sealed
-        // in `scratch` — written straight to the socket, no intermediate
-        // Bytes.
-        if write_frame(&mut writer, &done.reply).is_err() {
+        // The reply is borrowed from `scratch` (a Multi-Get's is the frame
+        // the store built in place) — written straight to the socket, no
+        // intermediate Bytes.
+        if write_frame(&mut writer, done.reply).is_err() {
             break;
         }
         let busy = t0.elapsed().as_nanos() as u64;

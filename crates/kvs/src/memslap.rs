@@ -695,18 +695,14 @@ fn preload_over_wire(
         .iter()
         .enumerate()
         .map(|(i, (key, value))| {
-            (
-                Verb::Write,
-                i as u64,
-                Request::Set {
-                    id: i as u64,
-                    key: Bytes::copy_from_slice(key),
-                    value: Bytes::copy_from_slice(value),
-                }
-                .encode(),
-            )
+            let set = Request::Set {
+                id: i as u64,
+                key: Bytes::copy_from_slice(key),
+                value: Bytes::copy_from_slice(value),
+            };
+            Ok((Verb::Write, i as u64, set.try_encode()?))
         })
-        .collect();
+        .collect::<io::Result<_>>()?;
     let outcome = drive_connection(
         transport,
         &ConnPlan { requests },
@@ -726,7 +722,9 @@ fn preload_over_wire(
 /// we measure): `workload`'s requests dealt round-robin over
 /// `config.connections`, each slot a Multi-Get unless a seeded draw turns
 /// it into one of the write/delete/CAS kinds at `config`'s fractions.
-fn build_plans(workload: &KvWorkload, config: &NetMemslapConfig) -> Vec<ConnPlan> {
+/// `InvalidInput` when the workload holds a key, value or batch the
+/// protocol cannot carry.
+fn build_plans(workload: &KvWorkload, config: &NetMemslapConfig) -> io::Result<Vec<ConnPlan>> {
     use rand::Rng;
     let items = workload.items();
     let mut rng = StdRng::seed_from_u64(0x3E7F);
@@ -797,10 +795,10 @@ fn build_plans(workload: &KvWorkload, config: &NetMemslapConfig) -> Vec<ConnPlan
                             .collect();
                         (Verb::MGet, Request::MGet { id, keys })
                     };
-                    (verb, id, request.encode())
+                    Ok((verb, id, request.try_encode()?))
                 })
-                .collect();
-            ConnPlan { requests }
+                .collect::<io::Result<_>>()?;
+            Ok(ConnPlan { requests })
         })
         .collect()
 }
@@ -822,8 +820,10 @@ fn build_plans(workload: &KvWorkload, config: &NetMemslapConfig) -> Vec<ConnPlan
 ///
 /// # Errors
 ///
-/// Only total failures: a preload that could not cover the item set, or
-/// a fault spec that closes every connection before any work completes.
+/// Only total failures: a workload the protocol cannot carry (a key over
+/// `u16::MAX` bytes, a batch over `u16::MAX` entries — `InvalidInput`,
+/// before anything is sent), a preload that could not cover the item set,
+/// or a fault spec that closes every connection before any work completes.
 ///
 /// # Panics
 ///
@@ -844,13 +844,14 @@ pub fn run_memslap_over(
         Some(f) => f,
         None => transport,
     };
+    // Before the preload: an unencodable workload is refused with nothing
+    // sent.
+    let plans = build_plans(workload, config)?;
     let mut total = if config.preload {
         preload_over_wire(transport, workload, config.pipeline_depth, &config.retry)?
     } else {
         ConnOutcome::default()
     };
-
-    let plans = build_plans(workload, config);
 
     let wall_start = Instant::now();
     let outcomes: Vec<ConnOutcome> = std::thread::scope(|s| {
@@ -938,8 +939,9 @@ struct MuxConn {
 ///
 /// # Errors
 ///
-/// Connect failures while opening the connection set, or a preload that
-/// could not cover the item set. Mid-run failures degrade to partial
+/// A workload the protocol cannot carry (`InvalidInput`, before anything
+/// is sent), connect failures while opening the connection set, or a
+/// preload that could not cover the item set. Mid-run failures degrade to partial
 /// results in [`ClientReport::failed`] instead.
 ///
 /// # Panics
@@ -955,11 +957,6 @@ pub fn run_memslap_mux(
 
     assert!(config.connections >= 1, "need at least one connection");
     assert!(config.pipeline_depth >= 1, "pipeline depth must be >= 1");
-    if config.preload {
-        let transport = crate::net::TcpTransport::new(addr)?;
-        preload_over_wire(&transport, workload, 32, &RetryPolicy::default())?;
-    }
-
     // The threaded client's plans at its default mix: every slot a
     // Multi-Get.
     let plans = build_plans(
@@ -968,7 +965,11 @@ pub fn run_memslap_mux(
             connections: config.connections,
             ..NetMemslapConfig::default()
         },
-    );
+    )?;
+    if config.preload {
+        let transport = crate::net::TcpTransport::new(addr)?;
+        preload_over_wire(&transport, workload, 32, &RetryPolicy::default())?;
+    }
 
     // Open every connection up front (untimed setup), then switch to
     // nonblocking and register with the poller.
@@ -1003,8 +1004,7 @@ pub fn run_memslap_mux(
 
     // Seed every window before the first wait.
     for (token, conn) in conns.iter_mut().enumerate() {
-        mux_top_up(conn, &plans[token], config.pipeline_depth);
-        if mux_flush(conn).is_err() {
+        if mux_top_up(conn, &plans[token], config.pipeline_depth).is_err() {
             mux_kill(conn, &plans[token], &mut total, &mut open, &mut poller);
         } else {
             mux_sync_interest(conn, token, &mut poller);
@@ -1095,8 +1095,7 @@ pub fn run_memslap_mux(
                 mux_kill(conn, plan, &mut total, &mut open, &mut poller);
                 continue;
             }
-            mux_top_up(conn, plan, config.pipeline_depth);
-            if mux_flush(conn).is_err() {
+            if mux_top_up(conn, plan, config.pipeline_depth).is_err() {
                 mux_kill(conn, plan, &mut total, &mut open, &mut poller);
                 continue;
             }
@@ -1114,16 +1113,16 @@ pub fn run_memslap_mux(
 }
 
 /// Queue plan entries into the connection's output until the pipeline
-/// window is full or the plan is exhausted.
-fn mux_top_up(conn: &mut MuxConn, plan: &ConnPlan, depth: usize) {
+/// window is full or the plan is exhausted, then write what the socket
+/// accepts.
+fn mux_top_up(conn: &mut MuxConn, plan: &ConnPlan, depth: usize) -> io::Result<()> {
     while conn.inflight.len() < depth && conn.next < plan.requests.len() {
         let (_, id, frame) = &plan.requests[conn.next];
-        conn.out
-            .extend_from_slice(&(frame.len() as u32).to_le_bytes());
-        conn.out.extend_from_slice(frame);
+        crate::net::write_frame(&mut conn.out, frame)?;
         conn.inflight.push_back((*id, Instant::now()));
         conn.next += 1;
     }
+    mux_flush(conn)
 }
 
 /// Toggle write interest to match whether queued bytes remain, with one
@@ -1407,6 +1406,42 @@ mod tests {
         assert!(report.keys_per_sec > 0.0);
         server.shutdown();
         assert_eq!(store.len(), 500, "preload stored every item");
+    }
+
+    #[test]
+    fn workloads_the_protocol_cannot_carry_are_refused_before_anything_is_sent() {
+        /// Any use of the transport fails the test.
+        struct Untouched;
+        impl Transport for Untouched {
+            fn connect(&self) -> io::Result<Box<dyn crate::transport::ClientConn>> {
+                panic!("an unencodable workload must be refused up front");
+            }
+        }
+        let tiny = KvWorkloadSpec {
+            n_items: 4,
+            n_requests: 2,
+            mget_size: 2,
+            ..KvWorkloadSpec::default()
+        };
+        let long_keys = KvWorkloadSpec {
+            key_bytes: 65_556,
+            ..tiny.clone()
+        };
+        let wide_batches = KvWorkloadSpec {
+            mget_size: 65_536,
+            ..tiny
+        };
+        for spec in [long_keys, wide_batches] {
+            let wl = KvWorkload::generate(&spec);
+            for preload in [true, false] {
+                let config = NetMemslapConfig {
+                    preload,
+                    ..NetMemslapConfig::default()
+                };
+                let err = run_memslap_over(&Untouched, &wl, &config).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{spec:?}");
+            }
+        }
     }
 
     #[test]

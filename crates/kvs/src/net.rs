@@ -19,56 +19,20 @@
 //! The payload is exactly the output of `Request::encode` /
 //! `Response::encode`, reused verbatim. Frames larger than
 //! [`MAX_FRAME_BYTES`] are rejected on read *before* allocating, so a
-//! corrupt or hostile length prefix cannot balloon memory.
+//! corrupt or hostile length prefix cannot balloon memory. The prefix's
+//! bytes and its cap belong to [`crate::protocol`], which owns the whole
+//! wire format; [`write_frame`], [`read_frame`] and [`FrameDecoder`] are
+//! the I/O around its two prefix functions.
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 
 use bytes::Bytes;
 
+use crate::protocol::{frame_len, frame_prefix};
 use crate::transport::{ClientConn, Transport};
 
-/// Upper bound on a single frame's payload. The largest legitimate message
-/// is an MGet response of 65 535 values × 4 GiB each in theory, but in
-/// practice values are small; 16 MiB leaves ample headroom while bounding
-/// what a bad length prefix can allocate.
-pub const MAX_FRAME_BYTES: usize = 16 << 20;
-
-/// Typed error for a frame whose length exceeds [`MAX_FRAME_BYTES`].
-///
-/// Carried as the source of the [`io::Error`] returned by [`read_frame`]
-/// (kind [`io::ErrorKind::InvalidData`]) and [`write_frame`] (kind
-/// [`io::ErrorKind::InvalidInput`]), so callers can distinguish "oversized
-/// frame" from other framing failures via
-/// `err.get_ref().is_some_and(|e| e.is::<FrameTooLarge>())`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrameTooLarge {
-    /// The offending frame length in bytes.
-    pub len: usize,
-    /// The limit it exceeded ([`MAX_FRAME_BYTES`]).
-    pub limit: usize,
-}
-
-impl std::fmt::Display for FrameTooLarge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "frame of {} bytes exceeds the {}-byte limit",
-            self.len, self.limit
-        )
-    }
-}
-
-impl std::error::Error for FrameTooLarge {}
-
-impl FrameTooLarge {
-    fn new(len: usize) -> Self {
-        FrameTooLarge {
-            len,
-            limit: MAX_FRAME_BYTES,
-        }
-    }
-}
+pub use crate::protocol::{FrameTooLarge, MAX_FRAME_BYTES};
 
 /// Write one length-prefixed frame. The caller flushes.
 ///
@@ -77,13 +41,7 @@ impl FrameTooLarge {
 /// I/O errors from `w`, or [`io::ErrorKind::InvalidInput`] carrying a
 /// [`FrameTooLarge`] source if the payload exceeds [`MAX_FRAME_BYTES`].
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            FrameTooLarge::new(payload.len()),
-        ));
-    }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(&frame_prefix(payload.len())?)?;
     w.write_all(payload)
 }
 
@@ -115,14 +73,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Bytes>> {
             n => filled += n,
         }
     }
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            FrameTooLarge::new(len),
-        ));
-    }
-    let mut payload = vec![0u8; len];
+    let mut payload = vec![0u8; frame_len(len_buf)?];
     r.read_exact(&mut payload)?;
     Ok(Some(Bytes::from(payload)))
 }
@@ -203,14 +154,7 @@ impl FrameDecoder {
                     self.header_filled += take;
                     bytes = &bytes[take..];
                     if self.header_filled == 4 {
-                        let len = u32::from_le_bytes(self.header) as usize;
-                        if len > MAX_FRAME_BYTES {
-                            self.poisoned = true;
-                            return Err(io::Error::new(
-                                io::ErrorKind::InvalidData,
-                                FrameTooLarge::new(len),
-                            ));
-                        }
+                        let len = frame_len(self.header).inspect_err(|_| self.poisoned = true)?;
                         self.want = Some(len);
                         self.payload.clear();
                         self.payload.reserve(len);

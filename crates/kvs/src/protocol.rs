@@ -1,10 +1,26 @@
-//! Wire protocol for the simulated RDMA-Memcached exchange.
+//! Wire protocol for the simulated RDMA-Memcached exchange — and the one
+//! owner of its byte layout.
 //!
 //! RDMA-Memcached's Get protocol "batches the key/value data into multiple
 //! small message transfers ... using fast two-sided RDMA SENDs" (§VI-A).
 //! Here each Multi-Get request and its response are encoded into contiguous
 //! byte messages; the fabric layer charges the modeled wire cost per
 //! message byte, so response sizes matter exactly as they did on EDR.
+//!
+//! ## Layout
+//!
+//! DESIGN.md's "Wire format" table lists every verb's opcode and field
+//! sequence; it mirrors [`Request`]'s and [`Response`]'s codec arms below,
+//! where each layout appears once per direction as a run of `Writer` /
+//! `Reader` calls. Nothing outside this module knows an opcode, a field
+//! width, or where the CRC goes: the store builds its Multi-Get reply in
+//! place through `mget_resp_header` / `mget_resp_entry` / `seal`, and
+//! [`crate::net`] frames through `frame_prefix` / `frame_len`.
+//!
+//! Trailing bytes after a complete message are tolerated (the frame layer
+//! delimits messages), so a decoder cannot notice a length that wrapped
+//! its field on the way out. The encoders therefore refuse to produce one:
+//! see [`Request::encode`]'s `# Panics` and [`Request::try_encode`].
 //!
 //! ## Integrity
 //!
@@ -20,11 +36,10 @@
 //!
 //! The checksum is [`simdht_simd::crc::crc32`], re-exported here as
 //! [`crc32`]: IEEE CRC-32, computed by `pclmulqdq` folding for bodies of
-//! 64 B and up and by slicing-by-8 below that. Every sealer and verifier —
-//! [`Request::encode`]/[`Request::decode`], their [`Response`] twins, the
-//! store's `seal_frame` and the reactor's `append_subframe` — goes through
-//! that one function, and `tests/wire_golden.rs` pins the resulting bytes
-//! against frames recorded before the kernel existed.
+//! 64 B and up and by slicing-by-8 below that. It is called from two
+//! places, `seal` and the `Reader`'s constructor, and
+//! `tests/wire_golden.rs` pins the resulting bytes against frames recorded
+//! before the kernel existed.
 //!
 //! ## Version tolerance
 //!
@@ -33,31 +48,104 @@
 //! failing, so a newer server can introduce shedding reasons without
 //! breaking older clients mid-connection.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use std::io;
+
+use bytes::{Buf, Bytes};
 
 /// CRC-32 (IEEE) of `bytes` — the per-message integrity trailer. Detects
 /// every single-byte corruption and every burst shorter than 32 bits.
 pub use simdht_simd::crc::crc32;
 
-/// Append the CRC trailer to a finished message body.
-fn seal(mut b: BytesMut) -> Bytes {
-    let crc = crc32(&b);
-    b.put_u32_le(crc);
-    b.freeze()
+/// Upper bound on a single frame's payload. The largest legitimate message
+/// is an MGet response of 65 535 values × 4 GiB each in theory, but in
+/// practice values are small; 16 MiB leaves ample headroom while bounding
+/// what a bad length prefix can allocate.
+pub const MAX_FRAME_BYTES: usize = 16 << 20;
+
+/// Typed error for a frame whose length exceeds [`MAX_FRAME_BYTES`].
+///
+/// Carried as the source of the [`std::io::Error`] returned by
+/// [`crate::net::read_frame`] (kind `InvalidData`) and
+/// [`crate::net::write_frame`] (kind `InvalidInput`), so callers can
+/// distinguish "oversized frame" from other framing failures via
+/// `err.get_ref().is_some_and(|e| e.is::<FrameTooLarge>())`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FrameTooLarge {
+    /// The offending frame length in bytes.
+    pub len: usize,
+    /// The limit it exceeded ([`MAX_FRAME_BYTES`]).
+    pub limit: usize,
 }
 
-/// Strip and verify the CRC trailer, leaving `msg` as the bare body.
-fn verify_checksum(msg: &mut Bytes) -> Result<(), DecodeError> {
-    let n = msg.len();
-    if n < 5 {
-        return Err(DecodeError("message too short for checksum"));
+impl std::fmt::Display for FrameTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "frame of {} bytes exceeds the {}-byte limit",
+            self.len, self.limit
+        )
     }
-    let expect = u32::from_le_bytes([msg[n - 4], msg[n - 3], msg[n - 2], msg[n - 1]]);
-    if crc32(&msg[..n - 4]) != expect {
-        return Err(DecodeError("checksum mismatch"));
+}
+
+impl std::error::Error for FrameTooLarge {}
+
+fn check_frame_len(len: usize, kind: io::ErrorKind) -> io::Result<usize> {
+    if len > MAX_FRAME_BYTES {
+        let limit = MAX_FRAME_BYTES;
+        return Err(io::Error::new(kind, FrameTooLarge { len, limit }));
     }
-    msg.truncate(n - 4);
-    Ok(())
+    Ok(len)
+}
+
+/// The 4-byte length prefix that frames a `len`-byte payload on a stream —
+/// the only place a frame length becomes bytes.
+///
+/// # Errors
+///
+/// `InvalidInput` carrying [`FrameTooLarge`] above [`MAX_FRAME_BYTES`].
+pub(crate) fn frame_prefix(len: usize) -> io::Result<[u8; 4]> {
+    check_frame_len(len, io::ErrorKind::InvalidInput).map(|len| (len as u32).to_le_bytes())
+}
+
+/// The payload length a received prefix announces — the only place those
+/// bytes become a length, checked before anything is allocated for it.
+///
+/// # Errors
+///
+/// `InvalidData` carrying [`FrameTooLarge`] above [`MAX_FRAME_BYTES`].
+pub(crate) fn frame_len(prefix: [u8; 4]) -> io::Result<usize> {
+    check_frame_len(
+        u32::from_le_bytes(prefix) as usize,
+        io::ErrorKind::InvalidData,
+    )
+}
+
+/// Append the CRC-32 trailer over `out[body_at..]`, completing a message
+/// whose body starts there.
+pub(crate) fn seal(out: &mut Vec<u8>, body_at: usize) {
+    let crc = crc32(&out[body_at..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Append one complete stream frame to `out`: `[len: u32 LE]`, the body
+/// `write_body` appends, `[crc32]`. Returns the bytes appended, or leaves
+/// `out` as it was when the frame would exceed [`MAX_FRAME_BYTES`].
+pub(crate) fn append_frame(
+    out: &mut Vec<u8>,
+    write_body: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<usize> {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    write_body(out);
+    seal(out, at + 4);
+    match frame_prefix(out.len() - at - 4) {
+        Ok(prefix) => out[at..at + 4].copy_from_slice(&prefix),
+        Err(e) => {
+            out.truncate(at);
+            return Err(e);
+        }
+    }
+    Ok(out.len() - at)
 }
 
 /// A client request.
@@ -334,55 +422,26 @@ impl std::fmt::Display for ErrorCode {
         }
     }
 }
-
 /// Per-worker buffers [`execute`] reuses across requests, as a real
 /// server does: the Multi-Get response frame is built in place in one,
-/// batched writes stage through the other.
+/// batched writes stage through another, every other reply is encoded
+/// into the third.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
     pub(crate) resp: crate::store::MGetResponse,
     pub(crate) set_batch: crate::store::SetMultiBatch,
-}
-
-/// An encoded response payload from [`execute`].
-#[derive(Debug)]
-pub enum Reply<'a> {
-    /// A Multi-Get frame the store built in place during Phase 3 and
-    /// sealed (header + CRC) inside the [`ExecScratch`] (zero-copy
-    /// responses, DESIGN.md §9): a socket writer sends the slice as is.
-    Sealed(&'a [u8]),
-    /// Any other response, encoded into its own buffer.
-    Owned(Bytes),
-}
-
-impl std::ops::Deref for Reply<'_> {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match self {
-            Reply::Sealed(frame) => frame,
-            Reply::Owned(bytes) => bytes,
-        }
-    }
-}
-
-impl Reply<'_> {
-    /// The payload as owned bytes, copying a sealed frame once (callers
-    /// that hand the response to another thread, like the fabric server).
-    pub fn into_bytes(self) -> Bytes {
-        match self {
-            Reply::Sealed(frame) => Bytes::copy_from_slice(frame),
-            Reply::Owned(bytes) => bytes,
-        }
-    }
+    reply: Vec<u8>,
 }
 
 /// What [`execute`] did: the response to send and the figures the serving
 /// loops count.
 #[derive(Debug)]
 pub struct Executed<'a> {
-    /// The encoded response payload.
-    pub reply: Reply<'a>,
+    /// The encoded, CRC-sealed response payload, borrowed from the
+    /// [`ExecScratch`]: a socket writer sends the slice as is (for a
+    /// Multi-Get it is the frame the store built in place during Phase 3 —
+    /// zero-copy responses, DESIGN.md §9).
+    pub reply: &'a [u8],
     /// Keys looked up and the store's outcome, for a Multi-Get.
     pub mget: Option<(usize, crate::store::MGetOutcome)>,
     /// Pairs or point operations a write verb applied.
@@ -411,7 +470,7 @@ pub fn execute<'a>(
             let key_slices: Vec<&[u8]> = keys.iter().map(|k| k.as_ref()).collect();
             let outcome = store.mget(&key_slices, &mut scratch.resp);
             return Some(Executed {
-                reply: Reply::Sealed(scratch.resp.seal_frame(*id)),
+                reply: scratch.resp.seal_frame(*id),
                 mget: Some((key_slices.len(), outcome)),
                 writes: 0,
                 write_phases,
@@ -495,8 +554,9 @@ pub fn execute<'a>(
             }
         }
     };
+    response.encode_into(&mut scratch.reply);
     Some(Executed {
-        reply: Reply::Owned(response.encode()),
+        reply: &scratch.reply,
         mget: None,
         writes,
         write_phases,
@@ -515,6 +575,26 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
+/// A key, value or list too long for its wire length field (`u16` key
+/// bytes, `u32` value bytes, `u16` list entries): the message cannot be
+/// encoded. Converts into an [`std::io::Error`] of kind `InvalidInput`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodeError(pub &'static str);
+
+impl std::fmt::Display for EncodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "unencodable message: {}", self.0)
+    }
+}
+
+impl std::error::Error for EncodeError {}
+
+impl From<EncodeError> for io::Error {
+    fn from(e: EncodeError) -> Self {
+        io::Error::new(io::ErrorKind::InvalidInput, e)
+    }
+}
+
 const OP_MGET: u8 = 1;
 const OP_SET: u8 = 2;
 const OP_SHUTDOWN: u8 = 3;
@@ -524,9 +604,7 @@ const OP_CAS: u8 = 6;
 const OP_TOUCH: u8 = 7;
 const OP_SET_EX: u8 = 8;
 const OP_SET_MULTI_EX: u8 = 9;
-/// Also written by `crate::store::MGetResponse`, which builds the MGet
-/// response frame in place during Phase 3 (zero-copy responses).
-pub(crate) const OP_MGET_RESP: u8 = 128;
+const OP_MGET_RESP: u8 = 128;
 const OP_SET_RESP: u8 = 129;
 const OP_ERR_RESP: u8 = 130;
 const OP_SET_MULTI_RESP: u8 = 131;
@@ -534,6 +612,232 @@ const OP_DELETE_RESP: u8 = 132;
 const OP_CAS_RESP: u8 = 133;
 const OP_TOUCH_RESP: u8 = 134;
 const OP_SET_EX_RESP: u8 = 135;
+
+/// The one length check: `len` as its wire field's integer type, or what
+/// overflowed.
+fn fit<T: TryFrom<usize>>(len: usize, what: &'static str) -> Result<T, EncodeError> {
+    T::try_from(len).map_err(|_| EncodeError(what))
+}
+
+const KEY_TOO_LONG: &str = "key longer than its u16 length field";
+const VALUE_TOO_LONG: &str = "value longer than its u32 length field";
+const LIST_TOO_LONG: &str = "list longer than its u16 count field";
+
+/// Appends wire fields to a caller-supplied buffer: the vocabulary the
+/// encode arms are written in. Every length method panics when the length
+/// does not fit its field.
+struct Writer<'a>(&'a mut Vec<u8>);
+
+impl Writer<'_> {
+    /// What every message but `Shutdown` starts with.
+    fn head(&mut self, opcode: u8, id: u64) -> &mut Self {
+        self.u8(opcode).u64(id)
+    }
+
+    fn u8(&mut self, v: u8) -> &mut Self {
+        self.0.push(v);
+        self
+    }
+
+    fn u32(&mut self, v: u32) -> &mut Self {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    fn u64(&mut self, v: u64) -> &mut Self {
+        self.bytes(&v.to_le_bytes())
+    }
+
+    fn bool(&mut self, v: bool) -> &mut Self {
+        self.u8(u8::from(v))
+    }
+
+    fn bytes(&mut self, b: &[u8]) -> &mut Self {
+        self.0.extend_from_slice(b);
+        self
+    }
+
+    fn len16(&mut self, len: usize, what: &'static str) -> &mut Self {
+        let len: u16 = fit(len, what).unwrap_or_else(|e| panic!("{e}"));
+        self.bytes(&len.to_le_bytes())
+    }
+
+    /// `[len: u16][bytes]`.
+    fn key(&mut self, k: &[u8]) -> &mut Self {
+        self.len16(k.len(), KEY_TOO_LONG).bytes(k)
+    }
+
+    /// `[len: u32][bytes]`.
+    fn value(&mut self, v: &[u8]) -> &mut Self {
+        let len: u32 = fit(v.len(), VALUE_TOO_LONG).unwrap_or_else(|e| panic!("{e}"));
+        self.u32(len).bytes(v)
+    }
+
+    /// One Multi-Get response record: `[1][value]` for a hit, `[0]` for a
+    /// miss.
+    fn entry(&mut self, entry: Option<&[u8]>) -> &mut Self {
+        match entry {
+            Some(v) => self.bool(true).value(v),
+            None => self.bool(false),
+        }
+    }
+
+    fn each<T>(&mut self, items: &[T], item: impl Fn(&mut Self, &T)) -> &mut Self {
+        items.iter().for_each(|i| item(self, i));
+        self
+    }
+
+    /// `[count: u16]` then each item's fields.
+    fn list<T>(&mut self, items: &[T], item: impl Fn(&mut Self, &T)) -> &mut Self {
+        self.len16(items.len(), LIST_TOO_LONG).each(items, item)
+    }
+
+    fn keys(&mut self, keys: &[Bytes]) -> &mut Self {
+        self.list(keys, |w, k| {
+            w.key(k);
+        })
+    }
+
+    fn pairs(&mut self, pairs: &[(Bytes, Bytes)]) -> &mut Self {
+        self.list(pairs, |w, (k, v)| {
+            w.key(k).value(v);
+        })
+    }
+}
+
+/// Bytes before the first per-key record of a Multi-Get response:
+/// `[opcode: u8] [request id: u64 LE] [key count: u16 LE]`.
+pub(crate) const MGET_RESP_HEADER_BYTES: usize = 1 + 8 + 2;
+
+/// Bytes of a Multi-Get hit record before its value:
+/// `[found = 1: u8] [len: u32 LE]`.
+pub(crate) const MGET_HIT_PREFIX_BYTES: usize = 1 + 4;
+
+/// The header of a Multi-Get response to request `id` carrying `count`
+/// records. An array, so the store can patch it over the placeholder its
+/// in-place frame starts with.
+///
+/// # Panics
+///
+/// Panics if `count` exceeds `u16::MAX` (requests decode under the same
+/// bound).
+pub(crate) fn mget_resp_header(id: u64, count: usize) -> [u8; MGET_RESP_HEADER_BYTES] {
+    let count: u16 = fit(count, LIST_TOO_LONG).unwrap_or_else(|e| panic!("{e}"));
+    let mut header = [0; MGET_RESP_HEADER_BYTES];
+    header[0] = OP_MGET_RESP;
+    header[1..9].copy_from_slice(&id.to_le_bytes());
+    header[9..].copy_from_slice(&count.to_le_bytes());
+    header
+}
+
+/// Append one Multi-Get response record: `[1][len: u32][value]` for a hit,
+/// `[0]` for a miss.
+pub(crate) fn mget_resp_entry(out: &mut Vec<u8>, entry: Option<&[u8]>) {
+    Writer(out).entry(entry);
+}
+
+const TRUNCATED: DecodeError = DecodeError("truncated message");
+
+/// Consumes wire fields from a verified message body: the vocabulary the
+/// decode arms are written in. The truncation check lives in
+/// [`Reader::take`] and [`Reader::fixed`] and nowhere else.
+struct Reader(Bytes);
+
+impl Reader {
+    /// Verify and strip the CRC trailer of `msg`, leaving its body.
+    fn open(mut msg: Bytes) -> Result<Self, DecodeError> {
+        let Some((body, trailer)) = msg.split_last_chunk::<4>().filter(|(b, _)| !b.is_empty())
+        else {
+            return Err(DecodeError("message too short for checksum"));
+        };
+        if crc32(body) != u32::from_le_bytes(*trailer) {
+            return Err(DecodeError("checksum mismatch"));
+        }
+        msg.truncate(msg.len() - 4);
+        Ok(Reader(msg))
+    }
+
+    fn take(&mut self, n: usize) -> Result<Bytes, DecodeError> {
+        if self.0.len() < n {
+            return Err(TRUNCATED);
+        }
+        Ok(self.0.split_to(n))
+    }
+
+    fn fixed<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let bytes = *self.0.first_chunk::<N>().ok_or(TRUNCATED)?;
+        self.0.advance(N);
+        Ok(bytes)
+    }
+
+    fn u8(&mut self) -> Result<u8, DecodeError> {
+        self.fixed::<1>().map(|[b]| b)
+    }
+
+    fn u16(&mut self) -> Result<u16, DecodeError> {
+        self.fixed().map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Result<u32, DecodeError> {
+        self.fixed().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, DecodeError> {
+        self.fixed().map(u64::from_le_bytes)
+    }
+
+    /// Strict: only 0 and 1 are booleans.
+    fn bool(&mut self) -> Result<bool, DecodeError> {
+        match self.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(DecodeError("flag byte is neither 0 nor 1")),
+        }
+    }
+
+    fn status(&mut self) -> Result<OpStatus, DecodeError> {
+        self.u8().map(OpStatus::from_wire)
+    }
+
+    fn key(&mut self) -> Result<Bytes, DecodeError> {
+        let len = self.u16()?;
+        self.take(usize::from(len))
+    }
+
+    fn value(&mut self) -> Result<Bytes, DecodeError> {
+        let len = self.u32()?;
+        self.take(len as usize)
+    }
+
+    /// `[count: u16]` then each item's fields. Every item occupies at
+    /// least one byte, so a count above the bytes left is truncation —
+    /// caught before the list reserves a slot.
+    fn list<T>(
+        &mut self,
+        item: impl Fn(&mut Self) -> Result<T, DecodeError>,
+    ) -> Result<Vec<T>, DecodeError> {
+        let n = usize::from(self.u16()?);
+        if n > self.0.len() {
+            return Err(TRUNCATED);
+        }
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(item(self)?);
+        }
+        Ok(items)
+    }
+
+    fn entry(&mut self) -> Result<Option<Bytes>, DecodeError> {
+        Ok(if self.bool()? {
+            Some(self.value()?)
+        } else {
+            None
+        })
+    }
+
+    fn pairs(&mut self) -> Result<Vec<(Bytes, Bytes)>, DecodeError> {
+        self.list(|r| Ok((r.key()?, r.value()?)))
+    }
+}
 
 impl Request {
     /// The request id a response echoes; `None` for [`Request::Shutdown`],
@@ -553,99 +857,81 @@ impl Request {
     }
 
     /// Encode into a wire message.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a key exceeds `u16::MAX` bytes, a value `u32::MAX` bytes,
+    /// or a key/pair list `u16::MAX` entries: the length would wrap its
+    /// field and the frame would decode as a *different* valid request.
+    /// Callers encoding input they did not build use
+    /// [`Request::try_encode`].
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::new();
+        let mut out = Vec::new();
+        let mut w = Writer(&mut out);
         match self {
-            Request::MGet { id, keys } => {
-                b.put_u8(OP_MGET);
-                b.put_u64_le(*id);
-                b.put_u16_le(keys.len() as u16);
-                for k in keys {
-                    b.put_u16_le(k.len() as u16);
-                    b.put_slice(k);
-                }
-            }
-            Request::Set { id, key, value } => {
-                b.put_u8(OP_SET);
-                b.put_u64_le(*id);
-                b.put_u16_le(key.len() as u16);
-                b.put_slice(key);
-                b.put_u32_le(value.len() as u32);
-                b.put_slice(value);
-            }
-            Request::SetMulti { id, pairs } => {
-                b.put_u8(OP_SET_MULTI);
-                b.put_u64_le(*id);
-                b.put_u16_le(pairs.len() as u16);
-                for (k, v) in pairs {
-                    b.put_u16_le(k.len() as u16);
-                    b.put_slice(k);
-                    b.put_u32_le(v.len() as u32);
-                    b.put_slice(v);
-                }
-            }
-            Request::Delete { id, key } => {
-                b.put_u8(OP_DELETE);
-                b.put_u64_le(*id);
-                b.put_u16_le(key.len() as u16);
-                b.put_slice(key);
-            }
+            Request::MGet { id, keys } => w.head(OP_MGET, *id).keys(keys),
+            Request::Set { id, key, value } => w.head(OP_SET, *id).key(key).value(value),
+            Request::SetMulti { id, pairs } => w.head(OP_SET_MULTI, *id).pairs(pairs),
+            Request::Delete { id, key } => w.head(OP_DELETE, *id).key(key),
             Request::Cas {
                 id,
                 key,
                 expected_version,
                 value,
                 ttl_secs,
-            } => {
-                b.put_u8(OP_CAS);
-                b.put_u64_le(*id);
-                b.put_u64_le(*expected_version);
-                b.put_u32_le(*ttl_secs);
-                b.put_u16_le(key.len() as u16);
-                b.put_slice(key);
-                b.put_u32_le(value.len() as u32);
-                b.put_slice(value);
-            }
-            Request::Touch { id, key, ttl_secs } => {
-                b.put_u8(OP_TOUCH);
-                b.put_u64_le(*id);
-                b.put_u32_le(*ttl_secs);
-                b.put_u16_le(key.len() as u16);
-                b.put_slice(key);
-            }
+            } => w
+                .head(OP_CAS, *id)
+                .u64(*expected_version)
+                .u32(*ttl_secs)
+                .key(key)
+                .value(value),
+            Request::Touch { id, key, ttl_secs } => w.head(OP_TOUCH, *id).u32(*ttl_secs).key(key),
             Request::SetEx {
                 id,
                 key,
                 value,
                 ttl_secs,
-            } => {
-                b.put_u8(OP_SET_EX);
-                b.put_u64_le(*id);
-                b.put_u32_le(*ttl_secs);
-                b.put_u16_le(key.len() as u16);
-                b.put_slice(key);
-                b.put_u32_le(value.len() as u32);
-                b.put_slice(value);
-            }
+            } => w.head(OP_SET_EX, *id).u32(*ttl_secs).key(key).value(value),
             Request::SetMultiEx {
                 id,
                 pairs,
                 ttl_secs,
-            } => {
-                b.put_u8(OP_SET_MULTI_EX);
-                b.put_u64_le(*id);
-                b.put_u32_le(*ttl_secs);
-                b.put_u16_le(pairs.len() as u16);
-                for (k, v) in pairs {
-                    b.put_u16_le(k.len() as u16);
-                    b.put_slice(k);
-                    b.put_u32_le(v.len() as u32);
-                    b.put_slice(v);
-                }
+            } => w.head(OP_SET_MULTI_EX, *id).u32(*ttl_secs).pairs(pairs),
+            Request::Shutdown => w.u8(OP_SHUTDOWN),
+        };
+        seal(&mut out, 0);
+        Bytes::from(out)
+    }
+
+    /// [`Request::encode`] for keys, values and batches that arrive from
+    /// outside the program: what `encode` would panic on comes back as an
+    /// error instead.
+    ///
+    /// # Errors
+    ///
+    /// [`EncodeError`] naming the field that does not fit.
+    pub fn try_encode(&self) -> Result<Bytes, EncodeError> {
+        let key = |k: &Bytes| fit::<u16>(k.len(), KEY_TOO_LONG).map(drop);
+        let pair = |k: &Bytes, v: &Bytes| {
+            key(k)?;
+            fit::<u32>(v.len(), VALUE_TOO_LONG).map(drop)
+        };
+        match self {
+            Request::MGet { keys, .. } => {
+                fit::<u16>(keys.len(), LIST_TOO_LONG)?;
+                keys.iter().try_for_each(key)?;
             }
-            Request::Shutdown => b.put_u8(OP_SHUTDOWN),
+            Request::SetMulti { pairs, .. } | Request::SetMultiEx { pairs, .. } => {
+                fit::<u16>(pairs.len(), LIST_TOO_LONG)?;
+                pairs.iter().try_for_each(|(k, v)| pair(k, v))?;
+            }
+            Request::Set { key: k, value, .. }
+            | Request::Cas { key: k, value, .. }
+            | Request::SetEx { key: k, value, .. } => pair(k, value)?,
+            Request::Delete { key: k, .. } | Request::Touch { key: k, .. } => key(k)?,
+            Request::Shutdown => {}
         }
-        seal(b)
+        Ok(self.encode())
     }
 
     /// Decode from a wire message.
@@ -654,177 +940,52 @@ impl Request {
     ///
     /// [`DecodeError`] on truncated, corrupted (checksum mismatch), or
     /// unknown messages.
-    pub fn decode(mut msg: Bytes) -> Result<Self, DecodeError> {
-        verify_checksum(&mut msg)?;
-        if msg.is_empty() {
-            return Err(DecodeError("empty request"));
-        }
-        match msg.get_u8() {
-            OP_MGET => {
-                if msg.remaining() < 10 {
-                    return Err(DecodeError("truncated mget header"));
-                }
-                let id = msg.get_u64_le();
-                let n = msg.get_u16_le() as usize;
-                let mut keys = Vec::with_capacity(n);
-                for _ in 0..n {
-                    if msg.remaining() < 2 {
-                        return Err(DecodeError("truncated key length"));
-                    }
-                    let klen = msg.get_u16_le() as usize;
-                    if msg.remaining() < klen {
-                        return Err(DecodeError("truncated key bytes"));
-                    }
-                    keys.push(msg.split_to(klen));
-                }
-                Ok(Request::MGet { id, keys })
-            }
-            OP_SET => {
-                if msg.remaining() < 10 {
-                    return Err(DecodeError("truncated set header"));
-                }
-                let id = msg.get_u64_le();
-                let klen = msg.get_u16_le() as usize;
-                if msg.remaining() < klen + 4 {
-                    return Err(DecodeError("truncated set key"));
-                }
-                let key = msg.split_to(klen);
-                let vlen = msg.get_u32_le() as usize;
-                if msg.remaining() < vlen {
-                    return Err(DecodeError("truncated set value"));
-                }
-                let value = msg.split_to(vlen);
-                Ok(Request::Set { id, key, value })
-            }
-            OP_SET_MULTI => {
-                if msg.remaining() < 10 {
-                    return Err(DecodeError("truncated set-multi header"));
-                }
-                let id = msg.get_u64_le();
-                let n = msg.get_u16_le() as usize;
-                let mut pairs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    if msg.remaining() < 2 {
-                        return Err(DecodeError("truncated pair key length"));
-                    }
-                    let klen = msg.get_u16_le() as usize;
-                    if msg.remaining() < klen + 4 {
-                        return Err(DecodeError("truncated pair key"));
-                    }
-                    let key = msg.split_to(klen);
-                    let vlen = msg.get_u32_le() as usize;
-                    if msg.remaining() < vlen {
-                        return Err(DecodeError("truncated pair value"));
-                    }
-                    pairs.push((key, msg.split_to(vlen)));
-                }
-                Ok(Request::SetMulti { id, pairs })
-            }
-            OP_DELETE => {
-                if msg.remaining() < 10 {
-                    return Err(DecodeError("truncated delete header"));
-                }
-                let id = msg.get_u64_le();
-                let klen = msg.get_u16_le() as usize;
-                if msg.remaining() < klen {
-                    return Err(DecodeError("truncated delete key"));
-                }
-                let key = msg.split_to(klen);
-                Ok(Request::Delete { id, key })
-            }
-            OP_CAS => {
-                if msg.remaining() < 22 {
-                    return Err(DecodeError("truncated cas header"));
-                }
-                let id = msg.get_u64_le();
-                let expected_version = msg.get_u64_le();
-                let ttl_secs = msg.get_u32_le();
-                let klen = msg.get_u16_le() as usize;
-                if msg.remaining() < klen + 4 {
-                    return Err(DecodeError("truncated cas key"));
-                }
-                let key = msg.split_to(klen);
-                let vlen = msg.get_u32_le() as usize;
-                if msg.remaining() < vlen {
-                    return Err(DecodeError("truncated cas value"));
-                }
-                let value = msg.split_to(vlen);
-                Ok(Request::Cas {
-                    id,
-                    key,
-                    expected_version,
-                    value,
-                    ttl_secs,
-                })
-            }
-            OP_TOUCH => {
-                if msg.remaining() < 14 {
-                    return Err(DecodeError("truncated touch header"));
-                }
-                let id = msg.get_u64_le();
-                let ttl_secs = msg.get_u32_le();
-                let klen = msg.get_u16_le() as usize;
-                if msg.remaining() < klen {
-                    return Err(DecodeError("truncated touch key"));
-                }
-                let key = msg.split_to(klen);
-                Ok(Request::Touch { id, key, ttl_secs })
-            }
-            OP_SET_EX => {
-                if msg.remaining() < 14 {
-                    return Err(DecodeError("truncated set-ex header"));
-                }
-                let id = msg.get_u64_le();
-                let ttl_secs = msg.get_u32_le();
-                let klen = msg.get_u16_le() as usize;
-                if msg.remaining() < klen + 4 {
-                    return Err(DecodeError("truncated set-ex key"));
-                }
-                let key = msg.split_to(klen);
-                let vlen = msg.get_u32_le() as usize;
-                if msg.remaining() < vlen {
-                    return Err(DecodeError("truncated set-ex value"));
-                }
-                let value = msg.split_to(vlen);
-                Ok(Request::SetEx {
-                    id,
-                    key,
-                    value,
-                    ttl_secs,
-                })
-            }
-            OP_SET_MULTI_EX => {
-                if msg.remaining() < 14 {
-                    return Err(DecodeError("truncated set-multi-ex header"));
-                }
-                let id = msg.get_u64_le();
-                let ttl_secs = msg.get_u32_le();
-                let n = msg.get_u16_le() as usize;
-                let mut pairs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    if msg.remaining() < 2 {
-                        return Err(DecodeError("truncated pair key length"));
-                    }
-                    let klen = msg.get_u16_le() as usize;
-                    if msg.remaining() < klen + 4 {
-                        return Err(DecodeError("truncated pair key"));
-                    }
-                    let key = msg.split_to(klen);
-                    let vlen = msg.get_u32_le() as usize;
-                    if msg.remaining() < vlen {
-                        return Err(DecodeError("truncated pair value"));
-                    }
-                    pairs.push((key, msg.split_to(vlen)));
-                }
-                Ok(Request::SetMultiEx {
-                    id,
-                    pairs,
-                    ttl_secs,
-                })
-            }
-            OP_SHUTDOWN => Ok(Request::Shutdown),
-            _ => Err(DecodeError("unknown request opcode")),
-        }
+    pub fn decode(msg: Bytes) -> Result<Self, DecodeError> {
+        let mut r = Reader::open(msg)?;
+        Ok(match r.u8()? {
+            OP_MGET => Request::MGet {
+                id: r.u64()?,
+                keys: r.list(Reader::key)?,
+            },
+            OP_SET => Request::Set {
+                id: r.u64()?,
+                key: r.key()?,
+                value: r.value()?,
+            },
+            OP_SET_MULTI => Request::SetMulti {
+                id: r.u64()?,
+                pairs: r.pairs()?,
+            },
+            OP_DELETE => Request::Delete {
+                id: r.u64()?,
+                key: r.key()?,
+            },
+            OP_CAS => Request::Cas {
+                id: r.u64()?,
+                expected_version: r.u64()?,
+                ttl_secs: r.u32()?,
+                key: r.key()?,
+                value: r.value()?,
+            },
+            OP_TOUCH => Request::Touch {
+                id: r.u64()?,
+                ttl_secs: r.u32()?,
+                key: r.key()?,
+            },
+            OP_SET_EX => Request::SetEx {
+                id: r.u64()?,
+                ttl_secs: r.u32()?,
+                key: r.key()?,
+                value: r.value()?,
+            },
+            OP_SET_MULTI_EX => Request::SetMultiEx {
+                id: r.u64()?,
+                ttl_secs: r.u32()?,
+                pairs: r.pairs()?,
+            },
+            OP_SHUTDOWN => Request::Shutdown,
+            _ => return Err(DecodeError("unknown request opcode")),
+        })
     }
 }
 
@@ -844,74 +1005,51 @@ impl Response {
     }
 
     /// Encode into a wire message.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a value exceeds `u32::MAX` bytes or an entry/status list
+    /// `u16::MAX` entries (see [`Request::encode`]).
     pub fn encode(&self) -> Bytes {
-        let mut b = BytesMut::new();
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        Bytes::from(out)
+    }
+
+    /// [`Response::encode`] into a buffer the caller reuses: `out` is
+    /// cleared and left holding the sealed message.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        out.clear();
+        let mut w = Writer(out);
         match self {
             Response::MGet { id, entries } => {
-                b.put_u8(OP_MGET_RESP);
-                b.put_u64_le(*id);
-                b.put_u16_le(entries.len() as u16);
-                for e in entries {
-                    match e {
-                        Some(v) => {
-                            b.put_u8(1);
-                            b.put_u32_le(v.len() as u32);
-                            b.put_slice(v);
-                        }
-                        None => b.put_u8(0),
-                    }
-                }
+                w.bytes(&mget_resp_header(*id, entries.len()))
+                    .each(entries, |w, e| {
+                        w.entry(e.as_deref());
+                    })
             }
-            Response::Set { id, ok } => {
-                b.put_u8(OP_SET_RESP);
-                b.put_u64_le(*id);
-                b.put_u8(u8::from(*ok));
-            }
-            Response::SetMulti { id, ok } => {
-                b.put_u8(OP_SET_MULTI_RESP);
-                b.put_u64_le(*id);
-                b.put_u16_le(ok.len() as u16);
-                for &o in ok {
-                    b.put_u8(u8::from(o));
-                }
-            }
-            Response::Delete { id, status } => {
-                b.put_u8(OP_DELETE_RESP);
-                b.put_u64_le(*id);
-                b.put_u8(status.to_wire());
-            }
+            Response::Set { id, ok } => w.head(OP_SET_RESP, *id).bool(*ok),
+            Response::SetMulti { id, ok } => w.head(OP_SET_MULTI_RESP, *id).list(ok, |w, &ok| {
+                w.bool(ok);
+            }),
+            Response::Delete { id, status } => w.head(OP_DELETE_RESP, *id).u8(status.to_wire()),
             Response::Cas {
                 id,
                 status,
                 version,
-            } => {
-                b.put_u8(OP_CAS_RESP);
-                b.put_u64_le(*id);
-                b.put_u8(status.to_wire());
-                b.put_u64_le(*version);
-            }
-            Response::Touch { id, status } => {
-                b.put_u8(OP_TOUCH_RESP);
-                b.put_u64_le(*id);
-                b.put_u8(status.to_wire());
-            }
+            } => w.head(OP_CAS_RESP, *id).u8(status.to_wire()).u64(*version),
+            Response::Touch { id, status } => w.head(OP_TOUCH_RESP, *id).u8(status.to_wire()),
             Response::SetEx {
                 id,
                 status,
                 version,
-            } => {
-                b.put_u8(OP_SET_EX_RESP);
-                b.put_u64_le(*id);
-                b.put_u8(status.to_wire());
-                b.put_u64_le(*version);
-            }
-            Response::Error { id, code } => {
-                b.put_u8(OP_ERR_RESP);
-                b.put_u64_le(*id);
-                b.put_u8(code.to_wire());
-            }
-        }
-        seal(b)
+            } => w
+                .head(OP_SET_EX_RESP, *id)
+                .u8(status.to_wire())
+                .u64(*version),
+            Response::Error { id, code } => w.head(OP_ERR_RESP, *id).u8(code.to_wire()),
+        };
+        seal(out, 0);
     }
 
     /// Decode from a wire message.
@@ -920,119 +1058,45 @@ impl Response {
     ///
     /// [`DecodeError`] on truncated, corrupted (checksum mismatch), or
     /// unknown messages.
-    pub fn decode(mut msg: Bytes) -> Result<Self, DecodeError> {
-        verify_checksum(&mut msg)?;
-        if msg.is_empty() {
-            return Err(DecodeError("empty response"));
-        }
-        match msg.get_u8() {
-            OP_MGET_RESP => {
-                if msg.remaining() < 10 {
-                    return Err(DecodeError("truncated mget response"));
-                }
-                let id = msg.get_u64_le();
-                let n = msg.get_u16_le() as usize;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    if msg.remaining() < 1 {
-                        return Err(DecodeError("truncated entry flag"));
-                    }
-                    match msg.get_u8() {
-                        0 => entries.push(None),
-                        1 => {
-                            if msg.remaining() < 4 {
-                                return Err(DecodeError("truncated value length"));
-                            }
-                            let vlen = msg.get_u32_le() as usize;
-                            if msg.remaining() < vlen {
-                                return Err(DecodeError("truncated value bytes"));
-                            }
-                            entries.push(Some(msg.split_to(vlen)));
-                        }
-                        _ => return Err(DecodeError("bad entry flag")),
-                    }
-                }
-                Ok(Response::MGet { id, entries })
-            }
-            OP_SET_RESP => {
-                if msg.remaining() < 9 {
-                    return Err(DecodeError("truncated set response"));
-                }
-                let id = msg.get_u64_le();
-                let ok = msg.get_u8() != 0;
-                Ok(Response::Set { id, ok })
-            }
-            OP_SET_MULTI_RESP => {
-                if msg.remaining() < 10 {
-                    return Err(DecodeError("truncated set-multi response"));
-                }
-                let id = msg.get_u64_le();
-                let n = msg.get_u16_le() as usize;
-                if msg.remaining() < n {
-                    return Err(DecodeError("truncated set-multi statuses"));
-                }
-                let mut ok = Vec::with_capacity(n);
-                for _ in 0..n {
-                    match msg.get_u8() {
-                        0 => ok.push(false),
-                        1 => ok.push(true),
-                        _ => return Err(DecodeError("bad set-multi status byte")),
-                    }
-                }
-                Ok(Response::SetMulti { id, ok })
-            }
-            OP_DELETE_RESP => {
-                if msg.remaining() < 9 {
-                    return Err(DecodeError("truncated delete response"));
-                }
-                let id = msg.get_u64_le();
-                let status = OpStatus::from_wire(msg.get_u8());
-                Ok(Response::Delete { id, status })
-            }
-            OP_CAS_RESP => {
-                if msg.remaining() < 17 {
-                    return Err(DecodeError("truncated cas response"));
-                }
-                let id = msg.get_u64_le();
-                let status = OpStatus::from_wire(msg.get_u8());
-                let version = msg.get_u64_le();
-                Ok(Response::Cas {
-                    id,
-                    status,
-                    version,
-                })
-            }
-            OP_TOUCH_RESP => {
-                if msg.remaining() < 9 {
-                    return Err(DecodeError("truncated touch response"));
-                }
-                let id = msg.get_u64_le();
-                let status = OpStatus::from_wire(msg.get_u8());
-                Ok(Response::Touch { id, status })
-            }
-            OP_SET_EX_RESP => {
-                if msg.remaining() < 17 {
-                    return Err(DecodeError("truncated set-ex response"));
-                }
-                let id = msg.get_u64_le();
-                let status = OpStatus::from_wire(msg.get_u8());
-                let version = msg.get_u64_le();
-                Ok(Response::SetEx {
-                    id,
-                    status,
-                    version,
-                })
-            }
-            OP_ERR_RESP => {
-                if msg.remaining() < 9 {
-                    return Err(DecodeError("truncated error response"));
-                }
-                let id = msg.get_u64_le();
-                let code = ErrorCode::from_wire(msg.get_u8());
-                Ok(Response::Error { id, code })
-            }
-            _ => Err(DecodeError("unknown response opcode")),
-        }
+    pub fn decode(msg: Bytes) -> Result<Self, DecodeError> {
+        let mut r = Reader::open(msg)?;
+        Ok(match r.u8()? {
+            OP_MGET_RESP => Response::MGet {
+                id: r.u64()?,
+                entries: r.list(Reader::entry)?,
+            },
+            OP_SET_RESP => Response::Set {
+                id: r.u64()?,
+                ok: r.bool()?,
+            },
+            OP_SET_MULTI_RESP => Response::SetMulti {
+                id: r.u64()?,
+                ok: r.list(Reader::bool)?,
+            },
+            OP_DELETE_RESP => Response::Delete {
+                id: r.u64()?,
+                status: r.status()?,
+            },
+            OP_CAS_RESP => Response::Cas {
+                id: r.u64()?,
+                status: r.status()?,
+                version: r.u64()?,
+            },
+            OP_TOUCH_RESP => Response::Touch {
+                id: r.u64()?,
+                status: r.status()?,
+            },
+            OP_SET_EX_RESP => Response::SetEx {
+                id: r.u64()?,
+                status: r.status()?,
+                version: r.u64()?,
+            },
+            OP_ERR_RESP => Response::Error {
+                id: r.u64()?,
+                code: ErrorCode::from_wire(r.u8()?),
+            },
+            _ => return Err(DecodeError("unknown response opcode")),
+        })
     }
 }
 
@@ -1094,9 +1158,8 @@ mod tests {
         };
         let mut scratch = ExecScratch::default();
         let done = execute(&store, &request, &mut scratch).unwrap();
-        assert!(matches!(done.reply, Reply::Sealed(_)));
         assert_eq!(done.mget.map(|(keys, o)| (keys, o.found)), Some((3, 2)));
-        let fast = done.reply.into_bytes();
+        let fast = Bytes::copy_from_slice(done.reply);
         let generic = Response::MGet {
             id: 9,
             entries: vec![Some(Bytes::from_static(b"alpha")), None, Some(Bytes::new())],
@@ -1131,9 +1194,9 @@ mod tests {
     /// Re-seal arbitrary body bytes with a valid CRC trailer, so structural
     /// decode paths can be probed past the integrity check.
     fn sealed(body: &[u8]) -> Bytes {
-        let mut b = BytesMut::new();
-        b.put_slice(body);
-        seal(b)
+        let mut b = body.to_vec();
+        seal(&mut b, 0);
+        Bytes::from(b)
     }
 
     #[test]

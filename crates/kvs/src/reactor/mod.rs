@@ -69,7 +69,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use crate::kvsd::{ConnSummary, KvsdConfig};
-use crate::net::FrameDecoder;
+use crate::net::{write_frame, FrameDecoder};
 use crate::protocol::{execute, ErrorCode, ExecScratch, Request, Response};
 use crate::server::ServerStats;
 use crate::store::KvStore;
@@ -491,6 +491,17 @@ impl Conn {
         self.flush_ready_slots();
     }
 
+    /// Frame `payload` (length prefix + body) into response slot `seq` and
+    /// write what the socket accepts.
+    fn answer_framed(&mut self, seq: u64, payload: &[u8]) -> io::Result<()> {
+        // Only a Multi-Get reply can outgrow a frame, and those are
+        // scattered by `dispatch`, not framed here.
+        self.answer(seq, |out| {
+            write_frame(out, payload).expect("every reply but MGet's is far below the frame cap")
+        });
+        self.try_write()
+    }
+
     /// Move the completed prefix of the slot queue into `out`.
     fn flush_ready_slots(&mut self) {
         while matches!(self.slots.front(), Some(Some(_))) {
@@ -899,8 +910,9 @@ impl ReactorLoop {
                 let busy = t0.elapsed().as_nanos() as u64;
                 self.stats.busy_ns.fetch_add(busy, Ordering::Relaxed);
                 conn.summary.busy_ns += busy;
-                let payload = done.reply.into_bytes();
-                self.enqueue_framed(token, seq, &payload);
+                if conn.answer_framed(seq, done.reply).is_err() {
+                    self.close(token);
+                }
             }
         }
     }
@@ -999,17 +1011,13 @@ impl ReactorLoop {
         }
     }
 
-    /// Frame `payload` (length prefix + body) into the connection's
-    /// response slot `seq`, flushing the completed prefix.
+    /// [`Conn::answer_framed`] on connection `token`, closing it when the
+    /// socket fails.
     fn enqueue_framed(&mut self, token: usize, seq: u64, payload: &[u8]) {
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
-        conn.answer(seq, |out| {
-            out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            out.extend_from_slice(payload);
-        });
-        if conn.try_write().is_err() {
+        if conn.answer_framed(seq, payload).is_err() {
             self.close(token);
         }
     }
@@ -1066,10 +1074,17 @@ impl ReactorLoop {
             // Scatter: seal this request's slice of the shared batch
             // buffer straight into the connection's output (or its
             // ordering slot when earlier requests are still pending).
-            let resp = &mut self.scratch.resp;
+            let resp = &self.scratch.resp;
+            let mut appended = 0;
             conn.answer(req.seq, |out| {
-                resp.append_subframe(range, req.id, out);
+                appended = resp.append_subframe(range, req.id, out)
             });
+            if appended == 0 {
+                // The reply outgrew a frame: the blocking server's
+                // `write_frame` refuses it and drops the connection.
+                self.close(req.token);
+                continue;
+            }
             touched.push(req.token);
         }
         for &token in &touched {

@@ -174,7 +174,7 @@ impl Server {
                             break; // Shutdown
                         };
                         stats.record(&done);
-                        reply(done.reply.into_bytes());
+                        reply(bytes::Bytes::copy_from_slice(done.reply));
                         stats
                             .busy_ns
                             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);

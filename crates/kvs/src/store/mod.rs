@@ -52,6 +52,10 @@ use crate::item::{
 use crate::seqlock::{SeqCount, SeqWriteGuard};
 use crate::slab::{SlabAllocator, SlabError, SlabRef};
 
+mod response;
+
+pub use response::MGetResponse;
+
 /// Default Multi-Get prefetch look-ahead (`G`) used when
 /// [`StoreConfig::prefetch_depth`] is `None`. A stage has the lines of `G`
 /// keys in flight. The lookup stage asks per key for its first bucket —
@@ -279,227 +283,6 @@ struct PassScratch {
     chunk: Vec<u8>,
     /// Every index candidate for one hash (the collision slow path).
     ids: Vec<u32>,
-}
-
-/// Bytes before the first per-key record of a Multi-Get response frame:
-/// `[opcode: u8] [request id: u64 LE] [key count: u16 LE]`.
-const RESP_HEADER_BYTES: usize = 11;
-
-/// Bytes of a hit record before its value: `[found = 1: u8] [len: u32 LE]`.
-const HIT_PREFIX_BYTES: usize = 5;
-
-/// Where one request slot's record lies in [`MGetResponse::buf`].
-#[derive(Copy, Clone, Debug, Default)]
-struct Record {
-    /// Offset of the record's first byte, its `found` flag. Kept for misses
-    /// too, so the byte span of any run of slots is two lookups
-    /// ([`MGetResponse::append_subframe`]).
-    start: u32,
-    /// A hit's value length (`[1][len][value]`); `None` is a miss (`[0]`).
-    len: Option<u32>,
-}
-
-/// A reusable Multi-Get response buffer that **is** the wire frame: `mget`
-/// Phase 3 writes each value directly after its `[found: u8][len: u32 LE]`
-/// record in one contiguous buffer laid out exactly as
-/// `crate::protocol::Response::MGet` encodes, behind an 11-byte header
-/// placeholder. [`MGetResponse::seal_frame`] then patches in the request id
-/// and key count and appends the CRC-32 trailer — so the daemon's reply
-/// path sends the buffer as-is, with no per-value copy (DESIGN.md §9).
-#[derive(Debug, Default, Clone)]
-pub struct MGetResponse {
-    /// The in-progress wire body (header placeholder + per-key records in
-    /// request order; CRC appended by `seal_frame`).
-    buf: Vec<u8>,
-    /// Per request slot: its record inside `buf`.
-    entries: Vec<Record>,
-    /// Total value bytes (response-size accounting, excludes framing).
-    value_bytes: usize,
-    sealed: bool,
-    // Reusable scratch for the lookup pipeline (no per-request allocation).
-    scratch: BatchScratch,
-    reorder: Vec<u8>,
-}
-
-impl MGetResponse {
-    /// Create an empty response buffer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn reset(&mut self, n: usize) {
-        self.buf.clear();
-        self.buf.resize(RESP_HEADER_BYTES, 0);
-        self.buf[0] = crate::protocol::OP_MGET_RESP;
-        self.entries.clear();
-        self.entries.resize(n, Record::default());
-        self.value_bytes = 0;
-        self.sealed = false;
-    }
-
-    /// Number of slots (keys in the request).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the response holds no slots.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The value returned for request slot `i`, if found.
-    pub fn value(&self, i: usize) -> Option<&[u8]> {
-        let Record { start, len } = self.entries[i];
-        let off = start as usize + HIT_PREFIX_BYTES;
-        len.map(|len| &self.buf[off..off + len as usize])
-    }
-
-    /// Append a hit record `[1][len][value]` for slot `i`.
-    fn push_hit(&mut self, i: usize, value: &[u8]) {
-        let len = value.len() as u32;
-        self.entries[i] = Record {
-            start: self.buf.len() as u32,
-            len: Some(len),
-        };
-        self.buf.push(1);
-        self.buf.extend_from_slice(&len.to_le_bytes());
-        self.buf.extend_from_slice(value);
-        self.value_bytes += value.len();
-    }
-
-    /// Append a miss record `[0]` for slot `i`.
-    fn push_miss(&mut self, i: usize) {
-        self.entries[i] = Record {
-            start: self.buf.len() as u32,
-            len: None,
-        };
-        self.buf.push(0);
-    }
-
-    /// Undo the records appended by a failed optimistic shard pass. A
-    /// shard's records are always the contiguous tail of `buf` (each shard
-    /// appends in one run), so truncating to the pre-pass marks and
-    /// clearing the slots the pass filled restores the response exactly.
-    fn rollback(&mut self, (buf_len, value_bytes): (usize, usize), sub: ShardBatch<'_>) {
-        self.buf.truncate(buf_len);
-        self.value_bytes = value_bytes;
-        for j in 0..sub.hashes.len() {
-            self.entries[sub.slot(j)] = Record::default();
-        }
-    }
-
-    /// Rewrite `buf`'s records into request order. A single-shard `mget`
-    /// emits records in request order already; the multi-shard path emits
-    /// them grouped by shard, so one compaction pass (the same one copy per
-    /// value the old dedicated encoder paid) restores wire order here.
-    fn finalize_request_order(&mut self) {
-        let mut wire = std::mem::take(&mut self.reorder);
-        wire.clear();
-        wire.extend_from_slice(&self.buf[..RESP_HEADER_BYTES]);
-        for e in self.entries.iter_mut() {
-            // A hit's record moves as one piece, prefix and value.
-            let old = e.start as usize;
-            let bytes = e.len.map_or(1, |len| HIT_PREFIX_BYTES + len as usize);
-            e.start = wire.len() as u32;
-            wire.extend_from_slice(&self.buf[old..old + bytes]);
-        }
-        std::mem::swap(&mut self.buf, &mut wire);
-        self.reorder = wire;
-    }
-
-    /// Turn the response into a complete, CRC-sealed wire frame for request
-    /// `id` and return it, ready for `write_frame`. Call once per `mget`
-    /// (the next `mget` resets the buffer); [`MGetResponse::value`] remains
-    /// usable after sealing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called twice without an intervening `mget`, before any
-    /// `mget`, or with more than `u16::MAX` slots (the protocol's key-count
-    /// field width; requests are decoded with the same bound).
-    pub fn seal_frame(&mut self, id: u64) -> &[u8] {
-        assert!(!self.sealed, "seal_frame called twice on one response");
-        assert!(
-            self.buf.len() >= RESP_HEADER_BYTES,
-            "seal_frame requires a completed mget"
-        );
-        assert!(
-            self.entries.len() <= usize::from(u16::MAX),
-            "too many keys for one frame"
-        );
-        self.buf[1..9].copy_from_slice(&id.to_le_bytes());
-        self.buf[9..11].copy_from_slice(&(self.entries.len() as u16).to_le_bytes());
-        let crc = crate::protocol::crc32(&self.buf);
-        self.buf.extend_from_slice(&crc.to_le_bytes());
-        self.sealed = true;
-        &self.buf
-    }
-
-    /// Total value bytes returned (for response-size accounting).
-    pub fn payload_bytes(&self) -> usize {
-        self.value_bytes
-    }
-
-    /// Append one request's slice of a coalesced batch as a complete,
-    /// length-prefixed, CRC-sealed MGet response frame for request `id`.
-    ///
-    /// The reactor server concatenates the keys of many pipelined
-    /// requests into one wide `mget` so the lookup pipeline runs at full
-    /// batch width, then scatters the shared response buffer back out
-    /// per request. Slot range `slots` must be the contiguous run of
-    /// batch slots belonging to one request; the bytes appended to `out`
-    /// are identical to what the thread-per-connection path produces for
-    /// that request alone (`write_frame` of [`MGetResponse::seal_frame`]),
-    /// so the two server modes are byte-compatible on the wire.
-    ///
-    /// Returns the number of bytes appended (frame prefix included).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`MGetResponse::seal_frame`] (the batch
-    /// buffer must stay unsealed — a coalesced batch is never shipped as
-    /// one frame), if `slots` is out of bounds or not ascending, or if
-    /// the range holds more than `u16::MAX` slots (the per-request
-    /// key-count bound the protocol enforces on decode).
-    pub fn append_subframe(
-        &self,
-        slots: std::ops::Range<usize>,
-        id: u64,
-        out: &mut Vec<u8>,
-    ) -> usize {
-        assert!(!self.sealed, "append_subframe requires an unsealed batch");
-        assert!(
-            slots.start <= slots.end && slots.end <= self.entries.len(),
-            "slot range {slots:?} out of bounds for {} slots",
-            self.entries.len()
-        );
-        assert!(
-            slots.len() <= usize::from(u16::MAX),
-            "too many keys for one frame"
-        );
-        // Records are contiguous in slot order, so the range's bytes run
-        // from its first slot's record to the record after its last.
-        let at = |slot: usize| {
-            let e = self.entries.get(slot);
-            e.map_or(self.buf.len(), |e| e.start as usize)
-        };
-        let (start, end) = (at(slots.start), at(slots.end));
-
-        let mut header = [0u8; RESP_HEADER_BYTES];
-        header[0] = crate::protocol::OP_MGET_RESP;
-        header[1..9].copy_from_slice(&id.to_le_bytes());
-        header[9..11].copy_from_slice(&(slots.len() as u16).to_le_bytes());
-        let records = &self.buf[start..end];
-        let frame_len = RESP_HEADER_BYTES + records.len() + 4;
-        let before = out.len();
-        out.reserve(4 + frame_len);
-        out.extend_from_slice(&(frame_len as u32).to_le_bytes());
-        out.extend_from_slice(&header);
-        out.extend_from_slice(records);
-        let crc = crate::protocol::crc32(&out[before + 4..]);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out.len() - before
-    }
 }
 
 /// Multiply-shift shard routing over a 32-bit key hash — the same scheme
@@ -1842,7 +1625,7 @@ impl KvStore {
     ) -> Option<PassOutcome> {
         let n_sub = sub.hashes.len();
         let now = self.now_secs();
-        let marks = (resp.buf.len(), resp.value_bytes);
+        let marks = resp.marks();
         let attempt = |resp: &mut MGetResponse| {
             let (candidates, words) = (&mut scratch.candidates, &mut scratch.words);
             let tl0 = Instant::now();
@@ -2015,7 +1798,7 @@ mod tests {
     use super::*;
     use crate::index::{by_short_name, Memc3Index, SimdIndex, SimdIndexKind};
 
-    fn stores(capacity: usize) -> Vec<KvStore> {
+    pub(super) fn stores(capacity: usize) -> Vec<KvStore> {
         let cfg = StoreConfig {
             memory_budget: 8 << 20,
             capacity_items: capacity,
@@ -2042,7 +1825,7 @@ mod tests {
         ]
     }
 
-    fn sharded_stores(capacity: usize, shards: usize) -> Vec<KvStore> {
+    pub(super) fn sharded_stores(capacity: usize, shards: usize) -> Vec<KvStore> {
         ["memc3", "hor", "ver"]
             .iter()
             .map(|which| {
@@ -2196,72 +1979,6 @@ mod tests {
             assert_eq!(store.get(b"ok-1").as_deref(), Some(&b"v1"[..]));
             assert_eq!(store.get(b"too-big"), None);
             assert_eq!(store.get(b"ok-2").as_deref(), Some(&b"v2"[..]));
-        }
-    }
-
-    #[test]
-    fn subframe_scatter_matches_per_request_seal_byte_for_byte() {
-        // A coalesced batch scattered via append_subframe must put the
-        // same bytes on the wire as serving each request alone through
-        // seal_frame + write_frame (both sharded and unsharded stores,
-        // hit/miss/empty-value mixes, including an empty request).
-        for store in sharded_stores(1000, 4).into_iter().chain(stores(1000)) {
-            store.set(b"a", b"alpha").unwrap();
-            store.set(b"b", b"").unwrap();
-            store.set(b"c", b"gamma-gamma").unwrap();
-            // Three requests: [a, miss], [], [b, c, miss].
-            let reqs: [(u64, &[&[u8]]); 3] = [
-                (10, &[b"a", b"nope"]),
-                (11, &[]),
-                (12, &[b"b", b"c", b"zilch"]),
-            ];
-            let combined: Vec<&[u8]> = reqs.iter().flat_map(|(_, ks)| ks.iter().copied()).collect();
-            let mut batch = MGetResponse::new();
-            store.mget(&combined, &mut batch);
-
-            let mut scattered = Vec::new();
-            let mut lo = 0;
-            for (id, ks) in &reqs {
-                let n = batch.append_subframe(lo..lo + ks.len(), *id, &mut scattered);
-                assert!(n >= 4 + RESP_HEADER_BYTES + 4);
-                lo += ks.len();
-            }
-
-            let mut expect = Vec::new();
-            for (id, ks) in &reqs {
-                let mut solo = MGetResponse::new();
-                store.mget(ks, &mut solo);
-                crate::net::write_frame(&mut expect, solo.seal_frame(*id)).unwrap();
-            }
-            assert_eq!(scattered, expect, "{}", store.index_name());
-        }
-    }
-
-    #[test]
-    fn subframe_span_lookup_holds_at_the_edges_of_a_batch() {
-        // The span of a slot range is read off the records' stored starts:
-        // every range of a batch — the one starting at the last slot, whether
-        // that slot hit or missed, and the empty range at every position,
-        // one past the last slot included — must frame the bytes a solo
-        // request for those keys gets.
-        for store in sharded_stores(1000, 4).into_iter().chain(stores(1000)) {
-            store.set(b"a", b"alpha").unwrap();
-            store.set(b"c", b"gamma-gamma").unwrap();
-            for keys in [[&b"a"[..], b"nope", b"c"], [b"c", b"a", b"nope"]] {
-                let mut batch = MGetResponse::new();
-                store.mget(&keys, &mut batch);
-                for lo in 0..=keys.len() {
-                    for hi in lo..=keys.len() {
-                        let mut got = Vec::new();
-                        batch.append_subframe(lo..hi, 7, &mut got);
-                        let mut solo = MGetResponse::new();
-                        store.mget(&keys[lo..hi], &mut solo);
-                        let mut expect = Vec::new();
-                        crate::net::write_frame(&mut expect, solo.seal_frame(7)).unwrap();
-                        assert_eq!(got, expect, "{} {lo}..{hi}", store.index_name());
-                    }
-                }
-            }
         }
     }
 
@@ -2662,19 +2379,6 @@ mod tests {
         // The cache retains roughly the index capacity and stays readable.
         assert!(store.len() <= 128, "len {}", store.len());
         assert_eq!(store.get(b"spill-1999").as_deref(), Some(&b"v"[..]));
-    }
-
-    #[test]
-    fn response_buffer_reuse() {
-        let store = &stores(100)[0];
-        store.set(b"a", b"aaaa").unwrap();
-        let mut resp = MGetResponse::new();
-        store.mget(&[b"a".as_ref()], &mut resp);
-        assert_eq!(resp.payload_bytes(), 4);
-        store.mget(&[b"missing".as_ref()], &mut resp);
-        assert_eq!(resp.payload_bytes(), 0);
-        assert_eq!(resp.len(), 1);
-        assert_eq!(resp.value(0), None);
     }
 
     #[test]

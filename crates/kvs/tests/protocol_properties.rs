@@ -201,6 +201,10 @@ fn malformed_corpus_is_rejected() {
             &[129, 0, 0, 0, 0, 0, 0, 0, 0],
         ),
         (
+            "set response ok byte is neither 0 nor 1",
+            &[129, 0, 0, 0, 0, 0, 0, 0, 0, 2],
+        ),
+        (
             "set-multi response declares one status, provides none",
             &[131, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
         ),
@@ -833,6 +837,200 @@ fn frame_decoder_matches_blocking_reader_at_every_split() {
     }
 }
 
+/// What both decoders make of one sealed message: exactly one side is
+/// `Some` for a valid frame, neither for a damaged one.
+fn decode_both(msg: &[u8]) -> (Option<Request>, Option<Response>) {
+    let b = Bytes::copy_from_slice(msg);
+    (Request::decode(b.clone()).ok(), Response::decode(b).ok())
+}
+
+/// Slots the decoded message's lists reserved — what a hostile count field
+/// could inflate.
+fn reserved_slots((req, resp): &(Option<Request>, Option<Response>)) -> usize {
+    let req = match req {
+        Some(Request::MGet { keys, .. }) => keys.capacity(),
+        Some(Request::SetMulti { pairs, .. } | Request::SetMultiEx { pairs, .. }) => {
+            pairs.capacity()
+        }
+        _ => 0,
+    };
+    let resp = match resp {
+        Some(Response::MGet { entries, .. }) => entries.capacity(),
+        Some(Response::SetMulti { ok, .. }) => ok.capacity(),
+        _ => 0,
+    };
+    req.max(resp)
+}
+
+/// The decoder-robustness corpus check (ROADMAP item 1(c)) for one valid
+/// sealed message: (i) no strict prefix decodes; (ii) no body prefix and
+/// no single-byte body change (each `xor` mask at every position),
+/// **re-sealed with a valid CRC** so the structural decoder is what
+/// answers, decodes to the original message — and whatever it does decode
+/// to reserved no more list slots than the body has bytes.
+fn assert_damage_never_passes_for_the_original(frame: &[u8], masks: &[u8], what: &str) {
+    let original = decode_both(frame);
+    assert!(
+        original.0.is_some() != original.1.is_some(),
+        "{what}: a corpus frame is one request or one response"
+    );
+    let check = |body: &[u8], how: &str| {
+        let got = decode_both(&sealed(body));
+        assert!(
+            got.0.is_none() || got.0 != original.0,
+            "{what}: {how} decoded to the original request"
+        );
+        assert!(
+            got.1.is_none() || got.1 != original.1,
+            "{what}: {how} decoded to the original response"
+        );
+        assert!(
+            reserved_slots(&got) <= body.len(),
+            "{what}: {how} reserved {} slots for a {}-byte body",
+            reserved_slots(&got),
+            body.len()
+        );
+    };
+    let body = &frame[..frame.len() - 4];
+    for cut in 0..frame.len() {
+        assert_eq!(
+            decode_both(&frame[..cut]),
+            (None, None),
+            "{what}: strict prefix of {cut} bytes decoded"
+        );
+        if cut < body.len() {
+            check(&body[..cut], &format!("body cut to {cut} bytes"));
+        }
+    }
+    let mut damaged = body.to_vec();
+    for pos in 0..body.len() {
+        for mask in masks {
+            damaged[pos] ^= mask;
+            check(&damaged, &format!("byte {pos} xor {mask:#04x}"));
+            damaged[pos] ^= mask;
+        }
+    }
+}
+
+/// (iii) of the corpus check: `stream` fed to a [`FrameDecoder`] split at
+/// every byte offset yields the payloads the blocking `read_frame` loop
+/// does.
+fn assert_every_split_frames_alike(stream: &[u8], what: &str) {
+    let want = blocking_verdict(stream);
+    assert_eq!(want.end, StreamEnd::Clean, "{what}");
+    for split in 0..=stream.len() {
+        let got = incremental_verdict(&[&stream[..split], &stream[split..]]);
+        assert_eq!(got, want, "{what}: split at byte {split}");
+    }
+}
+
+/// Every hex literal of `wire_golden.rs` as the byte stream a socket would
+/// carry: the literal itself for the reactor's length-prefixed subframes,
+/// the literal behind a `write_frame` prefix for a bare message. Read out
+/// of that file's source — its constants are private to its own test
+/// binary, and a second copy here could drift from the pinned one.
+fn golden_streams() -> Vec<(String, Vec<u8>)> {
+    include_str!("wire_golden.rs")
+        .split("\nconst ")
+        .skip(1)
+        .map(|decl| {
+            let name = decl.split(':').next().expect("const name").to_string();
+            let literal = decl.split('"').nth(1).expect("string literal");
+            let hex: Vec<u8> = literal.bytes().filter(u8::is_ascii_hexdigit).collect();
+            let bytes: Vec<u8> = hex
+                .chunks(2)
+                .map(|pair| {
+                    let pair = std::str::from_utf8(pair).expect("ascii");
+                    u8::from_str_radix(pair, 16).expect("hex byte")
+                })
+                .collect();
+            if name.starts_with("REACTOR") {
+                return (name, bytes);
+            }
+            let mut stream = Vec::new();
+            simdht_kvs::net::write_frame(&mut stream, &bytes).expect("golden frames fit");
+            (name, stream)
+        })
+        .collect()
+}
+
+/// The corpus check over every frame `wire_golden.rs` pins, under every
+/// one of the 255 possible changes to every body byte.
+#[test]
+fn golden_frames_survive_the_damage_corpus() {
+    let all_masks: Vec<u8> = (1..=u8::MAX).collect();
+    let streams = golden_streams();
+    assert_eq!(streams.len(), 19, "9 requests, 8 responses, 2 store frames");
+    let mut frames = 0;
+    for (name, stream) in &streams {
+        assert_every_split_frames_alike(stream, name);
+        for payload in blocking_verdict(stream).frames {
+            assert_damage_never_passes_for_the_original(&payload, &all_masks, name);
+            frames += 1;
+        }
+    }
+    assert_eq!(frames, 20, "the reactor literal holds two frames");
+}
+
+/// A length that does not fit its wire field must never be encoded: the
+/// field would wrap, and — trailing bytes being tolerated — the frame
+/// would decode as a *different* valid request. The two cases below did
+/// exactly that before the encoders checked: the 65 556-byte key arrived
+/// as a Delete of its first 20 bytes, the 65 536-key MGet as an MGet of
+/// nothing.
+#[test]
+fn lengths_that_overflow_their_field_are_refused_not_wrapped() {
+    let long_key = Request::Delete {
+        id: 1,
+        key: Bytes::from(vec![b'k'; 65_556]),
+    };
+    let many_keys = Request::MGet {
+        id: 2,
+        keys: vec![Bytes::from_static(b"k"); 65_536],
+    };
+    let many_pairs = Request::SetMultiEx {
+        id: 3,
+        pairs: vec![(Bytes::from_static(b"k"), Bytes::new()); 65_536],
+        ttl_secs: 9,
+    };
+    for req in [long_key, many_keys, many_pairs] {
+        let err = req.try_encode().expect_err("must not encode");
+        assert_eq!(
+            std::io::Error::from(err).kind(),
+            std::io::ErrorKind::InvalidInput
+        );
+        let panicked = std::panic::catch_unwind(|| req.encode());
+        assert!(panicked.is_err(), "encode must panic, not wrap");
+    }
+    let wide = Response::SetMulti {
+        id: 4,
+        ok: vec![true; 65_536],
+    };
+    assert!(std::panic::catch_unwind(|| wide.encode()).is_err());
+}
+
+/// The widest lengths that do fit still round-trip: `u16::MAX` keys in one
+/// MGet, and one key of `u16::MAX` bytes.
+#[test]
+fn lengths_at_their_field_maximum_round_trip() {
+    let widest = [
+        Request::MGet {
+            id: 5,
+            keys: vec![Bytes::from_static(b"k"); usize::from(u16::MAX)],
+        },
+        Request::Touch {
+            id: 6,
+            key: Bytes::from(vec![b'k'; usize::from(u16::MAX)]),
+            ttl_secs: 1,
+        },
+    ];
+    for req in widest {
+        let frame = req.try_encode().expect("fits its fields");
+        assert_eq!(frame, req.encode());
+        assert_eq!(Request::decode(frame).unwrap(), req);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -907,6 +1105,48 @@ proptest! {
                 if let Ok(decoded) = Request::decode(full.slice(..cut)) {
                     prop_assert_ne!(decoded, req, "truncated bytes decoded identically");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn generated_messages_survive_the_damage_corpus(req in arb_request(), resp in arb_response()) {
+        for (frame, what) in [(req.encode(), "request"), (resp.encode(), "response")] {
+            assert_damage_never_passes_for_the_original(&frame, &[0x01, 0x80, 0xFF], what);
+            let mut stream = Vec::new();
+            simdht_kvs::net::write_frame(&mut stream, &frame).unwrap();
+            assert_every_split_frames_alike(&stream, what);
+        }
+    }
+
+    #[test]
+    fn accepted_bodies_reencode_to_themselves(
+        req in arb_request(),
+        resp in arb_response(),
+        pos in any::<prop::sample::Index>(),
+        byte in any::<u8>(),
+        tail in prop::collection::vec(any::<u8>(), 0..4),
+    ) {
+        // Decoding is strict where the encoding has a choice (flag bytes)
+        // and total where it has none (status and error bytes relay as
+        // `Unknown`), so whatever body a decoder accepts, the message it
+        // returns encodes back to that body: byte for byte when nothing
+        // trails the message, as its prefix when something does.
+        for frame in [req.encode(), resp.encode()] {
+            let mut body = frame[..frame.len() - 4].to_vec();
+            let pos = pos.index(body.len());
+            body[pos] = byte;
+            body.extend_from_slice(&tail);
+            let reencoded = match decode_both(&sealed(&body)) {
+                (Some(req), None) => req.encode(),
+                (None, Some(resp)) => resp.encode(),
+                (None, None) => continue,
+                both => panic!("one body decoded both ways: {both:?}"),
+            };
+            let canonical = &reencoded[..reencoded.len() - 4];
+            prop_assert!(body.starts_with(canonical), "{body:?} -> {canonical:?}");
+            if tail.is_empty() {
+                prop_assert_eq!(&body[..], canonical);
             }
         }
     }
