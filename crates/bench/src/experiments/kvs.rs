@@ -331,8 +331,10 @@ fn reactor_store(n_items: usize) -> Arc<KvStore> {
 /// Split from [`kvs_reactor_sweep`] so tests can run it without touching
 /// the filesystem.
 fn reactor_sweep_impl(scale: &RunScale) -> (String, String) {
+    use simdht_kvs::kvsd::KvsdConfig;
     use simdht_kvs::memslap::{run_memslap_mux, MuxMemslapConfig};
-    use simdht_kvs::reactor::{ReactorConfig, ReactorServer};
+    use simdht_kvs::reactor::ReactorConfig;
+    use std::sync::atomic::Ordering::Relaxed;
 
     let full = scale.kvs_items >= RunScale::full().kvs_items;
     // The sweep probes batching behaviour, not cache residency: cap the
@@ -442,15 +444,16 @@ fn reactor_sweep_impl(scale: &RunScale) -> (String, String) {
             let workload = reactor_workload(n_items, n_requests);
             let mut best: Option<ReactorPoint> = None;
             for _ in 0..reps {
-                let server = ReactorServer::bind_with(
-                    reactor_store(n_items),
-                    "127.0.0.1:0",
-                    ReactorConfig {
-                        reactors: 1,
-                        ..ReactorConfig::default()
-                    },
-                )
-                .expect("bind reactor");
+                let reactor = ReactorConfig {
+                    reactors: 1,
+                    ..ReactorConfig::default()
+                };
+                let config = KvsdConfig {
+                    reactor: Some(reactor),
+                    ..KvsdConfig::default()
+                };
+                let server = Kvsd::bind_with(reactor_store(n_items), "127.0.0.1:0", config)
+                    .expect("bind reactor");
                 let r = run_memslap_mux(
                     server.local_addr(),
                     &workload,
@@ -462,17 +465,11 @@ fn reactor_sweep_impl(scale: &RunScale) -> (String, String) {
                     },
                 )
                 .expect("reactor sweep run");
-                let snaps = server.reactor_snapshots();
+                let reactors = server.reactor_stats();
                 server.shutdown();
                 assert_eq!(r.failed, 0, "loopback sweep must not drop requests");
                 assert_eq!(r.hits, r.keys, "preloaded keys must all hit");
-                let batches: u64 = snaps.iter().map(|x| x.batches).sum();
-                let batch_keys: u64 = snaps.iter().map(|x| x.batch_keys).sum();
-                let width = if batches == 0 {
-                    0.0
-                } else {
-                    batch_keys as f64 / batches as f64
-                };
+                let rs = &reactors[0];
                 if best
                     .as_ref()
                     .is_none_or(|b| r.keys_per_sec > b.keys_per_sec)
@@ -483,9 +480,9 @@ fn reactor_sweep_impl(scale: &RunScale) -> (String, String) {
                         keys_per_sec: r.keys_per_sec,
                         p50_us: r.p50_latency_us,
                         p99_us: r.p99_latency_us,
-                        mean_batch_width: width,
-                        width_fires: snaps.iter().map(|x| x.width_fires).sum(),
-                        timeout_fires: snaps.iter().map(|x| x.timeout_fires).sum(),
+                        mean_batch_width: rs.mean_batch_width(),
+                        width_fires: rs.width_fires.load(Relaxed),
+                        timeout_fires: rs.timeout_fires.load(Relaxed),
                     });
                 }
             }

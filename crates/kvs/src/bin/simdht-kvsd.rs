@@ -7,13 +7,13 @@
 //! Pair it with `simdht-memslap` for networked Multi-Get load; see the
 //! README quickstart.
 
+use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Duration;
 
 use simdht_kvs::index;
-use simdht_kvs::kvsd::{ConnSummary, Kvsd, KvsdConfig};
-use simdht_kvs::reactor::{ReactorConfig, ReactorServer};
-use simdht_kvs::server::ServerStats;
+use simdht_kvs::kvsd::{Kvsd, KvsdConfig};
+use simdht_kvs::reactor::ReactorConfig;
 use simdht_kvs::store::{KvStore, ReadMode, StoreConfig};
 
 const USAGE: &str = "\
@@ -73,7 +73,6 @@ struct Args {
     prefetch_depth: Option<usize>,
     read_mode: ReadMode,
     config: KvsdConfig,
-    reactor: Option<ReactorConfig>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -87,39 +86,42 @@ fn parse_args() -> Result<Args, String> {
         prefetch_depth: None,
         read_mode: ReadMode::Locked,
         config: KvsdConfig::default(),
-        reactor: None,
     };
-    let mut reactor_cfg = ReactorConfig::default();
-    let mut want_reactor = false;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
+        // Every reactor flag selects the reactor loop.
+        let reactor = &mut args.config.reactor;
         match flag.as_str() {
-            "--reactor" => want_reactor = true,
+            "--reactor" => {
+                reactor.get_or_insert_with(ReactorConfig::default);
+            }
             "--reactor-threads" => {
-                want_reactor = true;
-                reactor_cfg.reactors = value("--reactor-threads")?
+                let reactors = value("--reactor-threads")?
                     .parse()
                     .map_err(|e| format!("--reactor-threads: {e}"))?;
-                if reactor_cfg.reactors == 0 {
+                if reactors == 0 {
                     return Err("--reactor-threads must be >= 1".to_string());
                 }
+                reactor.get_or_insert_with(ReactorConfig::default).reactors = reactors;
             }
             "--coalesce-us" => {
-                want_reactor = true;
                 let us: u64 = value("--coalesce-us")?
                     .parse()
                     .map_err(|e| format!("--coalesce-us: {e}"))?;
-                reactor_cfg.coalesce = Duration::from_micros(us);
+                reactor.get_or_insert_with(ReactorConfig::default).coalesce =
+                    Duration::from_micros(us);
             }
             "--batch-width" => {
-                want_reactor = true;
-                reactor_cfg.batch_width = value("--batch-width")?
+                let width = value("--batch-width")?
                     .parse()
                     .map_err(|e| format!("--batch-width: {e}"))?;
-                if reactor_cfg.batch_width == 0 {
+                if width == 0 {
                     return Err("--batch-width must be >= 1".to_string());
                 }
+                reactor
+                    .get_or_insert_with(ReactorConfig::default)
+                    .batch_width = width;
             }
             "--addr" => args.addr = value("--addr")?,
             "--index" => args.index = value("--index")?,
@@ -190,63 +192,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
-    if want_reactor {
-        reactor_cfg.limits = args.config;
-        args.reactor = Some(reactor_cfg);
-    }
     Ok(args)
-}
-
-/// Either serving architecture behind one drain-and-report interface.
-enum Daemon {
-    Thread(Kvsd),
-    Reactor(ReactorServer),
-}
-
-impl Daemon {
-    fn local_addr(&self) -> std::net::SocketAddr {
-        match self {
-            Daemon::Thread(k) => k.local_addr(),
-            Daemon::Reactor(r) => r.local_addr(),
-        }
-    }
-
-    fn stats(&self) -> Arc<ServerStats> {
-        match self {
-            Daemon::Thread(k) => k.stats(),
-            Daemon::Reactor(r) => r.stats(),
-        }
-    }
-
-    fn shutdown(self) -> Vec<ConnSummary> {
-        match self {
-            Daemon::Thread(k) => k.shutdown(),
-            Daemon::Reactor(r) => {
-                let snaps = r.reactor_snapshots();
-                let summaries = r.shutdown();
-                for s in &snaps {
-                    println!(
-                        "reactor {}: {} conns ({} still open), {} frames, \
-                         {} batches (mean width {:.2}; fires: {} width / {} timeout / {} drain), \
-                         {} write batches (mean pairs {:.2}), {} shed",
-                        s.reactor,
-                        s.conns_adopted,
-                        s.conns_open,
-                        s.frames,
-                        s.batches,
-                        s.mean_batch_width(),
-                        s.width_fires,
-                        s.timeout_fires,
-                        s.drain_fires,
-                        s.write_batches,
-                        s.mean_write_batch_width(),
-                        s.sheds,
-                    );
-                }
-                summaries
-            }
-        }
-    }
 }
 
 fn main() {
@@ -274,14 +220,7 @@ fn main() {
         },
         |cap| index::by_short_name(&args.index, cap).expect("index name validated above"),
     ));
-    let bound = match args.reactor {
-        Some(rcfg) => ReactorServer::bind_with(Arc::clone(&store), args.addr.as_str(), rcfg)
-            .map(Daemon::Reactor),
-        None => {
-            Kvsd::bind_with(Arc::clone(&store), args.addr.as_str(), args.config).map(Daemon::Thread)
-        }
-    };
-    let kvsd = match bound {
+    let kvsd = match Kvsd::bind_with(Arc::clone(&store), args.addr.as_str(), args.config) {
         Ok(k) => k,
         Err(e) => {
             eprintln!("error: cannot bind {}: {e}", args.addr);
@@ -304,7 +243,7 @@ fn main() {
         store.prefetch_depth(),
         store.read_mode().name(),
     );
-    if let Some(rcfg) = args.reactor {
+    if let Some(rcfg) = args.config.reactor {
         println!(
             "reactor mode: {} event loop(s), coalesce {}us, batch width {}",
             rcfg.reactors,
@@ -320,8 +259,24 @@ fn main() {
         Some(secs) => {
             std::thread::sleep(std::time::Duration::from_secs(secs));
             let stats = kvsd.stats();
+            let reactors = kvsd.reactor_stats();
             let summaries = kvsd.shutdown();
-            use std::sync::atomic::Ordering::Relaxed;
+            for (i, r) in reactors.iter().enumerate() {
+                println!(
+                    "reactor {i}: {} conns, {} frames, \
+                     {} batches (mean width {:.2}; fires: {} width / {} timeout / {} drain), \
+                     {} write batches (mean pairs {:.2})",
+                    r.conns_adopted.load(Relaxed),
+                    r.frames.load(Relaxed),
+                    r.batches.load(Relaxed),
+                    r.mean_batch_width(),
+                    r.width_fires.load(Relaxed),
+                    r.timeout_fires.load(Relaxed),
+                    r.drain_fires.load(Relaxed),
+                    r.write_batches.load(Relaxed),
+                    r.mean_write_batch_width(),
+                );
+            }
             println!(
                 "drained after {secs}s: {} mgets, {} keys ({} found), {} shed, {} closed connections",
                 stats.requests.load(Relaxed),

@@ -1,33 +1,54 @@
 //! `simdht-kvsd`: the KVS served over real TCP sockets.
 //!
 //! The fabric-based [`crate::server::Server`] measures the store behind a
-//! modeled link; [`Kvsd`] is the same store behind an actual network stack:
-//! a multithreaded accept loop, one handler thread per connection, framed
-//! I/O from [`crate::net`], and request **pipelining** — a client may keep
-//! many requests in flight on one connection, and the handler answers them
-//! in order, flushing its write buffer only when the read side would block
-//! (so a burst of pipelined requests coalesces into few syscalls).
+//! modeled link; [`Kvsd`] is the same store behind an actual network stack.
+//! It is one shell — the listener, the accept thread, the shutdown flag,
+//! the live [`ServerStats`], the closed-connection summaries and the drain —
+//! around two connection loops, chosen by [`KvsdConfig::reactor`]:
+//!
+//! * **thread per connection** (`None`, the default): a handler thread per
+//!   connection runs framed I/O from [`crate::net`] with request
+//!   **pipelining** — a client may keep many requests in flight on one
+//!   connection, and the handler answers them in order, flushing its write
+//!   buffer only when the read side would block (so a burst of pipelined
+//!   requests coalesces into few syscalls);
+//! * **reactor** (`Some`): connections go round-robin to the event loops of
+//!   [`crate::reactor`], which coalesce requests from all their connections
+//!   into wide store calls.
 //!
 //! ## Shutdown / drain
 //!
 //! [`Kvsd::shutdown`] stops accepting, then half-closes the read side of
-//! every live connection. Handlers finish the requests they have already
-//! read, flush their responses, record a per-connection summary, and exit —
-//! no request that reached the server is dropped.
+//! every live connection. Either loop finishes the requests it has already
+//! read, flushes their responses, records a per-connection summary, and
+//! closes — no request that reached the server is dropped. A connection
+//! accepted while the drain starts is half-closed with the rest or never
+//! served: the accept thread registers it under the lock the drain walks
+//! and re-checks the shutdown flag there.
+//!
+//! ## Counting
+//!
+//! A request is counted by one call, `ConnSummary::served` or
+//! `ConnSummary::shed`, that updates its connection's summary and the
+//! server-wide [`ServerStats`] together, so the closed summaries sum to the
+//! server's counters. `busy_ns` covers only requests that ran against the
+//! store (frame decoded → reply encoded); a shed adds none.
 
+use std::collections::HashMap;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::net::{read_frame, write_frame};
-use crate::protocol::{execute, ErrorCode, ExecScratch, Executed, Request, Response};
+use crate::protocol::{execute, ErrorCode, ExecScratch, Request, Response};
+use crate::reactor::{self, ReactorConfig, ReactorStats};
 use crate::server::ServerStats;
 use crate::store::KvStore;
 
-/// Graceful-degradation knobs of the TCP daemon.
+/// Graceful-degradation knobs of the TCP daemon, and its connection loop.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct KvsdConfig {
     /// Per-request deadline, measured from the moment the request frame
@@ -37,16 +58,21 @@ pub struct KvsdConfig {
     /// deadline when it would start is answered with
     /// [`ErrorCode::DeadlineExceeded`]. `None` = no deadline.
     pub deadline: Option<Duration>,
-    /// Cap on requests being processed simultaneously across all
-    /// connections. Handlers over the cap wait (bounded by `deadline`)
-    /// and shed with [`ErrorCode::ServerBusy`] when the wait expires.
-    /// `Some(0)` sheds everything — useful for drills. `None` = no cap.
+    /// Cap on requests being processed simultaneously: across all
+    /// connections, handlers over the cap wait (bounded by `deadline`)
+    /// and shed with [`ErrorCode::ServerBusy`] when the wait expires; per
+    /// reactor, a full coalescing buffer dispatches early instead of
+    /// queueing deeper. `Some(0)` sheds everything — useful for drills.
+    /// `None` = no cap.
     pub max_inflight: Option<usize>,
     /// Close a connection after this long without a complete request
     /// frame, so a dying or wedged client cannot hold its handler thread
     /// (and an inflight slot's worth of buffered work) forever.
     /// `None` = wait indefinitely.
     pub idle_timeout: Option<Duration>,
+    /// Serve connections from the [`crate::reactor`] event loops instead
+    /// of a thread per connection. `None` = thread per connection.
+    pub reactor: Option<ReactorConfig>,
 }
 
 /// What one connection did, recorded when it closes.
@@ -64,10 +90,11 @@ pub struct ConnSummary {
     pub found: u64,
     /// Requests answered with a shed/deadline error instead of a result.
     pub shed: u64,
-    /// Busy nanoseconds (frame decode → response encode).
+    /// Busy nanoseconds of the requests that ran against the store
+    /// (frame decode → response encode).
     pub busy_ns: u64,
     /// Which reactor event loop served the connection
-    /// (`None` under the thread-per-connection server).
+    /// (`None` under the thread-per-connection loop).
     pub reactor: Option<usize>,
 }
 
@@ -86,14 +113,35 @@ impl ConnSummary {
         }
     }
 
-    /// Count one request [`execute`] ran on this connection.
-    pub(crate) fn record(&mut self, done: &Executed<'_>) {
-        if let Some((keys, outcome)) = &done.mget {
+    /// Count one request that ran against the store, here and in `stats`:
+    /// a Multi-Get's `(keys, found)` as `lookup`, the pairs or point
+    /// operations a write applied as `writes`, and the time since its frame
+    /// was decoded. The store call's phase split is the caller's to add
+    /// ([`ServerStats::record_phases`]).
+    pub(crate) fn served(
+        &mut self,
+        stats: &ServerStats,
+        lookup: Option<(usize, usize)>,
+        writes: usize,
+        since: Instant,
+    ) {
+        let busy = since.elapsed().as_nanos() as u64;
+        stats.record(lookup);
+        stats.busy_ns.fetch_add(busy, Ordering::Relaxed);
+        if let Some((keys, found)) = lookup {
             self.requests += 1;
-            self.keys += *keys as u64;
-            self.found += outcome.found as u64;
+            self.keys += keys as u64;
+            self.found += found as u64;
         }
-        self.sets += done.writes as u64;
+        self.sets += writes as u64;
+        self.busy_ns += busy;
+    }
+
+    /// Count one request answered with a shed or deadline error instead of
+    /// running, here and in `stats`.
+    pub(crate) fn shed(&mut self, stats: &ServerStats) {
+        self.shed += 1;
+        stats.shed.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -160,25 +208,35 @@ impl Drop for SlotGuard<'_> {
     }
 }
 
+/// What the accept thread, the connection loops and [`Kvsd`] share.
 #[derive(Default)]
-struct Registry {
-    /// Live connections: (id, read-half clone used to interrupt the
-    /// handler's blocking read on shutdown).
-    streams: Mutex<Vec<(u64, TcpStream)>>,
-    /// Handler threads not yet joined (finished ones are reaped on each
-    /// accept, the rest at shutdown).
-    handles: Mutex<Vec<JoinHandle<()>>>,
+pub(crate) struct Shell {
+    pub(crate) stats: Arc<ServerStats>,
+    shutting_down: AtomicBool,
+    /// Live connections by id: a clone of each stream, which the drain
+    /// half-closes to end the connection's reads.
+    streams: Mutex<HashMap<u64, TcpStream>>,
+    /// Threads joined at shutdown: the event loops, or the per-connection
+    /// handlers not yet reaped (finished ones are joined on each accept).
+    pub(crate) workers: Mutex<Vec<JoinHandle<()>>>,
     /// Closed-connection summaries.
     summaries: Mutex<Vec<ConnSummary>>,
-    next_id: AtomicU64,
+}
+
+impl Shell {
+    /// Connection `id` has closed: drop its stream clone and keep its
+    /// summary.
+    pub(crate) fn closed(&self, id: u64, summary: ConnSummary) {
+        self.streams.lock().unwrap().remove(&id);
+        self.summaries.lock().unwrap().push(summary);
+    }
 }
 
 /// A running TCP KVS daemon.
 pub struct Kvsd {
     local_addr: SocketAddr,
-    stats: Arc<ServerStats>,
-    registry: Arc<Registry>,
-    shutting_down: Arc<AtomicBool>,
+    shell: Arc<Shell>,
+    reactor_stats: Vec<Arc<ReactorStats>>,
     accept_thread: Option<JoinHandle<()>>,
 }
 
@@ -186,13 +244,15 @@ impl std::fmt::Debug for Kvsd {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Kvsd")
             .field("local_addr", &self.local_addr)
+            .field("reactors", &self.reactor_stats.len())
             .finish()
     }
 }
 
 impl Kvsd {
     /// Bind `addr` (use port 0 for an ephemeral port) and start accepting,
-    /// with no deadlines, inflight cap, or idle timeout.
+    /// a thread per connection, with no deadlines, inflight cap, or idle
+    /// timeout.
     ///
     /// # Errors
     ///
@@ -201,11 +261,12 @@ impl Kvsd {
         Self::bind_with(store, addr, KvsdConfig::default())
     }
 
-    /// Bind with full [`KvsdConfig`] control over graceful degradation.
+    /// Bind with full [`KvsdConfig`] control over graceful degradation and
+    /// the connection loop.
     ///
     /// # Errors
     ///
-    /// Bind failures.
+    /// Bind failures, or a reactor's poller that cannot be created.
     pub fn bind_with(
         store: Arc<KvStore>,
         addr: impl ToSocketAddrs,
@@ -213,64 +274,72 @@ impl Kvsd {
     ) -> std::io::Result<Kvsd> {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
-        let stats = Arc::new(ServerStats::default());
-        let registry = Arc::new(Registry::default());
-        let shutting_down = Arc::new(AtomicBool::new(false));
+        let shell = Arc::new(Shell::default());
+        let (inboxes, reactor_stats): (Vec<_>, Vec<_>) = match config.reactor {
+            Some(cfg) => reactor::start(&store, &shell, config, cfg)?,
+            None => Vec::new(),
+        }
+        .into_iter()
+        .unzip();
         let gauge = config.max_inflight.map(|n| Arc::new(InflightGauge::new(n)));
 
         let accept_thread = {
-            let (stats, registry, shutting_down) = (
-                Arc::clone(&stats),
-                Arc::clone(&registry),
-                Arc::clone(&shutting_down),
-            );
+            let shell = Arc::clone(&shell);
             std::thread::spawn(move || {
-                for conn in listener.incoming() {
-                    if shutting_down.load(Ordering::Acquire) {
+                for (id, conn) in (0u64..).zip(listener.incoming()) {
+                    if shell.shutting_down.load(Ordering::Acquire) {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
-                    let id = registry.next_id.fetch_add(1, Ordering::Relaxed);
-                    if let Ok(clone) = stream.try_clone() {
-                        registry.streams.lock().unwrap().push((id, clone));
+                    let Ok(clone) = stream.try_clone() else {
+                        continue;
+                    };
+                    {
+                        // `stop` raises the flag before it takes this lock
+                        // to half-close every registered stream, so a
+                        // connection is either in its walk or refused here.
+                        let mut streams = shell.streams.lock().unwrap();
+                        if shell.shutting_down.load(Ordering::Acquire) {
+                            break;
+                        }
+                        streams.insert(id, clone);
                     }
-                    let handle = {
-                        let (store, stats, registry) = (
-                            Arc::clone(&store),
-                            Arc::clone(&stats),
-                            Arc::clone(&registry),
-                        );
-                        let gauge = gauge.clone();
+                    if !inboxes.is_empty() {
+                        // A send fails only once that loop's poller has
+                        // failed and the loop is gone.
+                        let _ = inboxes[id as usize % inboxes.len()].send((id, stream));
+                        continue;
+                    }
+                    let handler = {
+                        let (store, shell, gauge) =
+                            (Arc::clone(&store), Arc::clone(&shell), gauge.clone());
                         std::thread::spawn(move || {
-                            let summary = handle_connection(&store, &stats, stream, config, gauge);
-                            let mut streams = registry.streams.lock().unwrap();
-                            streams.retain(|(i, _)| *i != id);
-                            drop(streams);
-                            registry.summaries.lock().unwrap().push(summary);
+                            let summary =
+                                handle_connection(&store, &shell.stats, stream, config, gauge);
+                            shell.closed(id, summary);
                         })
                     };
                     // Join handlers that have already returned, so a
                     // long-lived daemon under connection churn keeps one
                     // handle per live connection, not per connection ever.
-                    let mut handles = registry.handles.lock().unwrap();
+                    let mut workers = shell.workers.lock().unwrap();
                     let mut i = 0;
-                    while i < handles.len() {
-                        if handles[i].is_finished() {
-                            let _ = handles.swap_remove(i).join();
+                    while i < workers.len() {
+                        if workers[i].is_finished() {
+                            let _ = workers.swap_remove(i).join();
                         } else {
                             i += 1;
                         }
                     }
-                    handles.push(handle);
+                    workers.push(handler);
                 }
             })
         };
 
         Ok(Kvsd {
             local_addr,
-            stats,
-            registry,
-            shutting_down,
+            shell,
+            reactor_stats,
             accept_thread: Some(accept_thread),
         })
     }
@@ -282,39 +351,46 @@ impl Kvsd {
 
     /// Aggregate statistics across all connections, live.
     pub fn stats(&self) -> Arc<ServerStats> {
-        Arc::clone(&self.stats)
+        Arc::clone(&self.shell.stats)
+    }
+
+    /// Live counters of each reactor event loop, by index (empty under the
+    /// thread-per-connection loop).
+    pub fn reactor_stats(&self) -> Vec<Arc<ReactorStats>> {
+        self.reactor_stats.clone()
     }
 
     /// Summaries of connections that have closed so far.
     pub fn connection_summaries(&self) -> Vec<ConnSummary> {
-        self.registry.summaries.lock().unwrap().clone()
+        self.shell.summaries.lock().unwrap().clone()
     }
 
     /// Stop accepting, drain in-flight requests on every connection, join
     /// all threads, and return the final per-connection summaries.
     pub fn shutdown(mut self) -> Vec<ConnSummary> {
         self.stop();
-        self.registry.summaries.lock().unwrap().clone()
+        self.shell.summaries.lock().unwrap().clone()
     }
 
     fn stop(&mut self) {
-        if self.shutting_down.swap(true, Ordering::AcqRel) {
+        if self.shell.shutting_down.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Half-close the read side of live connections: their handlers see
-        // EOF after the requests already on the wire, answer them, flush,
-        // and exit.
-        for (_, stream) in self.registry.streams.lock().unwrap().iter() {
+        // Half-close the read side of live connections: each loop sees EOF
+        // after the requests already on the wire, answers them, flushes,
+        // and closes the connection.
+        for stream in self.shell.streams.lock().unwrap().values() {
             let _ = stream.shutdown(Shutdown::Read);
         }
-        // Wake the accept loop with a throwaway connection.
+        // Wake the accept loop with a throwaway connection. Its exit closes
+        // the event loops' inboxes, which tells them to drain.
         let _ = TcpStream::connect(self.local_addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        let handles: Vec<_> = std::mem::take(&mut *self.registry.handles.lock().unwrap());
-        for h in handles {
-            let _ = h.join();
+        let workers: Vec<_> = std::mem::take(&mut *self.shell.workers.lock().unwrap());
+        for w in workers {
+            let _ = w.join();
         }
     }
 }
@@ -390,8 +466,7 @@ fn handle_connection(
             });
             if let Some(code) = code {
                 drop(slot.take());
-                conn.shed += 1;
-                stats.shed.fetch_add(1, Ordering::Relaxed);
+                conn.shed(stats);
                 let payload = Response::Error { id, code }.encode();
                 if write_frame(&mut writer, &payload).is_err() {
                     break;
@@ -405,17 +480,14 @@ fn handle_connection(
         let Some(done) = execute(store, &request, &mut scratch) else {
             break; // Shutdown
         };
-        conn.record(&done);
-        stats.record(&done);
+        stats.record_phases(done.phases);
+        conn.served(stats, done.lookup, done.writes, t0);
         // The reply is borrowed from `scratch` (a Multi-Get's is the frame
         // the store built in place) — written straight to the socket, no
         // intermediate Bytes.
         if write_frame(&mut writer, done.reply).is_err() {
             break;
         }
-        let busy = t0.elapsed().as_nanos() as u64;
-        conn.busy_ns += busy;
-        stats.busy_ns.fetch_add(busy, Ordering::Relaxed);
     }
     let _ = writer.flush();
     conn
@@ -429,6 +501,8 @@ mod tests {
     use crate::store::StoreConfig;
     use crate::transport::ClientConn;
     use bytes::Bytes;
+    use std::io::Read as _;
+    use std::sync::mpsc;
 
     fn test_store() -> Arc<KvStore> {
         let store = Arc::new(KvStore::new(
@@ -439,96 +513,359 @@ mod tests {
         store
     }
 
-    #[test]
-    fn pipelined_mget_and_set_over_tcp() {
-        let kvsd = Kvsd::bind(test_store(), "127.0.0.1:0").unwrap();
-        let mut conn = TcpConn::connect(kvsd.local_addr()).unwrap();
-        // Three requests in flight before reading anything.
-        conn.send(
-            Request::MGet {
-                id: 1,
-                keys: vec![Bytes::from_static(b"present"), Bytes::from_static(b"nope")],
-            }
-            .encode(),
-        )
-        .unwrap();
-        conn.send(
-            Request::Set {
-                id: 2,
-                key: Bytes::from_static(b"fresh"),
-                value: Bytes::from_static(b"fv"),
-            }
-            .encode(),
-        )
-        .unwrap();
-        conn.send(
-            Request::MGet {
-                id: 3,
-                keys: vec![Bytes::from_static(b"fresh")],
-            }
-            .encode(),
-        )
-        .unwrap();
+    /// The conformance suite runs every test against both connection
+    /// loops behind `limits`: a thread per connection, and one reactor.
+    fn loops(limits: KvsdConfig) -> [(&'static str, KvsdConfig); 2] {
+        let reactor = ReactorConfig {
+            reactors: 1,
+            coalesce: Duration::from_micros(100),
+            batch_width: 8,
+        };
+        [
+            ("thread", limits),
+            (
+                "reactor",
+                KvsdConfig {
+                    reactor: Some(reactor),
+                    ..limits
+                },
+            ),
+        ]
+    }
 
-        match Response::decode(conn.recv().unwrap().0).unwrap() {
-            Response::MGet { id, entries } => {
-                assert_eq!(id, 1);
-                assert_eq!(entries[0].as_deref(), Some(&b"the-value"[..]));
-                assert_eq!(entries[1], None);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match Response::decode(conn.recv().unwrap().0).unwrap() {
-            Response::Set { id, ok } => {
-                assert_eq!(id, 2);
-                assert!(ok);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match Response::decode(conn.recv().unwrap().0).unwrap() {
-            Response::MGet { id, entries } => {
-                assert_eq!(id, 3);
-                assert_eq!(entries[0].as_deref(), Some(&b"fv"[..]));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        drop(conn);
+    fn serve(config: KvsdConfig) -> Kvsd {
+        Kvsd::bind_with(test_store(), "127.0.0.1:0", config).unwrap()
+    }
+
+    fn connect(kvsd: &Kvsd) -> TcpConn {
+        let mut conn = TcpConn::connect(kvsd.local_addr()).unwrap();
+        conn.set_recv_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        conn
+    }
+
+    fn mget(id: u64, keys: &[&'static [u8]]) -> Bytes {
+        let keys = keys.iter().map(|k| Bytes::from_static(k)).collect();
+        Request::MGet { id, keys }.encode()
+    }
+
+    fn recv(conn: &mut TcpConn) -> Response {
+        Response::decode(conn.recv().unwrap().0).unwrap()
+    }
+
+    /// Drain `kvsd` and hold it to the counting rule: the closed
+    /// connections' summaries sum to the server-wide counters.
+    fn drain(label: &str, kvsd: Kvsd) -> (Vec<ConnSummary>, Arc<ServerStats>) {
         let stats = kvsd.stats();
-        kvsd.shutdown();
-        assert_eq!(stats.requests.load(Ordering::Relaxed), 2);
-        assert_eq!(stats.keys.load(Ordering::Relaxed), 3);
-        assert_eq!(stats.found.load(Ordering::Relaxed), 2);
+        let summaries = kvsd.shutdown();
+        let sum = |field: fn(&ConnSummary) -> u64| summaries.iter().map(field).sum::<u64>();
+        for (name, summed, total) in [
+            ("requests", sum(|s| s.requests), &stats.requests),
+            ("keys", sum(|s| s.keys), &stats.keys),
+            ("found", sum(|s| s.found), &stats.found),
+            ("shed", sum(|s| s.shed), &stats.shed),
+            ("busy_ns", sum(|s| s.busy_ns), &stats.busy_ns),
+        ] {
+            assert_eq!(summed, total.load(Ordering::Relaxed), "{label}: {name}");
+        }
+        (summaries, stats)
+    }
+
+    #[test]
+    fn pipelined_mget_and_set() {
+        for (label, config) in loops(KvsdConfig::default()) {
+            let kvsd = serve(config);
+            let mut conn = connect(&kvsd);
+            // Three requests in flight before reading anything.
+            conn.send(mget(1, &[b"present", b"nope"])).unwrap();
+            conn.send(
+                Request::Set {
+                    id: 2,
+                    key: Bytes::from_static(b"fresh"),
+                    value: Bytes::from_static(b"fv"),
+                }
+                .encode(),
+            )
+            .unwrap();
+            conn.send(mget(3, &[b"fresh"])).unwrap();
+
+            match recv(&mut conn) {
+                Response::MGet { id, entries } => {
+                    assert_eq!(id, 1, "{label}");
+                    assert_eq!(entries[0].as_deref(), Some(&b"the-value"[..]), "{label}");
+                    assert_eq!(entries[1], None, "{label}");
+                }
+                other => panic!("{label}: unexpected {other:?}"),
+            }
+            match recv(&mut conn) {
+                Response::Set { id, ok } => {
+                    assert_eq!(id, 2, "{label}");
+                    assert!(ok, "{label}");
+                }
+                other => panic!("{label}: unexpected {other:?}"),
+            }
+            match recv(&mut conn) {
+                Response::MGet { id, entries } => {
+                    assert_eq!(id, 3, "{label}");
+                    assert_eq!(entries[0].as_deref(), Some(&b"fv"[..]), "{label}");
+                }
+                other => panic!("{label}: unexpected {other:?}"),
+            }
+            drop(conn);
+            let (_, stats) = drain(label, kvsd);
+            assert_eq!(stats.requests.load(Ordering::Relaxed), 2, "{label}");
+            assert_eq!(stats.keys.load(Ordering::Relaxed), 3, "{label}");
+            assert_eq!(stats.found.load(Ordering::Relaxed), 2, "{label}");
+        }
     }
 
     #[test]
     fn connection_summary_recorded_on_close() {
-        let kvsd = Kvsd::bind(test_store(), "127.0.0.1:0").unwrap();
-        let mut conn = TcpConn::connect(kvsd.local_addr()).unwrap();
-        conn.send(
-            Request::MGet {
-                id: 9,
-                keys: vec![Bytes::from_static(b"present")],
+        for (label, config) in loops(KvsdConfig::default()) {
+            let kvsd = serve(config);
+            let mut conn = connect(&kvsd);
+            conn.send(mget(9, &[b"present"])).unwrap();
+            conn.recv().unwrap();
+            drop(conn);
+            // The connection records its summary after seeing EOF.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            loop {
+                let summaries = kvsd.connection_summaries();
+                if let Some(s) = summaries.first() {
+                    assert_eq!(s.requests, 1, "{label}");
+                    assert_eq!(s.keys, 1, "{label}");
+                    assert_eq!(s.found, 1, "{label}");
+                    assert!(s.busy_ns > 0, "{label}");
+                    assert_eq!(s.reactor, config.reactor.map(|_| 0), "{label}");
+                    break;
+                }
+                assert!(Instant::now() < deadline, "{label}: summary never recorded");
+                std::thread::yield_now();
             }
-            .encode(),
-        )
-        .unwrap();
-        conn.recv().unwrap();
-        drop(conn);
-        // The handler records its summary after seeing EOF.
-        let deadline = Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            let summaries = kvsd.connection_summaries();
-            if let Some(s) = summaries.first() {
-                assert_eq!(s.requests, 1);
-                assert_eq!(s.keys, 1);
-                assert_eq!(s.found, 1);
-                assert!(s.busy_ns > 0);
-                break;
-            }
-            assert!(Instant::now() < deadline, "summary never recorded");
-            std::thread::yield_now();
+            drain(label, kvsd);
         }
-        kvsd.shutdown();
+    }
+
+    #[test]
+    fn malformed_frame_drops_connection() {
+        for (label, config) in loops(KvsdConfig::default()) {
+            let kvsd = serve(config);
+            let mut conn = connect(&kvsd);
+            conn.send(Bytes::from_static(&[250, 1, 2, 3])).unwrap();
+            assert!(
+                conn.recv().is_err(),
+                "{label}: server must close, not reply"
+            );
+            drain(label, kvsd);
+        }
+    }
+
+    #[test]
+    fn oversized_frame_prefix_drops_connection_without_buffering() {
+        use std::io::Write as _;
+        for (label, config) in loops(KvsdConfig::default()) {
+            let kvsd = serve(config);
+            let mut raw = TcpStream::connect(kvsd.local_addr()).unwrap();
+            raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            // A hostile length prefix: 4 GiB. The decoder must reject at
+            // header time and the server must close.
+            raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
+            raw.write_all(&[0u8; 64]).unwrap();
+            let mut buf = [0u8; 16];
+            assert_eq!(
+                raw.read(&mut buf).unwrap_or(0),
+                0,
+                "{label}: connection closed"
+            );
+            drain(label, kvsd);
+        }
+    }
+
+    #[test]
+    fn shutdown_drains_inflight_requests() {
+        for (label, config) in loops(KvsdConfig::default()) {
+            let kvsd = serve(config);
+            let mut conn = connect(&kvsd);
+            for id in 0..20u64 {
+                conn.send(mget(id, &[b"present"])).unwrap();
+            }
+            conn.flush().unwrap();
+            // Wait for the first response so the connection is mid-stream,
+            // then drain. Requests the server has already read must still
+            // be answered; the connection must then close, not hang.
+            assert!(
+                matches!(recv(&mut conn), Response::MGet { id: 0, .. }),
+                "{label}"
+            );
+            drain(label, kvsd);
+            let mut next_id = 1;
+            while let Ok((frame, _)) = conn.recv() {
+                match Response::decode(frame).unwrap() {
+                    Response::MGet { id, .. } => {
+                        assert_eq!(id, next_id, "{label}: drained responses stay in order");
+                        next_id += 1;
+                    }
+                    other => panic!("{label}: unexpected {other:?}"),
+                }
+            }
+            assert!(next_id <= 20, "{label}");
+        }
+    }
+
+    #[test]
+    fn shutdown_without_connections_does_not_hang() {
+        for (label, config) in loops(KvsdConfig::default()) {
+            drain(label, serve(config));
+        }
+    }
+
+    #[test]
+    fn silent_client_connecting_during_shutdown_does_not_hold_it() {
+        for (label, config) in loops(KvsdConfig::default()) {
+            let kvsd = serve(config);
+            let addr = kvsd.local_addr();
+            // Clients that connect and then neither send nor close: only
+            // the drain's half-close can end their connections.
+            let mut silent = vec![TcpStream::connect(addr).unwrap()];
+            std::thread::sleep(Duration::from_millis(50));
+            let (done, stopped) = mpsc::channel();
+            std::thread::spawn(move || {
+                kvsd.shutdown();
+                let _ = done.send(());
+            });
+            let watchdog = Instant::now() + Duration::from_secs(5);
+            while stopped.try_recv() == Err(mpsc::TryRecvError::Empty) {
+                assert!(
+                    Instant::now() < watchdog,
+                    "{label}: a silent client held shutdown past 5 s"
+                );
+                // Refused once the listener is gone; that is fine too.
+                silent.extend(TcpStream::connect(addr));
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    #[test]
+    fn zero_inflight_cap_sheds_every_request() {
+        let limits = KvsdConfig {
+            max_inflight: Some(0),
+            ..KvsdConfig::default()
+        };
+        for (label, config) in loops(limits) {
+            let kvsd = serve(config);
+            let mut conn = connect(&kvsd);
+            for id in 0..4u64 {
+                conn.send(mget(id, &[b"present"])).unwrap();
+            }
+            for id in 0..4u64 {
+                match recv(&mut conn) {
+                    Response::Error { id: got, code } => {
+                        assert_eq!(got, id, "{label}");
+                        assert_eq!(code, ErrorCode::ServerBusy, "{label}");
+                    }
+                    other => panic!("{label}: unexpected {other:?}"),
+                }
+            }
+            // The connection survives shedding: a Set still sheds too.
+            conn.send(
+                Request::Set {
+                    id: 9,
+                    key: Bytes::from_static(b"k"),
+                    value: Bytes::from_static(b"v"),
+                }
+                .encode(),
+            )
+            .unwrap();
+            assert!(
+                matches!(recv(&mut conn), Response::Error { id: 9, .. }),
+                "{label}"
+            );
+            drop(conn);
+            let (summaries, stats) = drain(label, kvsd);
+            assert_eq!(stats.shed.load(Ordering::Relaxed), 5, "{label}");
+            assert_eq!(
+                stats.requests.load(Ordering::Relaxed),
+                0,
+                "{label}: nothing ran"
+            );
+            assert!(
+                summaries.iter().all(|s| s.busy_ns == 0),
+                "{label}: a shed adds no busy time"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_deadline_answers_deadline_exceeded() {
+        let limits = KvsdConfig {
+            deadline: Some(Duration::ZERO),
+            ..KvsdConfig::default()
+        };
+        for (label, config) in loops(limits) {
+            let kvsd = serve(config);
+            let mut conn = connect(&kvsd);
+            conn.send(mget(5, &[b"present"])).unwrap();
+            match recv(&mut conn) {
+                Response::Error { id, code } => {
+                    assert_eq!(id, 5, "{label}");
+                    assert_eq!(code, ErrorCode::DeadlineExceeded, "{label}");
+                }
+                other => panic!("{label}: unexpected {other:?}"),
+            }
+            drop(conn);
+            let (summaries, _) = drain(label, kvsd);
+            assert_eq!(summaries.iter().map(|s| s.shed).sum::<u64>(), 1, "{label}");
+            assert!(
+                summaries.iter().all(|s| s.busy_ns == 0),
+                "{label}: a shed adds no busy time"
+            );
+        }
+    }
+
+    #[test]
+    fn stalled_mid_frame_client_is_reaped_by_idle_timeout() {
+        use std::io::Write as _;
+        let limits = KvsdConfig {
+            idle_timeout: Some(Duration::from_millis(250)),
+            ..KvsdConfig::default()
+        };
+        for (label, config) in loops(limits) {
+            let kvsd = serve(config);
+            // A "dying client": writes half a frame (header promising more
+            // bytes than it sends) and then stalls, holding the socket open.
+            let mut stalled = TcpStream::connect(kvsd.local_addr()).unwrap();
+            stalled.write_all(&100u32.to_le_bytes()).unwrap();
+            stalled.write_all(b"only a few bytes").unwrap();
+            stalled.flush().unwrap();
+
+            // A healthy connection keeps being served meanwhile.
+            let mut healthy = connect(&kvsd);
+            healthy.send(mget(1, &[b"present"])).unwrap();
+            assert!(
+                matches!(recv(&mut healthy), Response::MGet { id: 1, .. }),
+                "{label}"
+            );
+
+            // The stalled connection must be reaped by the idle timeout and
+            // record a (request-less) summary, with its socket still open.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            loop {
+                let summaries = kvsd.connection_summaries();
+                if summaries.iter().any(|s| s.requests == 0 && s.sets == 0) {
+                    break;
+                }
+                assert!(
+                    Instant::now() < deadline,
+                    "{label}: stalled connection never reaped"
+                );
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            drop(healthy);
+            // Shutdown completes promptly even though `stalled` never closed.
+            drain(label, kvsd);
+            drop(stalled);
+        }
     }
 
     #[test]
@@ -537,14 +874,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(10);
         for i in 0..64u64 {
             let mut conn = TcpConn::connect(kvsd.local_addr()).unwrap();
-            conn.send(
-                Request::MGet {
-                    id: i,
-                    keys: vec![Bytes::from_static(b"present")],
-                }
-                .encode(),
-            )
-            .unwrap();
+            conn.send(mget(i, &[b"present"])).unwrap();
             conn.recv().unwrap();
             drop(conn);
             // The handler records its summary just before it returns;
@@ -555,197 +885,9 @@ mod tests {
                 std::thread::yield_now();
             }
         }
-        let live = kvsd.registry.handles.lock().unwrap().len();
+        let live = kvsd.shell.workers.lock().unwrap().len();
         assert!(live <= 8, "{live} handles kept after 64 closed connections");
         assert_eq!(kvsd.connection_summaries().len(), 64);
         assert_eq!(kvsd.shutdown().len(), 64);
-    }
-
-    #[test]
-    fn malformed_frame_drops_connection() {
-        let kvsd = Kvsd::bind(test_store(), "127.0.0.1:0").unwrap();
-        let mut conn = TcpConn::connect(kvsd.local_addr()).unwrap();
-        conn.send(Bytes::from_static(&[250, 1, 2, 3])).unwrap();
-        assert!(conn.recv().is_err(), "server must close, not reply");
-        kvsd.shutdown();
-    }
-
-    #[test]
-    fn shutdown_drains_inflight_requests() {
-        let kvsd = Kvsd::bind(test_store(), "127.0.0.1:0").unwrap();
-        let mut conn = TcpConn::connect(kvsd.local_addr()).unwrap();
-        for id in 0..20u64 {
-            conn.send(
-                Request::MGet {
-                    id,
-                    keys: vec![Bytes::from_static(b"present")],
-                }
-                .encode(),
-            )
-            .unwrap();
-        }
-        conn.flush().unwrap();
-        // Wait for the first response so the handler is mid-stream, then
-        // drain. Requests the handler has already read must still be
-        // answered; the connection must then close instead of hanging.
-        let first = conn.recv().unwrap().0;
-        assert!(matches!(
-            Response::decode(first).unwrap(),
-            Response::MGet { id: 0, .. }
-        ));
-        kvsd.shutdown();
-        let mut next_id = 1;
-        while let Ok((frame, _)) = conn.recv() {
-            match Response::decode(frame).unwrap() {
-                Response::MGet { id, .. } => {
-                    assert_eq!(id, next_id, "drained responses stay in order");
-                    next_id += 1;
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert!(next_id <= 20);
-    }
-
-    #[test]
-    fn shutdown_without_connections_does_not_hang() {
-        let kvsd = Kvsd::bind(test_store(), "127.0.0.1:0").unwrap();
-        kvsd.shutdown();
-    }
-
-    #[test]
-    fn zero_inflight_cap_sheds_every_request() {
-        let kvsd = Kvsd::bind_with(
-            test_store(),
-            "127.0.0.1:0",
-            KvsdConfig {
-                max_inflight: Some(0),
-                ..KvsdConfig::default()
-            },
-        )
-        .unwrap();
-        let mut conn = TcpConn::connect(kvsd.local_addr()).unwrap();
-        for id in 0..4u64 {
-            conn.send(
-                Request::MGet {
-                    id,
-                    keys: vec![Bytes::from_static(b"present")],
-                }
-                .encode(),
-            )
-            .unwrap();
-        }
-        for id in 0..4u64 {
-            match Response::decode(conn.recv().unwrap().0).unwrap() {
-                Response::Error { id: got, code } => {
-                    assert_eq!(got, id);
-                    assert_eq!(code, crate::protocol::ErrorCode::ServerBusy);
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        // The connection survives shedding: a Set still sheds too.
-        conn.send(
-            Request::Set {
-                id: 9,
-                key: Bytes::from_static(b"k"),
-                value: Bytes::from_static(b"v"),
-            }
-            .encode(),
-        )
-        .unwrap();
-        assert!(matches!(
-            Response::decode(conn.recv().unwrap().0).unwrap(),
-            Response::Error { id: 9, .. }
-        ));
-        drop(conn);
-        let stats = kvsd.stats();
-        kvsd.shutdown();
-        assert_eq!(stats.shed.load(Ordering::Relaxed), 5);
-        assert_eq!(stats.requests.load(Ordering::Relaxed), 0, "nothing ran");
-    }
-
-    #[test]
-    fn zero_deadline_answers_deadline_exceeded() {
-        let kvsd = Kvsd::bind_with(
-            test_store(),
-            "127.0.0.1:0",
-            KvsdConfig {
-                deadline: Some(Duration::ZERO),
-                ..KvsdConfig::default()
-            },
-        )
-        .unwrap();
-        let mut conn = TcpConn::connect(kvsd.local_addr()).unwrap();
-        conn.send(
-            Request::MGet {
-                id: 5,
-                keys: vec![Bytes::from_static(b"present")],
-            }
-            .encode(),
-        )
-        .unwrap();
-        match Response::decode(conn.recv().unwrap().0).unwrap() {
-            Response::Error { id, code } => {
-                assert_eq!(id, 5);
-                assert_eq!(code, crate::protocol::ErrorCode::DeadlineExceeded);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        drop(conn);
-        let summaries = kvsd.shutdown();
-        assert_eq!(summaries.iter().map(|s| s.shed).sum::<u64>(), 1);
-    }
-
-    #[test]
-    fn stalled_mid_frame_client_does_not_wedge_the_server() {
-        use std::io::Write as _;
-        let kvsd = Kvsd::bind_with(
-            test_store(),
-            "127.0.0.1:0",
-            KvsdConfig {
-                idle_timeout: Some(Duration::from_millis(250)),
-                ..KvsdConfig::default()
-            },
-        )
-        .unwrap();
-        // A "dying client": writes half a frame (header promising more
-        // bytes than it sends) and then stalls, holding the socket open.
-        let mut stalled = std::net::TcpStream::connect(kvsd.local_addr()).unwrap();
-        stalled.write_all(&100u32.to_le_bytes()).unwrap();
-        stalled.write_all(b"only a few bytes").unwrap();
-        stalled.flush().unwrap();
-
-        // A healthy connection keeps being served meanwhile.
-        let mut healthy = TcpConn::connect(kvsd.local_addr()).unwrap();
-        healthy
-            .send(
-                Request::MGet {
-                    id: 1,
-                    keys: vec![Bytes::from_static(b"present")],
-                }
-                .encode(),
-            )
-            .unwrap();
-        assert!(matches!(
-            Response::decode(healthy.recv().unwrap().0).unwrap(),
-            Response::MGet { id: 1, .. }
-        ));
-
-        // The stalled handler must reap itself via the idle timeout and
-        // record a (request-less) summary, with its socket still open.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let summaries = kvsd.connection_summaries();
-            if summaries.iter().any(|s| s.requests == 0 && s.sets == 0) {
-                break;
-            }
-            assert!(Instant::now() < deadline, "stalled handler never reaped");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        drop(healthy);
-        // Shutdown completes promptly even though `stalled` never closed.
-        kvsd.shutdown();
-        drop(stalled);
     }
 }

@@ -35,12 +35,14 @@
 //!   exponential backoff with jitter, idempotent MGet retry
 //!   ([`client::RetryClient`]).
 //! * [`server`] / [`kvsd`] — worker threads draining the fabric, and the
-//!   TCP daemon behind the `simdht-kvsd` binary (pipelined per-connection
-//!   handlers, graceful drain, per-connection + aggregate stats).
-//! * [`reactor`] — the event-driven serving architecture: epoll/poll
-//!   event loops owning many nonblocking connections each, coalescing
-//!   Multi-Gets from *all* connections into one wide lookup batch
-//!   ([`reactor::ReactorServer`], `simdht-kvsd --reactor`).
+//!   one TCP server behind the `simdht-kvsd` binary ([`kvsd::Kvsd`]: one
+//!   shell owning accept, graceful drain, per-connection + aggregate
+//!   stats, around either connection loop — pipelined per-connection
+//!   handler threads by default).
+//! * [`reactor`] — the other connection loop: epoll/poll event loops
+//!   owning many nonblocking connections each, coalescing Multi-Gets from
+//!   *all* connections into one wide lookup batch
+//!   ([`kvsd::KvsdConfig::reactor`], `simdht-kvsd --reactor`).
 //! * [`memslap`] — the memslap-style Multi-Get load generator with latency
 //!   percentiles, co-located ([`memslap::run_memslap`]) or networked over
 //!   either transport ([`memslap::run_memslap_over`], the `simdht-memslap`

@@ -1321,13 +1321,17 @@ mod tests {
     #[test]
     fn mux_memslap_against_reactor_server() {
         let wl = small_workload();
-        let rcfg = crate::reactor::ReactorConfig {
+        let reactor = crate::reactor::ReactorConfig {
             reactors: 2,
             batch_width: 8,
             ..crate::reactor::ReactorConfig::default()
         };
-        let server = crate::reactor::ReactorServer::bind_with(tcp_store(), "127.0.0.1:0", rcfg)
-            .expect("bind reactor");
+        let config = crate::kvsd::KvsdConfig {
+            reactor: Some(reactor),
+            ..crate::kvsd::KvsdConfig::default()
+        };
+        let server =
+            crate::kvsd::Kvsd::bind_with(tcp_store(), "127.0.0.1:0", config).expect("bind reactor");
         let cfg = MuxMemslapConfig {
             connections: 16,
             pipeline_depth: 1,
@@ -1335,16 +1339,19 @@ mod tests {
             ..MuxMemslapConfig::default()
         };
         let report = run_memslap_mux(server.local_addr(), &wl, &cfg).expect("mux run");
-        let snaps = server.reactor_snapshots();
+        let reactors = server.reactor_stats();
         server.shutdown();
         assert_eq!(report.requests, 100, "{report:?}");
         assert_eq!(report.keys, 1600);
         assert_eq!(report.hits, 1600);
         assert_eq!(report.failed, 0);
-        let frames: u64 = snaps.iter().map(|s| s.frames).sum();
+        let frames: u64 = reactors
+            .iter()
+            .map(|s| s.frames.load(std::sync::atomic::Ordering::Relaxed))
+            .sum();
         assert!(
             frames >= 100,
-            "reactor must have decoded the stream: {snaps:?}"
+            "reactor must have decoded the stream: {reactors:?}"
         );
     }
 

@@ -442,12 +442,12 @@ pub struct Executed<'a> {
     /// Multi-Get it is the frame the store built in place during Phase 3 —
     /// zero-copy responses, DESIGN.md §9).
     pub reply: &'a [u8],
-    /// Keys looked up and the store's outcome, for a Multi-Get.
-    pub mget: Option<(usize, crate::store::MGetOutcome)>,
+    /// Keys looked up and keys found, for a Multi-Get.
+    pub lookup: Option<(usize, usize)>,
     /// Pairs or point operations a write verb applied.
     pub writes: usize,
-    /// Phase timing of a batched write (a Multi-Get's rides in `mget`).
-    pub write_phases: crate::store::PhaseNanos,
+    /// Phase timing of a Multi-Get or a batched write (zero otherwise).
+    pub phases: crate::store::PhaseNanos,
 }
 
 /// Execute one request against the store and encode its response. This is
@@ -463,7 +463,7 @@ pub fn execute<'a>(
     use crate::store::CasOutcome;
     // One point operation unless a batched write says otherwise.
     let mut writes = 1;
-    let mut write_phases = crate::store::PhaseNanos::default();
+    let mut phases = crate::store::PhaseNanos::default();
     let response = match request {
         Request::Shutdown => return None,
         Request::MGet { id, keys } => {
@@ -471,9 +471,9 @@ pub fn execute<'a>(
             let outcome = store.mget(&key_slices, &mut scratch.resp);
             return Some(Executed {
                 reply: scratch.resp.seal_frame(*id),
-                mget: Some((key_slices.len(), outcome)),
+                lookup: Some((key_slices.len(), outcome.found)),
                 writes: 0,
-                write_phases,
+                phases: outcome.phases,
             });
         }
         Request::Set { id, key, value } => Response::Set {
@@ -491,7 +491,7 @@ pub fn execute<'a>(
                 .collect();
             let outcome = store.set_multi_ttl(&pair_slices, ttl_secs, &mut scratch.set_batch);
             writes = pair_slices.len();
-            write_phases = outcome.phases;
+            phases = outcome.phases;
             Response::SetMulti {
                 id: *id,
                 ok: scratch
@@ -557,9 +557,9 @@ pub fn execute<'a>(
     response.encode_into(&mut scratch.reply);
     Some(Executed {
         reply: &scratch.reply,
-        mget: None,
+        lookup: None,
         writes,
-        write_phases,
+        phases,
     })
 }
 
@@ -1158,7 +1158,7 @@ mod tests {
         };
         let mut scratch = ExecScratch::default();
         let done = execute(&store, &request, &mut scratch).unwrap();
-        assert_eq!(done.mget.map(|(keys, o)| (keys, o.found)), Some((3, 2)));
+        assert_eq!(done.lookup, Some((3, 2)));
         let fast = Bytes::copy_from_slice(done.reply);
         let generic = Response::MGet {
             id: 9,

@@ -1,20 +1,21 @@
-//! Event-driven reactor server with cross-connection batch coalescing.
+//! The reactor connection loop of [`crate::kvsd::Kvsd`]: event loops with
+//! cross-connection batch coalescing.
 //!
-//! The thread-per-connection [`crate::kvsd::Kvsd`] can never build a
-//! lookup batch wider than one client's pipeline depth: a thousand
-//! depth-1 clients produce a thousand single-request batches and the
-//! SIMD probe kernels degenerate to their scalar tails. This module is
-//! the other serving architecture: a small pool of event-loop workers
-//! (**reactors**), each owning many nonblocking connections, that drain
-//! decoded Multi-Get requests from *all* of its connections into one
-//! **coalescing buffer** and dispatch a single wide
-//! [`crate::store::KvStore::mget`] when the buffer reaches the
-//! configured batch width — or when a micro-deadline expires, so a lone
-//! request is never parked longer than [`ReactorConfig::coalesce`].
-//! The response scatter is [`crate::store::MGetResponse::append_subframe`]:
-//! each request's slice of the shared batch buffer is sealed into its
-//! own frame, byte-identical to what the blocking server would have
-//! produced for that request alone.
+//! The thread-per-connection loop can never build a lookup batch wider
+//! than one client's pipeline depth: a thousand depth-1 clients produce a
+//! thousand single-request batches and the SIMD probe kernels degenerate
+//! to their scalar tails. With [`KvsdConfig::reactor`] set, the server's
+//! shell hands its connections round-robin to a small pool of event-loop
+//! workers (**reactors**) instead, each owning many nonblocking
+//! connections, that drain decoded Multi-Get requests from *all* of its
+//! connections into one **coalescing buffer** and dispatch a single wide
+//! [`crate::store::KvStore::mget`] when the buffer reaches the configured
+//! batch width — or when a micro-deadline expires, so a lone request is
+//! never parked longer than [`ReactorConfig::coalesce`]. The response
+//! scatter is [`crate::store::MGetResponse::append_subframe`]: each
+//! request's slice of the shared batch buffer is sealed into its own
+//! frame, byte-identical to what the thread loop would have produced for
+//! that request alone.
 //!
 //! ## Loop states (DESIGN.md §10)
 //!
@@ -29,30 +30,32 @@
 //! ## Write coalescing (ISSUE 8)
 //!
 //! Writes coalesce exactly like reads: decoded `Set` and `SetMulti`
-//! requests park in a separate write buffer and land as one
+//! requests park — through the same park path, in a buffer of the same
+//! type — in a write buffer and land as one
 //! [`crate::store::KvStore::set_multi`] batch, which groups per shard
 //! internally — same-shard Sets from different connections share one
 //! lock acquisition, one seqlock write session, and the interleaved
 //! hash/prefetch staging. Per-connection program order is preserved by
-//! construction: parking a write flushes any buffered reads from the
-//! same connection first (and vice versa), so a connection never has
-//! both kinds pending at once.
+//! construction: parking in one buffer first flushes the other buffer's
+//! requests from the same connection, so a connection never has both
+//! kinds pending at once.
 //!
 //! ## PR 3 semantics, re-expressed
 //!
 //! The graceful-degradation knobs of [`KvsdConfig`] keep their meaning:
 //!
-//! * **deadline** — measured from frame decode; an MGet whose batch
+//! * **deadline** — measured from frame decode; a request whose batch
 //!   dispatches after the deadline is answered
 //!   `ErrorCode::DeadlineExceeded` without touching the store.
 //! * **max_inflight** — a cap on coalesced-but-undispatched requests
 //!   per reactor; reaching it forces an early dispatch instead of
 //!   queueing deeper, and `Some(0)` sheds every request with
-//!   `ErrorCode::ServerBusy` exactly like the blocking server.
+//!   `ErrorCode::ServerBusy` exactly like the thread loop.
 //! * **idle_timeout** — a periodic sweep closes connections with no
 //!   received bytes for the window, freeing their slots.
-//! * **drain** — [`ReactorServer::shutdown`] half-closes every read
-//!   side; reactors finish decoding what is buffered, dispatch the
+//! * **drain** — the shell half-closes every read side
+//!   ([`crate::kvsd::Kvsd::shutdown`]), then closes the reactors'
+//!   inboxes; reactors finish decoding what is buffered, dispatch the
 //!   final batch, flush every connection, and record summaries — no
 //!   request that reached the server is dropped.
 
@@ -60,32 +63,33 @@ pub mod poller;
 
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::net::{SocketAddr, TcpStream};
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use crate::kvsd::{ConnSummary, KvsdConfig};
+use crate::kvsd::{ConnSummary, KvsdConfig, Shell};
 use crate::net::{write_frame, FrameDecoder};
 use crate::protocol::{execute, ErrorCode, ExecScratch, Request, Response};
-use crate::server::ServerStats;
 use crate::store::KvStore;
 
 use poller::{Event, Interest, Poller};
 
 /// Stop reading from a connection whose client is not draining its
 /// responses once this many unflushed bytes queue up (the reactor
-/// analog of the blocking server's back-pressure via blocking writes).
+/// analog of the thread loop's back-pressure via blocking writes).
 const OUT_HIGH_WATER: usize = 1 << 20;
 
-/// Upper bound on one poll wait, so reactors notice shutdown and run
-/// the idle sweep promptly even when completely idle.
+/// Upper bound on one poll wait, so reactors adopt connections, notice
+/// shutdown and run the idle sweep promptly even when completely idle.
 const MAX_POLL_WAIT: Duration = Duration::from_millis(5);
 
-/// Knobs of the reactor server.
+/// Knobs of the reactor connection loop; the degradation knobs it shares
+/// with the thread loop are the rest of [`KvsdConfig`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ReactorConfig {
     /// Event-loop worker threads. Connections are assigned round-robin.
@@ -95,9 +99,6 @@ pub struct ReactorConfig {
     pub coalesce: Duration,
     /// Dispatch as soon as the coalescing buffer holds this many keys.
     pub batch_width: usize,
-    /// PR 3 graceful-degradation knobs (deadline / max_inflight /
-    /// idle_timeout), re-expressed as loop states (module docs).
-    pub limits: KvsdConfig,
 }
 
 impl Default for ReactorConfig {
@@ -109,13 +110,13 @@ impl Default for ReactorConfig {
                 .min(4),
             coalesce: Duration::from_micros(100),
             batch_width: 64,
-            limits: KvsdConfig::default(),
         }
     }
 }
 
-/// Per-reactor counters (the observability satellite): live gauges
-/// while running, dumped on drain.
+/// One reactor's counters: live while it runs (read them with
+/// `.load(Relaxed)`), dumped on drain. Sheds are counted in each
+/// [`ConnSummary`] and in [`crate::server::ServerStats`], not here.
 #[derive(Debug, Default)]
 pub struct ReactorStats {
     /// Connections ever assigned to this reactor.
@@ -130,8 +131,8 @@ pub struct ReactorStats {
     pub batch_keys: AtomicU64,
     /// Dispatches triggered by reaching the batch width (including
     /// forced dispatches when the `max_inflight` cap filled, and when a
-    /// Set from a connection with buffered lookups flushed the batch to
-    /// preserve per-connection program order).
+    /// request from a connection with requests parked in the other
+    /// buffer flushed it to preserve per-connection program order).
     pub width_fires: AtomicU64,
     /// Dispatches triggered by the coalesce micro-deadline — including
     /// early fires when a poll came back empty (no socket held an
@@ -145,8 +146,6 @@ pub struct ReactorStats {
     /// Total key/value pairs across all write dispatches
     /// (`/ write_batches` = mean write width).
     pub write_batch_pairs: AtomicU64,
-    /// Requests answered with a typed error instead of a result.
-    pub sheds: AtomicU64,
 }
 
 impl ReactorStats {
@@ -161,231 +160,74 @@ impl ReactorStats {
 
     /// Mean keys per dispatched batch so far.
     pub fn mean_batch_width(&self) -> f64 {
-        let batches = self.batches.load(Ordering::Relaxed);
-        if batches == 0 {
-            return 0.0;
-        }
-        self.batch_keys.load(Ordering::Relaxed) as f64 / batches as f64
-    }
-}
-
-/// Owned copy of one reactor's counters, for reports.
-#[derive(Copy, Clone, Debug)]
-pub struct ReactorSnapshot {
-    /// Reactor index.
-    pub reactor: usize,
-    /// See [`ReactorStats::conns_adopted`].
-    pub conns_adopted: u64,
-    /// See [`ReactorStats::conns_open`].
-    pub conns_open: u64,
-    /// See [`ReactorStats::frames`].
-    pub frames: u64,
-    /// See [`ReactorStats::batches`].
-    pub batches: u64,
-    /// See [`ReactorStats::batch_keys`].
-    pub batch_keys: u64,
-    /// See [`ReactorStats::width_fires`].
-    pub width_fires: u64,
-    /// See [`ReactorStats::timeout_fires`].
-    pub timeout_fires: u64,
-    /// See [`ReactorStats::drain_fires`].
-    pub drain_fires: u64,
-    /// See [`ReactorStats::write_batches`].
-    pub write_batches: u64,
-    /// See [`ReactorStats::write_batch_pairs`].
-    pub write_batch_pairs: u64,
-    /// See [`ReactorStats::sheds`].
-    pub sheds: u64,
-}
-
-impl ReactorSnapshot {
-    /// Mean keys per dispatched batch.
-    pub fn mean_batch_width(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.batch_keys as f64 / self.batches as f64
-        }
+        mean(&self.batch_keys, &self.batches)
     }
 
-    /// Mean key/value pairs per dispatched write batch.
+    /// Mean key/value pairs per dispatched write batch so far.
     pub fn mean_write_batch_width(&self) -> f64 {
-        if self.write_batches == 0 {
-            0.0
-        } else {
-            self.write_batch_pairs as f64 / self.write_batches as f64
-        }
+        mean(&self.write_batch_pairs, &self.write_batches)
     }
 }
 
-/// A running reactor-mode KVS daemon, API-compatible with
-/// [`crate::kvsd::Kvsd`] (bind / stats / summaries / drain-on-shutdown).
-pub struct ReactorServer {
-    local_addr: SocketAddr,
-    stats: Arc<ServerStats>,
-    reactor_stats: Vec<Arc<ReactorStats>>,
-    summaries: Arc<Mutex<Vec<ConnSummary>>>,
-    shutting_down: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    reactor_threads: Vec<JoinHandle<()>>,
-}
-
-impl std::fmt::Debug for ReactorServer {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ReactorServer")
-            .field("local_addr", &self.local_addr)
-            .field("reactors", &self.reactor_stats.len())
-            .finish()
+fn mean(total: &AtomicU64, count: &AtomicU64) -> f64 {
+    match count.load(Ordering::Relaxed) {
+        0 => 0.0,
+        n => total.load(Ordering::Relaxed) as f64 / n as f64,
     }
 }
 
-impl ReactorServer {
-    /// Bind `addr` with default [`ReactorConfig`].
-    ///
-    /// # Errors
-    ///
-    /// Bind or poller-creation failures.
-    pub fn bind(store: Arc<KvStore>, addr: impl ToSocketAddrs) -> io::Result<ReactorServer> {
-        Self::bind_with(store, addr, ReactorConfig::default())
-    }
+/// A connection the shell accepted: its id in the shell's registry, and
+/// the stream.
+type Accepted = (u64, TcpStream);
 
-    /// Bind with full [`ReactorConfig`] control.
-    ///
-    /// # Errors
-    ///
-    /// Bind or poller-creation failures.
-    pub fn bind_with(
-        store: Arc<KvStore>,
-        addr: impl ToSocketAddrs,
-        config: ReactorConfig,
-    ) -> io::Result<ReactorServer> {
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let n_reactors = config.reactors.max(1);
-        let stats = Arc::new(ServerStats::default());
-        let summaries = Arc::new(Mutex::new(Vec::new()));
-        let shutting_down = Arc::new(AtomicBool::new(false));
-
-        let mut reactor_stats = Vec::with_capacity(n_reactors);
-        let mut inboxes = Vec::with_capacity(n_reactors);
-        let mut reactor_threads = Vec::with_capacity(n_reactors);
-        for idx in 0..n_reactors {
-            let rs = Arc::new(ReactorStats::default());
-            let inbox: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
-            // Create the poller up front so backend failures surface
-            // from `bind_with`, not from inside a worker thread.
-            let poller = Poller::new()?;
-            let mut worker = ReactorLoop::new(
-                idx,
-                Arc::clone(&store),
-                Arc::clone(&stats),
-                Arc::clone(&rs),
-                Arc::clone(&summaries),
-                config,
-                poller,
-            );
-            let (inbox_w, down) = (Arc::clone(&inbox), Arc::clone(&shutting_down));
-            reactor_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("reactor-{idx}"))
-                    .spawn(move || worker.run(&inbox_w, &down))
-                    .expect("spawn reactor thread"),
-            );
-            reactor_stats.push(rs);
-            inboxes.push(inbox);
-        }
-
-        let accept_thread = {
-            let shutting_down = Arc::clone(&shutting_down);
-            std::thread::spawn(move || {
-                let mut next = 0usize;
-                for conn in listener.incoming() {
-                    if shutting_down.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    inboxes[next % inboxes.len()].lock().unwrap().push(stream);
-                    next += 1;
-                }
-            })
+/// Start `cfg.reactors` event loops that serve, under `limits`, the
+/// connections `shell`'s accept thread sends their inboxes; their threads
+/// join `shell`'s workers. Returns each loop's inbox and counters.
+///
+/// # Errors
+///
+/// A poller or a loop thread that cannot be created. Loops already
+/// running then see their inboxes closed and exit.
+pub(crate) fn start(
+    store: &Arc<KvStore>,
+    shell: &Arc<Shell>,
+    limits: KvsdConfig,
+    cfg: ReactorConfig,
+) -> io::Result<Vec<(Sender<Accepted>, Arc<ReactorStats>)>> {
+    // Every poller first, so a backend failure fails the bind before any
+    // loop runs.
+    let pollers = (0..cfg.reactors.max(1))
+        .map(|_| Poller::new())
+        .collect::<io::Result<Vec<_>>>()?;
+    let mut started = Vec::with_capacity(pollers.len());
+    for (idx, poller) in pollers.into_iter().enumerate() {
+        let (inbox_tx, inbox) = mpsc::channel();
+        let rs = Arc::new(ReactorStats::default());
+        let mut worker = ReactorLoop {
+            idx,
+            store: Arc::clone(store),
+            shell: Arc::clone(shell),
+            rs: Arc::clone(&rs),
+            limits,
+            cfg,
+            poller,
+            inbox,
+            conns: HashMap::new(),
+            reads: Batch::default(),
+            writes: Batch::default(),
+            scratch: ExecScratch::default(),
+            read_buf: vec![0u8; 64 << 10],
+            next_token: 0,
+            draining: false,
+            dirty: Vec::new(),
         };
-
-        Ok(ReactorServer {
-            local_addr,
-            stats,
-            reactor_stats,
-            summaries,
-            shutting_down,
-            accept_thread: Some(accept_thread),
-            reactor_threads,
-        })
+        let thread = std::thread::Builder::new()
+            .name(format!("reactor-{idx}"))
+            .spawn(move || worker.run())?;
+        shell.workers.lock().unwrap().push(thread);
+        started.push((inbox_tx, rs));
     }
-
-    /// The bound address (resolves port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
-    }
-
-    /// Aggregate statistics across all reactors, live.
-    pub fn stats(&self) -> Arc<ServerStats> {
-        Arc::clone(&self.stats)
-    }
-
-    /// Live per-reactor counters.
-    pub fn reactor_snapshots(&self) -> Vec<ReactorSnapshot> {
-        self.reactor_stats
-            .iter()
-            .enumerate()
-            .map(|(reactor, rs)| ReactorSnapshot {
-                reactor,
-                conns_adopted: rs.conns_adopted.load(Ordering::Relaxed),
-                conns_open: rs.conns_open.load(Ordering::Relaxed),
-                frames: rs.frames.load(Ordering::Relaxed),
-                batches: rs.batches.load(Ordering::Relaxed),
-                batch_keys: rs.batch_keys.load(Ordering::Relaxed),
-                width_fires: rs.width_fires.load(Ordering::Relaxed),
-                timeout_fires: rs.timeout_fires.load(Ordering::Relaxed),
-                drain_fires: rs.drain_fires.load(Ordering::Relaxed),
-                write_batches: rs.write_batches.load(Ordering::Relaxed),
-                write_batch_pairs: rs.write_batch_pairs.load(Ordering::Relaxed),
-                sheds: rs.sheds.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
-
-    /// Summaries of connections that have closed so far.
-    pub fn connection_summaries(&self) -> Vec<ConnSummary> {
-        self.summaries.lock().unwrap().clone()
-    }
-
-    /// Stop accepting, drain every connection (buffered requests are
-    /// still answered), join all threads, and return the final
-    /// per-connection summaries.
-    pub fn shutdown(mut self) -> Vec<ConnSummary> {
-        self.stop();
-        self.summaries.lock().unwrap().clone()
-    }
-
-    fn stop(&mut self) {
-        if self.shutting_down.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Wake the accept loop with a throwaway connection; reactors
-        // notice the flag within MAX_POLL_WAIT on their own.
-        let _ = TcpStream::connect(self.local_addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-        for t in self.reactor_threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ReactorServer {
-    fn drop(&mut self) {
-        self.stop();
-    }
+    Ok(started)
 }
 
 /// Why a batch dispatched.
@@ -396,53 +238,93 @@ enum Fire {
     Drain,
 }
 
-/// One decoded MGet waiting in the coalescing buffer.
-struct PendingReq {
+/// One decoded request waiting in a coalescing buffer: where its answer
+/// goes, when its frame was decoded, and its keys or pairs.
+struct Parked<T> {
     token: usize,
     seq: u64,
     id: u64,
-    keys: Vec<Bytes>,
     t0: Instant,
+    body: T,
 }
 
-/// The coalescing buffer.
-#[derive(Default)]
-struct Batch {
-    reqs: Vec<PendingReq>,
-    total_keys: usize,
+/// A coalescing buffer and its width (keys or pairs parked).
+struct Batch<T> {
+    reqs: Vec<Parked<T>>,
+    width: usize,
 }
 
-/// One decoded write (`Set` or `SetMulti`) waiting in the
-/// write-coalescing buffer.
-struct PendingWrite {
-    token: usize,
-    seq: u64,
-    id: u64,
+impl<T> Default for Batch<T> {
+    fn default() -> Self {
+        Batch {
+            reqs: Vec::new(),
+            width: 0,
+        }
+    }
+}
+
+impl<T> Batch<T> {
+    fn holds(&self, token: usize) -> bool {
+        self.reqs.iter().any(|r| r.token == token)
+    }
+}
+
+/// A parked write: its pairs, and whether it came as a single-key `Set`,
+/// which answers `Response::Set` instead of per-pair `SetMulti` statuses.
+struct Pairs {
     pairs: Vec<(Bytes, Bytes)>,
-    /// `true` for a single-key `Set` — it answers `Response::Set`
-    /// instead of per-key `SetMulti` statuses.
     single: bool,
-    t0: Instant,
 }
 
-/// The write-coalescing buffer: same-shard Sets from any connection
-/// gather here and land as one [`KvStore::set_multi`] batch, exactly
-/// like MGets gather into [`Batch`].
-#[derive(Default)]
-struct WriteBatch {
-    reqs: Vec<PendingWrite>,
-    total_pairs: usize,
+/// What the two coalescing buffers hold: a Multi-Get's keys, or a write.
+trait Body: Sized {
+    /// The other buffer's body.
+    type Other: Body;
+    /// Keys or pairs this request adds to its batch.
+    fn width(&self) -> usize;
+    /// The loop's buffer of this body.
+    fn batch(l: &mut ReactorLoop) -> &mut Batch<Self>;
+    /// Run the buffer's store call and answer every request in it.
+    fn dispatch(l: &mut ReactorLoop, fire: Fire);
+}
+
+impl Body for Vec<Bytes> {
+    type Other = Pairs;
+    fn width(&self) -> usize {
+        self.len()
+    }
+    fn batch(l: &mut ReactorLoop) -> &mut Batch<Self> {
+        &mut l.reads
+    }
+    fn dispatch(l: &mut ReactorLoop, fire: Fire) {
+        l.dispatch_reads(fire);
+    }
+}
+
+impl Body for Pairs {
+    type Other = Vec<Bytes>;
+    fn width(&self) -> usize {
+        self.pairs.len()
+    }
+    fn batch(l: &mut ReactorLoop) -> &mut Batch<Self> {
+        &mut l.writes
+    }
+    fn dispatch(l: &mut ReactorLoop, fire: Fire) {
+        l.dispatch_writes(fire);
+    }
 }
 
 /// Per-connection reactor state.
 struct Conn {
+    /// Id in the shell's registry.
+    id: u64,
     stream: TcpStream,
     decoder: FrameDecoder,
     /// Unflushed response bytes; `out[out_pos..]` is still to write.
     out: Vec<u8>,
     out_pos: usize,
     /// Response slots in request-arrival order; `None` = awaiting its
-    /// MGet batch. Front-completed slots flush into `out` immediately.
+    /// batch. Front-completed slots flush into `out` immediately.
     slots: VecDeque<Option<Vec<u8>>>,
     /// Absolute sequence number of `slots.front()`.
     base: u64,
@@ -460,8 +342,10 @@ impl Conn {
         self.out.len() - self.out_pos
     }
 
-    fn next_seq(&self) -> u64 {
-        self.base + self.slots.len() as u64
+    /// Reserve the next response slot, in request-arrival order.
+    fn reserve(&mut self) -> u64 {
+        self.slots.push_back(None);
+        self.base + self.slots.len() as u64 - 1
     }
 
     /// The interest this connection currently needs: reads unless
@@ -476,7 +360,7 @@ impl Conn {
 
     /// Put the frame `write` appends into response slot `seq` — straight
     /// into `out` when every earlier request is answered, else parked in
-    /// its ordering slot — and flush the completed prefix.
+    /// its ordering slot — and move the completed prefix into `out`.
     fn answer(&mut self, seq: u64, write: impl FnOnce(&mut Vec<u8>)) {
         let idx = (seq - self.base) as usize;
         if idx == 0 {
@@ -488,27 +372,20 @@ impl Conn {
             write(&mut framed);
             self.slots[idx] = Some(framed);
         }
-        self.flush_ready_slots();
-    }
-
-    /// Frame `payload` (length prefix + body) into response slot `seq` and
-    /// write what the socket accepts.
-    fn answer_framed(&mut self, seq: u64, payload: &[u8]) -> io::Result<()> {
-        // Only a Multi-Get reply can outgrow a frame, and those are
-        // scattered by `dispatch`, not framed here.
-        self.answer(seq, |out| {
-            write_frame(out, payload).expect("every reply but MGet's is far below the frame cap")
-        });
-        self.try_write()
-    }
-
-    /// Move the completed prefix of the slot queue into `out`.
-    fn flush_ready_slots(&mut self) {
         while matches!(self.slots.front(), Some(Some(_))) {
             let frame = self.slots.pop_front().unwrap().unwrap();
             self.out.extend_from_slice(&frame);
             self.base += 1;
         }
+    }
+
+    /// Frame `payload` (length prefix + body) into response slot `seq`.
+    fn answer_framed(&mut self, seq: u64, payload: &[u8]) {
+        // Only a Multi-Get reply can outgrow a frame, and those are
+        // scattered by `dispatch_reads`, not framed here.
+        self.answer(seq, |out| {
+            write_frame(out, payload).expect("every reply but MGet's is far below the frame cap")
+        });
     }
 
     /// Write as much of `out` as the socket accepts right now.
@@ -538,71 +415,35 @@ impl Conn {
 struct ReactorLoop {
     idx: usize,
     store: Arc<KvStore>,
-    stats: Arc<ServerStats>,
+    shell: Arc<Shell>,
     rs: Arc<ReactorStats>,
-    summaries: Arc<Mutex<Vec<ConnSummary>>>,
+    limits: KvsdConfig,
     cfg: ReactorConfig,
     poller: Poller,
+    /// Connections from the accept thread; closed once it has exited,
+    /// which is the drain signal.
+    inbox: Receiver<Accepted>,
     conns: HashMap<usize, Conn>,
-    batch: Batch,
-    wbatch: WriteBatch,
+    reads: Batch<Vec<Bytes>>,
+    writes: Batch<Pairs>,
     /// Response and write-staging buffers, shared by the coalesced
     /// dispatches and the immediately executed verbs.
     scratch: ExecScratch,
     read_buf: Vec<u8>,
     next_token: usize,
     draining: bool,
-    /// Tokens touched this loop iteration (events, dispatch scatter,
-    /// shed answers) — the only connections whose interest or
+    /// Tokens touched this loop iteration (events, answers) — the only
+    /// connections with unwritten answers or whose interest or
     /// finished-state can have changed, so the post-iteration sweep
     /// visits just these instead of every open connection.
     dirty: Vec<usize>,
 }
 
 impl ReactorLoop {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        idx: usize,
-        store: Arc<KvStore>,
-        stats: Arc<ServerStats>,
-        rs: Arc<ReactorStats>,
-        summaries: Arc<Mutex<Vec<ConnSummary>>>,
-        cfg: ReactorConfig,
-        poller: Poller,
-    ) -> Self {
-        ReactorLoop {
-            idx,
-            store,
-            stats,
-            rs,
-            summaries,
-            cfg,
-            poller,
-            conns: HashMap::new(),
-            batch: Batch::default(),
-            wbatch: WriteBatch::default(),
-            scratch: ExecScratch::default(),
-            read_buf: vec![0u8; 64 << 10],
-            next_token: 0,
-            draining: false,
-            dirty: Vec::new(),
-        }
-    }
-
-    fn run(&mut self, inbox: &Mutex<Vec<TcpStream>>, shutting_down: &AtomicBool) {
+    fn run(&mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
-            self.adopt_new(inbox);
-
-            if !self.draining && shutting_down.load(Ordering::Acquire) {
-                self.draining = true;
-                // Half-close every read side: buffered requests drain
-                // to EOF, after which each connection flushes and
-                // closes — the blocking server's drain, loop-shaped.
-                for conn in self.conns.values() {
-                    let _ = conn.stream.shutdown(Shutdown::Read);
-                }
-            }
+            self.adopt_new();
 
             let timeout = self.poll_timeout();
             if self.poller.wait(&mut events, Some(timeout)).is_err() {
@@ -620,33 +461,19 @@ impl ReactorLoop {
                 self.handle_event(ev);
             }
 
-            // An empty wait while requests are coalescing means no
-            // socket anywhere holds an undelivered byte: every possible
-            // batch-mate is already in the buffer. Waiting out the rest
-            // of the window cannot widen the batch — it only adds
-            // latency (and, sub-millisecond, a poll spin that starves
-            // co-located clients) — so fire early.
-            if woke_empty {
-                // Writes first, so any read batch fired in the same
-                // breath observes them — matching per-connection
-                // program order, which parks at most one kind at a
-                // time per connection anyway.
-                if !self.wbatch.reqs.is_empty() {
-                    self.dispatch_writes(Fire::Timeout);
-                }
-                if !self.batch.reqs.is_empty() {
-                    self.dispatch(Fire::Timeout);
-                }
-            }
-
-            self.check_dispatch();
+            // Writes first, so any read batch fired in the same breath
+            // observes them — matching per-connection program order,
+            // which parks at most one kind at a time per connection
+            // anyway.
+            self.check::<Pairs>(woke_empty);
+            self.check::<Vec<Bytes>>(woke_empty);
             self.idle_sweep();
-            self.reap_finished();
+            self.settle();
 
             if self.draining
                 && self.conns.is_empty()
-                && self.batch.reqs.is_empty()
-                && self.wbatch.reqs.is_empty()
+                && self.reads.reqs.is_empty()
+                && self.writes.reqs.is_empty()
             {
                 return;
             }
@@ -657,18 +484,15 @@ impl ReactorLoop {
     /// when requests are waiting (zero once sub-millisecond, so the
     /// final slice is a bounded spin), else the idle tick.
     fn poll_timeout(&self) -> Duration {
-        let first_t0 = match (self.batch.reqs.first(), self.wbatch.reqs.first()) {
-            (Some(r), Some(w)) => Some(r.t0.min(w.t0)),
-            (Some(r), None) => Some(r.t0),
-            (None, Some(w)) => Some(w.t0),
-            (None, None) => None,
-        };
-        if let Some(t0) = first_t0 {
-            let elapsed = t0.elapsed();
-            if elapsed >= self.cfg.coalesce {
-                return Duration::ZERO;
-            }
-            let remaining = self.cfg.coalesce - elapsed;
+        let oldest = [
+            self.reads.reqs.first().map(|r| r.t0),
+            self.writes.reqs.first().map(|w| w.t0),
+        ]
+        .into_iter()
+        .flatten()
+        .min();
+        if let Some(t0) = oldest {
+            let remaining = self.cfg.coalesce.saturating_sub(t0.elapsed());
             if remaining < Duration::from_millis(1) {
                 return Duration::ZERO;
             }
@@ -681,35 +505,41 @@ impl ReactorLoop {
         }
     }
 
-    fn adopt_new(&mut self, inbox: &Mutex<Vec<TcpStream>>) {
-        let streams: Vec<TcpStream> = std::mem::take(&mut *inbox.lock().unwrap());
-        for stream in streams {
+    /// Adopt the connections the accept thread has handed over; once it
+    /// has exited — shutdown, with every connection it handed out already
+    /// half-closed by the shell — start draining.
+    fn adopt_new(&mut self) {
+        loop {
+            let (id, stream) = match self.inbox.try_recv() {
+                Ok(accepted) => accepted,
+                Err(TryRecvError::Empty) => return,
+                Err(TryRecvError::Disconnected) => {
+                    self.draining = true;
+                    return;
+                }
+            };
             let peer = stream
                 .peer_addr()
                 .unwrap_or_else(|_| SocketAddr::from(([0, 0, 0, 0], 0)));
-            if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
-                continue;
-            }
+            let summary = ConnSummary::new(peer, Some(self.idx));
             let token = self.next_token;
             self.next_token += 1;
-            {
-                use std::os::fd::AsRawFd;
-                if self
+            if stream.set_nonblocking(true).is_err()
+                || stream.set_nodelay(true).is_err()
+                || self
                     .poller
                     .register(stream.as_raw_fd(), token, Interest::READ)
                     .is_err()
-                {
-                    continue;
-                }
-            }
-            if self.draining {
-                let _ = stream.shutdown(Shutdown::Read);
+            {
+                self.shell.closed(id, summary);
+                continue;
             }
             self.rs.conns_adopted.fetch_add(1, Ordering::Relaxed);
             self.rs.conns_open.fetch_add(1, Ordering::Relaxed);
             self.conns.insert(
                 token,
                 Conn {
+                    id,
                     stream,
                     decoder: FrameDecoder::new(),
                     out: Vec::new(),
@@ -717,7 +547,7 @@ impl ReactorLoop {
                     slots: VecDeque::new(),
                     base: 0,
                     last_activity: Instant::now(),
-                    summary: ConnSummary::new(peer, Some(self.idx)),
+                    summary,
                     draining: false,
                     registered: Interest::READ,
                 },
@@ -726,28 +556,24 @@ impl ReactorLoop {
     }
 
     fn handle_event(&mut self, ev: Event) {
-        if !self.conns.contains_key(&ev.token) {
+        let Some(conn) = self.conns.get_mut(&ev.token) else {
             return; // closed earlier this iteration
-        }
+        };
         self.dirty.push(ev.token);
-        if ev.writable {
-            let conn = self.conns.get_mut(&ev.token).unwrap();
-            if conn.try_write().is_err() {
-                self.close(ev.token);
-                return;
-            }
+        if ev.writable && conn.try_write().is_err() {
+            self.close(ev.token);
+            return;
         }
         if ev.readable || ev.closed {
             self.handle_readable(ev.token);
         }
-        self.sync_interest(ev.token);
     }
 
     fn handle_readable(&mut self, token: usize) {
         // Read everything available, then decode; a socket error kills
         // the connection, EOF or a framing error moves it to draining
-        // (answers already queued still flush, like the blocking
-        // server's final flush after `break`).
+        // (answers already queued still flush, like the thread loop's
+        // final flush after `break`).
         let mut frames: Vec<Bytes> = Vec::new();
         let mut drain_after = false;
         {
@@ -826,53 +652,33 @@ impl ReactorLoop {
             conn.draining = true;
             return;
         };
-        let limits = self.cfg.limits;
         match request {
             Request::Shutdown => {
                 conn.draining = true;
             }
+            Request::MGet { id, keys } => self.park(token, id, t0, keys),
             Request::Set { id, key, value } => {
-                self.park_write(token, t0, id, vec![(key, value)], true);
+                let pairs = vec![(key, value)];
+                self.park(
+                    token,
+                    id,
+                    t0,
+                    Pairs {
+                        pairs,
+                        single: true,
+                    },
+                );
             }
             Request::SetMulti { id, pairs } => {
-                self.park_write(token, t0, id, pairs, false);
-            }
-            Request::MGet { id, keys } => {
-                // Per-connection program order: earlier writes from this
-                // connection may still sit in the write buffer, and this
-                // lookup must observe them — the blocking server
-                // executes strictly in order. Flush writes first.
-                if self.wbatch.reqs.iter().any(|r| r.token == token) {
-                    self.dispatch_writes(Fire::Width);
-                }
-                if limits.max_inflight == Some(0) {
-                    self.shed(token, id);
-                    return;
-                }
-                // A full admission window forces the batch out early
-                // rather than queueing deeper (the blocking server
-                // would make the request wait for a slot).
-                if let Some(cap) = limits.max_inflight {
-                    if self.batch.reqs.len() >= cap {
-                        self.dispatch(Fire::Width);
-                    }
-                }
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return; // dispatch may have closed the connection
-                };
-                let seq = conn.next_seq();
-                conn.slots.push_back(None);
-                self.batch.total_keys += keys.len();
-                self.batch.reqs.push(PendingReq {
+                self.park(
                     token,
-                    seq,
                     id,
-                    keys,
                     t0,
-                });
-                if self.batch.total_keys >= self.cfg.batch_width {
-                    self.dispatch(Fire::Width);
-                }
+                    Pairs {
+                        pairs,
+                        single: false,
+                    },
+                );
             }
             Request::Delete { .. }
             | Request::Cas { .. }
@@ -881,321 +687,241 @@ impl ReactorLoop {
             | Request::SetMultiEx { .. } => {
                 // Per-connection program order: parked lookups from this
                 // connection must not observe this verb's effect, and
-                // parked writes must apply before it — force-dispatch
-                // both coalescing buffers, the way Set flushes reads.
-                if self.batch.reqs.iter().any(|r| r.token == token) {
-                    self.dispatch(Fire::Width);
-                }
-                if self.wbatch.reqs.iter().any(|r| r.token == token) {
-                    self.dispatch_writes(Fire::Width);
-                }
-                if limits.max_inflight == Some(0) {
-                    let id = request.id().expect("versioned verbs carry an id");
-                    self.shed(token, id);
-                    return;
-                }
+                // parked writes must apply before it — flush both
+                // buffers, the way parking flushes the other one.
+                self.flush_for::<Vec<Bytes>>(token);
+                self.flush_for::<Pairs>(token);
                 let Some(conn) = self.conns.get_mut(&token) else {
                     return; // dispatch may have closed the connection
                 };
-                let seq = conn.next_seq();
-                conn.slots.push_back(None);
+                let seq = conn.reserve();
+                if self.limits.max_inflight == Some(0) {
+                    let id = request.id().expect("versioned verbs carry an id");
+                    return self.shed(token, seq, id, ErrorCode::ServerBusy);
+                }
                 // Versioned verbs execute immediately (no coalescing):
                 // Delete/Cas/Touch are point operations on one key, and
                 // their responses carry per-op versions that a batch
                 // cannot share.
                 let done = execute(&self.store, &request, &mut self.scratch)
                     .expect("versioned verbs have a response");
-                self.stats.record(&done);
-                conn.summary.record(&done);
-                let busy = t0.elapsed().as_nanos() as u64;
-                self.stats.busy_ns.fetch_add(busy, Ordering::Relaxed);
-                conn.summary.busy_ns += busy;
-                if conn.answer_framed(seq, done.reply).is_err() {
-                    self.close(token);
-                }
+                self.shell.stats.record_phases(done.phases);
+                conn.summary
+                    .served(&self.shell.stats, done.lookup, done.writes, t0);
+                conn.answer_framed(seq, done.reply);
             }
         }
     }
 
-    /// Answer request `id` on `token` with `ServerBusy` without touching
-    /// the store (the `max_inflight == Some(0)` drill sheds everything).
-    fn shed(&mut self, token: usize, id: u64) {
+    /// The one park path of both buffers: flush the other buffer if it
+    /// holds a request from this connection (program order), force this
+    /// buffer out early when the `max_inflight` admission window is full
+    /// (the thread loop would make the request wait for a slot), reserve
+    /// the response slot, shed under `max_inflight == Some(0)`, park, and
+    /// fire at the batch width.
+    fn park<T: Body>(&mut self, token: usize, id: u64, t0: Instant, body: T) {
+        self.flush_for::<T::Other>(token);
+        let cap = self.limits.max_inflight;
+        if cap.is_some_and(|cap| T::batch(self).reqs.len() >= cap) {
+            T::dispatch(self, Fire::Width);
+        }
         let Some(conn) = self.conns.get_mut(&token) else {
             return; // dispatch may have closed the connection
         };
-        conn.summary.shed += 1;
-        self.stats.shed.fetch_add(1, Ordering::Relaxed);
-        self.rs.sheds.fetch_add(1, Ordering::Relaxed);
-        let seq = conn.next_seq();
-        conn.slots.push_back(None);
-        let code = ErrorCode::ServerBusy;
-        self.enqueue_framed(token, seq, &Response::Error { id, code }.encode());
+        let seq = conn.reserve();
+        if cap == Some(0) {
+            return self.shed(token, seq, id, ErrorCode::ServerBusy);
+        }
+        let batch_width = self.cfg.batch_width;
+        let batch = T::batch(self);
+        batch.width += body.width();
+        batch.reqs.push(Parked {
+            token,
+            seq,
+            id,
+            t0,
+            body,
+        });
+        if batch.width >= batch_width {
+            T::dispatch(self, Fire::Width);
+        }
     }
 
-    /// Answer every request of a drained coalescing buffer that waited
-    /// past its deadline with `DeadlineExceeded`; returns the rest.
-    /// `parked` yields a request's `(token, seq, id, t0)`.
-    fn expire_overdue<T>(
-        &mut self,
-        reqs: Vec<T>,
-        parked: impl Fn(&T) -> (usize, u64, u64, Instant),
-    ) -> Vec<T> {
-        let Some(deadline) = self.cfg.limits.deadline else {
+    /// Dispatch the `T` buffer now if `token` has a request parked there.
+    fn flush_for<T: Body>(&mut self, token: usize) {
+        if T::batch(self).holds(token) {
+            T::dispatch(self, Fire::Width);
+        }
+    }
+
+    /// The one trigger check of both buffers: fire the `T` buffer when it
+    /// holds the batch width, when its oldest request has waited out the
+    /// micro-deadline — or the poll came back empty (`woke_empty`): then no
+    /// socket anywhere holds an undelivered byte, every possible
+    /// batch-mate is already parked, and waiting out the window would only
+    /// add latency (and, sub-millisecond, a poll spin that starves
+    /// co-located clients) — or when draining, since nothing more is
+    /// coming once every socket hits EOF.
+    fn check<T: Body>(&mut self, woke_empty: bool) {
+        let batch = T::batch(self);
+        let Some(t0) = batch.reqs.first().map(|r| r.t0) else {
+            return;
+        };
+        let width = batch.width;
+        let fire = if width >= self.cfg.batch_width {
+            Fire::Width
+        } else if woke_empty || t0.elapsed() >= self.cfg.coalesce {
+            Fire::Timeout
+        } else if self.draining {
+            Fire::Drain
+        } else {
+            return;
+        };
+        T::dispatch(self, fire);
+    }
+
+    /// Answer request `id` in slot `seq` of connection `token` with
+    /// `code`, without touching the store.
+    fn shed(&mut self, token: usize, seq: u64, id: u64, code: ErrorCode) {
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return; // the connection died while its request waited
+        };
+        conn.summary.shed(&self.shell.stats);
+        conn.answer_framed(seq, &Response::Error { id, code }.encode());
+        self.dirty.push(token);
+    }
+
+    /// Empty the `T` buffer, answering every request that waited past its
+    /// deadline with `DeadlineExceeded`; returns the rest.
+    fn take_live<T: Body>(&mut self) -> Vec<Parked<T>> {
+        let batch = T::batch(self);
+        batch.width = 0;
+        let reqs = std::mem::take(&mut batch.reqs);
+        let Some(deadline) = self.limits.deadline else {
             return reqs;
         };
-        let (overdue, live): (Vec<T>, Vec<T>) = reqs
-            .into_iter()
-            .partition(|r| parked(r).3.elapsed() > deadline);
-        for (token, seq, id, t0) in overdue.iter().map(parked) {
-            self.stats.shed.fetch_add(1, Ordering::Relaxed);
-            self.rs.sheds.fetch_add(1, Ordering::Relaxed);
-            if let Some(conn) = self.conns.get_mut(&token) {
-                conn.summary.shed += 1;
-                let busy = t0.elapsed().as_nanos() as u64;
-                conn.summary.busy_ns += busy;
-                self.stats.busy_ns.fetch_add(busy, Ordering::Relaxed);
-            }
-            let code = ErrorCode::DeadlineExceeded;
-            self.enqueue_framed(token, seq, &Response::Error { id, code }.encode());
-            self.dirty.push(token);
+        let (overdue, live): (Vec<_>, Vec<_>) =
+            reqs.into_iter().partition(|r| r.t0.elapsed() > deadline);
+        for r in overdue {
+            self.shed(r.token, r.seq, r.id, ErrorCode::DeadlineExceeded);
         }
         live
     }
 
-    /// Park a decoded write in the write-coalescing buffer (or shed it),
-    /// firing early when the batch width or admission cap is reached.
-    fn park_write(
-        &mut self,
-        token: usize,
-        t0: Instant,
-        id: u64,
-        pairs: Vec<(Bytes, Bytes)>,
-        single: bool,
-    ) {
-        // Per-connection program order: earlier MGets from this
-        // connection may still sit in the read buffer, and executing
-        // the write first would let them observe it — the blocking
-        // server executes strictly in order. Flush the read batch
-        // before parking the write.
-        if self.batch.reqs.iter().any(|r| r.token == token) {
-            self.dispatch(Fire::Width);
-        }
-        let limits = self.cfg.limits;
-        if limits.max_inflight == Some(0) {
-            self.shed(token, id);
-            return;
-        }
-        // A full admission window forces the write batch out early
-        // rather than queueing deeper.
-        if let Some(cap) = limits.max_inflight {
-            if self.wbatch.reqs.len() >= cap {
-                self.dispatch_writes(Fire::Width);
-            }
-        }
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        let seq = conn.next_seq();
-        conn.slots.push_back(None);
-        self.wbatch.total_pairs += pairs.len();
-        self.wbatch.reqs.push(PendingWrite {
-            token,
-            seq,
-            id,
-            pairs,
-            single,
-            t0,
-        });
-        if self.wbatch.total_pairs >= self.cfg.batch_width {
-            self.dispatch_writes(Fire::Width);
-        }
-    }
-
-    /// [`Conn::answer_framed`] on connection `token`, closing it when the
-    /// socket fails.
-    fn enqueue_framed(&mut self, token: usize, seq: u64, payload: &[u8]) {
-        let Some(conn) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if conn.answer_framed(seq, payload).is_err() {
-            self.close(token);
-        }
-    }
-
-    /// Dispatch the coalescing buffer: answer expired requests with
-    /// `DeadlineExceeded`, run one wide `mget` over the rest, and
-    /// scatter per-request frames back to their connections.
-    fn dispatch(&mut self, fire: Fire) {
-        let reqs = std::mem::take(&mut self.batch.reqs);
-        self.batch.total_keys = 0;
-        if reqs.is_empty() {
-            return;
-        }
-
-        let live = self.expire_overdue(reqs, |r| (r.token, r.seq, r.id, r.t0));
+    /// Run one wide `mget` over every live parked request's keys — the
+    /// store partitions per shard internally, so this is exactly the
+    /// per-shard coalesced batch the SIMD kernels want — and seal each
+    /// request's slice of the shared batch buffer straight into its
+    /// connection's output (or its ordering slot when earlier requests
+    /// are still pending).
+    fn dispatch_reads(&mut self, fire: Fire) {
+        let live = self.take_live::<Vec<Bytes>>();
         if live.is_empty() {
             return;
         }
-
-        // One wide lookup over every live request's keys. The store
-        // partitions per shard internally, so this is exactly the
-        // "per-shard coalesced batch" the SIMD kernels want.
-        let mut refs: Vec<&[u8]> = Vec::with_capacity(live.iter().map(|r| r.keys.len()).sum());
-        let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(live.len());
-        for req in &live {
-            let lo = refs.len();
-            refs.extend(req.keys.iter().map(|k| k.as_ref()));
-            ranges.push(lo..refs.len());
-        }
-        let outcome = self.store.mget(&refs, &mut self.scratch.resp);
-
+        let keys: Vec<&[u8]> = live
+            .iter()
+            .flat_map(|r| r.body.iter().map(|k| k.as_ref()))
+            .collect();
+        let outcome = self.store.mget(&keys, &mut self.scratch.resp);
         self.rs.batches.fetch_add(1, Ordering::Relaxed);
         self.rs
             .batch_keys
-            .fetch_add(refs.len() as u64, Ordering::Relaxed);
+            .fetch_add(keys.len() as u64, Ordering::Relaxed);
         self.rs.count_fire(fire);
-        self.stats.record_mget(live.len(), refs.len(), &outcome);
+        self.shell.stats.record_phases(outcome.phases);
 
-        let mut touched: Vec<usize> = Vec::with_capacity(live.len());
-        for (req, range) in live.iter().zip(ranges) {
-            let found = range
-                .clone()
-                .filter(|&i| self.scratch.resp.value(i).is_some())
-                .count();
+        let mut touched = Vec::with_capacity(live.len());
+        let mut end = 0;
+        for req in &live {
+            let range = end..end + req.body.len();
+            end = range.end;
             let Some(conn) = self.conns.get_mut(&req.token) else {
                 continue; // connection died while its request waited
             };
-            conn.summary.requests += 1;
-            conn.summary.keys += req.keys.len() as u64;
-            conn.summary.found += found as u64;
-            let busy = req.t0.elapsed().as_nanos() as u64;
-            conn.summary.busy_ns += busy;
-            self.stats.busy_ns.fetch_add(busy, Ordering::Relaxed);
-            // Scatter: seal this request's slice of the shared batch
-            // buffer straight into the connection's output (or its
-            // ordering slot when earlier requests are still pending).
             let resp = &self.scratch.resp;
+            let found = range.clone().filter(|&i| resp.value(i).is_some()).count();
+            conn.summary
+                .served(&self.shell.stats, Some((range.len(), found)), 0, req.t0);
             let mut appended = 0;
             conn.answer(req.seq, |out| {
                 appended = resp.append_subframe(range, req.id, out)
             });
             if appended == 0 {
-                // The reply outgrew a frame: the blocking server's
+                // The reply outgrew a frame: the thread loop's
                 // `write_frame` refuses it and drops the connection.
                 self.close(req.token);
-                continue;
-            }
-            touched.push(req.token);
-        }
-        for &token in &touched {
-            if let Some(conn) = self.conns.get_mut(&token) {
-                if conn.try_write().is_err() {
-                    self.close(token);
-                } else {
-                    self.sync_interest(token);
-                }
+            } else {
+                touched.push(req.token);
             }
         }
-        self.dirty.extend_from_slice(&touched);
+        self.write_touched(touched);
     }
 
-    /// Dispatch the write-coalescing buffer: answer expired writes with
-    /// `DeadlineExceeded`, run one batched [`KvStore::set_multi`] over
-    /// the rest (the store groups per shard internally, so same-shard
-    /// Sets land under one lock/seqlock session with the interleaved
-    /// hash kernel and prefetch staging), and scatter per-request acks.
+    /// Run one batched [`KvStore::set_multi`] over every live parked
+    /// write's pairs — in arrival order, so duplicate keys across
+    /// coalesced requests keep last-writer-wins semantics, and grouped per
+    /// shard by the store, so same-shard Sets land under one lock/seqlock
+    /// session with the interleaved hash kernel and prefetch staging — and
+    /// answer each request.
     fn dispatch_writes(&mut self, fire: Fire) {
-        let reqs = std::mem::take(&mut self.wbatch.reqs);
-        self.wbatch.total_pairs = 0;
-        if reqs.is_empty() {
-            return;
-        }
-
-        let live = self.expire_overdue(reqs, |r| (r.token, r.seq, r.id, r.t0));
+        let live = self.take_live::<Pairs>();
         if live.is_empty() {
             return;
         }
-
-        // One batched write over every live request's pairs. Insertion
-        // order inside the batch is arrival order, so duplicate keys
-        // across coalesced requests keep last-writer-wins semantics.
-        let mut pair_refs: Vec<(&[u8], &[u8])> =
-            Vec::with_capacity(live.iter().map(|r| r.pairs.len()).sum());
-        let mut ranges: Vec<std::ops::Range<usize>> = Vec::with_capacity(live.len());
-        for req in &live {
-            let lo = pair_refs.len();
-            pair_refs.extend(req.pairs.iter().map(|(k, v)| (k.as_ref(), v.as_ref())));
-            ranges.push(lo..pair_refs.len());
-        }
-        let outcome = self
-            .store
-            .set_multi(&pair_refs, &mut self.scratch.set_batch);
-
+        let pairs: Vec<(&[u8], &[u8])> = live
+            .iter()
+            .flat_map(|r| r.body.pairs.iter().map(|(k, v)| (k.as_ref(), v.as_ref())))
+            .collect();
+        let outcome = self.store.set_multi(&pairs, &mut self.scratch.set_batch);
         self.rs.write_batches.fetch_add(1, Ordering::Relaxed);
         self.rs
             .write_batch_pairs
-            .fetch_add(pair_refs.len() as u64, Ordering::Relaxed);
+            .fetch_add(pairs.len() as u64, Ordering::Relaxed);
         self.rs.count_fire(fire);
-        self.stats.record_phases(outcome.phases);
+        self.shell.stats.record_phases(outcome.phases);
 
-        let mut touched: Vec<usize> = Vec::with_capacity(live.len());
-        for (req, range) in live.iter().zip(ranges) {
-            let results = &self.scratch.set_batch.results()[range];
-            let payload = if req.single {
-                Response::Set {
-                    id: req.id,
-                    ok: results[0].is_ok(),
-                }
-                .encode()
-            } else {
-                Response::SetMulti {
-                    id: req.id,
-                    ok: results.iter().map(|r| r.is_ok()).collect(),
-                }
-                .encode()
-            };
+        let mut touched = Vec::with_capacity(live.len());
+        let mut end = 0;
+        for req in &live {
+            let range = end..end + req.body.pairs.len();
+            end = range.end;
             let Some(conn) = self.conns.get_mut(&req.token) else {
                 continue; // connection died while its write waited
             };
-            conn.summary.sets += req.pairs.len() as u64;
-            let busy = req.t0.elapsed().as_nanos() as u64;
-            conn.summary.busy_ns += busy;
-            self.stats.busy_ns.fetch_add(busy, Ordering::Relaxed);
-            self.enqueue_framed(req.token, req.seq, &payload);
+            let results = &self.scratch.set_batch.results()[range];
+            let id = req.id;
+            let payload = if req.body.single {
+                let ok = results[0].is_ok();
+                Response::Set { id, ok }.encode()
+            } else {
+                let ok = results.iter().map(|r| r.is_ok()).collect();
+                Response::SetMulti { id, ok }.encode()
+            };
+            conn.summary
+                .served(&self.shell.stats, None, results.len(), req.t0);
+            conn.answer_framed(req.seq, &payload);
             touched.push(req.token);
         }
-        for &token in &touched {
-            self.sync_interest(token);
-        }
-        self.dirty.extend_from_slice(&touched);
+        self.write_touched(touched);
     }
 
-    fn check_dispatch(&mut self) {
-        if self.wbatch.total_pairs >= self.cfg.batch_width {
-            self.dispatch_writes(Fire::Width);
-        } else if !self.wbatch.reqs.is_empty() {
-            if self.wbatch.reqs[0].t0.elapsed() >= self.cfg.coalesce {
-                self.dispatch_writes(Fire::Timeout);
-            } else if self.draining {
-                self.dispatch_writes(Fire::Drain);
+    /// Write what a dispatch answered, once per connection it touched, as
+    /// soon as every answer is in place.
+    fn write_touched(&mut self, touched: Vec<usize>) {
+        for &token in &touched {
+            let Some(conn) = self.conns.get_mut(&token) else {
+                continue;
+            };
+            if conn.try_write().is_err() {
+                self.close(token);
             }
         }
-        if self.batch.total_keys >= self.cfg.batch_width {
-            self.dispatch(Fire::Width);
-        } else if !self.batch.reqs.is_empty() {
-            if self.batch.reqs[0].t0.elapsed() >= self.cfg.coalesce {
-                self.dispatch(Fire::Timeout);
-            } else if self.draining {
-                // Nothing more is coming once every socket hits EOF;
-                // waiting out the coalesce window would only stall the
-                // drain.
-                self.dispatch(Fire::Drain);
-            }
-        }
+        self.dirty.extend(touched);
     }
 
     fn idle_sweep(&mut self) {
-        let Some(idle) = self.cfg.limits.idle_timeout else {
+        let Some(idle) = self.limits.idle_timeout else {
             return;
         };
         let now = Instant::now();
@@ -1206,24 +932,22 @@ impl ReactorLoop {
             .map(|(&t, _)| t)
             .collect();
         for token in stale {
-            // The blocking server's read timeout: flush what was
-            // answered, then close mid-whatever the client was doing.
+            // The thread loop's read timeout: flush what was answered,
+            // then close mid-whatever the client was doing.
             self.close(token);
         }
     }
 
-    /// Close connections that have drained completely, and keep poller
-    /// interest in sync for the rest.
-    fn reap_finished(&mut self) {
-        // Only touched connections can have changed interest or reached
-        // the finished state; duplicates are harmless (`close` on a
-        // removed token is a no-op).
-        let dirty = std::mem::take(&mut self.dirty);
-        for token in dirty {
-            let Some(conn) = self.conns.get(&token) else {
+    /// Write what each connection touched this iteration has queued,
+    /// close those with nothing left to say, and keep poller interest in
+    /// sync for the rest. Duplicate tokens are harmless (`close` on a
+    /// removed token is a no-op).
+    fn settle(&mut self) {
+        for token in std::mem::take(&mut self.dirty) {
+            let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
-            if conn.finished() {
+            if conn.try_write().is_err() || conn.finished() {
                 self.close(token);
             } else {
                 self.sync_interest(token);
@@ -1232,7 +956,6 @@ impl ReactorLoop {
     }
 
     fn sync_interest(&mut self, token: usize) {
-        use std::os::fd::AsRawFd;
         let Some(conn) = self.conns.get_mut(&token) else {
             return;
         };
@@ -1252,17 +975,16 @@ impl ReactorLoop {
         }
     }
 
-    /// Remove the connection, make a best-effort final flush, and
-    /// record its summary.
+    /// Remove the connection, make a best-effort final flush, and hand
+    /// its summary to the shell.
     fn close(&mut self, token: usize) {
-        use std::os::fd::AsRawFd;
         let Some(mut conn) = self.conns.remove(&token) else {
             return;
         };
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
         let _ = conn.try_write();
         self.rs.conns_open.fetch_sub(1, Ordering::Relaxed);
-        self.summaries.lock().unwrap().push(conn.summary);
+        self.shell.closed(conn.id, conn.summary);
     }
 }
 
@@ -1270,6 +992,7 @@ impl ReactorLoop {
 mod tests {
     use super::*;
     use crate::index::Memc3Index;
+    use crate::kvsd::Kvsd;
     use crate::net::TcpConn;
     use crate::store::StoreConfig;
     use crate::transport::ClientConn;
@@ -1288,70 +1011,23 @@ mod tests {
             reactors: 1,
             coalesce: Duration::from_micros(100),
             batch_width: 8,
-            limits: KvsdConfig::default(),
         }
     }
 
-    #[test]
-    fn pipelined_mget_and_set_over_reactor() {
-        let server = ReactorServer::bind_with(test_store(), "127.0.0.1:0", config()).unwrap();
-        let mut conn = TcpConn::connect(server.local_addr()).unwrap();
-        conn.set_recv_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        conn.send(
-            Request::MGet {
-                id: 1,
-                keys: vec![Bytes::from_static(b"present"), Bytes::from_static(b"nope")],
-            }
-            .encode(),
-        )
-        .unwrap();
-        conn.send(
-            Request::Set {
-                id: 2,
-                key: Bytes::from_static(b"fresh"),
-                value: Bytes::from_static(b"fv"),
-            }
-            .encode(),
-        )
-        .unwrap();
-        conn.send(
-            Request::MGet {
-                id: 3,
-                keys: vec![Bytes::from_static(b"fresh")],
-            }
-            .encode(),
-        )
-        .unwrap();
+    fn serve(reactor: ReactorConfig) -> Kvsd {
+        let config = KvsdConfig {
+            reactor: Some(reactor),
+            ..KvsdConfig::default()
+        };
+        Kvsd::bind_with(test_store(), "127.0.0.1:0", config).unwrap()
+    }
 
-        match Response::decode(conn.recv().unwrap().0).unwrap() {
-            Response::MGet { id, entries } => {
-                assert_eq!(id, 1);
-                assert_eq!(entries[0].as_deref(), Some(&b"the-value"[..]));
-                assert_eq!(entries[1], None);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match Response::decode(conn.recv().unwrap().0).unwrap() {
-            Response::Set { id, ok } => {
-                assert_eq!(id, 2);
-                assert!(ok);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        match Response::decode(conn.recv().unwrap().0).unwrap() {
-            Response::MGet { id, entries } => {
-                assert_eq!(id, 3);
-                assert_eq!(entries[0].as_deref(), Some(&b"fv"[..]));
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        drop(conn);
-        let stats = server.stats();
-        server.shutdown();
-        assert_eq!(stats.requests.load(Ordering::Relaxed), 2);
-        assert_eq!(stats.keys.load(Ordering::Relaxed), 3);
-        assert_eq!(stats.found.load(Ordering::Relaxed), 2);
+    /// `counter` summed over `reactors`.
+    fn total(reactors: &[Arc<ReactorStats>], counter: fn(&ReactorStats) -> &AtomicU64) -> u64 {
+        reactors
+            .iter()
+            .map(|rs| counter(rs).load(Ordering::Relaxed))
+            .sum()
     }
 
     #[test]
@@ -1361,7 +1037,8 @@ mod tests {
         let mut cfg = config();
         cfg.batch_width = 16;
         cfg.coalesce = Duration::from_millis(20);
-        let server = ReactorServer::bind_with(test_store(), "127.0.0.1:0", cfg).unwrap();
+        let server = serve(cfg);
+        let reactors = server.reactor_stats();
         let mut conns: Vec<TcpConn> = (0..16)
             .map(|_| TcpConn::connect(server.local_addr()).unwrap())
             .collect();
@@ -1387,11 +1064,9 @@ mod tests {
             }
         }
         drop(conns);
-        let snaps = server.reactor_snapshots();
         server.shutdown();
-        let batches: u64 = snaps.iter().map(|s| s.batches).sum();
-        let keys: u64 = snaps.iter().map(|s| s.batch_keys).sum();
-        assert_eq!(keys, 16);
+        let batches = total(&reactors, |rs| &rs.batches);
+        assert_eq!(total(&reactors, |rs| &rs.batch_keys), 16);
         assert!(
             batches < 16,
             "16 one-key requests must coalesce into fewer than 16 batches, got {batches}"
@@ -1400,7 +1075,8 @@ mod tests {
 
     #[test]
     fn pipelined_set_multi_over_reactor() {
-        let server = ReactorServer::bind_with(test_store(), "127.0.0.1:0", config()).unwrap();
+        let server = serve(config());
+        let reactors = server.reactor_stats();
         let mut conn = TcpConn::connect(server.local_addr()).unwrap();
         conn.set_recv_timeout(Some(Duration::from_secs(10)))
             .unwrap();
@@ -1459,12 +1135,16 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         drop(conn);
-        let snaps = server.reactor_snapshots();
         server.shutdown();
-        let write_batches: u64 = snaps.iter().map(|s| s.write_batches).sum();
-        let write_pairs: u64 = snaps.iter().map(|s| s.write_batch_pairs).sum();
-        assert!(write_batches >= 1, "writes must go through the write batch");
-        assert_eq!(write_pairs, 3, "pair volume accounting");
+        assert!(
+            total(&reactors, |rs| &rs.write_batches) >= 1,
+            "writes must go through the write batch"
+        );
+        assert_eq!(
+            total(&reactors, |rs| &rs.write_batch_pairs),
+            3,
+            "pair volume accounting"
+        );
     }
 
     #[test]
@@ -1474,7 +1154,8 @@ mod tests {
         let mut cfg = config();
         cfg.batch_width = 16;
         cfg.coalesce = Duration::from_millis(20);
-        let server = ReactorServer::bind_with(test_store(), "127.0.0.1:0", cfg).unwrap();
+        let server = serve(cfg);
+        let reactors = server.reactor_stats();
         let mut conns: Vec<TcpConn> = (0..16)
             .map(|_| TcpConn::connect(server.local_addr()).unwrap())
             .collect();
@@ -1504,225 +1185,12 @@ mod tests {
             }
         }
         drop(conns);
-        let snaps = server.reactor_snapshots();
         server.shutdown();
-        let write_batches: u64 = snaps.iter().map(|s| s.write_batches).sum();
-        let write_pairs: u64 = snaps.iter().map(|s| s.write_batch_pairs).sum();
-        assert_eq!(write_pairs, 16);
+        let write_batches = total(&reactors, |rs| &rs.write_batches);
+        assert_eq!(total(&reactors, |rs| &rs.write_batch_pairs), 16);
         assert!(
             write_batches < 16,
             "16 single Sets must coalesce into fewer than 16 write batches, got {write_batches}"
         );
-    }
-
-    #[test]
-    fn zero_inflight_cap_sheds_every_request() {
-        let mut cfg = config();
-        cfg.limits.max_inflight = Some(0);
-        let server = ReactorServer::bind_with(test_store(), "127.0.0.1:0", cfg).unwrap();
-        let mut conn = TcpConn::connect(server.local_addr()).unwrap();
-        conn.set_recv_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        for id in 0..4u64 {
-            conn.send(
-                Request::MGet {
-                    id,
-                    keys: vec![Bytes::from_static(b"present")],
-                }
-                .encode(),
-            )
-            .unwrap();
-        }
-        for id in 0..4u64 {
-            match Response::decode(conn.recv().unwrap().0).unwrap() {
-                Response::Error { id: got, code } => {
-                    assert_eq!(got, id);
-                    assert_eq!(code, ErrorCode::ServerBusy);
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        conn.send(
-            Request::Set {
-                id: 9,
-                key: Bytes::from_static(b"k"),
-                value: Bytes::from_static(b"v"),
-            }
-            .encode(),
-        )
-        .unwrap();
-        assert!(matches!(
-            Response::decode(conn.recv().unwrap().0).unwrap(),
-            Response::Error { id: 9, .. }
-        ));
-        drop(conn);
-        let stats = server.stats();
-        server.shutdown();
-        assert_eq!(stats.shed.load(Ordering::Relaxed), 5);
-        assert_eq!(stats.requests.load(Ordering::Relaxed), 0, "nothing ran");
-    }
-
-    #[test]
-    fn zero_deadline_answers_deadline_exceeded() {
-        let mut cfg = config();
-        cfg.limits.deadline = Some(Duration::ZERO);
-        let server = ReactorServer::bind_with(test_store(), "127.0.0.1:0", cfg).unwrap();
-        let mut conn = TcpConn::connect(server.local_addr()).unwrap();
-        conn.set_recv_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        conn.send(
-            Request::MGet {
-                id: 5,
-                keys: vec![Bytes::from_static(b"present")],
-            }
-            .encode(),
-        )
-        .unwrap();
-        match Response::decode(conn.recv().unwrap().0).unwrap() {
-            Response::Error { id, code } => {
-                assert_eq!(id, 5);
-                assert_eq!(code, ErrorCode::DeadlineExceeded);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        drop(conn);
-        let summaries = server.shutdown();
-        assert_eq!(summaries.iter().map(|s| s.shed).sum::<u64>(), 1);
-    }
-
-    #[test]
-    fn malformed_frame_drops_connection() {
-        let server = ReactorServer::bind_with(test_store(), "127.0.0.1:0", config()).unwrap();
-        let mut conn = TcpConn::connect(server.local_addr()).unwrap();
-        conn.set_recv_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        conn.send(Bytes::from_static(&[250, 1, 2, 3])).unwrap();
-        assert!(conn.recv().is_err(), "server must close, not reply");
-        server.shutdown();
-    }
-
-    #[test]
-    fn oversized_frame_prefix_drops_connection_without_buffering() {
-        let server = ReactorServer::bind_with(test_store(), "127.0.0.1:0", config()).unwrap();
-        let mut raw = TcpStream::connect(server.local_addr()).unwrap();
-        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        // A hostile length prefix: 4 GiB. The incremental decoder must
-        // reject at header time and the server must close.
-        raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
-        raw.write_all(&[0u8; 64]).unwrap();
-        let mut buf = [0u8; 16];
-        assert_eq!(raw.read(&mut buf).unwrap_or(0), 0, "connection closed");
-        server.shutdown();
-    }
-
-    #[test]
-    fn shutdown_drains_inflight_requests() {
-        let server = ReactorServer::bind_with(test_store(), "127.0.0.1:0", config()).unwrap();
-        let mut conn = TcpConn::connect(server.local_addr()).unwrap();
-        conn.set_recv_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        for id in 0..20u64 {
-            conn.send(
-                Request::MGet {
-                    id,
-                    keys: vec![Bytes::from_static(b"present")],
-                }
-                .encode(),
-            )
-            .unwrap();
-        }
-        conn.flush().unwrap();
-        let first = conn.recv().unwrap().0;
-        assert!(matches!(
-            Response::decode(first).unwrap(),
-            Response::MGet { id: 0, .. }
-        ));
-        server.shutdown();
-        let mut next_id = 1;
-        while let Ok((frame, _)) = conn.recv() {
-            match Response::decode(frame).unwrap() {
-                Response::MGet { id, .. } => {
-                    assert_eq!(id, next_id, "drained responses stay in order");
-                    next_id += 1;
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        assert!(next_id <= 20);
-    }
-
-    #[test]
-    fn shutdown_without_connections_does_not_hang() {
-        let server = ReactorServer::bind_with(test_store(), "127.0.0.1:0", config()).unwrap();
-        server.shutdown();
-    }
-
-    #[test]
-    fn stalled_mid_frame_client_is_reaped_by_idle_timeout() {
-        let mut cfg = config();
-        cfg.limits.idle_timeout = Some(Duration::from_millis(100));
-        let server = ReactorServer::bind_with(test_store(), "127.0.0.1:0", cfg).unwrap();
-        let mut stalled = TcpStream::connect(server.local_addr()).unwrap();
-        stalled.write_all(&100u32.to_le_bytes()).unwrap();
-        stalled.write_all(b"only a few bytes").unwrap();
-        stalled.flush().unwrap();
-
-        let mut healthy = TcpConn::connect(server.local_addr()).unwrap();
-        healthy
-            .set_recv_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        healthy
-            .send(
-                Request::MGet {
-                    id: 1,
-                    keys: vec![Bytes::from_static(b"present")],
-                }
-                .encode(),
-            )
-            .unwrap();
-        assert!(matches!(
-            Response::decode(healthy.recv().unwrap().0).unwrap(),
-            Response::MGet { id: 1, .. }
-        ));
-
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let summaries = server.connection_summaries();
-            if summaries.iter().any(|s| s.requests == 0 && s.sets == 0) {
-                break;
-            }
-            assert!(Instant::now() < deadline, "stalled conn never reaped");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        drop(healthy);
-        server.shutdown();
-        drop(stalled);
-    }
-
-    #[test]
-    fn summaries_carry_reactor_index_and_counters() {
-        let server = ReactorServer::bind_with(test_store(), "127.0.0.1:0", config()).unwrap();
-        let mut conn = TcpConn::connect(server.local_addr()).unwrap();
-        conn.set_recv_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        conn.send(
-            Request::MGet {
-                id: 9,
-                keys: vec![Bytes::from_static(b"present")],
-            }
-            .encode(),
-        )
-        .unwrap();
-        conn.recv().unwrap();
-        drop(conn);
-        let summaries = server.shutdown();
-        let s = summaries
-            .iter()
-            .find(|s| s.requests == 1)
-            .expect("summary for the one serving connection");
-        assert_eq!(s.reactor, Some(0));
-        assert_eq!(s.keys, 1);
-        assert_eq!(s.found, 1);
-        assert!(s.busy_ns > 0);
     }
 }

@@ -7,11 +7,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::protocol::{execute, ErrorCode, ExecScratch, Executed, Request, Response};
-use crate::store::{KvStore, MGetOutcome, PhaseNanos};
+use crate::protocol::{execute, ErrorCode, ExecScratch, Request, Response};
+use crate::store::{KvStore, PhaseNanos};
 use crate::transport::Fabric;
 
-/// Aggregated server-side statistics across workers.
+/// Aggregated server-side statistics across workers. The TCP server counts
+/// each request here in the same call that counts it in its connection's
+/// [`crate::kvsd::ConnSummary`], so the closed summaries sum to these.
 #[derive(Debug, Default)]
 pub struct ServerStats {
     /// Multi-Get requests processed.
@@ -23,8 +25,9 @@ pub struct ServerStats {
     /// Requests answered with `ServerBusy`/`DeadlineExceeded` instead of
     /// being processed (load shedding / deadline misses).
     pub shed: AtomicU64,
-    /// Busy nanoseconds (request decode → response encode), summed over
-    /// workers.
+    /// Busy nanoseconds of the requests that ran against the store
+    /// (request decode → response encode), summed over workers; a shed
+    /// request adds none.
     pub busy_ns: AtomicU64,
     /// Pre-processing phase nanoseconds.
     pub pre_ns: AtomicU64,
@@ -35,14 +38,16 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// Count `requests` Multi-Gets that looked up `keys` keys in one store
-    /// call with the given outcome.
-    pub fn record_mget(&self, requests: usize, keys: usize, outcome: &MGetOutcome) {
-        self.requests.fetch_add(requests as u64, Ordering::Relaxed);
-        self.keys.fetch_add(keys as u64, Ordering::Relaxed);
-        self.found
-            .fetch_add(outcome.found as u64, Ordering::Relaxed);
-        self.record_phases(outcome.phases);
+    /// Count one request that ran against the store: a Multi-Get's
+    /// `(keys, found)`, or `None` for a verb that looks nothing up. Its
+    /// busy time and its store call's phases are added apart: a coalesced
+    /// batch has one phase split for many requests.
+    pub fn record(&self, lookup: Option<(usize, usize)>) {
+        if let Some((keys, found)) = lookup {
+            self.requests.fetch_add(1, Ordering::Relaxed);
+            self.keys.fetch_add(keys as u64, Ordering::Relaxed);
+            self.found.fetch_add(found as u64, Ordering::Relaxed);
+        }
     }
 
     /// Add one store call's phase breakdown.
@@ -50,14 +55,6 @@ impl ServerStats {
         self.pre_ns.fetch_add(phases.pre, Ordering::Relaxed);
         self.lookup_ns.fetch_add(phases.lookup, Ordering::Relaxed);
         self.post_ns.fetch_add(phases.post, Ordering::Relaxed);
-    }
-
-    /// Count one request [`crate::protocol::execute`] ran.
-    pub fn record(&self, done: &Executed<'_>) {
-        match &done.mget {
-            Some((keys, outcome)) => self.record_mget(1, *keys, outcome),
-            None => self.record_phases(done.write_phases),
-        }
     }
 
     /// Snapshot the phase breakdown.
@@ -173,7 +170,8 @@ impl Server {
                         let Some(done) = execute(&store, &request, &mut scratch) else {
                             break; // Shutdown
                         };
-                        stats.record(&done);
+                        stats.record_phases(done.phases);
+                        stats.record(done.lookup);
                         reply(bytes::Bytes::copy_from_slice(done.reply));
                         stats
                             .busy_ns

@@ -19,10 +19,10 @@
 //! Seed count scales with the `FAULT_SEEDS` env var (default 8; CI runs
 //! 100, and ≥64 satisfies the acceptance matrix).
 //!
-//! The daemon under test is selected by `FAULT_SERVER`: `thread`
-//! (default) runs the blocking thread-per-connection [`Kvsd`], `reactor`
-//! runs the event-driven coalescing [`ReactorServer`] — the whole matrix
-//! holds for both serving architectures. `READ_MODE` (`locked` |
+//! The connection loop under test is selected by `FAULT_SERVER`, which
+//! maps to [`KvsdConfig::reactor`]: `thread` (default) runs the blocking
+//! thread-per-connection loop, `reactor` the event-driven coalescing one —
+//! the whole matrix holds for both. `READ_MODE` (`locked` |
 //! `optimistic`) likewise selects the store's read path, so the matrix
 //! also covers seqlock optimistic reads under transport faults.
 
@@ -35,11 +35,11 @@ use bytes::Bytes;
 use simdht_kvs::client::{RetryClient, RetryPolicy, SetOutcome};
 use simdht_kvs::fault::{FaultKind, FaultPlan, FaultSpec, FaultyTransport};
 use simdht_kvs::index::by_short_name;
-use simdht_kvs::kvsd::Kvsd;
+use simdht_kvs::kvsd::{Kvsd, KvsdConfig};
 use simdht_kvs::memslap::{run_memslap_over, NetMemslapConfig};
 use simdht_kvs::net::TcpTransport;
 use simdht_kvs::protocol::{Request, Response};
-use simdht_kvs::reactor::ReactorServer;
+use simdht_kvs::reactor::ReactorConfig;
 use simdht_kvs::store::{KvStore, ReadMode, StoreConfig};
 use simdht_kvs::transport::Transport;
 use simdht_workload::{KvWorkload, KvWorkloadSpec};
@@ -51,45 +51,16 @@ fn fault_seeds() -> u64 {
         .unwrap_or(8)
 }
 
-/// Whichever serving architecture `FAULT_SERVER` selects, behind the
-/// interface the matrix needs.
-enum Daemon {
-    Thread(Kvsd),
-    Reactor(ReactorServer),
-}
-
-impl Daemon {
-    fn local_addr(&self) -> std::net::SocketAddr {
-        match self {
-            Daemon::Thread(k) => k.local_addr(),
-            Daemon::Reactor(r) => r.local_addr(),
-        }
-    }
-
-    fn stats(&self) -> Arc<simdht_kvs::server::ServerStats> {
-        match self {
-            Daemon::Thread(k) => k.stats(),
-            Daemon::Reactor(r) => r.stats(),
-        }
-    }
-
-    fn shutdown(self) {
-        match self {
-            Daemon::Thread(k) => {
-                k.shutdown();
-            }
-            Daemon::Reactor(r) => {
-                r.shutdown();
-            }
-        }
-    }
-}
-
-fn reactor_mode() -> bool {
-    match std::env::var("FAULT_SERVER").as_deref() {
-        Ok("reactor") => true,
-        Ok("thread") | Err(_) => false,
+/// The connection loop `FAULT_SERVER` selects, as a [`KvsdConfig`].
+fn server_config() -> KvsdConfig {
+    let reactor = match std::env::var("FAULT_SERVER").as_deref() {
+        Ok("reactor") => Some(ReactorConfig::default()),
+        Ok("thread") | Err(_) => None,
         Ok(other) => panic!("FAULT_SERVER={other}: expected thread | reactor"),
+    };
+    KvsdConfig {
+        reactor,
+        ..KvsdConfig::default()
     }
 }
 
@@ -115,7 +86,7 @@ fn index_name() -> String {
     name
 }
 
-fn spawn_daemon(capacity: usize) -> (Daemon, Arc<KvStore>) {
+fn spawn_daemon(capacity: usize) -> (Kvsd, Arc<KvStore>) {
     let store = Arc::new(KvStore::new(
         by_short_name(&index_name(), capacity).expect("known index"),
         StoreConfig {
@@ -126,13 +97,8 @@ fn spawn_daemon(capacity: usize) -> (Daemon, Arc<KvStore>) {
             read_mode: read_mode(),
         },
     ));
-    let daemon = if reactor_mode() {
-        Daemon::Reactor(
-            ReactorServer::bind(Arc::clone(&store), "127.0.0.1:0").expect("bind ephemeral port"),
-        )
-    } else {
-        Daemon::Thread(Kvsd::bind(Arc::clone(&store), "127.0.0.1:0").expect("bind ephemeral port"))
-    };
+    let daemon = Kvsd::bind_with(Arc::clone(&store), "127.0.0.1:0", server_config())
+        .expect("bind ephemeral port");
     (daemon, store)
 }
 
@@ -571,9 +537,9 @@ fn no_fault_plan_matches_plain_tcp_byte_for_byte() {
     kvsd.shutdown();
 }
 
-/// Differential check of the two serving architectures: with faults
-/// disabled, the same pipelined request sequence against a blocking
-/// `Kvsd` and against a coalescing `ReactorServer` — both over identical
+/// Differential check of the two connection loops: with faults disabled,
+/// the same pipelined request sequence against a blocking thread-per-
+/// connection `Kvsd` and against a coalescing reactor one — both over identical
 /// store contents — must produce byte-identical response frames in the
 /// same per-connection order. This pins the reactor's scatter path
 /// (`MGetResponse::append_subframe` over a shared batch buffer) to the
@@ -680,7 +646,11 @@ fn reactor_and_thread_servers_match_byte_for_byte() {
     let thread_frames = drive(kvsd.local_addr());
     kvsd.shutdown();
 
-    let reactor = ReactorServer::bind(mk_store(), "127.0.0.1:0").expect("bind reactor server");
+    let config = KvsdConfig {
+        reactor: Some(ReactorConfig::default()),
+        ..KvsdConfig::default()
+    };
+    let reactor = Kvsd::bind_with(mk_store(), "127.0.0.1:0", config).expect("bind reactor server");
     let reactor_frames = drive(reactor.local_addr());
     reactor.shutdown();
 
