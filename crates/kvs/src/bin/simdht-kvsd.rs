@@ -11,10 +11,10 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::Arc;
 use std::time::Duration;
 
-use simdht_kvs::index;
 use simdht_kvs::kvsd::{Kvsd, KvsdConfig};
 use simdht_kvs::reactor::ReactorConfig;
 use simdht_kvs::store::{KvStore, ReadMode, StoreConfig};
+use simdht_kvs::{arena, index};
 
 const USAGE: &str = "\
 simdht-kvsd: TCP key-value daemon with SIMD-aware hash indexes
@@ -277,13 +277,16 @@ fn main() {
                     r.mean_write_batch_width(),
                 );
             }
+            let huge_kib = arena::anon_huge_pages_kib().map_or("n/a".into(), |k| k.to_string());
             println!(
-                "drained after {secs}s: {} mgets, {} keys ({} found), {} shed, {} closed connections",
+                "drained after {secs}s: {} mgets, {} keys ({} found), {} shed, {} closed connections, \
+                 {huge_kib} KiB on huge pages ({} huge-page advice refusals)",
                 stats.requests.load(Relaxed),
                 stats.keys.load(Relaxed),
                 stats.found.load(Relaxed),
                 stats.shed.load(Relaxed),
                 summaries.len(),
+                arena::hugepage_refusals(),
             );
             if store.n_shards() > 1 {
                 let lens = store.shard_lens();

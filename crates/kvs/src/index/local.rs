@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use simdht_simd::scan;
 
 use super::cuckoo::{BucketLayout, TagCuckoo};
+use crate::arena::Arena;
 use crate::item::NO_ITEM;
 
 const SLOTS: usize = 7;
@@ -71,7 +72,8 @@ pub type F14LocalIndex = TagCuckoo<F14Layout>;
 /// The F14-style layout: tag row and entry words of a bucket share one
 /// 64-byte line.
 pub struct F14Layout {
-    buckets: Vec<Bucket>,
+    /// One line per bucket, on huge-page arena memory.
+    buckets: Arena<Bucket>,
 }
 
 impl F14Layout {
@@ -90,12 +92,10 @@ impl BucketLayout for F14Layout {
 
     fn new(buckets: usize) -> Self {
         F14Layout {
-            buckets: (0..buckets)
-                .map(|_| Bucket {
-                    tags: AtomicU64::new(0),
-                    entries: std::array::from_fn(|_| AtomicU64::new(u64::from(NO_ITEM))),
-                })
-                .collect(),
+            buckets: Arena::from_fn(buckets, |_| Bucket {
+                tags: AtomicU64::new(0),
+                entries: std::array::from_fn(|_| AtomicU64::new(u64::from(NO_ITEM))),
+            }),
         }
     }
 

@@ -21,6 +21,7 @@
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use super::cuckoo::{BucketLayout, TagCuckoo};
+use crate::arena::Arena;
 use crate::item::NO_ITEM;
 
 const SLOTS: usize = 4;
@@ -54,8 +55,8 @@ fn holds(w: u64, tag: u8) -> bool {
 }
 
 /// Two buckets' slot words on one cache line, so that no bucket straddles
-/// two (a plain `Vec<AtomicU64>` of this size starts 16 bytes into a line
-/// and every second bucket does).
+/// two (a plain array of `AtomicU64` starting 16 bytes into a line would
+/// split every second bucket).
 #[repr(C, align(64))]
 struct SlotLine([AtomicU64; 2 * SLOTS]);
 
@@ -66,9 +67,9 @@ pub type Memc3Index = TagCuckoo<Memc3Layout>;
 /// scalar tag compare, and a striped version counter bumped around every
 /// slot write.
 pub struct Memc3Layout {
-    /// Packed slot words (see [`pack`]), two buckets to a cache line; all
-    /// reads and writes are atomic.
-    slots: Vec<SlotLine>,
+    /// Packed slot words (see [`pack`]), two buckets to a cache line, on
+    /// huge-page arena memory; all reads and writes are atomic.
+    slots: Arena<SlotLine>,
     /// `min(buckets, STRIPES)` counters, a power of two (see [`STRIPES`]).
     versions: Vec<AtomicU64>,
 }
@@ -145,9 +146,9 @@ impl BucketLayout for Memc3Layout {
 
     fn new(buckets: usize) -> Self {
         Memc3Layout {
-            slots: (0..buckets.div_ceil(2))
-                .map(|_| SlotLine(std::array::from_fn(|_| AtomicU64::new(EMPTY))))
-                .collect(),
+            slots: Arena::from_fn(buckets.div_ceil(2), |_| {
+                SlotLine(std::array::from_fn(|_| AtomicU64::new(EMPTY)))
+            }),
             versions: (0..buckets.min(STRIPES))
                 .map(|_| AtomicU64::new(0))
                 .collect(),

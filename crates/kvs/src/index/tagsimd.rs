@@ -25,6 +25,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use super::cuckoo::{BucketLayout, TagCuckoo};
+use crate::arena::Arena;
 use crate::item::NO_ITEM;
 
 const SLOTS: usize = 8;
@@ -45,8 +46,9 @@ pub type TagSimdIndex = TagCuckoo<TagSimdLayout>;
 pub struct TagSimdLayout {
     /// One packed signature word per bucket; atomic because the store's
     /// optimistic read path probes these while a writer mutates them.
-    sigs: Vec<AtomicU64>,
-    items: Vec<AtomicU32>,
+    /// All-zero is all-empty, so the arena is never written up front.
+    sigs: Arena<AtomicU64>,
+    items: Arena<AtomicU32>,
 }
 
 impl TagSimdLayout {
@@ -71,10 +73,10 @@ impl BucketLayout for TagSimdLayout {
 
     fn new(buckets: usize) -> Self {
         TagSimdLayout {
-            sigs: (0..buckets).map(|_| AtomicU64::new(0)).collect(),
-            items: (0..buckets * SLOTS)
-                .map(|_| AtomicU32::new(NO_ITEM))
-                .collect(),
+            // SAFETY: zero-validity — an all-zero `AtomicU64` is a word of
+            // eight empty signatures.
+            sigs: unsafe { Arena::zeroed(buckets) },
+            items: Arena::from_fn(buckets * SLOTS, |_| AtomicU32::new(NO_ITEM)),
         }
     }
 

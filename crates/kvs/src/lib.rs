@@ -17,6 +17,8 @@
 //!   sibling layouts over the same [`index::TagCuckoo`] core, and
 //!   [`index::SimdIndex`] (horizontal (2,4) BCHT / vertical 3-way over the
 //!   `simdht-core` kernels).
+//! * [`arena`] — 2 MiB-aligned, huge-page-advised `mmap` memory behind
+//!   the item table's segments and the index slot arrays.
 //! * [`seqlock`] — the even/odd version-counter primitive and stable
 //!   segmented atomic storage behind the store's lock-free optimistic read
 //!   path (DESIGN.md §11).
@@ -68,6 +70,7 @@
 
 #![warn(missing_docs)]
 
+pub mod arena;
 pub mod client;
 pub mod clock;
 pub mod fault;

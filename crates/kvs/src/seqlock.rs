@@ -9,15 +9,15 @@
 //!   data it needs, and re-checks that the counter is unchanged. A torn
 //!   copy is detected, never returned.
 //! * [`AtomicSegArray`] — a geometrically segmented array of `AtomicU64`
-//!   whose elements **never move**: growth allocates a new segment and
-//!   publishes it through an `AtomicPtr`; existing segments stay at their
-//!   address until drop. That stability is what makes it legal for
-//!   lock-free readers to hold references across a writer's growth — a
-//!   `Vec` reallocation would leave them dangling, which no amount of
-//!   version re-checking can undo. Every segment starts on a 16-byte
-//!   boundary, so slots `2i` and `2i + 1` always share one cache line —
-//!   [`crate::item::ItemTable`] keeps an id's row word and expiry word in
-//!   such a pair so one prefetch carries both.
+//!   whose elements **never move**: growth maps a new [`Arena`] segment
+//!   and publishes it once; existing segments stay at their address until
+//!   drop. That stability is what makes it legal for lock-free readers to
+//!   hold references across a writer's growth — a `Vec` reallocation would
+//!   leave them dangling, which no amount of version re-checking can undo.
+//!   Every segment starts on a page boundary, so slots `2i` and `2i + 1`
+//!   always share one cache line — [`crate::item::ItemTable`] keeps an
+//!   id's row word and expiry word in such a pair so one prefetch carries
+//!   both.
 //!
 //! # Memory ordering
 //!
@@ -43,7 +43,10 @@
 //! reached through storage that cannot be freed mid-read — which is the
 //! other half of this module.
 
-use std::sync::atomic::{fence, AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::OnceLock;
+
+use crate::arena::Arena;
 
 /// Bounded spin while a writer holds the counter odd before the reader
 /// gives up and takes the locked path. Writers hold the counter odd for a
@@ -129,8 +132,8 @@ const SEGMENTS: usize = (34 - SEG_BASE_LOG2) as usize;
 /// What a segment is allocated as: two slots on a 16-byte boundary. Every
 /// segment starts at an even index and holds an even number of slots, so
 /// the pair `(2i, 2i + 1)` is always one `SlotPair` and never straddles a
-/// cache line. 16 is the platform allocator's natural alignment, so this
-/// states the guarantee without leaving the plain `malloc` path.
+/// cache line. Arena memory is page-aligned, so this states the guarantee
+/// rather than buying it.
 #[repr(C, align(16))]
 struct SlotPair([AtomicU64; 2]);
 
@@ -138,26 +141,20 @@ struct SlotPair([AtomicU64; 2]);
 ///
 /// Indexing is geometric: slot `i` lives in segment
 /// `k = floor(log2(i + BASE)) - log2(BASE)` at offset `(i + BASE) - 2^(k +
-/// log2(BASE))`. Segments are allocated zeroed on first touch by a writer
-/// and published through an `AtomicPtr`; readers that race the publication
-/// simply see "absent" ([`AtomicSegArray::get`] returns `None`), which
-/// callers treat as a zero/dead slot. Slots `2i` and `2i + 1` share a
-/// 16-byte-aligned pair, hence a cache line.
+/// log2(BASE))`. Segments are kernel-zeroed [`Arena`]s mapped on first
+/// touch by a writer and published once; readers that race the
+/// publication simply see "absent" ([`AtomicSegArray::get`] returns
+/// `None`), which callers treat as a zero/dead slot. Only the pages of a
+/// segment that are written become resident. Slots `2i` and `2i + 1` share
+/// a 16-byte-aligned pair, hence a cache line.
+#[derive(Default)]
 pub struct AtomicSegArray {
-    segments: [AtomicPtr<AtomicU64>; SEGMENTS],
-}
-
-impl Default for AtomicSegArray {
-    fn default() -> Self {
-        Self::new()
-    }
+    segments: [OnceLock<Arena<SlotPair>>; SEGMENTS],
 }
 
 impl std::fmt::Debug for AtomicSegArray {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let allocated = (0..SEGMENTS)
-            .filter(|&k| !self.segments[k].load(Ordering::Relaxed).is_null())
-            .count();
+        let allocated = self.segments.iter().filter(|s| s.get().is_some()).count();
         f.debug_struct("AtomicSegArray")
             .field("segments_allocated", &allocated)
             .finish()
@@ -175,28 +172,10 @@ const fn seg_len(k: usize) -> usize {
     SEG_BASE << k
 }
 
-/// A zeroed segment `k` as a raw slot pointer ([`free_segment`] undoes it).
-fn alloc_segment(k: usize) -> *mut AtomicU64 {
-    let pairs: Box<[SlotPair]> = (0..seg_len(k) / 2)
-        .map(|_| SlotPair([AtomicU64::new(0), AtomicU64::new(0)]))
-        .collect();
-    Box::into_raw(pairs) as *mut AtomicU64
-}
-
-/// # Safety
-///
-/// `seg` must come from `alloc_segment(k)` and have no other owner.
-unsafe fn free_segment(seg: *mut AtomicU64, k: usize) {
-    let pairs = std::ptr::slice_from_raw_parts_mut(seg as *mut SlotPair, seg_len(k) / 2);
-    drop(Box::from_raw(pairs));
-}
-
 impl AtomicSegArray {
     /// An empty array (no segments allocated).
     pub fn new() -> Self {
-        AtomicSegArray {
-            segments: std::array::from_fn(|_| AtomicPtr::new(std::ptr::null_mut())),
-        }
+        Self::default()
     }
 
     /// The slot for index `i`, if its segment has been allocated. Readers
@@ -205,64 +184,21 @@ impl AtomicSegArray {
     #[inline(always)]
     pub fn get(&self, i: usize) -> Option<&AtomicU64> {
         let (k, off) = locate(i);
-        let seg = self.segments.get(k)?.load(Ordering::Acquire);
-        if seg.is_null() {
-            return None;
-        }
-        // SAFETY: a non-null published segment holds `seg_len(k)` slots,
-        // `off < seg_len(k)` by construction, and segments are never freed
-        // before `self` drops.
-        Some(unsafe { &*seg.add(off) })
+        let seg = self.segments.get(k)?.get()?;
+        Some(&seg[off / 2].0[off % 2])
     }
 
-    /// The slot for index `i`, allocating its segment (zeroed) if needed.
-    /// Safe to race with other callers — publication is a compare-exchange
-    /// and losers free their allocation — though the store only grows
-    /// under the shard write lock.
+    /// The slot for index `i`, mapping its segment (zeroed) if needed.
+    /// Safe to race with other callers — the segment is published once —
+    /// though the store only grows under the shard write lock.
     pub fn get_or_alloc(&self, i: usize) -> &AtomicU64 {
         let (k, off) = locate(i);
-        let slot = &self.segments[k];
-        let mut seg = slot.load(Ordering::Acquire);
-        if seg.is_null() {
-            let fresh = alloc_segment(k);
-            match slot.compare_exchange(
-                std::ptr::null_mut(),
-                fresh,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => seg = fresh,
-                Err(winner) => {
-                    // SAFETY: `fresh` was just allocated above and lost
-                    // the race, so this is the only pointer to it.
-                    unsafe { free_segment(fresh, k) };
-                    seg = winner;
-                }
-            }
-        }
-        // SAFETY: as in `get`.
-        unsafe { &*seg.add(off) }
+        // SAFETY: zero-validity — an all-zero `SlotPair` is two
+        // `AtomicU64`s holding 0.
+        let seg = self.segments[k].get_or_init(|| unsafe { Arena::zeroed(seg_len(k) / 2) });
+        &seg[off / 2].0[off % 2]
     }
 }
-
-impl Drop for AtomicSegArray {
-    fn drop(&mut self) {
-        for (k, slot) in self.segments.iter().enumerate() {
-            let seg = slot.load(Ordering::Relaxed);
-            if !seg.is_null() {
-                // SAFETY: published segments are uniquely owned by `self`
-                // and came from `alloc_segment(k)`.
-                unsafe { free_segment(seg, k) };
-            }
-        }
-    }
-}
-
-// SAFETY: the payload is `AtomicU64` (Send + Sync); the raw pointers are
-// only ever published once and freed at drop, so sharing across threads
-// adds no hazards beyond the atomics themselves.
-unsafe impl Send for AtomicSegArray {}
-unsafe impl Sync for AtomicSegArray {}
 
 #[cfg(test)]
 mod tests {

@@ -6,19 +6,32 @@
 //! fixed factor, each class carving fixed-size chunks out of 1 MiB pages,
 //! with freed chunks recycled through a per-class free list.
 //!
-//! # Line-aligned pages
+//! # One region, line-aligned pages
 //!
-//! Every page starts on a 64-byte boundary ([`LINE_BYTES`]): the page is
-//! over-allocated by one line through the allocator's ordinary zeroed path
-//! (so untouched pages cost no resident memory) and its base rounded up
-//! inside that allocation; the class keeps the lead it skipped so drop can
-//! hand the allocation back. Two things rely on it. A chunk of a class
+//! Every page is carved from one [`Arena`] region the allocator maps up
+//! front: `floor(budget / PAGE_BYTES)` pages, handed out in order to
+//! whichever class grows next. The region is kernel-zeroed and faulted
+//! lazily, so a page costs resident memory only once chunks in it are
+//! written. It is page-aligned, so every page starts on a 64-byte boundary
+//! ([`LINE_BYTES`]) for free. Two things rely on that. A chunk of a class
 //! whose size is a multiple of 64 is exactly its own cache lines, so a
 //! 58-byte item in the 64-byte class is one line and
 //! [`SlabAllocator::prefetch`] of the leading line covers all of it (a
 //! page-aligned `calloc` + 16 would split every such item over two). And
 //! since every class size is a multiple of 8, every chunk is 8-aligned,
 //! which the word-wise racy copy asserts instead of handling.
+//!
+//! # Huge pages once full
+//!
+//! The region starts on 4 KiB pages and is 2 MiB-aligned. A class asks for
+//! a new page only when every chunk of its last one is handed out, so
+//! growth marks that last page full; once both 1 MiB pages of a 2 MiB
+//! range are full, the range is collapsed onto one huge page
+//! ([`Arena::collapse`]), and an item fetch no longer walks the page table
+//! first. Advising the whole region up front instead would fault each
+//! class's partly filled last page in 2 MiB at a time: that cost the
+//! `wire_*` workloads +2.0 MiB (+3.0 %) of server RSS (EXPERIMENTS.md,
+//! DESIGN.md §18). Collapsing moves no byte's address.
 //!
 //! # Stable pages (seqlock read path)
 //!
@@ -38,6 +51,8 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicPtr, Ordering};
+
+use crate::arena::{Arena, HUGE_PAGE};
 
 /// Size-class growth factor (memcached's default is 1.25).
 pub const GROWTH_FACTOR: f64 = 1.25;
@@ -63,6 +78,8 @@ const PREFETCH_CHUNK_LINES: usize = 8;
 ///
 /// `src..src + dst.len()` must lie inside a single live allocation and
 /// `src` must be 8-aligned.
+// SAFETY: mapping length and alignment — callers pass a chunk start inside
+// one arena page and at most the chunk's length.
 unsafe fn volatile_copy(src: *const u8, dst: &mut [u8]) {
     debug_assert_eq!(src as usize % 8, 0, "chunk starts are 8-aligned");
     let len = dst.len();
@@ -135,19 +152,17 @@ struct SizeClass {
     /// a page is unused slack, as in memcached).
     chunks_per_page: u32,
     /// Fixed page table: one slot per page the budget could ever admit.
-    /// Slots are published exactly once (null → page) and freed at drop.
+    /// Slots are published exactly once (null → page in the region).
     pages: Box<[AtomicPtr<u8>]>,
-    /// One entry per page allocated so far (writer-only): bytes between
-    /// the start of its allocation and the line-aligned base published in
-    /// `pages` (what drop subtracts).
-    leads: Vec<u8>,
+    /// Pages published so far (writer-only).
+    page_count: usize,
     used_chunks: u32,
     free: Vec<u32>,
 }
 
 impl SizeClass {
     fn chunks_allocated(&self) -> usize {
-        self.leads.len() * self.chunks_per_page as usize
+        self.page_count * self.chunks_per_page as usize
     }
 
     /// `(page pointer, byte offset)` for chunk `chunk`, via an atomic page
@@ -161,38 +176,6 @@ impl SizeClass {
             return None;
         }
         Some((ptr, off))
-    }
-}
-
-/// What one page takes from the allocator: the page plus the line of slack
-/// its base is aligned inside.
-const PAGE_ALLOC_BYTES: usize = PAGE_BYTES + LINE_BYTES;
-
-/// A zeroed page as `(line-aligned base, lead)`: `PAGE_BYTES` usable bytes
-/// from the base, `lead` bytes into an allocation of [`PAGE_ALLOC_BYTES`].
-/// A `vec![0; n]` is `calloc`, so fresh pages stay lazily zeroed; asking the
-/// allocator for the alignment instead would `posix_memalign` + `memset`
-/// every page resident (EXPERIMENTS.md).
-fn alloc_page() -> (*mut u8, u8) {
-    let raw = Box::into_raw(vec![0u8; PAGE_ALLOC_BYTES].into_boxed_slice()) as *mut u8;
-    let lead = raw.align_offset(LINE_BYTES);
-    assert!(lead < LINE_BYTES, "cannot line-align a slab page");
-    // SAFETY: `lead + PAGE_BYTES <= PAGE_ALLOC_BYTES`, inside the allocation.
-    (unsafe { raw.add(lead) }, lead as u8)
-}
-
-impl Drop for SizeClass {
-    fn drop(&mut self) {
-        for (slot, &lead) in self.pages.iter().zip(&self.leads) {
-            let ptr = slot.load(Ordering::Relaxed);
-            // SAFETY: `pages[i]` and `leads[i]` are the two halves of one
-            // `alloc_page()`, published exactly once, so `ptr - lead` is the
-            // start of a boxed `[u8; PAGE_ALLOC_BYTES]` nothing else owns.
-            drop(unsafe {
-                let raw = ptr.sub(lead as usize);
-                Box::from_raw(std::ptr::slice_from_raw_parts_mut(raw, PAGE_ALLOC_BYTES))
-            });
-        }
     }
 }
 
@@ -214,7 +197,14 @@ pub struct SlabAllocator {
     classes: Vec<SizeClass>,
     budget_bytes: usize,
     allocated_bytes: usize,
+    /// Every page any class will ever get, in hand-out order.
+    region: Arena<u8>,
+    /// Full pages per 2 MiB range of `region` (writer-only).
+    full_pages: Vec<u8>,
 }
+
+/// Slab pages per huge page.
+const PAGES_PER_HUGE: usize = HUGE_PAGE / PAGE_BYTES;
 
 impl SlabAllocator {
     /// Create an allocator with the given total memory budget.
@@ -226,7 +216,7 @@ impl SlabAllocator {
             size = ((size as f64 * GROWTH_FACTOR) as usize).max(size + 8) & !7;
         }
         // Every class could in principle consume the whole budget.
-        let max_pages = budget_bytes / PAGE_BYTES + 1;
+        let max_pages = budget_bytes / PAGE_BYTES;
         let classes = sizes
             .into_iter()
             .map(|chunk_size| SizeClass {
@@ -235,7 +225,7 @@ impl SlabAllocator {
                 pages: (0..max_pages)
                     .map(|_| AtomicPtr::new(std::ptr::null_mut()))
                     .collect(),
-                leads: Vec::new(),
+                page_count: 0,
                 used_chunks: 0,
                 free: Vec::new(),
             })
@@ -244,6 +234,9 @@ impl SlabAllocator {
             classes,
             budget_bytes,
             allocated_bytes: 0,
+            // SAFETY: zero-validity — any byte is a valid `u8`.
+            region: unsafe { Arena::zeroed_unadvised(max_pages * PAGE_BYTES) },
+            full_pages: vec![0; max_pages.div_ceil(PAGES_PER_HUGE)],
         }
     }
 
@@ -272,25 +265,47 @@ impl SlabAllocator {
             c.used_chunks += 1;
             return Ok(SlabRef { class, chunk });
         }
-        // Grow the class arena by one page if the budget allows.
-        if self.allocated_bytes + PAGE_BYTES > self.budget_bytes || c.leads.len() >= c.pages.len() {
+        // Grow the class by the region's next page if the budget allows.
+        if self.allocated_bytes + PAGE_BYTES > self.budget_bytes {
             return Err(SlabError::OutOfMemory);
         }
+        // The class's last page has no chunk left to hand out.
+        let filled = c
+            .page_count
+            .checked_sub(1)
+            .map(|p| c.pages[p].load(Ordering::Relaxed));
+        // SAFETY: mapping length — the region holds `floor(budget /
+        // PAGE_BYTES)` pages and `allocated_bytes + PAGE_BYTES` is within
+        // the budget (checked above), so the page lies wholly inside it.
+        let ptr = unsafe { self.region.as_mut_ptr().add(self.allocated_bytes) };
         self.allocated_bytes += PAGE_BYTES;
-        let (ptr, lead) = alloc_page();
-        assert_eq!(ptr as usize % LINE_BYTES, 0, "slab page off its line");
         let next = c.chunks_allocated() as u32;
         // Release-publish the page so a racy reader that obtains a chunk
-        // in it (via a row registered later) sees initialized memory.
-        c.pages[c.leads.len()].store(ptr, Ordering::Release);
-        c.leads.push(lead);
+        // in it (via a row registered later) sees its current contents.
+        c.pages[c.page_count].store(ptr, Ordering::Release);
+        c.page_count += 1;
         // Hand out the first new chunk; queue the rest as free.
         let total = c.chunks_allocated() as u32;
         for i in (next + 1..total).rev() {
             c.free.push(i);
         }
         c.used_chunks += 1;
+        if let Some(page) = filled {
+            self.page_filled(page);
+        }
         Ok(SlabRef { class, chunk: next })
+    }
+
+    /// Count the region page at `page` full; the second full page of a
+    /// 2 MiB range moves that range onto a huge page.
+    fn page_filled(&mut self, page: *const u8) {
+        let at = page as usize - self.region.as_mut_ptr() as usize;
+        let huge = at / HUGE_PAGE;
+        self.full_pages[huge] += 1;
+        if usize::from(self.full_pages[huge]) == PAGES_PER_HUGE {
+            let start = huge * HUGE_PAGE;
+            self.region.collapse(start..start + HUGE_PAGE);
+        }
     }
 
     /// Return a chunk to its class's free list.
@@ -511,17 +526,18 @@ mod tests {
 
     #[test]
     fn chunks_are_word_aligned_and_line_sized_classes_line_aligned() {
-        // The alignment contract of the module doc, over three pages of
-        // every class (fresh pages are lazily zeroed, so this touches
-        // almost none of the budget it reserves).
+        // The alignment contract of the module doc, over two pages of
+        // every class (fresh pages are lazily zeroed, and a class's second
+        // page is never marked full, so no range is collapsed and this
+        // touches almost none of the budget it reserves).
         let sizes: Vec<usize> = SlabAllocator::new(0)
             .classes
             .iter()
             .map(|c| c.chunk_size)
             .collect();
-        let mut slab = SlabAllocator::new(3 * sizes.len() * PAGE_BYTES);
+        let mut slab = SlabAllocator::new(2 * sizes.len() * PAGE_BYTES);
         for &size in &sizes {
-            for _ in 0..3 * (PAGE_BYTES / size) {
+            for _ in 0..2 * (PAGE_BYTES / size) {
                 let r = slab.alloc(size).unwrap();
                 let addr = slab.chunk(r).as_ptr() as usize;
                 assert_eq!(addr % 8, 0, "class {size}");
@@ -530,27 +546,57 @@ mod tests {
                 }
             }
         }
-        assert_eq!(slab.allocated_bytes(), 3 * sizes.len() * PAGE_BYTES);
+        assert_eq!(slab.allocated_bytes(), 2 * sizes.len() * PAGE_BYTES);
+        assert!(slab.full_pages.iter().all(|&n| n < 2));
     }
 
     #[test]
-    fn partly_filled_allocator_drops_every_page_it_allocated() {
-        // Classes with zero, one and several pages, some chunks freed: drop
-        // must return each page's allocation from its true start. Two
-        // allocators judge it: glibc's `calloc` hands back page + 16, so the
-        // lead is 48 and a base off by it aborts in `free`; the sanitizer
-        // job's allocator is line-aligned already (lead 0) but reports any
-        // page drop skipped as a leak.
-        let mut slab = SlabAllocator::new(8 * PAGE_BYTES);
-        let small: Vec<SlabRef> = (0..40_000).map(|_| slab.alloc(64).unwrap()).collect();
+    fn pages_are_handed_out_in_order_from_one_region() {
+        // Whichever class grows takes the region's next page, so a class's
+        // pages interleave with other classes' but never overlap them, and
+        // the budget's floor in pages is all there is.
+        let mut slab = SlabAllocator::new(4 * PAGE_BYTES + PAGE_BYTES / 2);
+        let base = slab.region.as_mut_ptr() as usize;
+        let small = slab.alloc(64).unwrap();
         let large = slab.alloc(5000).unwrap();
-        for r in small.into_iter().step_by(3) {
-            slab.free(r);
-        }
-        slab.chunk_mut(large).fill(0xCC);
+        let cpp = slab.classes[small.class() as usize].chunks_per_page;
+        let small2 = (0..cpp).map(|_| slab.alloc(64).unwrap()).last().unwrap();
+        assert_eq!(slab.chunk(small).as_ptr() as usize, base);
+        assert_eq!(slab.chunk(large).as_ptr() as usize, base + PAGE_BYTES);
+        assert_eq!(slab.chunk(small2).as_ptr() as usize, base + 2 * PAGE_BYTES);
+        slab.alloc(1000).unwrap();
         assert_eq!(slab.allocated_bytes(), 4 * PAGE_BYTES);
-        let pages: usize = slab.classes.iter().map(|c| c.leads.len()).sum();
-        assert_eq!(pages, 4);
+        assert_eq!(slab.alloc(2000), Err(SlabError::OutOfMemory));
+    }
+
+    #[test]
+    fn two_full_pages_move_onto_a_huge_page_and_a_partial_one_does_not() {
+        if let Some(why) = crate::arena::thp_unavailable() {
+            eprintln!("skipped: {why}");
+            return;
+        }
+        let mut slab = SlabAllocator::new(4 * PAGE_BYTES);
+        let base = slab.region.as_mut_ptr() as usize;
+        let cpp = slab.classes[0].chunks_per_page as usize;
+        // Fill pages 0 and 1 and write into page 2: growing onto page 2
+        // marks page 1 full, completing the first 2 MiB range.
+        for _ in 0..2 * cpp + 1 {
+            let r = slab.alloc(64).unwrap();
+            slab.chunk_mut(r)[0] = 1;
+        }
+        // Range 0 is full and collapsed, range 1 holds one written page.
+        assert_eq!(slab.full_pages, [2, 0]);
+        let huge_kib = crate::arena::anon_huge_kib_in(base, HUGE_PAGE);
+        assert!(
+            huge_kib >= (HUGE_PAGE / 1024) as u64,
+            "full range not collapsed"
+        );
+        let r = slab.alloc(64).unwrap();
+        assert_eq!(
+            slab.chunk(r)[0],
+            0,
+            "fresh chunk on a collapsed region reads zero"
+        );
     }
 
     #[test]
