@@ -42,8 +42,8 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crate::net::{read_frame, write_frame};
-use crate::protocol::{execute, ErrorCode, ExecScratch, Request, Response};
+use crate::net::{read_frame_into, release_oversized, write_frame};
+use crate::protocol::{execute, DecodeScratch, ErrorCode, ExecScratch, Request, Response};
 use crate::reactor::{self, ReactorConfig, ReactorStats};
 use crate::server::ServerStats;
 use crate::store::KvStore;
@@ -422,6 +422,10 @@ fn handle_connection(
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
     let mut scratch = ExecScratch::default();
+    // Each request is decoded where its frame lies, in this one buffer;
+    // its keys and values are slices of it (DESIGN.md §6).
+    let mut frame = Vec::new();
+    let mut lists = DecodeScratch::default();
 
     loop {
         // About to block on the socket: push out everything answered so
@@ -430,8 +434,11 @@ fn handle_connection(
         if reader.buffer().is_empty() && writer.flush().is_err() {
             break;
         }
-        let frame = match read_frame(&mut reader) {
-            Ok(Some(frame)) => frame,
+        if release_oversized(&mut frame) {
+            lists = DecodeScratch::default();
+        }
+        let bytes = match read_frame_into(&mut reader, &mut frame) {
+            Ok(Some(bytes)) => bytes,
             // EOF, unframed garbage, or an idle timeout (a dying client
             // stalled mid-frame): close rather than hold the thread.
             Ok(None) | Err(_) => break,
@@ -439,7 +446,7 @@ fn handle_connection(
         let t0 = Instant::now();
         // A malformed frame means the stream is unframed garbage or a
         // protocol bug; drop the connection rather than guess at resync.
-        let Ok(request) = Request::decode(frame) else {
+        let Ok(request) = Request::decode_in_place(bytes, &mut lists) else {
             break;
         };
         // Graceful degradation gate: acquire an inflight slot (waiting at
@@ -467,6 +474,7 @@ fn handle_connection(
             if let Some(code) = code {
                 drop(slot.take());
                 conn.shed(stats);
+                lists.reclaim(request);
                 let payload = Response::Error { id, code }.encode();
                 if write_frame(&mut writer, &payload).is_err() {
                     break;
@@ -488,6 +496,7 @@ fn handle_connection(
         if write_frame(&mut writer, done.reply).is_err() {
             break;
         }
+        lists.reclaim(request);
     }
     let _ = writer.flush();
     conn

@@ -21,8 +21,9 @@
 //! [`MAX_FRAME_BYTES`] are rejected on read *before* allocating, so a
 //! corrupt or hostile length prefix cannot balloon memory. The prefix's
 //! bytes and its cap belong to [`crate::protocol`], which owns the whole
-//! wire format; [`write_frame`], [`read_frame`] and [`FrameDecoder`] are
-//! the I/O around its two prefix functions.
+//! wire format; [`write_frame`], [`read_frame`] (and [`read_frame_into`],
+//! its form over a reused buffer) and [`FrameDecoder`] are the I/O around
+//! its two prefix functions.
 
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -57,6 +58,53 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// [`FrameTooLarge`] source if the length prefix exceeds
 /// [`MAX_FRAME_BYTES`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Bytes>> {
+    let Some(len) = read_prefix(r)? else {
+        return Ok(None);
+    };
+    let mut payload = vec![0u8; len];
+    r.read_exact(&mut payload)?;
+    Ok(Some(Bytes::from(payload)))
+}
+
+/// [`read_frame`] into `buf`, a buffer the caller reuses from frame to
+/// frame: the payload is the returned slice of it, and `buf` grows only to
+/// a frame longer than any before. Same contract as `read_frame`,
+/// including the size check before `buf` grows.
+///
+/// # Errors
+///
+/// As [`read_frame`].
+pub fn read_frame_into<'b>(
+    r: &mut impl Read,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<&'b [u8]>> {
+    let Some(len) = read_prefix(r)? else {
+        return Ok(None);
+    };
+    // Bytes past `len` from an earlier frame are dropped; bytes below it
+    // are overwritten by the read, so only growth is zeroed.
+    buf.resize(len, 0);
+    r.read_exact(buf)?;
+    Ok(Some(buf))
+}
+
+/// The largest frame buffer [`release_oversized`] lets a connection keep.
+pub const FRAME_BUF_KEEP: usize = 64 << 10;
+
+/// Free `buf` if a frame grew it past [`FRAME_BUF_KEEP`], so one large
+/// frame does not pin its size for the rest of the connection's life.
+/// Returns whether it did.
+pub fn release_oversized(buf: &mut Vec<u8>) -> bool {
+    let oversized = buf.capacity() > FRAME_BUF_KEEP;
+    if oversized {
+        *buf = Vec::new();
+    }
+    oversized
+}
+
+/// The length prefix of the next frame, checked against
+/// [`MAX_FRAME_BYTES`]; `None` on a clean EOF before its first byte.
+fn read_prefix(r: &mut impl Read) -> io::Result<Option<usize>> {
     let mut len_buf = [0u8; 4];
     // A clean close arrives as EOF on the first header byte; EOF anywhere
     // later is a truncated frame.
@@ -73,9 +121,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Bytes>> {
             n => filled += n,
         }
     }
-    let mut payload = vec![0u8; frame_len(len_buf)?];
-    r.read_exact(&mut payload)?;
-    Ok(Some(Bytes::from(payload)))
+    frame_len(len_buf).map(Some)
 }
 
 /// Incremental, resumable frame decoder for nonblocking sockets.
@@ -321,6 +367,78 @@ mod tests {
             .expect("typed FrameTooLarge source");
         assert_eq!(inner.len, u32::MAX as usize);
         assert_eq!(inner.limit, MAX_FRAME_BYTES);
+    }
+
+    #[test]
+    fn read_frame_into_keeps_the_read_frame_contract_in_one_buffer() {
+        let mut wire = Vec::new();
+        for payload in [&b"a longer first payload"[..], b"", b"short"] {
+            write_frame(&mut wire, payload).unwrap();
+        }
+        let (mut r, mut blocking) = (&wire[..], &wire[..]);
+        let mut buf = Vec::new();
+        while let Some(frame) = read_frame_into(&mut r, &mut buf).unwrap() {
+            assert_eq!(frame, &read_frame(&mut blocking).unwrap().unwrap()[..]);
+        }
+        assert!(read_frame(&mut blocking).unwrap().is_none(), "clean EOF");
+        assert!(buf.capacity() >= 22, "one buffer, grown once");
+
+        for cut in 1..wire.len() {
+            let (mut r, mut buf) = (&wire[..cut], Vec::new());
+            let end = loop {
+                match read_frame_into(&mut r, &mut buf) {
+                    Ok(Some(_)) => continue,
+                    end => break end.map(|f| f.map(<[u8]>::to_vec)),
+                }
+            };
+            let mut blocking = &wire[..cut];
+            let want = loop {
+                match read_frame(&mut blocking) {
+                    Ok(Some(_)) => continue,
+                    end => break end,
+                }
+            };
+            assert_eq!(
+                end.map_err(|e| e.kind()),
+                want.map(|f| f.map(|f| f.to_vec())).map_err(|e| e.kind()),
+                "cut at {cut}"
+            );
+        }
+
+        let mut buf = Vec::new();
+        let err = read_frame_into(&mut &u32::MAX.to_le_bytes()[..], &mut buf).unwrap_err();
+        assert!(err.get_ref().is_some_and(|e| e.is::<FrameTooLarge>()));
+        assert_eq!(buf.capacity(), 0, "rejected before the buffer grew");
+    }
+
+    #[test]
+    fn a_large_frame_buffer_is_released_and_a_small_one_kept() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &vec![7u8; FRAME_BUF_KEEP + 1]).unwrap();
+        write_frame(&mut wire, &[9u8; 100]).unwrap();
+        write_frame(&mut wire, &vec![5u8; FRAME_BUF_KEEP]).unwrap();
+        let (mut r, mut buf) = (&wire[..], Vec::new());
+
+        assert_eq!(
+            read_frame_into(&mut r, &mut buf).unwrap().unwrap().len(),
+            FRAME_BUF_KEEP + 1
+        );
+        assert!(release_oversized(&mut buf));
+        assert_eq!(buf.capacity(), 0, "released");
+
+        assert_eq!(
+            read_frame_into(&mut r, &mut buf).unwrap().unwrap(),
+            &[9u8; 100][..]
+        );
+        let kept = buf.as_ptr();
+        assert!(!release_oversized(&mut buf));
+        assert_eq!(buf.as_ptr(), kept, "a small buffer is kept as it is");
+
+        assert_eq!(
+            read_frame_into(&mut r, &mut buf).unwrap().unwrap().len(),
+            FRAME_BUF_KEEP
+        );
+        assert!(!release_oversized(&mut buf), "the limit itself is kept");
     }
 
     #[test]

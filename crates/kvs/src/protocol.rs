@@ -50,7 +50,7 @@
 
 use std::io;
 
-use bytes::{Buf, Bytes};
+use bytes::Bytes;
 
 /// CRC-32 (IEEE) of `bytes` — the per-message integrity trailer. Detects
 /// every single-byte corruption and every burst shorter than 32 bits.
@@ -148,24 +148,27 @@ pub(crate) fn append_frame(
     Ok(out.len() - at)
 }
 
-/// A client request.
+/// A client request, its keys and values held as `B`: owned [`Bytes`] by
+/// default — what clients build and [`Request::decode`] returns — or
+/// `&[u8]` slices of the frame the request arrived in, which is what
+/// [`Request::decode_in_place`] returns and [`execute`] runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Request {
+pub enum Request<B = Bytes> {
     /// Batched lookup of `keys`.
     MGet {
         /// Request id (echoed in the response).
         id: u64,
         /// Keys to fetch.
-        keys: Vec<Bytes>,
+        keys: Vec<B>,
     },
     /// Store one pair.
     Set {
         /// Request id.
         id: u64,
         /// Key bytes.
-        key: Bytes,
+        key: B,
         /// Value bytes.
-        value: Bytes,
+        value: B,
     },
     /// Store a batch of pairs in one request (applied in order, so
     /// duplicate keys resolve later-wins; non-idempotent — clients must
@@ -174,7 +177,7 @@ pub enum Request {
         /// Request id.
         id: u64,
         /// Key/value pairs, applied in order.
-        pairs: Vec<(Bytes, Bytes)>,
+        pairs: Vec<(B, B)>,
     },
     /// Remove one key (idempotent: deleting an absent key answers
     /// [`OpStatus::NotFound`], so clients may blind-retry).
@@ -182,7 +185,7 @@ pub enum Request {
         /// Request id.
         id: u64,
         /// Key bytes.
-        key: Bytes,
+        key: B,
     },
     /// Compare-and-swap: store `value` only if the key's current version
     /// equals `expected_version`. Non-idempotent — a lost response leaves
@@ -191,11 +194,11 @@ pub enum Request {
         /// Request id.
         id: u64,
         /// Key bytes.
-        key: Bytes,
+        key: B,
         /// Version the caller last observed (from a versioned read/set).
         expected_version: u64,
         /// Replacement value bytes.
-        value: Bytes,
+        value: B,
         /// TTL in coarse seconds for the new value; 0 = never expires.
         ttl_secs: u32,
     },
@@ -204,7 +207,7 @@ pub enum Request {
         /// Request id.
         id: u64,
         /// Key bytes.
-        key: Bytes,
+        key: B,
         /// New TTL in coarse seconds; 0 = never expires.
         ttl_secs: u32,
     },
@@ -214,9 +217,9 @@ pub enum Request {
         /// Request id.
         id: u64,
         /// Key bytes.
-        key: Bytes,
+        key: B,
         /// Value bytes.
-        value: Bytes,
+        value: B,
         /// TTL in coarse seconds; 0 = never expires.
         ttl_secs: u32,
     },
@@ -227,7 +230,7 @@ pub enum Request {
         /// Request id.
         id: u64,
         /// Key/value pairs, applied in order.
-        pairs: Vec<(Bytes, Bytes)>,
+        pairs: Vec<(B, B)>,
         /// TTL in coarse seconds for every pair; 0 = never expires.
         ttl_secs: u32,
     },
@@ -433,6 +436,30 @@ pub struct ExecScratch {
     reply: Vec<u8>,
 }
 
+/// The key and pair lists of in-place-decoded requests, kept between
+/// frames: [`Request::decode_in_place`] takes them and
+/// [`DecodeScratch::reclaim`] gives them back, so a connection decodes
+/// without allocating once its lists have grown to its widest request.
+#[derive(Debug, Default)]
+pub struct DecodeScratch {
+    keys: Vec<&'static [u8]>,
+    pairs: Vec<(&'static [u8], &'static [u8])>,
+}
+
+impl DecodeScratch {
+    /// Take back the list of a request [`Request::decode_in_place`]
+    /// decoded, once it has run, for the next frame.
+    pub fn reclaim(&mut self, request: Request<&[u8]>) {
+        match request {
+            Request::MGet { keys, .. } => self.keys = crate::emptied(keys),
+            Request::SetMulti { pairs, .. } | Request::SetMultiEx { pairs, .. } => {
+                self.pairs = crate::emptied(pairs);
+            }
+            _ => {}
+        }
+    }
+}
+
 /// What [`execute`] did: the response to send and the figures the serving
 /// loops count.
 #[derive(Debug)]
@@ -453,25 +480,23 @@ pub struct Executed<'a> {
 /// Execute one request against the store and encode its response. This is
 /// the single server-side semantics of the command surface — `kvsd`, the
 /// fabric server, and the reactor's non-coalesced verbs all dispatch
-/// through it so the verbs cannot drift apart. Returns `None` for
+/// through it so the verbs cannot drift apart. The request's keys and
+/// values are read where they lie, normally in the frame it was decoded
+/// from ([`Request::decode_in_place`]). Returns `None` for
 /// [`Request::Shutdown`], which has no response: the serving loop stops.
 pub fn execute<'a>(
     store: &crate::store::KvStore,
-    request: &Request,
+    request: &Request<&[u8]>,
     scratch: &'a mut ExecScratch,
 ) -> Option<Executed<'a>> {
     use crate::store::CasOutcome;
-    // One point operation unless a batched write says otherwise.
-    let mut writes = 1;
-    let mut phases = crate::store::PhaseNanos::default();
     let response = match request {
         Request::Shutdown => return None,
         Request::MGet { id, keys } => {
-            let key_slices: Vec<&[u8]> = keys.iter().map(|k| k.as_ref()).collect();
-            let outcome = store.mget(&key_slices, &mut scratch.resp);
+            let outcome = store.mget(keys, &mut scratch.resp);
             return Some(Executed {
                 reply: scratch.resp.seal_frame(*id),
-                lookup: Some((key_slices.len(), outcome.found)),
+                lookup: Some((keys.len(), outcome.found)),
                 writes: 0,
                 phases: outcome.phases,
             });
@@ -485,22 +510,17 @@ pub fn execute<'a>(
                 Request::SetMultiEx { ttl_secs, .. } => *ttl_secs,
                 _ => 0,
             };
-            let pair_slices: Vec<(&[u8], &[u8])> = pairs
-                .iter()
-                .map(|(k, v)| (k.as_ref(), v.as_ref()))
-                .collect();
-            let outcome = store.set_multi_ttl(&pair_slices, ttl_secs, &mut scratch.set_batch);
-            writes = pair_slices.len();
-            phases = outcome.phases;
-            Response::SetMulti {
-                id: *id,
-                ok: scratch
-                    .set_batch
-                    .results()
-                    .iter()
-                    .map(|r| r.is_ok())
-                    .collect(),
-            }
+            let outcome = store.set_multi_ttl(pairs, ttl_secs, &mut scratch.set_batch);
+            let ok = scratch.set_batch.results().iter().map(Result::is_ok);
+            seal_into(&mut scratch.reply, |w| {
+                w.set_multi_ack(*id, ok);
+            });
+            return Some(Executed {
+                reply: &scratch.reply,
+                lookup: None,
+                writes: pairs.len(),
+                phases: outcome.phases,
+            });
         }
         Request::Delete { id, key } => Response::Delete {
             id: *id,
@@ -558,8 +578,9 @@ pub fn execute<'a>(
     Some(Executed {
         reply: &scratch.reply,
         lookup: None,
-        writes,
-        phases,
+        // One point operation.
+        writes: 1,
+        phases: crate::store::PhaseNanos::default(),
     })
 }
 
@@ -687,8 +708,14 @@ impl Writer<'_> {
     }
 
     /// `[count: u16]` then each item's fields.
-    fn list<T>(&mut self, items: &[T], item: impl Fn(&mut Self, &T)) -> &mut Self {
-        self.len16(items.len(), LIST_TOO_LONG).each(items, item)
+    fn list<I>(&mut self, items: I, item: impl Fn(&mut Self, I::Item)) -> &mut Self
+    where
+        I: IntoIterator<IntoIter: ExactSizeIterator>,
+    {
+        let items = items.into_iter();
+        self.len16(items.len(), LIST_TOO_LONG);
+        items.for_each(|i| item(self, i));
+        self
     }
 
     fn keys(&mut self, keys: &[Bytes]) -> &mut Self {
@@ -702,6 +729,21 @@ impl Writer<'_> {
             w.key(k).value(v);
         })
     }
+
+    /// A Multi-Set acknowledgement: one flag per pair, in request order.
+    fn set_multi_ack(&mut self, id: u64, ok: impl ExactSizeIterator<Item = bool>) -> &mut Self {
+        self.head(OP_SET_MULTI_RESP, id).list(ok, |w, ok| {
+            w.bool(ok);
+        })
+    }
+}
+
+/// Clear `out` and leave it holding one sealed message: the body `write`
+/// appends, then the CRC trailer.
+fn seal_into(out: &mut Vec<u8>, write: impl FnOnce(&mut Writer<'_>)) {
+    out.clear();
+    write(&mut Writer(out));
+    seal(out, 0);
 }
 
 /// Bytes before the first per-key record of a Multi-Get response:
@@ -737,14 +779,14 @@ pub(crate) fn mget_resp_entry(out: &mut Vec<u8>, entry: Option<&[u8]>) {
 
 const TRUNCATED: DecodeError = DecodeError("truncated message");
 
-/// Consumes wire fields from a verified message body: the vocabulary the
-/// decode arms are written in. The truncation check lives in
-/// [`Reader::take`] and [`Reader::fixed`] and nowhere else.
-struct Reader(Bytes);
+/// Consumes wire fields from a verified message body, handing out slices
+/// of it: the vocabulary the decode arms are written in. The truncation
+/// check lives in [`Reader::take`] and [`Reader::fixed`] and nowhere else.
+struct Reader<'a>(&'a [u8]);
 
-impl Reader {
+impl<'a> Reader<'a> {
     /// Verify and strip the CRC trailer of `msg`, leaving its body.
-    fn open(mut msg: Bytes) -> Result<Self, DecodeError> {
+    fn open(msg: &'a [u8]) -> Result<Self, DecodeError> {
         let Some((body, trailer)) = msg.split_last_chunk::<4>().filter(|(b, _)| !b.is_empty())
         else {
             return Err(DecodeError("message too short for checksum"));
@@ -752,21 +794,19 @@ impl Reader {
         if crc32(body) != u32::from_le_bytes(*trailer) {
             return Err(DecodeError("checksum mismatch"));
         }
-        msg.truncate(msg.len() - 4);
-        Ok(Reader(msg))
+        Ok(Reader(body))
     }
 
-    fn take(&mut self, n: usize) -> Result<Bytes, DecodeError> {
-        if self.0.len() < n {
-            return Err(TRUNCATED);
-        }
-        Ok(self.0.split_to(n))
+    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or(TRUNCATED)?;
+        self.0 = rest;
+        Ok(head)
     }
 
     fn fixed<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
-        let bytes = *self.0.first_chunk::<N>().ok_or(TRUNCATED)?;
-        self.0.advance(N);
-        Ok(bytes)
+        let (head, rest) = self.0.split_first_chunk::<N>().ok_or(TRUNCATED)?;
+        self.0 = rest;
+        Ok(*head)
     }
 
     fn u8(&mut self) -> Result<u8, DecodeError> {
@@ -798,35 +838,37 @@ impl Reader {
         self.u8().map(OpStatus::from_wire)
     }
 
-    fn key(&mut self) -> Result<Bytes, DecodeError> {
+    fn key(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.u16()?;
         self.take(usize::from(len))
     }
 
-    fn value(&mut self) -> Result<Bytes, DecodeError> {
+    fn value(&mut self) -> Result<&'a [u8], DecodeError> {
         let len = self.u32()?;
         self.take(len as usize)
     }
 
-    /// `[count: u16]` then each item's fields. Every item occupies at
-    /// least one byte, so a count above the bytes left is truncation —
-    /// caught before the list reserves a slot.
+    /// `[count: u16]` then each item's fields, into `items`' storage.
+    /// Every item occupies at least one byte, so a count above the bytes
+    /// left is truncation — caught before the list reserves a slot.
     fn list<T>(
         &mut self,
+        mut items: Vec<T>,
         item: impl Fn(&mut Self) -> Result<T, DecodeError>,
     ) -> Result<Vec<T>, DecodeError> {
         let n = usize::from(self.u16()?);
         if n > self.0.len() {
             return Err(TRUNCATED);
         }
-        let mut items = Vec::with_capacity(n);
+        items.clear();
+        items.reserve_exact(n);
         for _ in 0..n {
             items.push(item(self)?);
         }
         Ok(items)
     }
 
-    fn entry(&mut self) -> Result<Option<Bytes>, DecodeError> {
+    fn entry(&mut self) -> Result<Option<&'a [u8]>, DecodeError> {
         Ok(if self.bool()? {
             Some(self.value()?)
         } else {
@@ -834,12 +876,12 @@ impl Reader {
         })
     }
 
-    fn pairs(&mut self) -> Result<Vec<(Bytes, Bytes)>, DecodeError> {
-        self.list(|r| Ok((r.key()?, r.value()?)))
+    fn pair(&mut self) -> Result<(&'a [u8], &'a [u8]), DecodeError> {
+        Ok((self.key()?, self.value()?))
     }
 }
 
-impl Request {
+impl<B> Request<B> {
     /// The request id a response echoes; `None` for [`Request::Shutdown`],
     /// which is never answered.
     pub fn id(&self) -> Option<u64> {
@@ -856,6 +898,133 @@ impl Request {
         }
     }
 
+    /// The same request with every key and value passed through `f` —
+    /// `|s| frame.slice_ref(s)`, say, to re-anchor an in-place-decoded
+    /// request into its frame so it can outlive the borrow.
+    pub fn map<'s, C>(&'s self, mut f: impl FnMut(&'s B) -> C) -> Request<C> {
+        match self {
+            Request::MGet { id, keys } => Request::MGet {
+                id: *id,
+                keys: keys.iter().map(f).collect(),
+            },
+            Request::Set { id, key, value } => Request::Set {
+                id: *id,
+                key: f(key),
+                value: f(value),
+            },
+            Request::SetMulti { id, pairs } => Request::SetMulti {
+                id: *id,
+                pairs: pairs.iter().map(|(k, v)| (f(k), f(v))).collect(),
+            },
+            Request::Delete { id, key } => Request::Delete {
+                id: *id,
+                key: f(key),
+            },
+            Request::Cas {
+                id,
+                key,
+                expected_version,
+                value,
+                ttl_secs,
+            } => Request::Cas {
+                id: *id,
+                key: f(key),
+                expected_version: *expected_version,
+                value: f(value),
+                ttl_secs: *ttl_secs,
+            },
+            Request::Touch { id, key, ttl_secs } => Request::Touch {
+                id: *id,
+                key: f(key),
+                ttl_secs: *ttl_secs,
+            },
+            Request::SetEx {
+                id,
+                key,
+                value,
+                ttl_secs,
+            } => Request::SetEx {
+                id: *id,
+                key: f(key),
+                value: f(value),
+                ttl_secs: *ttl_secs,
+            },
+            Request::SetMultiEx {
+                id,
+                pairs,
+                ttl_secs,
+            } => Request::SetMultiEx {
+                id: *id,
+                pairs: pairs.iter().map(|(k, v)| (f(k), f(v))).collect(),
+                ttl_secs: *ttl_secs,
+            },
+            Request::Shutdown => Request::Shutdown,
+        }
+    }
+}
+
+impl<'a> Request<&'a [u8]> {
+    /// Decode the wire message `msg` where it lies: every key and value of
+    /// the request is a slice of `msg`, and its key or pair list is built
+    /// in `lists`' storage — hand it back with [`DecodeScratch::reclaim`].
+    /// Nothing is copied and no reference count is touched. These are the
+    /// request decode arms; [`Request::decode`] is this decode plus
+    /// re-anchoring.
+    ///
+    /// # Errors
+    ///
+    /// [`DecodeError`] on truncated, corrupted (checksum mismatch), or
+    /// unknown messages.
+    pub fn decode_in_place(msg: &'a [u8], lists: &mut DecodeScratch) -> Result<Self, DecodeError> {
+        let mut r = Reader::open(msg)?;
+        Ok(match r.u8()? {
+            OP_MGET => Request::MGet {
+                id: r.u64()?,
+                keys: r.list(std::mem::take(&mut lists.keys), Reader::key)?,
+            },
+            OP_SET => Request::Set {
+                id: r.u64()?,
+                key: r.key()?,
+                value: r.value()?,
+            },
+            OP_SET_MULTI => Request::SetMulti {
+                id: r.u64()?,
+                pairs: r.list(std::mem::take(&mut lists.pairs), Reader::pair)?,
+            },
+            OP_DELETE => Request::Delete {
+                id: r.u64()?,
+                key: r.key()?,
+            },
+            OP_CAS => Request::Cas {
+                id: r.u64()?,
+                expected_version: r.u64()?,
+                ttl_secs: r.u32()?,
+                key: r.key()?,
+                value: r.value()?,
+            },
+            OP_TOUCH => Request::Touch {
+                id: r.u64()?,
+                ttl_secs: r.u32()?,
+                key: r.key()?,
+            },
+            OP_SET_EX => Request::SetEx {
+                id: r.u64()?,
+                ttl_secs: r.u32()?,
+                key: r.key()?,
+                value: r.value()?,
+            },
+            OP_SET_MULTI_EX => Request::SetMultiEx {
+                id: r.u64()?,
+                ttl_secs: r.u32()?,
+                pairs: r.list(std::mem::take(&mut lists.pairs), Reader::pair)?,
+            },
+            OP_SHUTDOWN => Request::Shutdown,
+            _ => return Err(DecodeError("unknown request opcode")),
+        })
+    }
+}
+
+impl Request {
     /// Encode into a wire message.
     ///
     /// # Panics
@@ -867,39 +1036,41 @@ impl Request {
     /// [`Request::try_encode`].
     pub fn encode(&self) -> Bytes {
         let mut out = Vec::new();
-        let mut w = Writer(&mut out);
-        match self {
-            Request::MGet { id, keys } => w.head(OP_MGET, *id).keys(keys),
-            Request::Set { id, key, value } => w.head(OP_SET, *id).key(key).value(value),
-            Request::SetMulti { id, pairs } => w.head(OP_SET_MULTI, *id).pairs(pairs),
-            Request::Delete { id, key } => w.head(OP_DELETE, *id).key(key),
-            Request::Cas {
-                id,
-                key,
-                expected_version,
-                value,
-                ttl_secs,
-            } => w
-                .head(OP_CAS, *id)
-                .u64(*expected_version)
-                .u32(*ttl_secs)
-                .key(key)
-                .value(value),
-            Request::Touch { id, key, ttl_secs } => w.head(OP_TOUCH, *id).u32(*ttl_secs).key(key),
-            Request::SetEx {
-                id,
-                key,
-                value,
-                ttl_secs,
-            } => w.head(OP_SET_EX, *id).u32(*ttl_secs).key(key).value(value),
-            Request::SetMultiEx {
-                id,
-                pairs,
-                ttl_secs,
-            } => w.head(OP_SET_MULTI_EX, *id).u32(*ttl_secs).pairs(pairs),
-            Request::Shutdown => w.u8(OP_SHUTDOWN),
-        };
-        seal(&mut out, 0);
+        seal_into(&mut out, |w| {
+            match self {
+                Request::MGet { id, keys } => w.head(OP_MGET, *id).keys(keys),
+                Request::Set { id, key, value } => w.head(OP_SET, *id).key(key).value(value),
+                Request::SetMulti { id, pairs } => w.head(OP_SET_MULTI, *id).pairs(pairs),
+                Request::Delete { id, key } => w.head(OP_DELETE, *id).key(key),
+                Request::Cas {
+                    id,
+                    key,
+                    expected_version,
+                    value,
+                    ttl_secs,
+                } => w
+                    .head(OP_CAS, *id)
+                    .u64(*expected_version)
+                    .u32(*ttl_secs)
+                    .key(key)
+                    .value(value),
+                Request::Touch { id, key, ttl_secs } => {
+                    w.head(OP_TOUCH, *id).u32(*ttl_secs).key(key)
+                }
+                Request::SetEx {
+                    id,
+                    key,
+                    value,
+                    ttl_secs,
+                } => w.head(OP_SET_EX, *id).u32(*ttl_secs).key(key).value(value),
+                Request::SetMultiEx {
+                    id,
+                    pairs,
+                    ttl_secs,
+                } => w.head(OP_SET_MULTI_EX, *id).u32(*ttl_secs).pairs(pairs),
+                Request::Shutdown => w.u8(OP_SHUTDOWN),
+            };
+        });
         Bytes::from(out)
     }
 
@@ -934,58 +1105,16 @@ impl Request {
         Ok(self.encode())
     }
 
-    /// Decode from a wire message.
+    /// Decode from a wire message: [`Request::decode_in_place`], with every
+    /// slice of the result re-anchored into `msg`'s shared storage.
     ///
     /// # Errors
     ///
     /// [`DecodeError`] on truncated, corrupted (checksum mismatch), or
     /// unknown messages.
     pub fn decode(msg: Bytes) -> Result<Self, DecodeError> {
-        let mut r = Reader::open(msg)?;
-        Ok(match r.u8()? {
-            OP_MGET => Request::MGet {
-                id: r.u64()?,
-                keys: r.list(Reader::key)?,
-            },
-            OP_SET => Request::Set {
-                id: r.u64()?,
-                key: r.key()?,
-                value: r.value()?,
-            },
-            OP_SET_MULTI => Request::SetMulti {
-                id: r.u64()?,
-                pairs: r.pairs()?,
-            },
-            OP_DELETE => Request::Delete {
-                id: r.u64()?,
-                key: r.key()?,
-            },
-            OP_CAS => Request::Cas {
-                id: r.u64()?,
-                expected_version: r.u64()?,
-                ttl_secs: r.u32()?,
-                key: r.key()?,
-                value: r.value()?,
-            },
-            OP_TOUCH => Request::Touch {
-                id: r.u64()?,
-                ttl_secs: r.u32()?,
-                key: r.key()?,
-            },
-            OP_SET_EX => Request::SetEx {
-                id: r.u64()?,
-                ttl_secs: r.u32()?,
-                key: r.key()?,
-                value: r.value()?,
-            },
-            OP_SET_MULTI_EX => Request::SetMultiEx {
-                id: r.u64()?,
-                ttl_secs: r.u32()?,
-                pairs: r.pairs()?,
-            },
-            OP_SHUTDOWN => Request::Shutdown,
-            _ => return Err(DecodeError("unknown request opcode")),
-        })
+        let request = Request::decode_in_place(&msg, &mut DecodeScratch::default())?;
+        Ok(request.map(|s| msg.slice_ref(s)))
     }
 }
 
@@ -1019,51 +1148,50 @@ impl Response {
     /// [`Response::encode`] into a buffer the caller reuses: `out` is
     /// cleared and left holding the sealed message.
     pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        let mut w = Writer(out);
-        match self {
-            Response::MGet { id, entries } => {
-                w.bytes(&mget_resp_header(*id, entries.len()))
+        seal_into(out, |w| {
+            match self {
+                Response::MGet { id, entries } => w
+                    .bytes(&mget_resp_header(*id, entries.len()))
                     .each(entries, |w, e| {
                         w.entry(e.as_deref());
-                    })
-            }
-            Response::Set { id, ok } => w.head(OP_SET_RESP, *id).bool(*ok),
-            Response::SetMulti { id, ok } => w.head(OP_SET_MULTI_RESP, *id).list(ok, |w, &ok| {
-                w.bool(ok);
-            }),
-            Response::Delete { id, status } => w.head(OP_DELETE_RESP, *id).u8(status.to_wire()),
-            Response::Cas {
-                id,
-                status,
-                version,
-            } => w.head(OP_CAS_RESP, *id).u8(status.to_wire()).u64(*version),
-            Response::Touch { id, status } => w.head(OP_TOUCH_RESP, *id).u8(status.to_wire()),
-            Response::SetEx {
-                id,
-                status,
-                version,
-            } => w
-                .head(OP_SET_EX_RESP, *id)
-                .u8(status.to_wire())
-                .u64(*version),
-            Response::Error { id, code } => w.head(OP_ERR_RESP, *id).u8(code.to_wire()),
-        };
-        seal(out, 0);
+                    }),
+                Response::Set { id, ok } => w.head(OP_SET_RESP, *id).bool(*ok),
+                Response::SetMulti { id, ok } => w.set_multi_ack(*id, ok.iter().copied()),
+                Response::Delete { id, status } => w.head(OP_DELETE_RESP, *id).u8(status.to_wire()),
+                Response::Cas {
+                    id,
+                    status,
+                    version,
+                } => w.head(OP_CAS_RESP, *id).u8(status.to_wire()).u64(*version),
+                Response::Touch { id, status } => w.head(OP_TOUCH_RESP, *id).u8(status.to_wire()),
+                Response::SetEx {
+                    id,
+                    status,
+                    version,
+                } => w
+                    .head(OP_SET_EX_RESP, *id)
+                    .u8(status.to_wire())
+                    .u64(*version),
+                Response::Error { id, code } => w.head(OP_ERR_RESP, *id).u8(code.to_wire()),
+            };
+        });
     }
 
-    /// Decode from a wire message.
+    /// Decode from a wire message; each value is a zero-copy sub-buffer of
+    /// `msg`.
     ///
     /// # Errors
     ///
     /// [`DecodeError`] on truncated, corrupted (checksum mismatch), or
     /// unknown messages.
     pub fn decode(msg: Bytes) -> Result<Self, DecodeError> {
-        let mut r = Reader::open(msg)?;
+        let mut r = Reader::open(&msg)?;
         Ok(match r.u8()? {
             OP_MGET_RESP => Response::MGet {
                 id: r.u64()?,
-                entries: r.list(Reader::entry)?,
+                entries: r.list(Vec::new(), |r| {
+                    Ok(r.entry()?.map(|value| msg.slice_ref(value)))
+                })?,
             },
             OP_SET_RESP => Response::Set {
                 id: r.u64()?,
@@ -1071,7 +1199,7 @@ impl Response {
             },
             OP_SET_MULTI_RESP => Response::SetMulti {
                 id: r.u64()?,
-                ok: r.list(Reader::bool)?,
+                ok: r.list(Vec::new(), Reader::bool)?,
             },
             OP_DELETE_RESP => Response::Delete {
                 id: r.u64()?,
@@ -1154,7 +1282,7 @@ mod tests {
         store.set(b"c", b"").unwrap(); // empty value
         let request = Request::MGet {
             id: 9,
-            keys: [b"a", b"b", b"c"].map(|k| Bytes::from_static(k)).to_vec(),
+            keys: vec![&b"a"[..], b"b", b"c"],
         };
         let mut scratch = ExecScratch::default();
         let done = execute(&store, &request, &mut scratch).unwrap();

@@ -74,7 +74,7 @@ use bytes::Bytes;
 
 use crate::kvsd::{ConnSummary, KvsdConfig, Shell};
 use crate::net::{write_frame, FrameDecoder};
-use crate::protocol::{execute, ErrorCode, ExecScratch, Request, Response};
+use crate::protocol::{execute, DecodeScratch, ErrorCode, ExecScratch, Request, Response};
 use crate::store::KvStore;
 
 use poller::{Event, Interest, Poller};
@@ -216,6 +216,7 @@ pub(crate) fn start(
             reads: Batch::default(),
             writes: Batch::default(),
             scratch: ExecScratch::default(),
+            lists: DecodeScratch::default(),
             read_buf: vec![0u8; 64 << 10],
             next_token: 0,
             draining: false,
@@ -429,6 +430,8 @@ struct ReactorLoop {
     /// Response and write-staging buffers, shared by the coalesced
     /// dispatches and the immediately executed verbs.
     scratch: ExecScratch,
+    /// Key and pair lists of the frame being decoded.
+    lists: DecodeScratch,
     read_buf: Vec<u8>,
     next_token: usize,
     draining: bool,
@@ -646,71 +649,67 @@ impl ReactorLoop {
         if conn.draining {
             return; // a Shutdown request already sealed this connection
         }
-        let Ok(request) = Request::decode(frame) else {
+        let Ok(request) = Request::decode_in_place(&frame, &mut self.lists) else {
             // Unframed garbage or a protocol bug: stop reading, flush
             // what was already answered, close.
             conn.draining = true;
             return;
         };
-        match request {
+        // A parked request outlives this read event, so its keys and
+        // values are re-anchored into the frame; the rest run in place.
+        let owned = |s: &&[u8]| frame.slice_ref(s);
+        match &request {
             Request::Shutdown => {
                 conn.draining = true;
             }
-            Request::MGet { id, keys } => self.park(token, id, t0, keys),
+            Request::MGet { id, keys } => {
+                let keys: Vec<Bytes> = keys.iter().map(owned).collect();
+                self.park(token, *id, t0, keys);
+            }
             Request::Set { id, key, value } => {
-                let pairs = vec![(key, value)];
-                self.park(
-                    token,
-                    id,
-                    t0,
-                    Pairs {
-                        pairs,
-                        single: true,
-                    },
-                );
+                let pairs = vec![(owned(key), owned(value))];
+                let single = true;
+                self.park(token, *id, t0, Pairs { pairs, single });
             }
             Request::SetMulti { id, pairs } => {
-                self.park(
-                    token,
-                    id,
-                    t0,
-                    Pairs {
-                        pairs,
-                        single: false,
-                    },
-                );
+                let pairs = pairs.iter().map(|(k, v)| (owned(k), owned(v))).collect();
+                let single = false;
+                self.park(token, *id, t0, Pairs { pairs, single });
             }
             Request::Delete { .. }
             | Request::Cas { .. }
             | Request::Touch { .. }
             | Request::SetEx { .. }
-            | Request::SetMultiEx { .. } => {
-                // Per-connection program order: parked lookups from this
-                // connection must not observe this verb's effect, and
-                // parked writes must apply before it — flush both
-                // buffers, the way parking flushes the other one.
-                self.flush_for::<Vec<Bytes>>(token);
-                self.flush_for::<Pairs>(token);
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    return; // dispatch may have closed the connection
-                };
-                let seq = conn.reserve();
-                if self.limits.max_inflight == Some(0) {
-                    let id = request.id().expect("versioned verbs carry an id");
-                    return self.shed(token, seq, id, ErrorCode::ServerBusy);
-                }
-                // Versioned verbs execute immediately (no coalescing):
-                // Delete/Cas/Touch are point operations on one key, and
-                // their responses carry per-op versions that a batch
-                // cannot share.
-                let done = execute(&self.store, &request, &mut self.scratch)
-                    .expect("versioned verbs have a response");
-                self.shell.stats.record_phases(done.phases);
-                conn.summary
-                    .served(&self.shell.stats, done.lookup, done.writes, t0);
-                conn.answer_framed(seq, done.reply);
-            }
+            | Request::SetMultiEx { .. } => self.run_now(token, t0, &request),
         }
+        self.lists.reclaim(request);
+    }
+
+    /// Execute a verb that is never coalesced, in arrival order.
+    fn run_now(&mut self, token: usize, t0: Instant, request: &Request<&[u8]>) {
+        // Per-connection program order: parked lookups from this
+        // connection must not observe this verb's effect, and parked
+        // writes must apply before it — flush both buffers, the way
+        // parking flushes the other one.
+        self.flush_for::<Vec<Bytes>>(token);
+        self.flush_for::<Pairs>(token);
+        let Some(conn) = self.conns.get_mut(&token) else {
+            return; // dispatch may have closed the connection
+        };
+        let seq = conn.reserve();
+        if self.limits.max_inflight == Some(0) {
+            let id = request.id().expect("versioned verbs carry an id");
+            return self.shed(token, seq, id, ErrorCode::ServerBusy);
+        }
+        // Versioned verbs execute immediately (no coalescing):
+        // Delete/Cas/Touch are point operations on one key, and their
+        // responses carry per-op versions that a batch cannot share.
+        let done = execute(&self.store, request, &mut self.scratch)
+            .expect("versioned verbs have a response");
+        self.shell.stats.record_phases(done.phases);
+        conn.summary
+            .served(&self.shell.stats, done.lookup, done.writes, t0);
+        conn.answer_framed(seq, done.reply);
     }
 
     /// The one park path of both buffers: flush the other buffer if it

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use crate::protocol::{execute, ErrorCode, ExecScratch, Request, Response};
+use crate::protocol::{execute, DecodeScratch, ErrorCode, ExecScratch, Request, Response};
 use crate::store::{KvStore, PhaseNanos};
 use crate::transport::Fabric;
 
@@ -145,11 +145,12 @@ impl Server {
                 let fabric = fabric.clone();
                 std::thread::spawn(move || {
                     let mut scratch = ExecScratch::default();
+                    let mut lists = DecodeScratch::default();
                     while let Ok(envelope) = rx.recv() {
                         let t0 = Instant::now();
-                        let request = match Request::decode(envelope.payload) {
-                            Ok(r) => r,
-                            Err(_) => continue,
+                        let Ok(request) = Request::decode_in_place(&envelope.payload, &mut lists)
+                        else {
+                            continue;
                         };
                         let reply = |payload| {
                             if let Some(reply) = &envelope.reply_to {
@@ -164,6 +165,7 @@ impl Server {
                                 stats.shed.fetch_add(1, Ordering::Relaxed);
                                 let code = ErrorCode::ServerBusy;
                                 reply(Response::Error { id, code }.encode());
+                                lists.reclaim(request);
                                 continue;
                             }
                         }
@@ -173,6 +175,7 @@ impl Server {
                         stats.record_phases(done.phases);
                         stats.record(done.lookup);
                         reply(bytes::Bytes::copy_from_slice(done.reply));
+                        lists.reclaim(request);
                         stats
                             .busy_ns
                             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);

@@ -262,6 +262,9 @@ impl SetMultiBatch {
 /// [`SetMultiBatch`] so a long-lived buffer allocates nothing per request.
 #[derive(Debug, Default, Clone)]
 struct BatchScratch {
+    /// A Multi-Set's keys, gathered from its pairs for Phase 1 (empty
+    /// between calls).
+    keys: Vec<&'static [u8]>,
     /// Phase 1: one 32-bit hash per key, in request order.
     hashes: Vec<u32>,
     /// Phase 1: request slots per shard (multi-shard stores only).
@@ -360,6 +363,9 @@ struct Shard {
     items: ItemTable,
     index: Box<dyn HashIndex>,
     clock: Clock,
+    /// [`Shard::find_verified`]'s candidate list, reused under the write
+    /// lock.
+    ids: Vec<u32>,
 }
 
 // Compile-time proof that Shard is Send + Sync — the precondition for the
@@ -913,6 +919,7 @@ impl KvStore {
                     items: ItemTable::new(),
                     index: make_index(per_capacity),
                     clock: Clock::new(),
+                    ids: Vec::new(),
                 }),
                 counters: ShardCounters::default(),
             })
@@ -1258,7 +1265,8 @@ impl KvStore {
         let SetMultiBatch { results, scratch } = batch;
         results.clear();
         results.resize(pairs.len(), Ok(()));
-        let keys: Vec<&[u8]> = pairs.iter().map(|&(k, _)| k).collect();
+        let mut keys: Vec<&[u8]> = std::mem::take(&mut scratch.keys);
+        keys.extend(pairs.iter().map(|&(k, _)| k));
         let depth = self.prefetch_depth.load(Ordering::Relaxed);
         let mut stored = 0usize;
         let mut phases = PhaseNanos::default();
@@ -1309,6 +1317,7 @@ impl KvStore {
             phases.post += (tl2 - tl1).as_nanos() as u64;
         });
         phases.pre = (t1 - t0).as_nanos() as u64;
+        scratch.keys = crate::emptied(keys);
         SetMultiOutcome { stored, phases }
     }
 
@@ -1510,7 +1519,7 @@ impl KvStore {
     pub fn set_ttl(&self, key: &[u8], ttl_secs: u32) -> bool {
         let hash = hash_key(key);
         let slot = &self.shards[self.shard_for_hash(hash)];
-        let g = slot.write();
+        let mut g = slot.write();
         let now = self.now_secs();
         match g.find_verified(hash, key) {
             Some(item) => {
@@ -1713,11 +1722,18 @@ impl Shard {
     /// Find the item id whose stored key equals `key`, verifying every
     /// index candidate for `hash` against the slab (never trusts the
     /// index alone) — the write paths' counterpart of [`probe_key`].
-    fn find_verified(&self, hash: u32, key: &[u8]) -> Option<u32> {
-        let mut ids = Vec::new();
-        self.index.lookup_all(hash, &mut ids);
-        ids.into_iter().find(|&c| {
-            let chunk = self.items.get(c).map(|r| self.slab.chunk(r));
+    fn find_verified(&mut self, hash: u32, key: &[u8]) -> Option<u32> {
+        let Shard {
+            slab,
+            items,
+            index,
+            ids,
+            ..
+        } = self;
+        ids.clear();
+        index.lookup_all(hash, ids);
+        ids.iter().copied().find(|&c| {
+            let chunk = items.get(c).map(|r| slab.chunk(r));
             chunk.is_some_and(|chunk| item_key(chunk) == key)
         })
     }
@@ -2303,7 +2319,7 @@ mod tests {
                     "{which}: {t:?}"
                 );
                 for slot in &store.shards {
-                    let g = slot.read();
+                    let mut g = slot.write();
                     let n = g.items.len();
                     assert!(n > 0, "{which}");
                     assert_eq!(g.index.len(), n, "{which}: index entries vs items");
@@ -2311,9 +2327,9 @@ mod tests {
                     for d in 0..n {
                         let (item, hash) = g.clock.ahead(d).expect("ring is not empty");
                         let r = g.items.get(item).expect("ring entry is a live item");
-                        let stored = item_key(g.slab.chunk(r));
-                        assert_eq!(hash, hash_key(stored), "{which}: ring hash of {item}");
-                        assert_eq!(g.find_verified(hash, stored), Some(item), "{which}");
+                        let stored = item_key(g.slab.chunk(r)).to_vec();
+                        assert_eq!(hash, hash_key(&stored), "{which}: ring hash of {item}");
+                        assert_eq!(g.find_verified(hash, &stored), Some(item), "{which}");
                     }
                 }
             }

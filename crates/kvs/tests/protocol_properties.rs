@@ -3,7 +3,7 @@
 
 use bytes::Bytes;
 use proptest::prelude::*;
-use simdht_kvs::protocol::{ErrorCode, OpStatus, Request, Response};
+use simdht_kvs::protocol::{DecodeScratch, ErrorCode, OpStatus, Request, Response};
 
 fn arb_key() -> impl Strategy<Value = Bytes> {
     prop::collection::vec(any::<u8>(), 0..64).prop_map(Bytes::from)
@@ -139,80 +139,82 @@ fn arb_response() -> impl Strategy<Value = Response> {
 /// Hand-written malformed frames: every entry must be *rejected* (never
 /// panic, never mis-decode) by both decoders. Each case documents the
 /// specific framing violation it probes.
+const MALFORMED: &[(&str, &[u8])] = &[
+    ("empty frame", &[]),
+    ("unknown request opcode", &[0]),
+    ("opcode from response space sent as request", &[200]),
+    ("mget opcode alone, no header", &[1]),
+    ("mget header cut inside the id", &[1, 9, 9, 9]),
+    (
+        "mget declares one key, provides no length",
+        &[1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+    ),
+    (
+        "mget key length larger than remaining bytes",
+        &[1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 255, 255, b'x'],
+    ),
+    (
+        "mget declares 65535 keys with no payload",
+        &[1, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255],
+    ),
+    ("set header cut inside the id", &[2, 1, 2, 3]),
+    (
+        "set key length overruns the frame",
+        &[2, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, b'k'],
+    ),
+    (
+        "set value length u32::MAX with no value bytes",
+        &[2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, b'k', 255, 255, 255, 255],
+    ),
+    ("set-multi header cut inside the id", &[4, 1, 2, 3]),
+    (
+        "set-multi declares one pair, provides no key length",
+        &[4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+    ),
+    (
+        "set-multi pair key length overruns the frame",
+        &[4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 255, 255, b'x'],
+    ),
+    (
+        "set-multi value length u32::MAX with no value bytes",
+        &[
+            4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, b'k', 255, 255, 255, 255,
+        ],
+    ),
+    (
+        "set-multi declares 65535 pairs with no payload",
+        &[4, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255],
+    ),
+    ("mget response cut inside the id", &[128, 1]),
+    (
+        "mget response entry flag is neither 0 nor 1",
+        &[128, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 7],
+    ),
+    (
+        "mget response value length overruns the frame",
+        &[128, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 255, 255, 255, 255],
+    ),
+    (
+        "set response missing the ok byte",
+        &[129, 0, 0, 0, 0, 0, 0, 0, 0],
+    ),
+    (
+        "set response ok byte is neither 0 nor 1",
+        &[129, 0, 0, 0, 0, 0, 0, 0, 0, 2],
+    ),
+    (
+        "set-multi response declares one status, provides none",
+        &[131, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+    ),
+    (
+        "set-multi response status byte is neither 0 nor 1",
+        &[131, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 7],
+    ),
+];
+
 #[test]
 fn malformed_corpus_is_rejected() {
-    let corpus: &[(&str, &[u8])] = &[
-        ("empty frame", &[]),
-        ("unknown request opcode", &[0]),
-        ("opcode from response space sent as request", &[200]),
-        ("mget opcode alone, no header", &[1]),
-        ("mget header cut inside the id", &[1, 9, 9, 9]),
-        (
-            "mget declares one key, provides no length",
-            &[1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
-        ),
-        (
-            "mget key length larger than remaining bytes",
-            &[1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 255, 255, b'x'],
-        ),
-        (
-            "mget declares 65535 keys with no payload",
-            &[1, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255],
-        ),
-        ("set header cut inside the id", &[2, 1, 2, 3]),
-        (
-            "set key length overruns the frame",
-            &[2, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, b'k'],
-        ),
-        (
-            "set value length u32::MAX with no value bytes",
-            &[2, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, b'k', 255, 255, 255, 255],
-        ),
-        ("set-multi header cut inside the id", &[4, 1, 2, 3]),
-        (
-            "set-multi declares one pair, provides no key length",
-            &[4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
-        ),
-        (
-            "set-multi pair key length overruns the frame",
-            &[4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 255, 255, b'x'],
-        ),
-        (
-            "set-multi value length u32::MAX with no value bytes",
-            &[
-                4, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, b'k', 255, 255, 255, 255,
-            ],
-        ),
-        (
-            "set-multi declares 65535 pairs with no payload",
-            &[4, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255],
-        ),
-        ("mget response cut inside the id", &[128, 1]),
-        (
-            "mget response entry flag is neither 0 nor 1",
-            &[128, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 7],
-        ),
-        (
-            "mget response value length overruns the frame",
-            &[128, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 255, 255, 255, 255],
-        ),
-        (
-            "set response missing the ok byte",
-            &[129, 0, 0, 0, 0, 0, 0, 0, 0],
-        ),
-        (
-            "set response ok byte is neither 0 nor 1",
-            &[129, 0, 0, 0, 0, 0, 0, 0, 0, 2],
-        ),
-        (
-            "set-multi response declares one status, provides none",
-            &[131, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
-        ),
-        (
-            "set-multi response status byte is neither 0 nor 1",
-            &[131, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 7],
-        ),
-    ];
+    let corpus = MALFORMED;
     for (what, bytes) in corpus {
         let b = Bytes::copy_from_slice(bytes);
         assert!(Request::decode(b.clone()).is_err(), "request: {what}");
@@ -367,75 +369,77 @@ fn sealed(body: &[u8]) -> Bytes {
 /// SetMultiEx and their responses), sealed with a *valid* checksum so the
 /// CRC layer cannot mask them: every entry must be rejected by both
 /// decoders on framing grounds alone.
+const SEALED_MALFORMED: &[(&str, &[u8])] = &[
+    ("delete header cut inside the id", &[5, 1, 2, 3]),
+    (
+        "delete key length overruns the frame",
+        &[5, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, b'k'],
+    ),
+    (
+        "cas header cut inside expected_version",
+        &[6, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3],
+    ),
+    (
+        "cas key length overruns the frame",
+        &[
+            6, 0, 0, 0, 0, 0, 0, 0, 0, // id
+            1, 0, 0, 0, 0, 0, 0, 0, // expected_version
+            0, 0, 0, 0, // ttl_secs
+            9, 0, b'k', // klen 9, one byte of key
+        ],
+    ),
+    (
+        "cas value length u32::MAX with no value bytes",
+        &[
+            6, 0, 0, 0, 0, 0, 0, 0, 0, // id
+            1, 0, 0, 0, 0, 0, 0, 0, // expected_version
+            0, 0, 0, 0, // ttl_secs
+            1, 0, b'k', // key
+            255, 255, 255, 255, // vlen with nothing behind it
+        ],
+    ),
+    (
+        "touch header cut inside the ttl",
+        &[7, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2],
+    ),
+    (
+        "touch key length overruns the frame",
+        &[7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, b'k'],
+    ),
+    (
+        "set-ex value length overruns the frame",
+        &[
+            8, 0, 0, 0, 0, 0, 0, 0, 0, // id
+            0, 0, 0, 0, // ttl_secs
+            1, 0, b'k', // key
+            255, 255, 255, 255, // vlen with nothing behind it
+        ],
+    ),
+    (
+        "set-multi-ex declares 65535 pairs with no payload",
+        &[9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255],
+    ),
+    (
+        "delete response missing the status byte",
+        &[132, 0, 0, 0, 0, 0, 0, 0, 0],
+    ),
+    (
+        "cas response cut inside the version",
+        &[133, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3],
+    ),
+    (
+        "touch response missing the status byte",
+        &[134, 0, 0, 0, 0, 0, 0, 0, 0],
+    ),
+    (
+        "set-ex response cut inside the version",
+        &[135, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3],
+    ),
+];
+
 #[test]
 fn sealed_malformed_versioned_frames_are_rejected() {
-    let corpus: &[(&str, &[u8])] = &[
-        ("delete header cut inside the id", &[5, 1, 2, 3]),
-        (
-            "delete key length overruns the frame",
-            &[5, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, b'k'],
-        ),
-        (
-            "cas header cut inside expected_version",
-            &[6, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3],
-        ),
-        (
-            "cas key length overruns the frame",
-            &[
-                6, 0, 0, 0, 0, 0, 0, 0, 0, // id
-                1, 0, 0, 0, 0, 0, 0, 0, // expected_version
-                0, 0, 0, 0, // ttl_secs
-                9, 0, b'k', // klen 9, one byte of key
-            ],
-        ),
-        (
-            "cas value length u32::MAX with no value bytes",
-            &[
-                6, 0, 0, 0, 0, 0, 0, 0, 0, // id
-                1, 0, 0, 0, 0, 0, 0, 0, // expected_version
-                0, 0, 0, 0, // ttl_secs
-                1, 0, b'k', // key
-                255, 255, 255, 255, // vlen with nothing behind it
-            ],
-        ),
-        (
-            "touch header cut inside the ttl",
-            &[7, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2],
-        ),
-        (
-            "touch key length overruns the frame",
-            &[7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, b'k'],
-        ),
-        (
-            "set-ex value length overruns the frame",
-            &[
-                8, 0, 0, 0, 0, 0, 0, 0, 0, // id
-                0, 0, 0, 0, // ttl_secs
-                1, 0, b'k', // key
-                255, 255, 255, 255, // vlen with nothing behind it
-            ],
-        ),
-        (
-            "set-multi-ex declares 65535 pairs with no payload",
-            &[9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 255, 255],
-        ),
-        (
-            "delete response missing the status byte",
-            &[132, 0, 0, 0, 0, 0, 0, 0, 0],
-        ),
-        (
-            "cas response cut inside the version",
-            &[133, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3],
-        ),
-        (
-            "touch response missing the status byte",
-            &[134, 0, 0, 0, 0, 0, 0, 0, 0],
-        ),
-        (
-            "set-ex response cut inside the version",
-            &[135, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 3],
-        ),
-    ];
+    let corpus = SEALED_MALFORMED;
     for (what, body) in corpus {
         let b = sealed(body);
         assert!(Request::decode(b.clone()).is_err(), "request: {what}");
@@ -838,10 +842,82 @@ fn frame_decoder_matches_blocking_reader_at_every_split() {
 }
 
 /// What both decoders make of one sealed message: exactly one side is
-/// `Some` for a valid frame, neither for a damaged one.
+/// `Some` for a valid frame, neither for a damaged one. The request side
+/// is decoded both in place and owned, and the two must agree.
 fn decode_both(msg: &[u8]) -> (Option<Request>, Option<Response>) {
-    let b = Bytes::copy_from_slice(msg);
-    (Request::decode(b.clone()).ok(), Response::decode(b).ok())
+    let req = decoders_agree(msg, &mut DecodeScratch::default());
+    (req.ok(), Response::decode(Bytes::copy_from_slice(msg)).ok())
+}
+
+/// Decode `msg` in place (with `lists` as the reused list storage, as a
+/// server connection does) and owned, and require one verdict: the same
+/// error text, or the same fields — with every in-place key and value a
+/// slice of `msg` itself. Returns the owned verdict.
+fn decoders_agree(msg: &[u8], lists: &mut DecodeScratch) -> Result<Request, String> {
+    let owned = Request::decode(Bytes::copy_from_slice(msg)).map_err(|e| e.to_string());
+    let in_place = Request::decode_in_place(msg, lists);
+    let frame = msg.as_ptr_range();
+    let seen = in_place
+        .as_ref()
+        .map(|req| {
+            req.map(|s| {
+                let at = s.as_ptr_range();
+                assert!(
+                    frame.start <= at.start && at.end <= frame.end,
+                    "not a slice of the frame"
+                );
+                Bytes::copy_from_slice(s)
+            })
+        })
+        .map_err(|e| e.to_string());
+    assert_eq!(
+        seen, owned,
+        "in-place and owned decodes of {msg:02x?} disagree"
+    );
+    if let Ok(req) = in_place {
+        lists.reclaim(req);
+    }
+    owned
+}
+
+/// The in-place decoder and `Request::decode` return the same verdict —
+/// accept or reject, error text, fields — on every golden frame, every
+/// hand-written malformed frame, every truncation cut of each, and every
+/// single-byte change of each body (re-sealed, so the structural decoder
+/// answers), with one list storage reused across all of them as a
+/// connection reuses it.
+#[test]
+fn in_place_and_owned_request_decoders_agree() {
+    let mut lists = DecodeScratch::default();
+    let mut frames: Vec<Vec<u8>> = Vec::new();
+    for (_, stream) in golden_streams() {
+        frames.extend(blocking_verdict(&stream).frames.iter().map(|f| f.to_vec()));
+    }
+    frames.extend(MALFORMED.iter().map(|(_, bytes)| bytes.to_vec()));
+    frames.extend(
+        SEALED_MALFORMED
+            .iter()
+            .map(|(_, body)| sealed(body).to_vec()),
+    );
+    let mut accepted = 0;
+    for frame in &frames {
+        accepted += usize::from(decoders_agree(frame, &mut lists).is_ok());
+        for cut in 0..frame.len() {
+            decoders_agree(&frame[..cut], &mut lists).expect_err("a strict prefix decoded");
+        }
+        let Some(body_len) = frame.len().checked_sub(4) else {
+            continue;
+        };
+        let mut body = frame[..body_len].to_vec();
+        for pos in 0..body.len() {
+            for mask in [0x01u8, 0x80, 0xFF] {
+                body[pos] ^= mask;
+                let _ = decoders_agree(&sealed(&body), &mut lists);
+                body[pos] ^= mask;
+            }
+        }
+    }
+    assert_eq!(accepted, 9, "the nine golden requests decode");
 }
 
 /// Slots the decoded message's lists reserved — what a hostile count field
@@ -1037,6 +1113,18 @@ proptest! {
     #[test]
     fn request_roundtrip(req in arb_request()) {
         prop_assert_eq!(Request::decode(req.encode()).unwrap(), req);
+    }
+
+    #[test]
+    fn in_place_and_owned_decoders_agree_on_generated_requests(
+        req in arb_request(),
+        cut in any::<prop::sample::Index>(),
+    ) {
+        let mut lists = DecodeScratch::default();
+        let frame = req.encode();
+        prop_assert_eq!(decoders_agree(&frame, &mut lists), Ok(req));
+        let cut = cut.index(frame.len());
+        prop_assert!(decoders_agree(&frame[..cut], &mut lists).is_err());
     }
 
     #[test]

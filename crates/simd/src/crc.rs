@@ -153,6 +153,25 @@ mod tests {
         }
     }
 
+    /// A server checks the CRC of each frame where it lies in a reused
+    /// read buffer, so the folding tier's unaligned 16-byte loads start
+    /// anywhere in a cache line: every start offset 0–63 and every length
+    /// 0–300 inside one buffer, against the slicing-by-8 tier.
+    #[test]
+    fn every_offset_in_a_line_and_length_in_a_reused_buffer_matches_slicing() {
+        let buf = seeded(64 + 300, 0x0FF5_E7C4);
+        for offset in 0..64 {
+            for len in 0..=300 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_portable(bytes),
+                    "offset {offset} len {len}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn internal_thresholds_are_straddled() {
         // 16: a folding block / two slicing words; 64: the folding tier's
