@@ -1,6 +1,6 @@
 //! Criterion bench behind Fig. 11: the server-side Multi-Get data-access
 //! pipeline (pre-process → HT lookup → post-process) per index backend,
-//! without the fabric (pure server-side cost, the paper's Fig. 11b focus).
+//! without a network (pure server-side cost, the paper's Fig. 11b focus).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use simdht_kvs::index::{HashIndex, Memc3Index, SimdIndex, SimdIndexKind};

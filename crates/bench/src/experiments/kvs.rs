@@ -59,9 +59,7 @@ fn run_one_mixed(
     let workload = skewed_workload(scale.kvs_items, scale.kvs_requests, mget_size, 0x4B56_0011);
     let config = MemslapConfig {
         clients: 2,
-        server_workers: 2,
         set_fraction,
-        ..MemslapConfig::default()
     };
     run_memslap(sized_store(which, scale.kvs_items, 1), &workload, &config)
 }
@@ -70,38 +68,50 @@ fn run_one(which: &str, mget_size: usize, scale: &RunScale) -> MemslapReport {
     run_one_mixed(which, mget_size, 0.0, scale)
 }
 
+/// A mean latency against the MemC3 row's, in percent: `+` is slower.
+fn lat_vs_baseline(mean_us: f64, baseline_us: f64) -> String {
+    format!("{:+.1}%", (mean_us / baseline_us - 1.0) * 100.0)
+}
+
 /// Fig. 11(a): end-to-end Multi-Get latency and server-side Get throughput
 /// for MemC3 vs. horizontal-AVX2 vs. vertical-AVX-512 backends.
 pub fn fig11a(scale: &RunScale) -> String {
     let mut s = String::from(
         "== Fig. 11(a): KVS Multi-Get — e2e latency & server-side Get throughput ==\n\
-         (memslap: 20 B keys, 32 B values, skewed; simulated IB-EDR fabric)\n",
+         (memslap: 20 B keys, 32 B values, skewed; 2 clients over loopback TCP)\n",
     );
     for mget in [16usize, 96] {
         let _ = writeln!(s, "\n-- Multi-Get batch = {mget} keys --");
-        let mut baseline: Option<f64> = None;
-        let mut baseline_lat: Option<f64> = None;
+        let _ = writeln!(
+            s,
+            "  {:<38} {:>8} {:>8} {:>8} {:>10} {:>6} {:>13}",
+            "index", "Mkeys/s", "mean us", "p99 us", "EDR rt us", "thr", "lat vs MemC3"
+        );
+        let mut baseline = None;
         for which in ["memc3", "hor", "ver"] {
             let r = run_one(which, mget, scale);
-            let thr = r.server_keys_per_sec / 1e6;
-            let speedup = baseline.map_or(1.0, |b| r.server_keys_per_sec / b);
-            let lat_gain =
-                baseline_lat.map_or(0.0, |b| (r.client.mean_latency_us / b - 1.0) * -100.0);
-            if which == "memc3" {
-                baseline = Some(r.server_keys_per_sec);
-                baseline_lat = Some(r.client.mean_latency_us);
-            }
+            let thr = r.server_keys_per_sec;
+            let (base_thr, base_lat) = *baseline.get_or_insert((thr, r.client.mean_latency_us));
             let _ = writeln!(
                 s,
-                "  {:<38} {:>8.2} MGet-keys/s | mean {:>7.1} us  p99 {:>7.1} us | thr {:>5.2}x | lat {:>+5.1}%",
-                r.index_name, thr, r.client.mean_latency_us, r.client.p99_latency_us, speedup, lat_gain
+                "  {:<38} {:>8.2} {:>8.1} {:>8.1} {:>10.2} {:>5.2}x {:>13}",
+                r.index_name,
+                thr / 1e6,
+                r.client.mean_latency_us,
+                r.client.p99_latency_us,
+                r.client.edr_round_trip_us,
+                thr / base_thr,
+                lat_vs_baseline(r.client.mean_latency_us, base_lat),
             );
             assert_eq!(r.found, r.keys, "all preloaded keys must be found");
         }
     }
     s.push_str(
-        "\n(paper: SIMD backends gain 1.45x-2.04x server-side Get throughput and\n\
-         10 %-34 % end-to-end Multi-Get latency over MemC3)\n",
+        "\n(Mkeys/s: server-side keys per busy second. mean/p99: measured loopback\n\
+         round trip. EDR rt: modeled InfiniBand EDR round trip of the same frames,\n\
+         not part of mean/p99. lat vs MemC3: mean against the MemC3 row, + = slower.\n\
+         paper: SIMD backends gain 1.45x-2.04x server-side Get throughput and\n\
+         cut end-to-end Multi-Get latency by 10 %-34 % over MemC3)\n",
     );
     s
 }
@@ -141,23 +151,24 @@ pub fn fig11b(scale: &RunScale) -> String {
 pub fn ext_mixed_kvs(scale: &RunScale) -> String {
     let mut s = String::from(
         "== ext-mixed-kvs: Sets mixed into the Multi-Get stream ==\n\
-         (paper future work at the KVS layer; batch 64, skewed, IB-EDR model)\n\n",
+         (paper future work at the KVS layer; batch 64, skewed, loopback TCP)\n\n",
     );
     let _ = writeln!(
         s,
-        "  {:<10} {:<38} {:>12} {:>12} {:>10}",
-        "set frac", "index", "MGet keys/s", "mean lat us", "sets"
+        "  {:<10} {:<38} {:>8} {:>8} {:>10} {:>6}",
+        "set frac", "index", "Mkeys/s", "mean us", "EDR rt us", "sets"
     );
     for frac in [0.0, 0.05, 0.25] {
         for which in ["memc3", "hor", "ver", "dpdk", "local"] {
             let r = run_one_mixed(which, 64, frac, scale);
             let _ = writeln!(
                 s,
-                "  {:<10.2} {:<38} {:>10.2}M {:>12.1} {:>10}",
+                "  {:<10.2} {:<38} {:>8.2} {:>8.1} {:>10.2} {:>6}",
                 frac,
                 r.index_name,
                 r.server_keys_per_sec / 1e6,
                 r.client.mean_latency_us,
+                r.client.edr_round_trip_us,
                 r.client.sets
             );
             assert_eq!(r.found, r.keys, "sets must not lose keys");
@@ -837,10 +848,11 @@ mod tests {
     }
 
     /// What `run_memslap` must report on a tiny Fig. 11 shape: the
-    /// `(requests, sets, keys, found)` literal recorded at the commit that
-    /// still had its own fabric client loop (the 0x3E7F-seeded plan draws
-    /// the same Sets in the same order through `run_memslap_over`), and
-    /// the clients seeing exactly what the server counted.
+    /// `(requests, sets, keys, found)` literal recorded when the harness
+    /// still had its own client loop over a simulated link (the
+    /// 0x3E7F-seeded plan draws the same Sets in the same order through
+    /// `run_memslap_over`, now against a loopback `Kvsd`), and the clients
+    /// seeing exactly what the server counted.
     fn assert_recorded(r: &MemslapReport, recorded: (u64, u64, u64, u64)) {
         let name = r.index_name;
         assert_eq!(
@@ -863,6 +875,13 @@ mod tests {
             // 14 replacement Sets among 40 slots; none may lose a key.
             assert_recorded(&r, (26, 14, 416, 416));
         }
+    }
+
+    #[test]
+    fn lat_vs_memc3_is_positive_when_slower() {
+        assert_eq!(lat_vs_baseline(15.2, 10.0), "+52.0%");
+        assert_eq!(lat_vs_baseline(7.5, 10.0), "-25.0%");
+        assert_eq!(lat_vs_baseline(10.0, 10.0), "+0.0%");
     }
 
     #[test]

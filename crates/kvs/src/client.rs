@@ -256,7 +256,7 @@ impl<'a> RetryClient<'a> {
         let conn = self.conn()?;
         conn.send(frame.clone())?;
         conn.flush()?;
-        let (payload, _) = conn.recv()?;
+        let payload = conn.recv()?;
         let response =
             Response::decode(payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let got = response.id();
@@ -654,12 +654,12 @@ mod tests {
     }
 
     impl ClientConn for StubConn {
-        fn send(&mut self, frame: Bytes) -> io::Result<u64> {
+        fn send(&mut self, frame: Bytes) -> io::Result<()> {
             self.last_request = Some(Request::decode(frame).expect("client sends valid frames"));
-            Ok(0)
+            Ok(())
         }
 
-        fn recv(&mut self) -> io::Result<(Bytes, u64)> {
+        fn recv(&mut self) -> io::Result<Bytes> {
             let step = self
                 .script
                 .lock()
@@ -734,7 +734,7 @@ mod tests {
                 .encode(),
                 (Step::Garbage, _) => Bytes::from_static(b"not a protocol frame"),
             };
-            Ok((frame, 0))
+            Ok(frame)
         }
     }
 

@@ -1,8 +1,8 @@
 //! Deterministic fault injection beneath the [`Transport`] /
 //! [`ClientConn`] traits.
 //!
-//! [`FaultyTransport`] wraps any transport (the simulated fabric or real
-//! TCP) and perturbs the frame stream according to a [`FaultPlan`]: every
+//! [`FaultyTransport`] wraps any transport (real TCP, or a test double)
+//! and perturbs the frame stream according to a [`FaultPlan`]: every
 //! frame crossing the wrapper, in either direction, may be dropped,
 //! delayed, truncated, corrupted, or may hard-close the connection. The
 //! plan is **reproducible from a u64 seed**: connection `k` of a plan
@@ -377,7 +377,7 @@ impl FaultyConn {
 }
 
 impl ClientConn for FaultyConn {
-    fn send(&mut self, frame: Bytes) -> io::Result<u64> {
+    fn send(&mut self, frame: Bytes) -> io::Result<()> {
         // Decide before borrowing inner, so a missing conn still consumes
         // no draws (the schedule is per delivered operation).
         if self.inner.is_none() {
@@ -388,7 +388,7 @@ impl ClientConn for FaultyConn {
             Some(FaultKind::Close) => Err(self.close()),
             Some(FaultKind::Drop) => {
                 counters.drops.fetch_add(1, Ordering::Relaxed);
-                Ok(0)
+                Ok(())
             }
             Some(FaultKind::Truncate) => {
                 counters.truncates.fetch_add(1, Ordering::Relaxed);
@@ -409,12 +409,12 @@ impl ClientConn for FaultyConn {
         }
     }
 
-    fn recv(&mut self) -> io::Result<(Bytes, u64)> {
+    fn recv(&mut self) -> io::Result<Bytes> {
         loop {
             let Some(inner) = self.inner.as_mut() else {
                 return Err(Self::aborted());
             };
-            let (frame, wire_ns) = inner.recv()?;
+            let frame = inner.recv()?;
             let counters = &self.plan.counters;
             match self.schedule.decide() {
                 Some(FaultKind::Close) => return Err(self.close()),
@@ -426,18 +426,18 @@ impl ClientConn for FaultyConn {
                 }
                 Some(FaultKind::Truncate) => {
                     counters.truncates.fetch_add(1, Ordering::Relaxed);
-                    return Ok((self.schedule.truncate(&frame), wire_ns));
+                    return Ok(self.schedule.truncate(&frame));
                 }
                 Some(FaultKind::Corrupt) => {
                     counters.corrupts.fetch_add(1, Ordering::Relaxed);
-                    return Ok((self.schedule.corrupt(&frame), wire_ns));
+                    return Ok(self.schedule.corrupt(&frame));
                 }
                 Some(FaultKind::Delay) => {
                     counters.delays.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(self.schedule.delay());
-                    return Ok((frame, wire_ns));
+                    return Ok(frame);
                 }
-                None => return Ok((frame, wire_ns)),
+                None => return Ok(frame),
             }
         }
     }
@@ -528,15 +528,14 @@ mod tests {
     }
 
     impl ClientConn for EchoConn {
-        fn send(&mut self, frame: Bytes) -> io::Result<u64> {
+        fn send(&mut self, frame: Bytes) -> io::Result<()> {
             self.queue.push_back(frame);
-            Ok(7)
+            Ok(())
         }
 
-        fn recv(&mut self) -> io::Result<(Bytes, u64)> {
+        fn recv(&mut self) -> io::Result<Bytes> {
             self.queue
                 .pop_front()
-                .map(|f| (f, 7))
                 .ok_or_else(|| io::Error::new(io::ErrorKind::WouldBlock, "nothing queued"))
         }
     }
@@ -560,12 +559,11 @@ mod tests {
             .map(|i| Bytes::copy_from_slice(&[i; 17]))
             .collect();
         for f in &frames {
-            assert_eq!(conn.send(f.clone()).unwrap(), 7, "wire cost forwarded");
+            conn.send(f.clone()).unwrap();
         }
         for f in &frames {
-            let (got, wire) = conn.recv().unwrap();
+            let got = conn.recv().unwrap();
             assert_eq!(&got[..], &f[..], "payload untouched");
-            assert_eq!(wire, 7);
         }
         assert_eq!(plan.counters().total(), 0, "nothing injected");
     }
@@ -607,7 +605,7 @@ mod tests {
             conn.send(original.clone()).unwrap();
             // The recv side injects the same fault again; either way the
             // delivered bytes must differ from the original.
-            let (got, _) = conn.recv().unwrap();
+            let got = conn.recv().unwrap();
             assert_ne!(&got[..], &original[..], "{kind:?} must alter the frame");
             assert!(got.len() <= original.len());
             assert!(plan.counters().total() >= 2, "{kind:?} counted");

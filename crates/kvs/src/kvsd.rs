@@ -1,7 +1,8 @@
 //! `simdht-kvsd`: the KVS served over real TCP sockets.
 //!
-//! The fabric-based [`crate::server::Server`] measures the store behind a
-//! modeled link; [`Kvsd`] is the same store behind an actual network stack.
+//! [`Kvsd`] is the one server: the `simdht-kvsd` binary runs it, and the
+//! Fig. 11 harness ([`crate::memslap::run_memslap`]) binds one on loopback
+//! and reads its server-side numbers from [`Kvsd::shutdown`].
 //! It is one shell — the listener, the accept thread, the shutdown flag,
 //! the registry of live connections and their counters, the
 //! closed-connection summaries and the drain — around two connection
@@ -541,7 +542,7 @@ mod tests {
     }
 
     fn recv(conn: &mut TcpConn) -> Response {
-        Response::decode(conn.recv().unwrap().0).unwrap()
+        Response::decode(conn.recv().unwrap()).unwrap()
     }
 
     /// Drain `kvsd` and hold it to the counting rule: the closed
@@ -707,7 +708,7 @@ mod tests {
             );
             drain(label, kvsd);
             let mut next_id = 1;
-            while let Ok((frame, _)) = conn.recv() {
+            while let Ok(frame) = conn.recv() {
                 match Response::decode(frame).unwrap() {
                     Response::MGet { id, .. } => {
                         assert_eq!(id, next_id, "{label}: drained responses stay in order");

@@ -25,22 +25,20 @@
 //! * [`store`] — the three-phase Multi-Get pipeline with per-phase timing
 //!   (pre-processing / HT lookup / post-processing — Fig. 11b).
 //! * [`transport`] — the [`transport::Transport`]/[`transport::ClientConn`]
-//!   abstraction plus the simulated InfiniBand-EDR fabric (bounded
-//!   crossbeam channels + an analytic wire-cost model; see DESIGN.md
-//!   substitutions).
-//! * [`net`] — the real TCP transport: length-prefixed frames carrying the
-//!   same [`protocol`] messages over actual sockets.
+//!   traits the clients, the fault layer and test doubles meet at.
+//! * [`net`] — the one transport: length-prefixed TCP frames carrying
+//!   [`protocol`] messages over actual sockets (loopback stands in for the
+//!   paper's InfiniBand EDR link; see DESIGN.md substitutions).
 //! * [`fault`] — deterministic seeded fault injection beneath the
 //!   transport traits (drop / delay / truncate / corrupt / close), the
 //!   substrate of the fault-matrix test suite.
 //! * [`client`] — client-side resilience: recv timeouts, bounded
 //!   exponential backoff with jitter, idempotent MGet retry
 //!   ([`client::RetryClient`]).
-//! * [`server`] / [`kvsd`] — worker threads draining the fabric, and the
-//!   one TCP server behind the `simdht-kvsd` binary ([`kvsd::Kvsd`]: one
-//!   shell owning accept, graceful drain and the counter registry, around
-//!   either connection loop — pipelined per-connection handler threads by
-//!   default).
+//! * [`kvsd`] — the one server, behind the `simdht-kvsd` binary and the
+//!   Fig. 11 harness ([`kvsd::Kvsd`]: one shell owning accept, graceful
+//!   drain and the counter registry, around either connection loop —
+//!   pipelined per-connection handler threads by default).
 //! * [`metrics`] — the servers' counters: one cache-line-aligned block per
 //!   worker, written by that worker alone without a read-modify-write, and
 //!   merged on read into a [`metrics::Snapshot`].
@@ -49,9 +47,9 @@
 //!   *all* connections into one wide lookup batch
 //!   ([`kvsd::KvsdConfig::reactor`], `simdht-kvsd --reactor`).
 //! * [`memslap`] — the memslap-style Multi-Get load generator with latency
-//!   percentiles, co-located ([`memslap::run_memslap`]) or networked over
-//!   either transport ([`memslap::run_memslap_over`], the `simdht-memslap`
-//!   binary).
+//!   percentiles and a modeled EDR round trip, against an in-process
+//!   loopback server ([`memslap::run_memslap`]) or any address
+//!   ([`memslap::run_memslap_over`], the `simdht-memslap` binary).
 //!
 //! ## Example
 //!
@@ -86,7 +84,6 @@ pub mod net;
 pub mod protocol;
 pub mod reactor;
 pub mod seqlock;
-pub mod server;
 pub mod slab;
 pub mod store;
 pub mod transport;

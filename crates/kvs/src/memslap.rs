@@ -3,17 +3,23 @@
 //! request, 20 B keys, 32 B values, client threads on a separate "node").
 //!
 //! [`run_memslap_over`] is the client loop: it drives any [`Transport`]
-//! (the simulated fabric or real TCP to a [`crate::kvsd::Kvsd`]) with
-//! configurable connection count and pipeline depth, one thread per
+//! (TCP to a [`crate::kvsd::Kvsd`], optionally behind the fault layer)
+//! with configurable connection count and pipeline depth, one thread per
 //! connection, preloads items over the wire with Sets, and reports purely
 //! client-observable numbers ([`ClientReport`]). Beside it:
 //!
 //! * [`run_memslap`] — the co-located Fig. 11 harness: preloads a store it
-//!   owns, spawns a [`Server`] on a fabric, runs the client loop over that
-//!   fabric and adds the server-side stats to the client's report.
+//!   owns, serves it from a loopback [`Kvsd`], runs the client loop
+//!   against it and adds the server's final counters to the client's
+//!   report.
 //! * [`run_memslap_mux`] — the many-small-connections driver: the same
 //!   request plans and the same report, but every connection on one event
 //!   loop instead of a thread each (TCP only, read-only).
+//!
+//! The paper's clients reach the server over InfiniBand EDR; these reach
+//! it over loopback TCP. Every latency reported here is measured. The EDR
+//! link survives as a model, [`edr_wire_ns`], reported in its own column
+//! ([`ClientReport::edr_round_trip_us`]) and never added to a measurement.
 
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -26,22 +32,20 @@ use rand::SeedableRng;
 
 use crate::client::RetryPolicy;
 use crate::fault::{FaultPlan, FaultSpec, FaultyTransport};
+use crate::kvsd::Kvsd;
 use crate::metrics::Counter;
+use crate::net::TcpTransport;
 use crate::protocol::{ErrorCode, OpStatus, Request, Response};
-use crate::server::Server;
 use crate::store::{KvStore, PhaseNanos};
-use crate::transport::{ClientConn, Fabric, FabricConfig, Transport};
+use crate::transport::{ClientConn, Transport};
 use simdht_workload::KvWorkload;
 
 /// Parameters for one memslap run.
 #[derive(Clone, Debug)]
 pub struct MemslapConfig {
-    /// Concurrent client threads (paper: 26).
+    /// Concurrent client connections, each with its own client thread and
+    /// its own server handler thread (paper: 26 of each).
     pub clients: usize,
-    /// Server worker threads (paper: 26).
-    pub server_workers: usize,
-    /// Wire model.
-    pub fabric: FabricConfig,
     /// Fraction of requests that are Sets instead of Multi-Gets (the
     /// paper's future-work mixed workload, applied at the KVS layer;
     /// 0.0 = the paper's read-only Multi-Get setting).
@@ -52,8 +56,6 @@ impl Default for MemslapConfig {
     fn default() -> Self {
         MemslapConfig {
             clients: 2,
-            server_workers: 2,
-            fabric: FabricConfig::ib_edr(),
             set_fraction: 0.0,
         }
     }
@@ -65,8 +67,8 @@ impl Default for MemslapConfig {
 pub struct MemslapReport {
     /// Name of the hash index under test.
     pub index_name: &'static str,
-    /// Client-observed counts and end-to-end latencies (measured + modeled
-    /// wire time), Multi-Gets only.
+    /// Client-observed counts, measured end-to-end latencies and the
+    /// modeled EDR round trip, Multi-Gets only.
     pub client: ClientReport,
     /// Multi-Get requests the server processed.
     pub requests: u64,
@@ -94,14 +96,24 @@ impl MemslapReport {
     }
 }
 
-/// Run memslap against a fresh server over `store`, replaying `workload`'s
-/// Multi-Get request stream split across client threads.
+/// One-way time of a `bytes`-byte message on the paper's InfiniBand EDR
+/// link, in nanoseconds: 1.5 µs of small-message latency plus
+/// serialization at 100 Gb/s. A model of the link this repository replaces
+/// with loopback TCP, reported beside measured latency, never added to it.
+pub fn edr_wire_ns(bytes: usize) -> u64 {
+    const BASE_NS: u64 = 1_500;
+    const GBPS: f64 = 100.0;
+    BASE_NS + (bytes as f64 * 8.0 / GBPS) as u64
+}
+
+/// Run memslap against a fresh loopback [`Kvsd`] over `store`, replaying
+/// `workload`'s Multi-Get request stream split across client connections.
 ///
 /// Items are pre-loaded directly into the store (untimed), then
-/// [`run_memslap_over`] drives the fabric with one blocking
-/// request/response connection per client; per-request end-to-end latency
-/// = measured request/response time + the modeled wire time of both
-/// messages.
+/// [`run_memslap_over`] drives one blocking request/response TCP
+/// connection per client, each served by its own handler thread. The
+/// server-side numbers come from the counters [`Kvsd::shutdown`] returns
+/// after joining every handler.
 pub fn run_memslap(store: KvStore, workload: &KvWorkload, config: &MemslapConfig) -> MemslapReport {
     let store = Arc::new(store);
     for (key, value) in workload.items() {
@@ -110,18 +122,18 @@ pub fn run_memslap(store: KvStore, workload: &KvWorkload, config: &MemslapConfig
             .expect("preload fits the store budget");
     }
 
-    let fabric = Fabric::new(config.fabric);
-    let server = Server::spawn(Arc::clone(&store), fabric.clone(), config.server_workers);
+    let kvsd = Kvsd::bind(Arc::clone(&store), "127.0.0.1:0").expect("bind a loopback port");
+    let transport = TcpTransport::new(kvsd.local_addr()).expect("resolve the loopback address");
     let client = run_memslap_over(
-        &fabric,
+        &transport,
         workload,
         &NetMemslapConfig {
             connections: config.clients,
             pipeline_depth: 1,
             set_fraction: config.set_fraction,
             preload: false,
-            // The in-process fabric cannot drop a frame: wait for every
-            // reply, resend nothing.
+            // Loopback to a server with no limits drops no frame: wait
+            // for every reply, resend nothing.
             retry: RetryPolicy {
                 max_retries: 0,
                 recv_timeout: None,
@@ -131,8 +143,7 @@ pub fn run_memslap(store: KvStore, workload: &KvWorkload, config: &MemslapConfig
         },
     )
     .expect("only an over-the-wire preload can fail the run, and it is off");
-    let stats = server.stats();
-    server.shutdown();
+    let (_, stats) = kvsd.shutdown();
 
     MemslapReport {
         index_name: store.index_name(),
@@ -229,6 +240,10 @@ pub struct ClientReport {
     /// Mean Multi-Get latency in µs (send → response decoded; includes
     /// time queued behind the pipeline window).
     pub mean_latency_us: f64,
+    /// Mean modeled EDR round trip of a Multi-Get in µs: [`edr_wire_ns`]
+    /// of its request frame plus that of its response frame. A model, in
+    /// none of the measured latencies; 0 from [`run_memslap_mux`].
+    pub edr_round_trip_us: f64,
     /// Minimum observed latency in µs.
     pub min_latency_us: f64,
     /// Median latency in µs.
@@ -342,6 +357,8 @@ struct ConnPlan {
 #[derive(Default)]
 struct ConnOutcome {
     latencies_ns: Vec<u64>,
+    /// Modeled EDR round trips summed over the Multi-Gets answered.
+    edr_ns: u64,
     delete_lat_ns: Vec<u64>,
     cas_lat_ns: Vec<u64>,
     sets: u64,
@@ -362,6 +379,7 @@ struct ConnOutcome {
 impl ConnOutcome {
     fn absorb(&mut self, other: &ConnOutcome) {
         self.latencies_ns.extend_from_slice(&other.latencies_ns);
+        self.edr_ns += other.edr_ns;
         self.delete_lat_ns.extend_from_slice(&other.delete_lat_ns);
         self.cas_lat_ns.extend_from_slice(&other.cas_lat_ns);
         self.sets += other.sets;
@@ -400,6 +418,7 @@ impl ConnOutcome {
             hits: self.hits,
             misses: self.keys - self.hits,
             mean_latency_us: mget.mean_us,
+            edr_round_trip_us: self.edr_ns as f64 / requests.max(1) as f64 / 1_000.0,
             min_latency_us: mget.min_us,
             p50_latency_us: mget.p50_us,
             p95_latency_us: mget.p95_us,
@@ -468,8 +487,9 @@ impl ConnOutcome {
 /// are counted, not propagated as errors.
 ///
 /// Responses are paired to requests by echoed id, not arrival order: the
-/// TCP daemon answers each connection in order, but the fabric server's
-/// shared worker pool may reorder concurrent requests.
+/// server answers each connection in order, but under faults a response
+/// can vanish on the wire, and the next one to arrive must still find its
+/// request.
 fn drive_connection(
     transport: &dyn Transport,
     plan: &ConnPlan,
@@ -485,9 +505,8 @@ fn drive_connection(
     // Work queue of plan indices; per-index wire attempts so far.
     let mut pending: VecDeque<usize> = (0..plan.requests.len()).collect();
     let mut attempts: Vec<u32> = vec![0; plan.requests.len()];
-    // In-flight window: id -> (plan index, send instant, modeled request
-    // wire ns).
-    let mut inflight: HashMap<u64, (usize, Instant, u64)> = HashMap::with_capacity(depth);
+    // In-flight window: id -> (plan index, send instant).
+    let mut inflight: HashMap<u64, (usize, Instant)> = HashMap::with_capacity(depth);
     let mut conn: Option<Box<dyn ClientConn>> = None;
     let mut consecutive_failures = 0u32;
 
@@ -497,7 +516,7 @@ fn drive_connection(
     macro_rules! poison {
         () => {{
             conn = None;
-            for (_, (idx, _, _)) in inflight.drain() {
+            for (_, (idx, _)) in inflight.drain() {
                 let (verb, _, _) = plan.requests[idx];
                 outcome.account_lost(verb, idx, &attempts, policy.max_retries, &mut pending);
             }
@@ -549,8 +568,8 @@ fn drive_connection(
             }
             attempts[idx] += 1;
             match c.send(frame.clone()) {
-                Ok(req_wire) => {
-                    inflight.insert(*id, (idx, Instant::now(), req_wire));
+                Ok(()) => {
+                    inflight.insert(*id, (idx, Instant::now()));
                 }
                 Err(_) => {
                     // The frame may be partially written; requeue this
@@ -585,7 +604,7 @@ fn drive_connection(
         }
 
         // One response (or failure) per loop turn.
-        let (payload, resp_wire) = match c.recv() {
+        let payload = match c.recv() {
             Ok(r) => r,
             Err(e) => {
                 outcome.timeouts += u64::from(matches!(
@@ -597,6 +616,7 @@ fn drive_connection(
                 continue;
             }
         };
+        let payload_len = payload.len();
         let Ok(response) = Response::decode(payload) else {
             // Garbled response: the stream cannot be trusted anymore.
             poison!();
@@ -604,21 +624,22 @@ fn drive_connection(
             continue;
         };
         let id = response.id();
-        let Some((idx, t0, req_wire)) = inflight.remove(&id) else {
+        let Some((idx, t0)) = inflight.remove(&id) else {
             // A response we never asked for on this stream: protocol
             // violation, resync by reconnecting.
             poison!();
             consecutive_failures += 1;
             continue;
         };
-        let (verb, _, _) = plan.requests[idx];
+        let (verb, _, ref frame) = plan.requests[idx];
         consecutive_failures = 0;
-        let lat = t0.elapsed().as_nanos() as u64 + req_wire + resp_wire;
+        let lat = t0.elapsed().as_nanos() as u64;
         match (verb, response) {
             (Verb::MGet, Response::MGet { entries, .. }) => {
                 outcome.keys += entries.len() as u64;
                 outcome.hits += entries.iter().filter(|e| e.is_some()).count() as u64;
                 outcome.latencies_ns.push(lat);
+                outcome.edr_ns += edr_wire_ns(frame.len()) + edr_wire_ns(payload_len);
             }
             (Verb::Write, Response::Set { ok, .. }) => outcome.count_write(ok),
             // A batched write counts as applied only when every pair
@@ -807,11 +828,6 @@ fn build_plans(workload: &KvWorkload, config: &NetMemslapConfig) -> io::Result<V
 /// `transport`, replaying `workload`'s Multi-Get stream split across
 /// `config.connections` pipelined connections.
 ///
-/// Works identically over the simulated [`Fabric`] (wire-model latencies
-/// added) and over [`crate::net::TcpTransport`] (real measured latencies)
-/// against a [`crate::kvsd::Kvsd`] — the loopback case study in
-/// `simdht-bench` contrasts the two.
-///
 /// Transient failures (timeouts, disconnects, garbled frames, server
 /// shedding) are absorbed by each connection's retry loop per
 /// `config.retry`; a run against a dying server returns **partial
@@ -967,7 +983,7 @@ pub fn run_memslap_mux(
         },
     )?;
     if config.preload {
-        let transport = crate::net::TcpTransport::new(addr)?;
+        let transport = TcpTransport::new(addr)?;
         preload_over_wire(&transport, workload, 32, &RetryPolicy::default())?;
     }
 
@@ -1217,12 +1233,11 @@ mod tests {
         assert_eq!(report.keys, 1600);
         // All requested keys exist (hit rate 100 % in this workload).
         assert_eq!(report.found, 1600, "{report:?}");
-        // Every EDR-fabric latency includes >= 2 x 1.5 us of modeled wire
-        // time, so the *minimum* is deterministically bounded (means would
-        // be noise-dominated on a loaded machine).
+        // Every modeled EDR round trip includes 2 x 1.5 us of base
+        // latency, and none of it is in the measured latencies.
         assert!(
-            report.client.min_latency_us >= 3.0,
-            "wire model missing from latency: {:?}",
+            report.client.edr_round_trip_us >= 3.0,
+            "EDR model missing: {:?}",
             report.client
         );
         assert!(report.client.p99_latency_us >= report.client.p50_latency_us);
@@ -1290,6 +1305,29 @@ mod tests {
         }
     }
 
+    /// Run the networked client against a fresh loopback [`Kvsd`] over
+    /// `store`, shutting the server down afterwards.
+    fn over_loopback(
+        store: &Arc<KvStore>,
+        wl: &KvWorkload,
+        config: &NetMemslapConfig,
+    ) -> ClientReport {
+        let kvsd = Kvsd::bind(Arc::clone(store), "127.0.0.1:0").expect("bind");
+        let transport = TcpTransport::new(kvsd.local_addr()).expect("resolve");
+        let report = run_memslap_over(&transport, wl, config).unwrap();
+        kvsd.shutdown();
+        report
+    }
+
+    #[test]
+    fn wire_model_edr_numbers() {
+        // Small message: dominated by base latency.
+        assert_eq!(edr_wire_ns(0), 1_500);
+        // 100 Gb/s = 12.5 GB/s: 12_500 B take ~1 us on the wire.
+        let t = edr_wire_ns(12_500);
+        assert!((2_400..2_600).contains(&t), "{t}");
+    }
+
     fn tcp_store() -> Arc<KvStore> {
         Arc::new(KvStore::new(
             Box::new(Memc3Index::with_capacity(2000)),
@@ -1300,7 +1338,7 @@ mod tests {
     #[test]
     fn mux_memslap_against_blocking_server() {
         let wl = small_workload();
-        let server = crate::kvsd::Kvsd::bind(tcp_store(), "127.0.0.1:0").expect("bind");
+        let server = Kvsd::bind(tcp_store(), "127.0.0.1:0").expect("bind");
         let cfg = MuxMemslapConfig {
             connections: 8,
             pipeline_depth: 2,
@@ -1330,8 +1368,7 @@ mod tests {
             reactor: Some(reactor),
             ..crate::kvsd::KvsdConfig::default()
         };
-        let server =
-            crate::kvsd::Kvsd::bind_with(tcp_store(), "127.0.0.1:0", config).expect("bind reactor");
+        let server = Kvsd::bind_with(tcp_store(), "127.0.0.1:0", config).expect("bind reactor");
         let cfg = MuxMemslapConfig {
             connections: 16,
             pipeline_depth: 1,
@@ -1356,7 +1393,7 @@ mod tests {
         // A server that drops dead mid-run must yield a partial report
         // (failed > 0), not a hang or an Err.
         let wl = small_workload();
-        let server = crate::kvsd::Kvsd::bind(tcp_store(), "127.0.0.1:0").expect("bind");
+        let server = Kvsd::bind(tcp_store(), "127.0.0.1:0").expect("bind");
         let addr = server.local_addr();
         let cfg = MuxMemslapConfig {
             connections: 4,
@@ -1364,7 +1401,7 @@ mod tests {
             preload: false, // preload separately so it cannot race the shutdown
             stall_timeout: std::time::Duration::from_secs(2),
         };
-        let transport = crate::net::TcpTransport::new(addr).expect("connect");
+        let transport = TcpTransport::new(addr).expect("connect");
         preload_over_wire(&transport, &wl, 32, &RetryPolicy::default()).expect("preload");
         // Shut the server down concurrently with the run.
         let handle = std::thread::spawn(move || {
@@ -1381,33 +1418,29 @@ mod tests {
     }
 
     #[test]
-    fn net_memslap_over_fabric_transport() {
+    fn net_memslap_over_loopback_kvsd() {
         let wl = small_workload();
         let store = Arc::new(KvStore::new(
             Box::new(Memc3Index::with_capacity(1000)),
             StoreConfig::default(),
         ));
-        let fabric = Fabric::new(FabricConfig::ib_edr());
-        let server = Server::spawn(Arc::clone(&store), fabric.clone(), 2);
-        let report = run_memslap_over(
-            &fabric,
+        let report = over_loopback(
+            &store,
             &wl,
             &NetMemslapConfig {
                 connections: 2,
                 pipeline_depth: 4,
                 ..NetMemslapConfig::default()
             },
-        )
-        .unwrap();
+        );
         assert_eq!(report.requests, 100);
         assert_eq!(report.keys, 1600);
         assert_eq!(report.hits, report.keys, "preloaded keys must all hit");
         assert_eq!(report.misses, 0);
-        // The wire model still floors pipelined latencies.
-        assert!(report.min_latency_us >= 3.0, "{report:?}");
+        // The EDR model floors the modeled round trip of pipelined runs too.
+        assert!(report.edr_round_trip_us >= 3.0, "{report:?}");
         assert!(report.p99_latency_us >= report.p50_latency_us);
         assert!(report.keys_per_sec > 0.0);
-        server.shutdown();
         assert_eq!(store.len(), 500, "preload stored every item");
     }
 
@@ -1448,43 +1481,33 @@ mod tests {
     }
 
     #[test]
-    fn net_memslap_mixed_sets_over_fabric() {
+    fn net_memslap_mixed_sets_over_loopback() {
         let wl = small_workload();
         let store = Arc::new(KvStore::new(
             Box::new(SimdIndex::with_capacity(SimdIndexKind::VerticalNway, 1000)),
             StoreConfig::default(),
         ));
-        let fabric = Fabric::new(FabricConfig::zero());
-        let server = Server::spawn(Arc::clone(&store), fabric.clone(), 2);
-        let report = run_memslap_over(
-            &fabric,
+        let report = over_loopback(
+            &store,
             &wl,
             &NetMemslapConfig {
                 set_fraction: 0.3,
                 ..NetMemslapConfig::default()
             },
-        )
-        .unwrap();
+        );
         assert!(report.sets > 10, "{} sets", report.sets);
         assert_eq!(report.requests + report.sets, 100);
         // Sets only replace existing values: every Multi-Get key hits.
         assert_eq!(report.hits, report.keys);
-        server.shutdown();
     }
 
     #[test]
     fn net_memslap_mixed_verbs_conserve_accounting() {
         // Delete/CAS/TTL-write slots must each land in exactly one report
-        // bucket; over a faultless zero fabric nothing is uncertain.
+        // bucket; over a faultless loopback nothing is uncertain.
         let wl = small_workload();
-        let store = Arc::new(KvStore::new(
-            Box::new(Memc3Index::with_capacity(2000)),
-            StoreConfig::default(),
-        ));
-        let fabric = Fabric::new(FabricConfig::zero());
-        let server = Server::spawn(Arc::clone(&store), fabric.clone(), 2);
-        let report = run_memslap_over(
-            &fabric,
+        let report = over_loopback(
+            &tcp_store(),
             &wl,
             &NetMemslapConfig {
                 set_fraction: 0.1,
@@ -1493,9 +1516,7 @@ mod tests {
                 ttl_secs: 3600,
                 ..NetMemslapConfig::default()
             },
-        )
-        .unwrap();
-        server.shutdown();
+        );
         assert!(report.deletes > 5, "{report:?}");
         assert!(report.cas_ok + report.cas_conflicts > 5, "{report:?}");
         // CAS against freshly-preloaded items (version 1) with expected

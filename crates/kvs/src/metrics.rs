@@ -1,9 +1,8 @@
 //! The servers' counters: one block per worker, merged on read.
 //!
 //! Every serving thread owns [`Counters`] blocks — a thread-loop connection
-//! owns one, a reactor event loop owns one for its batches plus one per
-//! connection it serves, a fabric worker owns one — and it alone writes
-//! them. A block is a cache-line-aligned array of [`AtomicU64`], one per
+//! owns one, and a reactor event loop owns one for its batches plus one
+//! per connection it serves — and it alone writes them. A block is a cache-line-aligned array of [`AtomicU64`], one per
 //! [`Counter`]; a bump is a `Relaxed` load and a `Relaxed` store, so the
 //! hot path issues no `lock`-prefixed instruction and shares no line with
 //! another worker. Readers take a [`Snapshot`] of each block and add them

@@ -1,11 +1,12 @@
-//! Wire protocol for the simulated RDMA-Memcached exchange — and the one
+//! Wire protocol for the RDMA-Memcached-style exchange — and the one
 //! owner of its byte layout.
 //!
 //! RDMA-Memcached's Get protocol "batches the key/value data into multiple
 //! small message transfers ... using fast two-sided RDMA SENDs" (§VI-A).
 //! Here each Multi-Get request and its response are encoded into contiguous
-//! byte messages; the fabric layer charges the modeled wire cost per
-//! message byte, so response sizes matter exactly as they did on EDR.
+//! byte messages, carried over TCP; the modeled EDR round trip
+//! ([`crate::memslap::edr_wire_ns`]) is priced per message byte, so
+//! response sizes matter exactly as they did on EDR.
 //!
 //! ## Layout
 //!
@@ -25,8 +26,8 @@
 //! ## Integrity
 //!
 //! Every message carries a CRC-32 trailer over its body, verified before
-//! any field is parsed. Transport checksums (TCP's 16-bit sum, the modeled
-//! fabric's nothing-at-all) do not protect against corruption introduced
+//! any field is parsed. Transport checksums (TCP's 16-bit sum) do not
+//! protect against corruption introduced
 //! between encode and the socket — exactly where the fault-injection layer
 //! ([`crate::fault`]) sits — and without end-to-end integrity a flipped
 //! byte inside a key or value would be *acted on* rather than rejected
@@ -478,8 +479,8 @@ pub struct Executed<'a> {
 }
 
 /// Execute one request against the store and encode its response. This is
-/// the single server-side semantics of the command surface — `kvsd`, the
-/// fabric server, and the reactor's non-coalesced verbs all dispatch
+/// the single server-side semantics of the command surface — `kvsd`'s
+/// thread loop and the reactor's non-coalesced verbs both dispatch
 /// through it so the verbs cannot drift apart. The request's keys and
 /// values are read where they lie, normally in the frame it was decoded
 /// from ([`Request::decode_in_place`]). Returns `None` for

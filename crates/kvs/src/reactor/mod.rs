@@ -989,7 +989,7 @@ mod tests {
             c.flush().unwrap();
         }
         for (i, c) in conns.iter_mut().enumerate() {
-            match Response::decode(c.recv().unwrap().0).unwrap() {
+            match Response::decode(c.recv().unwrap()).unwrap() {
                 Response::MGet { id, entries } => {
                     assert_eq!(id, i as u64);
                     assert_eq!(entries[0].as_deref(), Some(&b"the-value"[..]));
@@ -1053,14 +1053,14 @@ mod tests {
         )
         .unwrap();
 
-        match Response::decode(conn.recv().unwrap().0).unwrap() {
+        match Response::decode(conn.recv().unwrap()).unwrap() {
             Response::SetMulti { id, ok } => {
                 assert_eq!(id, 1);
                 assert_eq!(ok, vec![true, true, true]);
             }
             other => panic!("unexpected {other:?}"),
         }
-        match Response::decode(conn.recv().unwrap().0).unwrap() {
+        match Response::decode(conn.recv().unwrap()).unwrap() {
             Response::MGet { id, entries } => {
                 assert_eq!(id, 2);
                 assert_eq!(entries[0].as_deref(), Some(&b"a2"[..]), "later-wins");
@@ -1068,7 +1068,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match Response::decode(conn.recv().unwrap().0).unwrap() {
+        match Response::decode(conn.recv().unwrap()).unwrap() {
             Response::SetMulti { id, ok } => {
                 assert_eq!(id, 3);
                 assert!(ok.is_empty(), "empty batch answers an empty status vec");
@@ -1112,7 +1112,7 @@ mod tests {
             c.flush().unwrap();
         }
         for (i, c) in conns.iter_mut().enumerate() {
-            match Response::decode(c.recv().unwrap().0).unwrap() {
+            match Response::decode(c.recv().unwrap()).unwrap() {
                 Response::Set { id, ok } => {
                     assert_eq!(id, i as u64);
                     assert!(ok);

@@ -1,36 +1,16 @@
-//! Client/server transports: the simulated RDMA fabric and the trait both
-//! real and simulated links implement.
+//! The two traits a KVS client drives a server through.
 //!
-//! The paper's testbed uses InfiniBand EDR (100 Gb/s) with two-sided RDMA
-//! SENDs. [`Fabric`] models that link in-process: crossbeam channels — real
-//! queueing and thread hand-off — plus an analytic **wire model** that
-//! charges each message the latency it would have cost on the modeled
-//! link: `base_latency + bytes / bandwidth`. The client adds the modeled
-//! request+response wire time to its measured processing time, so reported
-//! end-to-end latencies are "EDR-shaped" while remaining deterministic on
-//! a single machine (see DESIGN.md, substitutions).
-//!
-//! The [`Transport`] / [`ClientConn`] traits abstract over *which* link a
-//! client drives: the fabric above, or the real TCP transport in
-//! [`crate::net`]. The networked memslap client
-//! ([`crate::memslap::run_memslap_over`]) is written against these traits
-//! and runs unchanged over either.
-//!
-//! ## Backpressure
-//!
-//! The fabric's server-bound queue is **bounded** at
-//! [`FabricConfig::queue_depth`] envelopes. A client that outruns the
-//! server workers blocks in [`Fabric::send_request`] until a worker drains
-//! an envelope — mirroring how a real RDMA send queue (or a TCP socket
-//! buffer) pushes back on an over-driving sender instead of buffering
-//! unboundedly. Reply queues stay unbounded: each client caps its own
-//! in-flight window, so replies are naturally bounded by the pipeline
-//! depth.
+//! [`Transport`] opens connections and [`ClientConn`] carries encoded
+//! [`crate::protocol`] frames over one. There is one real implementation,
+//! the TCP transport in [`crate::net`]. The traits stay so the fault layer
+//! ([`crate::fault`]) can wrap any transport, and so test doubles can stand
+//! in for a server. The networked memslap client
+//! ([`crate::memslap::run_memslap_over`]) and [`crate::client::RetryClient`]
+//! are written against them.
 
 use std::io;
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 
 /// A client's connection to a KVS server: a bidirectional stream of
 /// encoded request/response frames (see [`crate::protocol`]).
@@ -41,25 +21,18 @@ use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 pub trait ClientConn: Send {
     /// Send one encoded request frame.
     ///
-    /// Returns the *modeled* one-way wire nanoseconds for this frame — `0`
-    /// for real transports, whose wire time shows up in measured latency.
-    ///
     /// # Errors
     ///
-    /// I/O errors from the underlying link (a simulated fabric errors only
-    /// when the server is gone).
-    fn send(&mut self, frame: Bytes) -> io::Result<u64>;
+    /// I/O errors from the underlying link.
+    fn send(&mut self, frame: Bytes) -> io::Result<()>;
 
     /// Block for the next response frame.
-    ///
-    /// Returns the frame plus its modeled one-way wire nanoseconds (`0`
-    /// for real transports).
     ///
     /// # Errors
     ///
     /// I/O errors, including clean connection close
     /// ([`io::ErrorKind::UnexpectedEof`]).
-    fn recv(&mut self) -> io::Result<(Bytes, u64)>;
+    fn recv(&mut self) -> io::Result<Bytes>;
 
     /// Flush any buffered request frames toward the server.
     ///
@@ -97,290 +70,4 @@ pub trait Transport: Send + Sync {
     ///
     /// I/O errors establishing the connection.
     fn connect(&self) -> io::Result<Box<dyn ClientConn>>;
-}
-
-/// Wire cost model of the simulated link.
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub struct FabricConfig {
-    /// One-way per-message base latency in nanoseconds.
-    pub base_latency_ns: u64,
-    /// Link bandwidth in gigabits per second.
-    pub bandwidth_gbps: f64,
-    /// Capacity of the server-bound queue in messages (must be >= 1).
-    /// Senders block when it is full — see the module docs on
-    /// backpressure.
-    pub queue_depth: usize,
-}
-
-/// Default server-bound queue capacity: deep enough that ordinary client
-/// windows never stall, shallow enough that a runaway sender is paced.
-pub const DEFAULT_QUEUE_DEPTH: usize = 1024;
-
-impl FabricConfig {
-    /// InfiniBand EDR-like constants: ~1.5 µs one-way small-message latency,
-    /// 100 Gb/s.
-    pub fn ib_edr() -> Self {
-        FabricConfig {
-            base_latency_ns: 1_500,
-            bandwidth_gbps: 100.0,
-            queue_depth: DEFAULT_QUEUE_DEPTH,
-        }
-    }
-
-    /// A zero-cost fabric (pure in-process measurement).
-    pub fn zero() -> Self {
-        FabricConfig {
-            base_latency_ns: 0,
-            bandwidth_gbps: f64::INFINITY,
-            queue_depth: DEFAULT_QUEUE_DEPTH,
-        }
-    }
-
-    /// Modeled one-way wire time for a message of `bytes` bytes.
-    pub fn wire_ns(&self, bytes: usize) -> u64 {
-        let serialization = (bytes as f64 * 8.0) / self.bandwidth_gbps; // ns at 1 Gb/s = 8ns/B
-        self.base_latency_ns + serialization as u64
-    }
-}
-
-/// A message in flight: payload plus the modeled one-way wire time and the
-/// reply channel (the "queue pair" back to the client).
-#[derive(Debug)]
-pub struct Envelope {
-    /// Encoded message bytes.
-    pub payload: Bytes,
-    /// Modeled one-way wire nanoseconds for this message.
-    pub wire_ns: u64,
-    /// Where responses should be sent (None for fire-and-forget).
-    pub reply_to: Option<Sender<Envelope>>,
-}
-
-/// One endpoint pair of the simulated fabric.
-#[derive(Debug, Clone)]
-pub struct Fabric {
-    config: FabricConfig,
-    to_server: Sender<Envelope>,
-    server_rx: Receiver<Envelope>,
-}
-
-impl Fabric {
-    /// Create a fabric with the given wire model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.queue_depth == 0`.
-    pub fn new(config: FabricConfig) -> Self {
-        assert!(config.queue_depth >= 1, "queue_depth must be >= 1");
-        let (to_server, server_rx) = bounded(config.queue_depth);
-        Fabric {
-            config,
-            to_server,
-            server_rx,
-        }
-    }
-
-    /// The wire model.
-    pub fn config(&self) -> FabricConfig {
-        self.config
-    }
-
-    /// The server-side receive queue (cloneable across workers).
-    pub fn server_rx(&self) -> Receiver<Envelope> {
-        self.server_rx.clone()
-    }
-
-    /// Send a request toward the server, charging the wire model. Blocks
-    /// while the server-bound queue is full (backpressure).
-    /// Returns the modeled one-way wire time.
-    pub fn send_request(&self, payload: Bytes, reply_to: Option<Sender<Envelope>>) -> u64 {
-        let wire_ns = self.config.wire_ns(payload.len());
-        let _ = self.to_server.send(Envelope {
-            payload,
-            wire_ns,
-            reply_to,
-        });
-        wire_ns
-    }
-
-    /// Send a response back over `reply`, charging the wire model.
-    pub fn send_response(&self, reply: &Sender<Envelope>, payload: Bytes) {
-        let wire_ns = self.config.wire_ns(payload.len());
-        let _ = reply.send(Envelope {
-            payload,
-            wire_ns,
-            reply_to: None,
-        });
-    }
-
-    /// Create a client endpoint (reply channel pair).
-    pub fn client_endpoint() -> (Sender<Envelope>, Receiver<Envelope>) {
-        unbounded()
-    }
-}
-
-/// A [`ClientConn`] over the simulated fabric: one private reply queue.
-#[derive(Debug)]
-pub struct FabricConn {
-    fabric: Fabric,
-    reply_tx: Sender<Envelope>,
-    reply_rx: Receiver<Envelope>,
-    recv_timeout: Option<std::time::Duration>,
-}
-
-impl ClientConn for FabricConn {
-    fn send(&mut self, frame: Bytes) -> io::Result<u64> {
-        Ok(self.fabric.send_request(frame, Some(self.reply_tx.clone())))
-    }
-
-    fn recv(&mut self) -> io::Result<(Bytes, u64)> {
-        use crossbeam::channel::RecvTimeoutError;
-        let disconnected =
-            || io::Error::new(io::ErrorKind::UnexpectedEof, "fabric server disconnected");
-        match self.recv_timeout {
-            None => self
-                .reply_rx
-                .recv()
-                .map_err(|_| disconnected())
-                .map(|env| (env.payload, env.wire_ns)),
-            Some(t) => match self.reply_rx.recv_timeout(t) {
-                Ok(env) => Ok((env.payload, env.wire_ns)),
-                Err(RecvTimeoutError::Timeout) => Err(io::Error::new(
-                    io::ErrorKind::TimedOut,
-                    "fabric recv timed out",
-                )),
-                Err(RecvTimeoutError::Disconnected) => Err(disconnected()),
-            },
-        }
-    }
-
-    fn set_recv_timeout(&mut self, timeout: Option<std::time::Duration>) -> io::Result<()> {
-        self.recv_timeout = timeout;
-        Ok(())
-    }
-}
-
-impl Transport for Fabric {
-    fn connect(&self) -> io::Result<Box<dyn ClientConn>> {
-        let (reply_tx, reply_rx) = Fabric::client_endpoint();
-        Ok(Box::new(FabricConn {
-            fabric: self.clone(),
-            reply_tx,
-            reply_rx,
-            recv_timeout: None,
-        }))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wire_model_edr_numbers() {
-        let edr = FabricConfig::ib_edr();
-        // Small message: dominated by base latency.
-        assert_eq!(edr.wire_ns(0), 1_500);
-        // 100 Gb/s = 12.5 GB/s: 12_500 B take ~1 µs on the wire.
-        let t = edr.wire_ns(12_500);
-        assert!((2_400..2_600).contains(&t), "{t}");
-    }
-
-    #[test]
-    fn zero_fabric_is_free() {
-        assert_eq!(FabricConfig::zero().wire_ns(1 << 20), 0);
-    }
-
-    #[test]
-    fn request_response_flow() {
-        let fabric = Fabric::new(FabricConfig::ib_edr());
-        let (reply_tx, reply_rx) = Fabric::client_endpoint();
-        let wire = fabric.send_request(Bytes::from_static(b"ping"), Some(reply_tx));
-        assert!(wire >= 1_500);
-
-        // "Server": echo the payload back.
-        let env = fabric.server_rx().recv().unwrap();
-        assert_eq!(&env.payload[..], b"ping");
-        let reply = env.reply_to.expect("has reply channel");
-        fabric.send_response(&reply, Bytes::from_static(b"pong"));
-
-        let resp = reply_rx.recv().unwrap();
-        assert_eq!(&resp.payload[..], b"pong");
-        assert!(resp.wire_ns >= 1_500);
-    }
-
-    #[test]
-    fn multiple_workers_share_rx() {
-        let fabric = Fabric::new(FabricConfig::zero());
-        for i in 0..10u8 {
-            fabric.send_request(Bytes::copy_from_slice(&[i]), None);
-        }
-        let rx1 = fabric.server_rx();
-        let rx2 = fabric.server_rx();
-        let mut got = vec![];
-        for _ in 0..5 {
-            got.push(rx1.recv().unwrap().payload[0]);
-            got.push(rx2.recv().unwrap().payload[0]);
-        }
-        got.sort_unstable();
-        assert_eq!(got, (0..10).collect::<Vec<u8>>());
-    }
-
-    #[test]
-    fn bounded_queue_applies_backpressure() {
-        let fabric = Fabric::new(FabricConfig {
-            queue_depth: 2,
-            ..FabricConfig::zero()
-        });
-        let rx = fabric.server_rx();
-        let producer = {
-            let fabric = fabric.clone();
-            std::thread::spawn(move || {
-                for i in 0..8u8 {
-                    fabric.send_request(Bytes::copy_from_slice(&[i]), None);
-                }
-            })
-        };
-        // The producer can be at most queue_depth ahead; draining slowly
-        // still yields every message in order.
-        for i in 0..8u8 {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            assert_eq!(rx.recv().unwrap().payload[0], i);
-        }
-        producer.join().unwrap();
-    }
-
-    #[test]
-    fn fabric_recv_timeout_fires_and_clears() {
-        let fabric = Fabric::new(FabricConfig::zero());
-        let transport: &dyn Transport = &fabric;
-        let mut conn = transport.connect().unwrap();
-        conn.set_recv_timeout(Some(std::time::Duration::from_millis(10)))
-            .unwrap();
-        let err = conn.recv().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::TimedOut);
-
-        // A reply that is already queued is returned despite the timeout.
-        conn.send(Bytes::from_static(b"req")).unwrap();
-        let env = fabric.server_rx().recv().unwrap();
-        let reply = env.reply_to.expect("reply channel");
-        fabric.send_response(&reply, Bytes::from_static(b"resp"));
-        assert_eq!(&conn.recv().unwrap().0[..], b"resp");
-    }
-
-    #[test]
-    fn fabric_conn_roundtrip_via_trait() {
-        let fabric = Fabric::new(FabricConfig::ib_edr());
-        let transport: &dyn Transport = &fabric;
-        let mut conn = transport.connect().unwrap();
-        let wire = conn.send(Bytes::from_static(b"hello")).unwrap();
-        assert!(wire >= 1_500);
-        conn.flush().unwrap();
-
-        let env = fabric.server_rx().recv().unwrap();
-        let reply = env.reply_to.expect("reply channel");
-        fabric.send_response(&reply, Bytes::from_static(b"world"));
-        let (payload, resp_wire) = conn.recv().unwrap();
-        assert_eq!(&payload[..], b"world");
-        assert!(resp_wire >= 1_500);
-    }
 }

@@ -523,7 +523,7 @@ fn no_fault_plan_matches_plain_tcp_byte_for_byte() {
         for frame in &requests {
             conn.send(frame.clone()).expect("send");
             conn.flush().expect("flush");
-            let (payload, _) = conn.recv().expect("recv");
+            let payload = conn.recv().expect("recv");
             // Decode as a sanity check, then keep the raw bytes.
             Response::decode(payload.clone()).expect("decode");
             frames.push(payload.to_vec());
@@ -636,7 +636,7 @@ fn reactor_and_thread_servers_match_byte_for_byte() {
         conn.flush().expect("flush");
         (0..requests.len())
             .map(|_| {
-                let (payload, _) = conn.recv().expect("recv");
+                let payload = conn.recv().expect("recv");
                 Response::decode(payload.clone()).expect("decode");
                 payload.to_vec()
             })

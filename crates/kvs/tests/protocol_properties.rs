@@ -301,7 +301,7 @@ fn kvsd_answers_duplicate_keys_per_slot() {
         ],
     };
     conn.send(req.encode()).expect("send");
-    let (frame, _) = conn.recv().expect("recv");
+    let frame = conn.recv().expect("recv");
     let Response::MGet { id, entries } = Response::decode(frame).expect("decode") else {
         panic!("expected an MGet response");
     };
@@ -319,7 +319,7 @@ fn kvsd_answers_duplicate_keys_per_slot() {
         keys: vec![Bytes::from_static(b"hot-key")],
     };
     conn.send(again.encode()).expect("send again");
-    let (frame, _) = conn.recv().expect("recv again");
+    let frame = conn.recv().expect("recv again");
     match Response::decode(frame).expect("decode again") {
         Response::MGet { id, entries } => {
             assert_eq!(id, 42);

@@ -322,7 +322,7 @@ fn tcp_loopback_frames_identical_across_read_modes() {
                 .encode(),
             )
             .expect("send");
-            let (payload, _) = conn.recv().expect("recv");
+            let payload = conn.recv().expect("recv");
             assert!(matches!(
                 Response::decode(payload.clone()),
                 Ok(Response::MGet { .. })

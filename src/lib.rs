@@ -15,7 +15,7 @@
 //!   (Listing 1), the horizontal/vertical/hybrid lookup templates
 //!   (Algorithms 1 & 2), and the performance engine.
 //! * [`kvs`] — the Memcached-like key-value store used to validate the
-//!   suite (MemC3 baseline vs. SIMD indexes over a simulated RDMA fabric).
+//!   suite (MemC3 baseline vs. SIMD indexes, served over loopback TCP).
 //!
 //! ## Quickstart
 //!

@@ -54,6 +54,27 @@ fn fig9_hybrid_beats_scalar_but_not_vertical() {
 }
 
 #[test]
+fn fig11a_reports_measured_and_modeled_latency_apart() {
+    let out = output("fig11a");
+    for header in ["Mkeys/s", "mean us", "p99 us", "EDR rt us", "lat vs MemC3"] {
+        assert!(out.contains(header), "missing column {header}:\n{out}");
+    }
+    assert!(!out.contains("MGet-keys/s"), "{out}");
+    assert!(out.contains("MemC3"));
+    assert!(out.contains("[SIMD]"));
+}
+
+#[test]
+fn ext_mixed_kvs_runs_every_index_at_each_set_fraction() {
+    let out = output("ext-mixed-kvs");
+    for header in ["Mkeys/s", "mean us", "EDR rt us", "sets"] {
+        assert!(out.contains(header), "missing column {header}:\n{out}");
+    }
+    assert!(out.contains("MemC3"));
+    assert_eq!(out.matches("[SIMD]").count(), 3 * 2, "{out}");
+}
+
+#[test]
 fn fig11b_breaks_down_phases() {
     let out = output("fig11b");
     assert!(out.contains("pre"));

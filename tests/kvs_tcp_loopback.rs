@@ -116,7 +116,7 @@ fn mget_hit_miss_pattern_is_exact_over_tcp() {
     .unwrap();
 
     for expect_id in [1u64, 2] {
-        match Response::decode(conn.recv().unwrap().0).unwrap() {
+        match Response::decode(conn.recv().unwrap()).unwrap() {
             Response::Set { id, ok } => {
                 assert_eq!(id, expect_id);
                 assert!(ok);
@@ -124,7 +124,7 @@ fn mget_hit_miss_pattern_is_exact_over_tcp() {
             other => panic!("unexpected {other:?}"),
         }
     }
-    match Response::decode(conn.recv().unwrap().0).unwrap() {
+    match Response::decode(conn.recv().unwrap()).unwrap() {
         Response::MGet { id, entries } => {
             assert_eq!(id, 3);
             assert_eq!(entries.len(), 4);
@@ -158,7 +158,7 @@ fn concurrent_clients_share_one_daemon() {
             .unwrap();
     }
     for _ in 0..500 {
-        let (frame, _) = seed_conn.recv().unwrap();
+        let frame = seed_conn.recv().unwrap();
         assert!(matches!(
             Response::decode(frame).unwrap(),
             Response::Set { ok: true, .. }
@@ -179,7 +179,7 @@ fn concurrent_clients_share_one_daemon() {
                         .encode(),
                     )
                     .unwrap();
-                    match Response::decode(conn.recv().unwrap().0).unwrap() {
+                    match Response::decode(conn.recv().unwrap()).unwrap() {
                         Response::MGet { entries, .. } => {
                             assert_eq!(entries[0].as_deref(), Some(&i.to_le_bytes()[..]));
                         }
@@ -250,7 +250,7 @@ fn long_lived_connection_survives_connection_churn() {
     let ping = |conn: &mut TcpConn, id: u64| {
         let keys = vec![Bytes::from_static(b"absent")];
         conn.send(Request::MGet { id, keys }.encode()).unwrap();
-        match Response::decode(conn.recv().unwrap().0).unwrap() {
+        match Response::decode(conn.recv().unwrap()).unwrap() {
             Response::MGet { id: got, entries } => assert_eq!((got, entries), (id, vec![None])),
             other => panic!("unexpected {other:?}"),
         }
