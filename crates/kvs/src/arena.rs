@@ -35,10 +35,7 @@ const PAGE: usize = 4096;
 const PROT_READ: c_int = 0x1;
 const PROT_WRITE: c_int = 0x2;
 const MAP_PRIVATE: c_int = 0x02;
-#[cfg(target_os = "linux")]
 const MAP_ANONYMOUS: c_int = 0x20;
-#[cfg(not(target_os = "linux"))]
-const MAP_ANONYMOUS: c_int = 0x1000;
 const MADV_HUGEPAGE: c_int = 14;
 const MADV_COLLAPSE: c_int = 25;
 const MAP_FAILED: *mut c_void = !0 as *mut c_void;

@@ -66,7 +66,7 @@ struct Args {
     addr: String,
     index: String,
     capacity: usize,
-    memory_mb: usize,
+    memory_bytes: usize,
     shards: usize,
     duration: Option<u64>,
     prefetch_depth: Option<usize>,
@@ -79,7 +79,7 @@ fn parse_args() -> Result<Args, String> {
         addr: "127.0.0.1:11411".to_string(),
         index: "memc3".to_string(),
         capacity: 100_000,
-        memory_mb: 64,
+        memory_bytes: 64 << 20,
         shards: 1,
         duration: None,
         prefetch_depth: None,
@@ -130,9 +130,12 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--capacity: {e}"))?;
             }
             "--memory-mb" => {
-                args.memory_mb = value("--memory-mb")?
+                let mb: usize = value("--memory-mb")?
                     .parse()
                     .map_err(|e| format!("--memory-mb: {e}"))?;
+                args.memory_bytes = mb
+                    .checked_mul(1 << 20)
+                    .ok_or_else(|| format!("--memory-mb: {mb} MiB overflows a byte count"))?;
             }
             "--shards" => {
                 args.shards = value("--shards")?
@@ -211,7 +214,7 @@ fn main() {
     }
     let store = Arc::new(KvStore::with_shards(
         StoreConfig {
-            memory_budget: args.memory_mb << 20,
+            memory_budget: args.memory_bytes,
             capacity_items: args.capacity,
             shards: args.shards,
             prefetch_depth: args.prefetch_depth,
@@ -238,7 +241,7 @@ fn main() {
         store.index_name(),
         store.n_shards(),
         args.capacity,
-        args.memory_mb,
+        args.memory_bytes >> 20,
         store.prefetch_depth(),
         store.read_mode().name(),
     );

@@ -155,6 +155,36 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag {other}")),
         }
     }
+    for (flag, value, min) in [
+        ("--connections", args.net.connections, 1),
+        ("--depth", args.net.pipeline_depth, 1),
+        ("--mget", args.spec.mget_size, 1),
+        ("--items", args.spec.n_items, 1),
+        ("--key-bytes", args.spec.key_bytes, 12),
+    ] {
+        if value < min {
+            return Err(format!("{flag} must be >= {min}"));
+        }
+    }
+    let fractions = [
+        ("--set-fraction", args.net.set_fraction),
+        ("--write-frac", args.net.write_frac),
+        ("--delete-frac", args.net.delete_frac),
+        ("--cas-frac", args.net.cas_frac),
+    ];
+    for (flag, f) in fractions {
+        if !(0.0..=1.0).contains(&f) {
+            return Err(format!("{flag} must be in [0, 1], got {f}"));
+        }
+    }
+    // The slack forgives rounding only: 0.1 + 0.2 + 0.3 + 0.4 sums to
+    // 1.0000000000000002.
+    let sum: f64 = fractions.iter().map(|(_, f)| f).sum();
+    if sum > 1.0 + 1e-9 {
+        return Err(format!(
+            "--set-fraction + --write-frac + --delete-frac + --cas-frac must not exceed 1, got {sum}"
+        ));
+    }
     if args.mux
         && (args.net.set_fraction != 0.0
             || args.net.write_frac != 0.0

@@ -42,7 +42,7 @@
 //! * [`metrics`] — the servers' counters: one cache-line-aligned block per
 //!   worker, written by that worker alone without a read-modify-write, and
 //!   merged on read into a [`metrics::Snapshot`].
-//! * [`reactor`] — the other connection loop: epoll/poll event loops
+//! * [`reactor`] — the other connection loop: epoll event loops
 //!   owning many nonblocking connections each, coalescing Multi-Gets from
 //!   *all* connections into one wide lookup batch
 //!   ([`kvsd::KvsdConfig::reactor`], `simdht-kvsd --reactor`).
@@ -70,6 +70,12 @@
 //! ```
 
 #![warn(missing_docs)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!(
+    "simdht-kvs builds on Linux only: the served store's event loops need epoll \
+     and its arenas need Linux madvise (MADV_HUGEPAGE, MADV_COLLAPSE)"
+);
 
 pub mod arena;
 pub mod client;

@@ -34,7 +34,7 @@ use crate::client::RetryPolicy;
 use crate::fault::{FaultPlan, FaultSpec, FaultyTransport};
 use crate::kvsd::Kvsd;
 use crate::metrics::Counter;
-use crate::net::TcpTransport;
+use crate::net::{flush_nonblocking, TcpTransport};
 use crate::protocol::{ErrorCode, OpStatus, Request, Response};
 use crate::store::{KvStore, PhaseNanos};
 use crate::transport::{ClientConn, Transport};
@@ -687,6 +687,12 @@ fn drive_connection(
                 ));
                 let idempotent = matches!(verb, Verb::MGet | Verb::Delete);
                 if idempotent && attempts[idx] <= policy.max_retries {
+                    // Back off as `RetryClient` does: a shedding server
+                    // must not get the resend at once.
+                    let backoff = policy.delay(attempts[idx] - 1, &mut rng);
+                    if !backoff.is_zero() {
+                        std::thread::sleep(backoff);
+                    }
                     pending.push_back(idx);
                 } else {
                     outcome.failed += 1;
@@ -1045,7 +1051,9 @@ pub fn run_memslap_mux(
                 continue;
             }
             let plan = &plans[ev.token];
-            if ev.writable && mux_flush(conn).is_err() {
+            if ev.writable
+                && flush_nonblocking(&mut conn.stream, &mut conn.out, &mut conn.out_pos).is_err()
+            {
                 mux_kill(conn, plan, &mut total, &mut open, &mut poller);
                 continue;
             }
@@ -1138,7 +1146,7 @@ fn mux_top_up(conn: &mut MuxConn, plan: &ConnPlan, depth: usize) -> io::Result<(
         conn.inflight.push_back((*id, Instant::now()));
         conn.next += 1;
     }
-    mux_flush(conn)
+    flush_nonblocking(&mut conn.stream, &mut conn.out, &mut conn.out_pos)
 }
 
 /// Toggle write interest to match whether queued bytes remain, with one
@@ -1161,25 +1169,6 @@ fn mux_sync_interest(
             conn.write_interest = want_write;
         }
     }
-}
-
-/// Write as much queued output as the socket accepts.
-fn mux_flush(conn: &mut MuxConn) -> io::Result<()> {
-    use std::io::Write;
-    while conn.out_pos < conn.out.len() {
-        match conn.stream.write(&conn.out[conn.out_pos..]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => conn.out_pos += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    if conn.out_pos == conn.out.len() {
-        conn.out.clear();
-        conn.out_pos = 0;
-    }
-    Ok(())
 }
 
 /// Abandon a connection mid-run: everything unanswered counts failed.
@@ -1414,6 +1403,44 @@ mod tests {
             report.requests + report.failed + report.shed,
             100,
             "every planned request must be accounted for: {report:?}"
+        );
+    }
+
+    #[test]
+    fn shed_requests_are_resent_only_after_the_policy_backoff() {
+        // Every request is shed. Each resend waits its backoff (20 ms,
+        // then 40 ms) instead of hitting the shedding server at once.
+        let config = crate::kvsd::KvsdConfig {
+            max_inflight: Some(0),
+            ..crate::kvsd::KvsdConfig::default()
+        };
+        let server = Kvsd::bind_with(tcp_store(), "127.0.0.1:0", config).expect("bind");
+        let wl = KvWorkload::generate(&KvWorkloadSpec {
+            n_items: 10,
+            n_requests: 2,
+            mget_size: 4,
+            ..KvWorkloadSpec::default()
+        });
+        let transport = TcpTransport::new(server.local_addr()).expect("resolve");
+        let cfg = NetMemslapConfig {
+            connections: 1,
+            pipeline_depth: 1,
+            preload: false,
+            retry: RetryPolicy {
+                max_retries: 2,
+                base_backoff: std::time::Duration::from_millis(20),
+                jitter: 0.0,
+                ..RetryPolicy::default()
+            },
+            ..NetMemslapConfig::default()
+        };
+        let report = run_memslap_over(&transport, &wl, &cfg).expect("run");
+        server.shutdown();
+        assert_eq!(report.failed, 2, "{report:?}");
+        assert_eq!(report.shed, 6, "three attempts per request: {report:?}");
+        assert!(
+            report.wall_secs >= 0.12,
+            "two requests x (20 + 40) ms of backoff: {report:?}"
         );
     }
 

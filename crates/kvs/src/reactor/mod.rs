@@ -62,7 +62,7 @@
 pub mod poller;
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
@@ -73,7 +73,7 @@ use bytes::Bytes;
 
 use crate::kvsd::{KvsdConfig, Shell};
 use crate::metrics::{Counter, Counters};
-use crate::net::{write_frame, FrameDecoder};
+use crate::net::{flush_nonblocking, write_frame, FrameDecoder};
 use crate::protocol::{execute, DecodeScratch, ErrorCode, ExecScratch, Request, Response};
 use crate::store::{KvStore, PhaseNanos};
 
@@ -321,24 +321,6 @@ impl Conn {
         });
     }
 
-    /// Write as much of `out` as the socket accepts right now.
-    fn try_write(&mut self) -> io::Result<()> {
-        while self.out_pos < self.out.len() {
-            match self.stream.write(&self.out[self.out_pos..]) {
-                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        if self.out_pos == self.out.len() {
-            self.out.clear();
-            self.out_pos = 0;
-        }
-        Ok(())
-    }
-
     /// `true` once the connection has nothing left to say.
     fn finished(&self) -> bool {
         self.draining && self.slots.is_empty() && self.out_pending() == 0
@@ -490,7 +472,9 @@ impl ReactorLoop {
             return; // closed earlier this iteration
         };
         self.dirty.push(ev.token);
-        if ev.writable && conn.try_write().is_err() {
+        if ev.writable
+            && flush_nonblocking(&mut conn.stream, &mut conn.out, &mut conn.out_pos).is_err()
+        {
             self.close(ev.token);
             return;
         }
@@ -848,7 +832,7 @@ impl ReactorLoop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
-            if conn.try_write().is_err() {
+            if flush_nonblocking(&mut conn.stream, &mut conn.out, &mut conn.out_pos).is_err() {
                 self.close(token);
             }
         }
@@ -882,7 +866,9 @@ impl ReactorLoop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
-            if conn.try_write().is_err() || conn.finished() {
+            if flush_nonblocking(&mut conn.stream, &mut conn.out, &mut conn.out_pos).is_err()
+                || conn.finished()
+            {
                 self.close(token);
             } else {
                 self.sync_interest(token);
@@ -917,7 +903,7 @@ impl ReactorLoop {
             return;
         };
         let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        let _ = conn.try_write();
+        let _ = flush_nonblocking(&mut conn.stream, &mut conn.out, &mut conn.out_pos);
         self.shell.closed(conn.id);
     }
 }

@@ -1,24 +1,23 @@
-//! Minimal readiness poller behind the reactor event loop.
+//! The readiness poller behind the reactor event loop and the multiplexed
+//! memslap client: one level-triggered Linux `epoll` instance.
 //!
 //! The offline-build constraint rules out `mio`/`libc`, so this module
 //! declares the three syscalls it needs directly (`std` already links
-//! the platform libc). Two level-triggered backends:
+//! the platform libc). Wakeups cost O(ready), not O(registered).
 //!
-//! * **epoll** (Linux): O(ready) wakeups, the production path.
-//! * **poll(2)** (any Unix): O(registered) scan per wakeup, the fallback
-//!   where epoll is unavailable — and a differential oracle for the
-//!   epoll path in tests, since both backends must report identical
-//!   readiness for the same sockets.
+//! Registrations are level-triggered: a socket that still has unread
+//! bytes (or writable buffer space while write interest is registered)
+//! shows up again on the next wait, so the reactor never needs
+//! edge-triggered re-arm bookkeeping.
 //!
-//! Both are used level-triggered: a socket that still has unread bytes
-//! (or writable buffer space while write interest is registered) shows
-//! up again on the next wait, so the reactor never needs edge-triggered
-//! re-arm bookkeeping.
+//! There is no portable fallback. The served store is built, tested and
+//! measured on Linux only — its arenas already need Linux `madvise`
+//! (`MADV_COLLAPSE`) — and the crate refuses to compile elsewhere, so a
+//! second backend would be code no target runs.
 
-use std::collections::HashMap;
 use std::io;
-use std::os::fd::RawFd;
-use std::os::raw::{c_int, c_short};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
+use std::os::raw::c_int;
 use std::time::Duration;
 
 /// Which readiness classes a registration wants.
@@ -56,354 +55,111 @@ pub struct Event {
     pub closed: bool,
 }
 
-/// Backend selector, mostly for tests; production callers use
-/// [`Poller::new`] which picks epoll on Linux.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Backend {
-    /// Linux `epoll` (level-triggered).
-    #[cfg(target_os = "linux")]
-    Epoll,
-    /// Portable `poll(2)`.
-    Poll,
-}
-
-// ---------------------------------------------------------------------
-// epoll backend (Linux)
-// ---------------------------------------------------------------------
-
-#[cfg(target_os = "linux")]
-mod epoll {
-    use super::*;
-    use std::os::fd::{FromRawFd, OwnedFd};
-
-    // On x86_64 the kernel ABI packs epoll_event to 12 bytes; other
-    // architectures use natural (aligned) layout.
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Copy, Clone)]
-    pub(super) struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    pub(super) const EPOLL_CTL_ADD: c_int = 1;
-    pub(super) const EPOLL_CTL_DEL: c_int = 2;
-    pub(super) const EPOLL_CTL_MOD: c_int = 3;
-    pub(super) const EPOLLIN: u32 = 0x1;
-    pub(super) const EPOLLOUT: u32 = 0x4;
-    pub(super) const EPOLLERR: u32 = 0x8;
-    pub(super) const EPOLLHUP: u32 = 0x10;
-    pub(super) const EPOLLRDHUP: u32 = 0x2000;
-    const EPOLL_CLOEXEC: c_int = 0o2000000;
-
-    extern "C" {
-        fn epoll_create1(flags: c_int) -> c_int;
-        fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
-        fn epoll_wait(
-            epfd: c_int,
-            events: *mut EpollEvent,
-            maxevents: c_int,
-            timeout: c_int,
-        ) -> c_int;
-    }
-
-    /// The epoll instance; the fd closes on drop via `OwnedFd`.
-    pub(super) struct Epoll {
-        epfd: OwnedFd,
-        buf: Vec<EpollEvent>,
-    }
-
-    impl Epoll {
-        pub(super) fn new() -> io::Result<Epoll> {
-            // SAFETY: plain syscall, no pointers.
-            let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Epoll {
-                // SAFETY: `fd` is a freshly created, owned epoll fd.
-                epfd: unsafe { OwnedFd::from_raw_fd(fd) },
-                buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
-            })
-        }
-
-        fn ctl(&self, op: c_int, fd: RawFd, interest: Option<(usize, Interest)>) -> io::Result<()> {
-            use std::os::fd::AsRawFd;
-            let mut ev = EpollEvent { events: 0, data: 0 };
-            if let Some((token, want)) = interest {
-                ev.events = EPOLLRDHUP
-                    | if want.readable { EPOLLIN } else { 0 }
-                    | if want.writable { EPOLLOUT } else { 0 };
-                ev.data = token as u64;
-            }
-            // SAFETY: `ev` outlives the call; the kernel copies it.
-            let rc = unsafe { epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        pub(super) fn register(&self, fd: RawFd, token: usize, want: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_ADD, fd, Some((token, want)))
-        }
-
-        pub(super) fn modify(&self, fd: RawFd, token: usize, want: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, Some((token, want)))
-        }
-
-        pub(super) fn deregister(&self, fd: RawFd) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_DEL, fd, None)
-        }
-
-        pub(super) fn wait(
-            &mut self,
-            out: &mut Vec<Event>,
-            timeout_ms: c_int,
-        ) -> io::Result<usize> {
-            use std::os::fd::AsRawFd;
-            let n = loop {
-                // SAFETY: `buf` is a live, sized allocation for the call.
-                let rc = unsafe {
-                    epoll_wait(
-                        self.epfd.as_raw_fd(),
-                        self.buf.as_mut_ptr(),
-                        self.buf.len() as c_int,
-                        timeout_ms,
-                    )
-                };
-                if rc >= 0 {
-                    break rc as usize;
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            };
-            for ev in &self.buf[..n] {
-                let bits = ev.events;
-                out.push(Event {
-                    token: ev.data as usize,
-                    readable: bits & (EPOLLIN | EPOLLHUP | EPOLLRDHUP | EPOLLERR) != 0,
-                    writable: bits & EPOLLOUT != 0,
-                    closed: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
-                });
-            }
-            Ok(n)
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// poll(2) backend (portable fallback)
-// ---------------------------------------------------------------------
-
-#[cfg(target_os = "linux")]
-type NfdsT = u64;
-#[cfg(not(target_os = "linux"))]
-type NfdsT = u32;
-
-#[repr(C)]
+// On x86_64 the kernel ABI packs epoll_event to 12 bytes; other
+// architectures use natural (aligned) layout.
+#[cfg_attr(target_arch = "x86_64", repr(C, packed))]
+#[cfg_attr(not(target_arch = "x86_64"), repr(C))]
 #[derive(Copy, Clone)]
-struct PollFd {
-    fd: c_int,
-    events: c_short,
-    revents: c_short,
+struct EpollEvent {
+    events: u32,
+    data: u64,
 }
 
-const POLLIN: c_short = 0x1;
-const POLLOUT: c_short = 0x4;
-const POLLERR: c_short = 0x8;
-const POLLHUP: c_short = 0x10;
-const POLLNVAL: c_short = 0x20;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
+const EPOLLIN: u32 = 0x1;
+const EPOLLOUT: u32 = 0x4;
+const EPOLLERR: u32 = 0x8;
+const EPOLLHUP: u32 = 0x10;
+const EPOLLRDHUP: u32 = 0x2000;
+const EPOLL_CLOEXEC: c_int = 0o2000000;
+
+/// Events one [`Poller::wait`] can report; more stay pending for the next.
+const EVENT_BUF: usize = 1024;
 
 extern "C" {
-    fn poll(fds: *mut PollFd, nfds: NfdsT, timeout: c_int) -> c_int;
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
 }
 
-/// The poll(2) registration table: a dense pollfd array plus a parallel
-/// token array, with an fd → slot map for modify/deregister.
-#[derive(Default)]
-struct PollTable {
-    fds: Vec<PollFd>,
-    tokens: Vec<usize>,
-    slots: HashMap<RawFd, usize>,
-}
-
-impl PollTable {
-    fn register(&mut self, fd: RawFd, token: usize, want: Interest) -> io::Result<()> {
-        if self.slots.contains_key(&fd) {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                "fd already registered",
-            ));
-        }
-        self.slots.insert(fd, self.fds.len());
-        self.fds.push(PollFd {
-            fd,
-            events: Self::mask(want),
-            revents: 0,
-        });
-        self.tokens.push(token);
-        Ok(())
-    }
-
-    fn mask(want: Interest) -> c_short {
-        (if want.readable { POLLIN } else { 0 }) | (if want.writable { POLLOUT } else { 0 })
-    }
-
-    fn modify(&mut self, fd: RawFd, token: usize, want: Interest) -> io::Result<()> {
-        let &slot = self
-            .slots
-            .get(&fd)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-        self.fds[slot].events = Self::mask(want);
-        self.tokens[slot] = token;
-        Ok(())
-    }
-
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        let slot = self
-            .slots
-            .remove(&fd)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))?;
-        // Swap-remove, fixing the moved entry's slot index.
-        self.fds.swap_remove(slot);
-        self.tokens.swap_remove(slot);
-        if slot < self.fds.len() {
-            self.slots.insert(self.fds[slot].fd, slot);
-        }
-        Ok(())
-    }
-
-    fn wait(&mut self, out: &mut Vec<Event>, timeout_ms: c_int) -> io::Result<usize> {
-        let n = loop {
-            // SAFETY: the pollfd array is live and sized for the call.
-            let rc = unsafe { poll(self.fds.as_mut_ptr(), self.fds.len() as NfdsT, timeout_ms) };
-            if rc >= 0 {
-                break rc as usize;
-            }
-            let err = io::Error::last_os_error();
-            if err.kind() != io::ErrorKind::Interrupted {
-                return Err(err);
-            }
-        };
-        if n > 0 {
-            for (pfd, &token) in self.fds.iter().zip(&self.tokens) {
-                let bits = pfd.revents;
-                if bits == 0 {
-                    continue;
-                }
-                out.push(Event {
-                    token,
-                    readable: bits & (POLLIN | POLLHUP | POLLERR | POLLNVAL) != 0,
-                    writable: bits & POLLOUT != 0,
-                    closed: bits & (POLLERR | POLLHUP | POLLNVAL) != 0,
-                });
-            }
-        }
-        Ok(n)
-    }
-}
-
-/// A level-triggered readiness poller over one of the [`Backend`]s.
+/// A level-triggered readiness poller: one epoll instance, whose fd
+/// closes on drop, and the buffer its waits fill.
 pub struct Poller {
-    imp: Impl,
-}
-
-enum Impl {
-    #[cfg(target_os = "linux")]
-    Epoll(epoll::Epoll),
-    Poll(PollTable),
+    epfd: OwnedFd,
+    buf: Vec<EpollEvent>,
 }
 
 impl std::fmt::Debug for Poller {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Poller")
-            .field("backend", &self.backend())
+            .field("epfd", &self.epfd.as_raw_fd())
             .finish()
     }
 }
 
 impl Poller {
-    /// The platform-preferred poller: epoll on Linux, poll(2) elsewhere.
-    ///
-    /// # Errors
-    ///
-    /// `epoll_create1` failures (Linux only; the poll backend cannot
-    /// fail to construct).
-    pub fn new() -> io::Result<Poller> {
-        #[cfg(target_os = "linux")]
-        {
-            Self::with_backend(Backend::Epoll)
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            Self::with_backend(Backend::Poll)
-        }
-    }
-
-    /// Construct a specific backend (tests cross-check the two).
+    /// A new epoll instance.
     ///
     /// # Errors
     ///
     /// `epoll_create1` failures.
-    pub fn with_backend(backend: Backend) -> io::Result<Poller> {
+    pub fn new() -> io::Result<Poller> {
+        // SAFETY: plain syscall, no pointers.
+        let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
         Ok(Poller {
-            imp: match backend {
-                #[cfg(target_os = "linux")]
-                Backend::Epoll => Impl::Epoll(epoll::Epoll::new()?),
-                Backend::Poll => Impl::Poll(PollTable::default()),
-            },
+            // SAFETY: `fd` is a freshly created, owned epoll fd.
+            epfd: unsafe { OwnedFd::from_raw_fd(fd) },
+            buf: vec![EpollEvent { events: 0, data: 0 }; EVENT_BUF],
         })
     }
 
-    /// Which backend this poller runs on.
-    pub fn backend(&self) -> Backend {
-        match &self.imp {
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(_) => Backend::Epoll,
-            Impl::Poll(_) => Backend::Poll,
+    /// One `epoll_ctl`; `interest` is `None` for a delete.
+    fn ctl(&self, op: c_int, fd: RawFd, interest: Option<(usize, Interest)>) -> io::Result<()> {
+        let mut ev = EpollEvent { events: 0, data: 0 };
+        if let Some((token, want)) = interest {
+            ev.events = EPOLLRDHUP
+                | if want.readable { EPOLLIN } else { 0 }
+                | if want.writable { EPOLLOUT } else { 0 };
+            ev.data = token as u64;
         }
+        // SAFETY: `ev` outlives the call; the kernel copies it.
+        let rc = unsafe { epoll_ctl(self.epfd.as_raw_fd(), op, fd, &mut ev) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
     /// Start watching `fd` with `token` and `want` interest.
     ///
     /// # Errors
     ///
-    /// `EEXIST` if the fd is already registered, plus backend errors.
+    /// `EEXIST` if the fd is already registered, plus `epoll_ctl` errors.
     pub fn register(&mut self, fd: RawFd, token: usize, want: Interest) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(e) => e.register(fd, token, want),
-            Impl::Poll(p) => p.register(fd, token, want),
-        }
+        self.ctl(EPOLL_CTL_ADD, fd, Some((token, want)))
     }
 
     /// Change an existing registration's token or interest.
     ///
     /// # Errors
     ///
-    /// `ENOENT` if the fd is not registered, plus backend errors.
+    /// `ENOENT` if the fd is not registered, plus `epoll_ctl` errors.
     pub fn modify(&mut self, fd: RawFd, token: usize, want: Interest) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(e) => e.modify(fd, token, want),
-            Impl::Poll(p) => p.modify(fd, token, want),
-        }
+        self.ctl(EPOLL_CTL_MOD, fd, Some((token, want)))
     }
 
     /// Stop watching `fd`. Call **before** closing the fd.
     ///
     /// # Errors
     ///
-    /// `ENOENT` if the fd is not registered, plus backend errors.
+    /// `ENOENT` if the fd is not registered, plus `epoll_ctl` errors.
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(e) => e.deregister(fd),
-            Impl::Poll(p) => p.deregister(fd),
-        }
+        self.ctl(EPOLL_CTL_DEL, fd, None)
     }
 
     /// Wait up to `timeout` (forever if `None`) and append readiness
@@ -414,18 +170,41 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// Backend wait failures (`EINTR` is retried internally).
+    /// `epoll_wait` failures (`EINTR` is retried internally).
     pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         out.clear();
         let timeout_ms: c_int = match timeout {
             None => -1,
             Some(d) => d.as_millis().min(c_int::MAX as u128) as c_int,
         };
-        match &mut self.imp {
-            #[cfg(target_os = "linux")]
-            Impl::Epoll(e) => e.wait(out, timeout_ms),
-            Impl::Poll(p) => p.wait(out, timeout_ms),
+        let n = loop {
+            // SAFETY: `buf` is a live allocation of `buf.len()` events.
+            let rc = unsafe {
+                epoll_wait(
+                    self.epfd.as_raw_fd(),
+                    self.buf.as_mut_ptr(),
+                    self.buf.len() as c_int,
+                    timeout_ms,
+                )
+            };
+            if rc >= 0 {
+                break rc as usize;
+            }
+            let err = io::Error::last_os_error();
+            if err.kind() != io::ErrorKind::Interrupted {
+                return Err(err);
+            }
+        };
+        for ev in &self.buf[..n] {
+            let bits = ev.events;
+            out.push(Event {
+                token: ev.data as usize,
+                readable: bits & (EPOLLIN | EPOLLHUP | EPOLLRDHUP | EPOLLERR) != 0,
+                writable: bits & EPOLLOUT != 0,
+                closed: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
+            });
         }
+        Ok(n)
     }
 }
 
@@ -434,18 +213,6 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::{TcpListener, TcpStream};
-    use std::os::fd::AsRawFd;
-
-    fn backends() -> Vec<Backend> {
-        #[cfg(target_os = "linux")]
-        {
-            vec![Backend::Epoll, Backend::Poll]
-        }
-        #[cfg(not(target_os = "linux"))]
-        {
-            vec![Backend::Poll]
-        }
-    }
 
     /// A connected nonblocking socket pair over loopback.
     fn pair() -> (TcpStream, TcpStream) {
@@ -458,99 +225,91 @@ mod tests {
     }
 
     #[test]
-    fn readable_only_after_bytes_arrive_all_backends() {
-        for backend in backends() {
-            let mut poller = Poller::with_backend(backend).unwrap();
-            let (mut client, server) = pair();
-            poller
-                .register(server.as_raw_fd(), 7, Interest::READ)
-                .unwrap();
-            let mut events = Vec::new();
-            poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
-            assert!(events.is_empty(), "{backend:?}: nothing sent yet");
+    fn readable_only_after_bytes_arrive() {
+        let mut poller = Poller::new().unwrap();
+        let (mut client, server) = pair();
+        poller
+            .register(server.as_raw_fd(), 7, Interest::READ)
+            .unwrap();
+        let mut events = Vec::new();
+        poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
+        assert!(events.is_empty(), "nothing sent yet");
 
-            client.write_all(b"ping").unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert_eq!(events.len(), 1, "{backend:?}");
-            assert_eq!(events[0].token, 7);
-            assert!(events[0].readable);
+        client.write_all(b"ping").unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].token, 7);
+        assert!(events[0].readable);
 
-            // Level-triggered: unread bytes keep reporting.
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(events.iter().any(|e| e.token == 7 && e.readable));
-            poller.deregister(server.as_raw_fd()).unwrap();
-        }
+        // Level-triggered: unread bytes keep reporting.
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 7 && e.readable));
+        poller.deregister(server.as_raw_fd()).unwrap();
     }
 
     #[test]
-    fn peer_close_reports_readable_eof_all_backends() {
-        for backend in backends() {
-            let mut poller = Poller::with_backend(backend).unwrap();
-            let (client, mut server) = pair();
-            poller
-                .register(server.as_raw_fd(), 3, Interest::READ)
-                .unwrap();
-            drop(client);
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 3 && e.readable),
-                "{backend:?}: EOF must wake the reader"
-            );
-            let mut buf = [0u8; 16];
-            assert_eq!(server.read(&mut buf).unwrap(), 0, "{backend:?}: clean EOF");
-        }
+    fn peer_close_reports_readable_eof() {
+        let mut poller = Poller::new().unwrap();
+        let (client, mut server) = pair();
+        poller
+            .register(server.as_raw_fd(), 3, Interest::READ)
+            .unwrap();
+        drop(client);
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 3 && e.readable),
+            "EOF must wake the reader"
+        );
+        let mut buf = [0u8; 16];
+        assert_eq!(server.read(&mut buf).unwrap(), 0, "clean EOF");
     }
 
     #[test]
-    fn write_interest_toggles_with_modify_all_backends() {
-        for backend in backends() {
-            let mut poller = Poller::with_backend(backend).unwrap();
-            let (_client, server) = pair();
-            poller
-                .register(server.as_raw_fd(), 1, Interest::READ)
-                .unwrap();
-            let mut events = Vec::new();
-            poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
-            assert!(
-                !events.iter().any(|e| e.writable),
-                "{backend:?}: write interest not registered"
-            );
-            poller
-                .modify(server.as_raw_fd(), 1, Interest::READ_WRITE)
-                .unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 1 && e.writable),
-                "{backend:?}: idle socket is writable"
-            );
-        }
+    fn write_interest_toggles_with_modify() {
+        let mut poller = Poller::new().unwrap();
+        let (_client, server) = pair();
+        poller
+            .register(server.as_raw_fd(), 1, Interest::READ)
+            .unwrap();
+        let mut events = Vec::new();
+        poller.wait(&mut events, Some(Duration::ZERO)).unwrap();
+        assert!(
+            !events.iter().any(|e| e.writable),
+            "write interest not registered"
+        );
+        poller
+            .modify(server.as_raw_fd(), 1, Interest::READ_WRITE)
+            .unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 1 && e.writable),
+            "idle socket is writable"
+        );
     }
 
     #[test]
     fn deregister_stops_events_and_rejects_unknown_fd() {
-        for backend in backends() {
-            let mut poller = Poller::with_backend(backend).unwrap();
-            let (mut client, server) = pair();
-            poller
-                .register(server.as_raw_fd(), 9, Interest::READ)
-                .unwrap();
-            poller.deregister(server.as_raw_fd()).unwrap();
-            client.write_all(b"x").unwrap();
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(50)))
-                .unwrap();
-            assert!(events.is_empty(), "{backend:?}: deregistered fd reported");
-            assert!(poller.deregister(server.as_raw_fd()).is_err());
-        }
+        let mut poller = Poller::new().unwrap();
+        let (mut client, server) = pair();
+        poller
+            .register(server.as_raw_fd(), 9, Interest::READ)
+            .unwrap();
+        poller.deregister(server.as_raw_fd()).unwrap();
+        client.write_all(b"x").unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_millis(50)))
+            .unwrap();
+        assert!(events.is_empty(), "deregistered fd reported");
+        assert!(poller.deregister(server.as_raw_fd()).is_err());
     }
 }

@@ -1,0 +1,107 @@
+//! The command lines of `simdht-kvsd` and `simdht-memslap`: every refused
+//! input is a usage error (exit 2) naming its flag on the `error:` line,
+//! never a panic or a silently wrapped value. No case needs a server: the
+//! client cases point at `127.0.0.1:1`, which nothing serves, and are
+//! refused before any connection is tried. The daemon's cases would bind an
+//! ephemeral port and serve for `--duration 0` if the input were accepted,
+//! so a regression fails on the exit code instead of hanging.
+
+use std::process::{Command, Output};
+
+const KVSD: &str = env!("CARGO_BIN_EXE_simdht-kvsd");
+const MEMSLAP: &str = env!("CARGO_BIN_EXE_simdht-memslap");
+const UNREACHABLE: &str = "127.0.0.1:1";
+
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin).args(args).output().expect("spawn binary")
+}
+
+/// `args` is refused as a usage error whose first stderr line names `flag`.
+fn assert_refused(bin: &str, args: &[&str], flag: &str) {
+    let out = run(bin, args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    let first = stderr.lines().next().unwrap_or_default();
+    assert!(
+        first.starts_with("error:") && first.contains(flag),
+        "{args:?}: the error line must name {flag}: {stderr}"
+    );
+}
+
+#[test]
+fn kvsd_refuses_a_memory_budget_that_overflows() {
+    for mb in ["17592186044416", "99999999999999"] {
+        assert_refused(
+            KVSD,
+            &[
+                "--addr",
+                "127.0.0.1:0",
+                "--duration",
+                "0",
+                "--memory-mb",
+                mb,
+            ],
+            "--memory-mb",
+        );
+    }
+}
+
+#[test]
+fn kvsd_help_and_unknown_flag() {
+    let out = run(KVSD, &["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("--memory-mb"));
+    assert_refused(KVSD, &["--no-such-flag"], "--no-such-flag");
+}
+
+#[test]
+fn memslap_refuses_zero_counts_and_short_keys() {
+    for (flag, value) in [
+        ("--connections", "0"),
+        ("--depth", "0"),
+        ("--mget", "0"),
+        ("--items", "0"),
+        ("--key-bytes", "11"),
+    ] {
+        assert_refused(MEMSLAP, &["--addr", UNREACHABLE, flag, value], flag);
+    }
+}
+
+#[test]
+fn memslap_refuses_fractions_outside_the_unit_interval() {
+    for flag in [
+        "--set-fraction",
+        "--write-frac",
+        "--delete-frac",
+        "--cas-frac",
+    ] {
+        for value in ["2", "-0.1"] {
+            assert_refused(MEMSLAP, &["--addr", UNREACHABLE, flag, value], flag);
+        }
+    }
+}
+
+#[test]
+fn memslap_refuses_fractions_that_sum_above_one() {
+    assert_refused(
+        MEMSLAP,
+        &[
+            "--addr",
+            UNREACHABLE,
+            "--set-fraction",
+            "0.6",
+            "--delete-frac",
+            "0.5",
+        ],
+        "--delete-frac",
+    );
+}
+
+#[test]
+fn memslap_help_and_unknown_flag() {
+    let out = run(MEMSLAP, &["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("--connections"));
+    assert_refused(MEMSLAP, &["--no-such-flag"], "--no-such-flag");
+}
