@@ -37,8 +37,9 @@ OPTIONS:
     --max-inflight <n>     Admission cap across connections; requests beyond
                            it are shed with SERVER_BUSY once the deadline
                            (if any) expires (default: unlimited)
-    --idle-timeout-ms <n>  Reap connections silent (or stalled mid-frame)
-                           this long (default: never)
+    --idle-timeout-ms <n>  Reap connections that complete no request frame
+                           this long: silent, stalled mid-frame or dripping
+                           bytes (default: never)
     --reactor              Serve with the event-driven reactor pool instead of
                            a thread per connection: each reactor owns many
                            nonblocking connections and coalesces their MGets

@@ -11,12 +11,21 @@
 //! * **thread per connection** (`None`, the default): a handler thread per
 //!   connection runs framed I/O from [`crate::net`] with request
 //!   **pipelining** — a client may keep many requests in flight on one
-//!   connection, and the handler answers them in order, flushing its write
-//!   buffer only when the read side would block (so a burst of pipelined
-//!   requests coalesces into few syscalls);
+//!   connection, and the handler answers them in order, writing its replies
+//!   only when the read side would block or they pass 64 KiB (so a burst of
+//!   pipelined requests coalesces into few syscalls). A Multi-Get and the whole Multi-Get
+//!   frames already buffered behind it are one **run**, served by one store
+//!   call of up to `MAX_RUN_KEYS` (256) keys: a burst pays the store's fixed
+//!   per-call cost once. A run never waits or makes a system call to grow,
+//!   and any other verb ends it, so program order holds;
 //! * **reactor** (`Some`): connections go round-robin to the event loops of
 //!   [`crate::reactor`], which coalesce requests from all their connections
 //!   into wide store calls.
+//!
+//! Both loops serve their Multi-Gets through one dispatch,
+//! `protocol::serve_mgets`: the store call, each request's counts
+//! and its reply sealed from the shared buffer, byte-identical to the reply
+//! it gets alone.
 //!
 //! ## Shutdown / drain
 //!
@@ -37,11 +46,14 @@
 //! `Shed` add. [`Kvsd::stats`] merges the retired total with every live
 //! block (and the reactors' batch blocks), so the closed summaries sum to
 //! the server's counters by construction. Busy time is counted once per
-//! store call: decode → seal for a request run alone, and a coalesced
-//! batch's dispatch split over its requests; a shed adds none.
+//! store call: for a Multi-Get call, up to its return and split over its
+//! requests — from the first frame's decode in a thread-loop run, from the
+//! dispatch in a reactor — and decode → seal for any other verb; a shed
+//! adds none. Every Multi-Get store call adds to `Batches` and `BatchKeys`:
+//! the thread loop's in the connection's block, a reactor's in its own.
 
 use std::collections::HashMap;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -49,8 +61,11 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::metrics::{Counter, Counters, Snapshot};
-use crate::net::{read_frame_into, release_oversized, write_frame};
-use crate::protocol::{execute, DecodeScratch, ErrorCode, ExecScratch, Request, Response};
+use crate::net::{read_frame_into, release_oversized, write_frame, FRAME_BUF_KEEP};
+use crate::protocol::{
+    buffered_mget, execute, serve_mgets, DecodeScratch, ErrorCode, ExecScratch, MGetRun, Request,
+    Response, FRAME_PREFIX_BYTES,
+};
 use crate::reactor::{self, ReactorConfig};
 use crate::store::KvStore;
 
@@ -89,7 +104,8 @@ pub struct ConnSummary {
     /// Which reactor event loop served the connection
     /// (`None` under the thread-per-connection loop).
     pub reactor: Option<usize>,
-    /// Its counters: requests, keys, found, writes, shed and busy time.
+    /// Its counters: requests, keys, found, writes, shed and busy time;
+    /// under the thread loop also its Multi-Get store calls and phases.
     pub counters: Snapshot,
 }
 
@@ -140,19 +156,42 @@ impl InflightGauge {
         true
     }
 
-    fn release(&self) {
-        *self.count.lock().unwrap() -= 1;
-        self.released.notify_one();
+    /// Take a slot if one is free now, without waiting.
+    fn try_acquire(&self) -> bool {
+        let mut count = self.count.lock().unwrap();
+        let free = *count < self.limit;
+        *count += usize::from(free);
+        free
+    }
+
+    fn release(&self, n: usize) {
+        *self.count.lock().unwrap() -= n;
+        for _ in 0..n {
+            self.released.notify_one();
+        }
     }
 }
 
-/// RAII permit from an [`InflightGauge`]: releases on drop, so every exit
-/// path of a request (including write-error breaks) frees its slot.
-struct SlotGuard<'a>(&'a InflightGauge);
+/// Inflight permits from an [`InflightGauge`] — a request's, or a run's —
+/// released together on drop, so every exit path (including write-error
+/// breaks) frees them.
+struct Slots<'a> {
+    gauge: &'a InflightGauge,
+    held: usize,
+}
 
-impl Drop for SlotGuard<'_> {
+impl Slots<'_> {
+    /// Take one more permit if one is free now.
+    fn try_take(&mut self) -> bool {
+        let taken = self.gauge.try_acquire();
+        self.held += usize::from(taken);
+        taken
+    }
+}
+
+impl Drop for Slots<'_> {
     fn drop(&mut self) {
-        self.0.release();
+        self.gauge.release(self.held);
     }
 }
 
@@ -388,6 +427,49 @@ impl Drop for Kvsd {
     }
 }
 
+/// The most keys the thread loop looks up in one store call. Pipelined
+/// Multi-Gets already in a connection's read buffer are served together up
+/// to this width, so a client's burst of eight 16-key requests is one call;
+/// a wider request is a call of its own.
+const MAX_RUN_KEYS: usize = 256;
+
+/// The read side of a thread-loop connection, holding
+/// [`KvsdConfig::idle_timeout`] to its promise. The socket's receive
+/// timeout bounds one `read`, so a client dripping one byte at a time would
+/// keep the connection open forever; here a read that returns bytes longer
+/// than the timeout after the last whole request frame fails instead.
+struct IdleRead {
+    stream: TcpStream,
+    /// The timeout, and when the last whole frame arrived.
+    idle: Option<(Duration, Instant)>,
+}
+
+impl IdleRead {
+    fn new(stream: TcpStream, timeout: Option<Duration>) -> Self {
+        let idle = timeout.map(|t| (t, Instant::now()));
+        IdleRead { stream, idle }
+    }
+
+    /// A whole request frame arrived: the idle window starts again.
+    fn frame_read(&mut self) {
+        if let Some((_, last)) = &mut self.idle {
+            *last = Instant::now();
+        }
+    }
+}
+
+impl Read for IdleRead {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.stream.read(buf)?;
+        match self.idle {
+            Some((timeout, last)) if n > 0 && last.elapsed() > timeout => {
+                Err(io::ErrorKind::TimedOut.into())
+            }
+            _ => Ok(n),
+        }
+    }
+}
+
 fn handle_connection(
     store: &KvStore,
     stream: TcpStream,
@@ -402,20 +484,30 @@ fn handle_connection(
     if read_half.set_read_timeout(config.idle_timeout).is_err() {
         return;
     }
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
+    let mut reader = BufReader::new(IdleRead::new(read_half, config.idle_timeout));
+    let mut writer = stream;
+    // Replies queue here and go out in one write once the read side would
+    // block.
+    let mut out = Vec::new();
     let mut scratch = ExecScratch::default();
-    // Each request is decoded where its frame lies, in this one buffer;
-    // its keys and values are slices of it (DESIGN.md §6).
+    // A request is decoded where its frame lies — in this one buffer, or
+    // still in the reader's when it joins a run — and its keys and values
+    // are slices of it (DESIGN.md §6).
     let mut frame = Vec::new();
     let mut lists = DecodeScratch::default();
 
     loop {
         // About to block on the socket: push out everything answered so
         // far. While pipelined requests are already buffered, keep
-        // processing without a flush per response.
-        if reader.buffer().is_empty() && writer.flush().is_err() {
-            break;
+        // processing without a write per response — unless the replies
+        // pile up past what a connection may keep, which bounds a client
+        // that asks for large values faster than it reads them.
+        if reader.buffer().is_empty() || out.len() > FRAME_BUF_KEEP {
+            if writer.write_all(&out).is_err() {
+                break;
+            }
+            out.clear();
+            release_oversized(&mut out);
         }
         if release_oversized(&mut frame) {
             lists = DecodeScratch::default();
@@ -426,6 +518,7 @@ fn handle_connection(
             // stalled mid-frame): close rather than hold the thread.
             Ok(None) | Err(_) => break,
         };
+        reader.get_mut().frame_read();
         let t0 = Instant::now();
         // A malformed frame means the stream is unframed garbage or a
         // protocol bug; drop the connection rather than guess at resync.
@@ -436,11 +529,11 @@ fn handle_connection(
         // most the request deadline), then re-check the deadline before
         // touching the store. A shed request gets a typed error response
         // and the connection lives on.
-        let mut slot: Option<SlotGuard<'_>> = None;
+        let mut slots: Option<Slots<'_>> = None;
         if let Some(id) = request.id() {
             let code = if let Some(g) = gauge.as_deref() {
                 if g.acquire(config.deadline) {
-                    slot = Some(SlotGuard(g));
+                    slots = Some(Slots { gauge: g, held: 1 });
                     None
                 } else {
                     Some(ErrorCode::ServerBusy)
@@ -448,52 +541,113 @@ fn handle_connection(
             } else {
                 None
             };
-            let code = code.or_else(|| {
-                config
-                    .deadline
-                    .is_some_and(|d| t0.elapsed() > d)
-                    .then_some(ErrorCode::DeadlineExceeded)
-            });
+            let code = code.or_else(|| overdue(t0, config.deadline));
             if let Some(code) = code {
-                drop(slot.take());
+                drop(slots.take());
                 counters.add(Counter::Shed, 1);
                 lists.reclaim(request);
                 let payload = Response::Error { id, code }.encode();
-                if write_frame(&mut writer, &payload).is_err() {
+                if write_frame(&mut out, &payload).is_err() {
                     break;
                 }
                 continue;
             }
         }
-        // `slot` releases its inflight permit when the iteration ends —
+        // `slots` releases its inflight permits when the iteration ends —
         // including the `break` paths.
-        let _hold = slot;
+        if let Request::MGet { id, keys } = &request {
+            // This Multi-Get and the whole ones buffered behind it: one
+            // store call, then each reply sealed straight into `out`.
+            let mut run = std::mem::take(&mut scratch.run).recycle();
+            run.push(*id, keys.iter().copied());
+            lists.reclaim(request);
+            let (taken, malformed) = join_buffered(
+                reader.buffer(),
+                &mut run,
+                &mut lists,
+                slots.as_mut(),
+                config.deadline,
+            );
+            let mut sent = true;
+            serve_mgets(store, &run, &mut scratch.resp, t0, counters, |_, reply| {
+                counters.served(Some(reply.lookup), 0, reply.busy);
+                sent = sent && reply.append_to(&mut out);
+            });
+            scratch.run = run.recycle();
+            reader.consume(taken);
+            if !sent || malformed {
+                break;
+            }
+            continue;
+        }
         let Some(done) = execute(store, &request, &mut scratch) else {
             break; // Shutdown
         };
         counters.add_phases(done.phases);
         let busy = t0.elapsed().as_nanos() as u64;
         counters.served(done.lookup, done.writes, busy);
-        // The reply is borrowed from `scratch` (a Multi-Get's is the frame
-        // the store built in place) — written straight to the socket, no
-        // intermediate Bytes.
-        if write_frame(&mut writer, done.reply).is_err() {
+        // The reply is borrowed from `scratch`, framed straight into `out`.
+        if write_frame(&mut out, done.reply).is_err() {
             break;
         }
         lists.reclaim(request);
     }
-    let _ = writer.flush();
+    let _ = writer.write_all(&out);
+}
+
+/// `DeadlineExceeded` when a request decoded at `t0` is past `deadline`.
+fn overdue(t0: Instant, deadline: Option<Duration>) -> Option<ErrorCode> {
+    deadline
+        .is_some_and(|d| t0.elapsed() > d)
+        .then_some(ErrorCode::DeadlineExceeded)
+}
+
+/// Add to `run` the whole Multi-Get frames at the head of `buffered`, the
+/// connection's read buffer, while each fits under [`MAX_RUN_KEYS`],
+/// decodes, is inside its deadline and gets an inflight slot without
+/// waiting; the first that does not ends the run, and is read again as the
+/// next request unless it was malformed. Makes no system call and
+/// never waits. Returns the bytes taken and whether the run ended at a
+/// malformed frame, after which the connection drops.
+fn join_buffered<'b>(
+    buffered: &'b [u8],
+    run: &mut MGetRun<'b>,
+    lists: &mut DecodeScratch,
+    mut slots: Option<&mut Slots<'_>>,
+    deadline: Option<Duration>,
+) -> (usize, bool) {
+    let mut taken = 0;
+    while let Some((payload, width)) = buffered_mget(&buffered[taken..]) {
+        if run.width() + width > MAX_RUN_KEYS {
+            break;
+        }
+        let t0 = deadline.map(|_| Instant::now());
+        let Ok(Request::MGet { id, keys }) = Request::decode_in_place(payload, lists) else {
+            return (taken, true);
+        };
+        let joins = t0.is_none_or(|t0| overdue(t0, deadline).is_none())
+            && slots.as_mut().is_none_or(|s| s.try_take());
+        if joins {
+            run.push(id, keys.iter().copied());
+            taken += FRAME_PREFIX_BYTES + payload.len();
+        }
+        lists.reclaim(Request::MGet { id, keys });
+        if !joins {
+            break;
+        }
+    }
+    (taken, false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::index::Memc3Index;
+    use crate::net::read_frame;
     use crate::net::TcpConn;
     use crate::store::StoreConfig;
     use crate::transport::ClientConn;
     use bytes::Bytes;
-    use std::io::Read as _;
     use std::sync::mpsc;
 
     fn test_store() -> Arc<KvStore> {
@@ -871,6 +1025,183 @@ mod tests {
             // Shutdown completes promptly even though `stalled` never closed.
             drain(label, kvsd);
             drop(stalled);
+        }
+    }
+
+    #[test]
+    fn slow_drip_client_is_reaped_by_idle_timeout() {
+        let timeout = Duration::from_millis(200);
+        let limits = KvsdConfig {
+            idle_timeout: Some(timeout),
+            ..KvsdConfig::default()
+        };
+        for (label, config) in loops(limits) {
+            let kvsd = serve(config);
+            // A frame that never completes: its length prefix, then one
+            // byte every 50 ms — each read returns well inside the timeout.
+            let mut drip = TcpStream::connect(kvsd.local_addr()).unwrap();
+            let start = Instant::now();
+            drip.write_all(&100u32.to_le_bytes()).unwrap();
+            while kvsd.connection_summaries().is_empty() {
+                assert!(
+                    start.elapsed() < 2 * timeout,
+                    "{label}: a dripping client held its connection past twice the idle timeout"
+                );
+                std::thread::sleep(Duration::from_millis(50));
+                // Refused once the server has closed; the summary says so.
+                let _ = drip.write_all(b"x");
+            }
+            drain(label, kvsd);
+        }
+    }
+
+    #[test]
+    fn a_coalesced_burst_is_invisible_on_the_wire() {
+        let b = |s: &'static [u8]| Bytes::from_static(s);
+        let set = |id, key, value| Request::Set {
+            id,
+            key: b(key),
+            value: b(value),
+        };
+        // Runs of Multi-Gets split by every write verb; some read what the
+        // write before them changed.
+        let burst = [
+            mget(1, &[b"present", b"nope"]),
+            mget(2, &[b"present"]),
+            mget(3, &[b"k1"]),
+            set(4, b"k1", b"v1").encode(),
+            mget(5, &[b"k1", b"present"]),
+            mget(6, &[b"k1"]),
+            Request::Delete {
+                id: 7,
+                key: b(b"present"),
+            }
+            .encode(),
+            mget(8, &[b"present", b"k1"]),
+            Request::Cas {
+                id: 9,
+                key: b(b"k1"),
+                expected_version: 0,
+                value: b(b"v2"),
+                ttl_secs: 0,
+            }
+            .encode(),
+            mget(10, &[b"k1"]),
+            Request::SetMulti {
+                id: 11,
+                pairs: vec![(b(b"k2"), b(b"w2")), (b(b"k3"), b(b"w3"))],
+            }
+            .encode(),
+            mget(12, &[b"k2", b"k3", b"k1"]),
+            mget(13, &[b"k3"]),
+            mget(14, &[b"present"]),
+        ];
+        let mgets = 10;
+        // The twin: a fresh store, sent one frame at a time.
+        let twin = serve(KvsdConfig::default());
+        let mut conn = connect(&twin);
+        let expect: Vec<Bytes> = burst
+            .iter()
+            .map(|frame| {
+                conn.send(frame.clone()).unwrap();
+                conn.recv().unwrap()
+            })
+            .collect();
+        drop(conn);
+        drain("twin", twin);
+        match Response::decode(expect[4].clone()).unwrap() {
+            Response::MGet { entries, .. } => {
+                assert_eq!(entries[0].as_deref(), Some(&b"v1"[..]), "reads the Set")
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+
+        for (label, config) in loops(KvsdConfig::default()) {
+            let kvsd = serve(config);
+            let mut raw = TcpStream::connect(kvsd.local_addr()).unwrap();
+            raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let mut bytes = Vec::new();
+            for frame in &burst {
+                write_frame(&mut bytes, frame).unwrap();
+            }
+            raw.write_all(&bytes).unwrap();
+            for (nth, want) in expect.iter().enumerate() {
+                let got = read_frame(&mut raw).unwrap().expect("a reply");
+                assert_eq!(&got, want, "{label}: reply {nth}");
+            }
+            drop(raw);
+            let (_, stats) = drain(label, kvsd);
+            assert_eq!(stats[Counter::Requests], mgets, "{label}");
+            let batches = stats[Counter::Batches];
+            assert!(
+                0 < batches && batches < mgets,
+                "{label}: {mgets} pipelined Multi-Gets took {batches} store calls"
+            );
+        }
+    }
+
+    #[test]
+    fn a_run_ending_at_a_malformed_frame_answers_what_preceded_it() {
+        for (label, config) in loops(KvsdConfig::default()) {
+            let kvsd = serve(config);
+            let mut raw = TcpStream::connect(kvsd.local_addr()).unwrap();
+            raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let mut bytes = Vec::new();
+            for id in 0..2u64 {
+                write_frame(&mut bytes, &mget(id, &[b"present"])).unwrap();
+            }
+            // A Multi-Get whose CRC trailer is wrong, then one more.
+            let mut damaged = mget(2, &[b"present"]).to_vec();
+            *damaged.last_mut().unwrap() ^= 1;
+            write_frame(&mut bytes, &damaged).unwrap();
+            write_frame(&mut bytes, &mget(3, &[b"present"])).unwrap();
+            raw.write_all(&bytes).unwrap();
+            for id in 0..2u64 {
+                let frame = read_frame(&mut raw).unwrap().expect("a reply");
+                let reply = Response::decode(frame).unwrap();
+                assert!(
+                    matches!(reply, Response::MGet { id: got, .. } if got == id),
+                    "{label}"
+                );
+            }
+            assert!(
+                matches!(read_frame(&mut raw), Ok(None) | Err(_)),
+                "{label}: the connection drops at the malformed frame"
+            );
+            drop(raw);
+            let (_, stats) = drain(label, kvsd);
+            assert_eq!(stats[Counter::Requests], 2, "{label}");
+        }
+    }
+
+    #[test]
+    fn a_one_slot_cap_serves_a_deep_burst() {
+        let limits = KvsdConfig {
+            max_inflight: Some(1),
+            ..KvsdConfig::default()
+        };
+        for (label, config) in loops(limits) {
+            let kvsd = serve(config);
+            let mut raw = TcpStream::connect(kvsd.local_addr()).unwrap();
+            raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let mut bytes = Vec::new();
+            for id in 0..8u64 {
+                write_frame(&mut bytes, &mget(id, &[b"present"])).unwrap();
+            }
+            raw.write_all(&bytes).unwrap();
+            for id in 0..8u64 {
+                let frame = read_frame(&mut raw).unwrap().expect("a reply");
+                match Response::decode(frame).unwrap() {
+                    Response::MGet { id: got, entries } => {
+                        assert_eq!(got, id, "{label}");
+                        assert_eq!(entries[0].as_deref(), Some(&b"the-value"[..]), "{label}");
+                    }
+                    other => panic!("{label}: unexpected {other:?}"),
+                }
+            }
+            drop(raw);
+            let (_, stats) = drain(label, kvsd);
+            assert_eq!(stats[Counter::Shed], 0, "{label}");
         }
     }
 

@@ -76,6 +76,9 @@ pub struct MemslapReport {
     pub keys: u64,
     /// Keys the server found.
     pub found: u64,
+    /// Multi-Get store calls the server made: `keys / batches` is the
+    /// batch each lookup pass got, Fig. 11's batch size.
+    pub batches: u64,
     /// Server-side Get throughput: keys per busy-second across workers.
     pub server_keys_per_sec: f64,
     /// Aggregate server phase breakdown.
@@ -151,6 +154,7 @@ pub fn run_memslap(store: KvStore, workload: &KvWorkload, config: &MemslapConfig
         requests: stats[Counter::Requests],
         keys: stats[Counter::Keys],
         found: stats[Counter::Found],
+        batches: stats[Counter::Batches],
         server_keys_per_sec: stats.ratio(Counter::Keys, Counter::BusyNs) * 1e9,
         phases: stats.phases(),
         shard_items: store.shard_lens(),
@@ -1235,6 +1239,32 @@ mod tests {
         // The clients saw exactly what the server counted.
         let c = &report.client;
         assert_eq!((c.requests, c.keys, c.hits), (100, 1600, 1600), "{c:?}");
+    }
+
+    #[test]
+    fn fig11_batch_is_the_workload_mget_width() {
+        // One request in flight per client: the server never serves two
+        // Multi-Gets with one store call, so each lookup pass gets exactly
+        // the workload's batch, at every batch size the figure sweeps.
+        for mget_size in [16, 64] {
+            let wl = KvWorkload::generate(&KvWorkloadSpec {
+                n_items: 500,
+                n_requests: 100,
+                mget_size,
+                ..KvWorkloadSpec::default()
+            });
+            let cfg = MemslapConfig {
+                clients: 4,
+                ..MemslapConfig::default()
+            };
+            let store = KvStore::new(
+                Box::new(Memc3Index::with_capacity(1000)),
+                StoreConfig::default(),
+            );
+            let report = run_memslap(store, &wl, &cfg);
+            assert_eq!(report.batches, report.requests, "{report:?}");
+            assert_eq!(report.keys, report.batches * mget_size as u64, "{report:?}");
+        }
     }
 
     #[test]

@@ -28,9 +28,11 @@ pub enum Counter {
     Writes,
     /// Requests answered `ServerBusy` / `DeadlineExceeded` instead of run.
     Shed,
-    /// Nanoseconds workers spent on store calls, each counted once:
-    /// decode → seal for a request run alone, the dispatch for a coalesced
-    /// batch (split over its requests). A shed adds none.
+    /// Nanoseconds workers spent on store calls, each counted once: a
+    /// Multi-Get store call up to its return, split over the requests it
+    /// served (`share`) — from the first frame's decode in the thread
+    /// loop, from the dispatch in a reactor — and decode → seal for any
+    /// other verb. A shed adds none.
     BusyNs,
     /// Pre-processing phase nanoseconds (Fig. 11(b)).
     PreNs,
@@ -42,17 +44,20 @@ pub enum Counter {
     ConnsAdopted,
     /// Request frames a reactor decoded.
     Frames,
-    /// Coalesced `mget` dispatches.
+    /// Multi-Get store calls: a reactor's coalesced batches, and the thread
+    /// loop's runs of pipelined requests already in one connection's read
+    /// buffer.
     Batches,
-    /// Keys over those dispatches (`/ Batches` = mean width).
+    /// Keys over those calls (`/ Batches` = mean width).
     BatchKeys,
-    /// Dispatches fired by the batch width, a full `max_inflight` window,
+    /// A reactor's dispatches fired by the batch width, a full `max_inflight` window,
     /// or program order (a request of a connection parked in the other
     /// buffer).
     WidthFires,
-    /// Dispatches fired by the coalesce micro-deadline or an empty poll.
+    /// A reactor's dispatches fired by the coalesce micro-deadline or an
+    /// empty poll.
     TimeoutFires,
-    /// Dispatches fired by the shutdown drain.
+    /// A reactor's dispatches fired by the shutdown drain.
     DrainFires,
     /// Coalesced `set_multi` dispatches.
     WriteBatches,
@@ -158,9 +163,9 @@ impl std::iter::Sum for Snapshot {
     }
 }
 
-/// The server report: a `server:` line, a `reactor:` line when a reactor
-/// adopted a connection, and a `server phases:` line when a store call was
-/// timed.
+/// The server report: a `server:` line, a `batches:` line when a Multi-Get
+/// store call ran, a `reactor:` line when a reactor adopted a connection,
+/// and a `server phases:` line when a store call was timed.
 impl fmt::Display for Snapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use Counter::*;
@@ -174,15 +179,21 @@ impl fmt::Display for Snapshot {
             self[Shed],
             self[BusyNs] as f64 / 1e6,
         )?;
+        if self[Batches] > 0 {
+            writeln!(
+                f,
+                "batches: {} mget calls, mean width {:.2}",
+                self[Batches],
+                self.ratio(BatchKeys, Batches),
+            )?;
+        }
         if self[ConnsAdopted] > 0 {
             writeln!(
                 f,
-                "reactor: {} conns, {} frames, {} batches (mean width {:.2}; fires: \
-                 {} width / {} timeout / {} drain), {} write batches (mean pairs {:.2})",
+                "reactor: {} conns, {} frames (fires: {} width / {} timeout / {} drain), \
+                 {} write batches (mean pairs {:.2})",
                 self[ConnsAdopted],
                 self[Frames],
-                self[Batches],
-                self.ratio(BatchKeys, Batches),
                 self[WidthFires],
                 self[TimeoutFires],
                 self[DrainFires],
@@ -204,6 +215,15 @@ impl fmt::Display for Snapshot {
         }
         Ok(())
     }
+}
+
+/// Request `i`'s part of a store call's `busy` nanoseconds, split evenly
+/// over the call's `n` requests so that the parts sum to `busy` exactly:
+/// each store call's time is counted once, in the blocks of the connections
+/// it served.
+pub(crate) fn share(busy: u64, i: usize, n: usize) -> u64 {
+    let upto = |i: usize| (u128::from(busy) * i as u128 / n as u128) as u64;
+    upto(i + 1) - upto(i)
 }
 
 #[cfg(test)]
@@ -297,5 +317,15 @@ mod tests {
             ),
             "{report}"
         );
+        // The thread loop counts its store calls too: they render without
+        // a reactor.
+        block.add(Counter::Batches, 2);
+        block.add(Counter::BatchKeys, 32);
+        let report = block.snapshot().to_string();
+        assert!(
+            report.contains("\nbatches: 2 mget calls, mean width 16.00\n"),
+            "{report}"
+        );
+        assert!(!report.contains("reactor:"), "{report}");
     }
 }

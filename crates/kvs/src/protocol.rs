@@ -50,8 +50,12 @@
 //! breaking older clients mid-connection.
 
 use std::io;
+use std::time::Instant;
 
 use bytes::Bytes;
+
+use crate::metrics::{share, Counter, Counters};
+use crate::store::{KvStore, MGetResponse};
 
 /// CRC-32 (IEEE) of `bytes` — the per-message integrity trailer. Detects
 /// every single-byte corruption and every burst shorter than 32 bits.
@@ -98,13 +102,16 @@ fn check_frame_len(len: usize, kind: io::ErrorKind) -> io::Result<usize> {
     Ok(len)
 }
 
+/// Bytes of the length prefix in front of every frame on a stream.
+pub(crate) const FRAME_PREFIX_BYTES: usize = 4;
+
 /// The 4-byte length prefix that frames a `len`-byte payload on a stream —
 /// the only place a frame length becomes bytes.
 ///
 /// # Errors
 ///
 /// `InvalidInput` carrying [`FrameTooLarge`] above [`MAX_FRAME_BYTES`].
-pub(crate) fn frame_prefix(len: usize) -> io::Result<[u8; 4]> {
+pub(crate) fn frame_prefix(len: usize) -> io::Result<[u8; FRAME_PREFIX_BYTES]> {
     check_frame_len(len, io::ErrorKind::InvalidInput).map(|len| (len as u32).to_le_bytes())
 }
 
@@ -114,11 +121,26 @@ pub(crate) fn frame_prefix(len: usize) -> io::Result<[u8; 4]> {
 /// # Errors
 ///
 /// `InvalidData` carrying [`FrameTooLarge`] above [`MAX_FRAME_BYTES`].
-pub(crate) fn frame_len(prefix: [u8; 4]) -> io::Result<usize> {
+pub(crate) fn frame_len(prefix: [u8; FRAME_PREFIX_BYTES]) -> io::Result<usize> {
     check_frame_len(
         u32::from_le_bytes(prefix) as usize,
         io::ErrorKind::InvalidData,
     )
+}
+
+/// The Multi-Get request frame at the head of `buffered`, a connection's
+/// read buffer, if the whole frame is already there: its payload and its
+/// key count. Only the prefix, the opcode and the count field are read —
+/// the payload is decoded, CRC first, when it is taken. `None` for any
+/// other verb, a frame still arriving, or a prefix past
+/// [`MAX_FRAME_BYTES`].
+pub(crate) fn buffered_mget(buffered: &[u8]) -> Option<(&[u8], usize)> {
+    let (prefix, rest) = buffered.split_first_chunk::<FRAME_PREFIX_BYTES>()?;
+    let payload = rest.get(..frame_len(*prefix).ok()?)?;
+    // `[opcode: u8] [id: u64] [key count: u16]`, as `Request::MGet` encodes.
+    let (&opcode, fields) = payload.split_first()?;
+    let count = fields.get(8..)?.first_chunk::<2>()?;
+    (opcode == OP_MGET).then(|| (payload, usize::from(u16::from_le_bytes(*count))))
 }
 
 /// Append the CRC-32 trailer over `out[body_at..]`, completing a message
@@ -426,15 +448,115 @@ impl std::fmt::Display for ErrorCode {
         }
     }
 }
-/// Per-worker buffers [`execute`] reuses across requests, as a real
-/// server does: the Multi-Get response frame is built in place in one,
-/// batched writes stage through another, every other reply is encoded
-/// into the third.
+/// Per-worker buffers [`execute`] and the connection loops reuse across
+/// requests, as a real server does: Multi-Get replies are built in place in
+/// one, batched writes stage through another, every other reply is encoded
+/// into the third, and a run of Multi-Gets gathers its keys in the fourth.
 #[derive(Debug, Default)]
 pub struct ExecScratch {
-    pub(crate) resp: crate::store::MGetResponse,
+    pub(crate) resp: MGetResponse,
     pub(crate) set_batch: crate::store::SetMultiBatch,
     reply: Vec<u8>,
+    pub(crate) run: MGetRun<'static>,
+}
+
+/// A run of Multi-Gets to serve with one store call ([`serve_mgets`]):
+/// every request's keys end to end, and each request's id and key count.
+/// Its lists are kept from run to run; [`MGetRun::recycle`] empties them
+/// and frees the next run to borrow its keys from anywhere.
+#[derive(Debug, Default)]
+pub(crate) struct MGetRun<'k> {
+    keys: Vec<&'k [u8]>,
+    reqs: Vec<(u64, usize)>,
+}
+
+impl<'k> MGetRun<'k> {
+    /// Add request `id`, looking up `keys`, to the run.
+    pub(crate) fn push(&mut self, id: u64, keys: impl IntoIterator<Item = &'k [u8]>) {
+        let before = self.keys.len();
+        self.keys.extend(keys);
+        self.reqs.push((id, self.keys.len() - before));
+    }
+
+    /// Keys in the run.
+    pub(crate) fn width(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The run emptied, its lists' allocations kept ([`crate::emptied`]).
+    pub(crate) fn recycle<'j>(mut self) -> MGetRun<'j> {
+        self.reqs.clear();
+        MGetRun {
+            keys: crate::emptied(self.keys),
+            reqs: self.reqs,
+        }
+    }
+}
+
+/// One request's part of a run [`serve_mgets`] served, handed to the
+/// connection loop in request order.
+pub(crate) struct MGetReply<'r> {
+    resp: &'r MGetResponse,
+    slots: std::ops::Range<usize>,
+    id: u64,
+    /// Keys the request looked up, and keys found.
+    pub(crate) lookup: (usize, usize),
+    /// The request's share of the run's busy nanoseconds.
+    pub(crate) busy: u64,
+}
+
+impl MGetReply<'_> {
+    /// Append the request's response frame to `out`: the bytes it gets when
+    /// served alone ([`MGetResponse::append_subframe`]). `false`, with
+    /// `out` untouched, when the frame would outgrow [`MAX_FRAME_BYTES`];
+    /// the connection then drops, as on any reply
+    /// [`crate::net::write_frame`] refuses.
+    pub(crate) fn append_to(&self, out: &mut Vec<u8>) -> bool {
+        self.resp.append_subframe(self.slots.clone(), self.id, out) > 0
+    }
+}
+
+/// Serve a run of Multi-Gets with one wide [`KvStore::mget`] — the one
+/// Multi-Get dispatch of both connection loops, and of [`execute`] as a run
+/// of one. The store partitions the run per shard, so each shard's lookup
+/// pipeline gets every key the run holds for it. The call is counted once in
+/// `block`: one more [`Counter::Batches`], its keys on
+/// [`Counter::BatchKeys`], its phase split. Its busy time, from `since` to
+/// the call's return, is split over the run's requests
+/// ([`crate::metrics::share`]), and `deliver` gets each request in order,
+/// by its index in the run, with its [`MGetReply`].
+pub(crate) fn serve_mgets(
+    store: &KvStore,
+    run: &MGetRun<'_>,
+    resp: &mut MGetResponse,
+    since: Instant,
+    block: &Counters,
+    mut deliver: impl FnMut(usize, MGetReply<'_>),
+) {
+    let outcome = store.mget(&run.keys, resp);
+    let busy = since.elapsed().as_nanos() as u64;
+    block.add(Counter::Batches, 1);
+    block.add(Counter::BatchKeys, run.keys.len() as u64);
+    block.add_phases(outcome.phases);
+    let resp = &*resp;
+    let mut end = 0;
+    for (nth, &(id, width)) in run.reqs.iter().enumerate() {
+        let slots = end..end + width;
+        end = slots.end;
+        let found = slots.clone().filter(|&i| resp.value(i).is_some()).count();
+        let busy = share(busy, nth, run.reqs.len());
+        let lookup = (width, found);
+        deliver(
+            nth,
+            MGetReply {
+                resp,
+                slots,
+                id,
+                lookup,
+                busy,
+            },
+        );
+    }
 }
 
 /// The key and pair lists of in-place-decoded requests, kept between
@@ -481,12 +603,15 @@ pub struct Executed<'a> {
 /// Execute one request against the store and encode its response. This is
 /// the single server-side semantics of the command surface — `kvsd`'s
 /// thread loop and the reactor's non-coalesced verbs both dispatch
-/// through it so the verbs cannot drift apart. The request's keys and
-/// values are read where they lie, normally in the frame it was decoded
-/// from ([`Request::decode_in_place`]). Returns `None` for
-/// [`Request::Shutdown`], which has no response: the serving loop stops.
+/// through it, and a Multi-Get runs as a run of one through
+/// `serve_mgets`, which both loops serve their Multi-Gets with, so the
+/// verbs cannot drift apart. The request's keys and values are read where
+/// they lie, normally in the frame it was decoded from
+/// ([`Request::decode_in_place`]). Returns `None` when there is no reply
+/// and the serving loop stops: for [`Request::Shutdown`], and for a
+/// Multi-Get whose reply would outgrow [`MAX_FRAME_BYTES`].
 pub fn execute<'a>(
-    store: &crate::store::KvStore,
+    store: &KvStore,
     request: &Request<&[u8]>,
     scratch: &'a mut ExecScratch,
 ) -> Option<Executed<'a>> {
@@ -494,12 +619,29 @@ pub fn execute<'a>(
     let response = match request {
         Request::Shutdown => return None,
         Request::MGet { id, keys } => {
-            let outcome = store.mget(keys, &mut scratch.resp);
-            return Some(Executed {
-                reply: scratch.resp.seal_frame(*id),
-                lookup: Some((keys.len(), outcome.found)),
+            let mut run = std::mem::take(&mut scratch.run).recycle();
+            run.push(*id, keys.iter().copied());
+            // The call's counts, in a block of its own.
+            let block = Counters::default();
+            let mut lookup = None;
+            scratch.reply.clear();
+            serve_mgets(
+                store,
+                &run,
+                &mut scratch.resp,
+                Instant::now(),
+                &block,
+                |_, reply| {
+                    lookup = reply.append_to(&mut scratch.reply).then_some(reply.lookup);
+                },
+            );
+            scratch.run = run.recycle();
+            return lookup.map(|lookup| Executed {
+                // The payload: callers frame it.
+                reply: &scratch.reply[FRAME_PREFIX_BYTES..],
+                lookup: Some(lookup),
                 writes: 0,
-                phases: outcome.phases,
+                phases: block.snapshot().phases(),
             });
         }
         Request::Set { id, key, value } => Response::Set {

@@ -11,11 +11,11 @@
 //! connections into one **coalescing buffer** and dispatch a single wide
 //! [`crate::store::KvStore::mget`] when the buffer reaches the configured
 //! batch width — or when a micro-deadline expires, so a lone request is
-//! never parked longer than [`ReactorConfig::coalesce`]. The response
-//! scatter is [`crate::store::MGetResponse::append_subframe`]: each
-//! request's slice of the shared batch buffer is sealed into its own
-//! frame, byte-identical to what the thread loop would have produced for
-//! that request alone.
+//! never parked longer than [`ReactorConfig::coalesce`]. The dispatch is
+//! the thread loop's too, `protocol::serve_mgets`: one store call,
+//! then each request's slice of the shared batch buffer sealed into its
+//! own frame by [`crate::store::MGetResponse::append_subframe`],
+//! byte-identical to what that request gets served alone.
 //!
 //! ## Loop states (DESIGN.md §10)
 //!
@@ -51,8 +51,8 @@
 //!   per reactor; reaching it forces an early dispatch instead of
 //!   queueing deeper, and `Some(0)` sheds every request with
 //!   `ErrorCode::ServerBusy` exactly like the thread loop.
-//! * **idle_timeout** — a periodic sweep closes connections with no
-//!   received bytes for the window, freeing their slots.
+//! * **idle_timeout** — a periodic sweep closes connections that have not
+//!   completed a request frame for the window, freeing their slots.
 //! * **drain** — the shell half-closes every read side
 //!   ([`crate::kvsd::Kvsd::shutdown`]), then closes the reactors'
 //!   inboxes; reactors finish decoding what is buffered, dispatch the
@@ -72,10 +72,12 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 
 use crate::kvsd::{KvsdConfig, Shell};
-use crate::metrics::{Counter, Counters};
+use crate::metrics::{share, Counter, Counters};
 use crate::net::{flush_nonblocking, write_frame, FrameDecoder};
-use crate::protocol::{execute, DecodeScratch, ErrorCode, ExecScratch, Request, Response};
-use crate::store::{KvStore, PhaseNanos};
+use crate::protocol::{
+    execute, serve_mgets, DecodeScratch, ErrorCode, ExecScratch, Request, Response,
+};
+use crate::store::KvStore;
 
 use poller::{Event, Interest, Poller};
 
@@ -260,6 +262,7 @@ struct Conn {
     slots: VecDeque<Option<Vec<u8>>>,
     /// Absolute sequence number of `slots.front()`.
     base: u64,
+    /// When a read last completed a request frame (or the adoption).
     last_activity: Instant,
     /// The connection's block in the shell's registry.
     counters: Arc<Counters>,
@@ -504,7 +507,6 @@ impl ReactorLoop {
                         break;
                     }
                     Ok(n) => {
-                        conn.last_activity = Instant::now();
                         if conn
                             .decoder
                             .extend(&self.read_buf[..n], &mut frames)
@@ -534,6 +536,11 @@ impl ReactorLoop {
                         return;
                     }
                 }
+            }
+            // Only a whole request frame counts as activity: a client
+            // dripping bytes of one frame stays idle.
+            if !frames.is_empty() {
+                conn.last_activity = Instant::now();
             }
         }
         self.counters.add(Counter::Frames, frames.len() as u64);
@@ -720,50 +727,50 @@ impl ReactorLoop {
         live
     }
 
-    /// Run one wide `mget` over every live parked request's keys — the
-    /// store partitions per shard internally, so this is exactly the
-    /// per-shard coalesced batch the SIMD kernels want — and seal each
-    /// request's slice of the shared batch buffer straight into its
-    /// connection's output (or its ordering slot when earlier requests
-    /// are still pending).
+    /// Serve every live parked Multi-Get with one wide `mget`
+    /// ([`serve_mgets`], the thread loop's dispatch too), sealing each
+    /// request's reply straight into its connection's output, or its
+    /// ordering slot when earlier requests are still pending.
     fn dispatch_reads(&mut self, fire: Counter) {
         let live = self.take_live::<Vec<Bytes>>();
         if live.is_empty() {
             return;
         }
-        let t0 = Instant::now();
-        let keys: Vec<&[u8]> = live
-            .iter()
-            .flat_map(|r| r.body.iter().map(|k| k.as_ref()))
-            .collect();
-        let outcome = self.store.mget(&keys, &mut self.scratch.resp);
-        let busy = t0.elapsed().as_nanos() as u64;
-        let batch = (Counter::Batches, Counter::BatchKeys, keys.len());
-        self.count_dispatch(fire, batch, outcome.phases);
-
-        let mut touched = Vec::with_capacity(live.len());
-        let mut end = 0;
-        for (nth, req) in live.iter().enumerate() {
-            let range = end..end + req.body.len();
-            end = range.end;
-            let Some(conn) = self.conns.get_mut(&req.token) else {
-                continue; // connection died while its request waited
-            };
-            let resp = &self.scratch.resp;
-            let found = range.clone().filter(|&i| resp.value(i).is_some()).count();
-            let busy = share(busy, nth, live.len());
-            conn.counters.served(Some((range.len(), found)), 0, busy);
-            let mut appended = 0;
-            conn.answer(req.seq, |out| {
-                appended = resp.append_subframe(range, req.id, out)
-            });
-            if appended == 0 {
-                // The reply outgrew a frame: the thread loop's
-                // `write_frame` refuses it and drops the connection.
-                self.close(req.token);
-            } else {
-                touched.push(req.token);
-            }
+        let since = Instant::now();
+        let mut run = std::mem::take(&mut self.scratch.run).recycle();
+        for req in &live {
+            run.push(req.id, req.body.iter().map(|k| k.as_ref()));
+        }
+        self.counters.add(fire, 1);
+        let (mut touched, mut dead) = (Vec::with_capacity(live.len()), Vec::new());
+        let conns = &mut self.conns;
+        serve_mgets(
+            &self.store,
+            &run,
+            &mut self.scratch.resp,
+            since,
+            &self.counters,
+            |nth, reply| {
+                let req = &live[nth];
+                if dead.contains(&req.token) {
+                    return; // nothing follows a reply its connection never got
+                }
+                let Some(conn) = conns.get_mut(&req.token) else {
+                    return; // connection died while its request waited
+                };
+                conn.counters.served(Some(reply.lookup), 0, reply.busy);
+                let mut sent = false;
+                conn.answer(req.seq, |out| sent = reply.append_to(out));
+                if sent {
+                    touched.push(req.token);
+                } else {
+                    dead.push(req.token);
+                }
+            },
+        );
+        self.scratch.run = run.recycle();
+        for token in dead {
+            self.close(token);
         }
         self.write_touched(touched);
     }
@@ -786,8 +793,11 @@ impl ReactorLoop {
             .collect();
         let outcome = self.store.set_multi(&pairs, &mut self.scratch.set_batch);
         let busy = t0.elapsed().as_nanos() as u64;
-        let batch = (Counter::WriteBatches, Counter::WriteBatchPairs, pairs.len());
-        self.count_dispatch(fire, batch, outcome.phases);
+        self.counters.add(fire, 1);
+        self.counters.add(Counter::WriteBatches, 1);
+        self.counters
+            .add(Counter::WriteBatchPairs, pairs.len() as u64);
+        self.counters.add_phases(outcome.phases);
 
         let mut touched = Vec::with_capacity(live.len());
         let mut end = 0;
@@ -812,17 +822,6 @@ impl ReactorLoop {
             touched.push(req.token);
         }
         self.write_touched(touched);
-    }
-
-    /// Count one dispatch in the loop's block: its trigger `fire`, one
-    /// more on `batch`'s dispatch counter and its width on the width total,
-    /// and the store call's phase split.
-    fn count_dispatch(&self, fire: Counter, batch: (Counter, Counter, usize), phases: PhaseNanos) {
-        let (dispatches, widths, width) = batch;
-        self.counters.add(fire, 1);
-        self.counters.add(dispatches, 1);
-        self.counters.add(widths, width as u64);
-        self.counters.add_phases(phases);
     }
 
     /// Write what a dispatch answered, once per connection it touched, as
@@ -906,14 +905,6 @@ impl ReactorLoop {
         let _ = flush_nonblocking(&mut conn.stream, &mut conn.out, &mut conn.out_pos);
         self.shell.closed(conn.id);
     }
-}
-
-/// Request `i`'s part of a batch's `busy` nanoseconds, split evenly over its
-/// `n` requests so that the parts sum to `busy` exactly: each store call's
-/// time is counted once, in the blocks of the connections it served.
-fn share(busy: u64, i: usize, n: usize) -> u64 {
-    let upto = |i: usize| (u128::from(busy) * i as u128 / n as u128) as u64;
-    upto(i + 1) - upto(i)
 }
 
 #[cfg(test)]

@@ -1,11 +1,13 @@
 //! Zero-allocation guard for the daemon's request path.
 //!
 //! A counting global allocator watches a live `Kvsd` (thread loop, the
-//! default, over loopback) serve a pipelined run of requests. Once the
-//! connection's buffers have grown to the widest request, a request costs
-//! no heap allocation at all: its frame is read into the connection's one
-//! reused buffer, decoded in place, executed against the store, sealed in
-//! the worker's scratch and written out. The client side of the socket
+//! default, over loopback) serve bursts of pipelined requests. Once the
+//! connection's buffers have grown to the widest burst, a request costs
+//! no heap allocation at all: its frame is decoded in place — in the
+//! connection's one reused frame buffer, or in its read buffer when it
+//! joins a run of Multi-Gets — executed against the store (a run of
+//! Multi-Gets in one call), sealed in the worker's scratch and written
+//! out. The client side of the socket
 //! allocates nothing either (pre-encoded frames, one reused read buffer),
 //! so the process-wide count over the measured window is the server's.
 //!
@@ -28,6 +30,7 @@ use std::time::Duration;
 use bytes::Bytes;
 use simdht_kvs::index::by_short_name;
 use simdht_kvs::kvsd::Kvsd;
+use simdht_kvs::metrics::Counter;
 use simdht_kvs::net::write_frame;
 use simdht_kvs::protocol::{Request, Response};
 use simdht_kvs::store::{KvStore, StoreConfig};
@@ -82,7 +85,9 @@ fn value(i: usize, gen: usize) -> Bytes {
     Bytes::from(v)
 }
 
-/// Requests a client keeps in flight.
+/// Requests a client sends as one burst before reading their replies:
+/// sixteen 16-key Multi-Gets, which the thread loop serves with one store
+/// call when the whole burst is in its read buffer.
 const DEPTH: usize = 16;
 
 /// `REQUESTS` encoded frames, back to back, and where each one lies.
@@ -101,24 +106,20 @@ fn frames(make: impl Fn(usize) -> Request) -> Frames {
     Frames { bytes, at }
 }
 
-/// Send `frames` `DEPTH` at a time and read each response into `buf`,
-/// allocating nothing; returns the last response's payload length.
+/// Send `frames` in bursts of `DEPTH`, each in one write, and read each
+/// response into `buf`, allocating nothing; returns the last response's
+/// payload length.
 fn exchange(conn: &mut TcpStream, frames: &Frames, buf: &mut [u8]) -> usize {
-    let send = |conn: &mut TcpStream, r: usize| {
-        if let Some(at) = frames.at.get(r) {
-            conn.write_all(&frames.bytes[at.clone()]).expect("send");
-        }
-    };
-    for r in 0..DEPTH {
-        send(conn, r);
-    }
     let mut len = 0;
-    for r in 0..REQUESTS {
-        let mut prefix = [0u8; 4];
-        conn.read_exact(&mut prefix).expect("response prefix");
-        len = u32::from_le_bytes(prefix) as usize;
-        conn.read_exact(&mut buf[..len]).expect("response payload");
-        send(conn, r + DEPTH);
+    for burst in frames.at.chunks(DEPTH) {
+        let (first, last) = (burst[0].start, burst[burst.len() - 1].end);
+        conn.write_all(&frames.bytes[first..last]).expect("send");
+        for _ in burst {
+            let mut prefix = [0u8; 4];
+            conn.read_exact(&mut prefix).expect("response prefix");
+            len = u32::from_le_bytes(prefix) as usize;
+            conn.read_exact(&mut buf[..len]).expect("response payload");
+        }
     }
     len
 }
@@ -171,6 +172,7 @@ fn serving_a_request_allocates_nothing_in_steady_state() {
         id: r as u64,
         keys: keys(r),
     });
+    let before = kvsd.stats();
     let allocs = allocations_per_run(&mut conn, &mget, &mget, |resp| match resp {
         Response::MGet { entries, .. } => assert!(entries.iter().all(Option::is_some)),
         other => panic!("unexpected {other:?}"),
@@ -178,6 +180,16 @@ fn serving_a_request_allocates_nothing_in_steady_state() {
     assert_eq!(
         allocs, 0,
         "16-key MGet: {allocs} allocations per {REQUESTS} requests"
+    );
+    // The bursts were served by coalesced store calls, wider than one
+    // request: the allocation-free path is the coalesced one.
+    let after = kvsd.stats();
+    let batches = after[Counter::Batches] - before[Counter::Batches];
+    let keys = after[Counter::BatchKeys] - before[Counter::BatchKeys];
+    assert!(batches > 0, "no Multi-Get store call counted");
+    assert!(
+        keys as f64 / batches as f64 > KEYS_PER_REQUEST as f64,
+        "{batches} store calls over {keys} keys: the bursts were not coalesced"
     );
 
     // A 16-pair Multi-Set that replaces resident keys.
