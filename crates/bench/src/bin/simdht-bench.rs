@@ -2,7 +2,8 @@
 //!
 //! ```text
 //! simdht-bench <experiment|all> [--quick]
-//! simdht-bench --list
+//! simdht-bench custom [flags]
+//! simdht-bench --list | --help
 //! ```
 //!
 //! Run with `cargo run --release -p simdht-bench -- <id>`. Every id
@@ -20,65 +21,79 @@ fn usage() -> String {
          \n\
          experiments:\n  {}\n\
          \n\
-         --quick  run at reduced scale (seconds instead of minutes)\n\
-         --list   print experiment ids\n\n{}",
+         --quick      run at reduced scale (seconds instead of minutes)\n\
+         --list       print experiment ids\n\
+         -h, --help   print this help\n\n{}",
         experiments::ALL.join("\n  "),
         custom::usage()
     )
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let ids: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
+fn is_help(arg: &str) -> bool {
+    arg == "-h" || arg == "--help"
+}
 
-    if args.iter().any(|a| a == "--list") {
-        println!("{}", experiments::ALL.join("\n"));
+/// `custom`'s own flags, parsed and executed.
+fn run_custom(args: &[String]) -> ExitCode {
+    if args.iter().any(|a| is_help(a)) {
+        println!("{}", custom::usage());
         return ExitCode::SUCCESS;
     }
-    if ids.first().copied() == Some("custom") {
-        let rest: Vec<String> = args
-            .iter()
-            .skip_while(|a| *a != "custom")
-            .skip(1)
-            .cloned()
-            .collect();
-        return match custom::parse(&rest).and_then(|spec| custom::execute(&spec)) {
-            Ok(report) => {
-                println!("{report}");
-                ExitCode::SUCCESS
+    match custom::parse(args).and_then(|spec| custom::execute(&spec)) {
+        Ok(report) => {
+            println!("{report}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("custom: {e}\n\n{}", custom::usage());
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (mut quick, mut list) = (false, false);
+    let mut ids: Vec<&str> = Vec::new();
+    for (i, arg) in args.iter().enumerate() {
+        match arg.as_str() {
+            "--quick" => quick = true,
+            "--list" => list = true,
+            help if is_help(help) => {
+                println!("{}", usage());
+                return ExitCode::SUCCESS;
             }
-            Err(e) => {
-                eprintln!("custom: {e}\n\n{}", custom::usage());
-                ExitCode::FAILURE
+            // Everything after `custom` is its own flags.
+            "custom" if ids.is_empty() => return run_custom(&args[i + 1..]),
+            flag if flag.starts_with("--") => {
+                eprintln!("unknown flag {flag}\n\n{}", usage());
+                return ExitCode::FAILURE;
             }
-        };
+            id => ids.push(id),
+        }
+    }
+
+    if list {
+        println!("{}", experiments::ALL.join("\n"));
+        return ExitCode::SUCCESS;
     }
     if ids.is_empty() {
         eprintln!("{}", usage());
         return ExitCode::FAILURE;
     }
-
     let selected: Vec<&str> = if ids == ["all"] {
         experiments::ALL.to_vec()
     } else {
         ids
     };
-
+    // Every id resolves before the first one runs.
+    if let Some(id) = selected.iter().find(|id| !experiments::ALL.contains(id)) {
+        eprintln!("unknown experiment '{id}'\n\n{}", usage());
+        return ExitCode::FAILURE;
+    }
     for id in selected {
-        match experiments::run(id, quick) {
-            Some(output) => {
-                println!("{output}");
-            }
-            None => {
-                eprintln!("unknown experiment '{id}'\n\n{}", usage());
-                return ExitCode::FAILURE;
-            }
-        }
+        let output = experiments::run(id, quick).expect("id resolved above");
+        println!("{output}");
     }
     ExitCode::SUCCESS
 }

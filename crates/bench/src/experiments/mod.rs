@@ -13,7 +13,7 @@ use simdht_workload::AccessPattern;
 use crate::RunScale;
 
 /// One experiment: rendered output for a run scale; the flag says whether
-/// that scale is the quick one (for the few runners that need to know).
+/// that scale is the quick one (for `fig2`, which sizes its own run).
 type Runner = fn(&RunScale, bool) -> String;
 
 /// Every experiment id with its runner, in paper order — the one list
@@ -36,9 +36,6 @@ const TABLE: &[(&str, Runner)] = &[
     ("ablate-hashcalc", |s, _| ablations::hashcalc(s)),
     ("ext-mixed", |s, _| extensions::mixed(s)),
     ("ext-mixed-kvs", |s, _| kvs::ext_mixed_kvs(s)),
-    ("kvs-shard-sweep", |s, _| kvs::kvs_shard_sweep(s)),
-    ("kvs-reactor-sweep", kvs::kvs_reactor_sweep),
-    ("kvs-readscale-sweep", kvs::kvs_readscale_sweep),
     ("ext-swiss", |s, _| extensions::swiss(s)),
 ];
 
@@ -94,7 +91,7 @@ mod tests {
 
     #[test]
     fn registry_ids_are_unique_and_resolve() {
-        assert_eq!(ALL.len(), 21);
+        assert_eq!(ALL.len(), 18);
         for (i, id) in ALL.iter().enumerate() {
             assert!(!ALL[..i].contains(id), "duplicate id {id}");
             assert!(runner(id).is_some(), "{id} does not resolve");
@@ -108,15 +105,18 @@ mod tests {
 
     #[test]
     fn retired_ids_stay_retired() {
-        // The five ids retired in favour of the repository benchmark's
-        // ledger (EXPERIMENTS.md), spelled in halves so that a search for
-        // a retired id finds no code.
+        // The ids retired in favour of the repository benchmark
+        // (EXPERIMENTS.md), spelled in halves so that a search for a
+        // retired id finds no code.
         for (stem, suffix) in [
             ("kvs-prefetch", "-sweep"),
             ("kvs-setpath", "-sweep"),
             ("kvs-local", "-sweep"),
             ("kvs-ttl", "-churn"),
             ("ext-tcp", "-loopback"),
+            ("kvs-shard", "-sweep"),
+            ("kvs-reactor", "-sweep"),
+            ("kvs-readscale", "-sweep"),
         ] {
             let id = format!("{stem}{suffix}");
             assert!(runner(&id).is_none(), "{id} should stay retired");

@@ -1,5 +1,6 @@
-//! The `simdht-bench` command line: what `--list` offers and what an id
-//! that is not registered gets.
+//! The `simdht-bench` command line: what `--list` and `--help` offer, and
+//! that a misspelt flag or an id that is not registered is refused before
+//! any experiment runs.
 
 use std::process::Command;
 
@@ -26,8 +27,43 @@ fn unregistered_id_fails_with_usage() {
     assert!(!out.status.success());
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("unknown experiment 'fig99'"), "{err}");
-    assert!(
-        err.contains("kvs-readscale-sweep"),
-        "usage lists the ids: {err}"
-    );
+    assert!(err.contains("ext-swiss"), "usage lists the ids: {err}");
+}
+
+#[test]
+fn unknown_flag_is_refused_before_anything_runs() {
+    let out = bench(&["table1", "--quik"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown flag --quik"), "{err}");
+    assert!(out.stdout.is_empty(), "table1 must not run");
+}
+
+#[test]
+fn every_id_resolves_before_the_first_runs() {
+    let out = bench(&["table1", "extra-id"]);
+    assert!(!out.status.success());
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("unknown experiment 'extra-id'"), "{err}");
+    assert!(out.stdout.is_empty(), "table1 must not run");
+}
+
+#[test]
+fn help_prints_usage_and_succeeds() {
+    for flag in ["--help", "-h"] {
+        let out = bench(&[flag]);
+        assert!(out.status.success(), "{flag}");
+        let help = String::from_utf8(out.stdout).unwrap();
+        assert!(help.starts_with("usage: simdht-bench"), "{flag}: {help}");
+        assert!(help.contains("ext-swiss"), "{flag}: {help}");
+    }
+}
+
+#[test]
+fn custom_help_prints_its_usage_and_succeeds() {
+    let out = bench(&["custom", "--help"]);
+    assert!(out.status.success());
+    let help = String::from_utf8(out.stdout).unwrap();
+    assert!(help.starts_with("usage: simdht-bench custom"), "{help}");
+    assert!(help.contains("--layout"), "{help}");
 }

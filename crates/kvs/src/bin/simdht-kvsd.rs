@@ -28,7 +28,9 @@ OPTIONS:
     --memory-mb <n>        Slab memory budget in MiB (default 64)
     --shards <n>           Store shards, rounded up to a power of two
                            (default 1 = single-lock store; writes serialize
-                           only within a shard, MGets batch per shard)
+                           only within a shard, MGets batch per shard).
+                           Each shard takes at least 1 MiB of slab, so the
+                           rounded count may not exceed --memory-mb
     --duration <secs>      Serve this long, then drain and print stats
                            (default: serve until killed)
     --deadline-ms <n>      Per-request deadline; requests that cannot start
@@ -194,6 +196,17 @@ fn parse_args() -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag {other}")),
         }
+    }
+    // A shard's slab is at least 1 MiB (`StoreConfig::memory_budget`), so
+    // more shards than MiB would serve more memory than was asked for.
+    let mb = args.memory_bytes >> 20;
+    let rounded = args.shards.checked_next_power_of_two();
+    if rounded.is_none_or(|n| n > mb) {
+        return Err(format!(
+            "--shards {}: its power-of-two rounding exceeds --memory-mb {mb} \
+             (each shard takes at least 1 MiB)",
+            args.shards
+        ));
     }
     Ok(args)
 }

@@ -107,7 +107,8 @@ impl ReadMode {
 /// Store construction parameters.
 #[derive(Copy, Clone, Debug)]
 pub struct StoreConfig {
-    /// Slab memory budget in bytes (split evenly across shards).
+    /// Slab memory budget in bytes, split evenly across shards. Each shard
+    /// gets at least 1 MiB, so a budget under 1 MiB per shard is exceeded.
     pub memory_budget: usize,
     /// Expected maximum live items (sizes the hash index; split across
     /// shards).
@@ -846,11 +847,13 @@ pub struct KvStore {
     shard_mul: u32,
     shard_shift: u32,
     shard_mask: usize,
-    /// Multi-Get prefetch look-ahead `G` (0 = disabled). Atomic so bench
-    /// sweeps can vary it on a live, populated store.
+    /// Multi-Get prefetch look-ahead `G` (0 = disabled). Atomic so the
+    /// mget and set_multi differentials and the `kvs_mget` criterion bench
+    /// can vary it on a live, populated store.
     prefetch_depth: AtomicUsize,
     /// Current [`ReadMode`] as a `u8` (0 = locked, 1 = optimistic); atomic
-    /// so sweeps can flip it on a live store.
+    /// so the read-mode differential and `optimistic_stress` can flip it
+    /// on a live store.
     read_mode: AtomicU8,
     /// Test/bench offset added to the coarse TTL clock (seconds); lets
     /// deterministic suites expire items without sleeping.
@@ -955,9 +958,10 @@ impl KvStore {
         }
     }
 
-    /// Change the reader synchronization mode at runtime; the
-    /// `kvs-readscale-sweep` experiment uses this to compare the two
-    /// paths on one populated store.
+    /// Change the reader synchronization mode at runtime;
+    /// `tests/read_mode_differential.rs` uses this to compare the two
+    /// paths on one populated store, and `tests/optimistic_stress.rs` to
+    /// flip modes under concurrent readers.
     ///
     /// On a quiescent store the two modes return byte-identical results
     /// (proved by `tests/read_mode_differential.rs`). Under concurrent

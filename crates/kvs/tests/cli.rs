@@ -3,8 +3,8 @@
 //! never a panic or a silently wrapped value. No case needs a server: the
 //! client cases point at `127.0.0.1:1`, which nothing serves, and are
 //! refused before any connection is tried. The daemon's cases would bind an
-//! ephemeral port and serve for `--duration 0` if the input were accepted,
-//! so a regression fails on the exit code instead of hanging.
+//! ephemeral port and serve for `--duration 0` or `1` if the input were
+//! accepted, so a regression fails on the exit code instead of hanging.
 
 use std::process::{Command, Output};
 
@@ -43,6 +43,33 @@ fn kvsd_refuses_a_memory_budget_that_overflows() {
                 mb,
             ],
             "--memory-mb",
+        );
+    }
+}
+
+#[test]
+fn kvsd_refuses_more_shards_than_mib_of_slab() {
+    // 8 shards of 4 MiB would serve 8 MiB; 5 rounds up to 8; the last
+    // two are past any budget (and past `usize` once rounded).
+    for (mb, shards) in [
+        ("4", "8"),
+        ("4", "5"),
+        ("64", "3000000000"),
+        ("64", "18446744073709551615"),
+    ] {
+        assert_refused(
+            KVSD,
+            &[
+                "--addr",
+                "127.0.0.1:0",
+                "--duration",
+                "1",
+                "--memory-mb",
+                mb,
+                "--shards",
+                shards,
+            ],
+            "--shards",
         );
     }
 }

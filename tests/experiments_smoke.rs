@@ -93,16 +93,3 @@ fn ablations_run() {
     assert!(layout.contains("interleaved"));
     assert!(layout.contains("split"));
 }
-
-#[test]
-fn quick_sweep_leaves_the_committed_artifact_alone() {
-    // Integration tests run at the repository root, next to the recorded
-    // full run: a quick run must write under target/bench-quick/ instead.
-    let committed = "BENCH_kvs_readscale.json";
-    let before = std::fs::read(committed).expect("the recorded full run is committed");
-    let out = output("kvs-readscale-sweep");
-    assert_eq!(std::fs::read(committed).unwrap(), before);
-    let quick = std::fs::read_to_string(format!("target/bench-quick/{committed}")).unwrap();
-    assert!(quick.contains("\"mode\": \"quick\""), "{quick}");
-    assert!(out.contains("target/bench-quick/"), "{out}");
-}
