@@ -11,6 +11,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use simdht_kvs::kvsd::{Kvsd, KvsdConfig};
+use simdht_kvs::metrics::Counter;
 use simdht_kvs::reactor::ReactorConfig;
 use simdht_kvs::store::{KvStore, ReadMode, StoreConfig};
 use simdht_kvs::{arena, index};
@@ -275,12 +276,12 @@ fn main() {
         Some(secs) => {
             std::thread::sleep(std::time::Duration::from_secs(secs));
             let live = kvsd.live_connections();
-            let (closed, stats) = kvsd.shutdown();
+            let stats = kvsd.shutdown();
             let huge_kib = arena::anon_huge_pages_kib().map_or("n/a".into(), |k| k.to_string());
             println!(
                 "drained after {secs}s: {live} live connections drained, {} closed in all, \
                  {huge_kib} KiB on huge pages ({} huge-page advice refusals)",
-                closed.len(),
+                stats[Counter::ConnsClosed],
                 arena::hugepage_refusals(),
             );
             print!("{stats}");

@@ -23,8 +23,9 @@ OPTIONS:
     --mux                  Many-small-connections mode: drive every connection
                            from one event loop instead of one thread each
                            (e.g. --mux --connections 1000 --depth 1 against
-                           simdht-kvsd --reactor). Read-only; incompatible
-                           with --set-fraction, --faults, --max-retries
+                           simdht-kvsd --reactor). Read-only and unretried;
+                           incompatible with --set-fraction, --faults,
+                           --deadline-ms, --max-retries
     --mget <n>             Keys per Multi-Get (default 16; paper uses 16-96)
     --items <n>            Distinct key-value items (default 10000)
     --requests <n>         Multi-Get requests to issue (default 2000)
@@ -85,6 +86,8 @@ fn parse_args() -> Result<Args, String> {
         },
         mux: false,
     };
+    // The retry knob given last, if any: `--mux` has none to set.
+    let mut retry_flag = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         if flag == "-h" || flag == "--help" {
@@ -98,6 +101,9 @@ fn parse_args() -> Result<Args, String> {
         if flag == "--mux" {
             args.mux = true;
             continue;
+        }
+        if matches!(flag.as_str(), "--deadline-ms" | "--max-retries") {
+            retry_flag = Some(flag.clone());
         }
         let value = it
             .next()
@@ -191,14 +197,16 @@ fn parse_args() -> Result<Args, String> {
             || args.net.delete_frac != 0.0
             || args.net.cas_frac != 0.0
             || args.net.ttl_secs != 0
-            || args.net.faults.is_some()
-            || args.net.retry.max_retries != simdht_kvs::client::RetryPolicy::default().max_retries)
+            || args.net.faults.is_some())
     {
         return Err(
-            "--mux is read-only and unretried: drop --set-fraction / --write-frac / \
-             --delete-frac / --cas-frac / --ttl / --faults / --max-retries"
+            "--mux is read-only: drop --set-fraction / --write-frac / --delete-frac / \
+             --cas-frac / --ttl / --faults"
                 .to_string(),
         );
+    }
+    if let Some(flag) = retry_flag.filter(|_| args.mux) {
+        return Err(format!("--mux never times out or retries: drop {flag}"));
     }
     Ok(args)
 }

@@ -4,9 +4,8 @@
 //! Fig. 11 harness ([`crate::memslap::run_memslap`]) binds one on loopback
 //! and reads its server-side numbers from [`Kvsd::shutdown`].
 //! It is one shell — the listener, the accept thread, the shutdown flag,
-//! the registry of live connections and their counters, the
-//! closed-connection summaries and the drain — around two connection
-//! loops, chosen by [`KvsdConfig::reactor`]:
+//! the registry of live connections and their counters, and the drain —
+//! around two connection loops, chosen by [`KvsdConfig::reactor`]:
 //!
 //! * **thread per connection** (`None`, the default): a handler thread per
 //!   connection runs framed I/O from [`crate::net`] with request
@@ -19,13 +18,14 @@
 //!   per-call cost once. A run never waits or makes a system call to grow,
 //!   and any other verb ends it, so program order holds;
 //! * **reactor** (`Some`): connections go round-robin to the event loops of
-//!   [`crate::reactor`], which coalesce requests from all their connections
-//!   into wide store calls.
+//!   [`crate::reactor`], which coalesce Multi-Gets from all their
+//!   connections into wide store calls.
 //!
 //! Both loops serve their Multi-Gets through one dispatch,
 //! `protocol::serve_mgets`: the store call, each request's counts
 //! and its reply sealed from the shared buffer, byte-identical to the reply
-//! it gets alone.
+//! it gets alone. Every other verb goes through `protocol::execute`, in
+//! arrival order, under either loop.
 //!
 //! ## Shutdown / drain
 //!
@@ -40,17 +40,18 @@
 //!
 //! Each connection has its own [`crate::metrics`] block, written only by
 //! the thread that serves it; the accept thread registers it with the
-//! stream, and [`Shell::closed`] folds it into a retired total under the
-//! same lock, keeping its snapshot as the connection's summary. A request
-//! is counted by one call into its connection's block: `served`, or a
-//! `Shed` add. [`Kvsd::stats`] merges the retired total with every live
-//! block (and the reactors' batch blocks), so the closed summaries sum to
-//! the server's counters by construction. Busy time is counted once per
-//! store call: for a Multi-Get call, up to its return and split over its
-//! requests — from the first frame's decode in a thread-loop run, from the
-//! dispatch in a reactor — and decode → seal for any other verb; a shed
-//! adds none. Every Multi-Get store call adds to `Batches` and `BatchKeys`:
-//! the thread loop's in the connection's block, a reactor's in its own.
+//! stream, and [`Shell::closed`] counts the close in it (`ConnsClosed`) and
+//! folds it into a retired total under the same lock, so the registry
+//! keeps nothing of a connection once it has closed. A request is counted
+//! by one call into its connection's block: `served`, or a `Shed` add.
+//! [`Kvsd::stats`] merges the retired total with every live block (and the
+//! reactors' batch blocks), so no request is counted twice or lost on a
+//! close. Busy time is counted once per store call: for a Multi-Get call,
+//! up to its return and split over its requests — from the first frame's
+//! decode in a thread-loop run, from the dispatch in a reactor — and
+//! decode → seal for any other verb; a shed adds none. Every Multi-Get
+//! store call adds to `Batches` and `BatchKeys`: the thread loop's in the
+//! connection's block, a reactor's in its own.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -94,19 +95,6 @@ pub struct KvsdConfig {
     /// Serve connections from the [`crate::reactor`] event loops instead
     /// of a thread per connection. `None` = thread per connection.
     pub reactor: Option<ReactorConfig>,
-}
-
-/// What one connection did, recorded when it closes.
-#[derive(Clone, Debug)]
-pub struct ConnSummary {
-    /// Client address.
-    pub peer: SocketAddr,
-    /// Which reactor event loop served the connection
-    /// (`None` under the thread-per-connection loop).
-    pub reactor: Option<usize>,
-    /// Its counters: requests, keys, found, writes, shed and busy time;
-    /// under the thread loop also its Multi-Get store calls and phases.
-    pub counters: Snapshot,
 }
 
 /// Counting semaphore bounding simultaneously-processed requests.
@@ -200,8 +188,6 @@ struct Live {
     /// A clone of the stream, which the drain half-closes to end the
     /// connection's reads.
     stream: TcpStream,
-    peer: SocketAddr,
-    reactor: Option<usize>,
     counters: Arc<Counters>,
 }
 
@@ -212,7 +198,6 @@ struct Registry {
     live: HashMap<u64, Live>,
     /// The reactor event loops' blocks (batch counters); never retired.
     loops: Vec<Arc<Counters>>,
-    closed: Vec<ConnSummary>,
     /// The closed connections' counters, summed.
     retired: Snapshot,
 }
@@ -228,19 +213,14 @@ pub(crate) struct Shell {
 }
 
 impl Shell {
-    /// Connection `id` has closed: drop its stream clone, fold its counters
-    /// into the retired total, and keep their snapshot as its summary.
-    /// Called by the thread that wrote the block, so the snapshot is final.
+    /// Connection `id` has closed: drop its stream clone, count the close
+    /// in its block, and fold the block into the retired total. Called by
+    /// the thread that wrote the block, so its last snapshot is final.
     pub(crate) fn closed(&self, id: u64) {
         let mut registry = self.registry.lock().unwrap();
         if let Some(live) = registry.live.remove(&id) {
-            let counters = live.counters.snapshot();
-            registry.retired += counters;
-            registry.closed.push(ConnSummary {
-                peer: live.peer,
-                reactor: live.reactor,
-                counters,
-            });
+            live.counters.add(Counter::ConnsClosed, 1);
+            registry.retired += live.counters.snapshot();
         }
     }
 }
@@ -306,9 +286,6 @@ impl Kvsd {
                     let Ok(clone) = stream.try_clone() else {
                         continue;
                     };
-                    let peer = stream
-                        .peer_addr()
-                        .unwrap_or_else(|_| SocketAddr::from(([0, 0, 0, 0], 0)));
                     let reactor = (!inboxes.is_empty()).then(|| id as usize % inboxes.len());
                     let counters = Arc::<Counters>::default();
                     {
@@ -320,13 +297,13 @@ impl Kvsd {
                             break;
                         }
                         let counters = Arc::clone(&counters);
-                        let live = Live {
-                            stream: clone,
-                            peer,
-                            reactor,
-                            counters,
-                        };
-                        registry.live.insert(id, live);
+                        registry.live.insert(
+                            id,
+                            Live {
+                                stream: clone,
+                                counters,
+                            },
+                        );
                     }
                     if let Some(r) = reactor {
                         // A send fails only once that loop's poller has
@@ -385,17 +362,11 @@ impl Kvsd {
         self.shell.registry.lock().unwrap().live.len()
     }
 
-    /// Summaries of connections that have closed so far.
-    pub fn connection_summaries(&self) -> Vec<ConnSummary> {
-        self.shell.registry.lock().unwrap().closed.clone()
-    }
-
     /// Stop accepting, drain in-flight requests on every connection, join
-    /// all threads, and return the final per-connection summaries with the
-    /// final merged counters.
-    pub fn shutdown(mut self) -> (Vec<ConnSummary>, Snapshot) {
+    /// all threads, and return the final merged counters.
+    pub fn shutdown(mut self) -> Snapshot {
         self.stop();
-        (self.connection_summaries(), self.stats())
+        self.stats()
     }
 
     fn stop(&mut self) {
@@ -585,7 +556,7 @@ fn handle_connection(
         };
         counters.add_phases(done.phases);
         let busy = t0.elapsed().as_nanos() as u64;
-        counters.served(done.lookup, done.writes, busy);
+        counters.served(None, done.writes, busy);
         // The reply is borrowed from `scratch`, framed straight into `out`.
         if write_frame(&mut out, done.reply).is_err() {
             break;
@@ -596,7 +567,7 @@ fn handle_connection(
 }
 
 /// `DeadlineExceeded` when a request decoded at `t0` is past `deadline`.
-fn overdue(t0: Instant, deadline: Option<Duration>) -> Option<ErrorCode> {
+pub(crate) fn overdue(t0: Instant, deadline: Option<Duration>) -> Option<ErrorCode> {
     deadline
         .is_some_and(|d| t0.elapsed() > d)
         .then_some(ErrorCode::DeadlineExceeded)
@@ -699,16 +670,37 @@ mod tests {
         Response::decode(conn.recv().unwrap()).unwrap()
     }
 
-    /// Drain `kvsd` and hold it to the counting rule: the closed
-    /// connections' summaries sum to the server-wide counters.
-    fn drain(label: &str, kvsd: Kvsd) -> (Vec<ConnSummary>, Snapshot) {
-        let (summaries, stats) = kvsd.shutdown();
-        let summed: Snapshot = summaries.iter().map(|s| s.counters).sum();
+    /// Drain `kvsd` and hold it to the counting rule: once drained, every
+    /// connection has closed, and the closed connections' retired total
+    /// holds every request count of the server.
+    fn drain(label: &str, mut kvsd: Kvsd) -> Snapshot {
+        kvsd.stop();
+        let retired = {
+            let registry = kvsd.shell.registry.lock().unwrap();
+            assert!(
+                registry.live.is_empty(),
+                "{label}: a connection outlived the drain"
+            );
+            registry.retired
+        };
+        let stats = kvsd.shutdown();
         use Counter::*;
-        for counter in [Requests, Keys, Found, Writes, Shed, BusyNs] {
-            assert_eq!(summed[counter], stats[counter], "{label}: {counter:?}");
+        for counter in [Requests, Keys, Found, Writes, Shed, BusyNs, ConnsClosed] {
+            assert_eq!(retired[counter], stats[counter], "{label}: {counter:?}");
         }
-        (summaries, stats)
+        stats
+    }
+
+    /// Wait until `kvsd` has counted `n` closed connections.
+    fn await_closed(label: &str, kvsd: &Kvsd, n: u64) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while kvsd.stats()[Counter::ConnsClosed] < n {
+            assert!(
+                Instant::now() < deadline,
+                "{label}: close {n} never counted"
+            );
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -752,7 +744,7 @@ mod tests {
                 other => panic!("{label}: unexpected {other:?}"),
             }
             drop(conn);
-            let (_, stats) = drain(label, kvsd);
+            let stats = drain(label, kvsd);
             assert_eq!(stats[Counter::Requests], 2, "{label}");
             assert_eq!(stats[Counter::Keys], 3, "{label}");
             assert_eq!(stats[Counter::Found], 2, "{label}");
@@ -768,22 +760,16 @@ mod tests {
             conn.send(mget(9, &[b"present"])).unwrap();
             conn.recv().unwrap();
             drop(conn);
-            // The connection records its summary after seeing EOF.
-            let deadline = Instant::now() + Duration::from_secs(5);
-            loop {
-                let summaries = kvsd.connection_summaries();
-                if let Some(s) = summaries.first() {
-                    assert_eq!(s.counters[Counter::Requests], 1, "{label}");
-                    assert_eq!(s.counters[Counter::Keys], 1, "{label}");
-                    assert_eq!(s.counters[Counter::Found], 1, "{label}");
-                    assert!(s.counters[Counter::BusyNs] > 0, "{label}");
-                    assert_eq!(s.reactor, config.reactor.map(|_| 0), "{label}");
-                    break;
-                }
-                assert!(Instant::now() < deadline, "{label}: summary never recorded");
-                std::thread::yield_now();
-            }
-            drain(label, kvsd);
+            // The connection counts its close after seeing EOF, and its
+            // counts stay in the server's once it is gone.
+            await_closed(label, &kvsd, 1);
+            assert_eq!(kvsd.live_connections(), 0, "{label}");
+            let stats = kvsd.stats();
+            assert_eq!(stats[Counter::Requests], 1, "{label}");
+            assert_eq!(stats[Counter::Keys], 1, "{label}");
+            assert_eq!(stats[Counter::Found], 1, "{label}");
+            assert!(stats[Counter::BusyNs] > 0, "{label}");
+            assert_eq!(drain(label, kvsd)[Counter::ConnsClosed], 1, "{label}");
         }
     }
 
@@ -798,13 +784,13 @@ mod tests {
             }
             // Nothing has closed: every count comes from the live block.
             let stats = kvsd.stats();
-            assert!(kvsd.connection_summaries().is_empty(), "{label}");
+            assert_eq!(stats[Counter::ConnsClosed], 0, "{label}");
             assert_eq!(kvsd.live_connections(), 1, "{label}");
             assert_eq!(stats[Counter::Requests], 3, "{label}");
             assert_eq!(stats[Counter::Keys], 6, "{label}");
             assert_eq!(stats[Counter::Found], 3, "{label}");
             drop(conn);
-            let (_, drained) = drain(label, kvsd);
+            let drained = drain(label, kvsd);
             assert_eq!(drained[Counter::Requests], 3, "{label}");
         }
     }
@@ -945,11 +931,12 @@ mod tests {
                 "{label}"
             );
             drop(conn);
-            let (summaries, stats) = drain(label, kvsd);
+            let stats = drain(label, kvsd);
             assert_eq!(stats[Counter::Shed], 5, "{label}");
             assert_eq!(stats[Counter::Requests], 0, "{label}: nothing ran");
-            assert!(
-                summaries.iter().all(|s| s.counters[Counter::BusyNs] == 0),
+            assert_eq!(
+                stats[Counter::BusyNs],
+                0,
                 "{label}: a shed adds no busy time"
             );
         }
@@ -965,18 +952,26 @@ mod tests {
             let kvsd = serve(config);
             let mut conn = connect(&kvsd);
             conn.send(mget(5, &[b"present"])).unwrap();
-            match recv(&mut conn) {
-                Response::Error { id, code } => {
-                    assert_eq!(id, 5, "{label}");
-                    assert_eq!(code, ErrorCode::DeadlineExceeded, "{label}");
+            // A write misses its deadline the same way under both loops.
+            let (key, value) = (Bytes::from_static(b"k"), Bytes::from_static(b"v"));
+            conn.send(Request::Set { id: 6, key, value }.encode())
+                .unwrap();
+            for want in [5, 6] {
+                match recv(&mut conn) {
+                    Response::Error { id, code } => {
+                        assert_eq!(id, want, "{label}");
+                        assert_eq!(code, ErrorCode::DeadlineExceeded, "{label}");
+                    }
+                    other => panic!("{label}: unexpected {other:?}"),
                 }
-                other => panic!("{label}: unexpected {other:?}"),
             }
             drop(conn);
-            let (summaries, stats) = drain(label, kvsd);
-            assert_eq!(stats[Counter::Shed], 1, "{label}");
-            assert!(
-                summaries.iter().all(|s| s.counters[Counter::BusyNs] == 0),
+            let stats = drain(label, kvsd);
+            assert_eq!(stats[Counter::Shed], 2, "{label}");
+            assert_eq!(stats[Counter::Writes], 0, "{label}");
+            assert_eq!(
+                stats[Counter::BusyNs],
+                0,
                 "{label}: a shed adds no busy time"
             );
         }
@@ -1006,21 +1001,10 @@ mod tests {
                 "{label}"
             );
 
-            // The stalled connection must be reaped by the idle timeout and
-            // record a (request-less) summary, with its socket still open.
-            let deadline = Instant::now() + Duration::from_secs(5);
-            loop {
-                let summaries = kvsd.connection_summaries();
-                let idle = |s: &ConnSummary| s.counters == Snapshot::default();
-                if summaries.iter().any(idle) {
-                    break;
-                }
-                assert!(
-                    Instant::now() < deadline,
-                    "{label}: stalled connection never reaped"
-                );
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // The stalled connection must be reaped by the idle timeout,
+            // with its socket still open; so, once idle, is the healthy
+            // one, whose client has not closed it either.
+            await_closed(label, &kvsd, 2);
             drop(healthy);
             // Shutdown completes promptly even though `stalled` never closed.
             drain(label, kvsd);
@@ -1042,13 +1026,13 @@ mod tests {
             let mut drip = TcpStream::connect(kvsd.local_addr()).unwrap();
             let start = Instant::now();
             drip.write_all(&100u32.to_le_bytes()).unwrap();
-            while kvsd.connection_summaries().is_empty() {
+            while kvsd.stats()[Counter::ConnsClosed] == 0 {
                 assert!(
                     start.elapsed() < 2 * timeout,
                     "{label}: a dripping client held its connection past twice the idle timeout"
                 );
                 std::thread::sleep(Duration::from_millis(50));
-                // Refused once the server has closed; the summary says so.
+                // Refused once the server has closed; the counter says so.
                 let _ = drip.write_all(b"x");
             }
             drain(label, kvsd);
@@ -1130,7 +1114,7 @@ mod tests {
                 assert_eq!(&got, want, "{label}: reply {nth}");
             }
             drop(raw);
-            let (_, stats) = drain(label, kvsd);
+            let stats = drain(label, kvsd);
             assert_eq!(stats[Counter::Requests], mgets, "{label}");
             let batches = stats[Counter::Batches];
             assert!(
@@ -1169,7 +1153,7 @@ mod tests {
                 "{label}: the connection drops at the malformed frame"
             );
             drop(raw);
-            let (_, stats) = drain(label, kvsd);
+            let stats = drain(label, kvsd);
             assert_eq!(stats[Counter::Requests], 2, "{label}");
         }
     }
@@ -1200,7 +1184,7 @@ mod tests {
                 }
             }
             drop(raw);
-            let (_, stats) = drain(label, kvsd);
+            let stats = drain(label, kvsd);
             assert_eq!(stats[Counter::Shed], 0, "{label}");
         }
     }
@@ -1214,17 +1198,17 @@ mod tests {
             conn.send(mget(i, &[b"present"])).unwrap();
             conn.recv().unwrap();
             drop(conn);
-            // The handler records its summary just before it returns;
-            // wait for it so each cycle's thread is (all but) finished
-            // before the next accept reaps.
-            while kvsd.connection_summaries().len() <= i as usize {
-                assert!(Instant::now() < deadline, "summary {i} never recorded");
+            // The handler counts its close just before it returns; wait
+            // for it so each cycle's thread is (all but) finished before
+            // the next accept reaps.
+            while kvsd.stats()[Counter::ConnsClosed] <= i {
+                assert!(Instant::now() < deadline, "close {i} never counted");
                 std::thread::yield_now();
             }
         }
         let live = kvsd.shell.workers.lock().unwrap().len();
         assert!(live <= 8, "{live} handles kept after 64 closed connections");
-        assert_eq!(kvsd.connection_summaries().len(), 64);
-        assert_eq!(kvsd.shutdown().0.len(), 64);
+        assert_eq!(kvsd.stats()[Counter::ConnsClosed], 64);
+        assert_eq!(kvsd.shutdown()[Counter::ConnsClosed], 64);
     }
 }

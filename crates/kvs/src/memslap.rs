@@ -146,7 +146,7 @@ pub fn run_memslap(store: KvStore, workload: &KvWorkload, config: &MemslapConfig
         },
     )
     .expect("only an over-the-wire preload can fail the run, and it is off");
-    let (_, stats) = kvsd.shutdown();
+    let stats = kvsd.shutdown();
 
     MemslapReport {
         index_name: store.index_name(),
@@ -1395,7 +1395,7 @@ mod tests {
             ..MuxMemslapConfig::default()
         };
         let report = run_memslap_mux(server.local_addr(), &wl, &cfg).expect("mux run");
-        let (_, stats) = server.shutdown();
+        let stats = server.shutdown();
         assert_eq!(report.requests, 100, "{report:?}");
         assert_eq!(report.keys, 1600);
         assert_eq!(report.hits, 1600);

@@ -42,6 +42,8 @@ pub enum Counter {
     PostNs,
     /// Connections a reactor adopted.
     ConnsAdopted,
+    /// Connections closed, under either loop.
+    ConnsClosed,
     /// Request frames a reactor decoded.
     Frames,
     /// Multi-Get store calls: a reactor's coalesced batches, and the thread
@@ -50,23 +52,19 @@ pub enum Counter {
     Batches,
     /// Keys over those calls (`/ Batches` = mean width).
     BatchKeys,
-    /// A reactor's dispatches fired by the batch width, a full `max_inflight` window,
-    /// or program order (a request of a connection parked in the other
-    /// buffer).
+    /// A reactor's dispatches fired by the batch width, a full
+    /// `max_inflight` window, or program order (a verb other than Multi-Get
+    /// from a connection with a Multi-Get parked).
     WidthFires,
     /// A reactor's dispatches fired by the coalesce micro-deadline or an
     /// empty poll.
     TimeoutFires,
     /// A reactor's dispatches fired by the shutdown drain.
     DrainFires,
-    /// Coalesced `set_multi` dispatches.
-    WriteBatches,
-    /// Pairs over those dispatches (`/ WriteBatches` = mean write width).
-    WriteBatchPairs,
 }
 
 /// How many counters there are.
-const N: usize = Counter::WriteBatchPairs as usize + 1;
+const N: usize = Counter::DrainFires as usize + 1;
 
 /// One worker's counters. Exactly one thread writes a block, through
 /// [`Counters::add`]; any thread may read it.
@@ -190,15 +188,12 @@ impl fmt::Display for Snapshot {
         if self[ConnsAdopted] > 0 {
             writeln!(
                 f,
-                "reactor: {} conns, {} frames (fires: {} width / {} timeout / {} drain), \
-                 {} write batches (mean pairs {:.2})",
+                "reactor: {} conns, {} frames (fires: {} width / {} timeout / {} drain)",
                 self[ConnsAdopted],
                 self[Frames],
                 self[WidthFires],
                 self[TimeoutFires],
                 self[DrainFires],
-                self[WriteBatches],
-                self.ratio(WriteBatchPairs, WriteBatches),
             )?;
         }
         let phases = self.phases();

@@ -517,14 +517,13 @@ impl MGetReply<'_> {
 }
 
 /// Serve a run of Multi-Gets with one wide [`KvStore::mget`] — the one
-/// Multi-Get dispatch of both connection loops, and of [`execute`] as a run
-/// of one. The store partitions the run per shard, so each shard's lookup
-/// pipeline gets every key the run holds for it. The call is counted once in
-/// `block`: one more [`Counter::Batches`], its keys on
-/// [`Counter::BatchKeys`], its phase split. Its busy time, from `since` to
-/// the call's return, is split over the run's requests
-/// ([`crate::metrics::share`]), and `deliver` gets each request in order,
-/// by its index in the run, with its [`MGetReply`].
+/// Multi-Get dispatch of both connection loops. The store partitions the
+/// run per shard, so each shard's lookup pipeline gets every key the run
+/// holds for it. The call is counted once in `block`: one more
+/// [`Counter::Batches`], its keys on [`Counter::BatchKeys`], its phase
+/// split. Its busy time, from `since` to the call's return, is split over
+/// the run's requests ([`crate::metrics::share`]), and `deliver` gets each
+/// request in order, by its index in the run, with its [`MGetReply`].
 pub(crate) fn serve_mgets(
     store: &KvStore,
     run: &MGetRun<'_>,
@@ -588,28 +587,22 @@ impl DecodeScratch {
 #[derive(Debug)]
 pub struct Executed<'a> {
     /// The encoded, CRC-sealed response payload, borrowed from the
-    /// [`ExecScratch`]: a socket writer sends the slice as is (for a
-    /// Multi-Get it is the frame the store built in place during Phase 3 —
-    /// zero-copy responses, DESIGN.md §9).
+    /// [`ExecScratch`]: a socket writer frames and sends the slice as is.
     pub reply: &'a [u8],
-    /// Keys looked up and keys found, for a Multi-Get.
-    pub lookup: Option<(usize, usize)>,
     /// Pairs or point operations a write verb applied.
     pub writes: usize,
-    /// Phase timing of a Multi-Get or a batched write (zero otherwise).
+    /// Phase timing of a batched write (zero otherwise).
     pub phases: crate::store::PhaseNanos,
 }
 
 /// Execute one request against the store and encode its response. This is
-/// the single server-side semantics of the command surface — `kvsd`'s
-/// thread loop and the reactor's non-coalesced verbs both dispatch
-/// through it, and a Multi-Get runs as a run of one through
-/// `serve_mgets`, which both loops serve their Multi-Gets with, so the
-/// verbs cannot drift apart. The request's keys and values are read where
-/// they lie, normally in the frame it was decoded from
-/// ([`Request::decode_in_place`]). Returns `None` when there is no reply
-/// and the serving loop stops: for [`Request::Shutdown`], and for a
-/// Multi-Get whose reply would outgrow [`MAX_FRAME_BYTES`].
+/// the single server-side semantics of every verb but Multi-Get — both
+/// connection loops dispatch through it, so the verbs cannot drift apart —
+/// while both loops send their Multi-Gets to `serve_mgets`. The request's
+/// keys and values are read where they lie, normally in the frame it was
+/// decoded from ([`Request::decode_in_place`]). Returns `None` for
+/// [`Request::Shutdown`], which has no reply and stops the serving loop,
+/// and for a Multi-Get, which is served by `serve_mgets` instead.
 pub fn execute<'a>(
     store: &KvStore,
     request: &Request<&[u8]>,
@@ -617,33 +610,7 @@ pub fn execute<'a>(
 ) -> Option<Executed<'a>> {
     use crate::store::CasOutcome;
     let response = match request {
-        Request::Shutdown => return None,
-        Request::MGet { id, keys } => {
-            let mut run = std::mem::take(&mut scratch.run).recycle();
-            run.push(*id, keys.iter().copied());
-            // The call's counts, in a block of its own.
-            let block = Counters::default();
-            let mut lookup = None;
-            scratch.reply.clear();
-            serve_mgets(
-                store,
-                &run,
-                &mut scratch.resp,
-                Instant::now(),
-                &block,
-                |_, reply| {
-                    lookup = reply.append_to(&mut scratch.reply).then_some(reply.lookup);
-                },
-            );
-            scratch.run = run.recycle();
-            return lookup.map(|lookup| Executed {
-                // The payload: callers frame it.
-                reply: &scratch.reply[FRAME_PREFIX_BYTES..],
-                lookup: Some(lookup),
-                writes: 0,
-                phases: block.snapshot().phases(),
-            });
-        }
+        Request::Shutdown | Request::MGet { .. } => return None,
         Request::Set { id, key, value } => Response::Set {
             id: *id,
             ok: store.set(key, value).is_ok(),
@@ -660,7 +627,6 @@ pub fn execute<'a>(
             });
             return Some(Executed {
                 reply: &scratch.reply,
-                lookup: None,
                 writes: pairs.len(),
                 phases: outcome.phases,
             });
@@ -720,7 +686,6 @@ pub fn execute<'a>(
     response.encode_into(&mut scratch.reply);
     Some(Executed {
         reply: &scratch.reply,
-        lookup: None,
         // One point operation.
         writes: 1,
         phases: crate::store::PhaseNanos::default(),
@@ -1413,7 +1378,7 @@ mod tests {
 
     #[test]
     fn fast_mget_encoder_matches_generic() {
-        // `execute`'s sealed Multi-Get reply (zero-copy from the store
+        // `serve_mgets`'s sealed Multi-Get reply (zero-copy from the store
         // buffer) must emit bytes identical to the generic Response::encode.
         use crate::index::Memc3Index;
         use crate::store::{KvStore, StoreConfig};
@@ -1423,14 +1388,22 @@ mod tests {
         );
         store.set(b"a", b"alpha").unwrap();
         store.set(b"c", b"").unwrap(); // empty value
-        let request = Request::MGet {
-            id: 9,
-            keys: vec![&b"a"[..], b"b", b"c"],
-        };
-        let mut scratch = ExecScratch::default();
-        let done = execute(&store, &request, &mut scratch).unwrap();
-        assert_eq!(done.lookup, Some((3, 2)));
-        let fast = Bytes::copy_from_slice(done.reply);
+        let mut run = MGetRun::default();
+        run.push(9, [&b"a"[..], b"b", b"c"]);
+        let (mut resp, mut framed) = (MGetResponse::default(), Vec::new());
+        let block = Counters::default();
+        serve_mgets(
+            &store,
+            &run,
+            &mut resp,
+            Instant::now(),
+            &block,
+            |_, reply| {
+                assert_eq!(reply.lookup, (3, 2));
+                assert!(reply.append_to(&mut framed));
+            },
+        );
+        let fast = Bytes::copy_from_slice(&framed[FRAME_PREFIX_BYTES..]);
         let generic = Response::MGet {
             id: 9,
             entries: vec![Some(Bytes::from_static(b"alpha")), None, Some(Bytes::new())],

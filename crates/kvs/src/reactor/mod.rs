@@ -1,5 +1,5 @@
 //! The reactor connection loop of [`crate::kvsd::Kvsd`]: event loops with
-//! cross-connection batch coalescing.
+//! cross-connection Multi-Get coalescing.
 //!
 //! The thread-per-connection loop can never build a lookup batch wider
 //! than one client's pipeline depth: a thousand depth-1 clients produce a
@@ -17,36 +17,35 @@
 //! own frame by [`crate::store::MGetResponse::append_subframe`],
 //! byte-identical to what that request gets served alone.
 //!
+//! Every other verb runs on arrival through `protocol::execute`, as under
+//! the thread loop: the two loops differ only in their I/O and in the
+//! cross-connection coalescing of Multi-Gets.
+//!
 //! ## Loop states (DESIGN.md §10)
 //!
 //! Per connection: `reading → draining → closed`, with response
 //! ordering kept by a slot queue (every request reserves a slot in
 //! arrival order; shed errors complete immediately but still wait
 //! behind earlier slots; only the completed prefix is flushed).
-//! Per reactor: the coalescing buffers move `empty → filling →
+//! Per reactor: the coalescing buffer moves `empty → filling →
 //! dispatch` on one of three triggers — width reached, micro-deadline
 //! expired, or drain.
 //!
-//! ## Write coalescing (ISSUE 8)
+//! ## Program order
 //!
-//! Writes coalesce exactly like reads: decoded `Set` and `SetMulti`
-//! requests park — through the same park path, in a buffer of the same
-//! type — in a write buffer and land as one
-//! [`crate::store::KvStore::set_multi`] batch, which groups per shard
-//! internally — same-shard Sets from different connections share one
-//! lock acquisition, one seqlock write session, and the interleaved
-//! hash/prefetch staging. Per-connection program order is preserved by
-//! construction: parking in one buffer first flushes the other buffer's
-//! requests from the same connection, so a connection never has both
-//! kinds pending at once.
+//! Only Multi-Gets park. A verb that runs on arrival first dispatches the
+//! buffer if it holds a Multi-Get of the same connection, so a parked read
+//! never observes a later write of its own connection, and every read
+//! after a write observes it.
 //!
-//! ## PR 3 semantics, re-expressed
+//! ## Graceful degradation
 //!
 //! The graceful-degradation knobs of [`KvsdConfig`] keep their meaning:
 //!
-//! * **deadline** — measured from frame decode; a request whose batch
-//!   dispatches after the deadline is answered
-//!   `ErrorCode::DeadlineExceeded` without touching the store.
+//! * **deadline** — measured from frame decode; a Multi-Get whose batch
+//!   dispatches after the deadline, or any other verb that would start
+//!   after it, is answered `ErrorCode::DeadlineExceeded` without touching
+//!   the store.
 //! * **max_inflight** — a cap on coalesced-but-undispatched requests
 //!   per reactor; reaching it forces an early dispatch instead of
 //!   queueing deeper, and `Some(0)` sheds every request with
@@ -56,8 +55,8 @@
 //! * **drain** — the shell half-closes every read side
 //!   ([`crate::kvsd::Kvsd::shutdown`]), then closes the reactors'
 //!   inboxes; reactors finish decoding what is buffered, dispatch the
-//!   final batch, flush every connection, and record summaries — no
-//!   request that reached the server is dropped.
+//!   final batch, flush every connection, and close it — no request that
+//!   reached the server is dropped.
 
 pub mod poller;
 
@@ -71,8 +70,8 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use crate::kvsd::{KvsdConfig, Shell};
-use crate::metrics::{share, Counter, Counters};
+use crate::kvsd::{overdue, KvsdConfig, Shell};
+use crate::metrics::{Counter, Counters};
 use crate::net::{flush_nonblocking, write_frame, FrameDecoder};
 use crate::protocol::{
     execute, serve_mgets, DecodeScratch, ErrorCode, ExecScratch, Request, Response,
@@ -153,8 +152,7 @@ pub(crate) fn start(
             poller,
             inbox,
             conns: HashMap::new(),
-            reads: Batch::default(),
-            writes: Batch::default(),
+            batch: Batch::default(),
             scratch: ExecScratch::default(),
             lists: DecodeScratch::default(),
             read_buf: vec![0u8; 64 << 10],
@@ -171,81 +169,21 @@ pub(crate) fn start(
     Ok(started)
 }
 
-/// One decoded request waiting in a coalescing buffer: where its answer
-/// goes, when its frame was decoded, and its keys or pairs.
-struct Parked<T> {
+/// One decoded Multi-Get waiting in the coalescing buffer: where its answer
+/// goes, when its frame was decoded, and its keys.
+struct Parked {
     token: usize,
     seq: u64,
     id: u64,
     t0: Instant,
-    body: T,
+    keys: Vec<Bytes>,
 }
 
-/// A coalescing buffer and its width (keys or pairs parked).
-struct Batch<T> {
-    reqs: Vec<Parked<T>>,
+/// The coalescing buffer and its width (keys parked).
+#[derive(Default)]
+struct Batch {
+    reqs: Vec<Parked>,
     width: usize,
-}
-
-impl<T> Default for Batch<T> {
-    fn default() -> Self {
-        Batch {
-            reqs: Vec::new(),
-            width: 0,
-        }
-    }
-}
-
-impl<T> Batch<T> {
-    fn holds(&self, token: usize) -> bool {
-        self.reqs.iter().any(|r| r.token == token)
-    }
-}
-
-/// A parked write: its pairs, and whether it came as a single-key `Set`,
-/// which answers `Response::Set` instead of per-pair `SetMulti` statuses.
-struct Pairs {
-    pairs: Vec<(Bytes, Bytes)>,
-    single: bool,
-}
-
-/// What the two coalescing buffers hold: a Multi-Get's keys, or a write.
-trait Body: Sized {
-    /// The other buffer's body.
-    type Other: Body;
-    /// Keys or pairs this request adds to its batch.
-    fn width(&self) -> usize;
-    /// The loop's buffer of this body.
-    fn batch(l: &mut ReactorLoop) -> &mut Batch<Self>;
-    /// Run the buffer's store call and answer every request in it;
-    /// `fire` is the counter of the trigger.
-    fn dispatch(l: &mut ReactorLoop, fire: Counter);
-}
-
-impl Body for Vec<Bytes> {
-    type Other = Pairs;
-    fn width(&self) -> usize {
-        self.len()
-    }
-    fn batch(l: &mut ReactorLoop) -> &mut Batch<Self> {
-        &mut l.reads
-    }
-    fn dispatch(l: &mut ReactorLoop, fire: Counter) {
-        l.dispatch_reads(fire);
-    }
-}
-
-impl Body for Pairs {
-    type Other = Vec<Bytes>;
-    fn width(&self) -> usize {
-        self.pairs.len()
-    }
-    fn batch(l: &mut ReactorLoop) -> &mut Batch<Self> {
-        &mut l.writes
-    }
-    fn dispatch(l: &mut ReactorLoop, fire: Counter) {
-        l.dispatch_writes(fire);
-    }
 }
 
 /// Per-connection reactor state.
@@ -318,7 +256,7 @@ impl Conn {
     /// Frame `payload` (length prefix + body) into response slot `seq`.
     fn answer_framed(&mut self, seq: u64, payload: &[u8]) {
         // Only a Multi-Get reply can outgrow a frame, and those are
-        // scattered by `dispatch_reads`, not framed here.
+        // scattered by `dispatch`, not framed here.
         self.answer(seq, |out| {
             write_frame(out, payload).expect("every reply but MGet's is far below the frame cap")
         });
@@ -342,10 +280,9 @@ struct ReactorLoop {
     /// which is the drain signal.
     inbox: Receiver<Accepted>,
     conns: HashMap<usize, Conn>,
-    reads: Batch<Vec<Bytes>>,
-    writes: Batch<Pairs>,
+    batch: Batch,
     /// Response and write-staging buffers, shared by the coalesced
-    /// dispatches and the immediately executed verbs.
+    /// dispatches and the verbs run on arrival.
     scratch: ExecScratch,
     /// Key and pair lists of the frame being decoded.
     lists: DecodeScratch,
@@ -381,20 +318,11 @@ impl ReactorLoop {
                 self.handle_event(ev);
             }
 
-            // Writes first, so any read batch fired in the same breath
-            // observes them — matching per-connection program order,
-            // which parks at most one kind at a time per connection
-            // anyway.
-            self.check::<Pairs>(woke_empty);
-            self.check::<Vec<Bytes>>(woke_empty);
+            self.check(woke_empty);
             self.idle_sweep();
             self.settle();
 
-            if self.draining
-                && self.conns.is_empty()
-                && self.reads.reqs.is_empty()
-                && self.writes.reqs.is_empty()
-            {
+            if self.draining && self.conns.is_empty() && self.batch.reqs.is_empty() {
                 return;
             }
         }
@@ -404,15 +332,8 @@ impl ReactorLoop {
     /// when requests are waiting (zero once sub-millisecond, so the
     /// final slice is a bounded spin), else the idle tick.
     fn poll_timeout(&self) -> Duration {
-        let oldest = [
-            self.reads.reqs.first().map(|r| r.t0),
-            self.writes.reqs.first().map(|w| w.t0),
-        ]
-        .into_iter()
-        .flatten()
-        .min();
-        if let Some(t0) = oldest {
-            let remaining = self.cfg.coalesce.saturating_sub(t0.elapsed());
+        if let Some(oldest) = self.batch.reqs.first() {
+            let remaining = self.cfg.coalesce.saturating_sub(oldest.t0.elapsed());
             if remaining < Duration::from_millis(1) {
                 return Duration::ZERO;
             }
@@ -571,78 +492,57 @@ impl ReactorLoop {
             conn.draining = true;
             return;
         };
-        // A parked request outlives this read event, so its keys and
-        // values are re-anchored into the frame; the rest run in place.
-        let owned = |s: &&[u8]| frame.slice_ref(s);
         match &request {
-            Request::Shutdown => {
-                conn.draining = true;
-            }
+            Request::Shutdown => conn.draining = true,
+            // A parked Multi-Get outlives this read event, so its keys are
+            // re-anchored into the frame; every other verb runs in place.
             Request::MGet { id, keys } => {
-                let keys: Vec<Bytes> = keys.iter().map(owned).collect();
+                let keys = keys.iter().map(|k| frame.slice_ref(k)).collect();
                 self.park(token, *id, t0, keys);
             }
-            Request::Set { id, key, value } => {
-                let pairs = vec![(owned(key), owned(value))];
-                let single = true;
-                self.park(token, *id, t0, Pairs { pairs, single });
-            }
-            Request::SetMulti { id, pairs } => {
-                let pairs = pairs.iter().map(|(k, v)| (owned(k), owned(v))).collect();
-                let single = false;
-                self.park(token, *id, t0, Pairs { pairs, single });
-            }
-            Request::Delete { .. }
-            | Request::Cas { .. }
-            | Request::Touch { .. }
-            | Request::SetEx { .. }
-            | Request::SetMultiEx { .. } => self.run_now(token, t0, &request),
+            _ => self.run_now(token, t0, &request),
         }
         self.lists.reclaim(request);
     }
 
-    /// Execute a verb that is never coalesced, in arrival order.
+    /// Execute any verb but Multi-Get on arrival, through [`execute`].
     fn run_now(&mut self, token: usize, t0: Instant, request: &Request<&[u8]>) {
-        // The flushes below count their own busy time; this request's is
-        // its decode plus its own store call.
+        // The flush below counts its own busy time; this request's is its
+        // decode plus its own store call.
         let decode = t0.elapsed();
-        // Per-connection program order: parked lookups from this
-        // connection must not observe this verb's effect, and parked
-        // writes must apply before it — flush both buffers, the way
-        // parking flushes the other one.
-        self.flush_for::<Vec<Bytes>>(token);
-        self.flush_for::<Pairs>(token);
+        // Per-connection program order: this connection's parked lookups
+        // must not observe this verb's effect.
+        self.flush_for(token);
         let Some(conn) = self.conns.get_mut(&token) else {
             return; // dispatch may have closed the connection
         };
         let seq = conn.reserve();
-        if self.limits.max_inflight == Some(0) {
-            let id = request.id().expect("versioned verbs carry an id");
-            return self.shed(token, seq, id, ErrorCode::ServerBusy);
+        // The thread loop's gate: shed under `max_inflight == Some(0)`, or
+        // once past the deadline.
+        let code = (self.limits.max_inflight == Some(0))
+            .then_some(ErrorCode::ServerBusy)
+            .or_else(|| overdue(t0, self.limits.deadline));
+        if let Some(code) = code {
+            let id = request.id().expect("every verb but Shutdown carries an id");
+            return self.shed(token, seq, id, code);
         }
-        // Versioned verbs execute immediately (no coalescing):
-        // Delete/Cas/Touch are point operations on one key, and their
-        // responses carry per-op versions that a batch cannot share.
         let start = Instant::now();
         let done = execute(&self.store, request, &mut self.scratch)
-            .expect("versioned verbs have a response");
+            .expect("every verb but Multi-Get and Shutdown has a reply");
         self.counters.add_phases(done.phases);
         let busy = (decode + start.elapsed()).as_nanos() as u64;
-        conn.counters.served(done.lookup, done.writes, busy);
+        conn.counters.served(None, done.writes, busy);
         conn.answer_framed(seq, done.reply);
     }
 
-    /// The one park path of both buffers: flush the other buffer if it
-    /// holds a request from this connection (program order), force this
-    /// buffer out early when the `max_inflight` admission window is full
-    /// (the thread loop would make the request wait for a slot), reserve
-    /// the response slot, shed under `max_inflight == Some(0)`, park, and
-    /// fire at the batch width.
-    fn park<T: Body>(&mut self, token: usize, id: u64, t0: Instant, body: T) {
-        self.flush_for::<T::Other>(token);
+    /// Park a Multi-Get: force the buffer out early when the `max_inflight`
+    /// admission window is full (the thread loop would make the request
+    /// wait for a slot), reserve the response slot, shed under
+    /// `max_inflight == Some(0)`, park, and fire at the batch width.
+    fn park(&mut self, token: usize, id: u64, t0: Instant, keys: Vec<Bytes>) {
         let cap = self.limits.max_inflight;
-        if cap.is_some_and(|cap| T::batch(self).reqs.len() >= cap) {
-            T::dispatch(self, Counter::WidthFires);
+        if cap.is_some_and(|cap| self.batch.reqs.len() >= cap) {
+            self.dispatch(Counter::WidthFires);
         }
         let Some(conn) = self.conns.get_mut(&token) else {
             return; // dispatch may have closed the connection
@@ -651,43 +551,39 @@ impl ReactorLoop {
         if cap == Some(0) {
             return self.shed(token, seq, id, ErrorCode::ServerBusy);
         }
-        let batch_width = self.cfg.batch_width;
-        let batch = T::batch(self);
-        batch.width += body.width();
-        batch.reqs.push(Parked {
+        self.batch.width += keys.len();
+        self.batch.reqs.push(Parked {
             token,
             seq,
             id,
             t0,
-            body,
+            keys,
         });
-        if batch.width >= batch_width {
-            T::dispatch(self, Counter::WidthFires);
+        if self.batch.width >= self.cfg.batch_width {
+            self.dispatch(Counter::WidthFires);
         }
     }
 
-    /// Dispatch the `T` buffer now if `token` has a request parked there.
-    fn flush_for<T: Body>(&mut self, token: usize) {
-        if T::batch(self).holds(token) {
-            T::dispatch(self, Counter::WidthFires);
+    /// Dispatch the buffer now if `token` has a Multi-Get parked there.
+    fn flush_for(&mut self, token: usize) {
+        if self.batch.reqs.iter().any(|r| r.token == token) {
+            self.dispatch(Counter::WidthFires);
         }
     }
 
-    /// The one trigger check of both buffers: fire the `T` buffer when it
-    /// holds the batch width, when its oldest request has waited out the
-    /// micro-deadline — or the poll came back empty (`woke_empty`): then no
-    /// socket anywhere holds an undelivered byte, every possible
-    /// batch-mate is already parked, and waiting out the window would only
-    /// add latency (and, sub-millisecond, a poll spin that starves
-    /// co-located clients) — or when draining, since nothing more is
-    /// coming once every socket hits EOF.
-    fn check<T: Body>(&mut self, woke_empty: bool) {
-        let batch = T::batch(self);
-        let Some(t0) = batch.reqs.first().map(|r| r.t0) else {
+    /// The trigger check: fire the buffer when it holds the batch width,
+    /// when its oldest request has waited out the micro-deadline — or the
+    /// poll came back empty (`woke_empty`): then no socket anywhere holds
+    /// an undelivered byte, every possible batch-mate is already parked,
+    /// and waiting out the window would only add latency (and,
+    /// sub-millisecond, a poll spin that starves co-located clients) — or
+    /// when draining, since nothing more is coming once every socket hits
+    /// EOF.
+    fn check(&mut self, woke_empty: bool) {
+        let Some(t0) = self.batch.reqs.first().map(|r| r.t0) else {
             return;
         };
-        let width = batch.width;
-        let fire = if width >= self.cfg.batch_width {
+        let fire = if self.batch.width >= self.cfg.batch_width {
             Counter::WidthFires
         } else if woke_empty || t0.elapsed() >= self.cfg.coalesce {
             Counter::TimeoutFires
@@ -696,7 +592,7 @@ impl ReactorLoop {
         } else {
             return;
         };
-        T::dispatch(self, fire);
+        self.dispatch(fire);
     }
 
     /// Answer request `id` in slot `seq` of connection `token` with
@@ -710,12 +606,11 @@ impl ReactorLoop {
         self.dirty.push(token);
     }
 
-    /// Empty the `T` buffer, answering every request that waited past its
+    /// Empty the buffer, answering every request that waited past its
     /// deadline with `DeadlineExceeded`; returns the rest.
-    fn take_live<T: Body>(&mut self) -> Vec<Parked<T>> {
-        let batch = T::batch(self);
-        batch.width = 0;
-        let reqs = std::mem::take(&mut batch.reqs);
+    fn take_live(&mut self) -> Vec<Parked> {
+        self.batch.width = 0;
+        let reqs = std::mem::take(&mut self.batch.reqs);
         let Some(deadline) = self.limits.deadline else {
             return reqs;
         };
@@ -730,16 +625,17 @@ impl ReactorLoop {
     /// Serve every live parked Multi-Get with one wide `mget`
     /// ([`serve_mgets`], the thread loop's dispatch too), sealing each
     /// request's reply straight into its connection's output, or its
-    /// ordering slot when earlier requests are still pending.
-    fn dispatch_reads(&mut self, fire: Counter) {
-        let live = self.take_live::<Vec<Bytes>>();
+    /// ordering slot when earlier requests are still pending; `fire` is
+    /// the counter of the trigger.
+    fn dispatch(&mut self, fire: Counter) {
+        let live = self.take_live();
         if live.is_empty() {
             return;
         }
         let since = Instant::now();
         let mut run = std::mem::take(&mut self.scratch.run).recycle();
         for req in &live {
-            run.push(req.id, req.body.iter().map(|k| k.as_ref()));
+            run.push(req.id, req.keys.iter().map(|k| k.as_ref()));
         }
         self.counters.add(fire, 1);
         let (mut touched, mut dead) = (Vec::with_capacity(live.len()), Vec::new());
@@ -772,61 +668,8 @@ impl ReactorLoop {
         for token in dead {
             self.close(token);
         }
-        self.write_touched(touched);
-    }
-
-    /// Run one batched [`KvStore::set_multi`] over every live parked
-    /// write's pairs — in arrival order, so duplicate keys across
-    /// coalesced requests keep last-writer-wins semantics, and grouped per
-    /// shard by the store, so same-shard Sets land under one lock/seqlock
-    /// session with the interleaved hash kernel and prefetch staging — and
-    /// answer each request.
-    fn dispatch_writes(&mut self, fire: Counter) {
-        let live = self.take_live::<Pairs>();
-        if live.is_empty() {
-            return;
-        }
-        let t0 = Instant::now();
-        let pairs: Vec<(&[u8], &[u8])> = live
-            .iter()
-            .flat_map(|r| r.body.pairs.iter().map(|(k, v)| (k.as_ref(), v.as_ref())))
-            .collect();
-        let outcome = self.store.set_multi(&pairs, &mut self.scratch.set_batch);
-        let busy = t0.elapsed().as_nanos() as u64;
-        self.counters.add(fire, 1);
-        self.counters.add(Counter::WriteBatches, 1);
-        self.counters
-            .add(Counter::WriteBatchPairs, pairs.len() as u64);
-        self.counters.add_phases(outcome.phases);
-
-        let mut touched = Vec::with_capacity(live.len());
-        let mut end = 0;
-        for (nth, req) in live.iter().enumerate() {
-            let range = end..end + req.body.pairs.len();
-            end = range.end;
-            let Some(conn) = self.conns.get_mut(&req.token) else {
-                continue; // connection died while its write waited
-            };
-            let results = &self.scratch.set_batch.results()[range];
-            let id = req.id;
-            let payload = if req.body.single {
-                let ok = results[0].is_ok();
-                Response::Set { id, ok }.encode()
-            } else {
-                let ok = results.iter().map(|r| r.is_ok()).collect();
-                Response::SetMulti { id, ok }.encode()
-            };
-            let busy = share(busy, nth, live.len());
-            conn.counters.served(None, results.len(), busy);
-            conn.answer_framed(req.seq, &payload);
-            touched.push(req.token);
-        }
-        self.write_touched(touched);
-    }
-
-    /// Write what a dispatch answered, once per connection it touched, as
-    /// soon as every answer is in place.
-    fn write_touched(&mut self, touched: Vec<usize>) {
+        // Write what the dispatch answered, once per connection it
+        // touched, as soon as every answer is in place.
         for &token in &touched {
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
@@ -976,7 +819,7 @@ mod tests {
         }
         let exchange = exchange.elapsed().as_nanos() as u64;
         drop(conns);
-        let (_, stats) = server.shutdown();
+        let stats = server.shutdown();
         let batches = stats[Counter::Batches];
         assert_eq!(stats[Counter::BatchKeys], 16);
         assert!(
@@ -999,8 +842,8 @@ mod tests {
         conn.set_recv_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         // A batch with a duplicate key (later-wins), then a read-back of
-        // everything it touched — program order must hold across the
-        // read/write batch boundary.
+        // everything it touched — program order must hold between a write
+        // run on arrival and the Multi-Get parked after it.
         conn.send(
             Request::SetMulti {
                 id: 1,
@@ -1053,57 +896,7 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         drop(conn);
-        let (_, stats) = server.shutdown();
-        assert!(
-            stats[Counter::WriteBatches] >= 1,
-            "writes must go through the write batch"
-        );
-        assert_eq!(stats[Counter::WriteBatchPairs], 3, "pair volume accounting");
-    }
-
-    #[test]
-    fn coalesces_writes_across_connections() {
-        // Many single-Set clients: the writes must merge into fewer
-        // server-side `set_multi` dispatches than there are requests.
-        let mut cfg = config();
-        cfg.batch_width = 16;
-        cfg.coalesce = Duration::from_millis(20);
-        let server = serve(cfg);
-        let mut conns: Vec<TcpConn> = (0..16)
-            .map(|_| TcpConn::connect(server.local_addr()).unwrap())
-            .collect();
-        let keys: Vec<Bytes> = (0..16)
-            .map(|i| Bytes::from(format!("wkey-{i:02}").into_bytes()))
-            .collect();
-        for (i, c) in conns.iter_mut().enumerate() {
-            c.set_recv_timeout(Some(Duration::from_secs(10))).unwrap();
-            c.send(
-                Request::Set {
-                    id: i as u64,
-                    key: keys[i].clone(),
-                    value: Bytes::from_static(b"wv"),
-                }
-                .encode(),
-            )
-            .unwrap();
-            c.flush().unwrap();
-        }
-        for (i, c) in conns.iter_mut().enumerate() {
-            match Response::decode(c.recv().unwrap()).unwrap() {
-                Response::Set { id, ok } => {
-                    assert_eq!(id, i as u64);
-                    assert!(ok);
-                }
-                other => panic!("unexpected {other:?}"),
-            }
-        }
-        drop(conns);
-        let (_, stats) = server.shutdown();
-        let write_batches = stats[Counter::WriteBatches];
-        assert_eq!(stats[Counter::WriteBatchPairs], 16);
-        assert!(
-            write_batches < 16,
-            "16 single Sets must coalesce into fewer than 16 write batches, got {write_batches}"
-        );
+        let stats = server.shutdown();
+        assert_eq!(stats[Counter::Writes], 3, "pair volume accounting");
     }
 }

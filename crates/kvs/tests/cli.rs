@@ -126,6 +126,28 @@ fn memslap_refuses_fractions_that_sum_above_one() {
 }
 
 #[test]
+fn memslap_mux_refuses_writes_faults_and_retry_knobs() {
+    // `--mux` is read-only and never times out or retries: each of these is
+    // refused, even at the retry default, rather than silently ignored.
+    for (flag, value) in [
+        ("--set-fraction", "0.1"),
+        ("--write-frac", "0.1"),
+        ("--delete-frac", "0.1"),
+        ("--cas-frac", "0.1"),
+        ("--ttl", "60"),
+        ("--faults", "seed=1,drop=0.1"),
+        ("--deadline-ms", "1"),
+        ("--max-retries", "3"),
+    ] {
+        assert_refused(
+            MEMSLAP,
+            &["--addr", UNREACHABLE, "--mux", flag, value],
+            flag,
+        );
+    }
+}
+
+#[test]
 fn memslap_help_and_unknown_flag() {
     let out = run(MEMSLAP, &["--help"]);
     assert_eq!(out.status.code(), Some(0));
