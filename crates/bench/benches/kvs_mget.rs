@@ -16,7 +16,6 @@ fn store_with(index: Box<dyn HashIndex>, wl: &KvWorkload) -> KvStore {
             memory_budget: 64 << 20,
             capacity_items: ITEMS * 2,
             shards: 1,
-            prefetch_depth: None,
             ..StoreConfig::default()
         },
     );
@@ -78,45 +77,5 @@ fn bench_mget(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_prefetch_depth(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kvs_mget_prefetch_depth");
-    group.sample_size(20);
-    let wl = KvWorkload::generate(&KvWorkloadSpec {
-        n_items: ITEMS,
-        n_requests: 64,
-        mget_size: 96,
-        ..KvWorkloadSpec::default()
-    });
-    let store = store_with(
-        Box::new(SimdIndex::with_capacity(
-            SimdIndexKind::HorizontalBcht,
-            ITEMS * 2,
-        )),
-        &wl,
-    );
-    let requests: Vec<Vec<&[u8]>> = (0..wl.requests().len())
-        .map(|r| wl.request_keys(r))
-        .collect();
-    group.throughput(Throughput::Elements((requests.len() * 96) as u64));
-    for depth in [0usize, 4, 8, 16] {
-        store.set_prefetch_depth(depth);
-        group.bench_with_input(
-            BenchmarkId::new("hor", format!("G{depth}")),
-            &(),
-            |b, ()| {
-                let mut resp = MGetResponse::new();
-                b.iter(|| {
-                    let mut found = 0;
-                    for keys in &requests {
-                        found += store.mget(keys, &mut resp).found;
-                    }
-                    found
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_mget, bench_prefetch_depth);
+criterion_group!(benches, bench_mget);
 criterion_main!(benches);

@@ -10,6 +10,7 @@
 //! regenerates one table or figure of the paper; see `DESIGN.md` for the
 //! per-experiment index and `EXPERIMENTS.md` for recorded results.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use simdht_bench::{custom, experiments};
@@ -45,7 +46,7 @@ fn run_custom(args: &[String]) -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("custom: {e}\n\n{}", custom::usage());
+            let _ = writeln!(io::stderr(), "custom: {e}\n\n{}", custom::usage());
             ExitCode::FAILURE
         }
     }
@@ -66,7 +67,7 @@ fn main() -> ExitCode {
             // Everything after `custom` is its own flags.
             "custom" if ids.is_empty() => return run_custom(&args[i + 1..]),
             flag if flag.starts_with("--") => {
-                eprintln!("unknown flag {flag}\n\n{}", usage());
+                let _ = writeln!(io::stderr(), "unknown flag {flag}\n\n{}", usage());
                 return ExitCode::FAILURE;
             }
             id => ids.push(id),
@@ -78,7 +79,7 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
     if ids.is_empty() {
-        eprintln!("{}", usage());
+        let _ = writeln!(io::stderr(), "{}", usage());
         return ExitCode::FAILURE;
     }
     let selected: Vec<&str> = if ids == ["all"] {
@@ -88,7 +89,7 @@ fn main() -> ExitCode {
     };
     // Every id resolves before the first one runs.
     if let Some(id) = selected.iter().find(|id| !experiments::ALL.contains(id)) {
-        eprintln!("unknown experiment '{id}'\n\n{}", usage());
+        let _ = writeln!(io::stderr(), "unknown experiment '{id}'\n\n{}", usage());
         return ExitCode::FAILURE;
     }
     for id in selected {

@@ -2,7 +2,7 @@
 //! that a misspelt flag or an id that is not registered is refused before
 //! any experiment runs.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use simdht_bench::experiments;
 
@@ -37,6 +37,20 @@ fn unknown_flag_is_refused_before_anything_runs() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("unknown flag --quik"), "{err}");
     assert!(out.stdout.is_empty(), "table1 must not run");
+}
+
+#[test]
+fn unknown_flag_on_a_closed_stderr_keeps_its_exit_code() {
+    // The usage text is lost with nobody to read it; the failure is not.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let status = Command::new(env!("CARGO_BIN_EXE_simdht-bench"))
+        .args(["table1", "--quik"])
+        .stdout(Stdio::null())
+        .stderr(writer)
+        .status()
+        .expect("run simdht-bench");
+    assert_eq!(status.code(), Some(1));
 }
 
 #[test]

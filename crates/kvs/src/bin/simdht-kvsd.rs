@@ -7,12 +7,12 @@
 //! Pair it with `simdht-memslap` for networked Multi-Get load; see the
 //! README quickstart.
 
+use std::io::{self, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
 use simdht_kvs::kvsd::{Kvsd, KvsdConfig};
 use simdht_kvs::metrics::Counter;
-use simdht_kvs::reactor::ReactorConfig;
 use simdht_kvs::store::{KvStore, ReadMode, StoreConfig};
 use simdht_kvs::{arena, index};
 
@@ -43,19 +43,11 @@ OPTIONS:
     --idle-timeout-ms <n>  Reap connections that complete no request frame
                            this long: silent, stalled mid-frame or dripping
                            bytes (default: never)
-    --reactor              Serve with the event-driven reactor pool instead of
-                           a thread per connection: each reactor owns many
+    --reactor              Serve with min(cores, 4) event loops instead of a
+                           thread per connection: each loop owns many
                            nonblocking connections and coalesces their MGets
-                           into wide lookup batches (DESIGN.md §10)
-    --reactor-threads <n>  Event-loop workers in reactor mode
-                           (default: min(cores, 4))
-    --coalesce-us <n>      Reactor micro-deadline: longest a decoded MGet
-                           waits for batch-mates before dispatch (default 100)
-    --batch-width <n>      Reactor dispatches as soon as this many keys are
-                           buffered across connections (default 64)
-    --prefetch-depth <n>   Multi-Get software-prefetch look-ahead distance
-                           (group size G). 0 disables prefetching; default
-                           8 (see DESIGN.md §9)
+                           into lookup batches of up to 64 keys, waiting at
+                           most 100 us for batch-mates (DESIGN.md §10)
     --read-mode <mode>     locked | optimistic (default locked). Optimistic
                            GET/MGET readers probe shards seqlock-style
                            without taking the shard read lock, retrying or
@@ -73,7 +65,6 @@ struct Args {
     memory_bytes: usize,
     shards: usize,
     duration: Option<u64>,
-    prefetch_depth: Option<usize>,
     read_mode: ReadMode,
     config: KvsdConfig,
 }
@@ -86,46 +77,14 @@ fn parse_args() -> Result<Args, String> {
         memory_bytes: 64 << 20,
         shards: 1,
         duration: None,
-        prefetch_depth: None,
         read_mode: ReadMode::Locked,
         config: KvsdConfig::default(),
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
-        // Every reactor flag selects the reactor loop.
-        let reactor = &mut args.config.reactor;
         match flag.as_str() {
-            "--reactor" => {
-                reactor.get_or_insert_with(ReactorConfig::default);
-            }
-            "--reactor-threads" => {
-                let reactors = value("--reactor-threads")?
-                    .parse()
-                    .map_err(|e| format!("--reactor-threads: {e}"))?;
-                if reactors == 0 {
-                    return Err("--reactor-threads must be >= 1".to_string());
-                }
-                reactor.get_or_insert_with(ReactorConfig::default).reactors = reactors;
-            }
-            "--coalesce-us" => {
-                let us: u64 = value("--coalesce-us")?
-                    .parse()
-                    .map_err(|e| format!("--coalesce-us: {e}"))?;
-                reactor.get_or_insert_with(ReactorConfig::default).coalesce =
-                    Duration::from_micros(us);
-            }
-            "--batch-width" => {
-                let width = value("--batch-width")?
-                    .parse()
-                    .map_err(|e| format!("--batch-width: {e}"))?;
-                if width == 0 {
-                    return Err("--batch-width must be >= 1".to_string());
-                }
-                reactor
-                    .get_or_insert_with(ReactorConfig::default)
-                    .batch_width = width;
-            }
+            "--reactor" => args.config.reactor = true,
             "--addr" => args.addr = value("--addr")?,
             "--index" => args.index = value("--index")?,
             "--capacity" => {
@@ -169,13 +128,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("--max-inflight: {e}"))?,
                 );
             }
-            "--prefetch-depth" => {
-                args.prefetch_depth = Some(
-                    value("--prefetch-depth")?
-                        .parse()
-                        .map_err(|e| format!("--prefetch-depth: {e}"))?,
-                );
-            }
             "--read-mode" => {
                 let mode = value("--read-mode")?;
                 args.read_mode = ReadMode::parse(&mode).ok_or_else(|| {
@@ -216,12 +168,13 @@ fn main() {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            let _ = writeln!(io::stderr(), "error: {e}\n\n{USAGE}");
             std::process::exit(2);
         }
     };
     if index::by_short_name(&args.index, 8).is_none() {
-        eprintln!(
+        let _ = writeln!(
+            io::stderr(),
             "error: unknown index {:?} (expected memc3 | hor | ver | dpdk | local)",
             args.index
         );
@@ -232,7 +185,6 @@ fn main() {
             memory_budget: args.memory_bytes,
             capacity_items: args.capacity,
             shards: args.shards,
-            prefetch_depth: args.prefetch_depth,
             read_mode: args.read_mode,
         },
         |cap| index::by_short_name(&args.index, cap).expect("index name validated above"),
@@ -240,12 +192,13 @@ fn main() {
     let kvsd = match Kvsd::bind_with(Arc::clone(&store), args.addr.as_str(), args.config) {
         Ok(k) => k,
         Err(e) => {
-            eprintln!("error: cannot bind {}: {e}", args.addr);
+            let _ = writeln!(io::stderr(), "error: cannot bind {}: {e}", args.addr);
             std::process::exit(1);
         }
     };
     if args.read_mode == ReadMode::Optimistic && !store.optimistic_capable() {
-        eprintln!(
+        let _ = writeln!(
+            io::stderr(),
             "warning: index {} does not support optimistic probes; reads stay locked",
             store.index_name()
         );
@@ -260,14 +213,6 @@ fn main() {
         store.prefetch_depth(),
         store.read_mode().name(),
     );
-    if let Some(rcfg) = args.config.reactor {
-        println!(
-            "reactor mode: {} event loop(s), coalesce {}us, batch width {}",
-            rcfg.reactors,
-            rcfg.coalesce.as_micros(),
-            rcfg.batch_width,
-        );
-    }
 
     match args.duration {
         None => loop {

@@ -5,6 +5,8 @@
 //! simdht-memslap --addr 127.0.0.1:11411 --connections 4 --depth 16
 //! ```
 
+use std::io::{self, Write};
+
 use simdht_kvs::fault::FaultSpec;
 use simdht_kvs::memslap::{run_memslap_mux, run_memslap_over, MuxMemslapConfig, NetMemslapConfig};
 use simdht_kvs::net::TcpTransport;
@@ -215,14 +217,14 @@ fn main() {
     let args = match parse_args() {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
+            let _ = writeln!(io::stderr(), "error: {e}\n\n{USAGE}");
             std::process::exit(2);
         }
     };
     let transport = match TcpTransport::new(args.addr.as_str()) {
         Ok(t) => t,
         Err(e) => {
-            eprintln!("error: bad address {}: {e}", args.addr);
+            let _ = writeln!(io::stderr(), "error: bad address {}: {e}", args.addr);
             std::process::exit(2);
         }
     };
@@ -263,7 +265,7 @@ fn main() {
     let report = match outcome {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("error: run failed: {e}");
+            let _ = writeln!(io::stderr(), "error: run failed: {e}");
             std::process::exit(1);
         }
     };
@@ -328,7 +330,8 @@ fn main() {
         );
     }
     if report.failed > 0 {
-        eprintln!(
+        let _ = writeln!(
+            io::stderr(),
             "warning: {} requests abandoned after exhausting retries \
              (partial results above)",
             report.failed,
@@ -337,7 +340,11 @@ fn main() {
     if report.requests + report.sets + report.deletes + report.cas_ok + report.cas_conflicts == 0
         && report.failed > 0
     {
-        eprintln!("error: no request ever succeeded against {}", args.addr);
+        let _ = writeln!(
+            io::stderr(),
+            "error: no request ever succeeded against {}",
+            args.addr
+        );
         std::process::exit(1);
     }
 }

@@ -440,7 +440,6 @@ mod tests {
                 memory_budget: 8 << 20,
                 capacity_items: 5000,
                 shards: 1,
-                prefetch_depth: None,
                 ..StoreConfig::default()
             },
         );

@@ -7,7 +7,7 @@
 //! the registry of live connections and their counters, and the drain —
 //! around two connection loops, chosen by [`KvsdConfig::reactor`]:
 //!
-//! * **thread per connection** (`None`, the default): a handler thread per
+//! * **thread per connection** (`false`, the default): a handler thread per
 //!   connection runs framed I/O from [`crate::net`] with request
 //!   **pipelining** — a client may keep many requests in flight on one
 //!   connection, and the handler answers them in order, writing its replies
@@ -17,7 +17,7 @@
 //!   call of up to `MAX_RUN_KEYS` (256) keys: a burst pays the store's fixed
 //!   per-call cost once. A run never waits or makes a system call to grow,
 //!   and any other verb ends it, so program order holds;
-//! * **reactor** (`Some`): connections go round-robin to the event loops of
+//! * **reactor** (`true`): connections go round-robin to the event loops of
 //!   [`crate::reactor`], which coalesce Multi-Gets from all their
 //!   connections into wide store calls.
 //!
@@ -67,7 +67,7 @@ use crate::protocol::{
     buffered_mget, execute, serve_mgets, DecodeScratch, ErrorCode, ExecScratch, MGetRun, Request,
     Response, FRAME_PREFIX_BYTES,
 };
-use crate::reactor::{self, ReactorConfig};
+use crate::reactor;
 use crate::store::KvStore;
 
 /// Graceful-degradation knobs of the TCP daemon, and its connection loop.
@@ -93,8 +93,8 @@ pub struct KvsdConfig {
     /// `None` = wait indefinitely.
     pub idle_timeout: Option<Duration>,
     /// Serve connections from the [`crate::reactor`] event loops instead
-    /// of a thread per connection. `None` = thread per connection.
-    pub reactor: Option<ReactorConfig>,
+    /// of a thread per connection (`false`).
+    pub reactor: bool,
 }
 
 /// Counting semaphore bounding simultaneously-processed requests.
@@ -266,9 +266,10 @@ impl Kvsd {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shell = Arc::new(Shell::default());
-        let (inboxes, loops): (Vec<_>, Vec<_>) = match config.reactor {
-            Some(cfg) => reactor::start(&store, &shell, config, cfg)?,
-            None => Vec::new(),
+        let (inboxes, loops): (Vec<_>, Vec<_>) = if config.reactor {
+            reactor::start(&store, &shell, config)?
+        } else {
+            Vec::new()
         }
         .into_iter()
         .unzip();
@@ -631,23 +632,13 @@ mod tests {
     }
 
     /// The conformance suite runs every test against both connection
-    /// loops behind `limits`: a thread per connection, and one reactor.
+    /// loops behind `limits`: a thread per connection, and the reactors.
     fn loops(limits: KvsdConfig) -> [(&'static str, KvsdConfig); 2] {
-        let reactor = ReactorConfig {
-            reactors: 1,
-            coalesce: Duration::from_micros(100),
-            batch_width: 8,
+        let reactor = KvsdConfig {
+            reactor: true,
+            ..limits
         };
-        [
-            ("thread", limits),
-            (
-                "reactor",
-                KvsdConfig {
-                    reactor: Some(reactor),
-                    ..limits
-                },
-            ),
-        ]
+        [("thread", limits), ("reactor", reactor)]
     }
 
     fn serve(config: KvsdConfig) -> Kvsd {

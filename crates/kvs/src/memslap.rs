@@ -1378,13 +1378,8 @@ mod tests {
     #[test]
     fn mux_memslap_against_reactor_server() {
         let wl = small_workload();
-        let reactor = crate::reactor::ReactorConfig {
-            reactors: 2,
-            batch_width: 8,
-            ..crate::reactor::ReactorConfig::default()
-        };
         let config = crate::kvsd::KvsdConfig {
-            reactor: Some(reactor),
+            reactor: true,
             ..crate::kvsd::KvsdConfig::default()
         };
         let server = Kvsd::bind_with(tcp_store(), "127.0.0.1:0", config).expect("bind reactor");

@@ -39,7 +39,7 @@
 use std::cell::{Cell, UnsafeCell};
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::time::Instant;
 
 use parking_lot::RwLock;
@@ -56,8 +56,8 @@ mod response;
 
 pub use response::MGetResponse;
 
-/// Default Multi-Get prefetch look-ahead (`G`) used when
-/// [`StoreConfig::prefetch_depth`] is `None`. A stage has the lines of `G`
+/// The Multi-Get prefetch look-ahead `G` (DESIGN.md §9), also the
+/// set-path and eviction look-ahead. A stage has the lines of `G`
 /// keys in flight. The lookup stage asks per key for its first bucket —
 /// one line for `memc3` (slot words; the striped version counters stay
 /// resident) and `local`, two for `dpdk` (signatures, items) — and for the
@@ -65,8 +65,9 @@ pub use response::MGetResponse;
 /// one item-table line `2G` ahead and one chunk line `G` ahead per hit.
 /// At eight that is 8–10 requests outstanding in lookup (16 for `dpdk`)
 /// and 16 in post, against the ten to sixteen L1 miss buffers of recent
-/// x86 cores.
-pub const DEFAULT_PREFETCH_DEPTH: usize = 8;
+/// x86 cores. The G sweep that chose it is retired into EXPERIMENTS.md
+/// (`kvs-prefetch-sweep`).
+pub const PREFETCH_DEPTH: usize = 8;
 
 /// How `get`/`mget` readers synchronize with writers (DESIGN.md §11).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -116,12 +117,6 @@ pub struct StoreConfig {
     /// Number of shards (rounded up to a power of two; `1` = the classic
     /// single-lock store).
     pub shards: usize,
-    /// Multi-Get software-prefetch look-ahead `G` (DESIGN.md §9):
-    /// `None` = [`DEFAULT_PREFETCH_DEPTH`], `Some(0)` = disabled,
-    /// `Some(g)` = prefetch index buckets / item rows / slab chunks `g`
-    /// keys ahead of the probe or verification that will touch them.
-    /// Tunable at runtime via [`KvStore::set_prefetch_depth`].
-    pub prefetch_depth: Option<usize>,
     /// Reader synchronization mode (DESIGN.md §11). Tunable at runtime
     /// via [`KvStore::set_read_mode`].
     pub read_mode: ReadMode,
@@ -133,7 +128,6 @@ impl Default for StoreConfig {
             memory_budget: 64 << 20,
             capacity_items: 100_000,
             shards: 1,
-            prefetch_depth: None,
             read_mode: ReadMode::Locked,
         }
     }
@@ -847,10 +841,6 @@ pub struct KvStore {
     shard_mul: u32,
     shard_shift: u32,
     shard_mask: usize,
-    /// Multi-Get prefetch look-ahead `G` (0 = disabled). Atomic so the
-    /// mget and set_multi differentials and the `kvs_mget` criterion bench
-    /// can vary it on a live, populated store.
-    prefetch_depth: AtomicUsize,
     /// Current [`ReadMode`] as a `u8` (0 = locked, 1 = optimistic); atomic
     /// so the read-mode differential and `optimistic_stress` can flip it
     /// on a live store.
@@ -937,9 +927,6 @@ impl KvStore {
             shard_mul: SHARD_MUL,
             shard_shift: (32 - log2).clamp(1, 31),
             shard_mask: n - 1,
-            prefetch_depth: AtomicUsize::new(
-                config.prefetch_depth.unwrap_or(DEFAULT_PREFETCH_DEPTH),
-            ),
             read_mode: AtomicU8::new(config.read_mode as u8),
             time_offset: AtomicU64::new(0),
             optimistic_safe,
@@ -1013,20 +1000,10 @@ impl KvStore {
         *self.torture_set_pause.lock() = hook;
     }
 
-    /// The current prefetch look-ahead `G` of the Multi-Get pipeline and the
-    /// eviction look-ahead (0 = disabled).
+    /// The prefetch look-ahead `G` of the Multi-Get pipeline and the
+    /// eviction look-ahead: [`PREFETCH_DEPTH`], for reports.
     pub fn prefetch_depth(&self) -> usize {
-        self.prefetch_depth.load(Ordering::Relaxed)
-    }
-
-    /// Change the prefetch look-ahead at runtime. Purely a performance
-    /// knob — results are bit-identical for every `depth` (proved by
-    /// `tests/mget_differential.rs`, which uses this to compare every `G`
-    /// against `G = 0` over one populated store, and for evictions by
-    /// `tests/set_multi_differential.rs`); what the pipeline costs is the
-    /// benchmark ledger's `store.lookup_ns_per_key`.
-    pub fn set_prefetch_depth(&self, depth: usize) {
-        self.prefetch_depth.store(depth, Ordering::Relaxed);
+        PREFETCH_DEPTH
     }
 
     /// The backing index's name (for reports).
@@ -1156,7 +1133,6 @@ impl KvStore {
         ttl_secs: u32,
     ) -> Result<u64, StoreError> {
         let now = self.now_secs();
-        let depth = self.prefetch_depth.load(Ordering::Relaxed);
         // Replace semantics: drop any existing item with this exact key.
         // The version chain continues across a live replace; an expired
         // item is indistinguishable from an absent one, so its chain
@@ -1181,7 +1157,7 @@ impl KvStore {
             match write_item(&mut g.slab, key, value) {
                 Ok(r) => break r,
                 Err(SlabError::ObjectTooLarge { .. }) => return Err(StoreError::ObjectTooLarge),
-                Err(SlabError::OutOfMemory) => match g.evict_one(now, depth) {
+                Err(SlabError::OutOfMemory) => match g.evict_one(now) {
                     Some(expired) => Self::count_evict(slot, expired),
                     None => return Err(StoreError::OutOfMemory),
                 },
@@ -1197,7 +1173,7 @@ impl KvStore {
         loop {
             match g.index.insert(hash, item) {
                 Ok(()) => break,
-                Err(IndexError::Full) => match g.evict_one(now, depth) {
+                Err(IndexError::Full) => match g.evict_one(now) {
                     Some(expired) => Self::count_evict(slot, expired),
                     None => {
                         // Roll back the slab registration.
@@ -1271,7 +1247,6 @@ impl KvStore {
         results.resize(pairs.len(), Ok(()));
         let mut keys: Vec<&[u8]> = std::mem::take(&mut scratch.keys);
         keys.extend(pairs.iter().map(|&(k, _)| k));
-        let depth = self.prefetch_depth.load(Ordering::Relaxed);
         let mut stored = 0usize;
         let mut phases = PhaseNanos::default();
         let t1 = self.for_each_shard(&keys, scratch, |slot, sub, pass| {
@@ -1287,23 +1262,19 @@ impl KvStore {
             candidates.clear();
             candidates.resize(sub.hashes.len(), NO_ITEM);
             g.index
-                .lookup_batch_prefetched(sub.hashes, candidates, depth);
-            if depth > 0 {
-                for &cand in candidates.iter().take(2 * depth) {
-                    g.items.prefetch(cand);
-                }
+                .lookup_batch_prefetched(sub.hashes, candidates, PREFETCH_DEPTH);
+            for &cand in candidates.iter().take(2 * PREFETCH_DEPTH) {
+                g.items.prefetch(cand);
             }
             let tl1 = Instant::now();
             // Phase 3: inserts, with key j+G's index buckets and candidate
             // item rows requested while key j runs.
             for (j, &hash) in sub.hashes.iter().enumerate() {
-                if depth > 0 {
-                    if let Some(&ahead) = candidates.get(j + 2 * depth) {
-                        g.items.prefetch(ahead);
-                    }
-                    if let Some(&h_ahead) = sub.hashes.get(j + depth) {
-                        g.index.prefetch_hash(h_ahead);
-                    }
+                if let Some(&ahead) = candidates.get(j + 2 * PREFETCH_DEPTH) {
+                    g.items.prefetch(ahead);
+                }
+                if let Some(&h_ahead) = sub.hashes.get(j + PREFETCH_DEPTH) {
+                    g.index.prefetch_hash(h_ahead);
                 }
                 let i = sub.slot(j);
                 let (key, value) = pairs[i];
@@ -1576,7 +1547,6 @@ impl KvStore {
         let t0 = Instant::now();
         resp.reset(keys.len());
         let mut scratch = std::mem::take(&mut resp.scratch);
-        let depth = self.prefetch_depth.load(Ordering::Relaxed);
         let use_opt = self.use_optimistic();
         let mut found = 0usize;
         let mut phases = PhaseNanos::default();
@@ -1587,13 +1557,13 @@ impl KvStore {
             let mut done = None;
             if use_opt {
                 let racy = slot.racy(&self.optimistic);
-                done = self.read_pass(&racy, keys, sub, depth, resp, pass);
+                done = self.read_pass(&racy, keys, sub, resp, pass);
                 if done.is_none() {
                     self.optimistic.fallbacks.fetch_add(1, Ordering::Relaxed);
                 }
             }
             let done = done.unwrap_or_else(|| {
-                self.read_pass(&slot.read(), keys, sub, depth, resp, pass)
+                self.read_pass(&slot.read(), keys, sub, resp, pass)
                     .expect("a locked pass always commits")
             });
             Self::count_reads(slot, sub.hashes.len() as u64, done.found, done.expired);
@@ -1618,13 +1588,13 @@ impl KvStore {
     ///
     /// Phase 2 is the hash-table lookup (the batched, SIMD-accelerable
     /// phase) over this shard's slice of the request, with bucket lines
-    /// prefetched `depth` hashes ahead of each probe. Phase 3 verifies
-    /// full keys, writes values into the wire buffer, and updates CLOCK;
-    /// with a prefetch depth G it runs AMAC-style stages over the
-    /// candidate list — candidate j's item-table row is requested 2G keys
-    /// before its turn, its slab chunk G keys before (resolving the row
-    /// the prefetch made warm), so both dependent misses overlap the
-    /// verification of earlier keys. Validation is two-tier
+    /// prefetched G = [`PREFETCH_DEPTH`] hashes ahead of each probe. Phase 3
+    /// verifies full keys, writes values into the wire buffer, and updates
+    /// CLOCK in AMAC-style stages over the candidate list — candidate j's
+    /// item-table row is requested 2G keys before its turn, its slab chunk
+    /// G keys before (resolving the row the prefetch made warm), so both
+    /// dependent misses overlap the verification of earlier keys.
+    /// Validation is two-tier
     /// ([`ShardView::commit`]); a failed one rolls the response back to
     /// its pre-pass marks and retries once ([`validated`]).
     fn read_pass<V: ShardView>(
@@ -1632,39 +1602,37 @@ impl KvStore {
         view: &V,
         keys: &[&[u8]],
         sub: ShardBatch<'_>,
-        depth: usize,
         resp: &mut MGetResponse,
         scratch: &mut PassScratch,
     ) -> Option<PassOutcome> {
         let n_sub = sub.hashes.len();
         let now = self.now_secs();
         let marks = resp.marks();
+        const G: usize = PREFETCH_DEPTH;
         let attempt = |resp: &mut MGetResponse| {
             let (candidates, words) = (&mut scratch.candidates, &mut scratch.words);
             let tl0 = Instant::now();
             candidates.clear();
             candidates.resize(n_sub, NO_ITEM);
-            view.lookup(sub.hashes, candidates, depth);
+            view.lookup(sub.hashes, candidates, G);
             let tl1 = Instant::now();
-            // `depth == 0` stages nothing ahead: each key's row word is
-            // loaded on its own turn and no row line is requested early.
             let mut out = PassOutcome::default();
             let mut need_seq = false;
             let mut torn = false;
             words.clear();
             words.resize(n_sub, 0);
-            for &cand in candidates.iter().take(2 * depth) {
+            for &cand in candidates.iter().take(2 * G) {
                 view.prefetch_row(cand);
             }
-            for j in 0..n_sub.min(depth) {
+            for j in 0..n_sub.min(G) {
                 words[j] = view.stage(candidates[j]);
             }
             for j in 0..n_sub {
-                if let Some(&ahead) = candidates.get(j + 2 * depth).filter(|_| depth > 0) {
+                if let Some(&ahead) = candidates.get(j + 2 * G) {
                     view.prefetch_row(ahead);
                 }
-                if j + depth < n_sub {
-                    words[j + depth] = view.stage(candidates[j + depth]);
+                if j + G < n_sub {
+                    words[j + G] = view.stage(candidates[j + G]);
                 }
                 let i = sub.slot(j);
                 let mut q = Query {
@@ -1760,8 +1728,8 @@ impl Shard {
     ///
     /// The victim leaves the index by the hash its ring entry carries, so
     /// its chunk is not read; and the entries the hand will reach next are
-    /// staged `depth` and `2 * depth` ahead ([`Shard::look_ahead`]).
-    fn evict_one(&mut self, now: u64, depth: usize) -> Option<bool> {
+    /// staged G and 2G ahead ([`Shard::look_ahead`]).
+    fn evict_one(&mut self, now: u64) -> Option<bool> {
         let items = &self.items;
         // One call of the expiry test per ring entry the hand examines.
         let passed = Cell::new(0usize);
@@ -1769,7 +1737,7 @@ impl Shard {
             passed.set(passed.get() + 1);
             is_expired(items.expires_at(id), now)
         })?;
-        self.look_ahead(depth, passed.get());
+        self.look_ahead(passed.get());
         if let Some(r) = self.items.unregister(victim.item) {
             debug_assert_eq!(
                 victim.hash,
@@ -1785,17 +1753,18 @@ impl Shard {
 
     /// The eviction look-ahead (DESIGN.md §12), run after the hand has
     /// `passed` ring entries: request what evicting the entries that just
-    /// came within reach will touch, in two stages `depth` entries apart so
-    /// the second can resolve a row the first made warm. `depth` entries
-    /// ahead: every line of the entry's chunk — the set that evicts it
-    /// rewrites that chunk — and, from the ring hash, its index buckets.
-    /// `2 * depth` ahead: the item row with the expiry the sweep tests, the
-    /// id's version word and its ring-position slot. Hints only; `depth`
-    /// 0 issues none, and a sweep that passed more than `depth` entries
-    /// restarts the pipeline from the hand rather than chase it.
-    fn look_ahead(&self, depth: usize, passed: usize) {
-        let fresh = passed.min(depth);
-        for distance in depth - fresh..depth {
+    /// came within reach will touch, in two stages G = [`PREFETCH_DEPTH`]
+    /// entries apart so the second can resolve a row the first made warm.
+    /// G entries ahead: every line of the entry's chunk — the set that
+    /// evicts it rewrites that chunk — and, from the ring hash, its index
+    /// buckets. 2G ahead: the item row with the expiry the sweep tests, the
+    /// id's version word and its ring-position slot. Hints only; a sweep
+    /// that passed more than G entries restarts the pipeline from the hand
+    /// rather than chase it.
+    fn look_ahead(&self, passed: usize) {
+        const G: usize = PREFETCH_DEPTH;
+        let fresh = passed.min(G);
+        for distance in G - fresh..G {
             if let Some((id, hash)) = self.clock.ahead(distance) {
                 if let Some(r) = self.items.get(id) {
                     self.slab.prefetch_chunk(r);
@@ -1803,7 +1772,7 @@ impl Shard {
                 self.index.prefetch_hash(hash);
             }
         }
-        for distance in 2 * depth - fresh..2 * depth {
+        for distance in 2 * G - fresh..2 * G {
             if let Some((id, _)) = self.clock.ahead(distance) {
                 self.items.prefetch(id);
                 self.items.prefetch_version(id);
@@ -1823,7 +1792,6 @@ mod tests {
             memory_budget: 8 << 20,
             capacity_items: capacity,
             shards: 1,
-            prefetch_depth: None,
             ..StoreConfig::default()
         };
         vec![
@@ -1854,7 +1822,6 @@ mod tests {
                         memory_budget: 32 << 20,
                         capacity_items: capacity,
                         shards,
-                        prefetch_depth: None,
                         ..StoreConfig::default()
                     },
                     |cap| by_short_name(which, cap).unwrap(),
@@ -2028,7 +1995,6 @@ mod tests {
                 memory_budget: 16 << 20,
                 capacity_items: 4000,
                 shards: 8,
-                prefetch_depth: None,
                 ..StoreConfig::default()
             },
             |cap| by_short_name("hor", cap).unwrap(),
@@ -2220,7 +2186,6 @@ mod tests {
                 memory_budget: 2 << 20, // forces pressure
                 capacity_items: 100_000,
                 shards: 1,
-                prefetch_depth: None,
                 ..StoreConfig::default()
             },
         );
@@ -2363,7 +2328,6 @@ mod tests {
                 memory_budget: 2 << 20, // 2 MiB: forces eviction
                 capacity_items: 100_000,
                 shards: 1,
-                prefetch_depth: None,
                 ..StoreConfig::default()
             },
         );
@@ -2387,7 +2351,6 @@ mod tests {
                 memory_budget: 8 << 20,
                 capacity_items: 64,
                 shards: 1,
-                prefetch_depth: None,
                 ..StoreConfig::default()
             },
         );
@@ -2586,7 +2549,6 @@ mod tests {
     fn torn_read_prefetched_mget_spins_and_falls_back() {
         // Same oracle through the G-ahead prefetched Multi-Get pipeline.
         let (store, release, writer) = paused_writer_store();
-        store.set_prefetch_depth(8);
         let before = store.optimistic_stats().fallbacks;
         let reader = {
             let store = std::sync::Arc::clone(&store);
@@ -2662,7 +2624,6 @@ mod tests {
                     memory_budget: 8 << 20,
                     capacity_items: 2000,
                     shards: 4,
-                    prefetch_depth: None,
                     ..StoreConfig::default()
                 },
                 |cap| by_short_name("ver", cap).unwrap(),

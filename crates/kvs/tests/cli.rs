@@ -5,8 +5,10 @@
 //! refused before any connection is tried. The daemon's cases would bind an
 //! ephemeral port and serve for `--duration 0` or `1` if the input were
 //! accepted, so a regression fails on the exit code instead of hanging.
+//! Every flag `--help` lists is one the parser knows, and a usage error
+//! keeps its exit code when nobody reads stderr.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const KVSD: &str = env!("CARGO_BIN_EXE_simdht-kvsd");
 const MEMSLAP: &str = env!("CARGO_BIN_EXE_simdht-memslap");
@@ -79,7 +81,85 @@ fn kvsd_help_and_unknown_flag() {
     let out = run(KVSD, &["--help"]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("--memory-mb"));
-    assert_refused(KVSD, &["--no-such-flag"], "--no-such-flag");
+    // The prefetch depth, coalesce window, batch width and loop count are
+    // constants: their flags are unknown too, not silently ignored.
+    for flag in [
+        "--no-such-flag",
+        "--prefetch-depth",
+        "--coalesce-us",
+        "--batch-width",
+        "--reactor-threads",
+    ] {
+        let args = ["--addr", "127.0.0.1:0", "--duration", "0", flag, "8"];
+        assert_refused(KVSD, &args, &format!("unknown flag {flag}"));
+    }
+}
+
+/// Every flag `bin --help` lists, with whether it takes a value: the
+/// option lines are the ones indented exactly four spaces.
+fn listed_flags(bin: &str) -> Vec<(String, bool)> {
+    let help = String::from_utf8(run(bin, &["--help"]).stdout).expect("utf-8 help");
+    let mut flags = Vec::new();
+    for line in help.lines() {
+        let Some(option) = line.strip_prefix("    ").filter(|o| o.starts_with('-')) else {
+            continue;
+        };
+        let words: Vec<&str> = option.split_whitespace().collect();
+        let takes_value = words.iter().any(|w| w.starts_with('<'));
+        for word in words.iter().take_while(|w| w.starts_with('-')) {
+            flags.push((word.trim_end_matches(',').to_string(), takes_value));
+        }
+    }
+    flags
+}
+
+/// Run `bin` with each flag its help lists, then `tail`, and assert the
+/// parser knows every one. A flag that takes a value gets `1`, so one the
+/// parser took for a switch would leave `1` behind as an unknown flag.
+fn assert_help_matches_parser(bin: &str, tail: &[&str], expected: usize) {
+    let flags = listed_flags(bin);
+    assert_eq!(flags.len(), expected, "{flags:?}");
+    for (flag, takes_value) in &flags {
+        let mut args = vec![flag.as_str()];
+        if *takes_value {
+            args.push("1");
+        }
+        args.extend_from_slice(tail);
+        let out = run(bin, &args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.code().is_some(), "{args:?}: {stderr}");
+        assert!(!stderr.contains("unknown flag"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn kvsd_help_lists_only_flags_the_parser_knows() {
+    // 11 options, plus `-h` and `--help`. The tail serves nothing.
+    let tail = ["--addr", "127.0.0.1:0", "--duration", "0"];
+    assert_help_matches_parser(KVSD, &tail, 13);
+}
+
+#[test]
+fn memslap_help_lists_only_flags_the_parser_knows() {
+    // 20 options, plus `-h` and `--help`. The tail points at a port
+    // nothing serves.
+    assert_help_matches_parser(MEMSLAP, &["--addr", UNREACHABLE], 22);
+}
+
+#[test]
+fn a_usage_error_on_a_closed_stderr_keeps_its_exit_code() {
+    for bin in [KVSD, MEMSLAP] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let status = Command::new(bin)
+            .arg("--no-such-flag")
+            .stdout(Stdio::null())
+            .stderr(writer)
+            .status()
+            .expect("spawn binary");
+        assert_eq!(status.code(), Some(2), "{bin}");
+    }
 }
 
 #[test]

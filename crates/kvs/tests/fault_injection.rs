@@ -40,7 +40,6 @@ use simdht_kvs::memslap::{run_memslap_over, NetMemslapConfig};
 use simdht_kvs::metrics::Counter;
 use simdht_kvs::net::TcpTransport;
 use simdht_kvs::protocol::{Request, Response};
-use simdht_kvs::reactor::ReactorConfig;
 use simdht_kvs::store::{KvStore, ReadMode, StoreConfig};
 use simdht_kvs::transport::Transport;
 use simdht_workload::{KvWorkload, KvWorkloadSpec};
@@ -55,8 +54,8 @@ fn fault_seeds() -> u64 {
 /// The connection loop `FAULT_SERVER` selects, as a [`KvsdConfig`].
 fn server_config() -> KvsdConfig {
     let reactor = match std::env::var("FAULT_SERVER").as_deref() {
-        Ok("reactor") => Some(ReactorConfig::default()),
-        Ok("thread") | Err(_) => None,
+        Ok("reactor") => true,
+        Ok("thread") | Err(_) => false,
         Ok(other) => panic!("FAULT_SERVER={other}: expected thread | reactor"),
     };
     KvsdConfig {
@@ -94,7 +93,6 @@ fn spawn_daemon(capacity: usize) -> (Kvsd, Arc<KvStore>) {
             memory_budget: 4 << 20,
             capacity_items: capacity,
             shards: 1,
-            prefetch_depth: None,
             read_mode: read_mode(),
         },
     ));
@@ -554,7 +552,6 @@ fn reactor_and_thread_servers_match_byte_for_byte() {
                 memory_budget: 4 << 20,
                 capacity_items: 64,
                 shards: 1,
-                prefetch_depth: None,
                 read_mode: read_mode(),
             },
         ));
@@ -648,7 +645,7 @@ fn reactor_and_thread_servers_match_byte_for_byte() {
     kvsd.shutdown();
 
     let config = KvsdConfig {
-        reactor: Some(ReactorConfig::default()),
+        reactor: true,
         ..KvsdConfig::default()
     };
     let reactor = Kvsd::bind_with(mk_store(), "127.0.0.1:0", config).expect("bind reactor server");

@@ -1,10 +1,10 @@
 //! Differential acceptance of the prefetched, zero-copy Multi-Get data
-//! path (DESIGN.md §9): for every index family, shard count, and prefetch
-//! look-ahead G, `mget` must return byte-identical results — decoded
-//! entries against a model map, and CRC-sealed wire frames against both
-//! the G = 0 baseline and the generic `Response::MGet` encoder — on
-//! batches spanning hits, misses, and full-hash-collision fallbacks.
-//! A final case replays the same traffic over real TCP loopback.
+//! path (DESIGN.md §9): for every index family and shard count, `mget`
+//! must return byte-identical results — decoded entries against a model
+//! map, and CRC-sealed wire frames against the generic `Response::MGet`
+//! encoder — on batches spanning hits, misses, expired items and
+//! full-hash-collision fallbacks. A final case replays the same traffic
+//! over real TCP loopback.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -18,7 +18,6 @@ use simdht_kvs::store::{KvStore, MGetResponse, ReadMode, SetMultiBatch, ShardSta
 use simdht_kvs::transport::ClientConn;
 
 const INDEXES: [&str; 5] = ["memc3", "hor", "ver", "dpdk", "local"];
-const DEPTHS: [usize; 4] = [0, 1, 8, 64];
 
 /// Find two distinct keys with the same 32-bit FNV hash (birthday search;
 /// deterministic, a few hundred thousand cheap hashes).
@@ -163,7 +162,7 @@ fn query_batches(c: &Corpus) -> Vec<Vec<Vec<u8>>> {
     batches
 }
 
-fn store_with(which: &str, shards: usize, depth: usize, corpus: &Corpus) -> KvStore {
+fn store_with(which: &str, shards: usize, corpus: &Corpus) -> KvStore {
     let store = KvStore::with_shards(
         StoreConfig {
             // Varied value widths touch many slab size classes, each of
@@ -171,7 +170,6 @@ fn store_with(which: &str, shards: usize, depth: usize, corpus: &Corpus) -> KvSt
             memory_budget: 128 << 20,
             capacity_items: 4096,
             shards,
-            prefetch_depth: Some(depth),
             ..StoreConfig::default()
         },
         |cap| index::by_short_name(which, cap).expect("known index"),
@@ -180,6 +178,28 @@ fn store_with(which: &str, shards: usize, depth: usize, corpus: &Corpus) -> KvSt
         store.set(k, v).expect("preload");
     }
     store
+}
+
+/// The frame the generic encoder builds for `entries`: the oracle every
+/// zero-copy frame is held to.
+fn generic_frame(id: u64, entries: Vec<Option<Bytes>>) -> Vec<u8> {
+    Response::MGet { id, entries }.encode().to_vec()
+}
+
+/// What `model` says `batch` reads.
+fn model_entries(model: &HashMap<&[u8], &[u8]>, batch: &[Vec<u8>]) -> Vec<Option<Bytes>> {
+    batch
+        .iter()
+        .map(|k| model.get(k.as_slice()).map(|v| Bytes::copy_from_slice(v)))
+        .collect()
+}
+
+fn model_of(corpus: &Corpus) -> HashMap<&[u8], &[u8]> {
+    corpus
+        .items
+        .iter()
+        .map(|(k, v)| (k.as_slice(), v.as_slice()))
+        .collect()
 }
 
 /// Sealed wire frame for one batch, plus the decoded entries.
@@ -204,25 +224,18 @@ fn run_keys(store: &KvStore, id: u64, keys: &[&[u8]]) -> (Vec<u8>, Vec<Option<By
 }
 
 #[test]
-fn prefetched_mget_is_bit_identical_across_depths_shards_and_indexes() {
+fn prefetched_mget_matches_the_model_across_shards_and_indexes() {
     let corpus = build_corpus();
-    let model: HashMap<&[u8], &[u8]> = corpus
-        .items
-        .iter()
-        .map(|(k, v)| (k.as_slice(), v.as_slice()))
-        .collect();
+    let model = model_of(&corpus);
     let batches = query_batches(&corpus);
 
     for which in INDEXES {
         for shards in [1usize, 4] {
-            let store = store_with(which, shards, 0, &corpus);
+            let store = store_with(which, shards, &corpus);
             for (b, batch) in batches.iter().enumerate() {
                 let id = (b as u64) << 8;
-                let (baseline_frame, baseline_entries) = run_batch(&store, id, batch);
-
-                // The baseline agrees with the model map and with the
-                // generic encoder.
-                for (key, entry) in batch.iter().zip(&baseline_entries) {
+                let (frame, entries) = run_batch(&store, id, batch);
+                for (key, entry) in batch.iter().zip(&entries) {
                     assert_eq!(
                         entry.as_deref(),
                         model.get(key.as_slice()).copied(),
@@ -230,27 +243,12 @@ fn prefetched_mget_is_bit_identical_across_depths_shards_and_indexes() {
                         String::from_utf8_lossy(key),
                     );
                 }
-                let generic = Response::MGet {
-                    id,
-                    entries: baseline_entries.clone(),
-                }
-                .encode();
                 assert_eq!(
-                    baseline_frame,
-                    generic.to_vec(),
-                    "{which}/{shards} shards: zero-copy frame diverges from generic encoder",
+                    frame,
+                    generic_frame(id, model_entries(&model, batch)),
+                    "{which}/{shards} shards, batch {b}: zero-copy frame diverges from \
+                     the generic encoder",
                 );
-
-                // Every prefetch depth reproduces the baseline bytes.
-                for depth in DEPTHS {
-                    store.set_prefetch_depth(depth);
-                    let (frame, _) = run_batch(&store, id, batch);
-                    assert_eq!(
-                        frame, baseline_frame,
-                        "{which}/{shards} shards, G={depth}, batch {b}: frame bytes diverged",
-                    );
-                }
-                store.set_prefetch_depth(0);
             }
         }
     }
@@ -260,68 +258,69 @@ fn prefetched_mget_is_bit_identical_across_depths_shards_and_indexes() {
 /// prefetches distinguish — 58 B (one line of the 64-byte class), 64 B (all
 /// of it), 65 B (first byte of a second line, next class up) and 282 B
 /// (five lines) — every third one already expired, read back in batches
-/// that mix live, expired and absent keys. Returns each batch's sealed
-/// frame and the shard counters after the last one.
-fn line_shape_run(
-    which: &str,
-    mode: ReadMode,
-    shards: usize,
-    depth: usize,
-) -> (Vec<Vec<u8>>, Vec<ShardStats>) {
-    const KEY_BYTES: usize = 20;
-    const ITEM_BYTES: [usize; 4] = [58, 64, 65, 282];
-    let store = KvStore::with_shards(
-        StoreConfig {
-            memory_budget: 64 << 20,
-            capacity_items: 4096,
-            shards,
-            prefetch_depth: Some(depth),
-            read_mode: mode,
-        },
-        |cap| index::by_short_name(which, cap).expect("known index"),
-    );
-    let key = |i: usize| format!("line-{i:015}").into_bytes();
-    for i in 0..1200usize {
-        let value = vec![(i % 251) as u8; ITEM_BYTES[i % 4] - 6 - KEY_BYTES];
-        assert_eq!(key(i).len(), KEY_BYTES);
-        let ttl = if i % 3 == 0 { 1 } else { 0 };
-        store.set_v(&key(i), &value, ttl).expect("preload");
-    }
-    store.advance_time(2);
-
-    let mut frames = Vec::new();
-    for (b, width) in [1usize, 16, 64, 300].into_iter().enumerate() {
-        // Stride 7 is coprime to both 3 and 4, so every batch of 16 or more
-        // sees all four sizes, live and expired; ids past 1200 were never set.
-        let batch: Vec<Vec<u8>> = (0..width).map(|j| key((b * 97 + j * 7) % 1300)).collect();
-        frames.push(run_batch(&store, b as u64, &batch).0);
-    }
-    (frames, store.shard_stats())
-}
-
+/// that mix live, expired and absent keys.
+///
 /// What the staged prefetches bring in per hit — the row line that also
 /// carries the expiry word, the chunk's leading line that is all of a small
-/// item and a fifth of a wide one — is hints only: no byte of any response
-/// and no shard counter may depend on G.
+/// item and a fifth of a wide one — is hints only: every frame must be the
+/// generic encoding of what the model says each key reads, and the read
+/// counters must count the model's hits and expired keys.
 #[test]
-fn line_prefetches_change_no_response_byte_and_no_counter() {
+fn line_prefetches_answer_what_the_model_says() {
+    const KEY_BYTES: usize = 20;
+    const ITEM_BYTES: [usize; 4] = [58, 64, 65, 282];
+    const STORED: usize = 1200;
+    let key = |i: usize| format!("line-{i:015}").into_bytes();
+    let value = |i: usize| vec![(i % 251) as u8; ITEM_BYTES[i % 4] - 6 - KEY_BYTES];
+    let expired = |i: usize| i.is_multiple_of(3);
     for which in INDEXES {
         for mode in [ReadMode::Locked, ReadMode::Optimistic] {
             for shards in [1usize, 4] {
-                let (frames, stats) = line_shape_run(which, mode, shards, 0);
-                let totals = stats.iter().fold(ShardStats::default(), |mut t, s| {
-                    t.add(s);
-                    t
-                });
-                assert_eq!(totals.mget_keys, 1 + 16 + 64 + 300);
-                assert!(totals.expired > 0 && totals.mget_hits > totals.expired);
-                assert!(totals.mget_hits + totals.expired < totals.mget_keys);
-                for depth in [1usize, 8, 32] {
-                    let (got_frames, got_stats) = line_shape_run(which, mode, shards, depth);
-                    let at = format!("{which}/{mode:?}/{shards} shards, G={depth}");
-                    assert_eq!(got_frames, frames, "{at}: frame bytes diverged");
-                    assert_eq!(got_stats, stats, "{at}: shard counters diverged");
+                let at = format!("{which}/{mode:?}/{shards} shards");
+                let store = KvStore::with_shards(
+                    StoreConfig {
+                        memory_budget: 64 << 20,
+                        capacity_items: 4096,
+                        shards,
+                        read_mode: mode,
+                    },
+                    |cap| index::by_short_name(which, cap).expect("known index"),
+                );
+                for i in 0..STORED {
+                    assert_eq!(key(i).len(), KEY_BYTES);
+                    let ttl = if expired(i) { 1 } else { 0 };
+                    store.set_v(&key(i), &value(i), ttl).expect("preload");
                 }
+                store.advance_time(2);
+
+                let (mut hits, mut corpses, mut asked) = (0u64, 0u64, 0u64);
+                for (b, width) in [1usize, 16, 64, 300].into_iter().enumerate() {
+                    // Stride 7 is coprime to both 3 and 4, so every batch of
+                    // 16 or more sees all four sizes, live and expired; ids
+                    // past 1200 were never set.
+                    let ids: Vec<usize> = (0..width).map(|j| (b * 97 + j * 7) % 1300).collect();
+                    let batch: Vec<Vec<u8>> = ids.iter().map(|&i| key(i)).collect();
+                    let want: Vec<Option<Bytes>> = ids
+                        .iter()
+                        .map(|&i| (i < STORED && !expired(i)).then(|| Bytes::from(value(i))))
+                        .collect();
+                    hits += want.iter().filter(|e| e.is_some()).count() as u64;
+                    corpses += ids.iter().filter(|&&i| i < STORED && expired(i)).count() as u64;
+                    asked += width as u64;
+                    let (frame, _) = run_batch(&store, b as u64, &batch);
+                    assert_eq!(
+                        frame,
+                        generic_frame(b as u64, want),
+                        "{at}, batch {b}: frame bytes diverged from the model"
+                    );
+                }
+                let totals = store.totals();
+                assert!(hits > corpses && corpses > 0 && hits + corpses < asked);
+                assert_eq!(
+                    (totals.mget_keys, totals.mget_hits, totals.expired),
+                    (asked, hits, corpses),
+                    "{at}: read counters diverged from the model"
+                );
             }
         }
     }
@@ -364,7 +363,6 @@ fn scatter(keys: &[Vec<u8>]) -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
 fn scattered_keys_run(
     which: &str,
     mode: ReadMode,
-    depth: usize,
     scattered: bool,
 ) -> (Vec<Vec<u8>>, Vec<ShardStats>) {
     const STORED: usize = 100;
@@ -389,7 +387,6 @@ fn scattered_keys_run(
             memory_budget: 64 << 20,
             capacity_items: 4096,
             shards: 4,
-            prefetch_depth: Some(depth),
             read_mode: mode,
         },
         |cap| index::by_short_name(which, cap).expect("known index"),
@@ -421,24 +418,22 @@ fn scattered_keys_run(
 /// hash kernel reads any. That is a hint on the caller's memory: wherever
 /// the slices lie — page ends, line straddles, an empty slice whose
 /// pointer is the first byte of an untouched page — no response byte and
-/// no counter differs from the same keys owned one `Vec` each, at any G.
+/// no counter differs from the same keys owned one `Vec` each.
 #[test]
 fn scattered_key_slices_change_no_response_byte_and_no_counter() {
     for which in INDEXES {
         for mode in [ReadMode::Locked, ReadMode::Optimistic] {
-            let (frames, stats) = scattered_keys_run(which, mode, 0, false);
+            let (frames, stats) = scattered_keys_run(which, mode, false);
             let totals = stats.iter().fold(ShardStats::default(), |mut t, s| {
                 t.add(s);
                 t
             });
             assert_eq!((totals.sets, totals.mget_keys), (100, 1 + 16 + 64 + 120));
             assert!(totals.mget_hits > 100 && totals.mget_hits < totals.mget_keys);
-            for depth in [0usize, 1, 8, 32] {
-                let (got_frames, got_stats) = scattered_keys_run(which, mode, depth, true);
-                let at = format!("{which}/{mode:?}, G={depth}");
-                assert_eq!(got_frames, frames, "{at}: frame bytes diverged");
-                assert_eq!(got_stats, stats, "{at}: shard counters diverged");
-            }
+            let (got_frames, got_stats) = scattered_keys_run(which, mode, true);
+            let at = format!("{which}/{mode:?}");
+            assert_eq!(got_frames, frames, "{at}: frame bytes diverged");
+            assert_eq!(got_stats, stats, "{at}: shard counters diverged");
         }
     }
 }
@@ -447,7 +442,7 @@ fn scattered_key_slices_change_no_response_byte_and_no_counter() {
 fn single_key_get_matches_mget_under_collisions() {
     let corpus = build_corpus();
     for which in INDEXES {
-        let store = store_with(which, 1, 8, &corpus);
+        let store = store_with(which, 1, &corpus);
         for (k, v) in &corpus.items {
             assert_eq!(
                 store.get(k).as_deref(),
@@ -470,46 +465,35 @@ fn single_key_get_matches_mget_under_collisions() {
     }
 }
 
-/// The raw bytes a TCP client reads back must be identical whatever
-/// prefetch depth the server runs — the frame comparison covers the CRC
-/// trailer because `recv` hands back the payload still carrying it.
+/// The raw bytes a TCP client reads back are the generic encoding of what
+/// the model says each batch reads — the comparison covers the CRC trailer
+/// because `recv` hands back the payload still carrying it.
 #[test]
-fn tcp_loopback_frames_identical_across_prefetch_depths() {
+fn tcp_loopback_frames_match_the_model() {
     let corpus = build_corpus();
-    let batches = query_batches(&corpus);
-    let mut baseline: Option<Vec<Bytes>> = None;
-    for depth in [0usize, 8] {
-        let store = Arc::new(store_with("hor", 4, depth, &corpus));
-        let kvsd = Kvsd::bind(store, "127.0.0.1:0").expect("bind loopback");
-        let mut conn = TcpConn::connect(kvsd.local_addr()).expect("connect");
-        let mut frames = Vec::new();
-        for (b, batch) in batches.iter().enumerate() {
-            if batch.is_empty() {
-                continue;
+    let model = model_of(&corpus);
+    let store = Arc::new(store_with("hor", 4, &corpus));
+    let kvsd = Kvsd::bind(store, "127.0.0.1:0").expect("bind loopback");
+    let mut conn = TcpConn::connect(kvsd.local_addr()).expect("connect");
+    for (b, batch) in query_batches(&corpus).iter().enumerate() {
+        if batch.is_empty() {
+            continue;
+        }
+        conn.send(
+            Request::MGet {
+                id: b as u64,
+                keys: batch.iter().map(|k| Bytes::copy_from_slice(k)).collect(),
             }
-            conn.send(
-                Request::MGet {
-                    id: b as u64,
-                    keys: batch.iter().map(|k| Bytes::copy_from_slice(k)).collect(),
-                }
-                .encode(),
-            )
-            .expect("send");
-            let payload = conn.recv().expect("recv");
-            assert!(matches!(
-                Response::decode(payload.clone()),
-                Ok(Response::MGet { .. })
-            ));
-            frames.push(payload);
-        }
-        drop(conn);
-        kvsd.shutdown();
-        match &baseline {
-            None => baseline = Some(frames),
-            Some(base) => assert_eq!(
-                base, &frames,
-                "TCP reply bytes changed between G=0 and G={depth}",
-            ),
-        }
+            .encode(),
+        )
+        .expect("send");
+        let payload = conn.recv().expect("recv");
+        assert_eq!(
+            payload.to_vec(),
+            generic_frame(b as u64, model_entries(&model, batch)),
+            "batch {b}: TCP reply bytes diverged from the model",
+        );
     }
+    drop(conn);
+    kvsd.shutdown();
 }

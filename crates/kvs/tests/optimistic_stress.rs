@@ -387,7 +387,6 @@ fn roomy_store(index: &str, mode: ReadMode) -> Arc<KvStore> {
             memory_budget: 64 << 20,
             capacity_items: 4 * WRITERS * KEYS_PER_WRITER,
             shards: 4,
-            prefetch_depth: Some(8),
             read_mode: mode,
         },
         |cap| by_short_name(index, cap).expect("known index"),
@@ -499,7 +498,6 @@ fn paused_batched_writer_never_exposes_mid_batch_state() {
                 memory_budget: 64 << 20,
                 capacity_items: 1024,
                 shards: 1, // one shard: batch pairs apply in request order
-                prefetch_depth: Some(8),
                 read_mode: mode,
             },
             |cap| by_short_name("memc3", cap).expect("known index"),
@@ -629,7 +627,6 @@ fn shared_stripe_round(
         memory_budget: 64 << 20,
         capacity_items: STRIPED_CAPACITY,
         shards: 1,
-        prefetch_depth: Some(8),
         read_mode: mode,
     };
     let store = Arc::new(KvStore::with_shards(config, |cap| {
@@ -717,7 +714,6 @@ fn stress_torn_read_oracle_under_eviction_pressure() {
                     memory_budget: 4 << 20,
                     capacity_items: WRITERS * KEYS_PER_WRITER,
                     shards: 4,
-                    prefetch_depth: Some(8),
                     read_mode: mode,
                 },
                 |cap| by_short_name("hor", cap).expect("known index"),

@@ -283,7 +283,6 @@ fn kvsd_answers_duplicate_keys_per_slot() {
             memory_budget: 4 << 20,
             capacity_items: 64,
             shards: 1,
-            prefetch_depth: None,
             ..StoreConfig::default()
         },
     ));

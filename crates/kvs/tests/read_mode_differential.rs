@@ -2,7 +2,7 @@
 //! (DESIGN.md §11): on a quiescent store the `optimistic` read mode must
 //! be **observationally identical** to `locked` — byte-for-byte equal
 //! CRC-sealed Multi-Get wire frames and equal single-key `get` results —
-//! across every index family, shard count, and prefetch depth, on
+//! across every index family and shard count, on
 //! batches spanning hits, misses, and full-hash-collision fallbacks
 //! (the collision batches drive the optimistic path's per-key locked
 //! assist). `get` is pinned as the one-key case of the same pass: equal
@@ -22,7 +22,6 @@ use simdht_kvs::store::{KvStore, MGetResponse, ReadMode, StoreConfig};
 use simdht_kvs::transport::ClientConn;
 
 const INDEXES: [&str; 5] = ["memc3", "hor", "ver", "dpdk", "local"];
-const DEPTHS: [usize; 2] = [0, 8];
 
 /// Find two distinct keys with the same 32-bit FNV hash (birthday
 /// search; deterministic). `prefix` de-correlates independent pairs.
@@ -137,13 +136,12 @@ fn query_batches(c: &Corpus) -> Vec<Vec<Vec<u8>>> {
     batches
 }
 
-fn store_with(which: &str, shards: usize, depth: usize, corpus: &Corpus) -> KvStore {
+fn store_with(which: &str, shards: usize, corpus: &Corpus) -> KvStore {
     let store = KvStore::with_shards(
         StoreConfig {
             memory_budget: 128 << 20,
             capacity_items: 4096,
             shards,
-            prefetch_depth: Some(depth),
             ..StoreConfig::default()
         },
         |cap| index::by_short_name(which, cap).expect("known index"),
@@ -167,25 +165,22 @@ fn optimistic_mget_frames_are_bit_identical_to_locked() {
     let batches = query_batches(&corpus);
     for which in INDEXES {
         for shards in [1usize, 4] {
-            let store = store_with(which, shards, 0, &corpus);
+            let store = store_with(which, shards, &corpus);
             assert!(
                 store.optimistic_capable(),
                 "{which}: every stock index is expected to support optimistic probes"
             );
-            for depth in DEPTHS {
-                store.set_prefetch_depth(depth);
-                for (b, batch) in batches.iter().enumerate() {
-                    let id = (b as u64) << 8 | depth as u64;
-                    store.set_read_mode(ReadMode::Locked);
-                    let locked = sealed_frame(&store, id, batch);
-                    store.set_read_mode(ReadMode::Optimistic);
-                    let optimistic = sealed_frame(&store, id, batch);
-                    assert_eq!(
-                        optimistic, locked,
-                        "{which}/{shards} shards, G={depth}, batch {b}: \
-                         optimistic frame bytes diverged from locked",
-                    );
-                }
+            for (b, batch) in batches.iter().enumerate() {
+                let id = (b as u64) << 8;
+                store.set_read_mode(ReadMode::Locked);
+                let locked = sealed_frame(&store, id, batch);
+                store.set_read_mode(ReadMode::Optimistic);
+                let optimistic = sealed_frame(&store, id, batch);
+                assert_eq!(
+                    optimistic, locked,
+                    "{which}/{shards} shards, batch {b}: \
+                     optimistic frame bytes diverged from locked",
+                );
             }
             // The quiescent optimistic pass must actually have run (and
             // the collision batches must have taken the assist path).
@@ -203,7 +198,7 @@ fn optimistic_mget_frames_are_bit_identical_to_locked() {
 fn optimistic_get_matches_locked_under_collisions() {
     let corpus = build_corpus();
     for which in INDEXES {
-        let store = store_with(which, 1, 8, &corpus);
+        let store = store_with(which, 1, &corpus);
         for (k, v) in &corpus.items {
             store.set_read_mode(ReadMode::Locked);
             let locked = store.get(k);
@@ -246,7 +241,7 @@ fn get_and_one_key_mget_agree() {
     ];
     for which in INDEXES {
         for shards in [1usize, 4] {
-            let store = store_with(which, shards, 8, &corpus);
+            let store = store_with(which, shards, &corpus);
             store.set_v(b"mortal", b"doomed", 5).expect("set with ttl");
             store.advance_time(5);
             for mode in [ReadMode::Locked, ReadMode::Optimistic] {
@@ -305,7 +300,7 @@ fn tcp_loopback_frames_identical_across_read_modes() {
     let batches = query_batches(&corpus);
     let mut baseline: Option<Vec<Bytes>> = None;
     for mode in [ReadMode::Locked, ReadMode::Optimistic] {
-        let store = Arc::new(store_with("hor", 4, 8, &corpus));
+        let store = Arc::new(store_with("hor", 4, &corpus));
         store.set_read_mode(mode);
         let kvsd = Kvsd::bind(store, "127.0.0.1:0").expect("bind loopback");
         let mut conn = TcpConn::connect(kvsd.local_addr()).expect("connect");

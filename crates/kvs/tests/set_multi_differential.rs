@@ -4,8 +4,8 @@
 //! calls — per-key outcomes, occupancy, shard occupancies, single-key
 //! gets, and CRC-sealed Multi-Get frames — across 1/4 shards, batch
 //! sizes {1, 8, 64}, duplicate-keys-in-batch ordering, and CLOCK
-//! eviction pressure. The eviction look-ahead both paths share is held to
-//! the same standard against itself: every `G` leaves what `G = 0` leaves.
+//! eviction pressure — with TTL corpses among the victims and whichever of
+//! slab or index runs out first.
 
 use simdht_kvs::index;
 use simdht_kvs::store::{KvStore, MGetResponse, SetMultiBatch, ShardStats, StoreConfig};
@@ -28,7 +28,6 @@ fn new_store(which: &str, shards: usize, capacity: usize, budget: usize) -> KvSt
             memory_budget: budget,
             capacity_items: capacity,
             shards,
-            prefetch_depth: Some(8),
             ..StoreConfig::default()
         },
         |cap| index::by_short_name(which, cap).expect("known index"),
@@ -236,22 +235,19 @@ fn eviction_pressure_picks_identical_clock_victims() {
 type PressureTrace = (Vec<Vec<ShardStats>>, Vec<Vec<u8>>);
 
 /// Push `n` items of `item_bytes` (header + 20-byte key + value) through a
-/// store too small for them at look-ahead distance `depth`, by `set` or by
-/// 64-pair `set_multi`. Every third chunk is written with a TTL and the
-/// store's clock jumps past it at each quarter of the stream (by far more
-/// than the run takes, so the wall clock decides nothing), so the sweep
-/// finds corpses among the live; the probes between chunks set reference
+/// store too small for them, by `set` or by 64-pair `set_multi`. Every
+/// third chunk is written with a TTL and the store's clock jumps past it at
+/// each quarter of the stream (by far more than the run takes, so the wall
+/// clock decides nothing), so the sweep finds corpses among the live; the probes between chunks set reference
 /// bits, so it also finds entries to pass over.
 fn pressure_run(
     which: &str,
-    depth: usize,
     batched: bool,
     item_bytes: usize,
     (capacity, budget, n): (usize, usize, usize),
 ) -> PressureTrace {
     const CHUNK: usize = 64;
     let store = new_store(which, 1, capacity, budget);
-    store.set_prefetch_depth(depth);
     let key = |i: usize| format!("look-{i:015}").into_bytes();
     let value = |i: usize| vec![(i % 251) as u8; item_bytes - 6 - 20];
     let mut scratch = SetMultiBatch::new();
@@ -286,38 +282,30 @@ fn pressure_run(
     (stats, frames)
 }
 
-/// Victim look-ahead changes no victim, no counter and no frame: the lines
-/// an evicting set requests `G` and `2G` ring entries ahead of the hand —
-/// item rows, version words, victim chunks, index buckets — are hints, so
-/// `G` in {1, 8, 32} must replay `G = 0` exactly, through `set` and through
-/// `set_multi`, for one-line and five-line items, whether the slab or the
-/// index runs out first, on every index.
+/// The eviction look-ahead the two write paths share — the lines an
+/// evicting set requests `G` and `2G` ring entries ahead of the hand: item
+/// rows, version words, victim chunks, index buckets — is hints only, and
+/// the batch around it changes no victim: `set_multi` replays `set` exactly,
+/// every counter and every frame, for one-line and five-line items, with
+/// TTL corpses among the victims, whether the slab or the index runs out
+/// first, on every index.
 #[test]
-fn victim_look_ahead_changes_no_victim_no_counter_and_no_frame() {
+fn evicting_set_multi_replays_set_with_corpses_and_either_bound() {
     // (index capacity, slab budget, items written): a 1 MiB slab under an
     // ample index, then a 256-entry index under an ample slab.
     let slab_bound = |item_bytes: usize| (1 << 16, 1 << 20, 5 * (1 << 18) / item_bytes);
     let index_bound = (256, 64 << 20, 768);
     for which in INDEXES {
-        for batched in [false, true] {
-            for item_bytes in [58usize, 282] {
-                for (pressure, shape) in [("slab", slab_bound(item_bytes)), ("index", index_bound)]
-                {
-                    let (stats, frames) = pressure_run(which, 0, batched, item_bytes, shape);
-                    let last = stats.last().expect("at least one chunk")[0];
-                    assert!(last.evictions > 0, "{which}/{pressure}: no eviction");
-                    assert!(last.expired > 0, "{which}/{pressure}: no corpse reclaimed");
-                    for depth in [1usize, 8, 32] {
-                        let at = format!(
-                            "{which}/{} of {item_bytes} B/{pressure}-bound, G={depth}",
-                            if batched { "set_multi" } else { "set" },
-                        );
-                        let (got_stats, got_frames) =
-                            pressure_run(which, depth, batched, item_bytes, shape);
-                        assert_eq!(got_stats, stats, "{at}: shard counters diverged");
-                        assert_eq!(got_frames, frames, "{at}: frame bytes diverged");
-                    }
-                }
+        for item_bytes in [58usize, 282] {
+            for (pressure, shape) in [("slab", slab_bound(item_bytes)), ("index", index_bound)] {
+                let at = format!("{which}/{item_bytes} B/{pressure}-bound");
+                let (stats, frames) = pressure_run(which, false, item_bytes, shape);
+                let last = stats.last().expect("at least one chunk")[0];
+                assert!(last.evictions > 0, "{at}: no eviction");
+                assert!(last.expired > 0, "{at}: no corpse reclaimed");
+                let (got_stats, got_frames) = pressure_run(which, true, item_bytes, shape);
+                assert_eq!(got_stats, stats, "{at}: shard counters diverged");
+                assert_eq!(got_frames, frames, "{at}: frame bytes diverged");
             }
         }
     }

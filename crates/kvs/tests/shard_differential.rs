@@ -164,7 +164,6 @@ fn differential_run(which: &str, seed: u64) {
             memory_budget: budget,
             capacity_items: capacity,
             shards: 1,
-            prefetch_depth: None,
             ..StoreConfig::default()
         },
     );

@@ -59,7 +59,6 @@ fn all_backends_answer_identically() {
         memory_budget: 16 << 20,
         capacity_items: 8000,
         shards: 1,
-        prefetch_depth: None,
         ..StoreConfig::default()
     };
     let stores: Vec<KvStore> = indexes(8000)
@@ -99,7 +98,6 @@ fn memslap_full_pipeline_all_backends() {
         memory_budget: 16 << 20,
         capacity_items: 5000,
         shards: 1,
-        prefetch_depth: None,
         ..StoreConfig::default()
     };
     for idx in indexes(5000) {
@@ -160,7 +158,6 @@ fn store_concurrent_mixed_load() {
             memory_budget: 32 << 20,
             capacity_items: 20_000,
             shards: 1,
-            prefetch_depth: None,
             ..StoreConfig::default()
         },
     ));
@@ -208,7 +205,6 @@ fn updates_and_value_growth() {
                 memory_budget: 8 << 20,
                 capacity_items: 1000,
                 shards: 1,
-                prefetch_depth: None,
                 ..StoreConfig::default()
             },
         );
