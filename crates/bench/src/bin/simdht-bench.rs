@@ -37,12 +37,12 @@ fn is_help(arg: &str) -> bool {
 /// `custom`'s own flags, parsed and executed.
 fn run_custom(args: &[String]) -> ExitCode {
     if args.iter().any(|a| is_help(a)) {
-        println!("{}", custom::usage());
+        let _ = writeln!(io::stdout(), "{}", custom::usage());
         return ExitCode::SUCCESS;
     }
     match custom::parse(args).and_then(|spec| custom::execute(&spec)) {
         Ok(report) => {
-            println!("{report}");
+            let _ = writeln!(io::stdout(), "{report}");
             ExitCode::SUCCESS
         }
         Err(e) => {
@@ -61,7 +61,7 @@ fn main() -> ExitCode {
             "--quick" => quick = true,
             "--list" => list = true,
             help if is_help(help) => {
-                println!("{}", usage());
+                let _ = writeln!(io::stdout(), "{}", usage());
                 return ExitCode::SUCCESS;
             }
             // Everything after `custom` is its own flags.
@@ -75,7 +75,7 @@ fn main() -> ExitCode {
     }
 
     if list {
-        println!("{}", experiments::ALL.join("\n"));
+        let _ = writeln!(io::stdout(), "{}", experiments::ALL.join("\n"));
         return ExitCode::SUCCESS;
     }
     if ids.is_empty() {
@@ -94,7 +94,7 @@ fn main() -> ExitCode {
     }
     for id in selected {
         let output = experiments::run(id, quick).expect("id resolved above");
-        println!("{output}");
+        let _ = writeln!(io::stdout(), "{output}");
     }
     ExitCode::SUCCESS
 }

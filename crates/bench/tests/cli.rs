@@ -54,6 +54,23 @@ fn unknown_flag_on_a_closed_stderr_keeps_its_exit_code() {
 }
 
 #[test]
+fn list_and_help_on_a_closed_stdout_still_succeed() {
+    // The ids and the help text are lost with nobody to read them; the
+    // exit code says the request was understood.
+    for flag in ["--list", "--help"] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let status = Command::new(env!("CARGO_BIN_EXE_simdht-bench"))
+            .arg(flag)
+            .stdout(writer)
+            .stderr(Stdio::null())
+            .status()
+            .expect("run simdht-bench");
+        assert_eq!(status.code(), Some(0), "{flag}");
+    }
+}
+
+#[test]
 fn every_id_resolves_before_the_first_runs() {
     let out = bench(&["table1", "extra-id"]);
     assert!(!out.status.success());

@@ -144,7 +144,7 @@ fn parse_args() -> Result<Args, String> {
                 args.config.idle_timeout = Some(Duration::from_millis(ms));
             }
             "-h" | "--help" => {
-                print!("{USAGE}");
+                let _ = write!(io::stdout(), "{USAGE}");
                 std::process::exit(0);
             }
             other => return Err(format!("unknown flag {other}")),
@@ -203,7 +203,8 @@ fn main() {
             store.index_name()
         );
     }
-    println!(
+    let _ = writeln!(
+        io::stdout(),
         "simdht-kvsd listening on {} (index {}, {} shard(s), capacity {}, {} MiB slab, prefetch depth {}, {} reads)",
         kvsd.local_addr(),
         store.index_name(),
@@ -223,19 +224,33 @@ fn main() {
             let live = kvsd.live_connections();
             let stats = kvsd.shutdown();
             let huge_kib = arena::anon_huge_pages_kib().map_or("n/a".into(), |k| k.to_string());
-            println!(
+            let _ = writeln!(
+                io::stdout(),
                 "drained after {secs}s: {live} live connections drained, {} closed in all, \
                  {huge_kib} KiB on huge pages ({} huge-page advice refusals)",
                 stats[Counter::ConnsClosed],
                 arena::hugepage_refusals(),
             );
-            print!("{stats}");
+            let _ = write!(io::stdout(), "{stats}");
+            let t = store.totals();
+            let _ = writeln!(
+                io::stdout(),
+                "store: {} items, {} sets, {} evictions, {} expired, {} promotions, \
+                 {:.4} Multi-Get hit fraction",
+                t.items,
+                t.sets,
+                t.evictions,
+                t.expired,
+                t.promotions,
+                t.mget_hits as f64 / t.mget_keys.max(1) as f64,
+            );
             if store.n_shards() > 1 {
                 let lens = store.shard_lens();
                 let total: usize = lens.iter().sum();
                 let max = lens.iter().copied().max().unwrap_or(0);
                 let mean = total as f64 / lens.len() as f64;
-                println!(
+                let _ = writeln!(
+                    io::stdout(),
                     "shard balance: {} items over {} shards, max/mean {:.2} ({:?})",
                     total,
                     lens.len(),

@@ -93,7 +93,7 @@ fn parse_args() -> Result<Args, String> {
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         if flag == "-h" || flag == "--help" {
-            print!("{USAGE}");
+            let _ = write!(io::stdout(), "{USAGE}");
             std::process::exit(0);
         }
         if flag == "--no-preload" {
@@ -228,7 +228,8 @@ fn main() {
             std::process::exit(2);
         }
     };
-    println!(
+    let _ = writeln!(
+        io::stdout(),
         "generating workload: {} items, {} requests x {} keys, {} keys/{} B values, {}",
         args.spec.n_items,
         args.spec.n_requests,
@@ -238,7 +239,8 @@ fn main() {
         args.spec.pattern,
     );
     let workload = KvWorkload::generate(&args.spec);
-    println!(
+    let _ = writeln!(
+        io::stdout(),
         "running against {} ({} connections, pipeline depth {}{}{}{})",
         transport.addr(),
         args.net.connections,
@@ -269,7 +271,8 @@ fn main() {
             std::process::exit(1);
         }
     };
-    println!(
+    let _ = writeln!(
+        io::stdout(),
         "\n{} MGets + {} Sets + {} Deletes + {} CAS in {:.2}s  ({:.0} req/s, {:.2} Mkeys/s)",
         report.requests,
         report.sets,
@@ -279,14 +282,16 @@ fn main() {
         report.requests_per_sec,
         report.keys_per_sec / 1e6,
     );
-    println!(
+    let _ = writeln!(
+        io::stdout(),
         "keys: {} requested, {} hits, {} misses ({:.1}% hit rate)",
         report.keys,
         report.hits,
         report.misses,
         report.hits as f64 / (report.keys.max(1)) as f64 * 100.0,
     );
-    println!(
+    let _ = writeln!(
+        io::stdout(),
         "latency us: mean {:.1}  min {:.1}  p50 {:.1}  p95 {:.1}  p99 {:.1}",
         report.mean_latency_us,
         report.min_latency_us,
@@ -295,13 +300,17 @@ fn main() {
         report.p99_latency_us,
     );
     if report.deletes > 0 {
-        println!(
+        let _ = writeln!(
+            io::stdout(),
             "delete latency us: mean {:.1}  p99 {:.1}  ({} completed)",
-            report.delete_mean_latency_us, report.delete_p99_latency_us, report.deletes,
+            report.delete_mean_latency_us,
+            report.delete_p99_latency_us,
+            report.deletes,
         );
     }
     if report.cas_ok + report.cas_conflicts > 0 {
-        println!(
+        let _ = writeln!(
+            io::stdout(),
             "cas latency us: mean {:.1}  p99 {:.1}  ({} stored, {} conflicts)",
             report.cas_mean_latency_us,
             report.cas_p99_latency_us,
@@ -317,7 +326,8 @@ fn main() {
         + report.sets_uncertain
         + report.cas_uncertain;
     if disturbed > 0 || args.net.faults.is_some() {
-        println!(
+        let _ = writeln!(
+            io::stdout(),
             "resilience: {} retries, {} timeouts, {} shed, {} reconnects, \
              {} failed, {} sets uncertain, {} cas uncertain",
             report.retries,

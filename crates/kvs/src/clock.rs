@@ -1,57 +1,104 @@
-//! CLOCK cache eviction — MemC3's replacement for memcached's LRU lists.
+//! Two-queue cache eviction: a probationary FIFO in front of MemC3's CLOCK.
 //!
-//! MemC3 (NSDI'13) replaces the doubly-linked LRU with a CLOCK ring: one
-//! reference bit per item, set on access (cheap, shared-friendly), swept by
-//! a rotating hand on eviction. The paper's post-processing phase (§VI-A
-//! step 3, "updates its metadata to maintain cache freshness") is this
-//! touch operation.
+//! MemC3 (NSDI'13) replaces memcached's doubly-linked LRU with a CLOCK
+//! ring: one reference bit per item, set on access (cheap, shared-friendly),
+//! swept by a rotating hand on eviction. The paper's post-processing phase
+//! (§VI-A step 3, "updates its metadata to maintain cache freshness") is
+//! the touch operation.
+//!
+//! That ring is the *main* queue here, behind a small probationary FIFO
+//! after S3-FIFO (Yang et al., SOSP '23, in its ghost-free form). A new
+//! item enters the FIFO's tail unreferenced. An eviction pops the FIFO's
+//! head: an item read since it arrived moves to the main ring, one that was
+//! not is the victim. The main ring's hand sweeps only while the FIFO
+//! holds under a tenth (`FIFO_SHARE`) of the tracked items, so a write
+//! that is never read leaves after one trip through the FIFO instead of
+//! surviving a full lap of the hand. Both queues share the one reference
+//! bitmap, so the read side is exactly CLOCK's.
+//!
+//! A replaced item hands its queue and reference bit ([`Standing`]) to the
+//! new item's [`Clock::admit`]. A removal from the FIFO leaves a tombstone
+//! that the pop skips, and the FIFO is compacted in place once tombstones
+//! outnumber live entries, so a warmed-up queue allocates nothing.
 //!
 //! # Reader-safe reference bits (seqlock read path)
 //!
 //! Reference bits are keyed by **item id** in a stable segmented atomic
-//! bitmap (word `id / 64`, bit `id % 64`), not by ring position in a
+//! bitmap (word `id / 64`, bit `id % 64`), not by queue position in a
 //! growable `Vec`. [`Clock::touch`] therefore only ever dereferences
 //! storage that never moves, so lock-free optimistic readers (DESIGN.md
 //! §11) may call it concurrently with `admit`/`evict`/`remove` mutations.
 //! Relaxed ordering is sufficient: a reference bit is a cache-freshness
 //! *hint* — a lost or stale set only perturbs the eviction order, never
-//! correctness — and `admit` explicitly sets the bit, so a stale bit left
+//! correctness — and `admit` explicitly writes the bit, so a stale bit left
 //! by a racing touch on a dying id is erased when the id is recycled.
 
 use crate::seqlock::AtomicSegArray;
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 
-/// `position` value of an id the ring does not hold.
-const NOT_IN_RING: u32 = u32::MAX;
+/// `position` value of an id neither queue holds.
+const UNTRACKED: u32 = u32::MAX;
+/// `position` bit naming the main ring; clear for the FIFO. The other 31
+/// bits are the entry's index in the main ring, or its FIFO sequence
+/// number.
+const IN_MAIN: u32 = 1 << 31;
+/// FIFO sequence numbers count modulo 2^31.
+const SEQ: u32 = IN_MAIN - 1;
+/// The item id of a FIFO slot whose entry was removed.
+const TOMBSTONE: u32 = u32::MAX;
+/// The main ring sweeps only while the FIFO holds fewer than one in
+/// `FIFO_SHARE` tracked items.
+const FIFO_SHARE: usize = 10;
 
-/// What [`Clock::evict_with`] removed from the ring.
+/// What [`Clock::evict_with`] removed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Victim {
     /// The evicted item id.
     pub item: u32,
     /// The key hash [`Clock::admit`] recorded for it.
     pub hash: u32,
-    /// Whether the sweep's predicate called it expired.
+    /// Whether the predicate called it expired.
     pub expired: bool,
 }
 
-/// A CLOCK ring over item ids.
+/// Where a removed item stood — its queue and its reference bit — for the
+/// [`Clock::admit`] of the item that replaces it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Standing {
+    /// It sat in the main ring (else in the FIFO).
+    pub main: bool,
+    /// Its reference bit was set.
+    pub referenced: bool,
+}
+
+/// A probationary FIFO and a CLOCK ring over item ids.
 ///
-/// A ring entry is `(item id, key hash)`: the hash is what the index needs
-/// to drop the victim, and carrying it here means an eviction never reads
-/// the victim's slab chunk to re-hash its key (DESIGN.md §12). Per tracked
-/// id that is eight bytes of ring and four of `position` — what the id
-/// alone plus a `Vec<Option<u32>>` position cost.
+/// An entry is `(item id, key hash)`: the hash is what the index needs to
+/// drop the victim, and carrying it here means an eviction never reads the
+/// victim's slab chunk to re-hash its key (DESIGN.md §12). Per tracked id
+/// that is eight bytes of queue and four of `position`, plus the FIFO's
+/// tombstones.
 #[derive(Debug, Default)]
 pub struct Clock {
-    entries: Vec<(u32, u32)>,
+    /// The FIFO, oldest first: live entries and the tombstones removals
+    /// left. The entry at index `i` has sequence number `fifo_front + i`
+    /// (modulo 2^31), which `position` holds, so popping renumbers nothing.
+    fifo: VecDeque<(u32, u32)>,
+    fifo_front: u32,
+    /// Live (non-tombstone) entries in `fifo`.
+    fifo_live: usize,
+    /// The main ring and its hand.
+    main: Vec<(u32, u32)>,
+    hand: usize,
     /// Reference bits keyed by item id: word `id / 64`, bit `id % 64`.
     /// Stable addresses — safe for racy `touch` from optimistic readers.
     referenced: AtomicSegArray,
-    /// Position of entry in `entries`, by item id (dense ids assumed);
-    /// [`NOT_IN_RING`] for ids not tracked.
+    /// By item id (dense ids assumed): [`IN_MAIN`] and the entry's ring
+    /// index, or its FIFO sequence number; [`UNTRACKED`] for ids not held.
     position: Vec<u32>,
-    hand: usize,
+    /// FIFO entries moved to the main ring, ever.
+    promotions: u64,
 }
 
 #[inline(always)]
@@ -60,25 +107,62 @@ fn bit_of(item: u32) -> (usize, u64) {
 }
 
 impl Clock {
-    /// Create an empty ring.
+    /// Create an empty pair of queues.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Track a new item (initially referenced, like a fresh insert) and
-    /// the hash of its key, which [`Clock::evict_with`] hands back.
-    pub fn admit(&mut self, item: u32, hash: u32) {
-        let pos = self.entries.len() as u32;
-        self.entries.push((item, hash));
+    /// Track a new item and the hash of its key, which
+    /// [`Clock::evict_with`] hands back. A fresh item (`None`) enters the
+    /// FIFO's tail unreferenced; the replacement of a removed item enters
+    /// the tail of the queue the old one left, with its reference bit.
+    pub fn admit(&mut self, item: u32, hash: u32, replaces: Option<Standing>) {
+        let standing = replaces.unwrap_or(Standing {
+            main: false,
+            referenced: false,
+        });
+        // The queue grows before `position` does, as it did when the ring
+        // was one `Vec`: the order of the two buffers' reallocations sets
+        // how much of a rebuilt store's heap the allocator keeps resident.
+        let at = if standing.main {
+            self.push_main(item, hash)
+        } else {
+            self.fifo.push_back((item, hash));
+            self.fifo_live += 1;
+            self.fifo_front.wrapping_add(self.fifo.len() as u32 - 1) & SEQ
+        };
         let (word, bit) = bit_of(item);
-        self.referenced
-            .get_or_alloc(word)
-            .fetch_or(bit, Ordering::Relaxed);
-        if self.position.len() <= item as usize {
-            self.position.resize(item as usize + 1, NOT_IN_RING);
+        let w = self.referenced.get_or_alloc(word);
+        if standing.referenced {
+            w.fetch_or(bit, Ordering::Relaxed);
+        } else {
+            w.fetch_and(!bit, Ordering::Relaxed);
         }
-        debug_assert_eq!(self.position[item as usize], NOT_IN_RING, "double admit");
-        self.position[item as usize] = pos;
+        if self.position.len() <= item as usize {
+            self.position.resize(item as usize + 1, UNTRACKED);
+        }
+        debug_assert_eq!(self.position[item as usize], UNTRACKED, "double admit");
+        self.position[item as usize] = at;
+    }
+
+    /// Insert at the main ring's tail — the slot the hand reaches last —
+    /// and return the new entry's `position` value (which the caller
+    /// stores). The entry the hand was about to examine moves to the end
+    /// of the ring, still ahead of the hand.
+    fn push_main(&mut self, item: u32, hash: u32) -> u32 {
+        let len = self.main.len();
+        if self.hand >= len {
+            self.hand = 0;
+        }
+        self.main.push((item, hash));
+        if len == 0 {
+            return IN_MAIN;
+        }
+        self.main.swap(self.hand, len);
+        let (moved, _) = self.main[len];
+        self.position[moved as usize] = IN_MAIN | len as u32;
+        self.hand += 1;
+        IN_MAIN | (self.hand - 1) as u32
     }
 
     /// Mark an item as recently used. Takes `&self` and touches only the
@@ -88,12 +172,12 @@ impl Clock {
     /// concurrently dying may leave a stale bit, which `admit` overwrites
     /// on recycle.
     ///
-    /// Test before set: `admit` leaves the bit set and only an eviction
-    /// sweep clears it, so on a read-mostly store nearly every touch finds
-    /// it set already — and a load keeps the bitmap line Shared among
-    /// reader threads where an unconditional `lock or` would pull it
-    /// Exclusive on every hit. A sweep clearing the bit between the load and
-    /// the skipped write loses one reference, which is the hint's licence.
+    /// Test before set: once a read has set the bit only an eviction clears
+    /// it, so on a read-mostly store nearly every touch finds it set already
+    /// — and a load keeps the bitmap line Shared among reader threads where
+    /// an unconditional `lock or` would pull it Exclusive on every hit. An
+    /// eviction clearing the bit between the load and the skipped write
+    /// loses one reference, which is the hint's licence.
     pub fn touch(&self, item: u32) {
         let (word, bit) = bit_of(item);
         if let Some(w) = self.referenced.get(word) {
@@ -112,74 +196,131 @@ impl Clock {
         }
     }
 
-    /// Pick a victim: sweep the hand, clearing reference bits, until an
-    /// unreferenced item is found. Returns `None` when the ring is empty.
+    /// Whether the next eviction sweeps the main ring (else it pops the
+    /// FIFO): the ring holds something and the FIFO is under its share.
+    #[inline]
+    fn sweeps_main(&self) -> bool {
+        !self.main.is_empty() && self.fifo_live * FIFO_SHARE < self.len()
+    }
+
+    /// Pick a victim with no TTLs in play. Returns `None` when nothing is
+    /// tracked.
     pub fn evict(&mut self) -> Option<u32> {
         self.evict_with(|_| false).map(|v| v.item)
     }
 
-    /// [`Clock::evict`] with TTL reclamation integrated into the sweep
-    /// (DESIGN.md §13): at each hand position the victim test is
-    /// dead-first — an item the predicate marks expired is reclaimed
-    /// immediately, *before* its reference bit (or any later entry's)
-    /// can hand a live item to the caller. Returns the removed entry and
-    /// whether it was expired. With an always-false predicate this is
-    /// bit-for-bit the classic CLOCK sweep. The hand does not advance
-    /// past a reclaimed slot, so the entry swapped into it is examined
-    /// by the very next sweep.
+    /// Remove one entry under pressure, with TTL reclamation integrated
+    /// (DESIGN.md §13): every entry an eviction examines, in either queue,
+    /// is first offered to `is_expired`, and an expired one is reclaimed
+    /// at once — before its reference bit can count. Otherwise a FIFO pop
+    /// promotes a referenced head to the main ring (clearing its bit) and
+    /// goes on, or evicts an unreferenced one; a main sweep is classic
+    /// CLOCK. Returns the removed entry and whether it was expired, `None`
+    /// when nothing is tracked.
     pub fn evict_with(&mut self, is_expired: impl Fn(u32) -> bool) -> Option<Victim> {
-        if self.entries.is_empty() {
-            return None;
-        }
-        // At most two sweeps: the first clears every bit.
-        for _ in 0..2 * self.entries.len() {
-            let pos = self.hand % self.entries.len();
-            let (item, hash) = self.entries[pos];
-            let expired = is_expired(item);
-            if !expired {
-                self.hand = (self.hand + 1) % self.entries.len();
-                if self.test_and_clear(item) {
-                    continue;
-                }
+        loop {
+            if self.sweeps_main() {
+                return Some(self.sweep_main(&is_expired));
             }
-            self.remove_at(pos);
+            let (item, hash) = self.pop_fifo()?;
+            let expired = is_expired(item);
+            if !expired && self.test_and_clear(item) {
+                self.position[item as usize] = self.push_main(item, hash);
+                self.promotions += 1;
+                continue;
+            }
             return Some(Victim {
                 item,
                 hash,
                 expired,
             });
         }
+    }
+
+    /// The FIFO's oldest live entry, untracked; `None` on an empty FIFO.
+    fn pop_fifo(&mut self) -> Option<(u32, u32)> {
+        if self.fifo_live == 0 {
+            return None;
+        }
+        loop {
+            let (item, hash) = self.fifo.pop_front().expect("a live entry is queued");
+            self.fifo_front = self.fifo_front.wrapping_add(1) & SEQ;
+            if item != TOMBSTONE {
+                self.fifo_live -= 1;
+                self.position[item as usize] = UNTRACKED;
+                self.compact_if_sparse();
+                return Some((item, hash));
+            }
+        }
+    }
+
+    /// Once tombstones outnumber live entries, drop them, keeping the live
+    /// entries' order, and renumber those: amortized O(1) per removal.
+    fn compact_if_sparse(&mut self) {
+        if self.fifo.len() <= 2 * self.fifo_live {
+            return;
+        }
+        self.fifo.retain(|e| e.0 != TOMBSTONE);
+        for (n, &(item, _)) in self.fifo.iter().enumerate() {
+            self.position[item as usize] = self.fifo_front.wrapping_add(n as u32) & SEQ;
+        }
+    }
+
+    /// One CLOCK sweep of the non-empty main ring: the first unreferenced
+    /// or expired entry from the hand on. The hand does not advance past a
+    /// reclaimed slot, so the entry swapped into it is examined next.
+    fn sweep_main(&mut self, is_expired: &impl Fn(u32) -> bool) -> Victim {
+        // At most two laps: the first clears every bit.
+        for _ in 0..2 * self.main.len() {
+            let pos = self.hand % self.main.len();
+            let (item, hash) = self.main[pos];
+            let expired = is_expired(item);
+            if !expired {
+                self.hand = (self.hand + 1) % self.main.len();
+                if self.test_and_clear(item) {
+                    continue;
+                }
+            }
+            self.remove_main(pos);
+            return Victim {
+                item,
+                hash,
+                expired,
+            };
+        }
         // All bits were set and re-set concurrently; evict at the hand.
-        let pos = self.hand % self.entries.len();
-        let (item, hash) = self.entries[pos];
-        self.remove_at(pos);
-        Some(Victim {
+        let pos = self.hand % self.main.len();
+        let (item, hash) = self.main[pos];
+        self.remove_main(pos);
+        Victim {
             item,
             hash,
             expired: false,
-        })
+        }
     }
 
-    /// The `(item id, key hash)` entry `distance` ring slots ahead of the
-    /// hand, wrapping (`0` is the entry the next sweep examines first);
-    /// `None` on an empty ring. The eviction look-ahead (DESIGN.md §12)
-    /// reads its prefetch targets here; the hand passes entries in this
-    /// order until a removal moves the ring's last entry into the gap.
+    /// The `(item id, key hash)` entry `distance` places ahead in the queue
+    /// the next eviction examines (`0` is the entry it examines first):
+    /// the main ring from the hand, wrapping; the FIFO from its head, not
+    /// wrapping past its tail. `None` on an empty queue, past the FIFO's
+    /// tail, or on a FIFO tombstone. The eviction look-ahead (DESIGN.md
+    /// §12) reads its prefetch targets here.
     #[inline]
     pub fn ahead(&self, distance: usize) -> Option<(u32, u32)> {
-        let len = self.entries.len();
-        if len == 0 {
-            return None;
+        if !self.sweeps_main() {
+            let entry = self.fifo.get(distance).copied();
+            return entry.filter(|e| e.0 != TOMBSTONE);
         }
+        let len = self.main.len();
         // The hand rests below `len` (at it, right after a removal at the
         // ring's end) and a look-ahead reaches a few entries, so on the hot
         // path each reduction is a compare, not a division.
         let reduce = |n: usize| if n < len { n } else { n % len };
-        Some(self.entries[reduce(reduce(self.hand) + reduce(distance))])
+        Some(self.main[reduce(reduce(self.hand) + reduce(distance))])
     }
 
     /// Request the cache line of `item`'s `position` slot, which removing
-    /// it from the ring rewrites. A hint only.
+    /// it from its queue rewrites. A hint only.
     #[inline]
     pub fn prefetch_position(&self, item: u32) {
         if let Some(slot) = self.position.get(item as usize) {
@@ -187,42 +328,73 @@ impl Clock {
         }
     }
 
-    /// Stop tracking an item (e.g. explicit delete).
-    pub fn remove(&mut self, item: u32) {
-        if let Some(&pos) = self.position.get(item as usize) {
-            if pos != NOT_IN_RING {
-                self.remove_at(pos as usize);
-            }
+    /// Stop tracking an item (a delete, or the first half of a replace):
+    /// where it stood, for the replacement's [`Clock::admit`]; `None` for
+    /// an id not tracked.
+    pub fn remove(&mut self, item: u32) -> Option<Standing> {
+        let pos = *self.position.get(item as usize)?;
+        if pos == UNTRACKED {
+            return None;
         }
+        let (word, bit) = bit_of(item);
+        let referenced = self
+            .referenced
+            .get(word)
+            .is_some_and(|w| w.load(Ordering::Relaxed) & bit != 0);
+        let main = pos & IN_MAIN != 0;
+        if main {
+            self.remove_main((pos & !IN_MAIN) as usize);
+        } else {
+            let n = pos.wrapping_sub(self.fifo_front) & SEQ;
+            self.fifo[n as usize].0 = TOMBSTONE;
+            self.fifo_live -= 1;
+            self.position[item as usize] = UNTRACKED;
+            self.compact_if_sparse();
+        }
+        Some(Standing { main, referenced })
     }
 
-    fn remove_at(&mut self, pos: usize) {
-        let (item, _) = self.entries[pos];
-        self.position[item as usize] = NOT_IN_RING;
-        self.entries.swap_remove(pos);
-        if pos < self.entries.len() {
-            let (moved, _) = self.entries[pos];
-            self.position[moved as usize] = pos as u32;
+    fn remove_main(&mut self, pos: usize) {
+        let (item, _) = self.main[pos];
+        self.position[item as usize] = UNTRACKED;
+        self.main.swap_remove(pos);
+        if pos < self.main.len() {
+            let (moved, _) = self.main[pos];
+            self.position[moved as usize] = IN_MAIN | pos as u32;
         }
-        if self.hand > self.entries.len() {
+        if self.hand > self.main.len() {
             self.hand = 0;
         }
     }
 
-    /// Items currently tracked.
+    /// Every tracked `(item id, key hash)`: the FIFO oldest first, then the
+    /// main ring from its first slot.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let fifo = self.fifo.iter().filter(|e| e.0 != TOMBSTONE);
+        fifo.chain(self.main.iter()).copied()
+    }
+
+    /// FIFO entries moved to the main ring since the queues were made.
+    pub(crate) fn promotions(&self) -> u64 {
+        self.promotions
+    }
+
+    /// Items currently tracked, in both queues.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.fifo_live + self.main.len()
     }
 
     /// `true` when nothing is tracked.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::VecDeque;
 
     /// A stand-in key hash, distinct per id.
     fn h(item: u32) -> u32 {
@@ -237,29 +409,31 @@ mod tests {
         }
     }
 
+    fn admit_fresh(clock: &mut Clock, items: impl IntoIterator<Item = u32>) {
+        for i in items {
+            clock.admit(i, h(i), None);
+        }
+    }
+
     #[test]
     fn evicts_unreferenced_first() {
         let mut clock = Clock::new();
-        for i in 0..4 {
-            clock.admit(i, h(i));
-        }
-        // First sweep clears all fresh bits; second finds item 0.
+        admit_fresh(&mut clock, 0..4);
+        // Fresh admits are unreferenced: the FIFO's head goes first.
         assert_eq!(clock.evict(), Some(0));
-        // Touch 1 so the hand passes it and lands on 2.
+        // A read item is promoted, so the pop lands on the next one.
         clock.touch(1);
         assert_eq!(clock.evict(), Some(2));
+        assert_eq!(clock.promotions(), 1);
     }
 
     #[test]
     fn touch_protects_item() {
         let mut clock = Clock::new();
-        for i in 0..3 {
-            clock.admit(i, h(i));
-        }
-        // One eviction (clears bits + evicts 0).
+        admit_fresh(&mut clock, 0..3);
         assert_eq!(clock.evict(), Some(0));
         clock.touch(1);
-        // 2 is unreferenced now, 1 was touched.
+        // 2 is unreferenced, 1 was touched and moves to the main ring.
         assert_eq!(clock.evict(), Some(2));
         assert_eq!(clock.len(), 1);
     }
@@ -267,28 +441,31 @@ mod tests {
     #[test]
     fn touch_sets_a_cleared_bit_and_leaves_a_set_one() {
         let mut clock = Clock::new();
-        for i in 0..3 {
-            clock.admit(i, h(i));
-        }
+        admit_fresh(&mut clock, 0..3);
         let bits = |c: &Clock| c.referenced.get(0).unwrap().load(Ordering::Relaxed);
-        // Fresh admits are referenced; touching them changes nothing.
-        assert_eq!(bits(&clock), 0b111);
-        clock.touch(1);
-        assert_eq!(bits(&clock), 0b111);
-        // One eviction sweeps every bit clear on its way to victim 0 ...
-        assert_eq!(clock.evict(), Some(0));
+        // Fresh admits enter unreferenced; a touch sets the bit, a second
+        // touch leaves it set.
         assert_eq!(bits(&clock), 0);
-        // ... and the next touch sets its bit again, so 1 survives exactly
-        // one pass: the hand clears it, takes 2, and takes 1 after that.
         clock.touch(1);
         assert_eq!(bits(&clock), 0b010);
+        clock.touch(1);
+        assert_eq!(bits(&clock), 0b010);
+        // The FIFO pop evicts unreferenced 0 and leaves 1's bit alone ...
+        assert_eq!(clock.evict(), Some(0));
+        assert_eq!(bits(&clock), 0b010);
+        // ... the next one promotes 1, clearing its bit, and evicts 2 ...
         assert_eq!(clock.evict(), Some(2));
         assert_eq!(bits(&clock), 0);
+        // ... and a touch in the main ring buys 1 exactly one more pass of
+        // the hand: it clears the bit, wraps, and takes 1.
+        clock.touch(1);
+        assert_eq!(bits(&clock), 0b010);
         assert_eq!(clock.evict(), Some(1));
+        assert_eq!(bits(&clock), 0);
     }
 
     #[test]
-    fn empty_ring_returns_none() {
+    fn empty_queues_return_none() {
         let mut clock = Clock::new();
         assert_eq!(clock.evict(), None);
     }
@@ -296,9 +473,15 @@ mod tests {
     #[test]
     fn remove_untracks() {
         let mut clock = Clock::new();
-        clock.admit(7, h(7));
-        clock.admit(8, h(8));
-        clock.remove(7);
+        admit_fresh(&mut clock, [7, 8]);
+        assert_eq!(
+            clock.remove(7),
+            Some(Standing {
+                main: false,
+                referenced: false
+            })
+        );
+        assert_eq!(clock.remove(7), None);
         assert_eq!(clock.len(), 1);
         assert_eq!(clock.evict(), Some(8));
         assert!(clock.is_empty());
@@ -307,8 +490,9 @@ mod tests {
     #[test]
     fn evict_everything_eventually() {
         let mut clock = Clock::new();
-        for i in 0..100 {
-            clock.admit(i, h(i));
+        admit_fresh(&mut clock, 0..100);
+        for i in (0..100).step_by(3) {
+            clock.touch(i);
         }
         let mut evicted = std::collections::HashSet::new();
         while let Some(i) = clock.evict() {
@@ -326,10 +510,9 @@ mod tests {
     #[test]
     fn admit_after_evict_reuses_cleanly() {
         let mut clock = Clock::new();
-        clock.admit(0, h(0));
-        clock.admit(1, h(1));
+        admit_fresh(&mut clock, [0, 1]);
         assert!(clock.evict().is_some());
-        clock.admit(2, h(2));
+        admit_fresh(&mut clock, [2]);
         assert_eq!(clock.len(), 2);
         let mut drained = vec![];
         while let Some(i) = clock.evict() {
@@ -340,24 +523,88 @@ mod tests {
     }
 
     #[test]
+    fn main_ring_sweeps_only_while_the_fifo_is_under_its_share() {
+        let mut clock = Clock::new();
+        // Twenty read items, promoted one per pop past the unread ones.
+        admit_fresh(&mut clock, 0..40);
+        for i in (0..40).step_by(2) {
+            clock.touch(i);
+        }
+        for odd in (1..40).step_by(2).take(18) {
+            assert_eq!(clock.evict(), Some(odd));
+        }
+        // FIFO {36, 37, 38, 39}, main 0, 2, ..., 34: at 4 of 22 the FIFO
+        // still holds its tenth, so 36 is promoted and 37 evicted.
+        assert_eq!(clock.evict(), Some(37));
+        assert_eq!(clock.promotions(), 19);
+        // At 2 of 21 it does not: the hand sweeps the main ring, whose bits
+        // the promotions cleared, and the FIFO keeps 38 and 39.
+        assert_eq!(clock.evict(), Some(0));
+        let fifo: Vec<u32> = clock.iter().take(2).map(|(i, _)| i).collect();
+        assert_eq!(fifo, [38, 39]);
+        // At 2 of 20 it is back at its tenth: 38 is promoted, which leaves
+        // 1 of 20, and the hand takes the next victim from the ring.
+        let next = clock.evict().expect("tracked");
+        assert!(next.is_multiple_of(2) && next < 36, "victim {next}");
+        assert_eq!(clock.promotions(), 20);
+        assert_eq!(clock.iter().next(), Some((39, h(39))));
+    }
+
+    #[test]
+    fn a_replacement_inherits_queue_and_bit() {
+        let mut clock = Clock::new();
+        admit_fresh(&mut clock, 0..3);
+        clock.touch(0);
+        assert_eq!(clock.evict(), Some(1)); // 0 promoted
+                                            // Replace main-ring 0 (unreferenced since its promotion) by 10,
+                                            // and FIFO 2 after a read by 12.
+        let main = clock.remove(0).expect("tracked");
+        assert_eq!(
+            main,
+            Standing {
+                main: true,
+                referenced: false
+            }
+        );
+        clock.admit(10, h(10), Some(main));
+        clock.touch(2);
+        let fifo = clock.remove(2).expect("tracked");
+        assert_eq!(
+            fifo,
+            Standing {
+                main: false,
+                referenced: true
+            }
+        );
+        clock.admit(12, h(12), Some(fifo));
+        let order: Vec<u32> = clock.iter().map(|(i, _)| i).collect();
+        assert_eq!(order, [12, 10]);
+        // 12 kept 2's bit, so the pop promotes it; the ring then sweeps
+        // and takes 10, whose inherited bit is clear.
+        assert_eq!(clock.evict(), Some(10));
+        assert_eq!(clock.promotions(), 2);
+    }
+
+    #[test]
     fn evict_with_reclaims_expired_before_live_victims() {
         let mut clock = Clock::new();
+        admit_fresh(&mut clock, 0..4);
         for i in 0..4 {
-            clock.admit(i, h(i));
+            clock.touch(i);
         }
-        // All reference bits are fresh, so a plain sweep would need a
-        // full lap before finding a live victim — an expired entry
-        // mid-ring is reclaimed first because the dead-first test runs
-        // before (and regardless of) the reference-bit test.
+        // Every item is referenced, so a FIFO pop would promote each one —
+        // but an expired head is reclaimed before its bit is looked at:
+        // 0 and 1 are promoted on the way to corpse 2.
         assert_eq!(clock.evict_with(|i| i == 2), Some(victim(2, true)));
         assert_eq!(clock.len(), 3);
-        // With nothing expired the sweep degenerates to classic CLOCK:
-        // bits 0 and 1 were cleared on the way to the corpse, so after
-        // the still-referenced tail entry gets its second chance the
-        // hand wraps to 0.
+        // In the main ring too: 3 is promoted, the FIFO is empty, and the
+        // hand meets 0 (touched again: a second chance), then corpse 1.
+        clock.touch(0);
+        assert_eq!(clock.evict_with(|i| i == 1), Some(victim(1, true)));
+        // With nothing expired the sweep is classic CLOCK: 0's bit was
+        // cleared on the way to the corpse.
         assert_eq!(clock.evict_with(|_| false), Some(victim(0, false)));
-        // Draining a ring of corpses reclaims every entry as expired.
-        assert_eq!(clock.evict_with(|_| true), Some(victim(1, true)));
+        // Draining queues of corpses reclaims every entry as expired.
         assert_eq!(clock.evict_with(|_| true), Some(victim(3, true)));
         assert_eq!(clock.evict_with(|_| true), None);
     }
@@ -365,32 +612,124 @@ mod tests {
     #[test]
     fn stale_touch_bit_is_erased_by_readmit() {
         let mut clock = Clock::new();
-        clock.admit(5, h(5));
+        admit_fresh(&mut clock, [5]);
         clock.remove(5);
         // A racing reader may touch a just-removed id; the stale bit must
-        // not grant the recycled id extra protection beyond the usual
-        // fresh-admit reference.
+        // not promote the recycled id, which enters unreferenced.
         clock.touch(5);
-        clock.admit(5, h(5));
-        clock.admit(6, h(6));
-        // Sweep clears both fresh bits, then 5 (first in ring) goes.
+        admit_fresh(&mut clock, [5, 6]);
         assert_eq!(clock.evict(), Some(5));
     }
 
-    /// The obvious ring: reference bits inline, no position table, linear
-    /// search on remove.
+    #[test]
+    fn tombstones_are_skipped_and_compacted_away() {
+        let mut clock = Clock::new();
+        admit_fresh(&mut clock, 0..8);
+        for i in [1, 2, 5] {
+            clock.remove(i);
+        }
+        // Three tombstones among five live entries: no compaction yet.
+        assert_eq!(clock.fifo.len(), 8);
+        assert_eq!(clock.ahead(1), None, "a tombstone");
+        assert_eq!(clock.ahead(3), Some((3, h(3))));
+        // The pop skips the tombstones behind 0 ...
+        assert_eq!(clock.evict(), Some(0));
+        assert_eq!(clock.evict(), Some(3));
+        assert_eq!(clock.fifo.len(), 4);
+        // ... two tombstones beside two live entries stay ...
+        clock.remove(6);
+        assert_eq!(clock.fifo.len(), 4);
+        assert_eq!(clock.ahead(2), None, "a tombstone");
+        // ... and a pop that leaves them the majority compacts.
+        assert_eq!(clock.evict(), Some(4));
+        assert_eq!(clock.fifo.len(), 1);
+        admit_fresh(&mut clock, [4]);
+        let order: Vec<u32> = clock.iter().map(|(i, _)| i).collect();
+        assert_eq!(order, [7, 4]);
+        // The sequence numbers in `position` follow every pop and
+        // compaction: removing each entry by id finds it.
+        admit_fresh(&mut clock, 100..140);
+        for i in [7, 4].into_iter().chain(100..140) {
+            assert!(clock.remove(i).is_some(), "{i}");
+        }
+        assert!(clock.is_empty() && clock.fifo.is_empty());
+    }
+
+    /// The obvious pair of queues: reference bits inline, no position
+    /// table, no tombstones (a `VecDeque` of live entries), linear search
+    /// on remove. The main ring keeps the real one's slot discipline —
+    /// swap-remove, and a push that puts the new entry at the hand and the
+    /// entry it displaces at the end — because victims depend on it.
     #[derive(Default)]
     struct Model {
+        fifo: VecDeque<(u32, u32, bool)>,
         ring: Vec<(u32, u32, bool)>,
         hand: usize,
     }
 
     impl Model {
-        fn slot_of(&self, item: u32) -> Option<usize> {
-            self.ring.iter().position(|e| e.0 == item)
+        fn len(&self) -> usize {
+            self.fifo.len() + self.ring.len()
         }
 
-        fn remove_at(&mut self, pos: usize) {
+        fn sweeps_main(&self) -> bool {
+            !self.ring.is_empty() && self.fifo.len() * FIFO_SHARE < self.len()
+        }
+
+        fn tracks(&self, item: u32) -> bool {
+            self.fifo.iter().chain(&self.ring).any(|e| e.0 == item)
+        }
+
+        fn entry(&mut self, item: u32) -> Option<&mut (u32, u32, bool)> {
+            self.fifo
+                .iter_mut()
+                .chain(&mut self.ring)
+                .find(|e| e.0 == item)
+        }
+
+        fn admit(&mut self, item: u32, standing: Option<Standing>) {
+            let s = standing.unwrap_or(Standing {
+                main: false,
+                referenced: false,
+            });
+            if s.main {
+                self.push_main((item, h(item), s.referenced));
+            } else {
+                self.fifo.push_back((item, h(item), s.referenced));
+            }
+        }
+
+        fn push_main(&mut self, entry: (u32, u32, bool)) {
+            if self.hand >= self.ring.len() {
+                self.hand = 0;
+            }
+            if self.ring.is_empty() {
+                self.ring.push(entry);
+                return;
+            }
+            let displaced = std::mem::replace(&mut self.ring[self.hand], entry);
+            self.ring.push(displaced);
+            self.hand += 1;
+        }
+
+        fn remove(&mut self, item: u32) -> Option<Standing> {
+            if let Some(at) = self.fifo.iter().position(|e| e.0 == item) {
+                let (_, _, referenced) = self.fifo.remove(at).unwrap();
+                return Some(Standing {
+                    main: false,
+                    referenced,
+                });
+            }
+            let at = self.ring.iter().position(|e| e.0 == item)?;
+            let referenced = self.ring[at].2;
+            self.remove_main(at);
+            Some(Standing {
+                main: true,
+                referenced,
+            })
+        }
+
+        fn remove_main(&mut self, pos: usize) {
             self.ring.swap_remove(pos);
             if self.hand > self.ring.len() {
                 self.hand = 0;
@@ -398,21 +737,33 @@ mod tests {
         }
 
         fn evict_with(&mut self, is_expired: impl Fn(u32) -> bool) -> Option<Victim> {
-            if self.ring.is_empty() {
-                return None;
-            }
             loop {
-                let pos = self.hand % self.ring.len();
-                let (item, hash, referenced) = self.ring[pos];
-                let expired = is_expired(item);
-                if !expired {
-                    self.hand = (self.hand + 1) % self.ring.len();
-                    if referenced {
-                        self.ring[pos].2 = false;
-                        continue;
+                if self.sweeps_main() {
+                    loop {
+                        let pos = self.hand % self.ring.len();
+                        let (item, hash, referenced) = self.ring[pos];
+                        let expired = is_expired(item);
+                        if !expired {
+                            self.hand = (self.hand + 1) % self.ring.len();
+                            if referenced {
+                                self.ring[pos].2 = false;
+                                continue;
+                            }
+                        }
+                        self.remove_main(pos);
+                        return Some(Victim {
+                            item,
+                            hash,
+                            expired,
+                        });
                     }
                 }
-                self.remove_at(pos);
+                let (item, hash, referenced) = self.fifo.pop_front()?;
+                let expired = is_expired(item);
+                if !expired && referenced {
+                    self.push_main((item, hash, false));
+                    continue;
+                }
                 return Some(Victim {
                     item,
                     hash,
@@ -421,7 +772,7 @@ mod tests {
             }
         }
 
-        fn ahead(&self, distance: usize) -> Option<(u32, u32)> {
+        fn ring_ahead(&self, distance: usize) -> Option<(u32, u32)> {
             let mut at = self.hand.checked_rem(self.ring.len())?;
             for _ in 0..distance {
                 at = (at + 1) % self.ring.len();
@@ -431,21 +782,45 @@ mod tests {
     }
 
     fn assert_matches_model(clock: &Clock, model: &Model, at: &str) {
-        assert_eq!(clock.len(), model.ring.len(), "{at}: length");
-        // `position` and `entries` name each other, and nothing else.
-        for (pos, &(item, hash)) in clock.entries.iter().enumerate() {
-            assert_eq!(clock.position[item as usize], pos as u32, "{at}: id {item}");
-            assert_eq!(hash, h(item), "{at}: id {item} lost its hash");
+        assert_eq!(clock.len(), model.len(), "{at}: length");
+        // Both queues, in order, with their hashes and bits.
+        let bit = |item: u32| {
+            let (word, bit) = bit_of(item);
+            clock.referenced.get(word).unwrap().load(Ordering::Relaxed) & bit != 0
+        };
+        let got: Vec<(u32, u32, bool)> = clock.iter().map(|(i, hash)| (i, hash, bit(i))).collect();
+        let want: Vec<(u32, u32, bool)> = model.fifo.iter().chain(&model.ring).copied().collect();
+        assert_eq!(got, want, "{at}: queue contents");
+        // `position` and the queues name each other, and nothing else.
+        for (n, &(item, _)) in clock.fifo.iter().enumerate() {
+            if item != TOMBSTONE {
+                let seq = clock.fifo_front.wrapping_add(n as u32) & SEQ;
+                assert_eq!(clock.position[item as usize], seq, "{at}: id {item}");
+            }
         }
-        let tracked = clock.position.iter().filter(|&&p| p != NOT_IN_RING);
+        for (pos, &(item, _)) in clock.main.iter().enumerate() {
+            let slot = clock.position[item as usize];
+            assert_eq!(slot, IN_MAIN | pos as u32, "{at}: id {item}");
+        }
+        let tracked = clock.position.iter().filter(|&&p| p != UNTRACKED);
         assert_eq!(tracked.count(), clock.len(), "{at}: stale position slot");
+        // Compaction keeps tombstones at most as many as live entries.
+        assert!(clock.fifo.len() <= 2 * clock.fifo_live, "{at}: sparse FIFO");
         let len = clock.len();
-        for distance in [0, 1, len.saturating_sub(1), len, len + 3, 10 * len + 7] {
-            assert_eq!(
-                clock.ahead(distance),
-                model.ahead(distance),
-                "{at}: look-ahead {distance} on a ring of {len}",
-            );
+        if model.sweeps_main() {
+            for distance in [0, 1, len.saturating_sub(1), len, len + 3, 10 * len + 7] {
+                assert_eq!(
+                    clock.ahead(distance),
+                    model.ring_ahead(distance),
+                    "{at}: ring look-ahead {distance} of {len}",
+                );
+            }
+        } else {
+            // FIFO slots from the head: tombstones read `None`, and past
+            // the tail everything does.
+            let live: Vec<(u32, u32)> = (0..2 * len + 2).filter_map(|d| clock.ahead(d)).collect();
+            let want: Vec<(u32, u32)> = model.fifo.iter().map(|e| (e.0, e.1)).collect();
+            assert_eq!(live, want, "{at}: FIFO look-ahead");
         }
     }
 
@@ -462,35 +837,45 @@ mod tests {
                 z ^ (z >> 31)
             };
             let (mut clock, mut model) = (Clock::new(), Model::default());
-            assert_matches_model(&clock, &model, "empty ring");
+            assert_matches_model(&clock, &model, "empty queues");
             for op in 0..4000 {
                 let item = (rng() % IDS) as u32;
                 let at = format!("seed {seed}, op {op}");
-                match rng() % 8 {
-                    // Admit whatever is not tracked — the ring drains to
+                match rng() % 10 {
+                    // Admit whatever is not tracked — the queues drain to
                     // empty and to a single entry often enough at 48 ids.
                     0..=2 => {
-                        if model.slot_of(item).is_none() {
-                            clock.admit(item, h(item));
-                            model.ring.push((item, h(item), true));
+                        if !model.tracks(item) {
+                            clock.admit(item, h(item), None);
+                            model.admit(item, None);
                         }
                     }
-                    3 => {
+                    3 | 4 => {
                         clock.touch(item);
-                        if let Some(pos) = model.slot_of(item) {
-                            model.ring[pos].2 = true;
+                        if let Some(e) = model.entry(item) {
+                            e.2 = true;
                         }
                     }
-                    4 => {
-                        clock.remove(item);
-                        if let Some(pos) = model.slot_of(item) {
-                            model.remove_at(pos);
+                    5 => {
+                        assert_eq!(clock.remove(item), model.remove(item), "{at}: remove");
+                    }
+                    // Replace: a tracked id leaves, and a free one takes
+                    // its queue and bit.
+                    6 => {
+                        let new = (item + 1 + (rng() % (IDS - 1)) as u32) % IDS as u32;
+                        if model.tracks(item) && !model.tracks(new) {
+                            let standing = clock.remove(item);
+                            assert_eq!(standing, model.remove(item), "{at}: replace");
+                            clock.admit(new, h(new), standing);
+                            model.admit(new, standing);
                         }
                     }
-                    // Evict, with a different quarter of the ids expired
-                    // each time (none, every other time).
+                    7 => {
+                        assert_eq!(clock.evict_with(|_| false), model.evict_with(|_| false));
+                    }
+                    // Evict with a random set of the ids expired.
                     _ => {
-                        let dead = if rng() % 2 == 0 { 0 } else { rng() & rng() };
+                        let dead = rng() & rng();
                         let is_expired = |id: u32| (dead >> id) & 1 != 0;
                         assert_eq!(
                             clock.evict_with(is_expired),
@@ -501,6 +886,7 @@ mod tests {
                 }
                 assert_matches_model(&clock, &model, &at);
             }
+            assert!(clock.promotions() > 0, "seed {seed}: nothing promoted");
         }
     }
 
@@ -509,17 +895,25 @@ mod tests {
         let mut clock = Clock::new();
         assert_eq!(clock.ahead(0), None);
         assert_eq!(clock.ahead(17), None);
-        clock.admit(9, h(9));
-        for distance in [0, 1, 2, 1000] {
-            assert_eq!(clock.ahead(distance), Some((9, h(9))));
-        }
-        clock.admit(4, h(4));
-        // Two entries, hand on the first: even distances are 9, odd are 4.
+        // The FIFO is read from its head and does not wrap.
+        admit_fresh(&mut clock, [9, 4]);
         assert_eq!(clock.ahead(0), Some((9, h(9))));
         assert_eq!(clock.ahead(1), Some((4, h(4))));
-        assert_eq!(clock.ahead(1001), Some((4, h(4))));
+        assert_eq!(clock.ahead(2), None);
+        // Both read, both promoted; the ring of two then gives up 9 (its
+        // bit cleared on promotion), leaving a ring of one that wraps.
+        clock.touch(9);
+        clock.touch(4);
         assert_eq!(clock.evict(), Some(9));
-        assert_eq!(clock.ahead(5), Some((4, h(4))));
+        for distance in [0, 1, 2, 1000] {
+            assert_eq!(clock.ahead(distance), Some((4, h(4))));
+        }
+        // A fresh write puts the FIFO at half the items: it is next.
+        admit_fresh(&mut clock, [7]);
+        assert_eq!(clock.ahead(0), Some((7, h(7))));
+        assert_eq!(clock.ahead(1), None);
+        clock.remove(7);
+        assert_eq!(clock.ahead(1), Some((4, h(4))));
         assert_eq!(clock.evict(), Some(4));
         assert_eq!(clock.ahead(0), None);
     }

@@ -11,7 +11,8 @@
 //!   key-value objects.
 //! * [`item`] — item encoding + the shared object-pointer array the hash
 //!   indexes point into.
-//! * [`clock`] — MemC3's CLOCK cache-freshness metadata.
+//! * [`clock`] — two-queue eviction: a probationary FIFO in front of
+//!   MemC3's CLOCK ring, over one reference bitmap.
 //! * [`index`] — pluggable hash indexes: [`index::Memc3Index`] (tags +
 //!   partial-key cuckoo + optimistic versioned buckets) and its two
 //!   sibling layouts over the same [`index::TagCuckoo`] core, and

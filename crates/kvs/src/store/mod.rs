@@ -1,6 +1,6 @@
 //! The in-memory key-value store: slab-backed items, a pluggable hash
-//! index, CLOCK freshness, and the three-phase Multi-Get pipeline the
-//! paper instruments (§VI-A, Fig. 10/11b):
+//! index, two-queue eviction over CLOCK reference bits, and the three-phase
+//! Multi-Get pipeline the paper instruments (§VI-A, Fig. 10/11b):
 //!
 //! 1. **Pre-processing** — parse the batch, compute a 32-bit hash per
 //!    key, and partition the batch by shard.
@@ -19,8 +19,8 @@
 //! The store is split into `S` power-of-two **shards** (the paper's first
 //! named piece of future work is concurrent mixed read/write workloads;
 //! sharding is the standard memcached scaling recipe). Each shard owns its
-//! own slab arena, item table, hash index, CLOCK ring, and statistics, all
-//! behind one `RwLock`. Keys route to shards by an independent
+//! own slab arena, item table, hash index, eviction queues, and statistics,
+//! all behind one `RwLock`. Keys route to shards by an independent
 //! multiply-shift hash over the 32-bit key hash — the same scheme as
 //! [`simdht_table::sharded::ShardedTable`] — so a hot index bucket and a
 //! hot shard are uncorrelated.
@@ -36,7 +36,7 @@
 //! request, because any in-flight request holds a shard guard borrowed
 //! from the store itself.
 
-use std::cell::{Cell, UnsafeCell};
+use std::cell::{Cell, OnceCell, UnsafeCell};
 use std::marker::PhantomData;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
@@ -44,7 +44,7 @@ use std::time::Instant;
 
 use parking_lot::RwLock;
 
-use crate::clock::Clock;
+use crate::clock::{Clock, Standing};
 use crate::index::{hash_key, hash_keys_into, HashIndex, IndexError};
 use crate::item::{
     decode_row, item_decode_checked, item_key, read_item_racy, write_item, ItemTable, NO_ITEM,
@@ -179,11 +179,43 @@ fn coarse_now() -> u64 {
     START.get_or_init(Instant::now).elapsed().as_secs()
 }
 
-/// `true` when expiry metadata word `at` marks an item dead at `now`
-/// (0 = never expires).
-#[inline(always)]
-fn is_expired(at: u64, now: u64) -> bool {
-    at != 0 && at <= now
+/// The store's TTL clock for one call, read at most once and only when an
+/// expiry is involved: a nonzero expiry word to compare against or a TTL
+/// to add to. Most items never expire, and reading the clock is an
+/// `Instant::now()`, dearer than the rest of a key's CLOCK work.
+struct Now<'a> {
+    store: &'a KvStore,
+    secs: OnceCell<u64>,
+}
+
+impl<'a> Now<'a> {
+    fn new(store: &'a KvStore) -> Self {
+        Now {
+            store,
+            secs: OnceCell::new(),
+        }
+    }
+
+    fn secs(&self) -> u64 {
+        *self.secs.get_or_init(|| self.store.now_secs())
+    }
+
+    /// `true` when expiry metadata word `at` marks an item dead (0 = never
+    /// expires).
+    #[inline(always)]
+    fn expired(&self, at: u64) -> bool {
+        at != 0 && at <= self.secs()
+    }
+
+    /// The expiry word of an item written now with `ttl_secs` (0 = never
+    /// expires).
+    fn deadline(&self, ttl_secs: u32) -> u64 {
+        if ttl_secs == 0 {
+            0
+        } else {
+            self.secs() + u64::from(ttl_secs)
+        }
+    }
 }
 
 /// Per-phase elapsed nanoseconds of one Multi-Get (Fig. 11b breakdown).
@@ -308,8 +340,10 @@ pub struct ShardStats {
     pub sets: u64,
     /// Successful `delete` calls routed here.
     pub deletes: u64,
-    /// CLOCK evictions performed here.
+    /// Live items evicted here (expired ones count as `expired`).
     pub evictions: u64,
+    /// Items moved from the probationary FIFO to the main CLOCK ring here.
+    pub promotions: u64,
     /// Multi-Get keys probed here.
     pub mget_keys: u64,
     /// Multi-Get keys found here.
@@ -331,6 +365,7 @@ impl ShardStats {
         self.sets += other.sets;
         self.deletes += other.deletes;
         self.evictions += other.evictions;
+        self.promotions += other.promotions;
         self.mget_keys += other.mget_keys;
         self.mget_hits += other.mget_hits;
         self.cas_ok += other.cas_ok;
@@ -697,12 +732,12 @@ impl ShardView for RacyShard<'_> {
     }
 }
 
-/// One key of a read: its hash, its bytes, the store-clock second the read
-/// runs at, and the [`PassScratch`] buffers verifying it may need.
+/// One key of a read: its hash, its bytes, the store clock the read runs
+/// at, and the [`PassScratch`] buffers verifying it may need.
 struct Query<'a> {
     hash: u32,
     key: &'a [u8],
-    now: u64,
+    now: &'a Now<'a>,
     chunk: &'a mut Vec<u8>,
     ids: &'a mut Vec<u32>,
 }
@@ -740,7 +775,7 @@ fn verify<V: ShardView>(
         .filter(|(k, _)| *k == q.key)?;
     Some(match view.confirm(cand, word) {
         None => Probe::Torn,
-        Some(expires_at) if is_expired(expires_at, q.now) => Probe::Expired,
+        Some(expires_at) if q.now.expired(expires_at) => Probe::Expired,
         Some(_) => {
             hit(cand, value);
             view.touch(cand);
@@ -1046,17 +1081,21 @@ impl KvStore {
     pub fn shard_stats(&self) -> Vec<ShardStats> {
         self.shards
             .iter()
-            .map(|s| ShardStats {
-                items: s.read().items.len(),
-                sets: s.counters.sets.load(Ordering::Relaxed),
-                deletes: s.counters.deletes.load(Ordering::Relaxed),
-                evictions: s.counters.evictions.load(Ordering::Relaxed),
-                mget_keys: s.counters.mget_keys.load(Ordering::Relaxed),
-                mget_hits: s.counters.mget_hits.load(Ordering::Relaxed),
-                cas_ok: s.counters.cas_ok.load(Ordering::Relaxed),
-                cas_conflicts: s.counters.cas_conflicts.load(Ordering::Relaxed),
-                touches: s.counters.touches.load(Ordering::Relaxed),
-                expired: s.counters.expired.load(Ordering::Relaxed),
+            .map(|s| {
+                let g = s.read();
+                ShardStats {
+                    items: g.items.len(),
+                    sets: s.counters.sets.load(Ordering::Relaxed),
+                    deletes: s.counters.deletes.load(Ordering::Relaxed),
+                    evictions: s.counters.evictions.load(Ordering::Relaxed),
+                    promotions: g.clock.promotions(),
+                    mget_keys: s.counters.mget_keys.load(Ordering::Relaxed),
+                    mget_hits: s.counters.mget_hits.load(Ordering::Relaxed),
+                    cas_ok: s.counters.cas_ok.load(Ordering::Relaxed),
+                    cas_conflicts: s.counters.cas_conflicts.load(Ordering::Relaxed),
+                    touches: s.counters.touches.load(Ordering::Relaxed),
+                    expired: s.counters.expired.load(Ordering::Relaxed),
+                }
             })
             .collect()
     }
@@ -1132,18 +1171,21 @@ impl KvStore {
         value: &[u8],
         ttl_secs: u32,
     ) -> Result<u64, StoreError> {
-        let now = self.now_secs();
+        let now = Now::new(self);
         // Replace semantics: drop any existing item with this exact key.
-        // The version chain continues across a live replace; an expired
+        // The version chain continues across a live replace, and the new
+        // item takes the old one's place in the eviction queues; an expired
         // item is indistinguishable from an absent one, so its chain
         // restarts at 1 (exactly what a reader that already saw the miss
-        // would expect).
+        // would expect) and its successor is admitted fresh.
         let mut version = 1u64;
+        let mut replaces = None;
         if let Some(existing) = g.find_verified(hash, key) {
-            if !is_expired(g.items.expires_at(existing), now) {
+            let live = !now.expired(g.items.expires_at(existing));
+            if live {
                 version = g.items.version(existing).wrapping_add(1);
             }
-            g.delete_item(hash, existing);
+            replaces = g.delete_item(hash, existing).filter(|_| live);
         }
         // Torn-read oracle pause point: old item gone, new one not yet
         // written — a reader that saw this intermediate state would miss
@@ -1157,23 +1199,20 @@ impl KvStore {
             match write_item(&mut g.slab, key, value) {
                 Ok(r) => break r,
                 Err(SlabError::ObjectTooLarge { .. }) => return Err(StoreError::ObjectTooLarge),
-                Err(SlabError::OutOfMemory) => match g.evict_one(now) {
+                Err(SlabError::OutOfMemory) => match g.evict_one(&now) {
                     Some(expired) => Self::count_evict(slot, expired),
                     None => return Err(StoreError::OutOfMemory),
                 },
             }
         };
-        let expires_at = if ttl_secs == 0 {
-            0
-        } else {
-            now + u64::from(ttl_secs)
-        };
-        let item = g.items.register_versioned(slab_ref, version, expires_at);
+        let item = g
+            .items
+            .register_versioned(slab_ref, version, now.deadline(ttl_secs));
         // Index insertion, evicting on pressure.
         loop {
             match g.index.insert(hash, item) {
                 Ok(()) => break,
-                Err(IndexError::Full) => match g.evict_one(now) {
+                Err(IndexError::Full) => match g.evict_one(&now) {
                     Some(expired) => Self::count_evict(slot, expired),
                     None => {
                         // Roll back the slab registration.
@@ -1184,7 +1223,7 @@ impl KvStore {
                 },
             }
         }
-        g.clock.admit(item, hash);
+        g.clock.admit(item, hash, replaces);
         slot.counters.sets.fetch_add(1, Ordering::Relaxed);
         Ok(version)
     }
@@ -1215,7 +1254,8 @@ impl KvStore {
     ///
     /// Keys in one batch apply in request order, so duplicate keys resolve
     /// later-wins exactly as the equivalent sequence of `set` calls would,
-    /// and eviction decisions (CLOCK victims) match the sequential path.
+    /// and eviction decisions (victims and promotions) match the sequential
+    /// path.
     /// Per-key outcomes land in `batch.results()`; a failed key does not
     /// stop the rest of the batch.
     ///
@@ -1385,10 +1425,11 @@ impl KvStore {
         value_of: impl Fn(u32, &[u8]) -> T,
     ) -> Option<Option<T>> {
         let (mut chunk, mut ids) = (Vec::new(), Vec::new());
+        let now = Now::new(self);
         let mut q = Query {
             hash,
             key,
-            now: self.now_secs(),
+            now: &now,
             chunk: &mut chunk,
             ids: &mut ids,
         };
@@ -1430,7 +1471,7 @@ impl KvStore {
         let mut g = slot.write();
         match g.find_verified(hash, key) {
             Some(item) => {
-                let expired = is_expired(g.items.expires_at(item), self.now_secs());
+                let expired = Now::new(self).expired(g.items.expires_at(item));
                 g.delete_item(hash, item);
                 if expired {
                     slot.counters.expired.fetch_add(1, Ordering::Relaxed);
@@ -1466,10 +1507,10 @@ impl KvStore {
         let hash = hash_key(key);
         let slot = &self.shards[self.shard_for_hash(hash)];
         let mut g = slot.write();
-        let now = self.now_secs();
+        let now = Now::new(self);
         match g.find_verified(hash, key) {
             Some(item) => {
-                if is_expired(g.items.expires_at(item), now) {
+                if now.expired(g.items.expires_at(item)) {
                     // Reclaim and report absent, like `delete`.
                     g.delete_item(hash, item);
                     slot.counters.expired.fetch_add(1, Ordering::Relaxed);
@@ -1495,18 +1536,13 @@ impl KvStore {
         let hash = hash_key(key);
         let slot = &self.shards[self.shard_for_hash(hash)];
         let mut g = slot.write();
-        let now = self.now_secs();
+        let now = Now::new(self);
         match g.find_verified(hash, key) {
             Some(item) => {
-                if is_expired(g.items.expires_at(item), now) {
+                if now.expired(g.items.expires_at(item)) {
                     return false;
                 }
-                let expires_at = if ttl_secs == 0 {
-                    0
-                } else {
-                    now + u64::from(ttl_secs)
-                };
-                g.items.set_expires_at(item, expires_at);
+                g.items.set_expires_at(item, now.deadline(ttl_secs));
                 slot.counters.touches.fetch_add(1, Ordering::Relaxed);
                 true
             }
@@ -1606,7 +1642,7 @@ impl KvStore {
         scratch: &mut PassScratch,
     ) -> Option<PassOutcome> {
         let n_sub = sub.hashes.len();
-        let now = self.now_secs();
+        let now = Now::new(self);
         let marks = resp.marks();
         const G: usize = PREFETCH_DEPTH;
         let attempt = |resp: &mut MGetResponse| {
@@ -1638,7 +1674,7 @@ impl KvStore {
                 let mut q = Query {
                     hash: sub.hashes[j],
                     key: keys[i],
-                    now,
+                    now: &now,
                     chunk: &mut scratch.chunk,
                     ids: &mut scratch.ids,
                 };
@@ -1710,32 +1746,36 @@ impl Shard {
         })
     }
 
-    fn delete_item(&mut self, hash: u32, item: u32) {
+    /// Drop `item` from index, eviction queues, item table and slab; where
+    /// it stood in the queues, for a replacement's admit.
+    fn delete_item(&mut self, hash: u32, item: u32) -> Option<Standing> {
         self.index.remove(hash, item);
-        self.clock.remove(item);
+        let standing = self.clock.remove(item);
         if let Some(r) = self.items.unregister(item) {
             self.slab.free(r);
         }
+        standing
     }
 
-    /// Evict one item under pressure via the TTL-integrated CLOCK sweep:
-    /// at each hand position an expired item is reclaimed (dead by TTL,
-    /// no information lost) before the reference bit can hand back a
-    /// live victim. Returns `Some(true)` when an expired item was
-    /// reclaimed, `Some(false)` for a live eviction, `None` when the
-    /// shard holds nothing evictable. With no TTLs in play the predicate
-    /// is constant-false and the sweep is bit-identical to classic CLOCK.
+    /// Evict one item under pressure via the TTL-integrated two-queue
+    /// eviction ([`Clock::evict_with`]): every entry a FIFO pop or the
+    /// main ring's hand examines is reclaimed if expired (dead by TTL, no
+    /// information lost) before its reference bit can promote or spare it.
+    /// Returns `Some(true)` when an expired item was reclaimed,
+    /// `Some(false)` for a live eviction, `None` when the shard holds
+    /// nothing evictable. The clock is read only for an entry with an
+    /// expiry, so with no TTLs in play it is never read.
     ///
-    /// The victim leaves the index by the hash its ring entry carries, so
-    /// its chunk is not read; and the entries the hand will reach next are
-    /// staged G and 2G ahead ([`Shard::look_ahead`]).
-    fn evict_one(&mut self, now: u64) -> Option<bool> {
+    /// The victim leaves the index by the hash its queue entry carries, so
+    /// its chunk is not read; and the entries the next eviction will
+    /// examine are staged G and 2G ahead ([`Shard::look_ahead`]).
+    fn evict_one(&mut self, now: &Now<'_>) -> Option<bool> {
         let items = &self.items;
-        // One call of the expiry test per ring entry the hand examines.
+        // One call of the expiry test per queue entry examined.
         let passed = Cell::new(0usize);
         let victim = self.clock.evict_with(|id| {
             passed.set(passed.get() + 1);
-            is_expired(items.expires_at(id), now)
+            now.expired(items.expires_at(id))
         })?;
         self.look_ahead(passed.get());
         if let Some(r) = self.items.unregister(victim.item) {
@@ -1751,16 +1791,18 @@ impl Shard {
         Some(victim.expired)
     }
 
-    /// The eviction look-ahead (DESIGN.md §12), run after the hand has
-    /// `passed` ring entries: request what evicting the entries that just
-    /// came within reach will touch, in two stages G = [`PREFETCH_DEPTH`]
-    /// entries apart so the second can resolve a row the first made warm.
-    /// G entries ahead: every line of the entry's chunk — the set that
-    /// evicts it rewrites that chunk — and, from the ring hash, its index
-    /// buckets. 2G ahead: the item row with the expiry the sweep tests, the
-    /// id's version word and its ring-position slot. Hints only; a sweep
-    /// that passed more than G entries restarts the pipeline from the hand
-    /// rather than chase it.
+    /// The eviction look-ahead (DESIGN.md §12), run after an eviction
+    /// examined `passed` queue entries: in the queue the next eviction
+    /// examines ([`Clock::ahead`]), request what evicting the entries that
+    /// just came within reach will touch, in two stages G =
+    /// [`PREFETCH_DEPTH`] entries apart so the second can resolve a row the
+    /// first made warm. G entries ahead: every line of the entry's chunk —
+    /// the set that evicts it rewrites that chunk — and, from the queue
+    /// hash, its index buckets. 2G ahead: the item row with the expiry the
+    /// eviction tests, the id's version word and its position slot. Hints
+    /// only: an eviction that examined more than G entries restarts the
+    /// pipeline from the queue's front rather than chase it, and the first
+    /// evictions after the queues take turns find their entries unstaged.
     fn look_ahead(&self, passed: usize) {
         const G: usize = PREFETCH_DEPTH;
         let fresh = passed.min(G);
@@ -2220,12 +2262,14 @@ mod tests {
     }
 
     /// `HashIndex::remove` is a silent no-op on a wrong hash, so an eviction
-    /// that took a stale hash from the ring would leak one index slot per
-    /// victim until `IndexFull`, and no release build would say so. Churn
-    /// every path that moves an entry — slab pressure, index pressure, TTL
-    /// reclamation, deletes, in-place replaces across slab classes, CAS —
-    /// then hold index, item table and ring to one census, and resolve every
-    /// ring entry back to itself through the index by the hash it carries.
+    /// that took a stale hash from its queue entry would leak one index slot
+    /// per victim until `IndexFull`, and no release build would say so.
+    /// Churn every path that moves an entry — slab pressure, index pressure,
+    /// TTL reclamation, deletes, replaces that carry a queue across slab
+    /// classes, CAS — then hold index, item table and both eviction queues
+    /// to one census, walking FIFO and main ring through one iterator, and
+    /// resolve every entry back to itself through the index by the hash it
+    /// carries.
     #[test]
     fn no_write_path_orphans_an_index_slot_or_a_ring_entry() {
         // Slab-bound (one page per shard for each of the two classes the
@@ -2292,12 +2336,13 @@ mod tests {
                     let n = g.items.len();
                     assert!(n > 0, "{which}");
                     assert_eq!(g.index.len(), n, "{which}: index entries vs items");
-                    assert_eq!(g.clock.len(), n, "{which}: ring entries vs items");
-                    for d in 0..n {
-                        let (item, hash) = g.clock.ahead(d).expect("ring is not empty");
-                        let r = g.items.get(item).expect("ring entry is a live item");
+                    assert_eq!(g.clock.len(), n, "{which}: queue entries vs items");
+                    let entries: Vec<(u32, u32)> = g.clock.iter().collect();
+                    assert_eq!(entries.len(), n, "{which}: entries the queues walk");
+                    for (item, hash) in entries {
+                        let r = g.items.get(item).expect("queue entry is a live item");
                         let stored = item_key(g.slab.chunk(r)).to_vec();
-                        assert_eq!(hash, hash_key(&stored), "{which}: ring hash of {item}");
+                        assert_eq!(hash, hash_key(&stored), "{which}: queue hash of {item}");
                         assert_eq!(g.find_verified(hash, &stored), Some(item), "{which}");
                     }
                 }

@@ -5,8 +5,9 @@
 //! refused before any connection is tried. The daemon's cases would bind an
 //! ephemeral port and serve for `--duration 0` or `1` if the input were
 //! accepted, so a regression fails on the exit code instead of hanging.
-//! Every flag `--help` lists is one the parser knows, and a usage error
-//! keeps its exit code when nobody reads stderr.
+//! Every flag `--help` lists is one the parser knows, a usage error keeps
+//! its exit code when nobody reads stderr, and `--help` still exits 0 when
+//! nobody reads stdout.
 
 use std::process::{Command, Output, Stdio};
 
@@ -159,6 +160,21 @@ fn a_usage_error_on_a_closed_stderr_keeps_its_exit_code() {
             .status()
             .expect("spawn binary");
         assert_eq!(status.code(), Some(2), "{bin}");
+    }
+}
+
+#[test]
+fn help_on_a_closed_stdout_still_succeeds() {
+    for bin in [KVSD, MEMSLAP] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let status = Command::new(bin)
+            .arg("--help")
+            .stdout(writer)
+            .stderr(Stdio::null())
+            .status()
+            .expect("spawn binary");
+        assert_eq!(status.code(), Some(0), "{bin}");
     }
 }
 

@@ -2,7 +2,7 @@
 //! `KvStore` configured with **S = 1** must be bit-for-bit identical to
 //! the classic single-lock store — same responses, same eviction victims,
 //! same final contents — across a 10k-op seeded mixed workload that
-//! includes CLOCK eviction pressure.
+//! includes eviction pressure.
 //!
 //! The baseline below reimplements the pre-sharding store verbatim from
 //! the same public components (`SlabAllocator` + `ItemTable` +
@@ -12,16 +12,17 @@
 //! replace path — fails the test.
 
 use rand::{Rng, SeedableRng};
-use simdht_kvs::clock::Clock;
+use simdht_kvs::clock::{Clock, Standing};
 use simdht_kvs::index::{by_short_name, hash_key, HashIndex, IndexError};
 use simdht_kvs::item::{item_key, item_value, write_item, ItemTable, NO_ITEM};
 use simdht_kvs::slab::{SlabAllocator, SlabError};
 use simdht_kvs::store::{KvStore, MGetResponse, StoreConfig};
 
 /// The pre-sharding single-lock store: one slab arena, one item table,
-/// one index, one CLOCK ring. Mirrors `KvStore`'s per-shard logic exactly
-/// (replace-then-insert, evict-on-pressure in both the slab and index
-/// loops, verify-against-slab on lookup, CLOCK touch on hit).
+/// one index, one pair of eviction queues. Mirrors `KvStore`'s per-shard
+/// logic exactly (replace-then-insert with the old item's queue and
+/// reference bit handed to the new one, evict-on-pressure in both the slab
+/// and index loops, verify-against-slab on lookup, CLOCK touch on hit).
 struct Baseline {
     slab: SlabAllocator,
     items: ItemTable,
@@ -51,12 +52,13 @@ impl Baseline {
         })
     }
 
-    fn delete_item(&mut self, hash: u32, item: u32) {
+    fn delete_item(&mut self, hash: u32, item: u32) -> Option<Standing> {
         self.index.remove(hash, item);
-        self.clock.remove(item);
+        let standing = self.clock.remove(item);
         if let Some(r) = self.items.unregister(item) {
             self.slab.free(r);
         }
+        standing
     }
 
     fn evict_one(&mut self) -> bool {
@@ -74,9 +76,9 @@ impl Baseline {
 
     fn set(&mut self, key: &[u8], value: &[u8]) -> Result<(), ()> {
         let hash = hash_key(key);
-        if let Some(existing) = self.find_verified(hash, key) {
-            self.delete_item(hash, existing);
-        }
+        let replaces = self
+            .find_verified(hash, key)
+            .and_then(|existing| self.delete_item(hash, existing));
         let slab_ref = loop {
             match write_item(&mut self.slab, key, value) {
                 Ok(r) => break r,
@@ -101,7 +103,7 @@ impl Baseline {
                 }
             }
         }
-        self.clock.admit(item, hash);
+        self.clock.admit(item, hash, replaces);
         Ok(())
     }
 
@@ -155,7 +157,7 @@ const KEYSPACE: usize = 600;
 
 fn differential_run(which: &str, seed: u64) {
     // 1 MiB budget — exactly the per-shard floor at S=1 — against values
-    // of up to 4000 B over 600 keys forces CLOCK eviction on both sides.
+    // of up to 4000 B over 600 keys forces eviction on both sides.
     let budget = 1 << 20;
     let capacity = 2 * KEYSPACE;
     let store = KvStore::new(
