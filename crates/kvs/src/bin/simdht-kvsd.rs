@@ -236,13 +236,14 @@ fn main() {
             let _ = writeln!(
                 io::stdout(),
                 "store: {} items, {} sets, {} evictions, {} expired, {} promotions, \
-                 {:.4} Multi-Get hit fraction",
+                 {:.4} Multi-Get hit fraction, {:.0} chunk bytes per item",
                 t.items,
                 t.sets,
                 t.evictions,
                 t.expired,
                 t.promotions,
                 t.mget_hits as f64 / t.mget_keys.max(1) as f64,
+                t.chunk_bytes as f64 / t.items.max(1) as f64,
             );
             if store.n_shards() > 1 {
                 let lens = store.shard_lens();

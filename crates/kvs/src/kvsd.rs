@@ -42,8 +42,10 @@
 //! the thread that serves it; the accept thread registers it with the
 //! stream, and [`Shell::closed`] counts the close in it (`ConnsClosed`) and
 //! folds it into a retired total under the same lock, so the registry
-//! keeps nothing of a connection once it has closed. A request is counted
-//! by one call into its connection's block: `served`, or a `Shed` add.
+//! keeps nothing of a connection once it has closed. The accept thread has
+//! a block of its own for the connections it loses (`AcceptErrors`). A
+//! request is counted by one call into its connection's block: `served`,
+//! or a `Shed` add.
 //! [`Kvsd::stats`] merges the retired total with every live block (and the
 //! reactors' batch blocks), so no request is counted twice or lost on a
 //! close. Busy time is counted once per store call: for a Multi-Get call,
@@ -207,9 +209,22 @@ struct Registry {
 pub(crate) struct Shell {
     shutting_down: AtomicBool,
     registry: Mutex<Registry>,
+    /// The accept thread's block: connections it lost.
+    accept: Counters,
     /// Threads joined at shutdown: the event loops, or the per-connection
     /// handlers not yet reaped (finished ones are joined on each accept).
     pub(crate) workers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// How long the accept thread sleeps after `accept` failed for want of
+/// descriptors, buffers or memory. The pending connection stays queued, so
+/// retrying at once would spin a CPU until a descriptor frees.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// `EMFILE`, `ENFILE`, `ENOBUFS` and `ENOMEM` (Linux numbering): the
+/// `accept` failures that last until something else releases a resource.
+fn resource_exhausted(e: &io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(24 | 23 | 105 | 12))
 }
 
 impl Shell {
@@ -283,8 +298,18 @@ impl Kvsd {
                     if shell.shutting_down.load(Ordering::Acquire) {
                         break;
                     }
-                    let Ok(stream) = conn else { continue };
+                    let stream = match conn {
+                        Ok(stream) => stream,
+                        Err(e) => {
+                            shell.accept.add(Counter::AcceptErrors, 1);
+                            if resource_exhausted(&e) {
+                                std::thread::sleep(ACCEPT_BACKOFF);
+                            }
+                            continue;
+                        }
+                    };
                     let Ok(clone) = stream.try_clone() else {
+                        shell.accept.add(Counter::AcceptErrors, 1);
                         continue;
                     };
                     let reactor = (!inboxes.is_empty()).then(|| id as usize % inboxes.len());
@@ -312,17 +337,10 @@ impl Kvsd {
                         let _ = inboxes[r].send((id, stream, counters));
                         continue;
                     }
-                    let handler = {
-                        let (store, shell, gauge) =
-                            (Arc::clone(&store), Arc::clone(&shell), gauge.clone());
-                        std::thread::spawn(move || {
-                            handle_connection(&store, stream, config, gauge, &counters);
-                            shell.closed(id);
-                        })
-                    };
                     // Join handlers that have already returned, so a
                     // long-lived daemon under connection churn keeps one
-                    // handle per live connection, not per connection ever.
+                    // handle (and one stack) per live connection, not per
+                    // connection ever.
                     let mut workers = shell.workers.lock().unwrap();
                     let mut i = 0;
                     while i < workers.len() {
@@ -332,7 +350,25 @@ impl Kvsd {
                             i += 1;
                         }
                     }
-                    workers.push(handler);
+                    let spawned = {
+                        let (store, shell, gauge) =
+                            (Arc::clone(&store), Arc::clone(&shell), gauge.clone());
+                        std::thread::Builder::new().spawn(move || {
+                            handle_connection(&store, stream, config, gauge, &counters);
+                            shell.closed(id);
+                        })
+                    };
+                    match spawned {
+                        Ok(handler) => workers.push(handler),
+                        // No thread (a thread or address-space limit): the
+                        // failed spawn dropped the stream, and dropping
+                        // the registry's clone closes the connection.
+                        Err(_) => {
+                            drop(workers);
+                            shell.registry.lock().unwrap().live.remove(&id);
+                            shell.accept.add(Counter::AcceptErrors, 1);
+                        }
+                    }
                 }
             })
         };
@@ -355,7 +391,7 @@ impl Kvsd {
         let registry = self.shell.registry.lock().unwrap();
         let live = registry.live.values().map(|c| &c.counters);
         let blocks = live.chain(&registry.loops).map(|c| c.snapshot());
-        registry.retired + blocks.sum()
+        registry.retired + self.shell.accept.snapshot() + blocks.sum()
     }
 
     /// Connections open now.
@@ -451,6 +487,7 @@ fn handle_connection(
 ) {
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
+        counters.add(Counter::AcceptErrors, 1);
         return;
     };
     if read_half.set_read_timeout(config.idle_timeout).is_err() {

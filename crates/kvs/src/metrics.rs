@@ -44,6 +44,10 @@ pub enum Counter {
     ConnsAdopted,
     /// Connections closed, under either loop.
     ConnsClosed,
+    /// Connections the accept thread lost: a failed `accept`, or an
+    /// accepted stream it could not clone or start a handler thread for,
+    /// which it closes unserved.
+    AcceptErrors,
     /// Request frames a reactor decoded.
     Frames,
     /// Multi-Get store calls: a reactor's coalesced batches, and the thread
@@ -163,7 +167,8 @@ impl std::iter::Sum for Snapshot {
 
 /// The server report: a `server:` line, a `batches:` line when a Multi-Get
 /// store call ran, a `reactor:` line when a reactor adopted a connection,
-/// and a `server phases:` line when a store call was timed.
+/// an `accept:` line when the accept thread lost a connection, and a
+/// `server phases:` line when a store call was timed.
 impl fmt::Display for Snapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use Counter::*;
@@ -195,6 +200,9 @@ impl fmt::Display for Snapshot {
                 self[TimeoutFires],
                 self[DrainFires],
             )?;
+        }
+        if self[AcceptErrors] > 0 {
+            writeln!(f, "accept: {} errors", self[AcceptErrors])?;
         }
         let phases = self.phases();
         if phases.total() > 0 {

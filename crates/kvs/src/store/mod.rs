@@ -356,6 +356,9 @@ pub struct ShardStats {
     pub touches: u64,
     /// Expired items observed (lazy-expiry misses) or reclaimed here.
     pub expired: u64,
+    /// Slab bytes the live items' chunks take, size-class rounding
+    /// included (`/ items` = chunk bytes per item).
+    pub chunk_bytes: usize,
 }
 
 impl ShardStats {
@@ -372,6 +375,7 @@ impl ShardStats {
         self.cas_conflicts += other.cas_conflicts;
         self.touches += other.touches;
         self.expired += other.expired;
+        self.chunk_bytes += other.chunk_bytes;
     }
 }
 
@@ -1095,6 +1099,7 @@ impl KvStore {
                     cas_conflicts: s.counters.cas_conflicts.load(Ordering::Relaxed),
                     touches: s.counters.touches.load(Ordering::Relaxed),
                     expired: s.counters.expired.load(Ordering::Relaxed),
+                    chunk_bytes: g.slab.chunk_bytes(),
                 }
             })
             .collect()
@@ -2384,6 +2389,34 @@ mod tests {
         assert!(store.len() < 10_000, "eviction never triggered");
         assert_eq!(store.get(b"key-009999").as_deref(), Some(&value[..]));
         assert!(store.totals().evictions > 0, "evictions must be counted");
+    }
+
+    #[test]
+    fn a_full_slab_holds_every_item_its_chunks_fit() {
+        // `wire_mixed`'s item: a 6 B header, a 20 B key and a 256 B value,
+        // 282 bytes in a 288-byte chunk, 3 640 to a 1 MiB page. Four pages
+        // hold 14 560 of them (12 784 in the 328-byte chunks of a 1.25
+        // growth factor).
+        let store = KvStore::new(
+            Box::new(Memc3Index::with_capacity(32_768)),
+            StoreConfig {
+                memory_budget: 4 << 20,
+                capacity_items: 32_768,
+                shards: 1,
+                ..StoreConfig::default()
+            },
+        );
+        let value = vec![0x5Au8; 256];
+        for i in 0..20_000u64 {
+            store
+                .set(format!("key:{i:016x}").as_bytes(), &value)
+                .unwrap();
+        }
+        let t = store.totals();
+        assert!(t.evictions > 0, "the slab never filled");
+        assert!(t.items >= 14_000, "{} items resident", t.items);
+        assert_eq!(t.items, 4 * 3_640, "every chunk of every page holds one");
+        assert_eq!(t.chunk_bytes, t.items * 288);
     }
 
     #[test]
