@@ -487,7 +487,6 @@ fn handle_connection(
 ) {
     let _ = stream.set_nodelay(true);
     let Ok(read_half) = stream.try_clone() else {
-        counters.add(Counter::AcceptErrors, 1);
         return;
     };
     if read_half.set_read_timeout(config.idle_timeout).is_err() {

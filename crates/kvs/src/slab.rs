@@ -23,11 +23,23 @@
 //! and pages never move between classes. Every workload here writes one
 //! item size, so there is no page rebalancing.
 //!
+//! # A class's first page is never refused
+//!
+//! Freed chunks stay in their class, so once the budget is all paged a
+//! class with no page could never be served: the store would evict every
+//! item and still fail. As in memcached, a class's first page is therefore
+//! granted past the budget. Only a class with a page is ever told
+//! [`SlabError::OutOfMemory`], and one of its own chunks frees once the
+//! store evicts far enough. The budget is exceeded by at most one page per
+//! class in use, and only the bytes written become resident; a workload of
+//! one item size never takes such a page.
+//!
 //! # One region, line-aligned pages
 //!
 //! Every page is carved from one [`Arena`] region the allocator maps up
-//! front: `floor(budget / PAGE_BYTES)` pages, handed out in order to
-//! whichever class grows next. The region is kernel-zeroed and faulted
+//! front: `floor(budget / PAGE_BYTES)` pages and one more per class for
+//! first pages past the budget, handed out in order to whichever class
+//! grows next. The region is kernel-zeroed and faulted
 //! lazily, so a page costs resident memory only once chunks in it are
 //! written. It is page-aligned, so every page starts on a 64-byte boundary
 //! ([`LINE_BYTES`]) for free. Two things rely on that. A chunk of a class
@@ -255,14 +267,15 @@ const PAGES_PER_HUGE: usize = HUGE_PAGE / PAGE_BYTES;
 impl SlabAllocator {
     /// Create an allocator with the given total memory budget.
     pub fn new(budget_bytes: usize) -> Self {
-        // Every class could in principle consume the whole budget.
+        // Every class could in principle consume the whole budget, and
+        // each has room for a first page past it.
         let max_pages = budget_bytes / PAGE_BYTES;
         let classes = (0..CLASSES)
             .map(chunk_size_of)
             .map(|chunk_size| SizeClass {
                 chunk_size,
                 chunks_per_page: (PAGE_BYTES / chunk_size) as u32,
-                pages: (0..max_pages)
+                pages: (0..max_pages.max(1))
                     .map(|_| AtomicPtr::new(std::ptr::null_mut()))
                     .collect(),
                 page_count: 0,
@@ -275,7 +288,7 @@ impl SlabAllocator {
             budget_bytes,
             allocated_bytes: 0,
             // SAFETY: zero-validity — any byte is a valid `u8`.
-            region: unsafe { Arena::zeroed_unadvised(max_pages * PAGE_BYTES) },
+            region: unsafe { Arena::zeroed_unadvised((max_pages + CLASSES) * PAGE_BYTES) },
             full_pages: vec![0; max_pages.div_ceil(PAGES_PER_HUGE)],
         }
     }
@@ -292,8 +305,9 @@ impl SlabAllocator {
     /// # Errors
     ///
     /// [`SlabError::ObjectTooLarge`] if no class fits,
-    /// [`SlabError::OutOfMemory`] if growing would exceed the budget (the
-    /// caller — the CLOCK module — should evict and retry).
+    /// [`SlabError::OutOfMemory`] if the class has a page, every chunk of
+    /// it is in use, and growing would exceed the budget (the caller — the
+    /// CLOCK module — should evict and retry).
     pub fn alloc(&mut self, size: usize) -> Result<SlabRef, SlabError> {
         let class = self.class_for(size).ok_or(SlabError::ObjectTooLarge {
             size,
@@ -304,8 +318,9 @@ impl SlabAllocator {
             c.used_chunks += 1;
             return Ok(SlabRef { class, chunk });
         }
-        // Grow the class by the region's next page if the budget allows.
-        if self.allocated_bytes + PAGE_BYTES > self.budget_bytes {
+        // Grow the class by the region's next page if the budget allows;
+        // a class with no page yet gets one past it.
+        if self.allocated_bytes + PAGE_BYTES > self.budget_bytes && c.page_count > 0 {
             return Err(SlabError::OutOfMemory);
         }
         // The class's last page has no chunk left to hand out.
@@ -314,8 +329,9 @@ impl SlabAllocator {
             .checked_sub(1)
             .map(|p| c.pages[p].load(Ordering::Relaxed));
         // SAFETY: mapping length — the region holds `floor(budget /
-        // PAGE_BYTES)` pages and `allocated_bytes + PAGE_BYTES` is within
-        // the budget (checked above), so the page lies wholly inside it.
+        // PAGE_BYTES)` pages and one per class; a page past the budget
+        // goes only to a class that had none, so the page lies wholly
+        // inside it.
         let ptr = unsafe { self.region.as_mut_ptr().add(self.allocated_bytes) };
         self.allocated_bytes += PAGE_BYTES;
         let next = c.chunks_allocated() as u32;
@@ -336,7 +352,8 @@ impl SlabAllocator {
     }
 
     /// Count the region page at `page` full; the second full page of a
-    /// 2 MiB range moves that range onto a huge page.
+    /// 2 MiB range moves that range onto a huge page. (A class whose first
+    /// page lies past the budget never grows, so `page` is the budget's.)
     fn page_filled(&mut self, page: *const u8) {
         let at = page as usize - self.region.as_mut_ptr() as usize;
         let huge = at / HUGE_PAGE;
@@ -449,7 +466,8 @@ impl SlabAllocator {
         unsafe { std::slice::from_raw_parts_mut(ptr.add(off), c.chunk_size) }
     }
 
-    /// Bytes currently reserved from the budget.
+    /// Bytes of the pages handed out: the budget's, and first pages past
+    /// it.
     pub fn allocated_bytes(&self) -> usize {
         self.allocated_bytes
     }
@@ -627,7 +645,7 @@ mod tests {
     fn pages_are_handed_out_in_order_from_one_region() {
         // Whichever class grows takes the region's next page, so a class's
         // pages interleave with other classes' but never overlap them, and
-        // the budget's floor in pages is all there is.
+        // the budget's floor in pages is all a class with a page can get.
         let mut slab = SlabAllocator::new(4 * PAGE_BYTES + PAGE_BYTES / 2);
         let base = slab.region.as_mut_ptr() as usize;
         let small = slab.alloc(64).unwrap();
@@ -639,6 +657,21 @@ mod tests {
         assert_eq!(slab.chunk(small2).as_ptr() as usize, base + 2 * PAGE_BYTES);
         slab.alloc(1000).unwrap();
         assert_eq!(slab.allocated_bytes(), 4 * PAGE_BYTES);
+        let cpp = slab.classes[large.class() as usize].chunks_per_page;
+        for _ in 1..cpp {
+            slab.alloc(5000).unwrap();
+        }
+        assert_eq!(slab.alloc(5000), Err(SlabError::OutOfMemory));
+        assert_eq!(slab.allocated_bytes(), 4 * PAGE_BYTES);
+        // A class with no page still gets its first, the region's next,
+        // and no second.
+        let spill = slab.alloc(2000).unwrap();
+        assert_eq!(slab.chunk(spill).as_ptr() as usize, base + 4 * PAGE_BYTES);
+        assert_eq!(slab.allocated_bytes(), 5 * PAGE_BYTES);
+        let cpp = slab.classes[spill.class() as usize].chunks_per_page;
+        for _ in 1..cpp {
+            slab.alloc(2000).unwrap();
+        }
         assert_eq!(slab.alloc(2000), Err(SlabError::OutOfMemory));
     }
 

@@ -109,7 +109,8 @@ impl ReadMode {
 #[derive(Copy, Clone, Debug)]
 pub struct StoreConfig {
     /// Slab memory budget in bytes, split evenly across shards. Each shard
-    /// gets at least 1 MiB, so a budget under 1 MiB per shard is exceeded.
+    /// gets at least 1 MiB, so a budget under 1 MiB per shard is exceeded,
+    /// and a size class with no page gets its first past the budget.
     pub memory_budget: usize,
     /// Expected maximum live items (sizes the hash index; split across
     /// shards).
@@ -2417,6 +2418,48 @@ mod tests {
         assert!(t.items >= 14_000, "{} items resident", t.items);
         assert_eq!(t.items, 4 * 3_640, "every chunk of every page holds one");
         assert_eq!(t.chunk_bytes, t.items * 288);
+    }
+
+    #[test]
+    fn a_size_class_without_a_page_is_served_past_a_full_budget() {
+        // Eight items of eight size classes on a four-page budget: the
+        // first four classes take every page, and each later one gets its
+        // first page past the budget. Were it refused, the fifth set would
+        // evict the whole shard (freed chunks stay in their classes) and
+        // still fail.
+        let store = KvStore::new(
+            Box::new(Memc3Index::with_capacity(16_384)),
+            StoreConfig {
+                memory_budget: 4 << 20,
+                capacity_items: 16_384,
+                shards: 1,
+                ..StoreConfig::default()
+            },
+        );
+        let key = |i: usize| format!("key:{i:016x}");
+        // A 6 B header and a 20 B key: items of 60 B to 8 000 B.
+        let values: Vec<Vec<u8>> = [60, 120, 250, 500, 1000, 2000, 4000, 8000]
+            .iter()
+            .map(|&item| vec![item as u8; item - 26])
+            .collect();
+        for (i, v) in values.iter().enumerate() {
+            assert_eq!(store.set(key(i).as_bytes(), v), Ok(()), "item {i}");
+        }
+        let t = store.totals();
+        assert_eq!((t.items, t.evictions), (8, 0));
+        for (i, v) in values.iter().enumerate() {
+            assert_eq!(store.get(key(i).as_bytes()).as_deref(), Some(&v[..]));
+        }
+        // The last class fills its one page and then recycles its own
+        // chunks: every set still lands.
+        let last = &values[7];
+        for i in 8..1_000 {
+            assert_eq!(store.set(key(i).as_bytes(), last), Ok(()), "item {i}");
+        }
+        let t = store.totals();
+        assert!(t.evictions > 0, "the page never filled");
+        assert!(t.items >= 128, "{} items resident", t.items);
+        assert_eq!(store.get(key(999).as_bytes()).as_deref(), Some(&last[..]));
     }
 
     #[test]

@@ -214,14 +214,12 @@ fn every_response_kind_encodes_to_its_recorded_frame() {
 }
 
 /// A store holding the even-numbered `pairs(16)`, so a 16-key MGet of all
-/// of them alternates hit and miss (and slot 0 is an empty-value hit). Its
-/// eight items, 19 to 117 bytes, span five size classes, and each class
-/// takes a 1 MiB page of its own.
+/// of them alternates hit and miss (and slot 0 is an empty-value hit).
 fn half_loaded_store() -> KvStore {
     let store = KvStore::new(
         index::by_short_name("ver", 1024).expect("known index"),
         StoreConfig {
-            memory_budget: 8 << 20,
+            memory_budget: 4 << 20,
             capacity_items: 1024,
             ..StoreConfig::default()
         },
