@@ -227,6 +227,11 @@ impl<T> Arena<T> {
         }
     }
 
+    /// Bytes mapped for the elements, resident or not.
+    pub fn mapped_bytes(&self) -> usize {
+        Self::bytes(self.len)
+    }
+
     /// The base pointer, for owners that write the elements through raw
     /// pointers (the slab's pages) rather than through `&T`. No reference
     /// to the elements is formed.

@@ -25,7 +25,9 @@ USAGE:
 OPTIONS:
     --addr <ip:port>       Listen address (default 127.0.0.1:11411; port 0 = ephemeral)
     --index <name>         Hash index: memc3 | hor | ver | dpdk | local (default memc3)
-    --capacity <n>         Expected max live items (default 100000)
+    --capacity <n>         Expected max live items (default 100000), split
+                           evenly over the shards; memc3 takes at most
+                           7549746 per shard (its slots keep 24-bit item ids)
     --memory-mb <n>        Slab memory budget in MiB (default 64)
     --shards <n>           Store shards, rounded up to a power of two
                            (default 1 = single-lock store; writes serialize
@@ -42,7 +44,9 @@ OPTIONS:
                            (if any) expires (default: unlimited)
     --idle-timeout-ms <n>  Reap connections that complete no request frame
                            this long: silent, stalled mid-frame or dripping
-                           bytes (default: never)
+                           bytes (default: never). Also how long replies a
+                           client does not read may make no progress before
+                           its connection is closed (default: 10 s)
     --reactor              Serve with min(cores, 4) event loops instead of a
                            thread per connection: each loop owns many
                            nonblocking connections and coalesces their MGets
@@ -153,12 +157,21 @@ fn parse_args() -> Result<Args, String> {
     // A shard's slab is at least 1 MiB (`StoreConfig::memory_budget`), so
     // more shards than MiB would serve more memory than was asked for.
     let mb = args.memory_bytes >> 20;
-    let rounded = args.shards.checked_next_power_of_two();
-    if rounded.is_none_or(|n| n > mb) {
+    let Some(shards) = args.shards.checked_next_power_of_two().filter(|&n| n <= mb) else {
         return Err(format!(
             "--shards {}: its power-of-two rounding exceeds --memory-mb {mb} \
              (each shard takes at least 1 MiB)",
             args.shards
+        ));
+    };
+    // A store sizes each shard's index for its share of the capacity;
+    // refuse one the index cannot address before anything is mapped.
+    let per_shard = args.capacity.div_ceil(shards);
+    if let Some(max) = index::max_capacity(&args.index).filter(|&max| per_shard > max) {
+        return Err(format!(
+            "--capacity {}: {per_shard} items per shard exceed the {} index's \
+             {max}; raise --shards",
+            args.capacity, args.index
         ));
     }
     Ok(args)
@@ -205,7 +218,7 @@ fn main() {
     }
     let _ = writeln!(
         io::stdout(),
-        "simdht-kvsd listening on {} (index {}, {} shard(s), capacity {}, {} MiB slab, prefetch depth {}, {} reads)",
+        "simdht-kvsd listening on {} (index {}, {} shard(s), capacity {}, {} MiB slab, prefetch depth {}, {} reads, index {} MiB)",
         kvsd.local_addr(),
         store.index_name(),
         store.n_shards(),
@@ -213,6 +226,7 @@ fn main() {
         args.memory_bytes >> 20,
         store.prefetch_depth(),
         store.read_mode().name(),
+        store.index_bytes() >> 20,
     );
 
     match args.duration {

@@ -57,6 +57,9 @@ pub trait BucketLayout: Send + Sync + 'static {
     /// Empty storage for `buckets` buckets (a power of two).
     fn new(buckets: usize) -> Self;
 
+    /// Bytes of the storage `new` mapped or allocated.
+    fn bytes(&self) -> usize;
+
     /// The tag stored for `hash`; also what derives the alternate bucket.
     fn tag(hash: u32) -> u8;
 
@@ -108,13 +111,25 @@ impl<L: BucketLayout> TagCuckoo<L> {
     /// the layout's target load factor ([`BucketLayout::LOAD_FACTOR`]; a
     /// (2, m) table with BFS relocation sustains more — paper Fig. 2).
     pub fn with_capacity(capacity_items: usize) -> Self {
-        let needed_slots = ((capacity_items as f64 / L::LOAD_FACTOR).ceil() as usize).max(L::SLOTS);
-        let buckets = (needed_slots / L::SLOTS + 1).next_power_of_two();
+        let buckets = Self::buckets_for(capacity_items);
         TagCuckoo {
             layout: L::new(buckets),
             mask: buckets - 1,
             len: 0,
         }
+    }
+
+    /// Slots in the table: the most entries it can hold.
+    #[cfg(test)]
+    pub(crate) fn slot_count(&self) -> usize {
+        (self.mask + 1) * L::SLOTS
+    }
+
+    /// The bucket count [`TagCuckoo::with_capacity`] gives
+    /// `capacity_items`: a power of two.
+    pub(super) fn buckets_for(capacity_items: usize) -> usize {
+        let needed_slots = ((capacity_items as f64 / L::LOAD_FACTOR).ceil() as usize).max(L::SLOTS);
+        (needed_slots / L::SLOTS + 1).next_power_of_two()
     }
 
     #[inline(always)]
@@ -310,6 +325,10 @@ impl<L: BucketLayout> HashIndex for TagCuckoo<L> {
 
     fn len(&self) -> usize {
         self.len
+    }
+
+    fn storage_bytes(&self) -> usize {
+        self.layout.bytes()
     }
 }
 

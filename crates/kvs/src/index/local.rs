@@ -99,6 +99,10 @@ impl BucketLayout for F14Layout {
         }
     }
 
+    fn bytes(&self) -> usize {
+        self.buckets.mapped_bytes()
+    }
+
     /// The 7-bit tag with the occupied marker: always in `0x80..=0xFF`, so
     /// it never collides with the empty sentinel (0) or the control byte
     /// (`<= 7`).

@@ -8,8 +8,8 @@
 //! [`BucketLayout`]s; `hor` and `ver` wrap the paper's SIMD kernels.
 //!
 //! * [`Memc3Index`] — the non-SIMD CPU-optimized baseline: (2,4) BCHT with
-//!   8-bit tags, partial-key cuckoo relocation, and optimistic striped
-//!   version counters (MemC3, NSDI'13).
+//!   8-bit tags and 24-bit item ids in four-byte slots, partial-key cuckoo
+//!   relocation, and optimistic striped version counters (MemC3, NSDI'13).
 //! * [`SimdIndex`] with [`SimdIndexKind::HorizontalBcht`] — (2,4) BCHT with
 //!   32-bit hash keys probed horizontally with AVX2
 //!   ("Bucket-Cuckoo-Hor(AVX-256)" in Fig. 11).
@@ -57,7 +57,11 @@ impl std::fmt::Display for IndexError {
 
 impl std::error::Error for IndexError {}
 
-/// A hash index mapping 32-bit key hashes to 32-bit item ids.
+/// A hash index mapping 32-bit key hashes to item ids.
+///
+/// Ids are `u32`, but a backend may store fewer bits: `memc3` keeps 24 and
+/// refuses a table that could hand out larger ids
+/// ([`Memc3Index::max_capacity`]); the others keep all 32.
 pub trait HashIndex: Send + Sync {
     /// Human-readable name for reports (e.g. `"MemC3"`).
     fn name(&self) -> &'static str;
@@ -169,6 +173,11 @@ pub trait HashIndex: Send + Sync {
     /// Current number of stored entries.
     fn len(&self) -> usize;
 
+    /// Bytes of the index's own storage — bucket arrays and the counters
+    /// beside them — as mapped or allocated at construction, resident or
+    /// not.
+    fn storage_bytes(&self) -> usize;
+
     /// `true` when empty.
     fn is_empty(&self) -> bool {
         self.len() == 0
@@ -195,6 +204,14 @@ pub fn by_short_name(name: &str, capacity: usize) -> Option<Box<dyn HashIndex>> 
         "local" => Box::new(F14LocalIndex::with_capacity(capacity)),
         _ => return None,
     })
+}
+
+/// The most items one index of backend `name` may be sized for, where the
+/// backend has such a ceiling (`memc3`, whose slots keep 24-bit item ids),
+/// or `None`. A store sizes each shard's index for its share of the
+/// capacity, so more shards lift the ceiling of the whole store.
+pub fn max_capacity(name: &str) -> Option<usize> {
+    (name == "memc3").then(Memc3Index::max_capacity)
 }
 
 const FNV_OFFSET: u32 = 0x811C_9DC5;

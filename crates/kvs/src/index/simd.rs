@@ -246,6 +246,11 @@ impl HashIndex for SimdIndex {
     fn len(&self) -> usize {
         self.table.len() + self.overflow.values().map(Vec::len).sum::<usize>()
     }
+
+    /// The table's key and value arrays; the collider map is left out.
+    fn storage_bytes(&self) -> usize {
+        self.table.capacity() * 2 * std::mem::size_of::<u32>()
+    }
 }
 
 #[cfg(test)]

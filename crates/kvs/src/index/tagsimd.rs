@@ -80,6 +80,10 @@ impl BucketLayout for TagSimdLayout {
         }
     }
 
+    fn bytes(&self) -> usize {
+        self.sigs.mapped_bytes() + self.items.mapped_bytes()
+    }
+
     #[inline(always)]
     fn tag(hash: u32) -> u8 {
         let s = (hash >> 24) as u8;

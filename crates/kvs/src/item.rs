@@ -351,6 +351,13 @@ impl ItemTable {
     pub fn is_empty(&self) -> bool {
         self.live == 0
     }
+
+    /// Every id handed out so far is below this: freed ids are reused
+    /// first, so it is the most items ever live at once.
+    #[cfg(test)]
+    pub(crate) fn id_bound(&self) -> u32 {
+        self.next
+    }
 }
 
 #[cfg(test)]

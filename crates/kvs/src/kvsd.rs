@@ -92,7 +92,9 @@ pub struct KvsdConfig {
     /// Close a connection after this long without a complete request
     /// frame, so a dying or wedged client cannot hold its handler thread
     /// (and an inflight slot's worth of buffered work) forever.
-    /// `None` = wait indefinitely.
+    /// `None` = wait indefinitely. Also the stall grace: a connection
+    /// whose replies make no progress this long (10 s when `None`) is
+    /// closed and counted as `StalledCloses`.
     pub idle_timeout: Option<Duration>,
     /// Serve connections from the [`crate::reactor`] event loops instead
     /// of a thread per connection (`false`).
@@ -214,6 +216,18 @@ pub(crate) struct Shell {
     /// Threads joined at shutdown: the event loops, or the per-connection
     /// handlers not yet reaped (finished ones are joined on each accept).
     pub(crate) workers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+/// How long a connection's output may make no progress, where
+/// [`KvsdConfig::idle_timeout`] is not set, before the connection is
+/// closed and counted (`Counter::StalledCloses`): a client that stops
+/// reading its replies can hold neither its thread nor the drain past it.
+const DRAIN_GRACE: Duration = Duration::from_secs(10);
+
+/// The stall grace under `config`: `idle_timeout` where set, else
+/// [`DRAIN_GRACE`].
+pub(crate) fn stall_grace(config: &KvsdConfig) -> Duration {
+    config.idle_timeout.unwrap_or(DRAIN_GRACE)
 }
 
 /// How long the accept thread sleeps after `accept` failed for want of
@@ -458,8 +472,10 @@ impl IdleRead {
         IdleRead { stream, idle }
     }
 
-    /// A whole request frame arrived: the idle window starts again.
-    fn frame_read(&mut self) {
+    /// A whole request frame arrived, or the replies went out: the idle
+    /// window starts again. Time spent blocked on the connection's own
+    /// replies is not the client's idleness; the write timeout bounds it.
+    fn restart(&mut self) {
         if let Some((_, last)) = &mut self.idle {
             *last = Instant::now();
         }
@@ -489,7 +505,13 @@ fn handle_connection(
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    if read_half.set_read_timeout(config.idle_timeout).is_err() {
+    // The write timeout bounds a write that makes no progress: a client
+    // that stops reading is closed after the stall grace.
+    if read_half.set_read_timeout(config.idle_timeout).is_err()
+        || stream
+            .set_write_timeout(Some(stall_grace(&config)))
+            .is_err()
+    {
         return;
     }
     let mut reader = BufReader::new(IdleRead::new(read_half, config.idle_timeout));
@@ -511,8 +533,11 @@ fn handle_connection(
         // pile up past what a connection may keep, which bounds a client
         // that asks for large values faster than it reads them.
         if reader.buffer().is_empty() || out.len() > FRAME_BUF_KEEP {
-            if writer.write_all(&out).is_err() {
-                break;
+            if !out.is_empty() {
+                if !flush(&mut writer, &out, counters) {
+                    return;
+                }
+                reader.get_mut().restart();
             }
             out.clear();
             release_oversized(&mut out);
@@ -526,7 +551,7 @@ fn handle_connection(
             // stalled mid-frame): close rather than hold the thread.
             Ok(None) | Err(_) => break,
         };
-        reader.get_mut().frame_read();
+        reader.get_mut().restart();
         let t0 = Instant::now();
         // A malformed frame means the stream is unframed garbage or a
         // protocol bug; drop the connection rather than guess at resync.
@@ -600,7 +625,24 @@ fn handle_connection(
         }
         lists.reclaim(request);
     }
-    let _ = writer.write_all(&out);
+    flush(&mut writer, &out, counters);
+}
+
+/// Write `out` whole. `false` when the connection is done for: a write
+/// that made no progress for the stall grace (counted) or failed.
+fn flush(writer: &mut TcpStream, out: &[u8], counters: &Counters) -> bool {
+    match writer.write_all(out) {
+        Ok(()) => true,
+        Err(e) => {
+            if matches!(
+                e.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ) {
+                counters.add(Counter::StalledCloses, 1);
+            }
+            false
+        }
+    }
 }
 
 /// `DeadlineExceeded` when a request decoded at `t0` is past `deadline`.
@@ -1214,6 +1256,76 @@ mod tests {
             let stats = drain(label, kvsd);
             assert_eq!(stats[Counter::Shed], 0, "{label}");
         }
+    }
+
+    /// A client that pipelines 200 Multi-Gets of sixteen 60 KB values and
+    /// reads nothing holds neither loop's drain past the stall grace (here
+    /// the idle timeout): its connection is closed and counted. The drain
+    /// is awaited through a channel, so a drain that never returns fails
+    /// the test instead of hanging it.
+    #[test]
+    fn a_client_that_reads_nothing_cannot_hold_the_drain() {
+        let limits = KvsdConfig {
+            idle_timeout: Some(Duration::from_secs(1)),
+            ..KvsdConfig::default()
+        };
+        for (label, config) in loops(limits) {
+            let store = test_store();
+            let keys: Vec<Bytes> = (0..16).map(|i| Bytes::from(format!("big-{i}"))).collect();
+            for key in &keys {
+                store.set(key, &[7u8; 60_000]).unwrap();
+            }
+            let kvsd = Kvsd::bind_with(store, "127.0.0.1:0", config).unwrap();
+            let request = Request::MGet {
+                id: 1,
+                keys: keys.clone(),
+            }
+            .encode();
+            let mut burst = Vec::new();
+            for _ in 0..200 {
+                write_frame(&mut burst, &request).unwrap();
+            }
+            // One unbuffered write, so every request is in the server's
+            // receive queue before the drain half-closes it (bytes that
+            // arrive after the half-close are dropped).
+            assert!(
+                burst.len() < 32 << 10,
+                "{} B overflow the first window",
+                burst.len()
+            );
+            let mut client = TcpStream::connect(kvsd.local_addr()).unwrap();
+            client.set_nodelay(true).unwrap();
+            client.write_all(&burst).unwrap();
+            // Drain once the connection is being served, not while the
+            // accept thread may still refuse it unserved.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while kvsd.stats()[Counter::Requests] == 0 {
+                assert!(Instant::now() < deadline, "{label}: nothing served");
+                std::thread::yield_now();
+            }
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let _ = tx.send(kvsd.shutdown());
+            });
+            let stats = rx
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("{label}: drain still waiting after 20 s"));
+            assert_eq!(stats[Counter::StalledCloses], 1, "{label}: {stats}");
+            assert!(stats[Counter::Requests] > 2, "{label}: {stats}");
+            assert_eq!(stats[Counter::ConnsClosed], 1, "{label}");
+            drop(client);
+        }
+    }
+
+    #[test]
+    fn the_stall_grace_is_the_idle_timeout_where_set() {
+        let idle = Duration::from_millis(300);
+        let limits = KvsdConfig {
+            idle_timeout: Some(idle),
+            ..KvsdConfig::default()
+        };
+        assert_eq!(stall_grace(&limits), idle);
+        assert_eq!(stall_grace(&KvsdConfig::default()), DRAIN_GRACE);
     }
 
     #[test]

@@ -44,6 +44,10 @@ pub enum Counter {
     ConnsAdopted,
     /// Connections closed, under either loop.
     ConnsClosed,
+    /// Of those, connections closed because their output made no progress
+    /// for the stall grace (`idle_timeout` where set, else the drain
+    /// grace): a client that stopped reading its replies.
+    StalledCloses,
     /// Connections the accept thread lost: a failed `accept`, or an
     /// accepted stream it could not clone or start a handler thread for,
     /// which it closes unserved.
@@ -167,7 +171,8 @@ impl std::iter::Sum for Snapshot {
 
 /// The server report: a `server:` line, a `batches:` line when a Multi-Get
 /// store call ran, a `reactor:` line when a reactor adopted a connection,
-/// an `accept:` line when the accept thread lost a connection, and a
+/// an `accept:` line when the accept thread lost a connection, a
+/// `stalled:` line when a client stopped reading its replies, and a
 /// `server phases:` line when a store call was timed.
 impl fmt::Display for Snapshot {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -203,6 +208,13 @@ impl fmt::Display for Snapshot {
         }
         if self[AcceptErrors] > 0 {
             writeln!(f, "accept: {} errors", self[AcceptErrors])?;
+        }
+        if self[StalledCloses] > 0 {
+            writeln!(
+                f,
+                "stalled: {} connections closed with replies unread",
+                self[StalledCloses]
+            )?;
         }
         let phases = self.phases();
         if phases.total() > 0 {

@@ -54,12 +54,17 @@
 //!   queueing deeper, and `Some(0)` sheds every request with
 //!   `ErrorCode::ServerBusy` exactly like the thread loop.
 //! * **idle_timeout** — a periodic sweep closes connections that have not
-//!   completed a request frame for the window, freeing their slots.
+//!   completed a request frame for the window, freeing their slots. The
+//!   same sweep closes a connection, draining or not, whose output made no
+//!   progress for the stall grace (`idle_timeout`, else the shell's drain
+//!   grace) and counts it (`Counter::StalledCloses`), as the thread loop's
+//!   write timeout does.
 //! * **drain** — the shell half-closes every read side
 //!   ([`crate::kvsd::Kvsd::shutdown`]), then closes the reactors'
 //!   inboxes; reactors finish decoding what is buffered, dispatch the
 //!   final batch, flush every connection, and close it — no request that
-//!   reached the server is dropped.
+//!   reached the server is dropped, unless its client stops reading the
+//!   answers for the stall grace.
 
 pub mod poller;
 
@@ -73,7 +78,7 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 
-use crate::kvsd::{overdue, KvsdConfig, Shell};
+use crate::kvsd::{overdue, stall_grace, KvsdConfig, Shell};
 use crate::metrics::{Counter, Counters};
 use crate::net::{flush_nonblocking, write_frame, FrameDecoder};
 use crate::protocol::{
@@ -89,7 +94,8 @@ use poller::{Event, Interest, Poller};
 const OUT_HIGH_WATER: usize = 1 << 20;
 
 /// Upper bound on one poll wait, so reactors adopt connections, notice
-/// shutdown and run the idle sweep promptly even when completely idle.
+/// shutdown and run the sweep promptly even when completely idle; also the
+/// most often the sweep runs.
 const MAX_POLL_WAIT: Duration = Duration::from_millis(5);
 
 /// Micro-deadline: the longest a decoded Multi-Get waits in the
@@ -144,6 +150,7 @@ pub(crate) fn start(
             read_buf: vec![0u8; 64 << 10],
             next_token: 0,
             draining: false,
+            next_sweep: Instant::now(),
             dirty: Vec::new(),
         };
         let thread = std::thread::Builder::new()
@@ -187,8 +194,12 @@ struct Conn {
     /// Unflushed response bytes; `out[out_pos..]` is still to write.
     out: Vec<u8>,
     out_pos: usize,
-    /// When a read last completed a request frame (or the adoption).
+    /// When a read last completed a request frame, or a flush last wrote
+    /// (or the adoption).
     last_activity: Instant,
+    /// While output is pending: when a flush last wrote a byte of it, or
+    /// found it queued with none written before.
+    stalled_since: Option<Instant>,
     /// The connection's block in the shell's registry.
     counters: Arc<Counters>,
     /// No further reads (EOF, Shutdown request, or framing error);
@@ -211,6 +222,24 @@ impl Conn {
             readable: !self.draining && self.out_pending() < OUT_HIGH_WATER,
             writable: self.out_pending() > 0,
         }
+    }
+
+    /// Write what the socket takes now, and keep the stall clock: it runs
+    /// while output is pending and restarts on every flush that writes. A
+    /// flush that writes restarts the idle window too, as the thread loop
+    /// does: time spent waiting on the client to read is not idleness.
+    fn flush(&mut self) -> io::Result<()> {
+        let pending = self.out_pending();
+        flush_nonblocking(&mut self.stream, &mut self.out, &mut self.out_pos)?;
+        let left = self.out_pending();
+        if left < pending {
+            let now = Instant::now();
+            self.last_activity = now;
+            self.stalled_since = (left > 0).then_some(now);
+        } else if left > 0 && self.stalled_since.is_none() {
+            self.stalled_since = Some(Instant::now());
+        }
+        Ok(())
     }
 
     /// Frame `payload` (length prefix + body) into the output.
@@ -248,6 +277,8 @@ struct ReactorLoop {
     read_buf: Vec<u8>,
     next_token: usize,
     draining: bool,
+    /// When [`ReactorLoop::sweep`] next looks at the connections.
+    next_sweep: Instant,
     /// Tokens touched this loop iteration (events, answers) — the only
     /// connections with unwritten answers or whose interest or
     /// finished-state can have changed, so the post-iteration sweep
@@ -278,7 +309,7 @@ impl ReactorLoop {
             }
 
             self.check(woke_empty);
-            self.idle_sweep();
+            self.sweep();
             self.settle();
 
             if self.draining && self.conns.is_empty() && self.batch.reqs.is_empty() {
@@ -340,6 +371,7 @@ impl ReactorLoop {
                     out: Vec::new(),
                     out_pos: 0,
                     last_activity: Instant::now(),
+                    stalled_since: None,
                     counters,
                     draining: false,
                     registered: Interest::READ,
@@ -353,9 +385,7 @@ impl ReactorLoop {
             return; // closed earlier this iteration
         };
         self.dirty.push(ev.token);
-        if ev.writable
-            && flush_nonblocking(&mut conn.stream, &mut conn.out, &mut conn.out_pos).is_err()
-        {
+        if ev.writable && conn.flush().is_err() {
             self.close(ev.token);
             return;
         }
@@ -629,27 +659,50 @@ impl ReactorLoop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
-            if flush_nonblocking(&mut conn.stream, &mut conn.out, &mut conn.out_pos).is_err() {
+            if conn.flush().is_err() {
                 self.close(token);
             }
         }
         self.dirty.extend(touched);
     }
 
-    fn idle_sweep(&mut self) {
-        let Some(idle) = self.limits.idle_timeout else {
-            return;
-        };
+    /// At most every [`MAX_POLL_WAIT`]: close the connections whose output
+    /// made no progress for the stall grace, draining or not (the thread
+    /// loop's write timeout), counting each; then, under `idle_timeout`,
+    /// those still reading, with no output pending, that completed no
+    /// request frame for it (the thread loop's read timeout). A connection
+    /// waiting on its client to read is the stall rule's, not idle.
+    fn sweep(&mut self) {
         let now = Instant::now();
-        let stale: Vec<usize> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| !c.draining && now.duration_since(c.last_activity) > idle)
-            .map(|(&t, _)| t)
-            .collect();
+        if now < self.next_sweep {
+            return;
+        }
+        self.next_sweep = now + MAX_POLL_WAIT;
+        let (grace, idle) = (stall_grace(&self.limits), self.limits.idle_timeout);
+        let mut stalled = Vec::new();
+        let mut stale = Vec::new();
+        for (&token, c) in &self.conns {
+            if c.stalled_since
+                .is_some_and(|t| now.duration_since(t) > grace)
+            {
+                stalled.push(token);
+            } else if idle.is_some_and(|idle| {
+                !c.draining
+                    && c.stalled_since.is_none()
+                    && now.duration_since(c.last_activity) > idle
+            }) {
+                stale.push(token);
+            }
+        }
+        for token in stalled {
+            if let Some(conn) = self.conns.get(&token) {
+                conn.counters.add(Counter::StalledCloses, 1);
+            }
+            self.close(token);
+        }
         for token in stale {
-            // The thread loop's read timeout: flush what was answered,
-            // then close mid-whatever the client was doing.
+            // Flush what was answered, then close mid-whatever the client
+            // was doing.
             self.close(token);
         }
     }
@@ -663,9 +716,7 @@ impl ReactorLoop {
             let Some(conn) = self.conns.get_mut(&token) else {
                 continue;
             };
-            if flush_nonblocking(&mut conn.stream, &mut conn.out, &mut conn.out_pos).is_err()
-                || conn.finished(self.batch.holds(token))
-            {
+            if conn.flush().is_err() || conn.finished(self.batch.holds(token)) {
                 self.close(token);
             } else {
                 self.sync_interest(token);

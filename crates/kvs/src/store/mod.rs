@@ -1051,6 +1051,15 @@ impl KvStore {
         self.name
     }
 
+    /// Bytes of every shard's index storage
+    /// ([`HashIndex::storage_bytes`]).
+    pub fn index_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.read().index.storage_bytes())
+            .sum()
+    }
+
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
         self.shards.len()
@@ -2369,6 +2378,48 @@ mod tests {
             assert_eq!(resp.value(2), Some(&b"yval"[..]));
             assert!(outcome.phases.total() > 0);
         }
+    }
+
+    /// The proof behind `memc3`'s 24-bit item field, held to the code: a
+    /// shard registers one item before indexing it, so under heavy churn —
+    /// index-full and slab-full evictions, replaces, deletes — no id its
+    /// item table hands out exceeds its index's slot count. The bound is
+    /// met: this small table fills all 128 slots, and the next set
+    /// registers id 128 before its insert fails.
+    #[test]
+    fn item_ids_never_exceed_the_index_slot_count_under_churn() {
+        let index = Memc3Index::with_capacity(64);
+        let slots = index.slot_count();
+        let store = KvStore::new(
+            Box::new(index),
+            StoreConfig {
+                memory_budget: 1 << 20,
+                capacity_items: 64,
+                shards: 1,
+                ..StoreConfig::default()
+            },
+        );
+        let mut state = 0x1D5_u64;
+        for step in 0..40_000u32 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = format!("churn-{}", (state >> 40) % 2048);
+            if state.is_multiple_of(8) {
+                store.delete(key.as_bytes());
+            } else {
+                let value = vec![step as u8; (state >> 16) as usize % 20_000 + 1];
+                store.set(key.as_bytes(), &value).unwrap();
+            }
+            let bound = store.shards[0].read().items.id_bound() as usize;
+            assert!(
+                bound <= slots + 1,
+                "step {step}: id {} of {slots} slots",
+                bound - 1
+            );
+        }
+        assert!(store.totals().evictions > 10_000, "{:?}", store.totals());
+        assert_eq!(store.shards[0].read().items.id_bound() as usize, slots + 1);
     }
 
     #[test]

@@ -78,6 +78,45 @@ fn kvsd_refuses_more_shards_than_mib_of_slab() {
 }
 
 #[test]
+fn kvsd_refuses_a_memc3_capacity_past_its_item_ids() {
+    // 8 M items in one shard need 2^22 buckets; `memc3`'s 24-bit item ids
+    // address 2^21. Two shards of 4 M each fit.
+    let capacity = [
+        "--addr",
+        "127.0.0.1:0",
+        "--duration",
+        "0",
+        "--capacity",
+        "8000000",
+    ];
+    assert_refused(KVSD, &capacity, "--shards");
+    let out = run(KVSD, &[&capacity[..], &["--shards", "2"]].concat());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+}
+
+#[test]
+fn kvsd_reports_its_index_size() {
+    // 2^19 buckets of four 4-byte slots, plus 64 KiB of version stripes.
+    let args = [
+        "--addr",
+        "127.0.0.1:0",
+        "--duration",
+        "0",
+        "--capacity",
+        "1048576",
+    ];
+    let out = run(KVSD, &args);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    let first = stdout.lines().next().unwrap_or_default();
+    assert!(
+        first.starts_with("simdht-kvsd listening on ") && first.ends_with(", index 8 MiB)"),
+        "{first}"
+    );
+}
+
+#[test]
 fn kvsd_help_and_unknown_flag() {
     let out = run(KVSD, &["--help"]);
     assert_eq!(out.status.code(), Some(0));

@@ -693,6 +693,7 @@ fn stress_memc3_shared_version_stripes() {
             }
         }
     }
+    eprintln!("memc3 stripes: fallbacks {fallbacks}, control (dpdk) {control}, reads {reads}");
     assert!(
         fallbacks <= 2 * control + reads / 100,
         "memc3 fell back {fallbacks} times in {reads} reads, dpdk {control}"

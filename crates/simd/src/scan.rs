@@ -3,7 +3,8 @@
 //!
 //! Hash-table buckets in this workspace keep their per-slot metadata packed
 //! into one machine word (a *tag row*: 8 little-endian bytes, one per slot)
-//! or into a short run of 32-bit lanes (the `CuckooTable` key row). Probing
+//! or into a short run of 32-bit lanes (the `CuckooTable` key row, the
+//! MemC3 index's `[tag | item]` slot words). Probing
 //! such a row is a single SSE compare + movemask; the same scan also answers
 //! "where is the first empty slot?" on the insert path, replacing the scalar
 //! slot walk every index used to run (ROADMAP item 3's remainder).
@@ -83,45 +84,6 @@ pub fn eq_lane_mask_u32(lanes: &[u32], needle: u32) -> u32 {
     mask
 }
 
-/// Low-half-equality movemask over up to 8 packed 64-bit slot words: bit
-/// `s` is set iff the low 32 bits of `words[s]` equal `needle`.
-///
-/// This is the occupancy scan for buckets whose slots pack
-/// `[meta:32][item:32]` into one word each (the MemC3 index): probing the
-/// low halves against the `NO_ITEM` sentinel finds the empty slots without
-/// unpacking. SSE2 compares two slot words per `pcmpeqd`; the `movmskps`
-/// lanes `{0, 2}` are the two low halves.
-///
-/// # Panics
-///
-/// Debug-asserts `words.len() <= 8`.
-#[inline]
-#[must_use]
-pub fn eq_low32_mask(words: &[u64], needle: u32) -> u32 {
-    debug_assert!(words.len() <= 8, "slot mask is 8 bits");
-    let mut mask = 0u32;
-    let mut i = 0usize;
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    // SAFETY: sse2 is guaranteed by the cfg gate; the unaligned load reads
-    // `words[i..i + 2]`, in bounds by the loop condition.
-    unsafe {
-        use core::arch::x86_64::*;
-        let splat = _mm_set1_epi32(needle as i32);
-        while i + 2 <= words.len() {
-            let v = _mm_loadu_si128(words.as_ptr().add(i).cast());
-            let eq = _mm_movemask_ps(_mm_castsi128_ps(_mm_cmpeq_epi32(v, splat))) as u32;
-            // Vector lanes {0, 2} are the low halves of words i and i + 1.
-            mask |= (eq & 1) << i;
-            mask |= ((eq >> 2) & 1) << (i + 1);
-            i += 2;
-        }
-    }
-    for (j, &w) in words[i..].iter().enumerate() {
-        mask |= u32::from(w as u32 == needle) << (i + j);
-    }
-    mask
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,31 +134,6 @@ mod tests {
                 .enumerate()
                 .fold(0u32, |m, (i, &l)| m | (u32::from(l == 0) << i));
             assert_eq!(eq_lane_mask_u32(&lanes, 0), expect, "len {len}");
-        }
-    }
-
-    #[test]
-    fn low32_mask_semantics() {
-        let no_item = u32::MAX;
-        let packed = |hi: u32, lo: u32| (u64::from(hi) << 32) | u64::from(lo);
-        let words = [
-            packed(5, no_item),
-            packed(9, 77),
-            packed(0, no_item),
-            packed(no_item, 3), // high half must NOT match
-        ];
-        assert_eq!(eq_low32_mask(&words, no_item), 0b0101);
-        assert_eq!(eq_low32_mask(&words, 77), 0b0010);
-        assert_eq!(eq_low32_mask(&words, 4), 0);
-        assert_eq!(eq_low32_mask(&[], 1), 0);
-        // Odd lengths exercise the scalar tail.
-        for len in 0..=8usize {
-            let words: Vec<u64> = (0..len as u64).map(|i| packed(1, (i % 2) as u32)).collect();
-            let expect = words
-                .iter()
-                .enumerate()
-                .fold(0u32, |m, (i, &w)| m | (u32::from(w as u32 == 0) << i));
-            assert_eq!(eq_low32_mask(&words, 0), expect, "len {len}");
         }
     }
 }
