@@ -250,12 +250,13 @@ fn main() {
             let _ = writeln!(
                 io::stdout(),
                 "store: {} items, {} sets, {} evictions, {} expired, {} promotions, \
-                 {:.4} Multi-Get hit fraction, {:.0} chunk bytes per item",
+                 {} wanted admits, {:.4} Multi-Get hit fraction, {:.0} chunk bytes per item",
                 t.items,
                 t.sets,
                 t.evictions,
                 t.expired,
                 t.promotions,
+                t.wanted_admits,
                 t.mget_hits as f64 / t.mget_keys.max(1) as f64,
                 t.chunk_bytes as f64 / t.items.max(1) as f64,
             );

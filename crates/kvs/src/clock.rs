@@ -7,35 +7,52 @@
 //! the touch operation.
 //!
 //! That ring is the *main* queue here, behind a small probationary FIFO
-//! after S3-FIFO (Yang et al., SOSP '23, in its ghost-free form). A new
-//! item enters the FIFO's tail unreferenced. An eviction pops the FIFO's
-//! head: an item read since it arrived moves to the main ring, one that was
-//! not is the victim. The main ring's hand sweeps only while the FIFO
-//! holds under a tenth (`FIFO_SHARE`) of the tracked items, so a write
-//! that is never read leaves after one trip through the FIFO instead of
-//! surviving a full lap of the hand. Both queues share the one reference
-//! bitmap, so the read side is exactly CLOCK's.
+//! after S3-FIFO (Yang et al., SOSP '23). A new item enters the FIFO's
+//! tail. An eviction pops the FIFO's head: an item read since it arrived
+//! moves to the main ring, one that was not is the victim. The main ring's
+//! hand sweeps only while the FIFO holds under a tenth (`FIFO_SHARE`) of
+//! the tracked items, so a write that is never read leaves after one trip
+//! through the FIFO instead of surviving a full lap of the hand. Both
+//! queues share the one reference bitmap.
+//!
+//! # Read-miss admission
+//!
+//! In a look-aside cache a key's request and its insert are separate
+//! operations: a read misses, then the client writes the key. The read
+//! that missed is the evidence that the key is wanted, so it sets the
+//! key's bit in a **wanted filter** ([`Clock::want`]) — one bit per item
+//! of capacity, keyed by a remix of the key hash. A fresh
+//! [`Clock::admit`] takes its key's bit, and an item whose key was asked
+//! for enters the FIFO's tail already referenced: its pop promotes it. This
+//! is S3-FIFO's ghost queue in look-aside form, fed by readers only, so a
+//! write stream that re-inserts evicted keys does not admit itself. Every
+//! 64 evictions zero one filter word at a rotating cursor, so a want lapses
+//! after about as many evictions as the filter has bits, and keys missed
+//! but never written cannot saturate it.
 //!
 //! A replaced item hands its queue and reference bit ([`Standing`]) to the
-//! new item's [`Clock::admit`]. A removal from the FIFO leaves a tombstone
-//! that the pop skips, and the FIFO is compacted in place once tombstones
-//! outnumber live entries, so a warmed-up queue allocates nothing.
+//! new item's [`Clock::admit`], which leaves the filter alone. A removal
+//! from the FIFO leaves a tombstone that the pop skips, and the FIFO is
+//! compacted in place once tombstones outnumber live entries, so a
+//! warmed-up queue allocates nothing.
 //!
 //! # Reader-safe reference bits (seqlock read path)
 //!
 //! Reference bits are keyed by **item id** in a stable segmented atomic
 //! bitmap (word `id / 64`, bit `id % 64`), not by queue position in a
-//! growable `Vec`. [`Clock::touch`] therefore only ever dereferences
-//! storage that never moves, so lock-free optimistic readers (DESIGN.md
-//! §11) may call it concurrently with `admit`/`evict`/`remove` mutations.
-//! Relaxed ordering is sufficient: a reference bit is a cache-freshness
-//! *hint* — a lost or stale set only perturbs the eviction order, never
-//! correctness — and `admit` explicitly writes the bit, so a stale bit left
-//! by a racing touch on a dying id is erased when the id is recycled.
+//! growable `Vec`, and the wanted filter is allocated once, at its full
+//! size. [`Clock::touch`] and [`Clock::want`] therefore only ever
+//! dereference storage that never moves, so lock-free optimistic readers
+//! (DESIGN.md §11) may call them concurrently with `admit`/`evict`/`remove`
+//! mutations. Relaxed ordering is sufficient: both bits are cache-freshness
+//! *hints* — a lost or stale set only perturbs the eviction order, never
+//! correctness — and `admit` explicitly writes the reference bit, so a
+//! stale bit left by a racing touch on a dying id is erased when the id is
+//! recycled.
 
 use crate::seqlock::AtomicSegArray;
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `position` value of an id neither queue holds.
 const UNTRACKED: u32 = u32::MAX;
@@ -50,6 +67,11 @@ const TOMBSTONE: u32 = u32::MAX;
 /// The main ring sweeps only while the FIFO holds fewer than one in
 /// `FIFO_SHARE` tracked items.
 const FIFO_SHARE: usize = 10;
+/// The wanted filter's remix of a key hash: odd, and not the shard
+/// router's multiplier, whose top bits every key of one shard shares.
+const WANT_MUL: u32 = 0x85EB_CA6B;
+/// Evictions per wanted-filter word zeroed.
+const AGE_EVERY: u64 = 64;
 
 /// What [`Clock::evict_with`] removed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -78,8 +100,8 @@ pub struct Standing {
 /// drop the victim, and carrying it here means an eviction never reads the
 /// victim's slab chunk to re-hash its key (DESIGN.md §12). Per tracked id
 /// that is eight bytes of queue and four of `position`, plus the FIFO's
-/// tombstones.
-#[derive(Debug, Default)]
+/// tombstones; the wanted filter adds one bit per item of capacity.
+#[derive(Debug)]
 pub struct Clock {
     /// The FIFO, oldest first: live entries and the tombstones removals
     /// left. The entry at index `i` has sequence number `fifo_front + i`
@@ -97,8 +119,18 @@ pub struct Clock {
     /// By item id (dense ids assumed): [`IN_MAIN`] and the entry's ring
     /// index, or its FIFO sequence number; [`UNTRACKED`] for ids not held.
     position: Vec<u32>,
+    /// The wanted filter: bit `WANT_MUL * hash >> wanted_shift`, set by a
+    /// read that missed and taken by a fresh admit. Allocated zeroed once
+    /// and never moved — safe for racy `want` from optimistic readers.
+    wanted: Box<[AtomicU64]>,
+    /// `32 - log2(bits)`: the remixed hash's top bits name the bit.
+    wanted_shift: u32,
+    /// Evictions, ever: every [`AGE_EVERY`]-th zeroes the next filter word.
+    evictions: u64,
     /// FIFO entries moved to the main ring, ever.
     promotions: u64,
+    /// Fresh admits that found their key's wanted bit set, ever.
+    wanted_admits: u64,
 }
 
 #[inline(always)]
@@ -107,19 +139,41 @@ fn bit_of(item: u32) -> (usize, u64) {
 }
 
 impl Clock {
-    /// Create an empty pair of queues.
-    pub fn new() -> Self {
-        Self::default()
+    /// Create an empty pair of queues for a shard of `capacity_items`
+    /// items, whose wanted filter takes one bit per item, rounded up to a
+    /// power of two (64 at least).
+    pub fn new(capacity_items: usize) -> Self {
+        let bits = capacity_items.clamp(64, 1 << 31).next_power_of_two();
+        Self {
+            fifo: VecDeque::new(),
+            fifo_front: 0,
+            fifo_live: 0,
+            main: Vec::new(),
+            hand: 0,
+            referenced: AtomicSegArray::default(),
+            position: Vec::new(),
+            wanted: (0..bits / 64).map(|_| AtomicU64::new(0)).collect(),
+            wanted_shift: 32 - bits.trailing_zeros(),
+            evictions: 0,
+            promotions: 0,
+            wanted_admits: 0,
+        }
     }
 
     /// Track a new item and the hash of its key, which
     /// [`Clock::evict_with`] hands back. A fresh item (`None`) enters the
-    /// FIFO's tail unreferenced; the replacement of a removed item enters
-    /// the tail of the queue the old one left, with its reference bit.
+    /// FIFO's tail, referenced if and only if a read wanted its key
+    /// ([`Clock::want`]), whose bit it takes; the replacement of a removed
+    /// item enters the tail of the queue the old one left, with its
+    /// reference bit, and leaves the filter alone.
     pub fn admit(&mut self, item: u32, hash: u32, replaces: Option<Standing>) {
-        let standing = replaces.unwrap_or(Standing {
-            main: false,
-            referenced: false,
+        let standing = replaces.unwrap_or_else(|| {
+            let referenced = self.take_want(hash);
+            self.wanted_admits += u64::from(referenced);
+            Standing {
+                main: false,
+                referenced,
+            }
         });
         // The queue grows before `position` does, as it did when the ring
         // was one `Vec`: the order of the two buffers' reallocations sets
@@ -187,6 +241,33 @@ impl Clock {
         }
     }
 
+    /// Record that a read asked for the key of `hash` and did not find it
+    /// live, so its next fresh [`Clock::admit`] enters referenced. Takes
+    /// `&self` and touches only the filter, which never moves — safe from
+    /// lock-free readers, with [`Clock::touch`]'s test-before-set: a key
+    /// missed again and again keeps its filter line Shared.
+    pub fn want(&self, hash: u32) {
+        let (word, bit) = self.wanted_bit(hash);
+        let w = &self.wanted[word];
+        if w.load(Ordering::Relaxed) & bit == 0 {
+            w.fetch_or(bit, Ordering::Relaxed);
+        }
+    }
+
+    /// Clear `hash`'s wanted bit; whether it was set. The load first keeps
+    /// an admit that nobody asked for from writing the line.
+    fn take_want(&self, hash: u32) -> bool {
+        let (word, bit) = self.wanted_bit(hash);
+        let w = &self.wanted[word];
+        w.load(Ordering::Relaxed) & bit != 0 && w.fetch_and(!bit, Ordering::Relaxed) & bit != 0
+    }
+
+    #[inline(always)]
+    fn wanted_bit(&self, hash: u32) -> (usize, u64) {
+        let n = hash.wrapping_mul(WANT_MUL) >> self.wanted_shift;
+        ((n / 64) as usize, 1u64 << (n % 64))
+    }
+
     #[inline]
     fn test_and_clear(&self, item: u32) -> bool {
         let (word, bit) = bit_of(item);
@@ -216,8 +297,19 @@ impl Clock {
     /// promotes a referenced head to the main ring (clearing its bit) and
     /// goes on, or evicts an unreferenced one; a main sweep is classic
     /// CLOCK. Returns the removed entry and whether it was expired, `None`
-    /// when nothing is tracked.
+    /// when nothing is tracked. Every [`AGE_EVERY`]-th removal zeroes the
+    /// next word of the wanted filter.
     pub fn evict_with(&mut self, is_expired: impl Fn(u32) -> bool) -> Option<Victim> {
+        let victim = self.pick_victim(is_expired)?;
+        self.evictions += 1;
+        if self.evictions.is_multiple_of(AGE_EVERY) {
+            let word = (self.evictions / AGE_EVERY - 1) % self.wanted.len() as u64;
+            self.wanted[word as usize].store(0, Ordering::Relaxed);
+        }
+        Some(victim)
+    }
+
+    fn pick_victim(&mut self, is_expired: impl Fn(u32) -> bool) -> Option<Victim> {
         loop {
             if self.sweeps_main() {
                 return Some(self.sweep_main(&is_expired));
@@ -380,6 +472,12 @@ impl Clock {
         self.promotions
     }
 
+    /// Fresh admits that entered referenced because a read wanted their
+    /// key, since the queues were made.
+    pub(crate) fn wanted_admits(&self) -> u64 {
+        self.wanted_admits
+    }
+
     /// Items currently tracked, in both queues.
     pub fn len(&self) -> usize {
         self.fifo_live + self.main.len()
@@ -417,7 +515,7 @@ mod tests {
 
     #[test]
     fn evicts_unreferenced_first() {
-        let mut clock = Clock::new();
+        let mut clock = Clock::new(64);
         admit_fresh(&mut clock, 0..4);
         // Fresh admits are unreferenced: the FIFO's head goes first.
         assert_eq!(clock.evict(), Some(0));
@@ -429,7 +527,7 @@ mod tests {
 
     #[test]
     fn touch_protects_item() {
-        let mut clock = Clock::new();
+        let mut clock = Clock::new(64);
         admit_fresh(&mut clock, 0..3);
         assert_eq!(clock.evict(), Some(0));
         clock.touch(1);
@@ -440,7 +538,7 @@ mod tests {
 
     #[test]
     fn touch_sets_a_cleared_bit_and_leaves_a_set_one() {
-        let mut clock = Clock::new();
+        let mut clock = Clock::new(64);
         admit_fresh(&mut clock, 0..3);
         let bits = |c: &Clock| c.referenced.get(0).unwrap().load(Ordering::Relaxed);
         // Fresh admits enter unreferenced; a touch sets the bit, a second
@@ -466,13 +564,13 @@ mod tests {
 
     #[test]
     fn empty_queues_return_none() {
-        let mut clock = Clock::new();
+        let mut clock = Clock::new(64);
         assert_eq!(clock.evict(), None);
     }
 
     #[test]
     fn remove_untracks() {
-        let mut clock = Clock::new();
+        let mut clock = Clock::new(64);
         admit_fresh(&mut clock, [7, 8]);
         assert_eq!(
             clock.remove(7),
@@ -489,7 +587,7 @@ mod tests {
 
     #[test]
     fn evict_everything_eventually() {
-        let mut clock = Clock::new();
+        let mut clock = Clock::new(64);
         admit_fresh(&mut clock, 0..100);
         for i in (0..100).step_by(3) {
             clock.touch(i);
@@ -503,13 +601,13 @@ mod tests {
 
     #[test]
     fn touch_unknown_item_is_noop() {
-        let clock = Clock::new();
+        let clock = Clock::new(64);
         clock.touch(42); // must not panic
     }
 
     #[test]
     fn admit_after_evict_reuses_cleanly() {
-        let mut clock = Clock::new();
+        let mut clock = Clock::new(64);
         admit_fresh(&mut clock, [0, 1]);
         assert!(clock.evict().is_some());
         admit_fresh(&mut clock, [2]);
@@ -524,7 +622,7 @@ mod tests {
 
     #[test]
     fn main_ring_sweeps_only_while_the_fifo_is_under_its_share() {
-        let mut clock = Clock::new();
+        let mut clock = Clock::new(64);
         // Twenty read items, promoted one per pop past the unread ones.
         admit_fresh(&mut clock, 0..40);
         for i in (0..40).step_by(2) {
@@ -552,7 +650,7 @@ mod tests {
 
     #[test]
     fn a_replacement_inherits_queue_and_bit() {
-        let mut clock = Clock::new();
+        let mut clock = Clock::new(64);
         admit_fresh(&mut clock, 0..3);
         clock.touch(0);
         assert_eq!(clock.evict(), Some(1)); // 0 promoted
@@ -587,7 +685,7 @@ mod tests {
 
     #[test]
     fn evict_with_reclaims_expired_before_live_victims() {
-        let mut clock = Clock::new();
+        let mut clock = Clock::new(64);
         admit_fresh(&mut clock, 0..4);
         for i in 0..4 {
             clock.touch(i);
@@ -611,7 +709,7 @@ mod tests {
 
     #[test]
     fn stale_touch_bit_is_erased_by_readmit() {
-        let mut clock = Clock::new();
+        let mut clock = Clock::new(64);
         admit_fresh(&mut clock, [5]);
         clock.remove(5);
         // A racing reader may touch a just-removed id; the stale bit must
@@ -623,7 +721,7 @@ mod tests {
 
     #[test]
     fn tombstones_are_skipped_and_compacted_away() {
-        let mut clock = Clock::new();
+        let mut clock = Clock::new(64);
         admit_fresh(&mut clock, 0..8);
         for i in [1, 2, 5] {
             clock.remove(i);
@@ -655,19 +753,125 @@ mod tests {
         assert!(clock.is_empty() && clock.fifo.is_empty());
     }
 
+    #[test]
+    fn a_wanted_key_enters_referenced_and_is_promoted_at_its_pop() {
+        let mut clock = Clock::new(64);
+        // A read asked for 0's key before 0 existed.
+        clock.want(h(0));
+        admit_fresh(&mut clock, 0..3);
+        assert_eq!(clock.wanted_admits(), 1);
+        // The pop promotes 0 without a touch, and 1 is the victim.
+        assert_eq!(clock.evict(), Some(1));
+        assert_eq!(clock.promotions(), 1);
+        let order: Vec<u32> = clock.iter().map(|(i, _)| i).collect();
+        assert_eq!(order, [2, 0]);
+    }
+
+    #[test]
+    fn the_take_clears_the_want_so_a_second_admit_enters_unreferenced() {
+        let mut clock = Clock::new(64);
+        clock.want(h(5));
+        clock.admit(5, h(5), None);
+        // The key is deleted and written again: nobody asked in between.
+        clock.remove(5);
+        clock.admit(6, h(5), None);
+        admit_fresh(&mut clock, [7]);
+        assert_eq!(clock.wanted_admits(), 1);
+        assert_eq!(clock.evict(), Some(6));
+        assert_eq!(clock.promotions(), 0);
+    }
+
+    #[test]
+    fn a_replace_ignores_the_filter() {
+        let mut clock = Clock::new(64);
+        admit_fresh(&mut clock, [3, 11]);
+        clock.want(h(10));
+        // 10 replaces unreferenced 3: it inherits 3's clear bit, and the
+        // want stays for the key's next fresh admit.
+        let standing = clock.remove(3);
+        clock.admit(10, h(10), standing);
+        assert_eq!(clock.wanted_admits(), 0);
+        assert_eq!(clock.evict(), Some(11));
+        assert_eq!(clock.evict(), Some(10));
+        clock.admit(12, h(10), None);
+        assert_eq!(clock.wanted_admits(), 1);
+        // 12, wanted, is promoted on the way to 13.
+        admit_fresh(&mut clock, [13]);
+        assert_eq!(clock.evict(), Some(13));
+        assert_eq!(clock.promotions(), 1);
+    }
+
+    #[test]
+    fn a_want_lapses_after_as_many_evictions_as_the_filter_has_bits() {
+        const BITS: usize = 256;
+        for before in [0, 1, 63, 64, 100, 200] {
+            let mut clock = Clock::new(BITS);
+            admit_fresh(&mut clock, 0..600);
+            for _ in 0..before {
+                clock.evict();
+            }
+            // One wanted key in each word of the filter.
+            let in_word = |word| (0..).map(h).find(|&x| clock.wanted_bit(x).0 == word);
+            let hashes: Vec<u32> = (0..BITS / 64).filter_map(in_word).collect();
+            let wanted = |c: &Clock| {
+                let set = |&&x: &&u32| {
+                    let (word, bit) = c.wanted_bit(x);
+                    c.wanted[word].load(Ordering::Relaxed) & bit != 0
+                };
+                hashes.iter().filter(set).count()
+            };
+            for &x in &hashes {
+                clock.want(x);
+            }
+            for _ in 0..BITS - 64 {
+                clock.evict();
+            }
+            assert!(wanted(&clock) > 0, "{before}: every want lapsed early");
+            for _ in 0..64 {
+                clock.evict();
+            }
+            assert_eq!(wanted(&clock), 0, "{before}: a want outlived its lap");
+            for (n, &x) in hashes.iter().enumerate() {
+                clock.admit(1000 + n as u32, x, None);
+            }
+            assert_eq!(clock.wanted_admits(), 0, "{before}");
+        }
+    }
+
     /// The obvious pair of queues: reference bits inline, no position
     /// table, no tombstones (a `VecDeque` of live entries), linear search
     /// on remove. The main ring keeps the real one's slot discipline —
     /// swap-remove, and a push that puts the new entry at the hand and the
-    /// entry it displaces at the end — because victims depend on it.
+    /// entry it displaces at the end — because victims depend on it. The
+    /// wanted filter is a `bool` per slot, aged a 64-slot run at a time.
     #[derive(Default)]
     struct Model {
         fifo: VecDeque<(u32, u32, bool)>,
         ring: Vec<(u32, u32, bool)>,
         hand: usize,
+        wanted: Vec<bool>,
+        evictions: usize,
+        wanted_admits: u64,
     }
 
     impl Model {
+        fn new(bits: usize) -> Self {
+            Model {
+                wanted: vec![false; bits],
+                ..Model::default()
+            }
+        }
+
+        fn slot(&self, hash: u32) -> usize {
+            let log2 = self.wanted.len().trailing_zeros();
+            (hash.wrapping_mul(WANT_MUL) >> (32 - log2)) as usize
+        }
+
+        fn want(&mut self, hash: u32) {
+            let slot = self.slot(hash);
+            self.wanted[slot] = true;
+        }
+
         fn len(&self) -> usize {
             self.fifo.len() + self.ring.len()
         }
@@ -688,9 +892,14 @@ mod tests {
         }
 
         fn admit(&mut self, item: u32, standing: Option<Standing>) {
-            let s = standing.unwrap_or(Standing {
-                main: false,
-                referenced: false,
+            let s = standing.unwrap_or_else(|| {
+                let slot = self.slot(h(item));
+                let referenced = std::mem::take(&mut self.wanted[slot]);
+                self.wanted_admits += u64::from(referenced);
+                Standing {
+                    main: false,
+                    referenced,
+                }
             });
             if s.main {
                 self.push_main((item, h(item), s.referenced));
@@ -737,6 +946,17 @@ mod tests {
         }
 
         fn evict_with(&mut self, is_expired: impl Fn(u32) -> bool) -> Option<Victim> {
+            let victim = self.pick_victim(is_expired)?;
+            self.evictions += 1;
+            if self.evictions.is_multiple_of(64) {
+                let runs = self.wanted.len() / 64;
+                let run = (self.evictions / 64 - 1) % runs;
+                self.wanted[64 * run..64 * (run + 1)].fill(false);
+            }
+            Some(victim)
+        }
+
+        fn pick_victim(&mut self, is_expired: impl Fn(u32) -> bool) -> Option<Victim> {
             loop {
                 if self.sweeps_main() {
                     loop {
@@ -791,6 +1011,16 @@ mod tests {
         let got: Vec<(u32, u32, bool)> = clock.iter().map(|(i, hash)| (i, hash, bit(i))).collect();
         let want: Vec<(u32, u32, bool)> = model.fifo.iter().chain(&model.ring).copied().collect();
         assert_eq!(got, want, "{at}: queue contents");
+        // The wanted filter, slot by slot, and what the admits took of it.
+        let wanted: Vec<bool> = (0..model.wanted.len())
+            .map(|n| clock.wanted[n / 64].load(Ordering::Relaxed) >> (n % 64) & 1 != 0)
+            .collect();
+        assert_eq!(wanted, model.wanted, "{at}: wanted filter");
+        assert_eq!(
+            clock.wanted_admits(),
+            model.wanted_admits,
+            "{at}: wanted admits"
+        );
         // `position` and the queues name each other, and nothing else.
         for (n, &(item, _)) in clock.fifo.iter().enumerate() {
             if item != TOMBSTONE {
@@ -836,7 +1066,9 @@ mod tests {
                 z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
                 z ^ (z >> 31)
             };
-            let (mut clock, mut model) = (Clock::new(), Model::default());
+            // Four filter words, so the aging cursor wraps every 256
+            // evictions; 48 ids share their slots now and then.
+            let (mut clock, mut model) = (Clock::new(256), Model::new(256));
             assert_matches_model(&clock, &model, "empty queues");
             for op in 0..4000 {
                 let item = (rng() % IDS) as u32;
@@ -850,11 +1082,16 @@ mod tests {
                             model.admit(item, None);
                         }
                     }
-                    3 | 4 => {
+                    3 => {
                         clock.touch(item);
                         if let Some(e) = model.entry(item) {
                             e.2 = true;
                         }
+                    }
+                    // A read that missed `item`'s key, tracked or not.
+                    4 => {
+                        clock.want(h(item));
+                        model.want(h(item));
                     }
                     5 => {
                         assert_eq!(clock.remove(item), model.remove(item), "{at}: remove");
@@ -887,12 +1124,13 @@ mod tests {
                 assert_matches_model(&clock, &model, &at);
             }
             assert!(clock.promotions() > 0, "seed {seed}: nothing promoted");
+            assert!(clock.wanted_admits() > 0, "seed {seed}: no wanted admit");
         }
     }
 
     #[test]
     fn look_ahead_wraps_on_rings_of_none_and_one() {
-        let mut clock = Clock::new();
+        let mut clock = Clock::new(64);
         assert_eq!(clock.ahead(0), None);
         assert_eq!(clock.ahead(17), None);
         // The FIFO is read from its head and does not wrap.

@@ -30,9 +30,13 @@
 //! ## Shutdown / drain
 //!
 //! [`Kvsd::shutdown`] stops accepting, then half-closes the read side of
-//! every live connection. Either loop finishes the requests it has already
-//! read, flushes their responses, and closes — no request that reached the
-//! server is dropped. A connection accepted while the drain starts is
+//! every live connection. Either loop reads what the socket had queued at
+//! the half-close, answers those requests, flushes their responses, and
+//! closes. Request bytes that reach the socket after the half-close are
+//! never read: those requests are neither executed nor answered, and the
+//! close is a clean one, so a client that is still sending when the drain
+//! starts cannot tell them from requests sent to a closed server. A
+//! connection accepted while the drain starts is
 //! half-closed with the rest or never served: the accept thread registers
 //! it under the lock the drain walks and re-checks the shutdown flag there.
 //!

@@ -62,9 +62,11 @@
 //! * **drain** — the shell half-closes every read side
 //!   ([`crate::kvsd::Kvsd::shutdown`]), then closes the reactors'
 //!   inboxes; reactors finish decoding what is buffered, dispatch the
-//!   final batch, flush every connection, and close it — no request that
-//!   reached the server is dropped, unless its client stops reading the
-//!   answers for the stall grace.
+//!   final batch, flush every connection, and close it. Every request
+//!   whose bytes the socket had queued at the half-close is answered,
+//!   unless its client stops reading the answers for the stall grace;
+//!   bytes that arrive after the half-close are never read, so their
+//!   requests go unexecuted and unanswered behind a clean close.
 
 pub mod poller;
 

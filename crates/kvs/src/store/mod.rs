@@ -345,6 +345,9 @@ pub struct ShardStats {
     pub evictions: u64,
     /// Items moved from the probationary FIFO to the main CLOCK ring here.
     pub promotions: u64,
+    /// Fresh items admitted referenced here because a read had missed
+    /// their key (read-miss admission, [`Clock::want`]).
+    pub wanted_admits: u64,
     /// Multi-Get keys probed here.
     pub mget_keys: u64,
     /// Multi-Get keys found here.
@@ -370,6 +373,7 @@ impl ShardStats {
         self.deletes += other.deletes;
         self.evictions += other.evictions;
         self.promotions += other.promotions;
+        self.wanted_admits += other.wanted_admits;
         self.mget_keys += other.mget_keys;
         self.mget_hits += other.mget_hits;
         self.cas_ok += other.cas_ok;
@@ -380,7 +384,10 @@ impl ShardStats {
     }
 }
 
+/// On lines of their own: every Multi-Get `fetch_add`s `mget_keys` and
+/// `mget_hits`, and no field added to [`Shard`] moves what shares them.
 #[derive(Default)]
+#[repr(align(64))]
 struct ShardCounters {
     sets: AtomicU64,
     deletes: AtomicU64,
@@ -393,6 +400,9 @@ struct ShardCounters {
     expired: AtomicU64,
 }
 
+/// Line-aligned, so the lock words before it in [`ShardSlot`] keep a line
+/// of their own whatever its fields are.
+#[repr(align(64))]
 struct Shard {
     slab: SlabAllocator,
     items: ItemTable,
@@ -421,6 +431,10 @@ const _: () = {
 /// [`ShardSlot::racy`] is the one doorway around it, handing out a
 /// [`RacyShard`] whose accessors are only trustworthy under the seqlock
 /// validation protocol.
+///
+/// `seq` and `lock` share the slot's first cache line and nothing else:
+/// [`Shard`] and [`ShardCounters`] are both line-aligned.
+#[repr(C)]
 struct ShardSlot {
     /// Even/odd shard version: odd while a writer holds the write lock.
     seq: SeqCount,
@@ -578,9 +592,14 @@ trait ShardView {
     /// copy (never under the lock).
     fn confirm(&self, cand: u32, word: u64) -> Option<u64>;
 
-    /// Atomic CLOCK touch ([`Clock::touch`]) — the one shared-state write
-    /// the optimistic path performs.
+    /// Atomic CLOCK touch ([`Clock::touch`]) — with [`ShardView::want`],
+    /// the shared-state writes the optimistic path performs.
     fn touch(&self, item: u32);
+
+    /// Record a read that found no live item for `hash` in the wanted
+    /// filter ([`Clock::want`]). A hint: one recorded by an attempt that is
+    /// rolled back is harmless.
+    fn want(&self, hash: u32);
 
     /// The tag/hash-collision slow path (MemC3): verify every index
     /// candidate for `q.hash` after the first one's full key mismatched.
@@ -635,6 +654,10 @@ impl ShardView for ShardReadGuard<'_> {
 
     fn touch(&self, item: u32) {
         self.clock.touch(item);
+    }
+
+    fn want(&self, hash: u32) {
+        self.clock.want(hash);
     }
 
     fn collide(&self, q: &mut Query<'_>, hit: &mut impl FnMut(u32, &[u8])) -> Probe {
@@ -718,6 +741,12 @@ impl ShardView for RacyShard<'_> {
     fn touch(&self, item: u32) {
         // SAFETY: call-scoped reference; the bitmap is atomic and stable.
         unsafe { (*self.slot.shard.get()).clock.touch(item) }
+    }
+
+    fn want(&self, hash: u32) {
+        // SAFETY: call-scoped reference; the filter is atomic and is never
+        // reallocated.
+        unsafe { (*self.slot.shard.get()).clock.want(hash) }
     }
 
     /// Take the shard lock for this one key (the rest of the pass stays
@@ -951,7 +980,7 @@ impl KvStore {
                     slab: SlabAllocator::new(per_budget),
                     items: ItemTable::new(),
                     index: make_index(per_capacity),
-                    clock: Clock::new(),
+                    clock: Clock::new(per_capacity),
                     ids: Vec::new(),
                 }),
                 counters: ShardCounters::default(),
@@ -1103,6 +1132,7 @@ impl KvStore {
                     deletes: s.counters.deletes.load(Ordering::Relaxed),
                     evictions: s.counters.evictions.load(Ordering::Relaxed),
                     promotions: g.clock.promotions(),
+                    wanted_admits: g.clock.wanted_admits(),
                     mget_keys: s.counters.mget_keys.load(Ordering::Relaxed),
                     mget_hits: s.counters.mget_hits.load(Ordering::Relaxed),
                     cas_ok: s.counters.cas_ok.load(Ordering::Relaxed),
@@ -1460,6 +1490,9 @@ impl KvStore {
         };
         let probe = validated(view, &mut out, attempt, |out| *out = None)?;
         let (found, expired) = (probe == Probe::Hit, probe == Probe::Expired);
+        if !found {
+            view.want(hash);
+        }
         Self::count_reads(slot, 1, found.into(), expired.into());
         Some(out)
     }
@@ -1699,9 +1732,13 @@ impl KvStore {
                     Probe::Hit => out.found += 1,
                     Probe::Expired => {
                         out.expired += 1;
+                        view.want(q.hash);
                         resp.push_miss(i);
                     }
-                    Probe::Miss => resp.push_miss(i),
+                    Probe::Miss => {
+                        view.want(q.hash);
+                        resp.push_miss(i);
+                    }
                     Probe::Torn => {
                         torn = true;
                         break;
@@ -1843,6 +1880,21 @@ impl Shard {
 mod tests {
     use super::*;
     use crate::index::{by_short_name, Memc3Index, SimdIndex, SimdIndexKind};
+
+    #[test]
+    fn the_lock_words_and_the_counters_keep_lines_of_their_own() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!(align_of::<ShardCounters>(), 64);
+        assert_eq!(align_of::<ShardSlot>(), 64);
+        let seq_end = offset_of!(ShardSlot, seq) + size_of::<SeqCount>();
+        let lock_end = offset_of!(ShardSlot, lock) + size_of::<RwLock<()>>();
+        assert!(
+            seq_end <= 64 && lock_end <= 64,
+            "the lock words span two lines"
+        );
+        assert_eq!(offset_of!(ShardSlot, shard), 64);
+        assert_eq!(offset_of!(ShardSlot, counters) % 64, 0);
+    }
 
     pub(super) fn stores(capacity: usize) -> Vec<KvStore> {
         let cfg = StoreConfig {

@@ -19,6 +19,11 @@
 //! 32 write requests and counts a miss as a wrong answer, so the stream
 //! ends by checking that those 512 keys are all resident.
 //!
+//! Read-miss admission gets two tests of its own: a replayed ring of reads
+//! (the benchmark client's shape) whose keys the slab can hold is held
+//! whole once written, and misses on keys nobody writes leave no lasting
+//! trace once a filter's worth of evictions has passed.
+//!
 //! `hit_rate_table` (ignored; `cargo test --release -p simdht-kvs --test
 //! eviction_policy -- --ignored --nocapture`) prints the hit rate over a
 //! grid of skews and slab sizes at eight times the key count.
@@ -28,6 +33,7 @@ use rand::{Rng, SeedableRng};
 use simdht_kvs::index::by_short_name;
 use simdht_kvs::store::{KvStore, MGetResponse, SetMultiBatch, StoreConfig};
 use simdht_workload::{AccessPattern, RankSampler};
+use std::collections::HashSet;
 
 const VALUE_LEN: usize = 256;
 const WIDTH: usize = 16;
@@ -41,12 +47,20 @@ struct Stream {
     theta: f64,
     memory_budget: usize,
     seed: u64,
+    /// Read requests in a ring the reads replay, as `wire_mixed`'s client
+    /// does; 0 draws every read afresh.
+    ring: usize,
 }
 
 /// What a run measured.
 #[derive(Debug)]
 struct Outcome {
     hit_frac: f64,
+    /// The hit rate of the reads during each write pass: `[n]` counts the
+    /// reads made while the sweep wrote its `n`-th round of every key.
+    per_pass: [f64; 3],
+    /// Distinct keys the replayed ring names (0 without a ring).
+    read_set: usize,
     resident: usize,
     /// Keys of the last [`READBACK_WRITES`] write requests that missed.
     readback_misses: usize,
@@ -85,8 +99,16 @@ fn run(s: Stream) -> Outcome {
     let mut rng = StdRng::seed_from_u64(s.seed);
     let offset = rng.gen_range(0..s.keys);
     let sweep = |n: u64| ((n % s.keys) * 2_246_822_519 + offset) % s.keys;
+    let draw = |rng: &mut StdRng| -> Vec<u64> {
+        (0..WIDTH)
+            .map(|_| (ranks.sample(rng) as u64 * 2_654_435_761) % s.keys)
+            .collect()
+    };
+    let ring: Vec<Vec<u64>> = (0..s.ring).map(|_| draw(&mut rng)).collect();
+    let mut replayed = ring.iter().cycle();
     let mut resp = MGetResponse::new();
     let (mut written, mut asked, mut found) = (0u64, 0u64, 0u64);
+    let mut per_pass = [(0u64, 0u64); 3];
     let mut recent: Vec<Vec<u64>> = Vec::new();
     while written < 3 * s.keys {
         if rng.gen_bool(0.5) {
@@ -98,11 +120,13 @@ fn run(s: Stream) -> Outcome {
                 recent.remove(0);
             }
         } else {
-            let keys: Vec<Vec<u8>> = (0..WIDTH)
-                .map(|_| key((ranks.sample(&mut rng) as u64 * 2_654_435_761) % s.keys))
-                .collect();
+            let ids = replayed.next().cloned().unwrap_or_else(|| draw(&mut rng));
+            let keys: Vec<Vec<u8>> = ids.iter().map(|&id| key(id)).collect();
             let refs: Vec<&[u8]> = keys.iter().map(|k| &k[..]).collect();
             let hits = store.mget(&refs, &mut resp).found as u64;
+            let pass = &mut per_pass[(written / s.keys) as usize];
+            pass.0 += WIDTH as u64;
+            pass.1 += hits;
             if written >= s.keys {
                 asked += WIDTH as u64;
                 found += hits;
@@ -115,6 +139,8 @@ fn run(s: Stream) -> Outcome {
     assert!(store.totals().evictions > 0, "{s:?}: the slab never filled");
     Outcome {
         hit_frac: found as f64 / asked as f64,
+        per_pass: per_pass.map(|(asked, found)| found as f64 / asked.max(1) as f64),
+        read_set: ring.iter().flatten().collect::<HashSet<_>>().len(),
         resident: store.len(),
         readback_misses: refs.len() - hits,
     }
@@ -128,6 +154,7 @@ fn small(seed: u64) -> Stream {
         theta: 0.99,
         memory_budget: 4 << 20,
         seed,
+        ring: 0,
     }
 }
 
@@ -172,6 +199,7 @@ fn hit_rate_table() {
                 theta,
                 memory_budget: mib << 20,
                 seed: 41,
+                ring: 0,
             });
             assert_eq!(out.readback_misses, 0, "θ {theta}, {mib} MiB");
             println!(
@@ -181,4 +209,98 @@ fn hit_rate_table() {
             );
         }
     }
+}
+
+/// Chunks the 4 MiB slab of [`small`] holds.
+const SMALL_SLAB_ITEMS: usize = 14_560;
+
+#[test]
+fn a_key_read_while_absent_is_kept_once_written() {
+    // 64 Ki keys, the 4 MiB slab holding 22 % of them. The reads replay a
+    // ring of 1280 Multi-Gets, as `wire_mixed`'s client replays its own:
+    // about 7300 distinct keys, half the slab. A key the ring asks for
+    // while the sweep has evicted it misses, and the sweep's next write of
+    // it enters referenced, so by the third write pass the slab holds the
+    // whole read set. Without read-miss admission a written key reached
+    // the main ring only if a read hit it in its trip through the FIFO,
+    // and this stream read 0.90–0.94 in the third pass.
+    for seed in [41, 42, 43] {
+        let out = run(Stream {
+            keys: 1 << 16,
+            ring: 1280,
+            ..small(seed)
+        });
+        assert!(
+            out.read_set < SMALL_SLAB_ITEMS * 6 / 10,
+            "seed {seed}: the ring names {} keys",
+            out.read_set
+        );
+        assert!(
+            out.per_pass[2] >= 0.98,
+            "seed {seed}: hit rate {:.4} in the third write pass ({} keys read)",
+            out.per_pass[2],
+            out.read_set
+        );
+        assert_eq!(
+            out.readback_misses, 0,
+            "seed {seed}: keys of the last {READBACK_WRITES} writes were evicted"
+        );
+    }
+}
+
+#[test]
+fn keys_missed_but_never_written_do_not_saturate_the_filter() {
+    // Index capacity 16 Ki items, so a 16 Ki-bit wanted filter, against a
+    // slab of 14 560 chunks.
+    const CAPACITY: u64 = 1 << 14;
+    let store = KvStore::new(
+        by_short_name("memc3", CAPACITY as usize).expect("known index"),
+        StoreConfig {
+            memory_budget: 4 << 20,
+            capacity_items: CAPACITY as usize,
+            shards: 1,
+            ..StoreConfig::default()
+        },
+    );
+    let value = vec![0x5Au8; VALUE_LEN];
+    let mut batch = SetMultiBatch::new();
+    let mut next = 0u64;
+    let mut write_batch = || {
+        let keys: Vec<Vec<u8>> = (next..next + WIDTH as u64).map(key).collect();
+        next += WIDTH as u64;
+        let pairs: Vec<(&[u8], &[u8])> = keys.iter().map(|k| (&k[..], &value[..])).collect();
+        assert_eq!(store.set_multi(&pairs, &mut batch).stored, WIDTH);
+    };
+    while store.totals().evictions == 0 {
+        write_batch();
+    }
+    // Readers ask for ten capacities of keys that nobody writes.
+    let mut resp = MGetResponse::new();
+    let absent: Vec<Vec<u8>> = (0..10 * CAPACITY).map(|n| key(1 << 40 | n)).collect();
+    for keys in absent.chunks(WIDTH) {
+        let refs: Vec<&[u8]> = keys.iter().map(|k| &k[..]).collect();
+        assert_eq!(store.mget(&refs, &mut resp).found, 0);
+    }
+    // The writes that follow find the filter saturated, and enter
+    // referenced, until a capacity of evictions has aged every word.
+    let (evictions, admits) = (store.totals().evictions, store.totals().wanted_admits);
+    while store.totals().evictions < evictions + CAPACITY {
+        write_batch();
+    }
+    let saturated = store.totals().wanted_admits - admits;
+    assert!(
+        saturated > CAPACITY / 4,
+        "only {saturated} writes found the saturated filter's bits"
+    );
+    // Then fresh keys are admitted unreferenced again.
+    let admits = store.totals().wanted_admits;
+    let fresh = 4096;
+    for _ in 0..fresh / WIDTH {
+        write_batch();
+    }
+    let late = store.totals().wanted_admits - admits;
+    assert!(
+        late * 100 <= fresh as u64,
+        "{late} of {fresh} fresh keys entered referenced after the wants lapsed"
+    );
 }

@@ -22,7 +22,8 @@ use simdht_kvs::store::{KvStore, MGetResponse, StoreConfig};
 /// one index, one pair of eviction queues. Mirrors `KvStore`'s per-shard
 /// logic exactly (replace-then-insert with the old item's queue and
 /// reference bit handed to the new one, evict-on-pressure in both the slab
-/// and index loops, verify-against-slab on lookup, CLOCK touch on hit).
+/// and index loops, verify-against-slab on lookup, CLOCK touch on hit,
+/// a want on miss).
 struct Baseline {
     slab: SlabAllocator,
     items: ItemTable,
@@ -37,7 +38,7 @@ impl Baseline {
             slab: SlabAllocator::new(budget),
             items: ItemTable::new(),
             index: by_short_name(which, capacity).expect("known index"),
-            clock: Clock::new(),
+            clock: Clock::new(capacity),
             evictions: 0,
         }
     }
@@ -133,6 +134,11 @@ impl Baseline {
                     }
                 }
             }
+        }
+        if resolved.is_none() {
+            // A miss marks the key wanted, so its next fresh insert enters
+            // the FIFO referenced.
+            self.clock.want(hash);
         }
         resolved.map(|(item, r)| {
             self.clock.touch(item);
