@@ -19,16 +19,23 @@
 //!
 //! In a look-aside cache a key's request and its insert are separate
 //! operations: a read misses, then the client writes the key. The read
-//! that missed is the evidence that the key is wanted, so it sets the
-//! key's bit in a **wanted filter** ([`Clock::want`]) — one bit per item
-//! of capacity, keyed by a remix of the key hash. A fresh
-//! [`Clock::admit`] takes its key's bit, and an item whose key was asked
-//! for enters the FIFO's tail already referenced: its pop promotes it. This
-//! is S3-FIFO's ghost queue in look-aside form, fed by readers only, so a
-//! write stream that re-inserts evicted keys does not admit itself. Every
-//! 64 evictions zero one filter word at a rotating cursor, so a want lapses
-//! after about as many evictions as the filter has bits, and keys missed
-//! but never written cannot saturate it.
+//! that missed is the evidence that the key is wanted, so it writes an
+//! 8-bit tag of the key into a slot of the **wanted filter**
+//! ([`Clock::want`]) — one byte per eight items of capacity, slot and tag
+//! both taken from a remix of the key hash. A fresh [`Clock::admit`] whose
+//! key's tag sits in its slot takes it, and the item enters the FIFO's
+//! tail already referenced: its pop promotes it. This is S3-FIFO's ghost
+//! queue in look-aside form, fed by readers only, so a write stream that
+//! re-inserts evicted keys does not admit itself.
+//!
+//! A later want for another key of the slot overwrites the tag, so a full
+//! filter remembers the latest misses, and an admit whose key nobody asked
+//! for matches a stranger's tag about one time in 255 however many keys
+//! were missed. A filter of bits would not have that bound: each miss sets a
+//! bit that any key sharing it takes as its own, and a steady stream of
+//! misses on keys nobody writes would leave most bits set, promoting most
+//! fresh writes. Every 8 evictions zero one slot at a rotating cursor, so
+//! a want lapses after about as many evictions as the filter has bits.
 //!
 //! A replaced item hands its queue and reference bit ([`Standing`]) to the
 //! new item's [`Clock::admit`], which leaves the filter alone. A removal
@@ -44,15 +51,15 @@
 //! size. [`Clock::touch`] and [`Clock::want`] therefore only ever
 //! dereference storage that never moves, so lock-free optimistic readers
 //! (DESIGN.md §11) may call them concurrently with `admit`/`evict`/`remove`
-//! mutations. Relaxed ordering is sufficient: both bits are cache-freshness
-//! *hints* — a lost or stale set only perturbs the eviction order, never
-//! correctness — and `admit` explicitly writes the reference bit, so a
-//! stale bit left by a racing touch on a dying id is erased when the id is
-//! recycled.
+//! mutations. Relaxed ordering is sufficient: the bit and the tag are
+//! cache-freshness *hints* — a lost or stale write only perturbs the
+//! eviction order, never correctness — and `admit` explicitly writes the
+//! reference bit, so a stale bit left by a racing touch on a dying id is
+//! erased when the id is recycled.
 
 use crate::seqlock::AtomicSegArray;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 
 /// `position` value of an id neither queue holds.
 const UNTRACKED: u32 = u32::MAX;
@@ -70,8 +77,9 @@ const FIFO_SHARE: usize = 10;
 /// The wanted filter's remix of a key hash: odd, and not the shard
 /// router's multiplier, whose top bits every key of one shard shares.
 const WANT_MUL: u32 = 0x85EB_CA6B;
-/// Evictions per wanted-filter word zeroed.
-const AGE_EVERY: u64 = 64;
+/// Evictions per wanted-filter slot zeroed: a lap of the cursor takes as
+/// many evictions as the filter has bits.
+const AGE_EVERY: u64 = 8;
 
 /// What [`Clock::evict_with`] removed.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -100,7 +108,7 @@ pub struct Standing {
 /// drop the victim, and carrying it here means an eviction never reads the
 /// victim's slab chunk to re-hash its key (DESIGN.md §12). Per tracked id
 /// that is eight bytes of queue and four of `position`, plus the FIFO's
-/// tombstones; the wanted filter adds one bit per item of capacity.
+/// tombstones; the wanted filter adds one byte per eight items of capacity.
 #[derive(Debug)]
 pub struct Clock {
     /// The FIFO, oldest first: live entries and the tombstones removals
@@ -119,17 +127,19 @@ pub struct Clock {
     /// By item id (dense ids assumed): [`IN_MAIN`] and the entry's ring
     /// index, or its FIFO sequence number; [`UNTRACKED`] for ids not held.
     position: Vec<u32>,
-    /// The wanted filter: bit `WANT_MUL * hash >> wanted_shift`, set by a
-    /// read that missed and taken by a fresh admit. Allocated zeroed once
-    /// and never moved — safe for racy `want` from optimistic readers.
-    wanted: Box<[AtomicU64]>,
-    /// `32 - log2(bits)`: the remixed hash's top bits name the bit.
+    /// The wanted filter: slot `WANT_MUL * hash >> wanted_shift` holds the
+    /// tag (the remix's low byte, 0 mapped to 1) of the key a read last
+    /// missed there, until a fresh admit of that key takes it; 0 is empty.
+    /// Allocated zeroed once and never moved — safe for racy `want` from
+    /// optimistic readers.
+    wanted: Box<[AtomicU8]>,
+    /// `32 - log2(slots)`: the remixed hash's top bits name the slot.
     wanted_shift: u32,
-    /// Evictions, ever: every [`AGE_EVERY`]-th zeroes the next filter word.
+    /// Evictions, ever: every [`AGE_EVERY`]-th zeroes the next filter slot.
     evictions: u64,
     /// FIFO entries moved to the main ring, ever.
     promotions: u64,
-    /// Fresh admits that found their key's wanted bit set, ever.
+    /// Fresh admits that found their key's tag in the wanted filter, ever.
     wanted_admits: u64,
 }
 
@@ -140,10 +150,11 @@ fn bit_of(item: u32) -> (usize, u64) {
 
 impl Clock {
     /// Create an empty pair of queues for a shard of `capacity_items`
-    /// items, whose wanted filter takes one bit per item, rounded up to a
-    /// power of two (64 at least).
+    /// items, whose wanted filter takes one byte per eight items, rounded
+    /// up to a power of two (8 bytes at least).
     pub fn new(capacity_items: usize) -> Self {
         let bits = capacity_items.clamp(64, 1 << 31).next_power_of_two();
+        let slots = bits / 8;
         Self {
             fifo: VecDeque::new(),
             fifo_front: 0,
@@ -152,8 +163,8 @@ impl Clock {
             hand: 0,
             referenced: AtomicSegArray::default(),
             position: Vec::new(),
-            wanted: (0..bits / 64).map(|_| AtomicU64::new(0)).collect(),
-            wanted_shift: 32 - bits.trailing_zeros(),
+            wanted: (0..slots).map(|_| AtomicU8::new(0)).collect(),
+            wanted_shift: 32 - slots.trailing_zeros(),
             evictions: 0,
             promotions: 0,
             wanted_admits: 0,
@@ -163,7 +174,7 @@ impl Clock {
     /// Track a new item and the hash of its key, which
     /// [`Clock::evict_with`] hands back. A fresh item (`None`) enters the
     /// FIFO's tail, referenced if and only if a read wanted its key
-    /// ([`Clock::want`]), whose bit it takes; the replacement of a removed
+    /// ([`Clock::want`]), whose tag it takes; the replacement of a removed
     /// item enters the tail of the queue the old one left, with its
     /// reference bit, and leaves the filter alone.
     pub fn admit(&mut self, item: u32, hash: u32, replaces: Option<Standing>) {
@@ -242,30 +253,37 @@ impl Clock {
     }
 
     /// Record that a read asked for the key of `hash` and did not find it
-    /// live, so its next fresh [`Clock::admit`] enters referenced. Takes
-    /// `&self` and touches only the filter, which never moves — safe from
-    /// lock-free readers, with [`Clock::touch`]'s test-before-set: a key
-    /// missed again and again keeps its filter line Shared.
+    /// live, so its next fresh [`Clock::admit`] enters referenced, unless
+    /// a want for another key of its slot comes first. Takes `&self` and
+    /// touches only the filter, which never moves — safe from lock-free
+    /// readers, with [`Clock::touch`]'s test-before-set: a key missed again
+    /// and again keeps its filter line Shared.
     pub fn want(&self, hash: u32) {
-        let (word, bit) = self.wanted_bit(hash);
-        let w = &self.wanted[word];
-        if w.load(Ordering::Relaxed) & bit == 0 {
-            w.fetch_or(bit, Ordering::Relaxed);
+        let (slot, tag) = self.wanted_slot(hash);
+        let s = &self.wanted[slot];
+        if s.load(Ordering::Relaxed) != tag {
+            s.store(tag, Ordering::Relaxed);
         }
     }
 
-    /// Clear `hash`'s wanted bit; whether it was set. The load first keeps
-    /// an admit that nobody asked for from writing the line.
+    /// Empty `hash`'s slot if it holds the key's tag; whether it did. The
+    /// load first keeps an admit that nobody asked for from writing the
+    /// line; a want racing between the load and the store is lost, which
+    /// the hint allows.
     fn take_want(&self, hash: u32) -> bool {
-        let (word, bit) = self.wanted_bit(hash);
-        let w = &self.wanted[word];
-        w.load(Ordering::Relaxed) & bit != 0 && w.fetch_and(!bit, Ordering::Relaxed) & bit != 0
+        let (slot, tag) = self.wanted_slot(hash);
+        let s = &self.wanted[slot];
+        let wanted = s.load(Ordering::Relaxed) == tag;
+        if wanted {
+            s.store(0, Ordering::Relaxed);
+        }
+        wanted
     }
 
     #[inline(always)]
-    fn wanted_bit(&self, hash: u32) -> (usize, u64) {
-        let n = hash.wrapping_mul(WANT_MUL) >> self.wanted_shift;
-        ((n / 64) as usize, 1u64 << (n % 64))
+    fn wanted_slot(&self, hash: u32) -> (usize, u8) {
+        let n = hash.wrapping_mul(WANT_MUL);
+        ((n >> self.wanted_shift) as usize, (n as u8).max(1))
     }
 
     #[inline]
@@ -298,13 +316,13 @@ impl Clock {
     /// goes on, or evicts an unreferenced one; a main sweep is classic
     /// CLOCK. Returns the removed entry and whether it was expired, `None`
     /// when nothing is tracked. Every [`AGE_EVERY`]-th removal zeroes the
-    /// next word of the wanted filter.
+    /// next slot of the wanted filter.
     pub fn evict_with(&mut self, is_expired: impl Fn(u32) -> bool) -> Option<Victim> {
         let victim = self.pick_victim(is_expired)?;
         self.evictions += 1;
         if self.evictions.is_multiple_of(AGE_EVERY) {
-            let word = (self.evictions / AGE_EVERY - 1) % self.wanted.len() as u64;
-            self.wanted[word as usize].store(0, Ordering::Relaxed);
+            let slot = (self.evictions / AGE_EVERY - 1) % self.wanted.len() as u64;
+            self.wanted[slot as usize].store(0, Ordering::Relaxed);
         }
         Some(victim)
     }
@@ -804,21 +822,22 @@ mod tests {
     #[test]
     fn a_want_lapses_after_as_many_evictions_as_the_filter_has_bits() {
         const BITS: usize = 256;
-        for before in [0, 1, 63, 64, 100, 200] {
+        for before in [0, 1, 7, 8, 100, 200] {
             let mut clock = Clock::new(BITS);
             admit_fresh(&mut clock, 0..600);
             for _ in 0..before {
                 clock.evict();
             }
-            // One wanted key in each word of the filter.
-            let in_word = |word| (0..).map(h).find(|&x| clock.wanted_bit(x).0 == word);
-            let hashes: Vec<u32> = (0..BITS / 64).filter_map(in_word).collect();
+            // One wanted key in each slot of the filter.
+            let in_slot = |slot| (0..).map(h).find(|&x| clock.wanted_slot(x).0 == slot);
+            let hashes: Vec<u32> = (0..BITS / 8).filter_map(in_slot).collect();
+            assert_eq!(hashes.len(), clock.wanted.len());
             let wanted = |c: &Clock| {
-                let set = |&&x: &&u32| {
-                    let (word, bit) = c.wanted_bit(x);
-                    c.wanted[word].load(Ordering::Relaxed) & bit != 0
+                let held = |&&x: &&u32| {
+                    let (slot, tag) = c.wanted_slot(x);
+                    c.wanted[slot].load(Ordering::Relaxed) == tag
                 };
-                hashes.iter().filter(set).count()
+                hashes.iter().filter(held).count()
             };
             for &x in &hashes {
                 clock.want(x);
@@ -838,18 +857,62 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_want_admits_only_its_own_key_and_the_latest_want_of_a_slot_stays() {
+        let mut clock = Clock::new(64);
+        // Three keys of one slot, with three different tags.
+        let slot = clock.wanted_slot(h(0)).0;
+        let mut same: Vec<u32> = Vec::new();
+        for x in (1..1 << 16).map(h) {
+            let (s, tag) = clock.wanted_slot(x);
+            if s == slot && same.iter().all(|&y| clock.wanted_slot(y).1 != tag) {
+                same.push(x);
+            }
+            if same.len() == 3 {
+                break;
+            }
+        }
+        let [a, b, c] = same[..] else {
+            panic!("no three tags in slot {slot}: {same:?}")
+        };
+        clock.want(a);
+        // A write of another key of the slot is not taken for `a` ...
+        clock.admit(0, b, None);
+        assert_eq!(clock.wanted_admits(), 0);
+        // ... and leaves `a`'s want for `a`'s own write.
+        clock.admit(1, a, None);
+        assert_eq!(clock.wanted_admits(), 1);
+        // A miss on `c` after one on `b` overwrites it: the slot remembers
+        // the latest.
+        clock.want(b);
+        clock.want(c);
+        clock.admit(2, b, None);
+        assert_eq!(clock.wanted_admits(), 1);
+        clock.admit(3, c, None);
+        assert_eq!(clock.wanted_admits(), 2);
+        // 1 is promoted at its pop; 0 and 2 are the victims; 3 waits at
+        // the FIFO's head, referenced.
+        assert_eq!(clock.evict(), Some(0));
+        assert_eq!(clock.evict(), Some(2));
+        assert_eq!(clock.promotions(), 1);
+        let order: Vec<u32> = clock.iter().map(|(i, _)| i).collect();
+        assert_eq!(order, [3, 1]);
+        let standing = clock.remove(3).expect("tracked");
+        assert!(!standing.main && standing.referenced);
+    }
+
     /// The obvious pair of queues: reference bits inline, no position
     /// table, no tombstones (a `VecDeque` of live entries), linear search
     /// on remove. The main ring keeps the real one's slot discipline —
     /// swap-remove, and a push that puts the new entry at the hand and the
     /// entry it displaces at the end — because victims depend on it. The
-    /// wanted filter is a `bool` per slot, aged a 64-slot run at a time.
+    /// wanted filter is a tag per slot, aged one slot at a time.
     #[derive(Default)]
     struct Model {
         fifo: VecDeque<(u32, u32, bool)>,
         ring: Vec<(u32, u32, bool)>,
         hand: usize,
-        wanted: Vec<bool>,
+        wanted: Vec<u8>,
         evictions: usize,
         wanted_admits: u64,
     }
@@ -857,19 +920,23 @@ mod tests {
     impl Model {
         fn new(bits: usize) -> Self {
             Model {
-                wanted: vec![false; bits],
+                wanted: vec![0; bits / 8],
                 ..Model::default()
             }
         }
 
-        fn slot(&self, hash: u32) -> usize {
+        fn slot(&self, hash: u32) -> (usize, u8) {
             let log2 = self.wanted.len().trailing_zeros();
-            (hash.wrapping_mul(WANT_MUL) >> (32 - log2)) as usize
+            let n = hash.wrapping_mul(WANT_MUL);
+            (
+                (n >> (32 - log2)) as usize,
+                if n as u8 == 0 { 1 } else { n as u8 },
+            )
         }
 
         fn want(&mut self, hash: u32) {
-            let slot = self.slot(hash);
-            self.wanted[slot] = true;
+            let (slot, tag) = self.slot(hash);
+            self.wanted[slot] = tag;
         }
 
         fn len(&self) -> usize {
@@ -893,8 +960,11 @@ mod tests {
 
         fn admit(&mut self, item: u32, standing: Option<Standing>) {
             let s = standing.unwrap_or_else(|| {
-                let slot = self.slot(h(item));
-                let referenced = std::mem::take(&mut self.wanted[slot]);
+                let (slot, tag) = self.slot(h(item));
+                let referenced = self.wanted[slot] == tag;
+                if referenced {
+                    self.wanted[slot] = 0;
+                }
                 self.wanted_admits += u64::from(referenced);
                 Standing {
                     main: false,
@@ -948,10 +1018,9 @@ mod tests {
         fn evict_with(&mut self, is_expired: impl Fn(u32) -> bool) -> Option<Victim> {
             let victim = self.pick_victim(is_expired)?;
             self.evictions += 1;
-            if self.evictions.is_multiple_of(64) {
-                let runs = self.wanted.len() / 64;
-                let run = (self.evictions / 64 - 1) % runs;
-                self.wanted[64 * run..64 * (run + 1)].fill(false);
+            if self.evictions.is_multiple_of(8) {
+                let slot = (self.evictions / 8 - 1) % self.wanted.len();
+                self.wanted[slot] = 0;
             }
             Some(victim)
         }
@@ -1012,8 +1081,10 @@ mod tests {
         let want: Vec<(u32, u32, bool)> = model.fifo.iter().chain(&model.ring).copied().collect();
         assert_eq!(got, want, "{at}: queue contents");
         // The wanted filter, slot by slot, and what the admits took of it.
-        let wanted: Vec<bool> = (0..model.wanted.len())
-            .map(|n| clock.wanted[n / 64].load(Ordering::Relaxed) >> (n % 64) & 1 != 0)
+        let wanted: Vec<u8> = clock
+            .wanted
+            .iter()
+            .map(|s| s.load(Ordering::Relaxed))
             .collect();
         assert_eq!(wanted, model.wanted, "{at}: wanted filter");
         assert_eq!(
@@ -1066,8 +1137,9 @@ mod tests {
                 z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
                 z ^ (z >> 31)
             };
-            // Four filter words, so the aging cursor wraps every 256
-            // evictions; 48 ids share their slots now and then.
+            // 32 filter slots, so the aging cursor wraps every 256
+            // evictions; 48 ids share slots, and misses on keys no id
+            // has overwrite their tags.
             let (mut clock, mut model) = (Clock::new(256), Model::new(256));
             assert_matches_model(&clock, &model, "empty queues");
             for op in 0..4000 {
@@ -1088,10 +1160,16 @@ mod tests {
                             e.2 = true;
                         }
                     }
-                    // A read that missed `item`'s key, tracked or not.
+                    // A read that missed `item`'s key, tracked or not, or a
+                    // key nobody writes.
                     4 => {
-                        clock.want(h(item));
-                        model.want(h(item));
+                        let hash = if rng() % 2 == 0 {
+                            h(item)
+                        } else {
+                            rng() as u32
+                        };
+                        clock.want(hash);
+                        model.want(hash);
                     }
                     5 => {
                         assert_eq!(clock.remove(item), model.remove(item), "{at}: remove");
