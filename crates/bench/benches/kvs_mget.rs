@@ -16,7 +16,6 @@ fn store_with(index: Box<dyn HashIndex>, wl: &KvWorkload) -> KvStore {
             memory_budget: 64 << 20,
             capacity_items: ITEMS * 2,
             shards: 1,
-            ..StoreConfig::default()
         },
     );
     for (k, v) in wl.items() {

@@ -12,9 +12,9 @@
 //! * **Kernel-zeroed, faulted lazily.** [`Arena::zeroed`] never writes, so
 //!   only what the store touches becomes resident — with huge pages, in
 //!   2 MiB steps. Writing zeros instead would make every page resident.
-//! * **Stable addresses.** The mapping never moves or shrinks before drop,
-//!   which is what lets the optimistic readers of DESIGN.md §11 hold
-//!   pointers into it across a writer's growth.
+//! * **Stable addresses.** The mapping never moves or shrinks before drop.
+//!   Readers take the shard's shared lock and growth happens under its
+//!   write lock, so nothing depends on this today (DESIGN.md §18).
 //! * **Page alignment.** Every arena starts on a 4 KiB boundary, so any
 //!   element type whose alignment is at most a page is aligned for free.
 //!

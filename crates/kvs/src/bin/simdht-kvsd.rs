@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use simdht_kvs::kvsd::{Kvsd, KvsdConfig};
 use simdht_kvs::metrics::Counter;
-use simdht_kvs::store::{KvStore, ReadMode, StoreConfig};
+use simdht_kvs::store::{KvStore, StoreConfig};
 use simdht_kvs::{arena, index};
 
 const USAGE: &str = "\
@@ -52,13 +52,6 @@ OPTIONS:
                            nonblocking connections and coalesces their MGets
                            into lookup batches of up to 64 keys, waiting at
                            most 100 us for batch-mates (DESIGN.md §10)
-    --read-mode <mode>     locked | optimistic (default locked). Optimistic
-                           GET/MGET readers probe shards seqlock-style
-                           without taking the shard read lock, retrying or
-                           falling back to the lock when a concurrent write
-                           is detected (DESIGN.md §11). Ignored (with a
-                           warning) on indexes whose probes are not
-                           optimistic-safe
     -h, --help             Show this help
 ";
 
@@ -69,7 +62,6 @@ struct Args {
     memory_bytes: usize,
     shards: usize,
     duration: Option<u64>,
-    read_mode: ReadMode,
     config: KvsdConfig,
 }
 
@@ -81,7 +73,6 @@ fn parse_args() -> Result<Args, String> {
         memory_bytes: 64 << 20,
         shards: 1,
         duration: None,
-        read_mode: ReadMode::Locked,
         config: KvsdConfig::default(),
     };
     let mut it = std::env::args().skip(1);
@@ -131,12 +122,6 @@ fn parse_args() -> Result<Args, String> {
                         .parse()
                         .map_err(|e| format!("--max-inflight: {e}"))?,
                 );
-            }
-            "--read-mode" => {
-                let mode = value("--read-mode")?;
-                args.read_mode = ReadMode::parse(&mode).ok_or_else(|| {
-                    format!("--read-mode: expected locked | optimistic, got {mode:?}")
-                })?;
             }
             "--idle-timeout-ms" => {
                 let ms: u64 = value("--idle-timeout-ms")?
@@ -198,7 +183,6 @@ fn main() {
             memory_budget: args.memory_bytes,
             capacity_items: args.capacity,
             shards: args.shards,
-            read_mode: args.read_mode,
         },
         |cap| index::by_short_name(&args.index, cap).expect("index name validated above"),
     ));
@@ -209,23 +193,15 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if args.read_mode == ReadMode::Optimistic && !store.optimistic_capable() {
-        let _ = writeln!(
-            io::stderr(),
-            "warning: index {} does not support optimistic probes; reads stay locked",
-            store.index_name()
-        );
-    }
     let _ = writeln!(
         io::stdout(),
-        "simdht-kvsd listening on {} (index {}, {} shard(s), capacity {}, {} MiB slab, prefetch depth {}, {} reads, index {} MiB)",
+        "simdht-kvsd listening on {} (index {}, {} shard(s), capacity {}, {} MiB slab, prefetch depth {}, locked reads, index {} MiB)",
         kvsd.local_addr(),
         store.index_name(),
         store.n_shards(),
         args.capacity,
         args.memory_bytes >> 20,
         store.prefetch_depth(),
-        store.read_mode().name(),
         store.index_bytes() >> 20,
     );
 

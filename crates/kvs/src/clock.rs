@@ -43,21 +43,21 @@
 //! compacted in place once tombstones outnumber live entries, so a
 //! warmed-up queue allocates nothing.
 //!
-//! # Reader-safe reference bits (seqlock read path)
+//! # Reference bits written under a shared lock
 //!
-//! Reference bits are keyed by **item id** in a stable segmented atomic
-//! bitmap (word `id / 64`, bit `id % 64`), not by queue position in a
-//! growable `Vec`, and the wanted filter is allocated once, at its full
-//! size. [`Clock::touch`] and [`Clock::want`] therefore only ever
-//! dereference storage that never moves, so lock-free optimistic readers
-//! (DESIGN.md §11) may call them concurrently with `admit`/`evict`/`remove`
-//! mutations. Relaxed ordering is sufficient: the bit and the tag are
-//! cache-freshness *hints* — a lost or stale write only perturbs the
-//! eviction order, never correctness — and `admit` explicitly writes the
-//! reference bit, so a stale bit left by a racing touch on a dying id is
-//! erased when the id is recycled.
+//! Readers hold only the shard's *shared* lock, yet every hit sets a
+//! reference bit ([`Clock::touch`]) and every miss writes a wanted-filter
+//! tag ([`Clock::want`]), so several readers may write one word at once.
+//! Both are therefore atomic: the bits are keyed by **item id** in a
+//! segmented atomic bitmap (word `id / 64`, bit `id % 64`), and the filter
+//! is a slice of `AtomicU8` allocated once, at its full size. The
+//! mutations that grow or clear them (`admit`, `evict`, `remove`) run under
+//! the write lock, so no reader races them. Relaxed ordering is
+//! sufficient: the bit and the tag are cache-freshness *hints* — a lost
+//! write between two readers only perturbs the eviction order, never
+//! correctness.
 
-use crate::seqlock::AtomicSegArray;
+use crate::segarray::AtomicSegArray;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -122,7 +122,7 @@ pub struct Clock {
     main: Vec<(u32, u32)>,
     hand: usize,
     /// Reference bits keyed by item id: word `id / 64`, bit `id % 64`.
-    /// Stable addresses — safe for racy `touch` from optimistic readers.
+    /// Atomic — readers under the shared lock `touch` them concurrently.
     referenced: AtomicSegArray,
     /// By item id (dense ids assumed): [`IN_MAIN`] and the entry's ring
     /// index, or its FIFO sequence number; [`UNTRACKED`] for ids not held.
@@ -130,8 +130,8 @@ pub struct Clock {
     /// The wanted filter: slot `WANT_MUL * hash >> wanted_shift` holds the
     /// tag (the remix's low byte, 0 mapped to 1) of the key a read last
     /// missed there, until a fresh admit of that key takes it; 0 is empty.
-    /// Allocated zeroed once and never moved — safe for racy `want` from
-    /// optimistic readers.
+    /// Allocated zeroed once; atomic — readers under the shared lock
+    /// `want` concurrently.
     wanted: Box<[AtomicU8]>,
     /// `32 - log2(slots)`: the remixed hash's top bits name the slot.
     wanted_shift: u32,
@@ -231,11 +231,9 @@ impl Clock {
     }
 
     /// Mark an item as recently used. Takes `&self` and touches only the
-    /// stable atomic bitmap — safe to call from lock-free concurrent
-    /// readers racing `admit`/`evict` on other threads. Unknown ids are a
-    /// no-op (their bitmap word may not exist yet); ids whose entry is
-    /// concurrently dying may leave a stale bit, which `admit` overwrites
-    /// on recycle.
+    /// atomic bitmap, so readers sharing the shard lock may call it at
+    /// once. Unknown ids are a no-op (their bitmap word may not exist
+    /// yet).
     ///
     /// Test before set: once a read has set the bit only an eviction clears
     /// it, so on a read-mostly store nearly every touch finds it set already
@@ -255,9 +253,9 @@ impl Clock {
     /// Record that a read asked for the key of `hash` and did not find it
     /// live, so its next fresh [`Clock::admit`] enters referenced, unless
     /// a want for another key of its slot comes first. Takes `&self` and
-    /// touches only the filter, which never moves — safe from lock-free
-    /// readers, with [`Clock::touch`]'s test-before-set: a key missed again
-    /// and again keeps its filter line Shared.
+    /// touches only the atomic filter, like [`Clock::touch`], with its
+    /// test-before-set: a key missed again and again keeps its filter line
+    /// Shared.
     pub fn want(&self, hash: u32) {
         let (slot, tag) = self.wanted_slot(hash);
         let s = &self.wanted[slot];

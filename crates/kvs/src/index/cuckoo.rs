@@ -32,19 +32,15 @@ pub(super) const fn pack(hash: u32, item: u32) -> u64 {
 /// half only and reads the high half back as 0.
 ///
 /// Concurrency contract. `store` and `clear` are only ever called by the
-/// single writer. The core calls `match_mask`, `empty_mask` and `load`
-/// only where no writer can run (`&self` excludes the `&mut self` writer,
-/// and the store's racy optimistic path enters through `probe_one`
-/// alone), so `Relaxed` loads suffice there. `probe_one` and `prefetch`
-/// **do** race the writer. They must touch only fixed-capacity storage
-/// made of atomic words, each loaded individually, and whatever
-/// `probe_one` returns must be [`crate::item::NO_ITEM`] or a value some
-/// `store` put in an item field: the store validates every racy candidate
-/// against the shard seqlock and the full key, so a stale or mismatched
-/// candidate is harmless, a word nobody wrote is not. A layout that
-/// orders its stores beyond that (`memc3`: version bumps around the slot
-/// word; `local`: entry word, then the tag that exposes it) states the
-/// `Release`/`Acquire` pairing on `store` and `probe_one`.
+/// single writer (`&mut self`). Every read — `match_mask`, `empty_mask`,
+/// `load`, `probe_one`, `prefetch` — takes `&self`, which excludes that
+/// writer: the store probes under the shard's shared lock. Slot storage is
+/// made of atomic words all the same. `memc3` keeps MemC3's own reader
+/// protocol, version bumps around every slot store that `probe_one`
+/// checks (the paper's baseline pays for them, DESIGN.md §11), and a
+/// layout that orders its stores (`local`: entry word, then the tag that
+/// exposes it) states the `Release`/`Acquire` pairing on `store` and
+/// `probe_one`.
 pub trait BucketLayout: Send + Sync + 'static {
     /// Slots per bucket (`m`).
     const SLOTS: usize;
@@ -314,15 +310,6 @@ impl<L: BucketLayout> HashIndex for TagCuckoo<L> {
         });
     }
 
-    // `probe_one` touches only the layout's bucket storage, which the
-    // `BucketLayout` contract requires to be fixed-capacity since
-    // construction and made of atomic words (cuckoo relocations move
-    // entries between slots, never the arrays) — racy seqlock probes
-    // dereference nothing non-atomic and nothing a writer could free.
-    fn optimistic_probe_safe(&self) -> bool {
-        true
-    }
-
     fn len(&self) -> usize {
         self.len
     }
@@ -433,7 +420,7 @@ mod tests {
         }
     }
 
-    fn prefetched_and_optimistic_match_plain_batch<L: BucketLayout>(capacity: u32) {
+    fn prefetched_matches_plain_batch<L: BucketLayout>(capacity: u32) {
         let mut idx = TagCuckoo::<L>::with_capacity(capacity as usize);
         for (i, h) in hashes(0..capacity / 6 * 5).into_iter().enumerate() {
             idx.insert(h, i as u32).unwrap();
@@ -445,9 +432,6 @@ mod tests {
             let mut got = vec![0u32; hs.len()];
             idx.lookup_batch_prefetched(&hs, &mut got, depth);
             assert_eq!(got, plain, "prefetched depth {depth}");
-            let mut got = vec![0u32; hs.len()];
-            idx.lookup_batch_optimistic(&hs, &mut got, depth);
-            assert_eq!(got, plain, "optimistic depth {depth}");
         }
     }
 
@@ -459,7 +443,6 @@ mod tests {
                 memory_budget: 8 << 20,
                 capacity_items: 5000,
                 shards: 1,
-                ..StoreConfig::default()
             },
         );
         for i in 0..3000u32 {
@@ -485,7 +468,7 @@ mod tests {
         remove_and_reuse::<L>();
         reaches_high_load_factor::<L>(min_load_factor);
         simd_empty_scan_matches_scalar_walk::<L>();
-        prefetched_and_optimistic_match_plain_batch::<L>(3000);
+        prefetched_matches_plain_batch::<L>(3000);
         works_as_store_backend::<L>();
     }
 
@@ -502,7 +485,7 @@ mod tests {
         const CAPACITY: u32 = 120_000;
         let buckets = TagCuckoo::<Memc3Layout>::with_capacity(CAPACITY as usize).mask + 1;
         assert!(buckets >= 4 * STRIPES, "{buckets} buckets");
-        prefetched_and_optimistic_match_plain_batch::<Memc3Layout>(CAPACITY);
+        prefetched_matches_plain_batch::<Memc3Layout>(CAPACITY);
     }
 
     #[test]

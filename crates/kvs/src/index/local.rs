@@ -19,10 +19,10 @@
 //! * relocation: partial-key cuckoo — the alternate bucket is derived from
 //!   the tag by an XOR involution, so BFS relocation never re-reads keys;
 //! * concurrency: the tag word and every entry word are `AtomicU64`, sized
-//!   at construction, so the store's racy seqlock read path (DESIGN.md
-//!   §11) may probe while a writer relocates. Writers publish the entry
-//!   word *before* the tag byte that makes it visible (entry `Relaxed`,
-//!   tag word `Release`; readers load the tag word `Acquire`).
+//!   at construction. Readers probe under the shard's shared lock, which
+//!   excludes writers; the words still publish the entry word *before*
+//!   the tag byte that makes it visible (entry `Relaxed`, tag word
+//!   `Release`; readers load the tag word `Acquire`).
 //!
 //! Tags are `0x80 | (hash >> 25)`, always `0x80..=0xFF`, so the empty-slot
 //! sentinel (`0`) and the control byte (an occupancy count `<= 7`) can
@@ -55,8 +55,7 @@ struct Bucket {
     /// empty, else `0x80 | (hash >> 25)`); byte 7 is the control byte,
     /// the bucket's occupancy count.
     tags: AtomicU64,
-    /// `[hash:32 | item:32]` per slot — the core's entry word, so a racy
-    /// reader can never pair one slot's hash with another's item: the pair
+    /// `[hash:32 | item:32]` per slot — the core's entry word: the pair
     /// changes atomically. Contents are dont-care (stale) while the slot's
     /// tag byte is 0.
     entries: [AtomicU64; SLOTS],
@@ -200,9 +199,7 @@ impl BucketLayout for F14Layout {
 
     /// Clear slot `idx`: zero its tag byte and count the control byte
     /// down in one `Release` store. The entry word is left stale —
-    /// `tag == 0` means its contents are dont-care, and racy readers that
-    /// saw the old tag word re-verify the full hash (and the store
-    /// re-validates the shard seqlock).
+    /// `tag == 0` means its contents are dont-care.
     #[inline]
     fn clear(&mut self, idx: usize) {
         let (b, s) = (idx / SLOTS, idx % SLOTS);

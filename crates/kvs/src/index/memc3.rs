@@ -16,7 +16,10 @@
 //!   pays two version loads per bucket exactly as MemC3 does. As in MemC3
 //!   the counters are *striped*: a fixed [`STRIPES`]-entry array shared by
 //!   all buckets, small enough to stay cache-resident, so a probed bucket
-//!   costs one cold line (its slots), not two.
+//!   costs one cold line (its slots), not two. The store's readers hold
+//!   the shard's shared lock, so no writer runs during a probe and the
+//!   retry never fires; the probe still pays the version loads, which is
+//!   the baseline's cost (DESIGN.md §11).
 //!
 //! ## The slot word
 //!
@@ -67,10 +70,9 @@ pub const MAX_BUCKETS: usize = 1 << 21;
 pub(super) const STRIPES: usize = 8192;
 
 /// Pack a slot into the single `AtomicU32` word it is stored as:
-/// `[tag:8][item:24]`. One-word slots mean a racing reader can never see
-/// a tag paired with another entry's item id, and — because the store's
-/// optimistic path probes this index while a writer mutates it — they are
-/// what keeps those racy probes free of data races on non-atomic memory.
+/// `[tag:8][item:24]`. One-word slots mean a reader of MemC3's optimistic
+/// bucket protocol can never see a tag paired with another entry's item
+/// id.
 ///
 /// # Panics
 ///
@@ -145,8 +147,7 @@ impl Memc3Layout {
 
     fn begin_write(&self, bucket: usize) {
         // Seqlock write-begin: the odd bump must be visible before any
-        // slot store that follows (relaxed RMW + release fence, as in
-        // `seqlock::SeqCount::begin_write`).
+        // slot store that follows (relaxed RMW + release fence).
         self.version(bucket).fetch_add(1, Ordering::Relaxed);
         fence(Ordering::Release);
     }

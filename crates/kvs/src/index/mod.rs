@@ -9,7 +9,7 @@
 //!
 //! * [`Memc3Index`] — the non-SIMD CPU-optimized baseline: (2,4) BCHT with
 //!   8-bit tags and 24-bit item ids in four-byte slots, partial-key cuckoo
-//!   relocation, and optimistic striped version counters (MemC3, NSDI'13).
+//!   relocation, and striped bucket version counters (MemC3, NSDI'13).
 //! * [`SimdIndex`] with [`SimdIndexKind::HorizontalBcht`] — (2,4) BCHT with
 //!   32-bit hash keys probed horizontally with AVX2
 //!   ("Bucket-Cuckoo-Hor(AVX-256)" in Fig. 11).
@@ -110,26 +110,6 @@ pub trait HashIndex: Send + Sync {
     /// Panics if `out.len() != hashes.len()`.
     fn lookup_batch_prefetched(&self, hashes: &[u32], out: &mut [u32], depth: usize);
 
-    /// The batched lookup the store's **racy** optimistic read path calls
-    /// (no lock held; writers may be mutating the index concurrently —
-    /// DESIGN.md §11). Semantically identical to
-    /// [`HashIndex::lookup_batch_prefetched`], which is also the default
-    /// implementation — correct for backends whose probe storage consists
-    /// entirely of atomic words loaded individually. Backends whose normal
-    /// probe forms plain references over storage a writer rewrites (e.g.
-    /// SIMD kernels reading whole bucket slices) must override this with a
-    /// variant that reads racing slots through volatile or atomic loads.
-    ///
-    /// Only meaningful when [`HashIndex::optimistic_probe_safe`] is
-    /// `true`; results are *candidates* that the store re-validates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != hashes.len()`.
-    fn lookup_batch_optimistic(&self, hashes: &[u32], out: &mut [u32], depth: usize) {
-        self.lookup_batch_prefetched(hashes, out, depth);
-    }
-
     /// All candidate item ids for one hash (slow path for tag/hash
     /// collisions after a failed full-key verification).
     fn lookup_all(&self, hash: u32, out: &mut Vec<u32>);
@@ -142,32 +122,6 @@ pub trait HashIndex: Send + Sync {
     /// pointer chase.
     fn prefetch_hash(&self, hash: u32) {
         let _ = hash;
-    }
-
-    /// Whether [`HashIndex::lookup_batch_optimistic`] may be called
-    /// *racily* — concurrently with `insert`/`remove` on another thread,
-    /// with no lock held — as the store's seqlock optimistic read path
-    /// does (DESIGN.md §11).
-    ///
-    /// An implementation may return `true` only if that probe touches
-    /// exclusively **fixed-capacity storage that never moves or frees
-    /// while the index lives** (e.g. bucket arrays sized at
-    /// construction), and reads every word that can race a writer with an
-    /// atomic or volatile load (never through a plain `&`/`&[T]` over the
-    /// racing memory — that is a data race even if the result is later
-    /// discarded). Torn *values* are fine — the store validates every
-    /// probe result against version counters before trusting it — but a
-    /// probe must never follow a pointer a racing writer could free or
-    /// reallocate (growth, rehash, heap-backed overflow chains), because
-    /// validation cannot undo a use-after-free. Note the contract covers
-    /// only `lookup_batch_optimistic`: `lookup_all` and the plain batch
-    /// probes may use unstable storage (the store calls them under the
-    /// lock).
-    ///
-    /// Defaults to `false`; the store then silently keeps the locked read
-    /// path even when asked for [`crate::store::ReadMode::Optimistic`].
-    fn optimistic_probe_safe(&self) -> bool {
-        false
     }
 
     /// Current number of stored entries.

@@ -198,27 +198,6 @@ impl HashIndex for SimdIndex {
         self.lookup_batch(hashes, out);
     }
 
-    fn lookup_batch_optimistic(&self, hashes: &[u32], out: &mut [u32], depth: usize) {
-        assert_eq!(hashes.len(), out.len(), "output slice length mismatch");
-        // The SIMD kernels form plain `&[u32]` slices over the bucket
-        // arrays — fine under the lock, but a data race when probing
-        // racily against a concurrent writer. The racy probe therefore
-        // drops to `CuckooTable::get_racy`, whose per-slot volatile loads
-        // tolerate concurrent stores; it keeps the same group-prefetch
-        // sweep so the scalar walk still overlaps its cache misses.
-        if depth > 0 {
-            for &h in hashes {
-                self.table.prefetch_candidates(h);
-            }
-        }
-        for (h, o) in hashes.iter().zip(out.iter_mut()) {
-            *o = match self.table.get_racy(*h) {
-                Some(v) => v.wrapping_sub(1),
-                None => crate::item::NO_ITEM,
-            };
-        }
-    }
-
     fn prefetch_hash(&self, hash: u32) {
         self.table.prefetch_candidates(hash);
     }
@@ -230,17 +209,6 @@ impl HashIndex for SimdIndex {
         if let Some(bucket) = self.overflow.get(&hash) {
             out.extend_from_slice(bucket);
         }
-    }
-
-    // The racy probe (`lookup_batch_optimistic`) runs entirely inside the
-    // fixed-capacity `CuckooTable` bucket arrays (relocations swap entries
-    // in place; the table never grows) and reads each racing slot with a
-    // volatile load via `CuckooTable::get_racy` — the SIMD slice-based
-    // kernels are reserved for probes under the lock. The heap-backed
-    // `overflow` map is touched only by `lookup_all`, which the contract
-    // excludes — the store resolves collisions under the lock.
-    fn optimistic_probe_safe(&self) -> bool {
-        true
     }
 
     fn len(&self) -> usize {
@@ -275,26 +243,6 @@ mod tests {
             idx.lookup_batch(&hashes, &mut out);
             for (i, &item) in out.iter().enumerate() {
                 assert_eq!(item, i as u32, "{kind:?} item {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn optimistic_probe_matches_simd_probe_quiescent() {
-        for kind in kinds() {
-            let mut idx = SimdIndex::with_capacity(kind, 2000);
-            for i in 0..1200u32 {
-                idx.insert(hash_key(&i.to_le_bytes()), i).unwrap();
-            }
-            let hashes: Vec<u32> = (0..1500u32) // includes misses
-                .map(|i| hash_key(&i.to_le_bytes()))
-                .collect();
-            let mut simd_out = vec![0u32; hashes.len()];
-            idx.lookup_batch(&hashes, &mut simd_out);
-            for depth in [0usize, 8] {
-                let mut racy_out = vec![0u32; hashes.len()];
-                idx.lookup_batch_optimistic(&hashes, &mut racy_out, depth);
-                assert_eq!(racy_out, simd_out, "{kind:?} depth {depth}");
             }
         }
     }

@@ -11,8 +11,7 @@
 //! * storage: split arrays — one packed `AtomicU64` signature word per
 //!   bucket (slot `s` at bits `8·s`, i.e. little-endian byte `s`) and
 //!   `AtomicU32` item ids — so the signature block is exactly one 64-bit
-//!   SSE lane *and* every word the store's racy optimistic probes touch is
-//!   atomic;
+//!   SSE lane;
 //! * probe: splat the signature, one `pcmpeqb` + movemask over the bucket,
 //!   verify candidates through the store's full-key check (signatures are
 //!   8-bit, so false positives are expected and harmless).
@@ -44,9 +43,8 @@ pub type TagSimdIndex = TagCuckoo<TagSimdLayout>;
 /// The DPDK-style split layout: one packed signature word per bucket
 /// beside a separate item-id array.
 pub struct TagSimdLayout {
-    /// One packed signature word per bucket; atomic because the store's
-    /// optimistic read path probes these while a writer mutates them.
-    /// All-zero is all-empty, so the arena is never written up front.
+    /// One packed signature word per bucket. All-zero is all-empty, so the
+    /// arena is never written up front.
     sigs: Arena<AtomicU64>,
     items: Arena<AtomicU32>,
 }
@@ -54,7 +52,7 @@ pub struct TagSimdLayout {
 impl TagSimdLayout {
     /// Replace the signature byte of slot `idx` in its bucket's packed
     /// word. Requires `&mut self`, so the relaxed read-modify-write never
-    /// races another writer; racy readers see the word change atomically.
+    /// races another writer.
     fn set_sig(&mut self, idx: usize, sig: u8) {
         let shift = 8 * (idx % SLOTS);
         let word = self.sigs[idx / SLOTS].load(Ordering::Relaxed);
@@ -142,9 +140,7 @@ impl BucketLayout for TagSimdLayout {
         (item != NO_ITEM).then_some(((word >> (8 * (slot % SLOTS))) as u8, u64::from(item)))
     }
 
-    /// Signature byte, then item word, each one relaxed atomic store: a
-    /// racing probe may pair the new signature with the old item, which
-    /// the store's full-key check and seqlock validation reject.
+    /// Signature byte, then item word, each one relaxed atomic store.
     #[inline]
     fn store(&mut self, slot: usize, sig: u8, entry: u64) {
         self.set_sig(slot, sig);

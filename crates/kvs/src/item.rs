@@ -5,35 +5,28 @@
 //! an object pointer (64-bit), we use the 32-bit HT payload to index a
 //! shared array of object pointers". [`ItemTable`] is that array.
 //!
-//! # Versioned rows (seqlock read path)
+//! # Rows
 //!
-//! Each row is a single `AtomicU64` word packing the slab reference plus
-//! liveness and a generation tag:
+//! Each row is a single `AtomicU64` word packing the slab reference and a
+//! liveness bit:
 //!
 //! ```text
-//! bit 63      bits 48..63     bits 32..48   bits 0..32
-//! [ LIVE ] [ generation:15 ] [ class:16 ] [ chunk:32 ]
+//! bit 63      bits 32..48   bits 0..32
+//! [ LIVE ]    [ class:16 ]  [ chunk:32 ]
 //! ```
 //!
-//! Writers publish a row with a Release store after the chunk bytes are
-//! fully written; optimistic readers load it with Acquire, copy the chunk,
-//! then [`ItemTable::revalidate`] that the word is unchanged.
-//! [`ItemTable::unregister`] additionally follows its invalidating store
-//! with a `fence(Release)` so the chunk rewrites that follow recycling can
-//! never become visible ahead of the invalidation. The 15-bit
-//! generation is bumped on every `unregister`, so a recycled id (same
-//! class+chunk reused for a different key) can't pass re-validation — an
-//! ABA would need 32 768 register/unregister pairs inside one reader's
-//! copy window. Rows live in a segmented array ([`AtomicSegArray`]) whose
-//! element addresses never move, so a reader's row pointer stays valid
-//! across concurrent table growth. An id's **expiry word** sits in the slot
-//! right after its row word — one 16-byte-aligned pair, one cache line — so
-//! the line a Multi-Get prefetches for the row also carries the expiry its
-//! hit check reads next (DESIGN.md §9).
+//! Rows and every id's metadata are written only through `&mut self` or
+//! under the shard's write lock, and read under its shared lock, so the
+//! lock's release/acquire orders every access and each load and store is
+//! `Relaxed`. They live in an
+//! [`AtomicSegArray`], so an id's **expiry word** sits in the slot right
+//! after its row word — one 16-byte-aligned pair, one cache line — and the
+//! line a Multi-Get prefetches for the row also carries the expiry its hit
+//! check reads next (DESIGN.md §9).
 
-use crate::seqlock::AtomicSegArray;
+use crate::segarray::AtomicSegArray;
 use crate::slab::{SlabAllocator, SlabError, SlabRef};
-use std::sync::atomic::{fence, Ordering};
+use std::sync::atomic::Ordering;
 
 /// Item header: key length (2 B) + value length (4 B).
 const HEADER_BYTES: usize = 6;
@@ -42,8 +35,6 @@ const HEADER_BYTES: usize = 6;
 pub const NO_ITEM: u32 = u32::MAX;
 
 const LIVE_BIT: u64 = 1 << 63;
-const GEN_SHIFT: u32 = 48;
-const GEN_MASK: u64 = 0x7FFF;
 const CLASS_SHIFT: u32 = 32;
 
 /// Encode an item into a fresh slab chunk; returns the chunk reference.
@@ -84,10 +75,8 @@ pub fn item_value(chunk: &[u8]) -> &[u8] {
     &chunk[HEADER_BYTES + klen..HEADER_BYTES + klen + vlen]
 }
 
-/// Bounds-checked decode for the optimistic path: a racy reader can
-/// observe a chunk whose header bytes are mid-rewrite, so the implied
-/// `(key, value)` ranges may exceed the chunk. Returns `None` instead of
-/// panicking; the caller's row re-validation then rejects the attempt.
+/// Bounds-checked decode for the read path: a chunk whose header implies
+/// `(key, value)` ranges past its end yields `None` instead of a panic.
 #[inline]
 pub fn item_decode_checked(chunk: &[u8]) -> Option<(&[u8], &[u8])> {
     if chunk.len() < HEADER_BYTES {
@@ -103,50 +92,19 @@ pub fn item_decode_checked(chunk: &[u8]) -> Option<(&[u8], &[u8])> {
     Some((&chunk[HEADER_BYTES..key_end], &chunk[key_end..val_end]))
 }
 
-/// Racy copy-out of an item for the optimistic read path: volatile-copies
-/// the header from chunk `r`, sizes the full item from it, then
-/// volatile-copies `header + key + value` into `buf`. Returns `false`
-/// when the chunk is not visibly allocated or a torn header claims more
-/// bytes than the chunk holds; the caller's row re-validation rejects any
-/// copy that raced a writer. On success `buf` holds a private,
-/// non-racing byte image that [`item_decode_checked`] can parse.
-#[inline]
-pub fn read_item_racy(slab: &SlabAllocator, r: SlabRef, buf: &mut Vec<u8>) -> bool {
-    if !slab.chunk_racy_read(r, HEADER_BYTES, buf) {
-        return false;
-    }
-    let klen = u16::from_le_bytes([buf[0], buf[1]]) as usize;
-    let vlen = u32::from_le_bytes([buf[2], buf[3], buf[4], buf[5]]) as usize;
-    let Some(total) = HEADER_BYTES
-        .checked_add(klen)
-        .and_then(|n| n.checked_add(vlen))
-    else {
-        return false;
-    };
-    // The second copy re-reads the header; if it tore in between, the
-    // copy is still a plain byte image whose decode is bounds-checked,
-    // and the row word will have changed, so revalidation rejects it.
-    slab.chunk_racy_read(r, total, buf)
-}
-
 /// The shared object-pointer array: item id (32-bit, what the hash index
 /// stores as its payload) → versioned slab chunk reference.
 ///
 /// Each id also has two metadata words — the key's **expiry second**
 /// (0 = no expiry), paired with the row word, and its **mutation version**,
-/// in a parallel array — in the same stable segmented storage. They are
-/// written *before* the row word's Release publish, so an optimistic reader
-/// that re-validates the row word after reading them has also proven the
-/// metadata belonged to exactly that item (the id cannot have been recycled
-/// without the word changing).
+/// in a parallel array — in the same segmented storage.
 #[derive(Debug, Default)]
 pub struct ItemTable {
     /// Slot `2 * id` is the row word, slot `2 * id + 1` the expiry in coarse
     /// store seconds (0 = never expires). [`AtomicSegArray`] keeps such a
     /// pair inside one cache line, and every hit reads both of its words.
     rows: AtomicSegArray,
-    /// Per-id mutation version (DESIGN.md §13). Stable addresses; racy
-    /// reads are validated by the row word. Apart from the pair: no
+    /// Per-id mutation version (DESIGN.md §13). Apart from the pair: no
     /// batched read touches it (`get_v`, `cas` and replacing writes do).
     versions: AtomicSegArray,
     free: Vec<u32>,
@@ -186,10 +144,6 @@ impl ItemTable {
 
     /// Register a slab chunk, returning its item id.
     ///
-    /// The row is published with a Release store so any reader that
-    /// Acquire-loads it also sees the chunk bytes written before
-    /// registration.
-    ///
     /// # Panics
     ///
     /// Panics if more than `u32::MAX - 1` items are live.
@@ -199,10 +153,7 @@ impl ItemTable {
 
     /// [`ItemTable::register`] carrying explicit mutation metadata: the
     /// key's new `version` and its absolute `expires_at` second (0 = no
-    /// expiry). Both metadata words are stored *before* the row word's
-    /// Release publish, so any reader that observed the published word —
-    /// and re-validates it after reading the metadata — is guaranteed the
-    /// metadata it read belongs to this registration.
+    /// expiry).
     ///
     /// # Panics
     ///
@@ -223,23 +174,16 @@ impl ItemTable {
         self.rows
             .get_or_alloc(expiry_slot(id))
             .store(expires_at, Ordering::Relaxed);
-        let row = self.rows.get_or_alloc(row_slot(id));
-        // Keep the generation left behind by the last unregister (zero for
-        // a brand-new row).
-        let gen = (row.load(Ordering::Relaxed) >> GEN_SHIFT) & GEN_MASK;
-        let word = LIVE_BIT
-            | (gen << GEN_SHIFT)
-            | ((r.class() as u64) << CLASS_SHIFT)
-            | r.chunk_index() as u64;
-        row.store(word, Ordering::Release);
+        let word = LIVE_BIT | ((r.class() as u64) << CLASS_SHIFT) | r.chunk_index() as u64;
+        self.rows
+            .get_or_alloc(row_slot(id))
+            .store(word, Ordering::Relaxed);
         self.live += 1;
         id
     }
 
     /// The mutation version registered for `id` (0 for never-registered
-    /// rows). Meaningful only while the row is live: lock holders may read
-    /// it directly, optimistic readers must re-validate the row word they
-    /// loaded *before* this call to prove the id was not recycled.
+    /// rows). Meaningful only while the row is live.
     #[inline(always)]
     pub fn version(&self, id: u32) -> u64 {
         self.versions
@@ -256,10 +200,8 @@ impl ItemTable {
             .map_or(0, |w| w.load(Ordering::Relaxed))
     }
 
-    /// Overwrite `id`'s expiry in place (the `touch` verb). Must be
-    /// called under the shard write lock; concurrent optimistic readers
-    /// may observe either the old or the new expiry, both of which are
-    /// linearizable orderings of the racing touch and read.
+    /// Overwrite `id`'s expiry in place (the `touch` verb), under the
+    /// shard write lock.
     #[inline]
     pub fn set_expires_at(&self, id: u32, expires_at: u64) {
         if let Some(w) = self.rows.get(expiry_slot(id)) {
@@ -269,29 +211,16 @@ impl ItemTable {
 
     /// Resolve an item id to its chunk, if live.
     pub fn get(&self, id: u32) -> Option<SlabRef> {
-        decode_row(self.rows.get(row_slot(id))?.load(Ordering::Acquire))
+        decode_row(self.load_row(id))
     }
 
-    /// Raw Acquire load of a row word for the optimistic read protocol.
-    /// Returns 0 (a dead, generation-0 word) for never-allocated rows.
+    /// The raw row word of `id`, for [`decode_row`]. Returns 0 (a dead
+    /// word) for never-allocated rows.
     #[inline(always)]
     pub fn load_row(&self, id: u32) -> u64 {
         self.rows
             .get(row_slot(id))
-            .map_or(0, |row| row.load(Ordering::Acquire))
-    }
-
-    /// Re-validate a previously loaded row word after copying the chunk
-    /// bytes. An `Acquire` fence orders the copy before the re-load, so an
-    /// unchanged word proves the chunk was neither freed nor recycled
-    /// during the copy (chunks only reach the free list through
-    /// [`ItemTable::unregister`], which always changes the word).
-    #[inline(always)]
-    pub fn revalidate(&self, id: u32, word: u64) -> bool {
-        fence(Ordering::Acquire);
-        self.rows
-            .get(row_slot(id))
-            .is_some_and(|row| row.load(Ordering::Relaxed) == word)
+            .map_or(0, |row| row.load(Ordering::Relaxed))
     }
 
     /// Request `id`'s row cache line — which is also its expiry word's —
@@ -316,27 +245,10 @@ impl ItemTable {
     }
 
     /// Remove an item id, returning its chunk for freeing.
-    ///
-    /// The replacement word keeps the id dead (LIVE clear) and bumps the
-    /// generation, invalidating any optimistic reader still copying the
-    /// old chunk.
     pub fn unregister(&mut self, id: u32) -> Option<SlabRef> {
         let row = self.rows.get(row_slot(id))?;
-        let word = row.load(Ordering::Relaxed);
-        let r = decode_row(word)?;
-        let gen = ((word >> GEN_SHIFT) + 1) & GEN_MASK;
-        row.store(gen << GEN_SHIFT, Ordering::Release);
-        // Order the dead-word store *before* any later store by this
-        // thread — in particular the rewrite of the freed chunk's bytes
-        // when the free list hands it straight back out (a same-shard
-        // replace does exactly that). A Release store alone only orders
-        // *earlier* accesses before itself; without this fence a
-        // weakly-ordered CPU could make the recycled chunk's new bytes
-        // visible while the old live row word still reads back unchanged,
-        // letting a reader commit a spliced old/new copy through
-        // [`ItemTable::revalidate`]. Pairs with the `Acquire` fence in
-        // `revalidate` (fence-to-fence synchronization).
-        fence(Ordering::Release);
+        let r = decode_row(row.load(Ordering::Relaxed))?;
+        row.store(0, Ordering::Relaxed);
         self.free.push(id);
         self.live -= 1;
         Some(r)
@@ -418,20 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn read_item_racy_matches_owner_path() {
-        let mut slab = SlabAllocator::new(1 << 20);
-        let r = write_item(&mut slab, b"racy-key", b"racy-value-bytes").unwrap();
-        let mut buf = Vec::new();
-        assert!(read_item_racy(&slab, r, &mut buf));
-        let (k, v) = item_decode_checked(&buf).unwrap();
-        assert_eq!(k, b"racy-key");
-        assert_eq!(v, b"racy-value-bytes");
-        // A never-allocated chunk resolves to false, not UB.
-        let bogus = SlabRef::from_parts(0, u32::MAX / 2);
-        assert!(!read_item_racy(&slab, bogus, &mut buf));
-    }
-
-    #[test]
     fn item_table_register_resolve() {
         let mut slab = SlabAllocator::new(1 << 20);
         let mut table = ItemTable::new();
@@ -467,33 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn recycled_row_fails_revalidation() {
-        // The generation bump is the ABA defence: a reader holding the old
-        // word must not accept the row after unregister, nor after the id
-        // is recycled for a different item in the *same* chunk.
-        let mut slab = SlabAllocator::new(1 << 20);
-        let mut table = ItemTable::new();
-        let id = table.register(write_item(&mut slab, b"k", b"v1").unwrap());
-        let word = table.load_row(id);
-        assert!(decode_row(word).is_some());
-        assert!(table.revalidate(id, word));
-
-        let chunk = table.unregister(id).unwrap();
-        assert!(!table.revalidate(id, word), "dead row must invalidate");
-        slab.free(chunk);
-
-        let id2 = table.register(write_item(&mut slab, b"k", b"v2").unwrap());
-        assert_eq!(id, id2);
-        assert!(
-            !table.revalidate(id, word),
-            "recycled row must carry a new generation"
-        );
-        let word2 = table.load_row(id2);
-        assert_ne!(word, word2);
-        assert!(table.revalidate(id2, word2));
-    }
-
-    #[test]
     fn metadata_follows_registration_lifecycle() {
         let mut slab = SlabAllocator::new(1 << 20);
         let mut table = ItemTable::new();
@@ -526,7 +397,6 @@ mod tests {
         assert_eq!(table.load_row(12345), 0);
         assert!(decode_row(table.load_row(NO_ITEM - 1)).is_none());
         assert_eq!(table.expires_at(NO_ITEM - 1), 0);
-        assert!(!table.revalidate(0, LIVE_BIT));
     }
 
     #[test]

@@ -14,15 +14,14 @@
 //! * [`clock`] — two-queue eviction: a probationary FIFO in front of
 //!   MemC3's CLOCK ring, over one reference bitmap.
 //! * [`index`] — pluggable hash indexes: [`index::Memc3Index`] (tags +
-//!   partial-key cuckoo + optimistic versioned buckets) and its two
+//!   partial-key cuckoo + striped bucket versions) and its two
 //!   sibling layouts over the same [`index::TagCuckoo`] core, and
 //!   [`index::SimdIndex`] (horizontal (2,4) BCHT / vertical 3-way over the
 //!   `simdht-core` kernels).
 //! * [`arena`] — 2 MiB-aligned, huge-page-advised `mmap` memory behind
 //!   the item table's segments and the index slot arrays.
-//! * [`seqlock`] — the even/odd version-counter primitive and stable
-//!   segmented atomic storage behind the store's lock-free optimistic read
-//!   path (DESIGN.md §11).
+//! * [`segarray`] — the segmented atomic array behind the item table and
+//!   the CLOCK reference bits.
 //! * [`store`] — the three-phase Multi-Get pipeline with per-phase timing
 //!   (pre-processing / HT lookup / post-processing — Fig. 11b).
 //! * [`transport`] — the [`transport::Transport`]/[`transport::ClientConn`]
@@ -90,7 +89,7 @@ pub mod metrics;
 pub mod net;
 pub mod protocol;
 pub mod reactor;
-pub mod seqlock;
+pub mod segarray;
 pub mod slab;
 pub mod store;
 pub mod transport;

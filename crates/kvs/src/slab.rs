@@ -47,8 +47,7 @@
 //! 58-byte item in the 64-byte class is one line and
 //! [`SlabAllocator::prefetch`] of the leading line covers all of it (a
 //! page-aligned `calloc` + 16 would split every such item over two). And
-//! since every class size is a multiple of 8, every chunk is 8-aligned,
-//! which the word-wise racy copy asserts instead of handling.
+//! since every class size is a multiple of 8, every chunk is 8-aligned.
 //!
 //! # Huge pages once full
 //!
@@ -62,21 +61,13 @@
 //! `wire_*` workloads +2.0 MiB (+3.0 %) of server RSS (EXPERIMENTS.md,
 //! DESIGN.md §18). Collapsing moves no byte's address.
 //!
-//! # Stable pages (seqlock read path)
+//! # Stable pages
 //!
-//! Pages are registered in a fixed per-class
-//! page table of `AtomicPtr`s — a page **never moves or frees until the
-//! allocator drops**. That stability is load-bearing for the store's
-//! optimistic read path (DESIGN.md §11): a lock-free reader resolves an
-//! item-table row to a chunk and copies its bytes while a writer may
-//! concurrently grow the class; with `Vec`-backed storage the growth
-//! `realloc` would leave the reader's pointer dangling, a fault no version
-//! re-check can undo. Readers copy chunk bytes out through
-//! [`SlabAllocator::chunk_racy_read`], which loads the page pointer
-//! atomically and then copies with **volatile** reads — never forming a
-//! `&[u8]` over memory a writer may be rewriting — so a racing recycle can
-//! tear the copied *contents* (detected by the row re-check) but the copy
-//! itself stays on defined, never-moving *addresses*.
+//! Pages are registered in a fixed per-class page table — a page never
+//! moves or frees until the allocator drops. Readers resolve chunks under
+//! the shard's shared lock and writers grow a class under its write lock,
+//! so nothing relies on that stability today; it is what the region
+//! layout gives for free (DESIGN.md §18).
 
 use std::fmt;
 use std::sync::atomic::{AtomicPtr, Ordering};
@@ -122,34 +113,6 @@ const fn class_index(size: usize) -> usize {
     let k = usize::BITS - 1 - m.leading_zeros();
     let steps = m >> (k - CLASS_BITS);
     ((k - MIN_CHUNK.trailing_zeros()) << CLASS_BITS) as usize + steps + 1 - (1 << CLASS_BITS)
-}
-
-/// Copy `dst.len()` bytes from `src` using only volatile loads, so the
-/// compiler can neither elide, widen, nor reorder the reads even though
-/// another thread may be storing to the same bytes. Reads are `u64`-wide
-/// from the first byte — `src` is a chunk start, 8-aligned because pages
-/// are line-aligned and class sizes multiples of 8 — with a byte-wise tail
-/// for lengths that are not a multiple of 8.
-///
-/// # Safety
-///
-/// `src..src + dst.len()` must lie inside a single live allocation and
-/// `src` must be 8-aligned.
-// SAFETY: mapping length and alignment — callers pass a chunk start inside
-// one arena page and at most the chunk's length.
-unsafe fn volatile_copy(src: *const u8, dst: &mut [u8]) {
-    debug_assert_eq!(src as usize % 8, 0, "chunk starts are 8-aligned");
-    let len = dst.len();
-    let mut i = 0;
-    while i + 8 <= len {
-        let w = std::ptr::read_volatile(src.add(i) as *const u64);
-        dst[i..i + 8].copy_from_slice(&w.to_ne_bytes());
-        i += 8;
-    }
-    while i < len {
-        dst[i] = std::ptr::read_volatile(src.add(i));
-        i += 1;
-    }
 }
 
 /// A reference to an allocated chunk: `(class, chunk index within class)`.
@@ -209,7 +172,10 @@ struct SizeClass {
     /// a page is unused slack, as in memcached).
     chunks_per_page: u32,
     /// Fixed page table: one slot per page the budget could ever admit.
-    /// Slots are published exactly once (null → page in the region).
+    /// Slots are published exactly once (null → page in the region), by
+    /// `&mut self`; a `&self` reader never overlaps that, and whatever
+    /// hands the allocator between threads (the shard lock) orders the
+    /// two, so `Relaxed` suffices.
     pages: Box<[AtomicPtr<u8>]>,
     /// Pages published so far (writer-only).
     page_count: usize,
@@ -222,13 +188,13 @@ impl SizeClass {
         self.page_count * self.chunks_per_page as usize
     }
 
-    /// `(page pointer, byte offset)` for chunk `chunk`, via an atomic page
-    /// load; `None` when the page is not (yet visibly) allocated.
+    /// `(page pointer, byte offset)` for chunk `chunk`; `None` when the
+    /// page is not allocated.
     #[inline(always)]
-    fn chunk_addr(&self, chunk: u32, order: Ordering) -> Option<(*mut u8, usize)> {
+    fn chunk_addr(&self, chunk: u32) -> Option<(*mut u8, usize)> {
         let page = (chunk / self.chunks_per_page) as usize;
         let off = (chunk % self.chunks_per_page) as usize * self.chunk_size;
-        let ptr = self.pages.get(page)?.load(order);
+        let ptr = self.pages.get(page)?.load(Ordering::Relaxed);
         if ptr.is_null() {
             return None;
         }
@@ -335,9 +301,7 @@ impl SlabAllocator {
         let ptr = unsafe { self.region.as_mut_ptr().add(self.allocated_bytes) };
         self.allocated_bytes += PAGE_BYTES;
         let next = c.chunks_allocated() as u32;
-        // Release-publish the page so a racy reader that obtains a chunk
-        // in it (via a row registered later) sees its current contents.
-        c.pages[c.page_count].store(ptr, Ordering::Release);
+        c.pages[c.page_count].store(ptr, Ordering::Relaxed);
         c.page_count += 1;
         // Hand out the first new chunk; queue the rest as free.
         let total = c.chunks_allocated() as u32;
@@ -376,45 +340,11 @@ impl SlabAllocator {
     pub fn chunk(&self, r: SlabRef) -> &[u8] {
         let c = &self.classes[r.class as usize];
         let (ptr, off) = c
-            .chunk_addr(r.chunk, Ordering::Relaxed)
+            .chunk_addr(r.chunk)
             .expect("chunk ref outside allocated pages");
         // SAFETY: the page is live until drop and `off + chunk_size <=
         // PAGE_BYTES` by the chunks_per_page floor geometry.
         unsafe { std::slice::from_raw_parts(ptr.add(off), c.chunk_size) }
-    }
-
-    /// Racy copy-out for the optimistic path: resolves the chunk through
-    /// an atomic page-table load and copies its first `len` bytes into
-    /// `buf` with volatile reads. Returns `false` if the page is not
-    /// visibly allocated (a reader racing the very first write into a
-    /// fresh page) or `len` exceeds the chunk size (a torn item header
-    /// claimed an impossible length).
-    ///
-    /// The source bytes may be concurrently rewritten if the chunk is
-    /// freed and recycled mid-copy — the caller detects that by
-    /// re-checking the item-table row word after the copy (DESIGN.md §11).
-    /// Crucially, no `&[u8]` is ever formed over the racing memory: each
-    /// byte travels through a volatile load (word-at-a-time from the
-    /// 8-aligned chunk start), the crossbeam-seqlock discipline for reading
-    /// data a validation step will later prove untorn.
-    pub fn chunk_racy_read(&self, r: SlabRef, len: usize, buf: &mut Vec<u8>) -> bool {
-        let Some(c) = self.classes.get(r.class as usize) else {
-            return false;
-        };
-        if len > c.chunk_size {
-            return false;
-        }
-        let Some((ptr, off)) = c.chunk_addr(r.chunk, Ordering::Acquire) else {
-            return false;
-        };
-        buf.clear();
-        buf.resize(len, 0);
-        // SAFETY: in-bounds of a live page (pages never free before drop;
-        // `off + chunk_size <= PAGE_BYTES` by the floor geometry), and
-        // every read is volatile so a racing writer can tear contents but
-        // not invoke data-race UB through a reference.
-        unsafe { volatile_copy(ptr.add(off), buf) };
-        true
     }
 
     /// Request the leading cache line of chunk `r` ahead of a future
@@ -422,11 +352,11 @@ impl SlabAllocator {
     /// group-prefetched Multi-Get verification (DESIGN.md §9): the item
     /// header plus the head of the key live in the first line, which is
     /// what full-key verification touches first. Safe for out-of-range or
-    /// stale refs (racy staging simply skips them).
+    /// stale refs.
     #[inline(always)]
     pub fn prefetch(&self, r: SlabRef) {
         if let Some(c) = self.classes.get(r.class as usize) {
-            if let Some((ptr, off)) = c.chunk_addr(r.chunk, Ordering::Relaxed) {
+            if let Some((ptr, off)) = c.chunk_addr(r.chunk) {
                 // SAFETY: in-bounds pointer into a live page; prefetch only
                 // needs a valid address.
                 simdht_simd::prefetch_read(unsafe { &*ptr.add(off) });
@@ -443,7 +373,7 @@ impl SlabAllocator {
         let Some(c) = self.classes.get(r.class as usize) else {
             return;
         };
-        if let Some((ptr, off)) = c.chunk_addr(r.chunk, Ordering::Relaxed) {
+        if let Some((ptr, off)) = c.chunk_addr(r.chunk) {
             let first = off & !(LINE_BYTES - 1);
             let lines = (off + c.chunk_size - first).div_ceil(LINE_BYTES);
             for line in 0..lines.min(PREFETCH_CHUNK_LINES) {
@@ -458,11 +388,11 @@ impl SlabAllocator {
     pub fn chunk_mut(&mut self, r: SlabRef) -> &mut [u8] {
         let c = &self.classes[r.class as usize];
         let (ptr, off) = c
-            .chunk_addr(r.chunk, Ordering::Relaxed)
+            .chunk_addr(r.chunk)
             .expect("chunk ref outside allocated pages");
-        // SAFETY: `&mut self` excludes other writers; optimistic readers
-        // may race these bytes by design (their copies are rejected by the
-        // row-word re-check).
+        // SAFETY: the page is live until drop, `off + chunk_size <=
+        // PAGE_BYTES` by the floor geometry, and `&mut self` excludes every
+        // other borrow of the allocator's chunks.
         unsafe { std::slice::from_raw_parts_mut(ptr.add(off), c.chunk_size) }
     }
 
@@ -602,8 +532,8 @@ mod tests {
 
     #[test]
     fn chunk_addresses_stable_across_growth() {
-        // The seqlock contract: an existing chunk's address survives any
-        // amount of later allocation in the same class.
+        // Stable pages: an existing chunk's address survives any amount of
+        // later allocation in the same class.
         let mut slab = SlabAllocator::new(16 << 20);
         let first = slab.alloc(100).unwrap();
         let p0 = slab.chunk(first).as_ptr();
@@ -703,27 +633,5 @@ mod tests {
             0,
             "fresh chunk on a collapsed region reads zero"
         );
-    }
-
-    #[test]
-    fn chunk_racy_read_matches_chunk() {
-        let mut slab = SlabAllocator::new(2 << 20);
-        let r = slab.alloc(200).unwrap();
-        slab.chunk_mut(r)[..3].copy_from_slice(b"abc");
-        let full = slab.chunk(r).len();
-        let mut buf = Vec::new();
-        // Every prefix length exercises the word middle / byte tail cases
-        // of the volatile copy.
-        for len in [0, 1, 3, 7, 8, 9, 63, full] {
-            assert!(slab.chunk_racy_read(r, len, &mut buf), "len {len}");
-            assert_eq!(&buf[..], &slab.chunk(r)[..len], "len {len}");
-        }
-        // Lengths beyond the chunk (torn headers) and out-of-range refs
-        // resolve to false, not UB.
-        assert!(!slab.chunk_racy_read(r, full + 1, &mut buf));
-        let bogus = SlabRef::from_parts(r.class(), u32::MAX / 2);
-        assert!(!slab.chunk_racy_read(bogus, 8, &mut buf));
-        let bogus_class = SlabRef::from_parts(u16::MAX, 0);
-        assert!(!slab.chunk_racy_read(bogus_class, 8, &mut buf));
     }
 }

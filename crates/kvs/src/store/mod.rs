@@ -10,9 +10,8 @@
 //!    against the slab, copy values into the response, and update CLOCK
 //!    freshness metadata.
 //!
-//! Phases 2–3 are written once (`read_pass`, and `probe_key` for the
-//! per-key step that `get` shares) over a `ShardView`: the shard's shared
-//! lock, or — [`ReadMode::Optimistic`] — no lock and seqlock validation.
+//! Phases 2–3 run under the shard's shared lock (`read_pass`, and
+//! `Shard::probe_key` for the per-key step that `get` shares).
 //!
 //! # Sharding
 //!
@@ -36,21 +35,16 @@
 //! request, because any in-flight request holds a shard guard borrowed
 //! from the store itself.
 
-use std::cell::{Cell, OnceCell, UnsafeCell};
-use std::marker::PhantomData;
-use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::cell::{Cell, OnceCell};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use parking_lot::RwLock;
 
 use crate::clock::{Clock, Standing};
 use crate::index::{hash_key, hash_keys_into, HashIndex, IndexError};
-use crate::item::{
-    decode_row, item_decode_checked, item_key, read_item_racy, write_item, ItemTable, NO_ITEM,
-};
-use crate::seqlock::{SeqCount, SeqWriteGuard};
-use crate::slab::{SlabAllocator, SlabError, SlabRef};
+use crate::item::{decode_row, item_decode_checked, item_key, write_item, ItemTable, NO_ITEM};
+use crate::slab::{SlabAllocator, SlabError};
 
 mod response;
 
@@ -69,39 +63,21 @@ pub use response::MGetResponse;
 /// (`kvs-prefetch-sweep`).
 pub const PREFETCH_DEPTH: usize = 8;
 
-/// How `get`/`mget` readers synchronize with writers (DESIGN.md §11).
+/// The store's one read discipline, for reports: every `get`/`mget` takes
+/// its shard's shared lock (DESIGN.md §11). A compatibility shim — the
+/// benchmark crate prints [`ReadMode::name`]; it goes with that crate's
+/// next change (ROADMAP item 3).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum ReadMode {
-    /// Readers take the shard's shared `RwLock` (the classic path; always
-    /// available, byte-identical results to `Optimistic`).
+    /// Readers take the shard's shared `RwLock`.
     #[default]
     Locked,
-    /// Seqlock optimistic reads: readers never take the shard lock and
-    /// never write shared state — they snapshot the shard's version
-    /// counter, probe/copy racily, and re-validate (per-row words for
-    /// hits, the shard counter for misses), retrying once and then
-    /// falling back to the locked path. Requires every shard index to
-    /// report [`HashIndex::optimistic_probe_safe`]; otherwise the store
-    /// silently stays on the locked path.
-    Optimistic,
 }
 
 impl ReadMode {
-    /// Parse a `--read-mode` flag value.
-    pub fn parse(s: &str) -> Option<ReadMode> {
-        match s {
-            "locked" => Some(ReadMode::Locked),
-            "optimistic" => Some(ReadMode::Optimistic),
-            _ => None,
-        }
-    }
-
-    /// The flag spelling of this mode.
+    /// The mode's name as reports print it.
     pub fn name(self) -> &'static str {
-        match self {
-            ReadMode::Locked => "locked",
-            ReadMode::Optimistic => "optimistic",
-        }
+        "locked"
     }
 }
 
@@ -118,9 +94,6 @@ pub struct StoreConfig {
     /// Number of shards (rounded up to a power of two; `1` = the classic
     /// single-lock store).
     pub shards: usize,
-    /// Reader synchronization mode (DESIGN.md §11). Tunable at runtime
-    /// via [`KvStore::set_read_mode`].
-    pub read_mode: ReadMode,
 }
 
 impl Default for StoreConfig {
@@ -129,7 +102,6 @@ impl Default for StoreConfig {
             memory_budget: 64 << 20,
             capacity_items: 100_000,
             shards: 1,
-            read_mode: ReadMode::Locked,
         }
     }
 }
@@ -310,8 +282,6 @@ struct PassScratch {
     candidates: Vec<u32>,
     /// Read path: each candidate's item-row word, staged `G` keys ahead.
     words: Vec<u64>,
-    /// The racy view's private, non-racing image of one item's bytes.
-    chunk: Vec<u8>,
     /// Every index candidate for one hash (the collision slow path).
     ids: Vec<u32>,
 }
@@ -400,8 +370,9 @@ struct ShardCounters {
     expired: AtomicU64,
 }
 
-/// Line-aligned, so the lock words before it in [`ShardSlot`] keep a line
-/// of their own whatever its fields are.
+/// Line-aligned and a whole number of lines long, so the lock word beside
+/// it in [`ShardSlot`]'s `RwLock` keeps a line of its own whatever its
+/// fields are.
 #[repr(align(64))]
 struct Shard {
     slab: SlabAllocator,
@@ -413,518 +384,62 @@ struct Shard {
     ids: Vec<u32>,
 }
 
-// Compile-time proof that Shard is Send + Sync — the precondition for the
-// manual ShardSlot impls below (which only *reorganize* what RwLock<Shard>
-// provided before, they don't weaken it).
-const _: () = {
-    const fn assert_send_sync<T: Send + Sync>() {}
-    assert_send_sync::<Shard>();
-};
-
-/// One shard: its state, lock, seqlock version counter, and counters.
-///
-/// The shard state sits in an `UnsafeCell` beside a `RwLock<()>` rather
-/// than inside a `RwLock<Shard>` so the optimistic read path can reach it
-/// *without* touching the lock word (the whole point of DESIGN.md §11 —
-/// no shared-state writes on reads). The lock still carries exactly the
-/// old access discipline via [`ShardSlot::read`]/[`ShardSlot::write`];
-/// [`ShardSlot::racy`] is the one doorway around it, handing out a
-/// [`RacyShard`] whose accessors are only trustworthy under the seqlock
-/// validation protocol.
-///
-/// `seq` and `lock` share the slot's first cache line and nothing else:
-/// [`Shard`] and [`ShardCounters`] are both line-aligned.
-#[repr(C)]
+/// One shard: its state behind its lock, and its counters.
 struct ShardSlot {
-    /// Even/odd shard version: odd while a writer holds the write lock.
-    seq: SeqCount,
-    lock: RwLock<()>,
-    shard: UnsafeCell<Shard>,
+    shard: RwLock<Shard>,
     counters: ShardCounters,
 }
 
-// SAFETY: `ShardSlot` recreates what `RwLock<Shard>` was (Shard is
-// Send + Sync, proven above): all `&mut Shard` access goes through the
-// write lock, all `&Shard` access through the read lock — except
-// `racy()`, whose `RacyShard` reads racing memory only through atomic
-// or volatile loads and whose callers follow the seqlock validation
-// protocol before trusting any of it.
-unsafe impl Send for ShardSlot {}
-unsafe impl Sync for ShardSlot {}
-
-struct ShardReadGuard<'a> {
-    _g: parking_lot::RwLockReadGuard<'a, ()>,
-    shard: &'a Shard,
-}
-
-impl Deref for ShardReadGuard<'_> {
-    type Target = Shard;
-    fn deref(&self) -> &Shard {
-        self.shard
-    }
-}
-
-struct ShardWriteGuard<'a> {
-    // Declared first: drops first, so the version returns to even while
-    // the write lock is still held (readers never see even + mid-mutation).
-    _seq: SeqWriteGuard<'a>,
-    _g: parking_lot::RwLockWriteGuard<'a, ()>,
-    // A raw pointer, not `&'a mut Shard`: optimistic readers racily load
-    // atomic/volatile words from the same shard while this guard is live,
-    // and a live `&mut` would assert exclusivity over the whole `Shard`
-    // for the guard's entire lifetime. Each deref materializes a
-    // reference only for that call, mirroring [`RacyShard`] on the
-    // reader side (crossbeam-seqlock discipline).
-    shard: *mut Shard,
-    _marker: PhantomData<&'a mut Shard>,
-}
-
-impl Deref for ShardWriteGuard<'_> {
-    type Target = Shard;
-    fn deref(&self) -> &Shard {
-        // SAFETY: the exclusive lock (held for `'a`) keeps every other
-        // lock holder out, so no `&mut` aliases this reference.
-        unsafe { &*self.shard }
-    }
-}
-
-impl DerefMut for ShardWriteGuard<'_> {
-    fn deref_mut(&mut self) -> &mut Shard {
-        // SAFETY: as above; `&mut self` keeps this guard from handing out
-        // an overlapping `&Shard` of its own.
-        unsafe { &mut *self.shard }
-    }
-}
-
-impl ShardSlot {
-    fn read(&self) -> ShardReadGuard<'_> {
-        let g = self.lock.read();
-        // SAFETY: the shared lock excludes writers (every `&mut` access
-        // goes through `write`), so a shared borrow is sound.
-        ShardReadGuard {
-            _g: g,
-            shard: unsafe { &*self.shard.get() },
-        }
-    }
-
-    /// Exclusive access; marks the shard version odd for the duration so
-    /// optimistic readers spin or fall back instead of reading
-    /// mid-mutation state.
-    fn write(&self) -> ShardWriteGuard<'_> {
-        let g = self.lock.write();
-        let seq = self.seq.begin_write();
-        ShardWriteGuard {
-            _seq: seq,
-            _g: g,
-            shard: self.shard.get(),
-            _marker: PhantomData,
-        }
-    }
-
-    /// Lock-free view for the optimistic read protocol. Safe to obtain —
-    /// all the unsafety lives inside [`RacyShard`]'s narrow accessors,
-    /// each of which reads racing memory only through atomic or volatile
-    /// loads. Callers must still validate every conclusion against `seq`
-    /// or a row word before acting on it (the seqlock protocol, which
-    /// [`validated`] and [`probe_key`] run over the view).
-    fn racy<'a>(&'a self, stats: &'a OptimisticCounters) -> RacyShard<'a> {
-        RacyShard { slot: self, stats }
-    }
-}
-
-/// A lock-free, by-value handle to a shard for optimistic readers.
-///
-/// Deliberately *not* `&Shard`: a shared reference would claim the whole
-/// shard immutable while a writer holding [`ShardSlot::write`] mutates it
-/// — a data race and `&`/`&mut` aliasing violation even if the read
-/// results are later discarded. Instead this reaches the shard only
-/// through the slot's raw `UnsafeCell` pointer and exposes only the
-/// handful of operations the optimistic protocol needs (its [`ShardView`]
-/// impl); each materializes the narrowest reference for the duration of
-/// one call, and every byte those calls read from memory a writer may be
-/// rewriting travels through an atomic load
-/// ([`HashIndex::lookup_batch_optimistic`] on an
-/// [`HashIndex::optimistic_probe_safe`] index, [`ItemTable`] row words,
-/// CLOCK bits) or a volatile copy (slab chunk bytes via
-/// [`read_item_racy`]) — the same de-facto-tolerated discipline as
-/// crossbeam's seqlock. None of these reads are torn-proof; the caller's
-/// seq/row-word validation is what turns them into trustworthy results.
-#[derive(Copy, Clone)]
-struct RacyShard<'a> {
-    /// The shard, the version counter the view validates against, and the
-    /// lock its per-key collision assist takes.
-    slot: &'a ShardSlot,
-    stats: &'a OptimisticCounters,
-}
-
-/// What differs between the two read disciplines — everything
-/// [`validated`], [`probe_key`] and [`KvStore::read_pass`] need from a
-/// shard. [`ShardReadGuard`] (the shard's shared lock, held for the view's
-/// lifetime) and [`RacyShard`] (no lock; seqlock validation, DESIGN.md
-/// §11) are the two impls, monomorphized: in the locked instantiation
-/// `begin`/`commit` are constants and the retry loop folds away.
-trait ShardView {
-    /// Open a read window: a token for [`ShardView::commit`], or `None`
-    /// when a writer held the shard for the whole bounded spin (the lock
-    /// queue is the fast path then). The locked view always succeeds.
-    fn begin(&self) -> Option<u64>;
-
-    /// Phase 2: the batched index probe, bucket lines prefetched `depth`
-    /// hashes ahead.
-    fn lookup(&self, hashes: &[u32], out: &mut [u32], depth: usize);
-
-    /// AMAC stage 1: request `item`'s row cache line ([`ItemTable::prefetch`]).
-    fn prefetch_row(&self, item: u32);
-
-    /// AMAC stage 2: load candidate `cand`'s row word (its line made warm
-    /// by an earlier [`ShardView::prefetch_row`]) and request the chunk's
-    /// leading cache line, so the full-key compare `G` iterations later
-    /// reads a warm line. 0 (a dead word) for [`NO_ITEM`].
-    fn stage(&self, cand: u32) -> u64;
-
-    /// The item image (`header + key + value`) in chunk `r`: the slab
-    /// slice itself under the lock, a volatile copy into `buf` without it
-    /// (`None` if `r` is bogus — a torn row read).
-    fn bytes<'b>(&'b self, r: SlabRef, buf: &'b mut Vec<u8>) -> Option<&'b [u8]>;
-
-    /// After the key matched: `cand`'s expiry second if the bytes just
-    /// compared are trustworthy, `None` if the row word changed under the
-    /// copy (never under the lock).
-    fn confirm(&self, cand: u32, word: u64) -> Option<u64>;
-
-    /// Atomic CLOCK touch ([`Clock::touch`]) — with [`ShardView::want`],
-    /// the shared-state writes the optimistic path performs.
-    fn touch(&self, item: u32);
-
-    /// Record a read that found no live item for `hash` in the wanted
-    /// filter ([`Clock::want`]). A hint: one recorded by an attempt that is
-    /// rolled back is harmless.
-    fn want(&self, hash: u32);
-
-    /// The tag/hash-collision slow path (MemC3): verify every index
-    /// candidate for `q.hash` after the first one's full key mismatched.
-    /// `lookup_all` is not racy-safe on every backend, so it always runs
-    /// under the shard's shared lock — the one already held, or a per-key
-    /// assist released before the next key.
-    fn collide(&self, q: &mut Query<'_>, hit: &mut impl FnMut(u32, &[u8])) -> Probe;
-
-    /// Close the window `token` opened: `true` when the attempt's results
-    /// may be acted on. Validation is two-tier: each *hit* stands on its
-    /// row word alone ([`ShardView::confirm`]; a `torn` one sinks the
-    /// attempt), while misses and collision assists (`need_seq`)
-    /// additionally require that no writer ran since [`ShardView::begin`].
-    fn commit(&self, token: u64, torn: bool, need_seq: bool) -> bool;
-}
-
-impl ShardView for ShardReadGuard<'_> {
-    fn begin(&self) -> Option<u64> {
-        Some(0)
-    }
-
-    fn lookup(&self, hashes: &[u32], out: &mut [u32], depth: usize) {
-        self.index.lookup_batch_prefetched(hashes, out, depth);
-    }
-
-    fn prefetch_row(&self, item: u32) {
-        self.items.prefetch(item);
-    }
-
-    #[inline(always)]
-    fn stage(&self, cand: u32) -> u64 {
-        if cand == NO_ITEM {
-            return 0;
-        }
-        let word = self.items.load_row(cand);
-        if let Some(r) = decode_row(word) {
-            self.slab.prefetch(r);
-        }
-        word
-    }
-
-    #[inline(always)]
-    fn bytes<'b>(&'b self, r: SlabRef, _buf: &'b mut Vec<u8>) -> Option<&'b [u8]> {
-        Some(self.slab.chunk(r))
-    }
-
-    /// The shard lock is held throughout, so staged reads cannot go stale.
-    #[inline(always)]
-    fn confirm(&self, cand: u32, _word: u64) -> Option<u64> {
-        Some(self.items.expires_at(cand))
-    }
-
-    fn touch(&self, item: u32) {
-        self.clock.touch(item);
-    }
-
-    fn want(&self, hash: u32) {
-        self.clock.want(hash);
-    }
-
-    fn collide(&self, q: &mut Query<'_>, hit: &mut impl FnMut(u32, &[u8])) -> Probe {
-        q.ids.clear();
-        self.index.lookup_all(q.hash, q.ids);
-        (0..q.ids.len())
-            .find_map(|n| verify(self, q.ids[n], self.items.load_row(q.ids[n]), q, hit))
-            .unwrap_or(Probe::Miss)
-    }
-
-    fn commit(&self, _token: u64, _torn: bool, _need_seq: bool) -> bool {
-        true
-    }
-}
-
-impl ShardView for RacyShard<'_> {
-    fn begin(&self) -> Option<u64> {
-        self.slot.seq.read_begin()
-    }
-
-    /// Racy batched index probe (atomic loads only; see
-    /// [`HashIndex::lookup_batch_optimistic`]).
-    #[inline(always)]
-    fn lookup(&self, hashes: &[u32], out: &mut [u32], depth: usize) {
-        // SAFETY: the reference lives for this call only; the probe reads
-        // index storage exclusively through atomic loads per the
-        // `optimistic_probe_safe` contract.
-        let index = unsafe { &*(*self.slot.shard.get()).index };
-        index.lookup_batch_optimistic(hashes, out, depth);
-    }
-
-    fn prefetch_row(&self, item: u32) {
-        // SAFETY: call-scoped reference; row words live in a stable
-        // `AtomicSegArray`, and a prefetch hint reads nothing.
-        unsafe { (*self.slot.shard.get()).items.prefetch(item) }
-    }
-
-    /// Loading the word `G` keys early only *widens* the window
-    /// [`ShardView::confirm`] must cover — still correct, same stages warm.
-    #[inline(always)]
-    fn stage(&self, cand: u32) -> u64 {
-        if cand == NO_ITEM {
-            return 0;
-        }
-        // SAFETY: call-scoped reference; row words live in a stable
-        // `AtomicSegArray` and are only read atomically.
-        let word = unsafe { (*self.slot.shard.get()).items.load_row(cand) };
-        if let Some(r) = decode_row(word) {
-            // SAFETY: call-scoped reference; a prefetch hint reads
-            // nothing, and chunk addresses come from stable metadata.
-            unsafe { (*self.slot.shard.get()).slab.prefetch(r) };
-        }
-        word
-    }
-
-    /// Volatile copy-out of the item ([`read_item_racy`]).
-    #[inline(always)]
-    fn bytes<'b>(&'b self, r: SlabRef, buf: &'b mut Vec<u8>) -> Option<&'b [u8]> {
-        // SAFETY: call-scoped reference; chunk bytes are copied with
-        // volatile loads from pages that are never freed or moved.
-        let copied = unsafe { read_item_racy(&(*self.slot.shard.get()).slab, r, buf) };
-        copied.then_some(buf.as_slice())
-    }
-
-    /// A verified hit stands on its row word alone: the word unchanged
-    /// across the copy ([`ItemTable::revalidate`]) means the item stayed
-    /// live in this exact chunk, and live chunk bytes are immutable
-    /// (replace = delete + insert). The expiry word is loaded *before*
-    /// that recheck: the register order (metadata before the row publish)
-    /// plus the generation bump make an unchanged word prove the metadata
-    /// belongs to that exact registration (DESIGN.md §13).
-    #[inline(always)]
-    fn confirm(&self, cand: u32, word: u64) -> Option<u64> {
-        // SAFETY: as `stage`; expiry words live in a stable
-        // `AtomicSegArray` and are only read atomically.
-        let items = unsafe { &(*self.slot.shard.get()).items };
-        let expires_at = items.expires_at(cand);
-        items.revalidate(cand, word).then_some(expires_at)
-    }
-
-    fn touch(&self, item: u32) {
-        // SAFETY: call-scoped reference; the bitmap is atomic and stable.
-        unsafe { (*self.slot.shard.get()).clock.touch(item) }
-    }
-
-    fn want(&self, hash: u32) {
-        // SAFETY: call-scoped reference; the filter is atomic and is never
-        // reallocated.
-        unsafe { (*self.slot.shard.get()).clock.want(hash) }
-    }
-
-    /// Take the shard lock for this one key (the rest of the pass stays
-    /// lock-free); under it the locked view's rules apply unchanged.
-    fn collide(&self, q: &mut Query<'_>, hit: &mut impl FnMut(u32, &[u8])) -> Probe {
-        self.stats.assists.fetch_add(1, Ordering::Relaxed);
-        self.slot.read().collide(q, hit)
-    }
-
-    #[inline(always)]
-    fn commit(&self, token: u64, torn: bool, need_seq: bool) -> bool {
-        let ok = !torn && (!need_seq || self.slot.seq.validate(token));
-        let stats = self.stats;
-        let counter = if ok { &stats.commits } else { &stats.retries };
-        counter.fetch_add(1, Ordering::Relaxed);
-        ok
-    }
-}
-
 /// One key of a read: its hash, its bytes, the store clock the read runs
-/// at, and the [`PassScratch`] buffers verifying it may need.
+/// at, and the candidate list its collision slow path fills.
 struct Query<'a> {
     hash: u32,
     key: &'a [u8],
     now: &'a Now<'a>,
-    chunk: &'a mut Vec<u8>,
     ids: &'a mut Vec<u32>,
 }
 
-/// What [`probe_key`] concluded about one key.
+/// What [`Shard::probe_key`] concluded about one key.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 enum Probe {
     /// A live item has this key: its value went to `hit`, its CLOCK bit is set.
     Hit,
     /// The key's item exists but has expired — lazy expiry: it reads as a
-    /// miss (positive evidence, no shard stability required). A reader
-    /// cannot reclaim it; writers and the eviction path do.
+    /// miss. A reader cannot reclaim it; writers and the eviction path do.
     Expired,
     /// No live item has this key.
     Miss,
-    /// The row word changed under the copy: a writer raced this key.
-    Torn,
 }
 
-/// Verify candidate `cand` (row word `word`) against `q.key` — never
-/// trusting the index alone — and deliver a live hit to `hit`. `None`
-/// when this candidate is not the key's item: dead row, unreadable chunk,
-/// or full-key mismatch.
-#[inline(always)]
-fn verify<V: ShardView>(
-    view: &V,
-    cand: u32,
-    word: u64,
-    q: &mut Query<'_>,
-    hit: &mut impl FnMut(u32, &[u8]),
-) -> Option<Probe> {
-    let (_, value) = view
-        .bytes(decode_row(word)?, q.chunk)
-        .and_then(item_decode_checked)
-        .filter(|(k, _)| *k == q.key)?;
-    Some(match view.confirm(cand, word) {
-        None => Probe::Torn,
-        Some(expires_at) if q.now.expired(expires_at) => Probe::Expired,
-        Some(_) => {
-            hit(cand, value);
-            view.touch(cand);
-            Probe::Hit
-        }
-    })
-}
-
-/// The per-key step of every read: resolve `q` given the first candidate
-/// `cand` a batched probe returned for its hash and that candidate's
-/// staged row word. The candidate is verified against the slab first,
-/// every other candidate only after a full-key mismatch; `need_seq` is set
-/// when the answer is only believable if no writer raced the probe.
-#[inline(always)]
-fn probe_key<V: ShardView>(
-    view: &V,
-    cand: u32,
-    word: u64,
-    q: &mut Query<'_>,
-    need_seq: &mut bool,
-    hit: &mut impl FnMut(u32, &[u8]),
-) -> Probe {
-    if let Some(probe) = verify(view, cand, word, q, hit) {
-        return probe;
-    }
-    // "Not found" can only be trusted if no writer ran meanwhile, and the
-    // assist's answer is newer than the window's other keys.
-    *need_seq = true;
-    if decode_row(word).is_none() {
-        // No candidate, or a dying row behind a live-looking one.
-        return Probe::Miss;
-    }
-    // Full-key mismatch or torn-looking bytes.
-    view.collide(q, hit)
-}
-
-/// The one validation loop (DESIGN.md §11): run `attempt` — which
-/// returns its result and the `(torn, need_seq)` that result rests on —
-/// inside a [`ShardView::begin`]/[`ShardView::commit`] window; when it
-/// cannot be committed, `undo` what it wrote to `sink` and retry once.
-/// `None` means the caller must rerun the read under the locked view,
-/// where the first attempt always commits.
-#[inline(always)]
-fn validated<V: ShardView, S, T>(
-    view: &V,
-    sink: &mut S,
-    mut attempt: impl FnMut(&mut S) -> (T, bool, bool),
-    undo: impl Fn(&mut S),
-) -> Option<T> {
-    for _ in 0..2 {
-        let token = view.begin()?;
-        let (out, torn, need_seq) = attempt(sink);
-        if view.commit(token, torn, need_seq) {
-            return Some(out);
-        }
-        undo(sink);
-    }
-    None
-}
-
-/// Counters for the optimistic read path (all modes; zero under
-/// [`ReadMode::Locked`]). Snapshot via [`KvStore::optimistic_stats`].
+/// Counters of the retired optimistic read path, always zero. A
+/// compatibility shim like [`ReadMode`]: the benchmark crate reports
+/// these fields, and they go with its next change (ROADMAP item 3).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct OptimisticStats {
-    /// Optimistic passes started (a retry starts a new pass).
+    /// Optimistic passes started.
     pub attempts: u64,
-    /// Passes that validated and committed their results.
-    pub commits: u64,
-    /// Passes rolled back for a retry after failed validation.
+    /// Passes rolled back for a retry.
     pub retries: u64,
-    /// Per-key locked collision assists taken inside optimistic passes.
-    pub assists: u64,
-    /// Reads that gave up on the optimistic path (writer active or both
-    /// attempts invalidated) and ran the locked path instead.
+    /// Reads that gave up on the optimistic path.
     pub fallbacks: u64,
 }
 
-/// Internal counters: the hot commit path pays exactly one RMW
-/// (`commits`); everything else is bumped only on the cold
-/// retry/assist/fallback edges, and `attempts` is *derived* in the
-/// snapshot (`commits + retries` — every started pass ends in exactly one
-/// of those two).
-#[derive(Default)]
-struct OptimisticCounters {
-    commits: AtomicU64,
-    retries: AtomicU64,
-    assists: AtomicU64,
-    fallbacks: AtomicU64,
-}
-
 /// The sharded key-value store. Reads (`get`/`mget`) run one pass per
-/// shard they probe (one at a time) under that shard's shared lock — or,
-/// under [`ReadMode::Optimistic`], the same pass under no lock at all
-/// (seqlock validation, DESIGN.md §11) — concurrently across server
-/// workers; writes (`set`/`delete`) serialize only within their key's shard.
+/// shard they probe (one at a time) under that shard's shared lock,
+/// concurrently across server workers; writes (`set`/`delete`) serialize
+/// only within their key's shard.
 pub struct KvStore {
     shards: Vec<ShardSlot>,
     shard_mul: u32,
     shard_shift: u32,
     shard_mask: usize,
-    /// Current [`ReadMode`] as a `u8` (0 = locked, 1 = optimistic); atomic
-    /// so the read-mode differential and `optimistic_stress` can flip it
-    /// on a live store.
-    read_mode: AtomicU8,
     /// Test/bench offset added to the coarse TTL clock (seconds); lets
     /// deterministic suites expire items without sleeping.
     time_offset: AtomicU64,
-    /// Whether every shard's index supports racy probes; if not, the
-    /// optimistic mode silently degrades to locked.
-    optimistic_safe: bool,
-    optimistic: OptimisticCounters,
     name: &'static str,
     /// Test-only writer pause point: called by `set` after the
-    /// replace-delete, while the write lock is held and the shard version
-    /// is odd. Lets the torn-read oracle hold a writer mid-mutation.
+    /// replace-delete, while the write lock is held. Lets the torn-read
+    /// oracle hold a writer mid-mutation.
     #[cfg(any(test, feature = "torture"))]
     torture_set_pause: parking_lot::Mutex<Option<Box<dyn Fn() + Send + Sync>>>,
 }
@@ -974,9 +489,7 @@ impl KvStore {
         let per_budget = (config.memory_budget / n).max(1 << 20);
         let shards: Vec<ShardSlot> = (0..n)
             .map(|_| ShardSlot {
-                seq: SeqCount::new(),
-                lock: RwLock::new(()),
-                shard: UnsafeCell::new(Shard {
+                shard: RwLock::new(Shard {
                     slab: SlabAllocator::new(per_budget),
                     items: ItemTable::new(),
                     index: make_index(per_capacity),
@@ -986,80 +499,37 @@ impl KvStore {
                 counters: ShardCounters::default(),
             })
             .collect();
-        let (name, optimistic_safe) = {
-            let g = shards[0].read();
-            (g.index.name(), g.index.optimistic_probe_safe())
-        };
+        let name = shards[0].shard.read().index.name();
         let log2 = n.trailing_zeros();
         KvStore {
             shards,
             shard_mul: SHARD_MUL,
             shard_shift: (32 - log2).clamp(1, 31),
             shard_mask: n - 1,
-            read_mode: AtomicU8::new(config.read_mode as u8),
             time_offset: AtomicU64::new(0),
-            optimistic_safe,
-            optimistic: OptimisticCounters::default(),
             name,
             #[cfg(any(test, feature = "torture"))]
             torture_set_pause: parking_lot::Mutex::new(None),
         }
     }
 
-    /// The current reader synchronization mode.
+    /// The store's read discipline: always [`ReadMode::Locked`] (a
+    /// compatibility shim, see [`ReadMode`]).
     pub fn read_mode(&self) -> ReadMode {
-        match self.read_mode.load(Ordering::Relaxed) {
-            0 => ReadMode::Locked,
-            _ => ReadMode::Optimistic,
-        }
+        ReadMode::Locked
     }
 
-    /// Change the reader synchronization mode at runtime;
-    /// `tests/read_mode_differential.rs` uses this to compare the two
-    /// paths on one populated store, and `tests/optimistic_stress.rs` to
-    /// flip modes under concurrent readers.
-    ///
-    /// On a quiescent store the two modes return byte-identical results
-    /// (proved by `tests/read_mode_differential.rs`). Under concurrent
-    /// writers they differ in one visible way: each key a batched `mget`
-    /// returns is still individually linearizable, but an optimistic
-    /// batch is **not** a shard-atomic snapshot — a writer may commit
-    /// between two hits of one batch, whereas the locked pass holds the
-    /// shard lock across its whole slice (see DESIGN.md §11).
-    pub fn set_read_mode(&self, mode: ReadMode) {
-        self.read_mode.store(mode as u8, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the optimistic read path counters.
+    /// Counters of the retired optimistic read path: always zero (a
+    /// compatibility shim, see [`OptimisticStats`]).
     pub fn optimistic_stats(&self) -> OptimisticStats {
-        let commits = self.optimistic.commits.load(Ordering::Relaxed);
-        let retries = self.optimistic.retries.load(Ordering::Relaxed);
-        OptimisticStats {
-            attempts: commits + retries,
-            commits,
-            retries,
-            assists: self.optimistic.assists.load(Ordering::Relaxed),
-            fallbacks: self.optimistic.fallbacks.load(Ordering::Relaxed),
-        }
-    }
-
-    #[inline(always)]
-    fn use_optimistic(&self) -> bool {
-        self.optimistic_safe && self.read_mode() == ReadMode::Optimistic
-    }
-
-    /// Whether this store's index backend declares its probes safe for
-    /// lock-free optimistic reads ([`HashIndex::optimistic_probe_safe`]).
-    /// When false, `ReadMode::Optimistic` silently behaves like `Locked`.
-    pub fn optimistic_capable(&self) -> bool {
-        self.optimistic_safe
+        OptimisticStats::default()
     }
 
     /// Install (or clear) the torn-read torture hook: `set` calls it after
-    /// deleting a replaced key's old item, with the write lock held and
-    /// the shard version odd. A hook that blocks holds the writer
-    /// mid-mutation — the adversarial window the seqlock protocol must
-    /// make invisible to readers. Test/`torture`-feature builds only.
+    /// deleting a replaced key's old item, with the write lock held. A
+    /// hook that blocks holds the writer mid-mutation — the window the
+    /// shard lock must keep readers out of. Test/`torture`-feature builds
+    /// only.
     ///
     /// Note: the hook runs under an internal mutex, so don't call
     /// `set_torture_set_pause` again while a hooked `set` is paused.
@@ -1085,7 +555,7 @@ impl KvStore {
     pub fn index_bytes(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().index.storage_bytes())
+            .map(|s| s.shard.read().index.storage_bytes())
             .sum()
     }
 
@@ -1112,12 +582,15 @@ impl KvStore {
 
     /// Number of live items across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().items.len()).sum()
+        self.shards.iter().map(|s| s.shard.read().items.len()).sum()
     }
 
     /// Live item count per shard (balance reporting).
     pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.read().items.len()).collect()
+        self.shards
+            .iter()
+            .map(|s| s.shard.read().items.len())
+            .collect()
     }
 
     /// Per-shard counter snapshots.
@@ -1125,7 +598,7 @@ impl KvStore {
         self.shards
             .iter()
             .map(|s| {
-                let g = s.read();
+                let g = s.shard.read();
                 ShardStats {
                     items: g.items.len(),
                     sets: s.counters.sets.load(Ordering::Relaxed),
@@ -1198,7 +671,7 @@ impl KvStore {
     pub fn set_v(&self, key: &[u8], value: &[u8], ttl_secs: u32) -> Result<u64, StoreError> {
         let hash = hash_key(key);
         let slot = &self.shards[self.shard_for_hash(hash)];
-        let mut g = slot.write();
+        let mut g = slot.shard.write();
         self.set_in_guard(slot, &mut g, hash, key, value, ttl_secs)
     }
 
@@ -1206,11 +679,11 @@ impl KvStore {
     /// [`KvStore::set_multi`]: replace, allocate (evicting on pressure),
     /// register, index (evicting on pressure), admit. The caller holds the
     /// shard's write guard, so a multi-key batch amortizes one lock
-    /// acquisition and one seqlock write session over the whole group.
+    /// acquisition over the whole group.
     fn set_in_guard(
         &self,
         slot: &ShardSlot,
-        g: &mut ShardWriteGuard<'_>,
+        g: &mut Shard,
         hash: u32,
         key: &[u8],
         value: &[u8],
@@ -1289,8 +762,8 @@ impl KvStore {
     ///
     /// 1. **Pre-processing** — hash every key with the interleaved FNV
     ///    kernel and partition the batch by shard.
-    /// 2. **Candidate probe** — per shard, under **one** write lock and
-    ///    seqlock write session for the whole group, a batched
+    /// 2. **Candidate probe** — per shard, under **one** write lock for
+    ///    the whole group, a batched
     ///    group-prefetched lookup warms the index buckets and stages the
     ///    replacement candidates' item rows.
     /// 3. **Insert** — each key runs the same replace/allocate/index body
@@ -1336,14 +809,14 @@ impl KvStore {
         let mut phases = PhaseNanos::default();
         let t1 = self.for_each_shard(&keys, scratch, |slot, sub, pass| {
             let candidates = &mut pass.candidates;
-            // Phase 2: one exclusive lock + seqlock write session for the
-            // whole group; the batched probe warms this shard's buckets
+            // Phase 2: one exclusive lock for the whole group; the
+            // batched probe warms this shard's buckets
             // and stages replacement candidates. The candidates are
             // *hints only* — an earlier insert in this batch can change
             // the truth (duplicate keys) — so Phase 3 re-verifies each key
             // under the same guard.
             let tl0 = Instant::now();
-            let mut g = slot.write();
+            let mut g = slot.shard.write();
             candidates.clear();
             candidates.resize(sub.hashes.len(), NO_ITEM);
             g.index
@@ -1446,55 +919,42 @@ impl KvStore {
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
         let hash = hash_key(key);
         let slot = &self.shards[self.shard_for_hash(hash)];
-        let value = |_: u32, v: &[u8]| v.to_vec();
-        if self.use_optimistic() {
-            match self.get_in(slot, &slot.racy(&self.optimistic), hash, key, value) {
-                Some(decided) => return decided,
-                None => self.optimistic.fallbacks.fetch_add(1, Ordering::Relaxed),
-            };
-        }
-        self.get_in(slot, &slot.read(), hash, key, value)
-            .expect("a locked read always commits")
+        self.get_in(slot, &slot.shard.read(), hash, key, |_, v| v.to_vec())
     }
 
-    /// [`probe_key`] applied to one key under `view`, the hit mapped
-    /// through `value_of(item, value bytes)`. `Some(result)` when the read
-    /// validated, `None` when the caller must rerun it under the locked
-    /// view.
-    fn get_in<V: ShardView, T>(
+    /// [`Shard::probe_key`] applied to one key of `shard` (its shared lock
+    /// held by the caller), the hit mapped through `value_of(item, value
+    /// bytes)`.
+    fn get_in<T>(
         &self,
         slot: &ShardSlot,
-        view: &V,
+        shard: &Shard,
         hash: u32,
         key: &[u8],
         value_of: impl Fn(u32, &[u8]) -> T,
-    ) -> Option<Option<T>> {
-        let (mut chunk, mut ids) = (Vec::new(), Vec::new());
+    ) -> Option<T> {
+        let mut ids = Vec::new();
         let now = Now::new(self);
         let mut q = Query {
             hash,
             key,
             now: &now,
-            chunk: &mut chunk,
             ids: &mut ids,
         };
+        let mut cand = [NO_ITEM];
+        shard
+            .index
+            .lookup_batch_prefetched(std::slice::from_ref(&hash), &mut cand, 0);
+        let word = shard.stage(cand[0]);
         let mut out = None;
-        let attempt = |out: &mut Option<T>| {
-            let mut cand = [NO_ITEM];
-            view.lookup(std::slice::from_ref(&hash), &mut cand, 0);
-            let word = view.stage(cand[0]);
-            let mut need_seq = false;
-            let mut hit = |item: u32, v: &[u8]| *out = Some(value_of(item, v));
-            let probe = probe_key(view, cand[0], word, &mut q, &mut need_seq, &mut hit);
-            (probe, probe == Probe::Torn, need_seq)
-        };
-        let probe = validated(view, &mut out, attempt, |out| *out = None)?;
+        let mut hit = |item: u32, v: &[u8]| out = Some(value_of(item, v));
+        let probe = shard.probe_key(cand[0], word, &mut q, &mut hit);
         let (found, expired) = (probe == Probe::Hit, probe == Probe::Expired);
         if !found {
-            view.want(hash);
+            shard.clock.want(hash);
         }
         Self::count_reads(slot, 1, found.into(), expired.into());
-        Some(out)
+        out
     }
 
     /// Attribute `keys` probed keys — `found` of them hits, `expired` of
@@ -1516,7 +976,7 @@ impl KvStore {
     pub fn delete(&self, key: &[u8]) -> bool {
         let hash = hash_key(key);
         let slot = &self.shards[self.shard_for_hash(hash)];
-        let mut g = slot.write();
+        let mut g = slot.shard.write();
         match g.find_verified(hash, key) {
             Some(item) => {
                 let expired = Now::new(self).expired(g.items.expires_at(item));
@@ -1554,7 +1014,7 @@ impl KvStore {
     ) -> Result<CasOutcome, StoreError> {
         let hash = hash_key(key);
         let slot = &self.shards[self.shard_for_hash(hash)];
-        let mut g = slot.write();
+        let mut g = slot.shard.write();
         let now = Now::new(self);
         match g.find_verified(hash, key) {
             Some(item) => {
@@ -1583,7 +1043,7 @@ impl KvStore {
     pub fn set_ttl(&self, key: &[u8], ttl_secs: u32) -> bool {
         let hash = hash_key(key);
         let slot = &self.shards[self.shard_for_hash(hash)];
-        let mut g = slot.write();
+        let mut g = slot.shard.write();
         let now = Now::new(self);
         match g.find_verified(hash, key) {
             Some(item) => {
@@ -1604,24 +1064,21 @@ impl KvStore {
     }
 
     /// Look up a single key together with its current version (for a
-    /// subsequent [`KvStore::cas`]). Runs under the shard's shared lock
-    /// in every read mode — the version must be read in the same critical
-    /// section that resolved the item.
+    /// subsequent [`KvStore::cas`]). The version is read in the same
+    /// critical section that resolved the item.
     pub fn get_v(&self, key: &[u8]) -> Option<(Vec<u8>, u64)> {
         let hash = hash_key(key);
         let slot = &self.shards[self.shard_for_hash(hash)];
-        let g = slot.read();
+        let g = slot.shard.read();
         let versioned = |item: u32, v: &[u8]| (v.to_vec(), g.items.version(item));
         self.get_in(slot, &g, hash, key, versioned)
-            .expect("a locked read always commits")
     }
 
     /// The batched Multi-Get pipeline with per-phase timing.
     ///
     /// The batch is partitioned by shard during pre-processing; each
     /// non-empty shard then runs one batched lookup + post-processing pass
-    /// ([`ReadMode`] picks the view it runs under). At most one shard lock
-    /// is held at a time.
+    /// under its shared lock. At most one shard lock is held at a time.
     ///
     /// `resp` is reset and refilled; reusing one buffer across calls avoids
     /// per-request allocation, as a real server does.
@@ -1631,25 +1088,11 @@ impl KvStore {
         let t0 = Instant::now();
         resp.reset(keys.len());
         let mut scratch = std::mem::take(&mut resp.scratch);
-        let use_opt = self.use_optimistic();
         let mut found = 0usize;
         let mut phases = PhaseNanos::default();
-        // Phases 2+3 per shard — with no lock at all when the optimistic
-        // read mode is on, and under that shard's shared lock otherwise or
-        // when the racy pass could not validate.
+        // Phases 2+3 per shard, under that shard's shared lock.
         let t1 = self.for_each_shard(keys, &mut scratch, |slot, sub, pass| {
-            let mut done = None;
-            if use_opt {
-                let racy = slot.racy(&self.optimistic);
-                done = self.read_pass(&racy, keys, sub, resp, pass);
-                if done.is_none() {
-                    self.optimistic.fallbacks.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            let done = done.unwrap_or_else(|| {
-                self.read_pass(&slot.read(), keys, sub, resp, pass)
-                    .expect("a locked pass always commits")
-            });
+            let done = self.read_pass(&slot.shard.read(), keys, sub, resp, pass);
             Self::count_reads(slot, sub.hashes.len() as u64, done.found, done.expired);
             found += done.found as usize;
             phases.lookup += done.lookup_ns;
@@ -1666,9 +1109,7 @@ impl KvStore {
         MGetOutcome { found, phases }
     }
 
-    /// One shard's Phase 2+3 under `view`. `Some` when the pass validated
-    /// and committed, `None` when the caller must rerun the shard under
-    /// the locked view.
+    /// One shard's Phase 2+3, its shared lock held by the caller.
     ///
     /// Phase 2 is the hash-table lookup (the batched, SIMD-accelerable
     /// phase) over this shard's slice of the request, with bucket lines
@@ -1678,82 +1119,73 @@ impl KvStore {
     /// item-table row is requested 2G keys before its turn, its slab chunk
     /// G keys before (resolving the row the prefetch made warm), so both
     /// dependent misses overlap the verification of earlier keys.
-    /// Validation is two-tier
-    /// ([`ShardView::commit`]); a failed one rolls the response back to
-    /// its pre-pass marks and retries once ([`validated`]).
-    fn read_pass<V: ShardView>(
+    fn read_pass(
         &self,
-        view: &V,
+        shard: &Shard,
         keys: &[&[u8]],
         sub: ShardBatch<'_>,
         resp: &mut MGetResponse,
         scratch: &mut PassScratch,
-    ) -> Option<PassOutcome> {
+    ) -> PassOutcome {
+        const G: usize = PREFETCH_DEPTH;
         let n_sub = sub.hashes.len();
         let now = Now::new(self);
-        let marks = resp.marks();
-        const G: usize = PREFETCH_DEPTH;
-        let attempt = |resp: &mut MGetResponse| {
-            let (candidates, words) = (&mut scratch.candidates, &mut scratch.words);
-            let tl0 = Instant::now();
-            candidates.clear();
-            candidates.resize(n_sub, NO_ITEM);
-            view.lookup(sub.hashes, candidates, G);
-            let tl1 = Instant::now();
-            let mut out = PassOutcome::default();
-            let mut need_seq = false;
-            let mut torn = false;
-            words.clear();
-            words.resize(n_sub, 0);
-            for &cand in candidates.iter().take(2 * G) {
-                view.prefetch_row(cand);
+        let PassScratch {
+            candidates,
+            words,
+            ids,
+        } = scratch;
+        let tl0 = Instant::now();
+        candidates.clear();
+        candidates.resize(n_sub, NO_ITEM);
+        shard
+            .index
+            .lookup_batch_prefetched(sub.hashes, candidates, G);
+        let tl1 = Instant::now();
+        let mut out = PassOutcome::default();
+        words.clear();
+        words.resize(n_sub, 0);
+        for &cand in candidates.iter().take(2 * G) {
+            shard.items.prefetch(cand);
+        }
+        for j in 0..n_sub.min(G) {
+            words[j] = shard.stage(candidates[j]);
+        }
+        for j in 0..n_sub {
+            if let Some(&ahead) = candidates.get(j + 2 * G) {
+                shard.items.prefetch(ahead);
             }
-            for j in 0..n_sub.min(G) {
-                words[j] = view.stage(candidates[j]);
+            if j + G < n_sub {
+                words[j + G] = shard.stage(candidates[j + G]);
             }
-            for j in 0..n_sub {
-                if let Some(&ahead) = candidates.get(j + 2 * G) {
-                    view.prefetch_row(ahead);
+            let i = sub.slot(j);
+            let mut q = Query {
+                hash: sub.hashes[j],
+                key: keys[i],
+                now: &now,
+                ids: &mut *ids,
+            };
+            let mut hit = |_: u32, v: &[u8]| resp.push_hit(i, v);
+            match shard.probe_key(candidates[j], words[j], &mut q, &mut hit) {
+                Probe::Hit => out.found += 1,
+                Probe::Expired => {
+                    out.expired += 1;
+                    shard.clock.want(q.hash);
+                    resp.push_miss(i);
                 }
-                if j + G < n_sub {
-                    words[j + G] = view.stage(candidates[j + G]);
-                }
-                let i = sub.slot(j);
-                let mut q = Query {
-                    hash: sub.hashes[j],
-                    key: keys[i],
-                    now: &now,
-                    chunk: &mut scratch.chunk,
-                    ids: &mut scratch.ids,
-                };
-                let (cand, word) = (candidates[j], words[j]);
-                let mut hit = |_: u32, v: &[u8]| resp.push_hit(i, v);
-                match probe_key(view, cand, word, &mut q, &mut need_seq, &mut hit) {
-                    Probe::Hit => out.found += 1,
-                    Probe::Expired => {
-                        out.expired += 1;
-                        view.want(q.hash);
-                        resp.push_miss(i);
-                    }
-                    Probe::Miss => {
-                        view.want(q.hash);
-                        resp.push_miss(i);
-                    }
-                    Probe::Torn => {
-                        torn = true;
-                        break;
-                    }
+                Probe::Miss => {
+                    shard.clock.want(q.hash);
+                    resp.push_miss(i);
                 }
             }
-            out.lookup_ns = (tl1 - tl0).as_nanos() as u64;
-            out.post_ns = tl1.elapsed().as_nanos() as u64;
-            (out, torn, need_seq)
-        };
-        validated(view, resp, attempt, |resp| resp.rollback(marks, sub))
+        }
+        out.lookup_ns = (tl1 - tl0).as_nanos() as u64;
+        out.post_ns = tl1.elapsed().as_nanos() as u64;
+        out
     }
 }
 
-/// What one committed [`KvStore::read_pass`] did.
+/// What one [`KvStore::read_pass`] did.
 #[derive(Copy, Clone, Default)]
 struct PassOutcome {
     found: u64,
@@ -1779,9 +1211,75 @@ impl ShardBatch<'_> {
 }
 
 impl Shard {
+    /// AMAC stage 2 of a read: load candidate `cand`'s row word (its line
+    /// made warm by an earlier [`ItemTable::prefetch`]) and request the
+    /// chunk's leading cache line, so the full-key compare `G` keys later
+    /// reads a warm line. 0 (a dead word) for [`NO_ITEM`].
+    #[inline(always)]
+    fn stage(&self, cand: u32) -> u64 {
+        if cand == NO_ITEM {
+            return 0;
+        }
+        let word = self.items.load_row(cand);
+        if let Some(r) = decode_row(word) {
+            self.slab.prefetch(r);
+        }
+        word
+    }
+
+    /// Verify candidate `cand` (row word `word`) against `q.key` — never
+    /// trusting the index alone — and deliver a live hit to `hit`. `None`
+    /// when this candidate is not the key's item: dead row or full-key
+    /// mismatch.
+    #[inline(always)]
+    fn verify(
+        &self,
+        cand: u32,
+        word: u64,
+        q: &Query<'_>,
+        hit: &mut impl FnMut(u32, &[u8]),
+    ) -> Option<Probe> {
+        let chunk = self.slab.chunk(decode_row(word)?);
+        let (_, value) = item_decode_checked(chunk).filter(|(k, _)| *k == q.key)?;
+        Some(if q.now.expired(self.items.expires_at(cand)) {
+            Probe::Expired
+        } else {
+            hit(cand, value);
+            self.clock.touch(cand);
+            Probe::Hit
+        })
+    }
+
+    /// The per-key step of every read: resolve `q` given the first
+    /// candidate `cand` a batched probe returned for its hash and that
+    /// candidate's staged row word. The candidate is verified against the
+    /// slab first, every other candidate only after a full-key mismatch
+    /// (the tag/hash-collision slow path, MemC3).
+    #[inline(always)]
+    fn probe_key(
+        &self,
+        cand: u32,
+        word: u64,
+        q: &mut Query<'_>,
+        hit: &mut impl FnMut(u32, &[u8]),
+    ) -> Probe {
+        if let Some(probe) = self.verify(cand, word, q, hit) {
+            return probe;
+        }
+        if decode_row(word).is_none() {
+            // No candidate, or a dead row.
+            return Probe::Miss;
+        }
+        q.ids.clear();
+        self.index.lookup_all(q.hash, q.ids);
+        (0..q.ids.len())
+            .find_map(|n| self.verify(q.ids[n], self.items.load_row(q.ids[n]), q, hit))
+            .unwrap_or(Probe::Miss)
+    }
+
     /// Find the item id whose stored key equals `key`, verifying every
     /// index candidate for `hash` against the slab (never trusts the
-    /// index alone) — the write paths' counterpart of [`probe_key`].
+    /// index alone) — the write paths' counterpart of [`Shard::probe_key`].
     fn find_verified(&mut self, hash: u32, key: &[u8]) -> Option<u32> {
         let Shard {
             slab,
@@ -1882,18 +1380,25 @@ mod tests {
     use crate::index::{by_short_name, Memc3Index, SimdIndex, SimdIndexKind};
 
     #[test]
-    fn the_lock_words_and_the_counters_keep_lines_of_their_own() {
+    fn the_lock_word_and_the_counters_keep_lines_of_their_own() {
         use std::mem::{align_of, offset_of, size_of};
+        // The lock's own words are the bytes of the `RwLock` outside the
+        // shard it wraps. The shard starts and ends on a line boundary, so
+        // no line holds both a shard field and a lock word.
+        assert_eq!(align_of::<Shard>(), 64);
+        assert_eq!(size_of::<Shard>() % 64, 0);
+        let store = &stores(10)[0];
+        let slot = &store.shards[0];
+        let lock_at = &slot.shard as *const RwLock<Shard> as usize;
+        let lock_end = lock_at + size_of::<RwLock<Shard>>();
+        let shard_at = &*slot.shard.read() as *const Shard as usize;
+        assert_eq!(shard_at % 64, 0);
+        assert!(lock_at <= shard_at && shard_at + size_of::<Shard>() <= lock_end);
+        assert!(size_of::<RwLock<Shard>>() > size_of::<Shard>());
+        // The counters every Multi-Get bumps fill lines of their own.
         assert_eq!(align_of::<ShardCounters>(), 64);
-        assert_eq!(align_of::<ShardSlot>(), 64);
-        let seq_end = offset_of!(ShardSlot, seq) + size_of::<SeqCount>();
-        let lock_end = offset_of!(ShardSlot, lock) + size_of::<RwLock<()>>();
-        assert!(
-            seq_end <= 64 && lock_end <= 64,
-            "the lock words span two lines"
-        );
-        assert_eq!(offset_of!(ShardSlot, shard), 64);
         assert_eq!(offset_of!(ShardSlot, counters) % 64, 0);
+        assert_eq!(size_of::<ShardCounters>() % 64, 0);
     }
 
     pub(super) fn stores(capacity: usize) -> Vec<KvStore> {
@@ -1901,7 +1406,6 @@ mod tests {
             memory_budget: 8 << 20,
             capacity_items: capacity,
             shards: 1,
-            ..StoreConfig::default()
         };
         vec![
             KvStore::new(Box::new(Memc3Index::with_capacity(capacity)), cfg),
@@ -1931,7 +1435,6 @@ mod tests {
                         memory_budget: 32 << 20,
                         capacity_items: capacity,
                         shards,
-                        ..StoreConfig::default()
                     },
                     |cap| by_short_name(which, cap).unwrap(),
                 )
@@ -2104,7 +1607,6 @@ mod tests {
                 memory_budget: 16 << 20,
                 capacity_items: 4000,
                 shards: 8,
-                ..StoreConfig::default()
             },
             |cap| by_short_name("hor", cap).unwrap(),
         );
@@ -2232,28 +1734,21 @@ mod tests {
     }
 
     #[test]
-    fn ttl_expiry_is_lazy_and_mode_agnostic() {
+    fn ttl_expiry_is_lazy() {
         for store in stores(2000).iter().chain(sharded_stores(2000, 4).iter()) {
             let name = store.index_name();
             store.set_v(b"mortal", b"doomed", 5).unwrap();
             store.set_v(b"immortal", b"stays", 0).unwrap();
-            for mode in [ReadMode::Locked, ReadMode::Optimistic] {
-                store.set_read_mode(mode);
-                assert_eq!(store.get(b"mortal").as_deref(), Some(&b"doomed"[..]));
-            }
+            assert_eq!(store.get(b"mortal").as_deref(), Some(&b"doomed"[..]));
             store.advance_time(5);
             let mut resp = MGetResponse::new();
-            for mode in [ReadMode::Locked, ReadMode::Optimistic] {
-                store.set_read_mode(mode);
-                assert_eq!(store.get(b"mortal"), None, "{name}/{:?}", mode);
-                assert_eq!(store.get_v(b"mortal"), None, "{name}/{:?}", mode);
-                assert_eq!(store.get(b"immortal").as_deref(), Some(&b"stays"[..]));
-                let out = store.mget(&[b"mortal".as_ref(), b"immortal".as_ref()], &mut resp);
-                assert_eq!(out.found, 1, "{name}/{:?}", mode);
-                assert_eq!(resp.value(0), None, "{name}/{:?}", mode);
-                assert_eq!(resp.value(1), Some(&b"stays"[..]), "{name}/{:?}", mode);
-            }
-            store.set_read_mode(ReadMode::Locked);
+            assert_eq!(store.get(b"mortal"), None, "{name}");
+            assert_eq!(store.get_v(b"mortal"), None, "{name}");
+            assert_eq!(store.get(b"immortal").as_deref(), Some(&b"stays"[..]));
+            let out = store.mget(&[b"mortal".as_ref(), b"immortal".as_ref()], &mut resp);
+            assert_eq!(out.found, 1, "{name}");
+            assert_eq!(resp.value(0), None, "{name}");
+            assert_eq!(resp.value(1), Some(&b"stays"[..]), "{name}");
             assert!(store.totals().expired > 0, "{name}");
             // Expired keys are absent to every verb.
             assert!(!store.delete(b"mortal"), "{name}");
@@ -2295,7 +1790,6 @@ mod tests {
                 memory_budget: 2 << 20, // forces pressure
                 capacity_items: 100_000,
                 shards: 1,
-                ..StoreConfig::default()
             },
         );
         let value = vec![0xCDu8; 1024];
@@ -2349,7 +1843,6 @@ mod tests {
                         memory_budget: budget,
                         capacity_items: capacity,
                         shards: 2,
-                        ..StoreConfig::default()
                     },
                     |cap| by_short_name(which, cap).unwrap(),
                 );
@@ -2399,7 +1892,7 @@ mod tests {
                     "{which}: {t:?}"
                 );
                 for slot in &store.shards {
-                    let mut g = slot.write();
+                    let mut g = slot.shard.write();
                     let n = g.items.len();
                     assert!(n > 0, "{which}");
                     assert_eq!(g.index.len(), n, "{which}: index entries vs items");
@@ -2448,7 +1941,6 @@ mod tests {
                 memory_budget: 1 << 20,
                 capacity_items: 64,
                 shards: 1,
-                ..StoreConfig::default()
             },
         );
         let mut state = 0x1D5_u64;
@@ -2463,7 +1955,7 @@ mod tests {
                 let value = vec![step as u8; (state >> 16) as usize % 20_000 + 1];
                 store.set(key.as_bytes(), &value).unwrap();
             }
-            let bound = store.shards[0].read().items.id_bound() as usize;
+            let bound = store.shards[0].shard.read().items.id_bound() as usize;
             assert!(
                 bound <= slots + 1,
                 "step {step}: id {} of {slots} slots",
@@ -2471,7 +1963,10 @@ mod tests {
             );
         }
         assert!(store.totals().evictions > 10_000, "{:?}", store.totals());
-        assert_eq!(store.shards[0].read().items.id_bound() as usize, slots + 1);
+        assert_eq!(
+            store.shards[0].shard.read().items.id_bound() as usize,
+            slots + 1
+        );
     }
 
     #[test]
@@ -2482,7 +1977,6 @@ mod tests {
                 memory_budget: 2 << 20, // 2 MiB: forces eviction
                 capacity_items: 100_000,
                 shards: 1,
-                ..StoreConfig::default()
             },
         );
         let value = vec![0xABu8; 1024];
@@ -2507,7 +2001,6 @@ mod tests {
                 memory_budget: 4 << 20,
                 capacity_items: 32_768,
                 shards: 1,
-                ..StoreConfig::default()
             },
         );
         let value = vec![0x5Au8; 256];
@@ -2536,7 +2029,6 @@ mod tests {
                 memory_budget: 4 << 20,
                 capacity_items: 16_384,
                 shards: 1,
-                ..StoreConfig::default()
             },
         );
         let key = |i: usize| format!("key:{i:016x}");
@@ -2575,7 +2067,6 @@ mod tests {
                 memory_budget: 8 << 20,
                 capacity_items: 64,
                 shards: 1,
-                ..StoreConfig::default()
             },
         );
         for i in 0..2000u32 {
@@ -2604,191 +2095,6 @@ mod tests {
         s8.mget(&[b"k".as_ref(), b"absent".as_ref()], &mut resp);
         assert_eq!(resp.value(0), Some(&b"eight"[..]));
         assert_eq!(resp.value(1), None);
-    }
-
-    #[test]
-    fn read_mode_parse_and_default() {
-        assert_eq!(ReadMode::parse("locked"), Some(ReadMode::Locked));
-        assert_eq!(ReadMode::parse("optimistic"), Some(ReadMode::Optimistic));
-        assert_eq!(ReadMode::parse("bogus"), None);
-        assert_eq!(StoreConfig::default().read_mode, ReadMode::Locked);
-        let store = &stores(10)[0];
-        assert_eq!(store.read_mode(), ReadMode::Locked);
-        store.set_read_mode(ReadMode::Optimistic);
-        assert_eq!(store.read_mode(), ReadMode::Optimistic);
-        assert_eq!(ReadMode::Optimistic.name(), "optimistic");
-    }
-
-    #[test]
-    fn optimistic_reads_match_locked_and_commit() {
-        // Quiescent store: every optimistic read must commit (no writers
-        // to race) and return exactly what the locked path returns.
-        for store in stores(2000).iter().chain(sharded_stores(2000, 4).iter()) {
-            for i in 0..800u32 {
-                store
-                    .set(format!("k{i}").as_bytes(), format!("val-{i}").as_bytes())
-                    .unwrap();
-            }
-            let keys: Vec<String> = (0..900u32).map(|i| format!("k{i}")).collect();
-            let refs: Vec<&[u8]> = keys.iter().map(|k| k.as_bytes()).collect();
-            let mut locked = MGetResponse::new();
-            let out_locked = store.mget(&refs, &mut locked);
-            let locked_frame = locked.seal_frame(7).to_vec();
-            let locked_gets: Vec<Option<Vec<u8>>> = refs.iter().map(|k| store.get(k)).collect();
-
-            store.set_read_mode(ReadMode::Optimistic);
-            let before = store.optimistic_stats();
-            let mut opt = MGetResponse::new();
-            let out_opt = store.mget(&refs, &mut opt);
-            assert_eq!(out_opt.found, out_locked.found, "{}", store.index_name());
-            assert_eq!(
-                opt.seal_frame(7),
-                &locked_frame[..],
-                "{}",
-                store.index_name()
-            );
-            let opt_gets: Vec<Option<Vec<u8>>> = refs.iter().map(|k| store.get(k)).collect();
-            assert_eq!(opt_gets, locked_gets, "{}", store.index_name());
-            let after = store.optimistic_stats();
-            assert!(after.commits > before.commits, "{}", store.index_name());
-            // No concurrent writers, so no read should ever need a retry
-            // or give up (a tag collision is a per-key assist, not a
-            // fallback).
-            assert_eq!(after.retries, before.retries, "{}", store.index_name());
-            assert_eq!(after.fallbacks, before.fallbacks, "{}", store.index_name());
-            store.set_read_mode(ReadMode::Locked);
-        }
-    }
-
-    #[test]
-    fn locked_reads_leave_optimistic_stats_zero() {
-        // The locked view is the same pass with the seqlock protocol
-        // compiled out: gets, mgets and the collision slow path (a hit
-        // behind a colliding first candidate, and a colliding miss) must
-        // not touch the optimistic counters.
-        let mut seen = std::collections::HashMap::new();
-        let (a, b) = (0u32..)
-            .find_map(|i| {
-                let key = format!("col-{i:08x}").into_bytes();
-                seen.insert(hash_key(&key), key.clone()).map(|a| (a, key))
-            })
-            .expect("u32 hashes must collide");
-        for store in stores(2000).iter().chain(sharded_stores(2000, 4).iter()) {
-            assert_eq!(store.read_mode(), ReadMode::Locked);
-            for k in [&a, &b] {
-                store.set(k, k).unwrap();
-            }
-            let mut resp = MGetResponse::new();
-            for pass in 0..2 {
-                assert_eq!(store.get(&a).as_deref(), Some(&a[..]));
-                assert_eq!(store.get(&b).is_some(), pass == 0);
-                assert_eq!(store.get(b"absent"), None);
-                let out = store.mget(&[&a[..], &b[..], b"absent"], &mut resp);
-                assert_eq!(out.found, 2 - pass, "{}", store.index_name());
-                store.delete(&b); // second pass: `b` collides and misses
-            }
-            assert_eq!(
-                store.optimistic_stats(),
-                OptimisticStats::default(),
-                "{}",
-                store.index_name()
-            );
-        }
-    }
-
-    /// Hold a writer mid-`set` (old item deleted, new not yet written,
-    /// shard version odd) via the torture hook; returns the paused store
-    /// plus the barriers and writer handle.
-    fn paused_writer_store() -> (
-        std::sync::Arc<KvStore>,
-        std::sync::Arc<std::sync::Barrier>,
-        std::thread::JoinHandle<()>,
-    ) {
-        use std::sync::{Arc, Barrier};
-        let store = Arc::new(KvStore::new(
-            Box::new(Memc3Index::with_capacity(100)),
-            StoreConfig {
-                read_mode: ReadMode::Optimistic,
-                ..StoreConfig::default()
-            },
-        ));
-        store.set(b"hot", b"v1").unwrap();
-        let entered = Arc::new(Barrier::new(2));
-        let release = Arc::new(Barrier::new(2));
-        {
-            let entered = Arc::clone(&entered);
-            let release = Arc::clone(&release);
-            store.set_torture_set_pause(Some(Box::new(move || {
-                entered.wait();
-                release.wait();
-            })));
-        }
-        let writer = {
-            let store = Arc::clone(&store);
-            std::thread::spawn(move || store.set(b"hot", b"v2").unwrap())
-        };
-        entered.wait(); // writer is now paused mid-mutation
-        (store, release, writer)
-    }
-
-    fn wait_for_fallback(store: &KvStore, before: u64) {
-        let deadline = Instant::now() + std::time::Duration::from_secs(30);
-        while store.optimistic_stats().fallbacks == before {
-            assert!(
-                Instant::now() < deadline,
-                "reader never fell back off the optimistic path"
-            );
-            std::thread::yield_now();
-        }
-    }
-
-    #[test]
-    fn torn_read_get_spins_and_falls_back() {
-        // The adversarial torn-read oracle: while the writer is held
-        // mid-mutation the key's old item is GONE from index and table —
-        // a reader trusting the racy probe would answer `None` (a torn
-        // read: the key never stopped existing). The seqlock discipline
-        // (odd version → spin → locked fallback) must make the reader
-        // block and return the *new* value instead. Deleting the version
-        // re-check deliberately makes this test fail.
-        let (store, release, writer) = paused_writer_store();
-        let before = store.optimistic_stats().fallbacks;
-        let reader = {
-            let store = std::sync::Arc::clone(&store);
-            std::thread::spawn(move || store.get(b"hot"))
-        };
-        // The reader provably gave up optimistically while the writer was
-        // still paused — not after it finished.
-        wait_for_fallback(&store, before);
-        release.wait();
-        writer.join().unwrap();
-        assert_eq!(reader.join().unwrap().as_deref(), Some(&b"v2"[..]));
-        // With the writer gone, optimistic reads commit again.
-        let commits = store.optimistic_stats().commits;
-        assert_eq!(store.get(b"hot").as_deref(), Some(&b"v2"[..]));
-        assert!(store.optimistic_stats().commits > commits);
-    }
-
-    #[test]
-    fn torn_read_prefetched_mget_spins_and_falls_back() {
-        // Same oracle through the G-ahead prefetched Multi-Get pipeline.
-        let (store, release, writer) = paused_writer_store();
-        let before = store.optimistic_stats().fallbacks;
-        let reader = {
-            let store = std::sync::Arc::clone(&store);
-            std::thread::spawn(move || {
-                let mut resp = MGetResponse::new();
-                let keys: [&[u8]; 3] = [b"hot", b"missing-a", b"missing-b"];
-                let out = store.mget(&keys, &mut resp);
-                (out.found, resp.value(0).map(<[u8]>::to_vec))
-            })
-        };
-        wait_for_fallback(&store, before);
-        release.wait();
-        writer.join().unwrap();
-        let (found, hot) = reader.join().unwrap();
-        assert_eq!(found, 1);
-        assert_eq!(hot.as_deref(), Some(&b"v2"[..]));
     }
 
     #[test]
@@ -2848,7 +2154,6 @@ mod tests {
                     memory_budget: 8 << 20,
                     capacity_items: 2000,
                     shards: 4,
-                    ..StoreConfig::default()
                 },
                 |cap| by_short_name("ver", cap).unwrap(),
             ));

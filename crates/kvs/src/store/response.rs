@@ -2,7 +2,7 @@
 //! responses, DESIGN.md §9). The byte layout it fills in belongs to
 //! [`crate::protocol`]; this file only decides *where* records go.
 
-use super::{BatchScratch, ShardBatch};
+use super::BatchScratch;
 use crate::protocol::{
     append_frame, mget_resp_entry, mget_resp_header, seal, MGET_HIT_PREFIX_BYTES,
     MGET_RESP_HEADER_BYTES,
@@ -90,24 +90,6 @@ impl MGetResponse {
             len: None,
         };
         mget_resp_entry(&mut self.buf, None);
-    }
-
-    /// What [`MGetResponse::rollback`] needs to undo a shard pass that
-    /// starts now.
-    pub(super) fn marks(&self) -> (usize, usize) {
-        (self.buf.len(), self.value_bytes)
-    }
-
-    /// Undo the records appended by a failed optimistic shard pass. A
-    /// shard's records are always the contiguous tail of `buf` (each shard
-    /// appends in one run), so truncating to the pre-pass marks and
-    /// clearing the slots the pass filled restores the response exactly.
-    pub(super) fn rollback(&mut self, (buf_len, value_bytes): (usize, usize), sub: ShardBatch<'_>) {
-        self.buf.truncate(buf_len);
-        self.value_bytes = value_bytes;
-        for j in 0..sub.hashes.len() {
-            self.entries[sub.slot(j)] = Record::default();
-        }
     }
 
     /// Rewrite `buf`'s records into request order. A single-shard `mget`

@@ -59,7 +59,6 @@ fn run_round(which: &str, seed: u64) -> u64 {
             memory_budget: 16 << 20,
             capacity_items: 1024,
             shards: 2,
-            ..StoreConfig::default()
         },
         |cap| by_short_name(which, cap).expect("known index"),
     );

@@ -122,13 +122,15 @@ fn kvsd_help_and_unknown_flag() {
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("--memory-mb"));
     // The prefetch depth, coalesce window, batch width and loop count are
-    // constants: their flags are unknown too, not silently ignored.
+    // constants, and reads always take the shard lock: their flags are
+    // unknown too, not silently ignored.
     for flag in [
         "--no-such-flag",
         "--prefetch-depth",
         "--coalesce-us",
         "--batch-width",
         "--reactor-threads",
+        "--read-mode",
     ] {
         let args = ["--addr", "127.0.0.1:0", "--duration", "0", flag, "8"];
         assert_refused(KVSD, &args, &format!("unknown flag {flag}"));
@@ -175,9 +177,9 @@ fn assert_help_matches_parser(bin: &str, tail: &[&str], expected: usize) {
 
 #[test]
 fn kvsd_help_lists_only_flags_the_parser_knows() {
-    // 11 options, plus `-h` and `--help`. The tail serves nothing.
+    // 10 options, plus `-h` and `--help`. The tail serves nothing.
     let tail = ["--addr", "127.0.0.1:0", "--duration", "0"];
-    assert_help_matches_parser(KVSD, &tail, 13);
+    assert_help_matches_parser(KVSD, &tail, 12);
 }
 
 #[test]

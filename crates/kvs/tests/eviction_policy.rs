@@ -85,7 +85,6 @@ fn run(s: Stream) -> Outcome {
             memory_budget: s.memory_budget,
             capacity_items: s.keys as usize,
             shards: 1,
-            ..StoreConfig::default()
         },
     );
     let value = vec![0x5Au8; VALUE_LEN];
@@ -275,7 +274,6 @@ fn keys_missed_but_never_written_do_not_saturate_the_filter() {
             memory_budget: 4 << 20,
             capacity_items: CAPACITY as usize,
             shards: 1,
-            ..StoreConfig::default()
         },
     );
     let value = vec![0x5Au8; VALUE_LEN];

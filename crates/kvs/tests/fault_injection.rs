@@ -22,9 +22,7 @@
 //! The connection loop under test is selected by `FAULT_SERVER`, which
 //! maps to [`KvsdConfig::reactor`]: `thread` (default) runs the blocking
 //! thread-per-connection loop, `reactor` the event-driven coalescing one —
-//! the whole matrix holds for both. `READ_MODE` (`locked` |
-//! `optimistic`) likewise selects the store's read path, so the matrix
-//! also covers seqlock optimistic reads under transport faults.
+//! the whole matrix holds for both.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc;
@@ -40,7 +38,7 @@ use simdht_kvs::memslap::{run_memslap_over, NetMemslapConfig};
 use simdht_kvs::metrics::Counter;
 use simdht_kvs::net::TcpTransport;
 use simdht_kvs::protocol::{Request, Response};
-use simdht_kvs::store::{KvStore, ReadMode, StoreConfig};
+use simdht_kvs::store::{KvStore, StoreConfig};
 use simdht_kvs::transport::Transport;
 use simdht_workload::{KvWorkload, KvWorkloadSpec};
 
@@ -64,16 +62,6 @@ fn server_config() -> KvsdConfig {
     }
 }
 
-/// `READ_MODE` selects the store-side read path the whole fault matrix
-/// runs against: `locked` (default) or `optimistic`.
-fn read_mode() -> ReadMode {
-    match std::env::var("READ_MODE") {
-        Ok(s) => ReadMode::parse(&s)
-            .unwrap_or_else(|| panic!("READ_MODE={s}: expected locked | optimistic")),
-        Err(_) => ReadMode::Locked,
-    }
-}
-
 /// `INDEX` selects the index family the whole fault matrix runs against
 /// (any `by_short_name` spelling; default `memc3`). Validated eagerly so
 /// a typo fails the suite instead of silently testing the default.
@@ -93,7 +81,6 @@ fn spawn_daemon(capacity: usize) -> (Kvsd, Arc<KvStore>) {
             memory_budget: 4 << 20,
             capacity_items: capacity,
             shards: 1,
-            read_mode: read_mode(),
         },
     ));
     let daemon = Kvsd::bind_with(Arc::clone(&store), "127.0.0.1:0", server_config())
@@ -552,7 +539,6 @@ fn reactor_and_thread_servers_match_byte_for_byte() {
                 memory_budget: 4 << 20,
                 capacity_items: 64,
                 shards: 1,
-                read_mode: read_mode(),
             },
         ));
         for i in 0..8usize {

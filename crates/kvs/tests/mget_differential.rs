@@ -14,7 +14,7 @@ use simdht_kvs::index::{self, hash_key};
 use simdht_kvs::kvsd::Kvsd;
 use simdht_kvs::net::TcpConn;
 use simdht_kvs::protocol::{Request, Response};
-use simdht_kvs::store::{KvStore, MGetResponse, ReadMode, SetMultiBatch, ShardStats, StoreConfig};
+use simdht_kvs::store::{KvStore, MGetResponse, SetMultiBatch, ShardStats, StoreConfig};
 use simdht_kvs::transport::ClientConn;
 
 const INDEXES: [&str; 5] = ["memc3", "hor", "ver", "dpdk", "local"];
@@ -170,7 +170,6 @@ fn store_with(which: &str, shards: usize, corpus: &Corpus) -> KvStore {
             memory_budget: 128 << 20,
             capacity_items: 4096,
             shards,
-            ..StoreConfig::default()
         },
         |cap| index::by_short_name(which, cap).expect("known index"),
     );
@@ -274,54 +273,51 @@ fn line_prefetches_answer_what_the_model_says() {
     let value = |i: usize| vec![(i % 251) as u8; ITEM_BYTES[i % 4] - 6 - KEY_BYTES];
     let expired = |i: usize| i.is_multiple_of(3);
     for which in INDEXES {
-        for mode in [ReadMode::Locked, ReadMode::Optimistic] {
-            for shards in [1usize, 4] {
-                let at = format!("{which}/{mode:?}/{shards} shards");
-                let store = KvStore::with_shards(
-                    StoreConfig {
-                        memory_budget: 64 << 20,
-                        capacity_items: 4096,
-                        shards,
-                        read_mode: mode,
-                    },
-                    |cap| index::by_short_name(which, cap).expect("known index"),
-                );
-                for i in 0..STORED {
-                    assert_eq!(key(i).len(), KEY_BYTES);
-                    let ttl = if expired(i) { 1 } else { 0 };
-                    store.set_v(&key(i), &value(i), ttl).expect("preload");
-                }
-                store.advance_time(2);
+        for shards in [1usize, 4] {
+            let at = format!("{which}/{shards} shards");
+            let store = KvStore::with_shards(
+                StoreConfig {
+                    memory_budget: 64 << 20,
+                    capacity_items: 4096,
+                    shards,
+                },
+                |cap| index::by_short_name(which, cap).expect("known index"),
+            );
+            for i in 0..STORED {
+                assert_eq!(key(i).len(), KEY_BYTES);
+                let ttl = if expired(i) { 1 } else { 0 };
+                store.set_v(&key(i), &value(i), ttl).expect("preload");
+            }
+            store.advance_time(2);
 
-                let (mut hits, mut corpses, mut asked) = (0u64, 0u64, 0u64);
-                for (b, width) in [1usize, 16, 64, 300].into_iter().enumerate() {
-                    // Stride 7 is coprime to both 3 and 4, so every batch of
-                    // 16 or more sees all four sizes, live and expired; ids
-                    // past 1200 were never set.
-                    let ids: Vec<usize> = (0..width).map(|j| (b * 97 + j * 7) % 1300).collect();
-                    let batch: Vec<Vec<u8>> = ids.iter().map(|&i| key(i)).collect();
-                    let want: Vec<Option<Bytes>> = ids
-                        .iter()
-                        .map(|&i| (i < STORED && !expired(i)).then(|| Bytes::from(value(i))))
-                        .collect();
-                    hits += want.iter().filter(|e| e.is_some()).count() as u64;
-                    corpses += ids.iter().filter(|&&i| i < STORED && expired(i)).count() as u64;
-                    asked += width as u64;
-                    let (frame, _) = run_batch(&store, b as u64, &batch);
-                    assert_eq!(
-                        frame,
-                        generic_frame(b as u64, want),
-                        "{at}, batch {b}: frame bytes diverged from the model"
-                    );
-                }
-                let totals = store.totals();
-                assert!(hits > corpses && corpses > 0 && hits + corpses < asked);
+            let (mut hits, mut corpses, mut asked) = (0u64, 0u64, 0u64);
+            for (b, width) in [1usize, 16, 64, 300].into_iter().enumerate() {
+                // Stride 7 is coprime to both 3 and 4, so every batch of
+                // 16 or more sees all four sizes, live and expired; ids
+                // past 1200 were never set.
+                let ids: Vec<usize> = (0..width).map(|j| (b * 97 + j * 7) % 1300).collect();
+                let batch: Vec<Vec<u8>> = ids.iter().map(|&i| key(i)).collect();
+                let want: Vec<Option<Bytes>> = ids
+                    .iter()
+                    .map(|&i| (i < STORED && !expired(i)).then(|| Bytes::from(value(i))))
+                    .collect();
+                hits += want.iter().filter(|e| e.is_some()).count() as u64;
+                corpses += ids.iter().filter(|&&i| i < STORED && expired(i)).count() as u64;
+                asked += width as u64;
+                let (frame, _) = run_batch(&store, b as u64, &batch);
                 assert_eq!(
-                    (totals.mget_keys, totals.mget_hits, totals.expired),
-                    (asked, hits, corpses),
-                    "{at}: read counters diverged from the model"
+                    frame,
+                    generic_frame(b as u64, want),
+                    "{at}, batch {b}: frame bytes diverged from the model"
                 );
             }
+            let totals = store.totals();
+            assert!(hits > corpses && corpses > 0 && hits + corpses < asked);
+            assert_eq!(
+                (totals.mget_keys, totals.mget_hits, totals.expired),
+                (asked, hits, corpses),
+                "{at}: read counters diverged from the model"
+            );
         }
     }
 }
@@ -360,11 +356,7 @@ fn scatter(keys: &[Vec<u8>]) -> (Vec<u8>, Vec<std::ops::Range<usize>>) {
 /// ending a page, an empty key, a 250-byte key, and 20-byte keys half of
 /// which straddle a line. Returns each read's sealed frame and the shard
 /// counters after the last one.
-fn scattered_keys_run(
-    which: &str,
-    mode: ReadMode,
-    scattered: bool,
-) -> (Vec<Vec<u8>>, Vec<ShardStats>) {
+fn scattered_keys_run(which: &str, scattered: bool) -> (Vec<Vec<u8>>, Vec<ShardStats>) {
     const STORED: usize = 100;
     let key = |i: usize| format!("scat-{i:015}").into_bytes();
     let mut keys = vec![b"x".to_vec(), key(0), Vec::new(), key(1), vec![b'w'; 250]];
@@ -387,7 +379,6 @@ fn scattered_keys_run(
             memory_budget: 64 << 20,
             capacity_items: 4096,
             shards: 4,
-            read_mode: mode,
         },
         |cap| index::by_short_name(which, cap).expect("known index"),
     );
@@ -422,19 +413,16 @@ fn scattered_keys_run(
 #[test]
 fn scattered_key_slices_change_no_response_byte_and_no_counter() {
     for which in INDEXES {
-        for mode in [ReadMode::Locked, ReadMode::Optimistic] {
-            let (frames, stats) = scattered_keys_run(which, mode, false);
-            let totals = stats.iter().fold(ShardStats::default(), |mut t, s| {
-                t.add(s);
-                t
-            });
-            assert_eq!((totals.sets, totals.mget_keys), (100, 1 + 16 + 64 + 120));
-            assert!(totals.mget_hits > 100 && totals.mget_hits < totals.mget_keys);
-            let (got_frames, got_stats) = scattered_keys_run(which, mode, true);
-            let at = format!("{which}/{mode:?}");
-            assert_eq!(got_frames, frames, "{at}: frame bytes diverged");
-            assert_eq!(got_stats, stats, "{at}: shard counters diverged");
-        }
+        let (frames, stats) = scattered_keys_run(which, false);
+        let totals = stats.iter().fold(ShardStats::default(), |mut t, s| {
+            t.add(s);
+            t
+        });
+        assert_eq!((totals.sets, totals.mget_keys), (100, 1 + 16 + 64 + 120));
+        assert!(totals.mget_hits > 100 && totals.mget_hits < totals.mget_keys);
+        let (got_frames, got_stats) = scattered_keys_run(which, true);
+        assert_eq!(got_frames, frames, "{which}: frame bytes diverged");
+        assert_eq!(got_stats, stats, "{which}: shard counters diverged");
     }
 }
 
@@ -462,6 +450,57 @@ fn single_key_get_matches_mget_under_collisions() {
             "{which}: tag-colliding absent key must miss via the full-hash check",
         );
         assert_eq!(store.get(b"absent-000000"), None, "{which}");
+    }
+}
+
+/// `get` is the one-key case of the Multi-Get pass: over the collision
+/// corpus plus an expired and an absent key, `n` `get`s and `n` one-key
+/// `mget`s return the same values and move the same shard counters.
+#[test]
+fn get_and_one_key_mget_agree() {
+    let corpus = build_corpus();
+    let keys: Vec<Vec<u8>> = vec![
+        corpus.items[0].0.clone(),
+        corpus.pair_both.0.clone(),
+        corpus.pair_both.1.clone(),
+        corpus.pair_half.0.clone(),
+        corpus.pair_half.1.clone(),
+        corpus.tag_half.0.clone(),
+        corpus.tag_half.1.clone(),
+        b"absent-000000".to_vec(),
+        b"mortal".to_vec(), // expired below; must stay last
+    ];
+    for which in INDEXES {
+        for shards in [1usize, 4] {
+            let store = store_with(which, shards, &corpus);
+            store.set_v(b"mortal", b"doomed", 5).expect("set with ttl");
+            store.advance_time(5);
+            let counters = || {
+                let t = store.totals();
+                [t.mget_keys, t.mget_hits, t.expired]
+            };
+            let delta = |a: [u64; 3], b: [u64; 3]| [b[0] - a[0], b[1] - a[1], b[2] - a[2]];
+            let c0 = counters();
+            let got: Vec<Option<Vec<u8>>> = keys.iter().map(|k| store.get(k)).collect();
+            let c1 = counters();
+            let mut resp = MGetResponse::new();
+            let via_mget: Vec<Option<Vec<u8>>> = keys
+                .iter()
+                .map(|k| {
+                    store.mget(&[k.as_slice()], &mut resp);
+                    resp.value(0).map(<[u8]>::to_vec)
+                })
+                .collect();
+            let c2 = counters();
+            let ctx = format!("{which}/{shards} shards");
+            assert_eq!(got, via_mget, "{ctx}: values diverged");
+            assert_eq!(got.last(), Some(&None), "{ctx}: expired key must miss");
+            assert_eq!(
+                delta(c0, c1),
+                delta(c1, c2),
+                "{ctx}: (mget_keys, mget_hits, expired) deltas diverged",
+            );
+        }
     }
 }
 

@@ -283,7 +283,6 @@ fn kvsd_answers_duplicate_keys_per_slot() {
             memory_budget: 4 << 20,
             capacity_items: 64,
             shards: 1,
-            ..StoreConfig::default()
         },
     ));
     store.set(b"hot-key", b"hot-value").expect("preload");

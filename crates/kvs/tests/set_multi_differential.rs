@@ -28,7 +28,6 @@ fn new_store(which: &str, shards: usize, capacity: usize, budget: usize) -> KvSt
             memory_budget: budget,
             capacity_items: capacity,
             shards,
-            ..StoreConfig::default()
         },
         |cap| index::by_short_name(which, cap).expect("known index"),
     )
@@ -159,7 +158,7 @@ fn duplicate_keys_in_one_batch_resolve_later_wins() {
             let seq = new_store(which, shards, 4096, 128 << 20);
             let bat = new_store(which, shards, 4096, 128 << 20);
             // The whole stream as one batch: every duplicate resolves
-            // inside a single lock hold / seqlock write session.
+            // inside a single lock hold.
             replay(&tag, &seq, &bat, &ops, ops.len());
             assert_stores_identical(&tag, &seq, &bat, &probes);
             assert_eq!(

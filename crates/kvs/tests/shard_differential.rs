@@ -175,7 +175,6 @@ fn differential_run(which: &str, seed: u64) {
             memory_budget: budget,
             capacity_items: capacity,
             shards: 1,
-            ..StoreConfig::default()
         },
     );
     let mut base = Baseline::new(which, capacity, budget);

@@ -16,7 +16,6 @@ fn store_with(shards: usize) -> KvStore {
             memory_budget: 8 << 20,
             capacity_items: 4096,
             shards,
-            ..StoreConfig::default()
         },
         |cap| by_short_name("hor", cap).expect("known index"),
     )

@@ -317,7 +317,6 @@ fn roomy_store(shards: usize, index: &str) -> Arc<KvStore> {
             memory_budget: 64 << 20,
             capacity_items: 4 * WRITERS * KEYS_PER_WRITER,
             shards,
-            ..StoreConfig::default()
         },
         |cap| by_short_name(index, cap).expect("known index"),
     ))
@@ -387,7 +386,6 @@ fn stress_oracle_under_eviction_pressure() {
                 memory_budget: 4 << 20,
                 capacity_items: WRITERS * KEYS_PER_WRITER,
                 shards: 4,
-                ..StoreConfig::default()
             },
             |cap| by_short_name("hor", cap).expect("known index"),
         ));

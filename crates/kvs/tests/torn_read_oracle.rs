@@ -1,5 +1,6 @@
-//! Concurrent-reader torn-read oracle for the seqlock optimistic read
-//! path (DESIGN.md §11).
+//! Concurrent-reader torn-read oracle for the store's read path: every
+//! `get` and `mget` takes the shard's shared lock, and no reader may ever
+//! see a write half done (DESIGN.md §11).
 //!
 //! N seeded writer threads churn a deliberately small, hot key set while
 //! M seeded reader threads hammer the same keys through `get` and the
@@ -21,23 +22,20 @@
 //! recycled-chunk race first-class: deletes consume log sequence numbers,
 //! so even an intact deleted value resurfacing fails the freshness bound.
 //!
-//! Every round runs in **both read modes**: `Locked` is the control,
-//! `Optimistic` is the subject under test — same oracle, no relaxation.
-//! Set the `READ_MODE` env var (`locked` | `optimistic`) to restrict the
-//! matrix to one mode; `SHARD_STRESS_SEEDS` scales the seeded
-//! repetitions (default 3; CI runs 100 in release mode).
+//! `SHARD_STRESS_SEEDS` scales the seeded repetitions (default 3; CI runs
+//! 100 in release mode).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use rand::{Rng, SeedableRng};
 use simdht_kvs::index::by_short_name;
-use simdht_kvs::store::{KvStore, MGetResponse, ReadMode, SetMultiBatch, ShardStats, StoreConfig};
+use simdht_kvs::store::{KvStore, MGetResponse, SetMultiBatch, ShardStats, StoreConfig};
 
 const WRITERS: usize = 4;
 const READERS: usize = 4;
-/// Small per-writer key set: high per-key write rates are what force
-/// readers into the seqlock retry/fallback windows.
+/// Small per-writer key set: high per-key write rates are what put
+/// readers right behind a write of the key they ask for.
 const KEYS_PER_WRITER: usize = 16;
 const OPS_PER_WRITER: usize = 600;
 const OPS_PER_READER: usize = 1200;
@@ -51,16 +49,6 @@ fn n_seeds() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(3)
-}
-
-/// Which read modes this process exercises: both by default, or just the
-/// one `READ_MODE` names.
-fn modes() -> Vec<ReadMode> {
-    match std::env::var("READ_MODE") {
-        Ok(s) => vec![ReadMode::parse(&s)
-            .unwrap_or_else(|| panic!("READ_MODE={s}: expected locked | optimistic"))],
-        Err(_) => vec![ReadMode::Locked, ReadMode::Optimistic],
-    }
 }
 
 fn key_of(w: usize, i: usize) -> String {
@@ -168,13 +156,13 @@ enum WriterStyle {
     /// One `set` call per key — the PR-7 baseline.
     Single,
     /// `WRITE_BATCH`-wide `set_multi` batches (duplicates allowed, so
-    /// later-wins resolution runs inside a single seqlock write session).
+    /// later-wins resolution runs inside a single write-lock hold).
     Batched,
 }
 
 /// Run one seeded round: writers churn, readers mix single-key `get`
-/// with `BATCH`-wide `mget` (prefetch depth 8), all against the store's
-/// currently configured read mode. Returns harness-counted sets.
+/// with `BATCH`-wide `mget` (prefetch depth 8). Returns harness-counted
+/// sets.
 fn stress_round(store: &Arc<KvStore>, seed: u64, eviction_possible: bool, pay_len: usize) -> u64 {
     stress_round_with(
         store,
@@ -271,8 +259,8 @@ fn stress_round_with(
                                 .collect();
                             // Publish `started` for every touched key
                             // before the first byte of the batch lands;
-                            // `completed` only once the whole batch (and
-                            // its write session) has retired.
+                            // `completed` only once the whole batch has
+                            // retired.
                             for &i in &picks {
                                 logs.started[w][i].store(next_seq[i], Ordering::SeqCst);
                             }
@@ -305,7 +293,7 @@ fn stress_round_with(
                 let mut last_seen = vec![vec![None::<u64>; KEYS_PER_WRITER]; WRITERS];
                 for op in 0..OPS_PER_READER {
                     if op % 2 == 0 {
-                        // Single-key optimistic `get`.
+                        // Single-key `get`.
                         let w = rng.gen_range(0..WRITERS);
                         let i = rng.gen_range(0..KEYS_PER_WRITER);
                         let key = key_of(w, i);
@@ -381,104 +369,65 @@ fn check_conservation(store: &KvStore, sets_issued: u64) {
     assert_eq!(totals.items, store.len(), "item counter conservation");
 }
 
-fn roomy_store(index: &str, mode: ReadMode) -> Arc<KvStore> {
-    let store = Arc::new(KvStore::with_shards(
+fn roomy_store(index: &str) -> Arc<KvStore> {
+    Arc::new(KvStore::with_shards(
         StoreConfig {
             memory_budget: 64 << 20,
             capacity_items: 4 * WRITERS * KEYS_PER_WRITER,
             shards: 4,
-            read_mode: mode,
         },
         |cap| by_short_name(index, cap).expect("known index"),
-    ));
-    assert!(
-        store.optimistic_capable(),
-        "{index}: stress matrix expects an optimistic-capable backend"
-    );
-    store
+    ))
 }
 
 #[test]
 fn stress_torn_read_oracle_hot_keys() {
     for seed in 0..n_seeds() {
         for index in ["memc3", "ver", "dpdk", "local"] {
-            for mode in modes() {
-                let store = roomy_store(index, mode);
-                let sets = stress_round(&store, seed, false, 40);
-                check_conservation(&store, sets);
-                assert_eq!(store.totals().evictions, 0, "budget was roomy");
-                if mode == ReadMode::Optimistic {
-                    let stats = store.optimistic_stats();
-                    assert!(
-                        stats.commits > 0,
-                        "{index}: optimistic path was never exercised"
-                    );
-                    assert!(stats.attempts >= stats.commits);
-                }
-            }
+            let store = roomy_store(index);
+            let sets = stress_round(&store, seed, false, 40);
+            check_conservation(&store, sets);
+            assert_eq!(store.totals().evictions, 0, "budget was roomy");
         }
     }
 }
 
 /// The batched write path under the same oracle: writers publish through
-/// `WRITE_BATCH`-wide `set_multi` calls — one shard lock and one seqlock
-/// write session per shard group — while optimistic readers hammer the
-/// same hot keys. Any splice of two batch members, or a value exposed
+/// `WRITE_BATCH`-wide `set_multi` calls — one shard write lock per shard
+/// group — while readers hammer the same hot keys. Any splice of two batch members, or a value exposed
 /// between a batch's delete and re-insert, trips the checksum/log oracle.
 #[test]
 fn stress_torn_read_oracle_batched_writers() {
     for seed in 0..n_seeds() {
         for index in ["memc3", "ver", "dpdk", "local"] {
-            for mode in modes() {
-                let store = roomy_store(index, mode);
-                let (sets, _) =
-                    stress_round_with(&store, seed, false, 40, WriterStyle::Batched, 0.0);
-                check_conservation(&store, sets);
-                assert_eq!(store.totals().evictions, 0, "budget was roomy");
-                if mode == ReadMode::Optimistic {
-                    let stats = store.optimistic_stats();
-                    assert!(
-                        stats.commits > 0,
-                        "{index}: optimistic path was never exercised"
-                    );
-                    assert!(stats.attempts >= stats.commits);
-                }
-            }
+            let store = roomy_store(index);
+            let (sets, _) = stress_round_with(&store, seed, false, 40, WriterStyle::Batched, 0.0);
+            check_conservation(&store, sets);
+            assert_eq!(store.totals().evictions, 0, "budget was roomy");
         }
     }
 }
 
-/// Deletes under optimistic readers: a deleted item's chunk goes back to
+/// Deletes under concurrent readers: a deleted item's chunk goes back to
 /// the slab free list and is recycled by later writes — possibly under a
-/// different key, possibly while a lock-free reader still holds a pointer
-/// into it. The reader must never return the recycled bytes under the old
-/// key: the key tag + checksum oracle fires on spliced bytes, the
-/// row-generation ABA check forces a retry on recycled rows, and the
+/// different key. A reader must never return the recycled bytes under the
+/// old key: the key tag + checksum oracle fires on spliced bytes, and the
 /// seq-consuming delete log catches a deleted value resurfacing intact.
 #[test]
 fn deletes_never_expose_recycled_bytes() {
     for seed in 0..n_seeds() {
         for index in ["memc3", "ver", "dpdk", "local"] {
-            for mode in modes() {
-                let store = roomy_store(index, mode);
-                let (sets, deletes) =
-                    stress_round_with(&store, seed, false, 40, WriterStyle::Single, 0.25);
-                assert!(deletes > 0, "{index}: deletes must actually land");
-                check_conservation(&store, sets);
-                assert_eq!(
-                    store.totals().deletes,
-                    deletes,
-                    "{index}: delete counter conservation"
-                );
-                assert_eq!(store.totals().evictions, 0, "budget was roomy");
-                if mode == ReadMode::Optimistic {
-                    let stats = store.optimistic_stats();
-                    assert!(
-                        stats.commits > 0,
-                        "{index}: optimistic path was never exercised"
-                    );
-                }
-            }
+            let store = roomy_store(index);
+            let (sets, deletes) =
+                stress_round_with(&store, seed, false, 40, WriterStyle::Single, 0.25);
+            assert!(deletes > 0, "{index}: deletes must actually land");
+            check_conservation(&store, sets);
+            assert_eq!(
+                store.totals().deletes,
+                deletes,
+                "{index}: delete counter conservation"
+            );
+            assert_eq!(store.totals().evictions, 0, "budget was roomy");
         }
     }
 }
@@ -487,269 +436,126 @@ fn deletes_never_expose_recycled_bytes() {
 /// at the exact point where the hot key's old item is deleted but its
 /// replacement is not yet written (the `torture_set_pause` hook fires
 /// inside the per-key insert body, which the batch shares with `set`).
-/// A reader arriving during the pause must block — the seqlock session
-/// is odd and the shard write lock is held — and then observe the
-/// batch's final value, never the deleted-but-unwritten hole.
+/// A reader arriving during the pause must block — the shard write lock
+/// is held — and then observe the batch's final value, never the
+/// deleted-but-unwritten hole.
 #[test]
 fn paused_batched_writer_never_exposes_mid_batch_state() {
-    for mode in modes() {
-        let store = Arc::new(KvStore::with_shards(
-            StoreConfig {
-                memory_budget: 64 << 20,
-                capacity_items: 1024,
-                shards: 1, // one shard: batch pairs apply in request order
-                read_mode: mode,
-            },
-            |cap| by_short_name("memc3", cap).expect("known index"),
-        ));
-        let hot = key_of(0, 0);
-        store
-            .set(hot.as_bytes(), &value_of(&hot, 0, 40))
-            .expect("preload");
+    let store = Arc::new(KvStore::with_shards(
+        StoreConfig {
+            memory_budget: 64 << 20,
+            capacity_items: 1024,
+            shards: 1, // one shard: batch pairs apply in request order
+        },
+        |cap| by_short_name("memc3", cap).expect("known index"),
+    ));
+    let hot = key_of(0, 0);
+    store
+        .set(hot.as_bytes(), &value_of(&hot, 0, 40))
+        .expect("preload");
 
-        let paused = Arc::new(AtomicBool::new(false));
-        let resume = Arc::new(AtomicBool::new(false));
-        {
-            let paused = Arc::clone(&paused);
-            let resume = Arc::clone(&resume);
-            let calls = AtomicUsize::new(0);
-            store.set_torture_set_pause(Some(Box::new(move || {
-                // Pair #0 is filler; pair #1 is the hot key — freeze
-                // there, with its old item gone and the new one pending.
-                if calls.fetch_add(1, Ordering::SeqCst) == 1 {
-                    paused.store(true, Ordering::SeqCst);
-                    while !resume.load(Ordering::SeqCst) {
-                        std::thread::yield_now();
-                    }
+    let paused = Arc::new(AtomicBool::new(false));
+    let resume = Arc::new(AtomicBool::new(false));
+    {
+        let paused = Arc::clone(&paused);
+        let resume = Arc::clone(&resume);
+        let calls = AtomicUsize::new(0);
+        store.set_torture_set_pause(Some(Box::new(move || {
+            // Pair #0 is filler; pair #1 is the hot key — freeze
+            // there, with its old item gone and the new one pending.
+            if calls.fetch_add(1, Ordering::SeqCst) == 1 {
+                paused.store(true, Ordering::SeqCst);
+                while !resume.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
                 }
-            })));
-        }
-
-        let read_done = Arc::new(AtomicBool::new(false));
-        std::thread::scope(|s| {
-            let writer_store = Arc::clone(&store);
-            let writer_hot = hot.clone();
-            s.spawn(move || {
-                let filler_a = value_of("filler-a", 7, 40);
-                let hot_new = value_of(&writer_hot, 1, 40);
-                let filler_b = value_of("filler-b", 7, 40);
-                let pairs: Vec<(&[u8], &[u8])> = vec![
-                    (b"filler-a", filler_a.as_slice()),
-                    (writer_hot.as_bytes(), hot_new.as_slice()),
-                    (b"filler-b", filler_b.as_slice()),
-                ];
-                let mut scratch = SetMultiBatch::new();
-                let outcome = writer_store.set_multi(&pairs, &mut scratch);
-                assert_eq!(outcome.stored, 3, "paused batch still lands in full");
-            });
-
-            // Wait until the writer is frozen inside the batch.
-            let t0 = std::time::Instant::now();
-            while !paused.load(Ordering::SeqCst) {
-                assert!(
-                    t0.elapsed().as_secs() < 30,
-                    "writer never hit the pause hook"
-                );
-                std::thread::yield_now();
             }
+        })));
+    }
 
-            let reader_store = Arc::clone(&store);
-            let reader_hot = hot.clone();
-            let reader_done = Arc::clone(&read_done);
-            let reader = s.spawn(move || {
-                let got = reader_store.get(reader_hot.as_bytes());
-                reader_done.store(true, Ordering::SeqCst);
-                got
-            });
+    let read_done = Arc::new(AtomicBool::new(false));
+    std::thread::scope(|s| {
+        let writer_store = Arc::clone(&store);
+        let writer_hot = hot.clone();
+        s.spawn(move || {
+            let filler_a = value_of("filler-a", 7, 40);
+            let hot_new = value_of(&writer_hot, 1, 40);
+            let filler_b = value_of("filler-b", 7, 40);
+            let pairs: Vec<(&[u8], &[u8])> = vec![
+                (b"filler-a", filler_a.as_slice()),
+                (writer_hot.as_bytes(), hot_new.as_slice()),
+                (b"filler-b", filler_b.as_slice()),
+            ];
+            let mut scratch = SetMultiBatch::new();
+            let outcome = writer_store.set_multi(&pairs, &mut scratch);
+            assert_eq!(outcome.stored, 3, "paused batch still lands in full");
+        });
 
-            // The reader must NOT complete while the batch is mid-write:
-            // completing now could only return the torn hole (a miss) or
-            // a half-written value.
-            std::thread::sleep(std::time::Duration::from_millis(100));
+        // Wait until the writer is frozen inside the batch.
+        let t0 = std::time::Instant::now();
+        while !paused.load(Ordering::SeqCst) {
             assert!(
-                !read_done.load(Ordering::SeqCst),
-                "{}: reader returned during the torn mid-batch window",
-                mode.name(),
+                t0.elapsed().as_secs() < 30,
+                "writer never hit the pause hook"
             );
-
-            resume.store(true, Ordering::SeqCst);
-            let got = reader.join().expect("reader joins");
-            let value = got.unwrap_or_else(|| {
-                panic!(
-                    "{}: reader observed the mid-batch hole as a miss",
-                    mode.name()
-                )
-            });
-            assert_eq!(
-                parse_value(&hot, &value),
-                1,
-                "{}: reader must see the batch's final value",
-                mode.name(),
-            );
-        });
-        store.set_torture_set_pause(None);
-    }
-}
-
-/// Capacity of the shared-stripe round's single `memc3` shard: 32 768
-/// buckets, four to each of the 8192 version counters `index/memc3.rs`
-/// stripes them over (every other table in this file has fewer buckets
-/// than counters, so each bucket there still has its own).
-const STRIPED_CAPACITY: usize = 100_000;
-const STRIPED_BUCKETS: u32 = 32_768;
-
-/// Keys no reader asks for whose home bucket is *not* a hot key's home
-/// bucket but shares its version counter under any stripe count up to
-/// half the table: same low 14 bucket bits, opposite bit 14.
-fn stripe_aliasing_keys() -> Vec<String> {
-    let home = |key: &str| simdht_kvs::index::hash_key(key.as_bytes()) & (STRIPED_BUCKETS - 1);
-    let hot: std::collections::HashSet<u32> = (0..WRITERS)
-        .flat_map(|w| (0..KEYS_PER_WRITER).map(move |i| key_of(w, i)))
-        .map(|k| home(&k))
-        .collect();
-    (0u32..)
-        .map(|n| format!("alias-{n}"))
-        .filter(|k| hot.contains(&(home(k) ^ (STRIPED_BUCKETS / 2))))
-        .take(WRITERS * KEYS_PER_WRITER)
-        .collect()
-}
-
-/// One round of [`stress_round_with`] on a single 32 768-bucket shard
-/// while a fifth writer churns `alias`. Returns the optimistic counters.
-fn shared_stripe_round(
-    index: &str,
-    alias: &[String],
-    seed: u64,
-    style: WriterStyle,
-    mode: ReadMode,
-) -> simdht_kvs::store::OptimisticStats {
-    let config = StoreConfig {
-        memory_budget: 64 << 20,
-        capacity_items: STRIPED_CAPACITY,
-        shards: 1,
-        read_mode: mode,
-    };
-    let store = Arc::new(KvStore::with_shards(config, |cap| {
-        by_short_name(index, cap).expect("known index")
-    }));
-    let round_over = AtomicBool::new(false);
-    let (sets, churned) = std::thread::scope(|s| {
-        let churner = s.spawn(|| {
-            let mut sets = 0u64;
-            while !round_over.load(Ordering::SeqCst) {
-                for key in alias {
-                    store
-                        .set(key.as_bytes(), &value_of(key, sets, 40))
-                        .expect("stress writes fit the store");
-                    sets += 1;
-                }
-            }
-            sets
-        });
-        let (sets, _) = stress_round_with(&store, seed, false, 40, style, 0.0);
-        round_over.store(true, Ordering::SeqCst);
-        (sets, churner.join().expect("churner joins"))
-    });
-    assert!(churned > 0, "the aliasing writer never ran");
-    check_conservation(&store, sets + churned);
-    assert_eq!(store.totals().evictions, 0, "budget was roomy");
-    store.optimistic_stats()
-}
-
-/// `memc3` with version counters actually shared: while the usual round
-/// runs, a fifth writer churns keys living in *other* buckets of the hot
-/// keys' stripes, so every hot-bucket probe validates against writes that
-/// never touched its bucket. The oracle is unchanged (a false retry is
-/// legal, a missed one is a torn read).
-///
-/// On top of it, readers that give up on the optimistic path must stay a
-/// small share. How many do is the host's business (five writers on one
-/// shard lock: 4–6 % of reads on two vCPUs), so the bound is against
-/// `dpdk` — the same cuckoo core with no version counters — under the
-/// same rounds: over all seeds `memc3` may fall back at most twice as
-/// often plus 1 % of its reads. Measured, the two agree to ±25 %, and
-/// `memc3` reads the same at 8192, 16 and one counter: a reader meets an
-/// odd stripe only while the shard seqlock is odd too. What the bound
-/// would catch is readers held up by the counters themselves.
-#[test]
-fn stress_memc3_shared_version_stripes() {
-    let sized = simdht_kvs::index::Memc3Index::with_capacity(STRIPED_CAPACITY);
-    assert!(
-        format!("{sized:?}").contains(&format!("buckets: {STRIPED_BUCKETS}")),
-        "{sized:?}: the aliasing keys assume {STRIPED_BUCKETS} buckets"
-    );
-    let alias = stripe_aliasing_keys();
-    let (mut fallbacks, mut control, mut reads) = (0, 0, 0);
-    for seed in 0..n_seeds() {
-        for style in [WriterStyle::Single, WriterStyle::Batched] {
-            for mode in modes() {
-                let stats = shared_stripe_round("memc3", &alias, seed, style, mode);
-                if mode == ReadMode::Optimistic {
-                    assert!(stats.commits > 0, "optimistic path was never exercised");
-                    fallbacks += stats.fallbacks;
-                    control += shared_stripe_round("dpdk", &alias, seed, style, mode).fallbacks;
-                    reads += (READERS * OPS_PER_READER) as u64;
-                }
-            }
+            std::thread::yield_now();
         }
-    }
-    eprintln!("memc3 stripes: fallbacks {fallbacks}, control (dpdk) {control}, reads {reads}");
-    assert!(
-        fallbacks <= 2 * control + reads / 100,
-        "memc3 fell back {fallbacks} times in {reads} reads, dpdk {control}"
-    );
+
+        let reader_store = Arc::clone(&store);
+        let reader_hot = hot.clone();
+        let reader_done = Arc::clone(&read_done);
+        let reader = s.spawn(move || {
+            let got = reader_store.get(reader_hot.as_bytes());
+            reader_done.store(true, Ordering::SeqCst);
+            got
+        });
+
+        // The reader must NOT complete while the batch is mid-write:
+        // completing now could only return the torn hole (a miss) or
+        // a half-written value.
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert!(
+            !read_done.load(Ordering::SeqCst),
+            "reader returned during the torn mid-batch window"
+        );
+
+        resume.store(true, Ordering::SeqCst);
+        let got = reader.join().expect("reader joins");
+        let value = got.expect("reader observed the mid-batch hole as a miss");
+        assert_eq!(
+            parse_value(&hot, &value),
+            1,
+            "reader must see the batch's final value"
+        );
+    });
+    store.set_torture_set_pause(None);
 }
 
 #[test]
 fn stress_torn_read_oracle_under_eviction_pressure() {
-    // Tight budget: CLOCK eviction and chunk recycling race the lock-free
-    // readers, so row-generation ABA protection and checksum validation
-    // carry the oracle. pay_len = 100_000 keeps every value in one big
-    // slab class (pages never migrate between classes) AND makes each
-    // shard's single 1 MiB floor page hold fewer chunks than the ~16 hot
-    // keys routed to it, so CLOCK must evict continuously.
+    // Tight budget: CLOCK eviction and chunk recycling race the readers,
+    // and the checksum and sequencing log carry the oracle. pay_len =
+    // 100_000 keeps every value in one big slab class (pages never migrate
+    // between classes) AND makes each shard's single 1 MiB floor page hold
+    // fewer chunks than the ~16 hot keys routed to it, so CLOCK must evict
+    // continuously.
     for seed in 0..n_seeds() {
-        for mode in modes() {
-            let store = Arc::new(KvStore::with_shards(
-                StoreConfig {
-                    memory_budget: 4 << 20,
-                    capacity_items: WRITERS * KEYS_PER_WRITER,
-                    shards: 4,
-                    read_mode: mode,
-                },
-                |cap| by_short_name("hor", cap).expect("known index"),
-            ));
-            let sets = stress_round(&store, seed, true, 100_000);
-            let totals = store.totals();
-            assert!(totals.evictions > 0, "tight budget must force evictions");
-            assert_eq!(totals.sets, sets, "set counter conservation");
-            let mut summed = ShardStats::default();
-            for s in store.shard_stats() {
-                summed.add(&s);
-            }
-            assert_eq!(summed, totals);
-            assert_eq!(totals.items, store.len());
+        let store = Arc::new(KvStore::with_shards(
+            StoreConfig {
+                memory_budget: 4 << 20,
+                capacity_items: WRITERS * KEYS_PER_WRITER,
+                shards: 4,
+            },
+            |cap| by_short_name("hor", cap).expect("known index"),
+        ));
+        let sets = stress_round(&store, seed, true, 100_000);
+        let totals = store.totals();
+        assert!(totals.evictions > 0, "tight budget must force evictions");
+        assert_eq!(totals.sets, sets, "set counter conservation");
+        let mut summed = ShardStats::default();
+        for s in store.shard_stats() {
+            summed.add(&s);
         }
+        assert_eq!(summed, totals);
+        assert_eq!(totals.items, store.len());
     }
-}
-
-#[test]
-fn stress_read_mode_flips_live() {
-    // Flipping the mode while readers and writers are in flight must be
-    // safe: the AtomicU8 is read per-operation, so both paths interleave.
-    let store = roomy_store("memc3", ReadMode::Locked);
-    std::thread::scope(|s| {
-        let flipper = Arc::clone(&store);
-        s.spawn(move || {
-            for round in 0..200 {
-                flipper.set_read_mode(if round % 2 == 0 {
-                    ReadMode::Optimistic
-                } else {
-                    ReadMode::Locked
-                });
-                std::thread::yield_now();
-            }
-        });
-        let _ = stress_round(&store, 42, false, 40);
-    });
 }

@@ -28,7 +28,6 @@ fn new_store(which: &str, shards: usize, capacity: usize, budget: usize) -> KvSt
             memory_budget: budget,
             capacity_items: capacity,
             shards,
-            ..StoreConfig::default()
         },
         |cap| index::by_short_name(which, cap).expect("known index"),
     )

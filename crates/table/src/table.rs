@@ -424,52 +424,6 @@ impl<K: Lane, V: Lane> CuckooTable<K, V> {
         None
     }
 
-    /// Scalar lookup using **volatile** per-slot loads, for callers that
-    /// probe the table *racily* — concurrently with `insert`/`remove` on
-    /// another thread, under an external seqlock-style validation protocol
-    /// (the KVS crate's optimistic read path). The bucket arrays are
-    /// fixed-capacity and never reallocate, so the only hazard is torn
-    /// *values*, which the caller's validation must reject; volatile loads
-    /// keep every racing access at word granularity instead of forming a
-    /// `&[K]` slice over memory a writer may be storing to (the
-    /// crossbeam-seqlock discipline). Unlike [`CuckooTable::get`], a racing
-    /// writer can make this return a stale, missing, or torn payload — the
-    /// caller must treat the result as a *candidate* only.
-    pub fn get_racy(&self, key: K) -> Option<V> {
-        if key == K::EMPTY {
-            return None;
-        }
-        let m = self.slots_per_bucket();
-        for way in 0..self.layout.n_ways() {
-            let b = self.hash.bucket(key, way);
-            for s in b * m..(b + 1) * m {
-                // SAFETY: `s` is within the slot capacity by the bucket
-                // geometry, the buffers live for `&self`'s lifetime, and
-                // volatile loads tolerate concurrent stores to the same
-                // words (contents may tear; addresses cannot).
-                let (k, v) = unsafe {
-                    match &self.storage {
-                        Storage::Interleaved(data) => {
-                            let base = data.as_ptr();
-                            (
-                                std::ptr::read_volatile(base.add(2 * s)),
-                                V::from_u64(std::ptr::read_volatile(base.add(2 * s + 1)).to_u64()),
-                            )
-                        }
-                        Storage::Split { keys, vals } => (
-                            std::ptr::read_volatile(keys.as_ptr().add(s)),
-                            std::ptr::read_volatile(vals.as_ptr().add(s)),
-                        ),
-                    }
-                };
-                if k == key {
-                    return Some(v);
-                }
-            }
-        }
-        None
-    }
-
     /// `true` if `key` is present.
     pub fn contains(&self, key: K) -> bool {
         self.get(key).is_some()
@@ -583,8 +537,7 @@ impl<K: Lane, V: Lane> CuckooTable<K, V> {
     /// keep the scalar walk. Both orders are left-to-right, so placement
     /// is bit-identical (pinned by `empty_slot_scan_matches_scalar`).
     ///
-    /// Writer-side only (`&mut self` up the stack): the non-atomic loads
-    /// race nothing — concurrent racy readers only read.
+    /// Writer-side only (`&mut self` up the stack).
     fn empty_slot_in(&self, bucket: usize) -> Option<usize> {
         let m = self.slots_per_bucket();
         if K::BITS == 32
@@ -694,25 +647,6 @@ mod tests {
                 assert_eq!(t.get(i * 7 + 1), Some(i), "layout {layout}");
             }
             assert_eq!(t.len(), n as usize);
-        }
-    }
-
-    #[test]
-    fn get_racy_matches_get_when_quiescent() {
-        for layout in layouts() {
-            let mut t: CuckooTable<u32, u32> = CuckooTable::new(layout, 8).unwrap();
-            let n = (t.capacity() as f64 * 0.5) as u32;
-            for i in 1..=n {
-                t.insert(i * 7 + 1, i).unwrap();
-            }
-            for i in 1..=n {
-                assert_eq!(t.get_racy(i * 7 + 1), t.get(i * 7 + 1), "layout {layout}");
-            }
-            for i in 0..200u32 {
-                let miss = 1_000_000 + i;
-                assert_eq!(t.get_racy(miss), t.get(miss), "layout {layout}");
-            }
-            assert_eq!(t.get_racy(0), None, "sentinel, layout {layout}");
         }
     }
 

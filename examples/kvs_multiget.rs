@@ -49,7 +49,6 @@ fn main() {
         memory_budget: 64 << 20,
         capacity_items: ITEMS * 2,
         shards: 1,
-        ..StoreConfig::default()
     };
 
     println!(

@@ -59,7 +59,6 @@ fn all_backends_answer_identically() {
         memory_budget: 16 << 20,
         capacity_items: 8000,
         shards: 1,
-        ..StoreConfig::default()
     };
     let stores: Vec<KvStore> = indexes(8000)
         .into_iter()
@@ -98,7 +97,6 @@ fn memslap_full_pipeline_all_backends() {
         memory_budget: 16 << 20,
         capacity_items: 5000,
         shards: 1,
-        ..StoreConfig::default()
     };
     for idx in indexes(5000) {
         let name = idx.name();
@@ -158,7 +156,6 @@ fn store_concurrent_mixed_load() {
             memory_budget: 32 << 20,
             capacity_items: 20_000,
             shards: 1,
-            ..StoreConfig::default()
         },
     ));
     for i in 0..5000u32 {
@@ -205,7 +202,6 @@ fn updates_and_value_growth() {
                 memory_budget: 8 << 20,
                 capacity_items: 1000,
                 shards: 1,
-                ..StoreConfig::default()
             },
         );
         for round in 0..5 {

@@ -24,7 +24,6 @@ fn spawn_kvsd(index_name: &str, capacity: usize) -> Kvsd {
             memory_budget: 16 << 20,
             capacity_items: capacity,
             shards: 1,
-            ..StoreConfig::default()
         },
     ));
     Kvsd::bind(store, "127.0.0.1:0").expect("bind ephemeral loopback port")
