@@ -47,11 +47,6 @@ OPTIONS:
                            bytes (default: never). Also how long replies a
                            client does not read may make no progress before
                            its connection is closed (default: 10 s)
-    --reactor              Serve with min(cores, 4) event loops instead of a
-                           thread per connection: each loop owns many
-                           nonblocking connections and coalesces their MGets
-                           into lookup batches of up to 64 keys, waiting at
-                           most 100 us for batch-mates (DESIGN.md §10)
     -h, --help             Show this help
 ";
 
@@ -79,7 +74,6 @@ fn parse_args() -> Result<Args, String> {
     while let Some(flag) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
-            "--reactor" => args.config.reactor = true,
             "--addr" => args.addr = value("--addr")?,
             "--index" => args.index = value("--index")?,
             "--capacity" => {
@@ -91,6 +85,9 @@ fn parse_args() -> Result<Args, String> {
                 let mb: usize = value("--memory-mb")?
                     .parse()
                     .map_err(|e| format!("--memory-mb: {e}"))?;
+                if mb == 0 {
+                    return Err("--memory-mb must be >= 1".to_string());
+                }
                 args.memory_bytes = mb
                     .checked_mul(1 << 20)
                     .ok_or_else(|| format!("--memory-mb: {mb} MiB overflows a byte count"))?;

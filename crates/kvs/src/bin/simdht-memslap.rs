@@ -8,7 +8,7 @@
 use std::io::{self, Write};
 
 use simdht_kvs::fault::FaultSpec;
-use simdht_kvs::memslap::{run_memslap_mux, run_memslap_over, MuxMemslapConfig, NetMemslapConfig};
+use simdht_kvs::memslap::{run_memslap_over, NetMemslapConfig};
 use simdht_kvs::net::TcpTransport;
 use simdht_workload::{AccessPattern, KvWorkload, KvWorkloadSpec};
 
@@ -22,12 +22,6 @@ OPTIONS:
     --addr <ip:port>       Server address (default 127.0.0.1:11411)
     --connections <n>      Concurrent connections (default 4)
     --depth <n>            Pipelined requests per connection (default 16)
-    --mux                  Many-small-connections mode: drive every connection
-                           from one event loop instead of one thread each
-                           (e.g. --mux --connections 1000 --depth 1 against
-                           simdht-kvsd --reactor). Read-only and unretried;
-                           incompatible with --set-fraction, --faults,
-                           --deadline-ms, --max-retries
     --mget <n>             Keys per Multi-Get (default 16; paper uses 16-96)
     --items <n>            Distinct key-value items (default 10000)
     --requests <n>         Multi-Get requests to issue (default 2000)
@@ -66,7 +60,6 @@ struct Args {
     addr: String,
     net: NetMemslapConfig,
     spec: KvWorkloadSpec,
-    mux: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -86,10 +79,7 @@ fn parse_args() -> Result<Args, String> {
             pattern: AccessPattern::skewed(),
             seed: 19_283,
         },
-        mux: false,
     };
-    // The retry knob given last, if any: `--mux` has none to set.
-    let mut retry_flag = None;
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
         if flag == "-h" || flag == "--help" {
@@ -99,13 +89,6 @@ fn parse_args() -> Result<Args, String> {
         if flag == "--no-preload" {
             args.net.preload = false;
             continue;
-        }
-        if flag == "--mux" {
-            args.mux = true;
-            continue;
-        }
-        if matches!(flag.as_str(), "--deadline-ms" | "--max-retries") {
-            retry_flag = Some(flag.clone());
         }
         let value = it
             .next()
@@ -193,23 +176,6 @@ fn parse_args() -> Result<Args, String> {
             "--set-fraction + --write-frac + --delete-frac + --cas-frac must not exceed 1, got {sum}"
         ));
     }
-    if args.mux
-        && (args.net.set_fraction != 0.0
-            || args.net.write_frac != 0.0
-            || args.net.delete_frac != 0.0
-            || args.net.cas_frac != 0.0
-            || args.net.ttl_secs != 0
-            || args.net.faults.is_some())
-    {
-        return Err(
-            "--mux is read-only: drop --set-fraction / --write-frac / --delete-frac / \
-             --cas-frac / --ttl / --faults"
-                .to_string(),
-        );
-    }
-    if let Some(flag) = retry_flag.filter(|_| args.mux) {
-        return Err(format!("--mux never times out or retries: drop {flag}"));
-    }
     Ok(args)
 }
 
@@ -241,11 +207,10 @@ fn main() {
     let workload = KvWorkload::generate(&args.spec);
     let _ = writeln!(
         io::stdout(),
-        "running against {} ({} connections, pipeline depth {}{}{}{})",
+        "running against {} ({} connections, pipeline depth {}{}{})",
         transport.addr(),
         args.net.connections,
         args.net.pipeline_depth,
-        if args.mux { ", multiplexed" } else { "" },
         if args.net.preload { ", preloading" } else { "" },
         if args.net.faults.is_some() {
             ", fault injection on"
@@ -253,18 +218,7 @@ fn main() {
             ""
         },
     );
-    let outcome = if args.mux {
-        let mux = MuxMemslapConfig {
-            connections: args.net.connections,
-            pipeline_depth: args.net.pipeline_depth,
-            preload: args.net.preload,
-            ..MuxMemslapConfig::default()
-        };
-        run_memslap_mux(transport.addr(), &workload, &mux)
-    } else {
-        run_memslap_over(&transport, &workload, &args.net)
-    };
-    let report = match outcome {
+    let report = match run_memslap_over(&transport, &workload, &args.net) {
         Ok(r) => r,
         Err(e) => {
             let _ = writeln!(io::stderr(), "error: run failed: {e}");

@@ -3,34 +3,26 @@
 //! [`Kvsd`] is the one server: the `simdht-kvsd` binary runs it, and the
 //! Fig. 11 harness ([`crate::memslap::run_memslap`]) binds one on loopback
 //! and reads its server-side numbers from [`Kvsd::shutdown`].
-//! It is one shell — the listener, the accept thread, the shutdown flag,
-//! the registry of live connections and their counters, and the drain —
-//! around two connection loops, chosen by [`KvsdConfig::reactor`]:
-//!
-//! * **thread per connection** (`false`, the default): a handler thread per
-//!   connection runs framed I/O from [`crate::net`] with request
-//!   **pipelining** — a client may keep many requests in flight on one
-//!   connection, and the handler answers them in order, writing its replies
-//!   only when the read side would block or they pass 64 KiB (so a burst of
-//!   pipelined requests coalesces into few syscalls). A Multi-Get and the whole Multi-Get
-//!   frames already buffered behind it are one **run**, served by one store
-//!   call of up to `MAX_RUN_KEYS` (256) keys: a burst pays the store's fixed
-//!   per-call cost once. A run never waits or makes a system call to grow,
-//!   and any other verb ends it, so program order holds;
-//! * **reactor** (`true`): connections go round-robin to the event loops of
-//!   [`crate::reactor`], which coalesce Multi-Gets from all their
-//!   connections into wide store calls.
-//!
-//! Both loops serve their Multi-Gets through one dispatch,
-//! `protocol::serve_mgets`: the store call, each request's counts
-//! and its reply sealed from the shared buffer, byte-identical to the reply
-//! it gets alone. Every other verb goes through `protocol::execute`, in
-//! arrival order, under either loop.
+//! It is the listener, the accept thread, the shutdown flag, the registry
+//! of live connections and their counters, and the drain, around one
+//! connection loop: a handler thread per connection runs framed I/O from
+//! [`crate::net`] with request **pipelining** — a client may keep many
+//! requests in flight on one connection, and the handler answers them in
+//! order, writing its replies only when the read side would block or they
+//! pass 64 KiB (so a burst of pipelined requests coalesces into few
+//! syscalls). A Multi-Get and the whole Multi-Get frames already buffered
+//! behind it are one **run**, served by one store call of up to
+//! `MAX_RUN_KEYS` (256) keys through `protocol::serve_mgets`: a burst pays
+//! the store's fixed per-call cost once, and each request's reply is sealed
+//! from the shared buffer, byte-identical to the reply it gets alone. A run
+//! never waits or makes a system call to grow, and any other verb ends it,
+//! so program order holds. Every other verb goes through
+//! `protocol::execute`, in arrival order.
 //!
 //! ## Shutdown / drain
 //!
 //! [`Kvsd::shutdown`] stops accepting, then half-closes the read side of
-//! every live connection. Either loop reads what the socket had queued at
+//! every live connection. Each handler reads what the socket had queued at
 //! the half-close, answers those requests, flushes their responses, and
 //! closes. Request bytes that reach the socket after the half-close are
 //! never read: those requests are neither executed nor answered, and the
@@ -43,21 +35,18 @@
 //! ## Counting
 //!
 //! Each connection has its own [`crate::metrics`] block, written only by
-//! the thread that serves it; the accept thread registers it with the
-//! stream, and [`Shell::closed`] counts the close in it (`ConnsClosed`) and
-//! folds it into a retired total under the same lock, so the registry
-//! keeps nothing of a connection once it has closed. The accept thread has
-//! a block of its own for the connections it loses (`AcceptErrors`). A
-//! request is counted by one call into its connection's block: `served`,
-//! or a `Shed` add.
-//! [`Kvsd::stats`] merges the retired total with every live block (and the
-//! reactors' batch blocks), so no request is counted twice or lost on a
-//! close. Busy time is counted once per store call: for a Multi-Get call,
-//! up to its return and split over its requests — from the first frame's
-//! decode in a thread-loop run, from the dispatch in a reactor — and
-//! decode → seal for any other verb; a shed adds none. Every Multi-Get
-//! store call adds to `Batches` and `BatchKeys`: the thread loop's in the
-//! connection's block, a reactor's in its own.
+//! its handler thread; the accept thread registers it with the stream, and
+//! `Shell::closed` counts the close in it (`ConnsClosed`) and folds it
+//! into a retired total under the same lock, so the registry keeps nothing
+//! of a connection once it has closed. The accept thread has a block of its
+//! own for the connections it loses (`AcceptErrors`). A request is counted
+//! by one call into its connection's block: `served`, or a `Shed` add.
+//! [`Kvsd::stats`] merges the retired total with every live block, so no
+//! request is counted twice or lost on a close. Busy time is counted once
+//! per store call: for a Multi-Get run, from the first frame's decode up to
+//! the store call's return, split over its requests, and decode → seal for
+//! any other verb; a shed adds none. Every Multi-Get store call adds to
+//! `Batches` and `BatchKeys` in the connection's block.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -73,10 +62,9 @@ use crate::protocol::{
     buffered_mget, execute, serve_mgets, DecodeScratch, ErrorCode, ExecScratch, MGetRun, Request,
     Response, FRAME_PREFIX_BYTES,
 };
-use crate::reactor;
 use crate::store::KvStore;
 
-/// Graceful-degradation knobs of the TCP daemon, and its connection loop.
+/// Graceful-degradation knobs of the TCP daemon.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct KvsdConfig {
     /// Per-request deadline, measured from the moment the request frame
@@ -88,9 +76,8 @@ pub struct KvsdConfig {
     pub deadline: Option<Duration>,
     /// Cap on requests being processed simultaneously: across all
     /// connections, handlers over the cap wait (bounded by `deadline`)
-    /// and shed with [`ErrorCode::ServerBusy`] when the wait expires; per
-    /// reactor, a full coalescing buffer dispatches early instead of
-    /// queueing deeper. `Some(0)` sheds everything — useful for drills.
+    /// and shed with [`ErrorCode::ServerBusy`] when the wait expires.
+    /// `Some(0)` sheds everything — useful for drills.
     /// `None` = no cap.
     pub max_inflight: Option<usize>,
     /// Close a connection after this long without a complete request
@@ -100,9 +87,6 @@ pub struct KvsdConfig {
     /// whose replies make no progress this long (10 s when `None`) is
     /// closed and counted as `StalledCloses`.
     pub idle_timeout: Option<Duration>,
-    /// Serve connections from the [`crate::reactor`] event loops instead
-    /// of a thread per connection (`false`).
-    pub reactor: bool,
 }
 
 /// Counting semaphore bounding simultaneously-processed requests.
@@ -204,22 +188,20 @@ struct Live {
 #[derive(Default)]
 struct Registry {
     live: HashMap<u64, Live>,
-    /// The reactor event loops' blocks (batch counters); never retired.
-    loops: Vec<Arc<Counters>>,
     /// The closed connections' counters, summed.
     retired: Snapshot,
 }
 
-/// What the accept thread, the connection loops and [`Kvsd`] share.
+/// What the accept thread, the handlers and [`Kvsd`] share.
 #[derive(Default)]
-pub(crate) struct Shell {
+struct Shell {
     shutting_down: AtomicBool,
     registry: Mutex<Registry>,
     /// The accept thread's block: connections it lost.
     accept: Counters,
-    /// Threads joined at shutdown: the event loops, or the per-connection
-    /// handlers not yet reaped (finished ones are joined on each accept).
-    pub(crate) workers: Mutex<Vec<JoinHandle<()>>>,
+    /// Handler threads joined at shutdown: those not yet reaped (finished
+    /// ones are joined on each accept).
+    workers: Mutex<Vec<JoinHandle<()>>>,
 }
 
 /// How long a connection's output may make no progress, where
@@ -230,7 +212,7 @@ const DRAIN_GRACE: Duration = Duration::from_secs(10);
 
 /// The stall grace under `config`: `idle_timeout` where set, else
 /// [`DRAIN_GRACE`].
-pub(crate) fn stall_grace(config: &KvsdConfig) -> Duration {
+fn stall_grace(config: &KvsdConfig) -> Duration {
     config.idle_timeout.unwrap_or(DRAIN_GRACE)
 }
 
@@ -249,7 +231,7 @@ impl Shell {
     /// Connection `id` has closed: drop its stream clone, count the close
     /// in its block, and fold the block into the retired total. Called by
     /// the thread that wrote the block, so its last snapshot is final.
-    pub(crate) fn closed(&self, id: u64) {
+    fn closed(&self, id: u64) {
         let mut registry = self.registry.lock().unwrap();
         if let Some(live) = registry.live.remove(&id) {
             live.counters.add(Counter::ConnsClosed, 1);
@@ -285,12 +267,11 @@ impl Kvsd {
         Self::bind_with(store, addr, KvsdConfig::default())
     }
 
-    /// Bind with full [`KvsdConfig`] control over graceful degradation and
-    /// the connection loop.
+    /// Bind with full [`KvsdConfig`] control over graceful degradation.
     ///
     /// # Errors
     ///
-    /// Bind failures, or a reactor's poller that cannot be created.
+    /// Bind failures.
     pub fn bind_with(
         store: Arc<KvStore>,
         addr: impl ToSocketAddrs,
@@ -299,14 +280,6 @@ impl Kvsd {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shell = Arc::new(Shell::default());
-        let (inboxes, loops): (Vec<_>, Vec<_>) = if config.reactor {
-            reactor::start(&store, &shell, config)?
-        } else {
-            Vec::new()
-        }
-        .into_iter()
-        .unzip();
-        shell.registry.lock().unwrap().loops = loops;
         let gauge = config.max_inflight.map(|n| Arc::new(InflightGauge::new(n)));
 
         let accept_thread = {
@@ -330,7 +303,6 @@ impl Kvsd {
                         shell.accept.add(Counter::AcceptErrors, 1);
                         continue;
                     };
-                    let reactor = (!inboxes.is_empty()).then(|| id as usize % inboxes.len());
                     let counters = Arc::<Counters>::default();
                     {
                         // `stop` raises the flag before it takes this lock
@@ -348,12 +320,6 @@ impl Kvsd {
                                 counters,
                             },
                         );
-                    }
-                    if let Some(r) = reactor {
-                        // A send fails only once that loop's poller has
-                        // failed and the loop is gone.
-                        let _ = inboxes[r].send((id, stream, counters));
-                        continue;
                     }
                     // Join handlers that have already returned, so a
                     // long-lived daemon under connection churn keeps one
@@ -404,11 +370,10 @@ impl Kvsd {
     }
 
     /// Every counter, merged: the closed connections' total plus each live
-    /// connection's and event loop's block, read now.
+    /// connection's block, read now.
     pub fn stats(&self) -> Snapshot {
         let registry = self.shell.registry.lock().unwrap();
-        let live = registry.live.values().map(|c| &c.counters);
-        let blocks = live.chain(&registry.loops).map(|c| c.snapshot());
+        let blocks = registry.live.values().map(|c| c.counters.snapshot());
         registry.retired + self.shell.accept.snapshot() + blocks.sum()
     }
 
@@ -428,14 +393,13 @@ impl Kvsd {
         if self.shell.shutting_down.swap(true, Ordering::AcqRel) {
             return;
         }
-        // Half-close the read side of live connections: each loop sees EOF
-        // after the requests already on the wire, answers them, flushes,
-        // and closes the connection.
+        // Half-close the read side of live connections: each handler sees
+        // EOF after the requests already on the wire, answers them,
+        // flushes, and closes the connection.
         for live in self.shell.registry.lock().unwrap().live.values() {
             let _ = live.stream.shutdown(Shutdown::Read);
         }
-        // Wake the accept loop with a throwaway connection. Its exit closes
-        // the event loops' inboxes, which tells them to drain.
+        // Wake the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.local_addr);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
@@ -453,7 +417,7 @@ impl Drop for Kvsd {
     }
 }
 
-/// The most keys the thread loop looks up in one store call. Pipelined
+/// The most keys a connection looks up in one store call. Pipelined
 /// Multi-Gets already in a connection's read buffer are served together up
 /// to this width, so a client's burst of eight 16-key requests is one call;
 /// a wider request is a call of its own.
@@ -464,14 +428,14 @@ const MAX_RUN_KEYS: usize = 256;
 /// timeout bounds one `read`, so a client dripping one byte at a time would
 /// keep the connection open forever; here a read that returns bytes longer
 /// than the timeout after the last whole request frame fails instead.
-struct IdleRead {
-    stream: TcpStream,
+struct IdleRead<'s> {
+    stream: &'s TcpStream,
     /// The timeout, and when the last whole frame arrived.
     idle: Option<(Duration, Instant)>,
 }
 
-impl IdleRead {
-    fn new(stream: TcpStream, timeout: Option<Duration>) -> Self {
+impl<'s> IdleRead<'s> {
+    fn new(stream: &'s TcpStream, timeout: Option<Duration>) -> Self {
         let idle = timeout.map(|t| (t, Instant::now()));
         IdleRead { stream, idle }
     }
@@ -486,7 +450,7 @@ impl IdleRead {
     }
 }
 
-impl Read for IdleRead {
+impl Read for IdleRead<'_> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         let n = self.stream.read(buf)?;
         match self.idle {
@@ -506,20 +470,18 @@ fn handle_connection(
     counters: &Counters,
 ) {
     let _ = stream.set_nodelay(true);
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    // The write timeout bounds a write that makes no progress: a client
-    // that stops reading is closed after the stall grace.
-    if read_half.set_read_timeout(config.idle_timeout).is_err()
+    // Both halves go through the one socket, whose two timeouts are
+    // separate options. The write timeout bounds a write that makes no
+    // progress: a client that stops reading is closed after the stall
+    // grace.
+    if stream.set_read_timeout(config.idle_timeout).is_err()
         || stream
             .set_write_timeout(Some(stall_grace(&config)))
             .is_err()
     {
         return;
     }
-    let mut reader = BufReader::new(IdleRead::new(read_half, config.idle_timeout));
-    let mut writer = stream;
+    let mut reader = BufReader::new(IdleRead::new(&stream, config.idle_timeout));
     // Replies queue here and go out in one write once the read side would
     // block.
     let mut out = Vec::new();
@@ -538,7 +500,7 @@ fn handle_connection(
         // that asks for large values faster than it reads them.
         if reader.buffer().is_empty() || out.len() > FRAME_BUF_KEEP {
             if !out.is_empty() {
-                if !flush(&mut writer, &out, counters) {
+                if !flush(&stream, &out, counters) {
                     return;
                 }
                 reader.get_mut().restart();
@@ -606,7 +568,7 @@ fn handle_connection(
                 config.deadline,
             );
             let mut sent = true;
-            serve_mgets(store, &run, &mut scratch.resp, t0, counters, |_, reply| {
+            serve_mgets(store, &run, &mut scratch.resp, t0, counters, |reply| {
                 counters.served(Some(reply.lookup), 0, reply.busy);
                 sent = sent && reply.append_to(&mut out);
             });
@@ -629,12 +591,12 @@ fn handle_connection(
         }
         lists.reclaim(request);
     }
-    flush(&mut writer, &out, counters);
+    flush(&stream, &out, counters);
 }
 
 /// Write `out` whole. `false` when the connection is done for: a write
 /// that made no progress for the stall grace (counted) or failed.
-fn flush(writer: &mut TcpStream, out: &[u8], counters: &Counters) -> bool {
+fn flush(mut writer: &TcpStream, out: &[u8], counters: &Counters) -> bool {
     match writer.write_all(out) {
         Ok(()) => true,
         Err(e) => {
@@ -650,7 +612,7 @@ fn flush(writer: &mut TcpStream, out: &[u8], counters: &Counters) -> bool {
 }
 
 /// `DeadlineExceeded` when a request decoded at `t0` is past `deadline`.
-pub(crate) fn overdue(t0: Instant, deadline: Option<Duration>) -> Option<ErrorCode> {
+fn overdue(t0: Instant, deadline: Option<Duration>) -> Option<ErrorCode> {
     deadline
         .is_some_and(|d| t0.elapsed() > d)
         .then_some(ErrorCode::DeadlineExceeded)
@@ -713,14 +675,10 @@ mod tests {
         store
     }
 
-    /// The conformance suite runs every test against both connection
-    /// loops behind `limits`: a thread per connection, and the reactors.
-    fn loops(limits: KvsdConfig) -> [(&'static str, KvsdConfig); 2] {
-        let reactor = KvsdConfig {
-            reactor: true,
-            ..limits
-        };
-        [("thread", limits), ("reactor", reactor)]
+    /// The connection loops the conformance suite runs every test
+    /// against, behind `limits`: the thread per connection.
+    fn loops(limits: KvsdConfig) -> [(&'static str, KvsdConfig); 1] {
+        [("thread", limits)]
     }
 
     fn serve(config: KvsdConfig) -> Kvsd {
@@ -1025,7 +983,7 @@ mod tests {
             let kvsd = serve(config);
             let mut conn = connect(&kvsd);
             conn.send(mget(5, &[b"present"])).unwrap();
-            // A write misses its deadline the same way under both loops.
+            // A write misses its deadline the same way.
             let (key, value) = (Bytes::from_static(b"k"), Bytes::from_static(b"v"));
             conn.send(Request::Set { id: 6, key, value }.encode())
                 .unwrap();
@@ -1112,6 +1070,9 @@ mod tests {
         }
     }
 
+    /// Each burst's replies, sent pipelined in one write, match byte for
+    /// byte and in order what a fresh server answers one frame at a time,
+    /// while its runs of Multi-Gets take fewer store calls than requests.
     #[test]
     fn a_coalesced_burst_is_invisible_on_the_wire() {
         let b = |s: &'static [u8]| Bytes::from_static(s);
@@ -1122,7 +1083,7 @@ mod tests {
         };
         // Runs of Multi-Gets split by every write verb; some read what the
         // write before them changed.
-        let burst = [
+        let verbs = vec![
             mget(1, &[b"present", b"nope"]),
             mget(2, &[b"present"]),
             mget(3, &[b"k1"]),
@@ -1153,28 +1114,58 @@ mod tests {
             mget(13, &[b"k3"]),
             mget(14, &[b"present"]),
         ];
-        let mgets = 10;
-        // The twin: a fresh store, sent one frame at a time.
-        let twin = serve(KvsdConfig::default());
-        let mut conn = connect(&twin);
-        let expect: Vec<Bytes> = burst
-            .iter()
-            .map(|frame| {
-                conn.send(frame.clone()).unwrap();
-                conn.recv().unwrap()
-            })
-            .collect();
-        drop(conn);
-        drain("twin", twin);
-        match Response::decode(expect[4].clone()).unwrap() {
-            Response::MGet { entries, .. } => {
-                assert_eq!(entries[0].as_deref(), Some(&b"v1"[..]), "reads the Set")
+        // Edge shapes inside a run: an all-miss and an empty Multi-Get, a
+        // batched write that names one key twice (the last pair wins), and
+        // an empty batched write.
+        let edges = vec![
+            mget(1, &[b"present", b"a", b"b"]),
+            mget(2, &[b"miss-a", b"miss-b"]),
+            mget(3, &[]),
+            Request::SetMulti {
+                id: 4,
+                pairs: vec![
+                    (b(b"a"), b(b"batched")),
+                    (b(b"new"), b(b"born")),
+                    (b(b"a"), b(b"batched-final")),
+                ],
             }
-            other => panic!("unexpected {other:?}"),
-        }
+            .encode(),
+            mget(5, &[b"a", b"new"]),
+            Request::SetMulti {
+                id: 6,
+                pairs: vec![],
+            }
+            .encode(),
+            mget(7, &[b"a"]),
+        ];
+        for (label, burst, mgets, read_back) in [
+            ("verbs", verbs, 10, (4, &b"v1"[..])),
+            ("edges", edges, 5, (4, &b"batched-final"[..])),
+        ] {
+            // The twin: a fresh store, sent one frame at a time.
+            let twin = serve(KvsdConfig::default());
+            let mut conn = connect(&twin);
+            let expect: Vec<Bytes> = burst
+                .iter()
+                .map(|frame| {
+                    conn.send(frame.clone()).unwrap();
+                    conn.recv().unwrap()
+                })
+                .collect();
+            drop(conn);
+            drain("twin", twin);
+            match Response::decode(expect[read_back.0].clone()).unwrap() {
+                Response::MGet { entries, .. } => {
+                    assert_eq!(
+                        entries[0].as_deref(),
+                        Some(read_back.1),
+                        "{label}: reads the write"
+                    )
+                }
+                other => panic!("{label}: unexpected {other:?}"),
+            }
 
-        for (label, config) in loops(KvsdConfig::default()) {
-            let kvsd = serve(config);
+            let kvsd = serve(KvsdConfig::default());
             let mut raw = TcpStream::connect(kvsd.local_addr()).unwrap();
             raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
             let mut bytes = Vec::new();
@@ -1263,7 +1254,7 @@ mod tests {
     }
 
     /// A client that pipelines 200 Multi-Gets of sixteen 60 KB values and
-    /// reads nothing holds neither loop's drain past the stall grace (here
+    /// reads nothing cannot hold the drain past the stall grace (here
     /// the idle timeout): its connection is closed and counted. The drain
     /// is awaited through a channel, so a drain that never returns fails
     /// the test instead of hanging it.

@@ -36,16 +36,11 @@
 //!   exponential backoff with jitter, idempotent MGet retry
 //!   ([`client::RetryClient`]).
 //! * [`kvsd`] — the one server, behind the `simdht-kvsd` binary and the
-//!   Fig. 11 harness ([`kvsd::Kvsd`]: one shell owning accept, graceful
-//!   drain and the counter registry, around either connection loop —
-//!   pipelined per-connection handler threads by default).
-//! * [`metrics`] — the servers' counters: one cache-line-aligned block per
-//!   worker, written by that worker alone without a read-modify-write, and
+//!   Fig. 11 harness ([`kvsd::Kvsd`]: accept, graceful drain and the
+//!   counter registry around one pipelined handler thread per connection).
+//! * [`metrics`] — the server's counters: one cache-line-aligned block per
+//!   thread, written by that thread alone without a read-modify-write, and
 //!   merged on read into a [`metrics::Snapshot`].
-//! * [`reactor`] — the other connection loop: epoll event loops
-//!   owning many nonblocking connections each, coalescing Multi-Gets from
-//!   *all* connections into one wide lookup batch
-//!   ([`kvsd::KvsdConfig::reactor`], `simdht-kvsd --reactor`).
 //! * [`memslap`] — the memslap-style Multi-Get load generator with latency
 //!   percentiles and a modeled EDR round trip, against an in-process
 //!   loopback server ([`memslap::run_memslap`]) or any address
@@ -73,8 +68,8 @@
 
 #[cfg(not(target_os = "linux"))]
 compile_error!(
-    "simdht-kvs builds on Linux only: the served store's event loops need epoll \
-     and its arenas need Linux madvise (MADV_HUGEPAGE, MADV_COLLAPSE)"
+    "simdht-kvs builds on Linux only: its arenas need Linux madvise \
+     (MADV_HUGEPAGE, MADV_COLLAPSE)"
 );
 
 pub mod arena;
@@ -88,7 +83,6 @@ pub mod memslap;
 pub mod metrics;
 pub mod net;
 pub mod protocol;
-pub mod reactor;
 pub mod segarray;
 pub mod slab;
 pub mod store;

@@ -12,9 +12,6 @@
 //!   owns, serves it from a loopback [`Kvsd`], runs the client loop
 //!   against it and adds the server's final counters to the client's
 //!   report.
-//! * [`run_memslap_mux`] — the many-small-connections driver: the same
-//!   request plans and the same report, but every connection on one event
-//!   loop instead of a thread each (TCP only, read-only).
 //!
 //! The paper's clients reach the server over InfiniBand EDR; these reach
 //! it over loopback TCP. Every latency reported here is measured. The EDR
@@ -34,7 +31,7 @@ use crate::client::RetryPolicy;
 use crate::fault::{FaultPlan, FaultSpec, FaultyTransport};
 use crate::kvsd::Kvsd;
 use crate::metrics::Counter;
-use crate::net::{flush_nonblocking, TcpTransport};
+use crate::net::TcpTransport;
 use crate::protocol::{ErrorCode, OpStatus, Request, Response};
 use crate::store::{KvStore, PhaseNanos};
 use crate::transport::{ClientConn, Transport};
@@ -246,7 +243,7 @@ pub struct ClientReport {
     pub mean_latency_us: f64,
     /// Mean modeled EDR round trip of a Multi-Get in µs: [`edr_wire_ns`]
     /// of its request frame plus that of its response frame. A model, in
-    /// none of the measured latencies; 0 from [`run_memslap_mux`].
+    /// none of the measured latencies.
     pub edr_round_trip_us: f64,
     /// Minimum observed latency in µs.
     pub min_latency_us: f64,
@@ -907,296 +904,6 @@ pub fn run_memslap_over(
     Ok(total.into_report(config.connections, config.pipeline_depth, wall_secs))
 }
 
-/// Parameters for the multiplexed many-small-connections client
-/// ([`run_memslap_mux`]).
-///
-/// Where [`NetMemslapConfig`] spawns one thread per connection (fine for
-/// tens), this mode drives *all* connections from one event loop using
-/// the same poller as the reactor server — the `--conns 1000 --depth 1`
-/// shape that makes cross-connection coalescing measurable without a
-/// thousand client threads drowning the machine in context switches.
-#[derive(Clone, Debug)]
-pub struct MuxMemslapConfig {
-    /// Concurrent connections, all driven by one thread.
-    pub connections: usize,
-    /// Requests each connection keeps in flight (1 = ping-pong).
-    pub pipeline_depth: usize,
-    /// Preload the workload's items over the wire before the timed run.
-    pub preload: bool,
-    /// Abandon the run if no response arrives for this long (a dead
-    /// server must produce a partial report, not a hang).
-    pub stall_timeout: std::time::Duration,
-}
-
-impl Default for MuxMemslapConfig {
-    fn default() -> Self {
-        MuxMemslapConfig {
-            connections: 64,
-            pipeline_depth: 1,
-            preload: true,
-            stall_timeout: std::time::Duration::from_secs(10),
-        }
-    }
-}
-
-/// Per-connection state of the multiplexed client.
-struct MuxConn {
-    stream: std::net::TcpStream,
-    decoder: crate::net::FrameDecoder,
-    out: Vec<u8>,
-    out_pos: usize,
-    /// FIFO of requests on the wire: `(id, t0)`. Both server modes
-    /// answer each connection in request order, so responses pair with
-    /// the front (the echoed id is verified).
-    inflight: VecDeque<(u64, Instant)>,
-    /// Next index into this connection's plan.
-    next: usize,
-    /// Whether the poller currently watches this socket for writability
-    /// (only wanted while flushed bytes remain queued).
-    write_interest: bool,
-    dead: bool,
-}
-
-/// Drive `config.connections` nonblocking connections from a single
-/// event loop against the TCP server at `addr`, replaying `workload`'s
-/// Multi-Get stream split round-robin across connections (read-only:
-/// the many-small-connections shape is about lookup coalescing, not
-/// mixed writes).
-///
-/// # Errors
-///
-/// A workload the protocol cannot carry (`InvalidInput`, before anything
-/// is sent), connect failures while opening the connection set, or a
-/// preload that could not cover the item set. Mid-run failures degrade to partial
-/// results in [`ClientReport::failed`] instead.
-///
-/// # Panics
-///
-/// Panics if `config.connections` or `config.pipeline_depth` is zero.
-pub fn run_memslap_mux(
-    addr: std::net::SocketAddr,
-    workload: &KvWorkload,
-    config: &MuxMemslapConfig,
-) -> io::Result<ClientReport> {
-    use crate::reactor::poller::{Interest, Poller};
-    use std::io::Read;
-
-    assert!(config.connections >= 1, "need at least one connection");
-    assert!(config.pipeline_depth >= 1, "pipeline depth must be >= 1");
-    // The threaded client's plans at its default mix: every slot a
-    // Multi-Get.
-    let plans = build_plans(
-        workload,
-        &NetMemslapConfig {
-            connections: config.connections,
-            ..NetMemslapConfig::default()
-        },
-    )?;
-    if config.preload {
-        let transport = TcpTransport::new(addr)?;
-        preload_over_wire(&transport, workload, 32, &RetryPolicy::default())?;
-    }
-
-    // Open every connection up front (untimed setup), then switch to
-    // nonblocking and register with the poller.
-    let mut poller = Poller::new()?;
-    let mut conns: Vec<MuxConn> = Vec::with_capacity(config.connections);
-    for token in 0..config.connections {
-        let stream = std::net::TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        stream.set_nonblocking(true)?;
-        {
-            use std::os::fd::AsRawFd;
-            poller.register(stream.as_raw_fd(), token, Interest::READ)?;
-        }
-        conns.push(MuxConn {
-            stream,
-            decoder: crate::net::FrameDecoder::new(),
-            out: Vec::new(),
-            out_pos: 0,
-            inflight: VecDeque::new(),
-            next: 0,
-            write_interest: false,
-            dead: false,
-        });
-    }
-
-    let mut total = ConnOutcome::default();
-    let mut read_buf = vec![0u8; 64 << 10];
-    let mut events = Vec::new();
-    let mut open = config.connections;
-    let wall_start = Instant::now();
-    let mut last_progress = Instant::now();
-
-    // Seed every window before the first wait.
-    for (token, conn) in conns.iter_mut().enumerate() {
-        if mux_top_up(conn, &plans[token], config.pipeline_depth).is_err() {
-            mux_kill(conn, &plans[token], &mut total, &mut open, &mut poller);
-        } else {
-            mux_sync_interest(conn, token, &mut poller);
-        }
-    }
-
-    while open > 0 {
-        if wall_start.elapsed() > config.stall_timeout
-            && last_progress.elapsed() > config.stall_timeout
-        {
-            for (token, conn) in conns.iter_mut().enumerate() {
-                if !conn.dead {
-                    mux_kill(conn, &plans[token], &mut total, &mut open, &mut poller);
-                }
-            }
-            break;
-        }
-        poller.wait(&mut events, Some(std::time::Duration::from_millis(100)))?;
-        for ev in &events {
-            let conn = &mut conns[ev.token];
-            if conn.dead {
-                continue;
-            }
-            let plan = &plans[ev.token];
-            if ev.writable
-                && flush_nonblocking(&mut conn.stream, &mut conn.out, &mut conn.out_pos).is_err()
-            {
-                mux_kill(conn, plan, &mut total, &mut open, &mut poller);
-                continue;
-            }
-            if !(ev.readable || ev.closed) {
-                continue;
-            }
-            // Read what is available, account each complete response.
-            let mut failed_conn = false;
-            let mut frames: Vec<Bytes> = Vec::new();
-            loop {
-                match conn.stream.read(&mut read_buf) {
-                    Ok(0) => {
-                        failed_conn = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        if conn.decoder.extend(&read_buf[..n], &mut frames).is_err() {
-                            failed_conn = true;
-                            break;
-                        }
-                        if n < read_buf.len() {
-                            // Short read: kernel buffer drained; any
-                            // remainder re-fires level-triggered
-                            // readiness instead of an EAGAIN read here.
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        failed_conn = true;
-                        break;
-                    }
-                }
-            }
-            for frame in frames {
-                let Some((id, t0)) = conn.inflight.pop_front() else {
-                    failed_conn = true; // response nobody asked for
-                    break;
-                };
-                match Response::decode(frame) {
-                    Ok(Response::MGet { id: got, entries }) if got == id => {
-                        total.keys += entries.len() as u64;
-                        total.hits += entries.iter().filter(|e| e.is_some()).count() as u64;
-                        total.latencies_ns.push(t0.elapsed().as_nanos() as u64);
-                        last_progress = Instant::now();
-                    }
-                    Ok(Response::Error { id: got, code }) if got == id => {
-                        total.shed += u64::from(matches!(
-                            code,
-                            ErrorCode::ServerBusy | ErrorCode::DeadlineExceeded
-                        ));
-                        total.failed += 1; // mux mode does not retry
-                        last_progress = Instant::now();
-                    }
-                    _ => {
-                        failed_conn = true;
-                        break;
-                    }
-                }
-            }
-            if failed_conn {
-                mux_kill(conn, plan, &mut total, &mut open, &mut poller);
-                continue;
-            }
-            if mux_top_up(conn, plan, config.pipeline_depth).is_err() {
-                mux_kill(conn, plan, &mut total, &mut open, &mut poller);
-                continue;
-            }
-            if conn.inflight.is_empty() && conn.next == plan.requests.len() {
-                // Stream complete: close cleanly.
-                mux_close(conn, &mut open, &mut poller);
-            } else {
-                mux_sync_interest(conn, ev.token, &mut poller);
-            }
-        }
-    }
-    let wall_secs = wall_start.elapsed().as_secs_f64();
-
-    Ok(total.into_report(config.connections, config.pipeline_depth, wall_secs))
-}
-
-/// Queue plan entries into the connection's output until the pipeline
-/// window is full or the plan is exhausted, then write what the socket
-/// accepts.
-fn mux_top_up(conn: &mut MuxConn, plan: &ConnPlan, depth: usize) -> io::Result<()> {
-    while conn.inflight.len() < depth && conn.next < plan.requests.len() {
-        let (_, id, frame) = &plan.requests[conn.next];
-        crate::net::write_frame(&mut conn.out, frame)?;
-        conn.inflight.push_back((*id, Instant::now()));
-        conn.next += 1;
-    }
-    flush_nonblocking(&mut conn.stream, &mut conn.out, &mut conn.out_pos)
-}
-
-/// Toggle write interest to match whether queued bytes remain, with one
-/// `modify` syscall only on an actual change.
-fn mux_sync_interest(
-    conn: &mut MuxConn,
-    token: usize,
-    poller: &mut crate::reactor::poller::Poller,
-) {
-    use crate::reactor::poller::Interest;
-    use std::os::fd::AsRawFd;
-    let want_write = conn.out_pos < conn.out.len();
-    if want_write != conn.write_interest {
-        let want = if want_write {
-            Interest::READ_WRITE
-        } else {
-            Interest::READ
-        };
-        if poller.modify(conn.stream.as_raw_fd(), token, want).is_ok() {
-            conn.write_interest = want_write;
-        }
-    }
-}
-
-/// Abandon a connection mid-run: everything unanswered counts failed.
-fn mux_kill(
-    conn: &mut MuxConn,
-    plan: &ConnPlan,
-    total: &mut ConnOutcome,
-    open: &mut usize,
-    poller: &mut crate::reactor::poller::Poller,
-) {
-    total.failed += (conn.inflight.len() + (plan.requests.len() - conn.next)) as u64;
-    conn.inflight.clear();
-    conn.next = plan.requests.len();
-    mux_close(conn, open, poller);
-}
-
-/// Deregister and mark a finished or failed connection.
-fn mux_close(conn: &mut MuxConn, open: &mut usize, poller: &mut crate::reactor::poller::Poller) {
-    use std::os::fd::AsRawFd;
-    let _ = poller.deregister(conn.stream.as_raw_fd());
-    conn.dead = true;
-    *open -= 1;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1352,83 +1059,6 @@ mod tests {
             Box::new(Memc3Index::with_capacity(2000)),
             StoreConfig::default(),
         ))
-    }
-
-    #[test]
-    fn mux_memslap_against_blocking_server() {
-        let wl = small_workload();
-        let server = Kvsd::bind(tcp_store(), "127.0.0.1:0").expect("bind");
-        let cfg = MuxMemslapConfig {
-            connections: 8,
-            pipeline_depth: 2,
-            preload: true,
-            ..MuxMemslapConfig::default()
-        };
-        let report = run_memslap_mux(server.local_addr(), &wl, &cfg).expect("mux run");
-        server.shutdown();
-        assert_eq!(report.requests, 100, "{report:?}");
-        assert_eq!(report.keys, 1600);
-        assert_eq!(report.hits, 1600, "preloaded workload must fully hit");
-        assert_eq!(report.failed, 0);
-        assert_eq!(report.connections, 8);
-        assert!(report.requests_per_sec > 0.0);
-        assert!(report.p99_latency_us >= report.p50_latency_us);
-    }
-
-    #[test]
-    fn mux_memslap_against_reactor_server() {
-        let wl = small_workload();
-        let config = crate::kvsd::KvsdConfig {
-            reactor: true,
-            ..crate::kvsd::KvsdConfig::default()
-        };
-        let server = Kvsd::bind_with(tcp_store(), "127.0.0.1:0", config).expect("bind reactor");
-        let cfg = MuxMemslapConfig {
-            connections: 16,
-            pipeline_depth: 1,
-            preload: true,
-            ..MuxMemslapConfig::default()
-        };
-        let report = run_memslap_mux(server.local_addr(), &wl, &cfg).expect("mux run");
-        let stats = server.shutdown();
-        assert_eq!(report.requests, 100, "{report:?}");
-        assert_eq!(report.keys, 1600);
-        assert_eq!(report.hits, 1600);
-        assert_eq!(report.failed, 0);
-        let frames = stats[crate::metrics::Counter::Frames];
-        assert!(
-            frames >= 100,
-            "reactor must have decoded the stream: {stats}"
-        );
-    }
-
-    #[test]
-    fn mux_memslap_survives_server_vanishing() {
-        // A server that drops dead mid-run must yield a partial report
-        // (failed > 0), not a hang or an Err.
-        let wl = small_workload();
-        let server = Kvsd::bind(tcp_store(), "127.0.0.1:0").expect("bind");
-        let addr = server.local_addr();
-        let cfg = MuxMemslapConfig {
-            connections: 4,
-            pipeline_depth: 1,
-            preload: false, // preload separately so it cannot race the shutdown
-            stall_timeout: std::time::Duration::from_secs(2),
-        };
-        let transport = TcpTransport::new(addr).expect("connect");
-        preload_over_wire(&transport, &wl, 32, &RetryPolicy::default()).expect("preload");
-        // Shut the server down concurrently with the run.
-        let handle = std::thread::spawn(move || {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-            server.shutdown();
-        });
-        let report = run_memslap_mux(addr, &wl, &cfg).expect("mux must not error out");
-        handle.join().unwrap();
-        assert_eq!(
-            report.requests + report.failed + report.shed,
-            100,
-            "every planned request must be accounted for: {report:?}"
-        );
     }
 
     #[test]

@@ -1,9 +1,8 @@
 //! The servers' counters: one block per worker, merged on read.
 //!
-//! Every serving thread owns [`Counters`] blocks — a thread-loop connection
-//! owns one, and a reactor event loop owns one for its batches plus one
-//! per connection it serves — and it alone writes them. A block is a cache-line-aligned array of [`AtomicU64`], one per
-//! [`Counter`]; a bump is a `Relaxed` load and a `Relaxed` store, so the
+//! Every connection's handler thread owns one [`Counters`] block, and the
+//! accept thread owns one; each alone writes its block. A block is a
+//! cache-line-aligned array of [`AtomicU64`], one per [`Counter`]; a bump is a `Relaxed` load and a `Relaxed` store, so the
 //! hot path issues no `lock`-prefixed instruction and shares no line with
 //! another worker. Readers take a [`Snapshot`] of each block and add them
 //! up: per location, atomics are read in their single modification order,
@@ -30,9 +29,8 @@ pub enum Counter {
     Shed,
     /// Nanoseconds workers spent on store calls, each counted once: a
     /// Multi-Get store call up to its return, split over the requests it
-    /// served (`share`) — from the first frame's decode in the thread
-    /// loop, from the dispatch in a reactor — and decode → seal for any
-    /// other verb. A shed adds none.
+    /// served (`share`) from the first frame's decode, and decode → seal
+    /// for any other verb. A shed adds none.
     BusyNs,
     /// Pre-processing phase nanoseconds (Fig. 11(b)).
     PreNs,
@@ -40,9 +38,7 @@ pub enum Counter {
     LookupNs,
     /// Post-processing phase nanoseconds.
     PostNs,
-    /// Connections a reactor adopted.
-    ConnsAdopted,
-    /// Connections closed, under either loop.
+    /// Connections closed.
     ConnsClosed,
     /// Of those, connections closed because their output made no progress
     /// for the stall grace (`idle_timeout` where set, else the drain
@@ -52,27 +48,15 @@ pub enum Counter {
     /// accepted stream it could not clone or start a handler thread for,
     /// which it closes unserved.
     AcceptErrors,
-    /// Request frames a reactor decoded.
-    Frames,
-    /// Multi-Get store calls: a reactor's coalesced batches, and the thread
-    /// loop's runs of pipelined requests already in one connection's read
-    /// buffer.
+    /// Multi-Get store calls: runs of pipelined requests already in one
+    /// connection's read buffer.
     Batches,
     /// Keys over those calls (`/ Batches` = mean width).
     BatchKeys,
-    /// A reactor's dispatches fired by the batch width, a full
-    /// `max_inflight` window, or program order (a verb other than Multi-Get
-    /// from a connection with a Multi-Get parked).
-    WidthFires,
-    /// A reactor's dispatches fired by the coalesce micro-deadline or an
-    /// empty poll.
-    TimeoutFires,
-    /// A reactor's dispatches fired by the shutdown drain.
-    DrainFires,
 }
 
 /// How many counters there are.
-const N: usize = Counter::DrainFires as usize + 1;
+const N: usize = Counter::BatchKeys as usize + 1;
 
 /// One worker's counters. Exactly one thread writes a block, through
 /// [`Counters::add`]; any thread may read it.
@@ -170,8 +154,7 @@ impl std::iter::Sum for Snapshot {
 }
 
 /// The server report: a `server:` line, a `batches:` line when a Multi-Get
-/// store call ran, a `reactor:` line when a reactor adopted a connection,
-/// an `accept:` line when the accept thread lost a connection, a
+/// store call ran, an `accept:` line when the accept thread lost a connection, a
 /// `stalled:` line when a client stopped reading its replies, and a
 /// `server phases:` line when a store call was timed.
 impl fmt::Display for Snapshot {
@@ -193,17 +176,6 @@ impl fmt::Display for Snapshot {
                 "batches: {} mget calls, mean width {:.2}",
                 self[Batches],
                 self.ratio(BatchKeys, Batches),
-            )?;
-        }
-        if self[ConnsAdopted] > 0 {
-            writeln!(
-                f,
-                "reactor: {} conns, {} frames (fires: {} width / {} timeout / {} drain)",
-                self[ConnsAdopted],
-                self[Frames],
-                self[WidthFires],
-                self[TimeoutFires],
-                self[DrainFires],
             )?;
         }
         if self[AcceptErrors] > 0 {
@@ -279,7 +251,7 @@ mod tests {
                     s.spawn(move || {
                         for _ in 0..BUMPS {
                             block.served(Some((3, 2)), 1, 5);
-                            block.add(Counter::Frames, 1);
+                            block.add(Counter::Batches, 1);
                         }
                     })
                 })
@@ -297,7 +269,7 @@ mod tests {
             (Counter::Found, 2),
             (Counter::Writes, 1),
             (Counter::BusyNs, 5),
-            (Counter::Frames, 1),
+            (Counter::Batches, 1),
             (Counter::Shed, 0),
         ] {
             assert_eq!(total[counter], 2 * BUMPS * per_bump, "{counter:?}");
@@ -325,15 +297,13 @@ mod tests {
             ),
             "{report}"
         );
-        assert!(!report.contains("reactor:"), "{report}");
         assert!(
             report.ends_with(
                 "server phases: pre 25.0%  lookup 25.0%  post 50.0%  (8.00 Mkeys per busy-sec)\n"
             ),
             "{report}"
         );
-        // The thread loop counts its store calls too: they render without
-        // a reactor.
+        // Counted store calls render a `batches:` line.
         block.add(Counter::Batches, 2);
         block.add(Counter::BatchKeys, 32);
         let report = block.snapshot().to_string();
@@ -341,6 +311,5 @@ mod tests {
             report.contains("\nbatches: 2 mget calls, mean width 16.00\n"),
             "{report}"
         );
-        assert!(!report.contains("reactor:"), "{report}");
     }
 }

@@ -47,35 +47,6 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.write_all(payload)
 }
 
-/// Write as much of `out[*pos..]` as the nonblocking `w` accepts right
-/// now, advancing `*pos`; once every byte is written, empty `out` and
-/// reset `*pos` for the next frames. `WouldBlock` ends the call with
-/// `Ok` (the caller waits for write readiness), `Interrupted` retries,
-/// and a zero-byte write is [`io::ErrorKind::WriteZero`].
-///
-/// The reactor's connections and the multiplexed memslap client queue
-/// frames into `out` and flush through this one loop.
-pub(crate) fn flush_nonblocking(
-    w: &mut impl Write,
-    out: &mut Vec<u8>,
-    pos: &mut usize,
-) -> io::Result<()> {
-    while *pos < out.len() {
-        match w.write(&out[*pos..]) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => *pos += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    if *pos == out.len() {
-        out.clear();
-        *pos = 0;
-    }
-    Ok(())
-}
-
 /// Read one length-prefixed frame.
 ///
 /// Returns `Ok(None)` on a clean EOF at a frame boundary (the peer closed
@@ -154,13 +125,13 @@ fn read_prefix(r: &mut impl Read) -> io::Result<Option<usize>> {
     frame_len(len_buf).map(Some)
 }
 
-/// Incremental, resumable frame decoder for nonblocking sockets.
+/// Incremental, resumable frame decoder for bytes that arrive in pieces.
 ///
 /// The blocking [`read_frame`] owns the socket until a whole frame
-/// arrives; a reactor cannot afford that. `FrameDecoder` instead accepts
-/// whatever bytes a readiness event delivered ([`FrameDecoder::extend`]),
-/// yielding complete frames as they materialize and carrying partial
-/// header/payload state across events.
+/// arrives. `FrameDecoder` instead accepts whatever bytes a read
+/// delivered ([`FrameDecoder::extend`]), yielding complete frames as they
+/// materialize and carrying partial header/payload state across reads;
+/// the benchmark's in-process replay feeds it one frame at a time.
 ///
 /// ## Parity with [`read_frame`]
 ///

@@ -448,7 +448,7 @@ impl std::fmt::Display for ErrorCode {
         }
     }
 }
-/// Per-worker buffers [`execute`] and the connection loops reuse across
+/// Per-connection buffers [`execute`] and the connection loop reuse across
 /// requests, as a real server does: Multi-Get replies are built in place in
 /// one, batched writes stage through another, every other reply is encoded
 /// into the third, and a run of Multi-Gets gathers its keys in the fourth.
@@ -516,21 +516,21 @@ impl MGetReply<'_> {
     }
 }
 
-/// Serve a run of Multi-Gets with one wide [`KvStore::mget`] — the one
-/// Multi-Get dispatch of both connection loops. The store partitions the
+/// Serve a run of Multi-Gets with one wide [`KvStore::mget`] — the
+/// connection loop's one Multi-Get dispatch. The store partitions the
 /// run per shard, so each shard's lookup pipeline gets every key the run
 /// holds for it. The call is counted once in `block`: one more
 /// [`Counter::Batches`], its keys on [`Counter::BatchKeys`], its phase
 /// split. Its busy time, from `since` to the call's return, is split over
 /// the run's requests ([`crate::metrics::share`]), and `deliver` gets each
-/// request in order, by its index in the run, with its [`MGetReply`].
+/// request's [`MGetReply`] in order.
 pub(crate) fn serve_mgets(
     store: &KvStore,
     run: &MGetRun<'_>,
     resp: &mut MGetResponse,
     since: Instant,
     block: &Counters,
-    mut deliver: impl FnMut(usize, MGetReply<'_>),
+    mut deliver: impl FnMut(MGetReply<'_>),
 ) {
     let outcome = store.mget(&run.keys, resp);
     let busy = since.elapsed().as_nanos() as u64;
@@ -545,16 +545,13 @@ pub(crate) fn serve_mgets(
         let found = slots.clone().filter(|&i| resp.value(i).is_some()).count();
         let busy = share(busy, nth, run.reqs.len());
         let lookup = (width, found);
-        deliver(
-            nth,
-            MGetReply {
-                resp,
-                slots,
-                id,
-                lookup,
-                busy,
-            },
-        );
+        deliver(MGetReply {
+            resp,
+            slots,
+            id,
+            lookup,
+            busy,
+        });
     }
 }
 
@@ -582,8 +579,8 @@ impl DecodeScratch {
     }
 }
 
-/// What [`execute`] did: the response to send and the figures the serving
-/// loops count.
+/// What [`execute`] did: the response to send and the figures the
+/// connection loop counts.
 #[derive(Debug)]
 pub struct Executed<'a> {
     /// The encoded, CRC-sealed response payload, borrowed from the
@@ -596,9 +593,8 @@ pub struct Executed<'a> {
 }
 
 /// Execute one request against the store and encode its response. This is
-/// the single server-side semantics of every verb but Multi-Get — both
-/// connection loops dispatch through it, so the verbs cannot drift apart —
-/// while both loops send their Multi-Gets to `serve_mgets`. The request's
+/// the single server-side semantics of every verb but Multi-Get, which the
+/// connection loop sends to `serve_mgets` instead. The request's
 /// keys and values are read where they lie, normally in the frame it was
 /// decoded from ([`Request::decode_in_place`]). Returns `None` for
 /// [`Request::Shutdown`], which has no reply and stops the serving loop,
@@ -1392,17 +1388,10 @@ mod tests {
         run.push(9, [&b"a"[..], b"b", b"c"]);
         let (mut resp, mut framed) = (MGetResponse::default(), Vec::new());
         let block = Counters::default();
-        serve_mgets(
-            &store,
-            &run,
-            &mut resp,
-            Instant::now(),
-            &block,
-            |_, reply| {
-                assert_eq!(reply.lookup, (3, 2));
-                assert!(reply.append_to(&mut framed));
-            },
-        );
+        serve_mgets(&store, &run, &mut resp, Instant::now(), &block, |reply| {
+            assert_eq!(reply.lookup, (3, 2));
+            assert!(reply.append_to(&mut framed));
+        });
         let fast = Bytes::copy_from_slice(&framed[FRAME_PREFIX_BYTES..]);
         let generic = Response::MGet {
             id: 9,

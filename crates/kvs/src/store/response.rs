@@ -139,20 +139,19 @@ impl MGetResponse {
     /// Append one request's slice of a coalesced batch as a complete,
     /// length-prefixed, CRC-sealed MGet response frame for request `id`.
     ///
-    /// The reactor server concatenates the keys of many pipelined
-    /// requests into one wide `mget` so the lookup pipeline runs at full
-    /// batch width, then scatters the shared response buffer back out
-    /// per request. Slot range `slots` must be the contiguous run of
-    /// batch slots belonging to one request; the bytes appended to `out`
-    /// are identical to what the thread-per-connection path produces for
-    /// that request alone (`write_frame` of [`MGetResponse::seal_frame`]),
-    /// so the two server modes are byte-compatible on the wire.
+    /// The server concatenates the keys of a connection's pipelined
+    /// Multi-Gets into one wide `mget` so the lookup pipeline runs at the
+    /// run's width, then scatters the shared response buffer back out per
+    /// request. Slot range `slots` must be the contiguous run of batch
+    /// slots belonging to one request; the bytes appended to `out` are
+    /// identical to what that request gets served alone (`write_frame` of
+    /// [`MGetResponse::seal_frame`]), so a run is invisible on the wire.
     ///
     /// Returns the number of bytes appended (frame prefix included) — zero,
     /// with `out` untouched, when the frame would exceed
     /// [`crate::net::MAX_FRAME_BYTES`]: `write_frame` refuses such a reply
-    /// on the thread-per-connection path and the peer would refuse to read
-    /// it, so the caller drops the connection.
+    /// served alone and the peer would refuse to read it, so the caller
+    /// drops the connection.
     ///
     /// # Panics
     ///

@@ -33,8 +33,14 @@ fn assert_refused(bin: &str, args: &[&str], flag: &str) {
 }
 
 #[test]
-fn kvsd_refuses_a_memory_budget_that_overflows() {
-    for mb in ["17592186044416", "99999999999999"] {
+fn kvsd_refuses_a_memory_budget_that_is_zero_or_overflows() {
+    // A zero budget is refused for what it is, not blamed on the default
+    // `--shards 1`.
+    for (mb, error) in [
+        ("0", "--memory-mb must be >= 1"),
+        ("17592186044416", "--memory-mb"),
+        ("99999999999999", "--memory-mb"),
+    ] {
         assert_refused(
             KVSD,
             &[
@@ -45,7 +51,7 @@ fn kvsd_refuses_a_memory_budget_that_overflows() {
                 "--memory-mb",
                 mb,
             ],
-            "--memory-mb",
+            error,
         );
     }
 }
@@ -121,8 +127,8 @@ fn kvsd_help_and_unknown_flag() {
     let out = run(KVSD, &["--help"]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("--memory-mb"));
-    // The prefetch depth, coalesce window, batch width and loop count are
-    // constants, and reads always take the shard lock: their flags are
+    // The prefetch depth is a constant, reads always take the shard lock,
+    // and one connection loop serves every connection: their flags are
     // unknown too, not silently ignored.
     for flag in [
         "--no-such-flag",
@@ -131,6 +137,7 @@ fn kvsd_help_and_unknown_flag() {
         "--batch-width",
         "--reactor-threads",
         "--read-mode",
+        "--reactor",
     ] {
         let args = ["--addr", "127.0.0.1:0", "--duration", "0", flag, "8"];
         assert_refused(KVSD, &args, &format!("unknown flag {flag}"));
@@ -177,16 +184,16 @@ fn assert_help_matches_parser(bin: &str, tail: &[&str], expected: usize) {
 
 #[test]
 fn kvsd_help_lists_only_flags_the_parser_knows() {
-    // 10 options, plus `-h` and `--help`. The tail serves nothing.
+    // 9 options, plus `-h` and `--help`. The tail serves nothing.
     let tail = ["--addr", "127.0.0.1:0", "--duration", "0"];
-    assert_help_matches_parser(KVSD, &tail, 12);
+    assert_help_matches_parser(KVSD, &tail, 11);
 }
 
 #[test]
 fn memslap_help_lists_only_flags_the_parser_knows() {
-    // 20 options, plus `-h` and `--help`. The tail points at a port
+    // 19 options, plus `-h` and `--help`. The tail points at a port
     // nothing serves.
-    assert_help_matches_parser(MEMSLAP, &["--addr", UNREACHABLE], 22);
+    assert_help_matches_parser(MEMSLAP, &["--addr", UNREACHABLE], 21);
 }
 
 #[test]
@@ -263,31 +270,15 @@ fn memslap_refuses_fractions_that_sum_above_one() {
 }
 
 #[test]
-fn memslap_mux_refuses_writes_faults_and_retry_knobs() {
-    // `--mux` is read-only and never times out or retries: each of these is
-    // refused, even at the retry default, rather than silently ignored.
-    for (flag, value) in [
-        ("--set-fraction", "0.1"),
-        ("--write-frac", "0.1"),
-        ("--delete-frac", "0.1"),
-        ("--cas-frac", "0.1"),
-        ("--ttl", "60"),
-        ("--faults", "seed=1,drop=0.1"),
-        ("--deadline-ms", "1"),
-        ("--max-retries", "3"),
-    ] {
-        assert_refused(
-            MEMSLAP,
-            &["--addr", UNREACHABLE, "--mux", flag, value],
-            flag,
-        );
-    }
-}
-
-#[test]
 fn memslap_help_and_unknown_flag() {
     let out = run(MEMSLAP, &["--help"]);
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("--connections"));
     assert_refused(MEMSLAP, &["--no-such-flag"], "--no-such-flag");
+    // Every connection has its own thread: the multiplexed client is gone.
+    assert_refused(
+        MEMSLAP,
+        &["--addr", UNREACHABLE, "--mux", "1"],
+        "unknown flag --mux",
+    );
 }

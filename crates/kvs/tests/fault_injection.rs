@@ -18,11 +18,6 @@
 //!
 //! Seed count scales with the `FAULT_SEEDS` env var (default 8; CI runs
 //! 100, and ≥64 satisfies the acceptance matrix).
-//!
-//! The connection loop under test is selected by `FAULT_SERVER`, which
-//! maps to [`KvsdConfig::reactor`]: `thread` (default) runs the blocking
-//! thread-per-connection loop, `reactor` the event-driven coalescing one —
-//! the whole matrix holds for both.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::mpsc;
@@ -33,7 +28,7 @@ use bytes::Bytes;
 use simdht_kvs::client::{RetryClient, RetryPolicy, SetOutcome};
 use simdht_kvs::fault::{FaultKind, FaultPlan, FaultSpec, FaultyTransport};
 use simdht_kvs::index::by_short_name;
-use simdht_kvs::kvsd::{Kvsd, KvsdConfig};
+use simdht_kvs::kvsd::Kvsd;
 use simdht_kvs::memslap::{run_memslap_over, NetMemslapConfig};
 use simdht_kvs::metrics::Counter;
 use simdht_kvs::net::TcpTransport;
@@ -47,19 +42,6 @@ fn fault_seeds() -> u64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(8)
-}
-
-/// The connection loop `FAULT_SERVER` selects, as a [`KvsdConfig`].
-fn server_config() -> KvsdConfig {
-    let reactor = match std::env::var("FAULT_SERVER").as_deref() {
-        Ok("reactor") => true,
-        Ok("thread") | Err(_) => false,
-        Ok(other) => panic!("FAULT_SERVER={other}: expected thread | reactor"),
-    };
-    KvsdConfig {
-        reactor,
-        ..KvsdConfig::default()
-    }
 }
 
 /// `INDEX` selects the index family the whole fault matrix runs against
@@ -83,8 +65,7 @@ fn spawn_daemon(capacity: usize) -> (Kvsd, Arc<KvStore>) {
             shards: 1,
         },
     ));
-    let daemon = Kvsd::bind_with(Arc::clone(&store), "127.0.0.1:0", server_config())
-        .expect("bind ephemeral port");
+    let daemon = Kvsd::bind(Arc::clone(&store), "127.0.0.1:0").expect("bind ephemeral port");
     (daemon, store)
 }
 
@@ -521,127 +502,6 @@ fn no_fault_plan_matches_plain_tcp_byte_for_byte() {
     assert_eq!(plain, wrapped, "no-fault wrapper altered bytes");
     assert_eq!(plan.counters().total(), 0, "no-fault plan injected faults");
     kvsd.shutdown();
-}
-
-/// Differential check of the two connection loops: with faults disabled,
-/// the same pipelined request sequence against a blocking thread-per-
-/// connection `Kvsd` and against a coalescing reactor one — both over identical
-/// store contents — must produce byte-identical response frames in the
-/// same per-connection order. This pins the reactor's scatter path
-/// (`MGetResponse::append_subframe` over a shared batch buffer) to the
-/// blocking server's per-request `seal_frame` wire format.
-#[test]
-fn reactor_and_thread_servers_match_byte_for_byte() {
-    let mk_store = || {
-        let store = Arc::new(KvStore::new(
-            by_short_name("memc3", 64).expect("known index"),
-            StoreConfig {
-                memory_budget: 4 << 20,
-                capacity_items: 64,
-                shards: 1,
-            },
-        ));
-        for i in 0..8usize {
-            store.set(&key(i), &value(7, i)).expect("preload");
-        }
-        store
-    };
-
-    // Pipelined mix: wide MGet, overlapping MGets, a Set, a re-read of
-    // the overwritten key, an all-miss MGet, and an empty MGet.
-    let requests: Vec<Bytes> = vec![
-        Request::MGet {
-            id: 1,
-            keys: (0..8).map(key).collect(),
-        }
-        .encode(),
-        Request::MGet {
-            id: 2,
-            keys: vec![key(1), Bytes::from_static(b"nope"), key(2)],
-        }
-        .encode(),
-        Request::Set {
-            id: 3,
-            key: key(3),
-            value: Bytes::from_static(b"fresh-value"),
-        }
-        .encode(),
-        Request::MGet {
-            id: 4,
-            keys: vec![key(3)],
-        }
-        .encode(),
-        Request::MGet {
-            id: 5,
-            keys: vec![Bytes::from_static(b"miss-a"), Bytes::from_static(b"miss-b")],
-        }
-        .encode(),
-        Request::MGet {
-            id: 6,
-            keys: vec![],
-        }
-        .encode(),
-        // A batched write mid-pipeline, then a re-read of its keys: pins
-        // the reactor's write-coalescing scatter (per-request ranges over
-        // one shared `set_multi` batch) to the blocking server's answers.
-        Request::SetMulti {
-            id: 7,
-            pairs: vec![
-                (key(6), Bytes::from_static(b"batched-six")),
-                (
-                    Bytes::from_static(b"batch-new"),
-                    Bytes::from_static(b"born"),
-                ),
-                (key(6), Bytes::from_static(b"batched-six-final")),
-            ],
-        }
-        .encode(),
-        Request::MGet {
-            id: 8,
-            keys: vec![key(6), Bytes::from_static(b"batch-new")],
-        }
-        .encode(),
-        Request::SetMulti {
-            id: 9,
-            pairs: vec![],
-        }
-        .encode(),
-    ];
-
-    let drive = |addr: std::net::SocketAddr| -> Vec<Vec<u8>> {
-        let tcp = TcpTransport::new(addr).expect("transport");
-        let mut conn = tcp.connect().expect("connect");
-        // Send the whole pipeline first, then collect: the reactor must
-        // preserve per-connection order across its coalescing buffer.
-        for frame in &requests {
-            conn.send(frame.clone()).expect("send");
-        }
-        conn.flush().expect("flush");
-        (0..requests.len())
-            .map(|_| {
-                let payload = conn.recv().expect("recv");
-                Response::decode(payload.clone()).expect("decode");
-                payload.to_vec()
-            })
-            .collect()
-    };
-
-    let kvsd = Kvsd::bind(mk_store(), "127.0.0.1:0").expect("bind thread server");
-    let thread_frames = drive(kvsd.local_addr());
-    kvsd.shutdown();
-
-    let config = KvsdConfig {
-        reactor: true,
-        ..KvsdConfig::default()
-    };
-    let reactor = Kvsd::bind_with(mk_store(), "127.0.0.1:0", config).expect("bind reactor server");
-    let reactor_frames = drive(reactor.local_addr());
-    reactor.shutdown();
-
-    assert_eq!(
-        thread_frames, reactor_frames,
-        "serving architectures diverged on the wire"
-    );
 }
 
 /// Kill the daemon while the networked memslap driver is mid-pipeline:

@@ -1,7 +1,8 @@
 //! `simdht-kvsd` at the limits of its process: out of file descriptors and
 //! out of address space for another thread. Each case runs the daemon as a
-//! child process whose resource limit is lowered for the child alone, and
-//! holds it to the overload contract: a connection the accept thread cannot
+//! child process and, once it listens, lowers one of its resource limits
+//! with `prlimit` (util-linux) to a few connections' worth above what it
+//! uses, and holds it to the overload contract: a connection the accept thread cannot
 //! serve is closed and counted in the drain report's `accept:` line, the
 //! accept thread neither spins nor dies, and the daemon keeps accepting.
 //! Neither case opens more than a dozen sockets or starts more than a few
@@ -31,13 +32,9 @@ struct Daemon {
 }
 
 impl Daemon {
-    /// Run `sh -c "<setup>; exec simdht-kvsd <args>"`, so that a limit the
-    /// setup lowers applies to the daemon alone.
-    fn start(setup: &str, args: &[&str], env: &[(&str, &str)]) -> Daemon {
-        let mut child = Command::new("sh")
-            .arg("-c")
-            .arg(format!("{setup}; exec \"$0\" \"$@\""))
-            .arg(KVSD)
+    /// Run `simdht-kvsd <args>` with `env` added to its environment.
+    fn start(args: &[&str], env: &[(&str, &str)]) -> Daemon {
+        let mut child = Command::new(KVSD)
             .args(["--addr", "127.0.0.1:0"])
             .args(args)
             .envs(env.iter().copied())
@@ -57,6 +54,23 @@ impl Daemon {
             addr,
             stdout,
         }
+    }
+
+    /// Set the daemon's `resource` limit (a `prlimit` option such as
+    /// `--as` or `--nofile`) to `value`.
+    fn limit(&self, resource: &str, value: u64) {
+        let status = Command::new("prlimit")
+            .arg(format!("--pid={}", self.child.id()))
+            .arg(format!("{resource}={value}"))
+            .status()
+            .expect("run prlimit (util-linux)");
+        assert!(status.success(), "prlimit {resource}={value}");
+    }
+
+    /// Descriptors the daemon has open.
+    fn open_descriptors(&self) -> u64 {
+        let fds = std::fs::read_dir(format!("/proc/{}/fd", self.child.id())).unwrap();
+        fds.count() as u64
     }
 
     /// Wait for the drain and return the report's `accept:` error count
@@ -116,12 +130,13 @@ fn answered(addr: SocketAddr, id: u64) -> (bool, TcpConn) {
 
 #[test]
 fn accept_thread_backs_off_when_out_of_descriptors() {
-    // 24 descriptors: the standard three, the listener, each event loop's
-    // epoll, and two per connection (the stream and the drain's clone) run
-    // out before a dozen connections are in, so `accept` fails with
-    // EMFILE while the rest wait in the backlog. Retrying at once spins the
-    // accept thread on a whole CPU.
-    let daemon = Daemon::start("ulimit -n 24", &["--reactor", "--duration", "6"], &[]);
+    // Room for four connections of two descriptors each (the stream and
+    // the drain's clone) above what the listening daemon holds: the fifth
+    // `accept` fails with EMFILE, and keeps failing while the rest of a
+    // dozen wait in the backlog. Retrying at once spins the accept thread
+    // on a whole CPU.
+    let daemon = Daemon::start(&["--duration", "6"], &[]);
+    daemon.limit("--nofile", daemon.open_descriptors() + 2 * 4);
     let idle: Vec<TcpStream> = (0..12)
         .map(|_| TcpStream::connect(daemon.addr).unwrap())
         .collect();
@@ -150,16 +165,9 @@ fn a_refused_handler_thread_closes_its_connection_and_accepting_goes_on() {
     // then an address-space limit a few stacks above what the daemon maps
     // once listening. The first connections get threads, later ones find
     // none: each must be closed and counted while the accept thread lives
-    // on to serve the next connection once a thread has been joined. The
-    // limit is lowered once the daemon listens, so the shell sets none.
-    let daemon = Daemon::start("true", &["--duration", "6"], &[("MALLOC_ARENA_MAX", "1")]);
-    let limit = (daemon.vm_size_kib() + 5 * 1024) * 1024;
-    let status = Command::new("prlimit")
-        .arg(format!("--pid={}", daemon.child.id()))
-        .arg(format!("--as={limit}"))
-        .status()
-        .expect("run prlimit (util-linux)");
-    assert!(status.success());
+    // on to serve the next connection once a thread has been joined.
+    let daemon = Daemon::start(&["--duration", "6"], &[("MALLOC_ARENA_MAX", "1")]);
+    daemon.limit("--as", (daemon.vm_size_kib() + 5 * 1024) * 1024);
 
     let mut served = Vec::new();
     let mut refused = 0;

@@ -742,7 +742,7 @@ fn incremental_verdict(chunks: &[&[u8]]) -> StreamVerdict {
     let mut frames = Vec::new();
     for chunk in chunks {
         if let Err(e) = dec.extend(chunk, &mut frames) {
-            // First error poisons the decoder; the reactor drops the
+            // First error poisons the decoder; a server drops the
             // connection here, so nothing after it counts.
             return StreamVerdict {
                 frames,
@@ -764,8 +764,8 @@ fn incremental_verdict(chunks: &[&[u8]]) -> StreamVerdict {
 /// inside the payload — the whole stream is replayed split at *every*
 /// byte boundary (and once byte-at-a-time), and the decoded frames plus
 /// the end-of-stream classification must match the blocking reference
-/// exactly. This is the contract that lets the reactor and the
-/// thread-per-connection server share one wire protocol.
+/// exactly. This is the contract that lets a reader of arbitrary chunks
+/// and the blocking server share one wire protocol.
 #[test]
 fn frame_decoder_matches_blocking_reader_at_every_split() {
     use simdht_kvs::net::{write_frame, MAX_FRAME_BYTES};
@@ -999,7 +999,7 @@ fn assert_every_split_frames_alike(stream: &[u8], what: &str) {
 }
 
 /// Every hex literal of `wire_golden.rs` as the byte stream a socket would
-/// carry: the literal itself for the reactor's length-prefixed subframes,
+/// carry: the literal itself for a run's length-prefixed subframes,
 /// the literal behind a `write_frame` prefix for a bare message. Read out
 /// of that file's source — its constants are private to its own test
 /// binary, and a second copy here could drift from the pinned one.
@@ -1043,7 +1043,7 @@ fn golden_frames_survive_the_damage_corpus() {
             frames += 1;
         }
     }
-    assert_eq!(frames, 20, "the reactor literal holds two frames");
+    assert_eq!(frames, 20, "the REACTOR_SUBFRAMES literal holds two frames");
 }
 
 /// A length that does not fit its wire field must never be encoded: the

@@ -254,8 +254,9 @@ fn store_sealed_mget16_reply_matches_its_recorded_frame() {
     );
 }
 
-/// The reactor's scatter: one coalesced batch (a 3-key request followed by
-/// the 16-key request above) cut back into two length-prefixed frames.
+/// A run's scatter: one store call for two pipelined Multi-Gets (a 3-key
+/// request followed by the 16-key request above) cut back into two
+/// length-prefixed frames, as the server's connection loop sends them.
 #[test]
 fn reactor_subframes_of_a_coalesced_batch_match_their_recorded_bytes() {
     let store = half_loaded_store();

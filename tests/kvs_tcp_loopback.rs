@@ -7,7 +7,7 @@ use std::sync::Arc;
 
 use simdht::kvs::index;
 use simdht::kvs::kvsd::Kvsd;
-use simdht::kvs::memslap::{run_memslap_mux, run_memslap_over, MuxMemslapConfig, NetMemslapConfig};
+use simdht::kvs::memslap::{run_memslap_over, NetMemslapConfig};
 use simdht::kvs::metrics::Counter;
 use simdht::kvs::net::{TcpConn, TcpTransport};
 use simdht::kvs::protocol::{Request, Response};
@@ -188,9 +188,10 @@ fn concurrent_clients_share_one_daemon() {
 }
 
 #[test]
-fn mux_and_threaded_clients_agree_against_one_kvsd() {
-    // Same read-only workload, same daemon, two drivers: the counts a
-    // client can observe must not depend on which loop drove it.
+fn connection_shapes_agree_against_one_kvsd() {
+    // Same read-only workload, same daemon, two client shapes: the counts a
+    // client can observe must not depend on how its requests were spread
+    // over connections and pipelines.
     let workload = KvWorkload::generate(&KvWorkloadSpec {
         n_items: 500,
         n_requests: 100,
@@ -209,14 +210,14 @@ fn mux_and_threaded_clients_agree_against_one_kvsd() {
         },
     )
     .unwrap();
-    let mux = run_memslap_mux(
-        kvsd.local_addr(),
+    let single = run_memslap_over(
+        &transport,
         &workload,
-        &MuxMemslapConfig {
-            connections: 4,
-            pipeline_depth: 2,
+        &NetMemslapConfig {
+            connections: 1,
+            pipeline_depth: 16,
             preload: false,
-            ..MuxMemslapConfig::default()
+            ..NetMemslapConfig::default()
         },
     )
     .unwrap();
@@ -226,10 +227,10 @@ fn mux_and_threaded_clients_agree_against_one_kvsd() {
         (100, 1600, 1600)
     );
     assert_eq!(
-        (mux.requests, mux.keys, mux.hits),
+        (single.requests, single.keys, single.hits),
         (threaded.requests, threaded.keys, threaded.hits)
     );
-    assert_eq!((mux.failed, threaded.failed), (0, 0));
+    assert_eq!((single.failed, threaded.failed), (0, 0));
     // One daemon served both streams, each exactly once.
     assert_eq!(stats[Counter::Requests], 200);
     assert_eq!(stats[Counter::Found], 3200);
